@@ -15,12 +15,15 @@
 //
 //	benchdiff -write -baseline BENCH_BASELINE.json -bench fresh.txt
 //
-// When several samples of the same benchmark appear (e.g. -count=3), the
-// minimum is used — the least noisy estimate of the true cost.
+// When several samples of the same benchmark appear (e.g. -count=5), their
+// median is compared (the lower median for an even count): unlike the
+// minimum, it does not reward one lucky sample, so the figure is stable
+// from run to run.
 //
 // -json <file> additionally writes the comparison as machine-readable JSON
-// (per-benchmark verdicts plus the regressed list), written before the exit
-// verdict so CI can upload it as an artifact even when the guard trips.
+// (per-benchmark verdicts, the fresh run's quartile spread, and the
+// regressed list), written before the exit verdict so CI can upload it as
+// an artifact even when the guard trips.
 package main
 
 import (
@@ -33,6 +36,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // baseline is the committed JSON document. NsPerOp is keyed by the benchmark
@@ -49,21 +53,14 @@ type baseline struct {
 // name (sans -N processor suffix) and the ns/op figure.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:[eE][+-]?\d+)?) ns/op`)
 
-// parseBench extracts ns/op per benchmark from bench output, keeping the
-// minimum across repeated samples.
-func parseBench(r io.Reader) (map[string]float64, error) {
+// parseSamples extracts every ns/op sample per benchmark, in input order.
+func parseSamples(r io.Reader) (map[string][]float64, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64)
-	start := 0
-	for i := 0; i <= len(data); i++ {
-		if i != len(data) && data[i] != '\n' {
-			continue
-		}
-		line := string(data[start:i])
-		start = i + 1
+	out := make(map[string][]float64)
+	for _, line := range strings.Split(string(data), "\n") {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -72,19 +69,43 @@ func parseBench(r io.Reader) (map[string]float64, error) {
 		if err != nil {
 			return nil, fmt.Errorf("benchdiff: bad ns/op in %q: %v", line, err)
 		}
-		if prev, ok := out[m[1]]; !ok || ns < prev {
-			out[m[1]] = ns
-		}
+		out[m[1]] = append(out[m[1]], ns)
+	}
+	return out, nil
+}
+
+// quartiles returns the lower quartile, the (lower) median and the upper
+// quartile of samples, each an actual sample. It sorts samples in place.
+func quartiles(samples []float64) (q1, median, q3 float64) {
+	sort.Float64s(samples)
+	n := len(samples) - 1
+	return samples[n/4], samples[n/2], samples[n-n/4]
+}
+
+// parseBench extracts ns/op per benchmark from bench output: the median of
+// its samples.
+func parseBench(r io.Reader) (map[string]float64, error) {
+	samples, err := parseSamples(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64, len(samples))
+	for name, s := range samples {
+		_, out[name], _ = quartiles(s)
 	}
 	return out, nil
 }
 
 // benchEntry is one benchmark's comparison in the -json report. BaselineNs
-// is absent for "new" benchmarks, FreshNs and Delta for "missing" ones.
+// is absent for "new" benchmarks; FreshNs, the fresh quartiles and Delta for
+// "missing" ones.
 type benchEntry struct {
 	Name       string   `json:"name"`
 	BaselineNs *float64 `json:"baselineNs,omitempty"`
-	FreshNs    *float64 `json:"freshNs,omitempty"`
+	FreshNs    *float64 `json:"freshNs,omitempty"` // median of the fresh samples
+	FreshQ1    *float64 `json:"freshQ1,omitempty"` // lower quartile
+	FreshQ3    *float64 `json:"freshQ3,omitempty"` // upper quartile
+	Samples    int      `json:"samples,omitempty"`
 	Delta      *float64 `json:"delta,omitempty"` // fresh/baseline - 1
 	Verdict    string   `json:"verdict"`         // ok | regressed | missing | new
 }
@@ -182,9 +203,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		defer f.Close()
 		in = f
 	}
-	fresh, err := parseBench(in)
+	samples, err := parseSamples(in)
 	if err != nil {
 		return err
+	}
+	fresh := make(map[string]float64, len(samples))
+	spread := make(map[string][2]float64, len(samples))
+	for name, s := range samples {
+		q1, median, q3 := quartiles(s)
+		fresh[name], spread[name] = median, [2]float64{q1, q3}
 	}
 	if len(fresh) == 0 {
 		return fmt.Errorf("benchdiff: no benchmark results in input")
@@ -215,6 +242,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("benchdiff: %s holds no benchmarks", *baselinePath)
 	}
 	entries, bad := compare(doc.NsPerOp, fresh, *threshold)
+	for i := range entries {
+		if e := &entries[i]; e.FreshNs != nil {
+			q := spread[e.Name]
+			e.FreshQ1, e.FreshQ3, e.Samples = &q[0], &q[1], len(samples[e.Name])
+		}
+	}
 	renderText(stdout, entries)
 	// The JSON report is written before the verdict is returned: on a red
 	// gate the artifact is exactly what the investigation needs.

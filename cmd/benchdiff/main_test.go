@@ -26,7 +26,7 @@ func TestParseBench(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{
-		"BenchmarkBuild":         110000, // min across the two samples
+		"BenchmarkBuild":         110000, // lower median of the two samples
 		"BenchmarkTopK":          2500.5,
 		"BenchmarkFilterObserve": 800, // no -N suffix is fine too
 	}
@@ -206,5 +206,48 @@ func TestWriteProducesStableJSON(t *testing.T) {
 		if !strings.Contains(string(data), needle) {
 			t.Errorf("baseline JSON missing %q:\n%s", needle, data)
 		}
+	}
+}
+
+// TestMedianAndSpread: repeated samples (-count=5) are compared by their
+// median, so one lucky or unlucky sample moves nothing, and the -json report
+// carries the fresh quartiles.
+func TestMedianAndSpread(t *testing.T) {
+	const fiveSamples = `BenchmarkBuild-2 5 100 ns/op
+BenchmarkBuild-2 5 900 ns/op
+BenchmarkBuild-2 5 120 ns/op
+BenchmarkBuild-2 5 110 ns/op
+BenchmarkBuild-2 5 10 ns/op
+`
+	got, err := parseBench(strings.NewReader(fiveSamples))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got["BenchmarkBuild"] != 110 {
+		t.Fatalf("median = %v, want 110", got["BenchmarkBuild"])
+	}
+	dir := t.TempDir()
+	baselinePath := filepath.Join(dir, "baseline.json")
+	jsonPath := filepath.Join(dir, "benchdiff.json")
+	if err := run([]string{"-write", "-baseline", baselinePath},
+		strings.NewReader(fiveSamples), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-baseline", baselinePath, "-json", jsonPath},
+		strings.NewReader(fiveSamples), &bytes.Buffer{}); err != nil {
+		t.Fatalf("self-compare failed: %v", err)
+	}
+	data, err := os.ReadFile(jsonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report benchReport
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	e := report.Benchmarks[0]
+	if e.FreshNs == nil || e.FreshQ1 == nil || e.FreshQ3 == nil ||
+		*e.FreshNs != 110 || *e.FreshQ1 != 100 || *e.FreshQ3 != 120 || e.Samples != 5 {
+		t.Fatalf("entry = %s", data)
 	}
 }

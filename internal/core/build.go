@@ -48,11 +48,10 @@ func (o *Options) explain() *BuildExplain {
 // Build runs Algorithm 1: it constructs the conditioned trajectory graph of
 // the l-sequence under the integrity constraints.
 //
-// The forward phase (lines 5-14 of the paper) grows the graph timestamp by
-// timestamp, materializing only successors permitted by Definition 3 and
-// labeling edges with the a-priori step probabilities. Successor identity is
-// the comparable nodeKey (with the TL slice interned), so deduplicating the
-// level costs no per-candidate allocation; nodes and edges come from arenas.
+// The forward phase (lines 1-14 of the paper) is the shared kernel of
+// forward.go: it grows the graph timestamp by timestamp, materializing only
+// successors permitted by Definition 3 and labeling edges with the a-priori
+// step probabilities; nodes and edges come from arenas.
 //
 // The backward phase implements the same revision as the paper's
 // loss-propagation queue (lines 15-31) in its closed form: for every node,
@@ -87,9 +86,6 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	if err := ls.Validate(); err != nil {
 		return nil, err
 	}
-	if ic == nil {
-		ic = constraints.NewSet()
-	}
 	duration := ls.Duration()
 	ex := opts.explain()
 	if ex != nil {
@@ -101,110 +97,38 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 
 	_, spCompile := obs.Start(ctx, "core.compile")
 	phaseStart := time.Now()
-	b := newBuilder(ic)
+	k := newKernel(ic)
 	if ex != nil {
 		ex.CompileNanos = time.Since(phaseStart).Nanoseconds()
 		phaseStart = time.Now()
 	}
 	spCompile.End()
 	_, spForward := obs.Start(ctx, "core.forward")
+
+	// Forward phase (lines 1-14): the sources, then expand+link per level.
 	g := &Graph{byTime: make([][]*Node, duration)}
-
-	// Initialization (lines 1-4): source nodes, one per candidate at τ=0,
-	// with p_N set from the a-priori probabilities.
-	for _, c := range ls.Steps[0].Candidates {
-		n := b.newNode(0, c.Loc, b.initialStay(c.Loc), nil)
-		n.prob = c.P
-		n.idx = int32(len(g.byTime[0]))
-		g.byTime[0] = append(g.byTime[0], n)
-	}
+	g.byTime[0] = k.sources(ls.Steps[0].Candidates, nil)
 	if ex != nil {
-		ex.Steps[0].Candidates = len(ls.Steps[0].Candidates)
-		ex.Steps[0].NodesBuilt = len(g.byTime[0])
+		ex.Steps[0] = k.step
 	}
-
-	// Forward phase (lines 5-14). The level map is reused across timestamps;
-	// keys are value types, so deduplicating a level allocates nothing. Each
-	// level is built in two passes: the first resolves every (node, candidate)
-	// pair to its successor (or nil) and counts degrees, the second carves
-	// exact-capacity adjacency lists out of the pointer arena and fills them —
-	// so the in/out lists never pay append-growth reallocations.
-	level := make(map[nodeKey]*Node)
-	var (
-		succs  []*Node // successor per (node, candidate) pair, nil when invalid
-		outDeg []int32 // out-degree per node of the current level
-		inDeg  []int32 // in-degree per node of the next level
-		prunes [numPruneReasons]int64
-	)
-	for t := 0; t+1 < duration; t++ {
-		clear(level)
-		cur := g.byTime[t]
-		cands := ls.Steps[t+1].Candidates
-		prunedBefore := prunes[pruneDU] + prunes[pruneLT] + prunes[pruneTT]
-		succs = resize(succs, len(cur)*len(cands))
-		outDeg = resize(outDeg, len(cur))
-		inDeg = inDeg[:0]
-		pi := 0
-		for i, n := range cur {
-			outDeg[i] = 0
-			for _, c := range cands {
-				key, why := b.successorKey(n, c.Loc)
-				prunes[why]++
-				if why != pruneNone {
-					succs[pi] = nil
-					pi++
-					continue
-				}
-				succ, seen := level[key]
-				if !seen {
-					succ = b.newNode(t+1, int(key.loc), int(key.stay), b.tl.seq(key.tl))
-					succ.idx = int32(len(g.byTime[t+1]))
-					level[key] = succ
-					g.byTime[t+1] = append(g.byTime[t+1], succ)
-					inDeg = append(inDeg, 0)
-				}
-				succs[pi] = succ
-				pi++
-				outDeg[i]++
-				inDeg[succ.idx]++
-			}
-		}
+	for t := 1; t < duration; t++ {
+		cur, cands := g.byTime[t-1], ls.Steps[t].Candidates
+		next := k.expand(t, cur, cands, make([]*Node, 0, len(cur)), nil)
 		if ex != nil {
-			st := &ex.Steps[t+1]
-			st.Candidates = len(cands)
-			st.Considered = len(cur) * len(cands)
-			st.Accepted = st.Considered - int(prunes[pruneDU]+prunes[pruneLT]+prunes[pruneTT]-prunedBefore)
-			st.NodesBuilt = len(g.byTime[t+1])
+			ex.Steps[t] = k.step
 		}
-		if len(g.byTime[t+1]) == 0 {
-			return nil, fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t+1)
+		if len(next) == 0 {
+			return nil, fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
 		}
-		for i, n := range cur {
-			n.out = b.carve(int(outDeg[i]))
-		}
-		for i, m := range g.byTime[t+1] {
-			m.in = b.carve(int(inDeg[i]))
-		}
-		pi = 0
-		for _, n := range cur {
-			for _, c := range cands {
-				succ := succs[pi]
-				pi++
-				if succ == nil {
-					continue
-				}
-				e := b.newEdge(n, succ, c.P)
-				n.out = append(n.out, e)
-				succ.in = append(succ.in, e)
-			}
-		}
+		k.link(cur, next, cands)
+		g.byTime[t] = next
 	}
 
 	spForward.End()
 	if ex != nil {
-		ex.PrunedDU = prunes[pruneDU]
-		ex.PrunedLT = prunes[pruneLT]
-		ex.PrunedTT = prunes[pruneTT]
+		ex.PrunedDU = k.prunes[pruneDU]
+		ex.PrunedLT = k.prunes[pruneLT]
+		ex.PrunedTT = k.prunes[pruneTT]
 		ex.ForwardNanos = time.Since(phaseStart).Nanoseconds()
 		phaseStart = time.Now()
 	}
@@ -458,11 +382,11 @@ const (
 	ptrBlockSize  = 4096
 )
 
-// builder holds the constraint set plus the allocation state shared by the
-// forward phase and the streaming filter: the compiled constraint view, the
-// TL interner, a scratch slice for assembling successor TLs, and node/edge
-// arenas. Blocks are never reallocated once handed out, so node and edge
-// pointers stay stable.
+// builder holds the constraint set plus the allocation state of the forward
+// kernel (forward.go): the compiled constraint view, the TL interner, a
+// scratch slice for assembling successor TLs, and node/edge arenas. Blocks
+// are never reallocated once handed out, so node and edge pointers stay
+// stable.
 type builder struct {
 	cs      *constraints.Compiled
 	tl      *tlInterner
@@ -560,8 +484,8 @@ func (b *builder) initialStay(loc int) int {
 // successorKey computes the identity of the unique successor node of n at
 // location loc per Definition 3. The returned pruneReason is pruneNone on
 // success; otherwise it names the constraint family that ruled the successor
-// out, so Build can attribute prunes per constraint kind in explain reports.
-// The successor's TL is assembled in the builder's scratch slice and
+// out, so the kernel can attribute prunes per constraint kind in explain
+// reports. The successor's TL is assembled in the builder's scratch slice and
 // interned, so checking a candidate that deduplicates onto an existing node
 // allocates nothing.
 func (b *builder) successorKey(n *Node, loc int) (nodeKey, pruneReason) {

@@ -70,8 +70,11 @@ func Decode(r io.Reader) (*Graph, error) {
 	if in.Version != graphFormatVersion {
 		return nil, fmt.Errorf("core: unsupported ct-graph format version %d", in.Version)
 	}
-	if in.Duration <= 0 {
-		return nil, fmt.Errorf("core: decoded graph has duration %d", in.Duration)
+	// Every level holds at least one node, so a duration beyond the node
+	// count is malformed; rejecting it first bounds the level table by the
+	// input size instead of by an attacker-chosen integer.
+	if in.Duration <= 0 || in.Duration > len(in.Nodes) {
+		return nil, fmt.Errorf("core: decoded graph has duration %d with %d nodes", in.Duration, len(in.Nodes))
 	}
 	g := &Graph{byTime: make([][]*Node, in.Duration)}
 	nodes := make([]*Node, len(in.Nodes))

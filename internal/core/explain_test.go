@@ -162,17 +162,3 @@ func TestBuildAllocParity(t *testing.T) {
 		t.Fatalf("BuildCtx with no recorder allocates more than Build: %v > %v allocs/op", instrumented, base)
 	}
 }
-
-// BenchmarkBuildNoRecorder is the instrumented hot path with no recorder
-// attached — the acceptance bench for the zero-overhead contract. It must
-// stay within the baseline-noise band of BenchmarkBuild.
-func BenchmarkBuildNoRecorder(b *testing.B) {
-	ls, ic := benchScenario()
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := BuildCtx(ctx, ls, ic, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

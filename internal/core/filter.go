@@ -2,18 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/constraints"
 )
-
-// filterInternCap bounds the streaming filter's TL interner. TL entries
-// carry absolute timestamps, so on an unbounded stream the interner would
-// grow without limit; once it exceeds this many chain links it is discarded
-// and rebuilt. That is safe because interned IDs are only compared within a
-// single Observe call, and frontier nodes hold the canonical slices
-// themselves, which outlive the interner that created them.
-const filterInternCap = 1 << 16
 
 // Filter is the online (streaming) counterpart of Build: it consumes one
 // timestamp of candidate locations at a time and maintains the *filtered*
@@ -33,22 +24,9 @@ const filterInternCap = 1 << 16
 // streams by keeping only the most probable nodes — an approximation that
 // trades exactness for a hard memory bound.
 type Filter struct {
-	ic   *constraints.Set
-	b    builder
-	beam int
-
-	// internCap bounds the TL interner (filterInternCap by default); tests
-	// lower it to exercise the rebuild path cheaply.
-	internCap int
-	rebuilds  int
-
-	time     int
-	frontier []*filterEntry
-}
-
-type filterEntry struct {
-	node  *Node // identity fields only; no edges
-	alpha float64
+	frontier
+	beam  int
+	spare []*Node // the previous level's slice, reused as the next expand target
 }
 
 // FilterOptions configures a Filter.
@@ -61,10 +39,7 @@ type FilterOptions struct {
 
 // NewFilter returns a streaming cleaner over the given constraints.
 func NewFilter(ic *constraints.Set, opts *FilterOptions) *Filter {
-	if ic == nil {
-		ic = constraints.NewSet()
-	}
-	f := &Filter{ic: ic, b: newBuilder(ic), internCap: filterInternCap, time: -1}
+	f := &Filter{frontier: newFrontier(ic)}
 	if opts != nil && opts.Beam > 0 {
 		f.beam = opts.Beam
 	}
@@ -74,117 +49,17 @@ func NewFilter(ic *constraints.Set, opts *FilterOptions) *Filter {
 // Beam returns the configured beam width (0 = exact filtering).
 func (f *Filter) Beam() int { return f.beam }
 
-// InternerRebuilds returns how many times the TL interner has been discarded
-// and rebuilt to bound memory on a long stream.
-func (f *Filter) InternerRebuilds() int { return f.rebuilds }
-
-// Time returns the timestamp of the last observation (-1 before the first).
-func (f *Filter) Time() int { return f.time }
-
-// FrontierSize returns the number of alive location nodes.
-func (f *Filter) FrontierSize() int { return len(f.frontier) }
-
 // Observe advances the filter by one timestamp. candidates is the step's
 // candidate set (non-zero probabilities summing to 1, as produced by
 // prior.Model). It returns ErrNoValidTrajectory when no continuation is
 // consistent with the constraints, after which the filter is unusable.
 func (f *Filter) Observe(candidates []Candidate) error {
-	if err := validateCandidates(candidates, f.time+1); err != nil {
+	prev, err := f.advance(candidates, f.spare[:0], f.beam)
+	if err != nil {
 		return err
 	}
-	if f.time < 0 {
-		f.frontier = make([]*filterEntry, 0, len(candidates))
-		for _, c := range candidates {
-			f.frontier = append(f.frontier, &filterEntry{
-				node:  f.b.newNode(0, c.Loc, f.b.initialStay(c.Loc), nil),
-				alpha: c.P,
-			})
-		}
-		f.time = 0
-		f.normalizeAndPrune()
-		return nil
-	}
-	if f.b.tl.size() > f.internCap {
-		f.b.tl = newTLInterner()
-		f.rebuilds++
-	}
-
-	next := make(map[nodeKey]*filterEntry, len(f.frontier))
-	order := make([]*filterEntry, 0, len(f.frontier))
-	for _, e := range f.frontier {
-		for _, c := range candidates {
-			key, why := f.b.successorKey(e.node, c.Loc)
-			if why != pruneNone {
-				continue
-			}
-			ne, seen := next[key]
-			if !seen {
-				ne = &filterEntry{node: f.b.newNode(f.time+1, int(key.loc), int(key.stay), f.b.tl.seq(key.tl))}
-				next[key] = ne
-				order = append(order, ne)
-			}
-			ne.alpha += e.alpha * c.P
-		}
-	}
-	if len(order) == 0 {
-		f.frontier = nil
-		return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, f.time+1)
-	}
-	f.frontier = order
-	f.time++
-	f.normalizeAndPrune()
+	f.spare = prev
 	return nil
-}
-
-// normalizeAndPrune rescales frontier probabilities to sum to 1, applying
-// the beam cap first when configured. The beam sort breaks probability ties
-// by node identity (location, stay, then TL) so entries straddling the beam
-// boundary with equal mass truncate deterministically — sort.Slice is
-// unstable, and keying on alpha alone made repeated runs over the same
-// readings keep different frontiers.
-func (f *Filter) normalizeAndPrune() {
-	if f.beam > 0 && len(f.frontier) > f.beam {
-		sort.Slice(f.frontier, func(i, j int) bool {
-			a, b := f.frontier[i], f.frontier[j]
-			if a.alpha != b.alpha {
-				return a.alpha > b.alpha
-			}
-			return a.node.identityLess(b.node)
-		})
-		f.frontier = f.frontier[:f.beam]
-	}
-	total := 0.0
-	for _, e := range f.frontier {
-		total += e.alpha
-	}
-	if total <= 0 {
-		return
-	}
-	for _, e := range f.frontier {
-		e.alpha /= total
-	}
-}
-
-// identityLess orders nodes of one timestamp by their identity fields:
-// location, then stay counter, then TL lexicographically. Two distinct nodes
-// of a level never compare equal — (Loc, Stay, TL) is exactly the nodeKey
-// the forward phase deduplicates on.
-func (n *Node) identityLess(m *Node) bool {
-	if n.Loc != m.Loc {
-		return n.Loc < m.Loc
-	}
-	if n.Stay != m.Stay {
-		return n.Stay < m.Stay
-	}
-	for i := 0; i < len(n.TL) && i < len(m.TL); i++ {
-		if n.TL[i] != m.TL[i] {
-			if n.TL[i].Time != m.TL[i].Time {
-				return n.TL[i].Time < m.TL[i].Time
-			}
-			return n.TL[i].Loc < m.TL[i].Loc
-		}
-	}
-	return len(n.TL) < len(m.TL)
 }
 
 // Current returns the filtered distribution over locations at the latest
@@ -195,67 +70,11 @@ func (f *Filter) Current(numLocations int) ([]float64, error) {
 		return nil, fmt.Errorf("core: filter has observed nothing")
 	}
 	dist := make([]float64, numLocations)
-	for _, e := range f.frontier {
-		if e.node.Loc >= numLocations {
-			return nil, fmt.Errorf("core: frontier location ID %d outside [0, %d)", e.node.Loc, numLocations)
+	for i, n := range f.level {
+		if n.Loc >= numLocations {
+			return nil, fmt.Errorf("core: frontier location ID %d outside [0, %d)", n.Loc, numLocations)
 		}
-		dist[e.node.Loc] += e.alpha
-	}
-	return dist, nil
-}
-
-// LocProb is one (location ID, probability) entry of a filtered
-// distribution.
-type LocProb struct {
-	Loc int
-	P   float64
-}
-
-// Distribution returns the filtered distribution at the latest observed
-// timestamp aggregated by location, sorted by descending probability (ties
-// broken by ascending location ID). Unlike Current it needs no location
-// count and omits zero-probability locations — the shape a live-tracking
-// serving layer returns to clients.
-func (f *Filter) Distribution() ([]LocProb, error) {
-	if f.time < 0 {
-		return nil, fmt.Errorf("core: filter has observed nothing")
-	}
-	byLoc := make(map[int]float64, len(f.frontier))
-	for _, e := range f.frontier {
-		byLoc[e.node.Loc] += e.alpha
-	}
-	return sortDistribution(byLoc), nil
-}
-
-// sortDistribution flattens a by-location aggregate into the serving shape:
-// descending probability, ties broken by ascending location ID. Shared by
-// Filter.Distribution and BuildState.Distribution.
-func sortDistribution(byLoc map[int]float64) []LocProb {
-	out := make([]LocProb, 0, len(byLoc))
-	for l, p := range byLoc {
-		out = append(out, LocProb{Loc: l, P: p})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].P != out[j].P {
-			return out[i].P > out[j].P
-		}
-		return out[i].Loc < out[j].Loc
-	})
-	return out
-}
-
-// TopLocations returns the up-to-k most probable current locations with
-// their filtered probabilities, descending. k < 1 is an error.
-func (f *Filter) TopLocations(k int) ([]LocProb, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: top-k needs k >= 1, got %d", k)
-	}
-	dist, err := f.Distribution()
-	if err != nil {
-		return nil, err
-	}
-	if len(dist) > k {
-		dist = dist[:k]
+		dist[n.Loc] += f.alphas[i]
 	}
 	return dist, nil
 }

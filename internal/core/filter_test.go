@@ -128,8 +128,15 @@ func TestFilterInternerRebuildMatchesGraph(t *testing.T) {
 
 // entryKey identifies a frontier node across two filters fed identical
 // observations.
-func entryKey(e *filterEntry) string {
+func entryKey(e frontierEntry) string {
 	return fmt.Sprintf("%d|%d|%v", e.node.Loc, e.node.Stay, e.node.TL)
+}
+
+// frontierEntry is one frontier node with its forward mass, so the beam test
+// can sort the exact frontier without disturbing the filter.
+type frontierEntry struct {
+	node  *Node
+	alpha float64
 }
 
 // TestFilterBeamTruncationKeepsTopAlphas runs an exact filter and a beamed
@@ -171,8 +178,8 @@ func TestFilterBeamTruncationKeepsTopAlphas(t *testing.T) {
 					trial, step, beamed.FrontierSize(), beamWidth)
 			}
 			total := 0.0
-			for _, e := range beamed.frontier {
-				total += e.alpha
+			for _, alpha := range beamed.alphas {
+				total += alpha
 			}
 			if math.Abs(total-1) > 1e-9 {
 				t.Fatalf("trial %d step %d: beam frontier mass %v, want 1", trial, step, total)
@@ -188,7 +195,10 @@ func TestFilterBeamTruncationKeepsTopAlphas(t *testing.T) {
 			// First truncation: the kept nodes must be the top-beamWidth of
 			// the exact frontier by probability mass, renormalized.
 			truncationsSeen++
-			ex := append([]*filterEntry(nil), exact.frontier...)
+			ex := make([]frontierEntry, len(exact.level))
+			for i, n := range exact.level {
+				ex[i] = frontierEntry{n, exact.alphas[i]}
+			}
 			sort.Slice(ex, func(i, j int) bool { return ex[i].alpha > ex[j].alpha })
 			cut := ex[beamWidth-1].alpha
 			topMass := 0.0
@@ -197,7 +207,8 @@ func TestFilterBeamTruncationKeepsTopAlphas(t *testing.T) {
 				top[entryKey(e)] = e.alpha
 				topMass += e.alpha
 			}
-			for _, e := range beamed.frontier {
+			for i, n := range beamed.level {
+				e := frontierEntry{n, beamed.alphas[i]}
 				want, ok := top[entryKey(e)]
 				if !ok {
 					// Ties at the cut line make the chosen set ambiguous;
@@ -341,5 +352,133 @@ func TestFilterRejectsDuplicateCandidates(t *testing.T) {
 	// The failed observation must not have advanced the filter.
 	if f.Time() != 0 {
 		t.Fatalf("rejected observation advanced time to %d", f.Time())
+	}
+}
+
+// TestObserveAfterDeadEnd: once a stream dead-ends, every later observation
+// — even one consistent with the last alive frontier — keeps failing with
+// ErrNoValidTrajectory instead of resurrecting (or crashing on) the empty
+// frontier, for both streaming front ends.
+func TestObserveAfterDeadEnd(t *testing.T) {
+	ic := constraints.NewSet()
+	ic.AddDU(0, 1)
+	at := func(loc int) []Candidate { return []Candidate{{Loc: loc, P: 1}} }
+	for name, observe := range map[string]func([]Candidate) error{
+		"Filter":     NewFilter(ic, nil).Observe,
+		"beamFilter": NewFilter(ic, &FilterOptions{Beam: 1}).Observe,
+		"BuildState": NewBuildState(ic).Observe,
+	} {
+		if err := observe(at(0)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := observe(at(1)); !errors.Is(err, ErrNoValidTrajectory) {
+			t.Fatalf("%s: unreachable move gave %v, want ErrNoValidTrajectory", name, err)
+		}
+		for i := 0; i < 3; i++ {
+			if err := observe(at(0)); !errors.Is(err, ErrNoValidTrajectory) {
+				t.Fatalf("%s: observation %d after the dead end gave %v, want ErrNoValidTrajectory", name, i, err)
+			}
+		}
+	}
+}
+
+// TestFilterSoakDay streams a day of 1 Hz readings (86,400 timestamps) under
+// LT and TT constraints through an exact and a beamed Filter. TL entries
+// carry absolute times, so the interner must be rebuilt and stay bounded;
+// the forward mass must stay a normalized vector of positive normal floats;
+// and over the first 4,096 readings the exact filter must answer
+// bit-identically to a BuildState fed the same readings.
+func TestFilterSoakDay(t *testing.T) {
+	const (
+		day      = 86400
+		stateLen = 4096
+	)
+	// Five locations; every step offers location 0 plus one to three
+	// others. No constraint ever forbids entering or staying at 0 (its
+	// latency bound only delays leaving it), so no frontier — beamed or not
+	// — can dead-end, while the TT constraints among 1-4 keep recently left
+	// locations, with their absolute times, in the nodes' TLs.
+	ic := constraints.NewSet()
+	ic.AddLT(0, 3)
+	for _, tt := range [][3]int{{1, 2, 4}, {2, 3, 3}, {3, 4, 5}, {4, 1, 3}, {1, 3, 6}, {2, 4, 2}} {
+		if err := ic.AddTT(tt[0], tt[1], tt[2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := stats.NewRNG(86400)
+	steps := make([][]Candidate, day)
+	for k := range steps {
+		cands := []Candidate{{Loc: 0, P: rng.Range(0.05, 1)}}
+		for loc := 1; loc < 5; loc++ {
+			if rng.Float64() < 0.5 {
+				cands = append(cands, Candidate{Loc: loc, P: rng.Range(0.05, 1)})
+			}
+		}
+		total := 0.0
+		for _, c := range cands {
+			total += c.P
+		}
+		for i := range cands {
+			cands[i].P /= total
+		}
+		steps[k] = cands
+	}
+	exact := NewFilter(ic, nil)
+	beamed := NewFilter(ic, &FilterOptions{Beam: 3})
+	st := NewBuildState(ic)
+	for k, cands := range steps {
+		for _, f := range []*Filter{exact, beamed} {
+			// One step adds at most one chain of links per (node, candidate)
+			// pair, and a TL holds at most one entry per location.
+			oneStep := f.FrontierSize() * len(cands) * 3
+			if err := f.Observe(cands); err != nil {
+				t.Fatalf("step %d (beam %d): %v", k, f.Beam(), err)
+			}
+			if got := f.b.tl.size(); got > f.internCap+oneStep {
+				t.Fatalf("step %d (beam %d): interner holds %d links, cap %d + one step %d",
+					k, f.Beam(), got, f.internCap, oneStep)
+			}
+			sum := 0.0
+			for _, a := range f.alphas {
+				if !(a >= 0x1p-1022) || math.IsInf(a, 0) {
+					t.Fatalf("step %d (beam %d): forward mass %v is not a positive normal float", k, f.Beam(), a)
+				}
+				sum += a
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Fatalf("step %d (beam %d): forward mass sums to %v", k, f.Beam(), sum)
+			}
+		}
+		if k >= stateLen {
+			continue
+		}
+		if err := st.Observe(cands); err != nil {
+			t.Fatalf("step %d: build state: %v", k, err)
+		}
+		if k%256 != 255 {
+			continue
+		}
+		want, err := st.Distribution()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := exact.Distribution()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("step %d: filter has %d locations, build state %d", k, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Loc != want[i].Loc || math.Float64bits(got[i].P) != math.Float64bits(want[i].P) {
+				t.Fatalf("step %d entry %d: filter %+v, build state %+v", k, i, got[i], want[i])
+			}
+		}
+	}
+	for _, f := range []*Filter{exact, beamed} {
+		if f.InternerRebuilds() == 0 {
+			t.Fatalf("beam %d: the interner never rebuilt over a day of readings", f.Beam())
+		}
+		t.Logf("beam %d: %d interner rebuilds, final frontier %d nodes", f.Beam(), f.InternerRebuilds(), f.FrontierSize())
 	}
 }

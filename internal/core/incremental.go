@@ -39,32 +39,17 @@ import (
 //
 // BuildState is not safe for concurrent use.
 type BuildState struct {
-	b builder
+	// frontier is the forward pass: its level is the newest of levels
+	// (until a dead end empties it).
+	frontier
 
-	// internCap bounds the TL interner exactly as Filter does (see
-	// filterInternCap); tests lower it to exercise the rebuild path.
-	internCap int
-	rebuilds  int
-
-	// Raw forward state: levels[t] holds the unconditioned nodes of
-	// timestamp t in construction order (idx = position; never compacted),
-	// alphas the normalized forward mass of the newest level, aligned with
-	// levels[len(levels)-1].
+	// levels[t] holds the raw (unconditioned) nodes of timestamp t in
+	// construction order (idx = position; never compacted).
 	levels [][]*Node
-	alphas []float64
-	dead   bool
-
-	// Forward-phase scratch, reused across Observe calls.
-	level      map[nodeKey]*Node
-	succs      []*Node
-	outDeg     []int32
-	inDeg      []int32
-	nextAlphas []float64
 
 	// Cumulative forward-phase explain data, mirroring what a full Build
-	// over the same readings would report.
+	// over the same readings would report (prune counts live in the kernel).
 	steps        []ExplainStep
-	prunes       [numPruneReasons]int64
 	forwardNanos int64
 
 	// Bookkeeping from the last successful Smooth, used for convergence
@@ -86,207 +71,30 @@ type BuildState struct {
 
 // NewBuildState returns an incremental build over the given constraints.
 func NewBuildState(ic *constraints.Set) *BuildState {
-	if ic == nil {
-		ic = constraints.NewSet()
-	}
-	return &BuildState{b: newBuilder(ic), internCap: filterInternCap, level: make(map[nodeKey]*Node)}
+	return &BuildState{frontier: newFrontier(ic)}
 }
-
-// Time returns the timestamp of the last observation (-1 before the first).
-func (st *BuildState) Time() int { return len(st.levels) - 1 }
 
 // Duration returns the number of observed timestamps.
 func (st *BuildState) Duration() int { return len(st.levels) }
 
-// FrontierSize returns the number of alive location nodes at the newest
-// timestamp.
-func (st *BuildState) FrontierSize() int {
-	if len(st.levels) == 0 {
-		return 0
-	}
-	return len(st.levels[len(st.levels)-1])
-}
-
-// InternerRebuilds returns how many times the TL interner has been discarded
-// and rebuilt to bound memory on a long stream.
-func (st *BuildState) InternerRebuilds() int { return st.rebuilds }
-
-// validateCandidates rejects malformed candidate sets: empty, non-positive
-// probabilities, negative locations, or duplicate locations (a duplicate
-// would double-accumulate its forward mass and silently skew the frontier).
-// Shared by Filter.Observe and BuildState.Observe.
-func validateCandidates(candidates []Candidate, t int) error {
-	if len(candidates) == 0 {
-		return fmt.Errorf("core: empty candidate set at timestamp %d", t)
-	}
-	for i, c := range candidates {
-		if c.P <= 0 || c.Loc < 0 {
-			return fmt.Errorf("core: bad candidate (loc %d, p %g) at timestamp %d", c.Loc, c.P, t)
-		}
-		for _, prev := range candidates[:i] {
-			if prev.Loc == c.Loc {
-				return fmt.Errorf("core: duplicate candidate location %d at timestamp %d", c.Loc, t)
-			}
-		}
-	}
-	return nil
-}
-
-// Observe appends one timestamp to the raw graph, running the same forward
-// step as Build (two passes: resolve successors and count degrees, then
-// carve exact-capacity adjacency and fill). It returns ErrNoValidTrajectory
-// when no continuation is consistent with the constraints; the already
-// observed prefix stays smoothable, but no further readings are accepted.
+// Observe appends one timestamp to the raw graph: the forward kernel's
+// expand and link, exactly as Build runs them. It returns
+// ErrNoValidTrajectory when no continuation is consistent with the
+// constraints; the already observed prefix stays smoothable, but no further
+// readings are accepted.
 func (st *BuildState) Observe(candidates []Candidate) error {
-	if st.dead {
-		return fmt.Errorf("%w (state is dead)", ErrNoValidTrajectory)
-	}
-	t := len(st.levels)
-	if err := validateCandidates(candidates, t); err != nil {
+	start := time.Now()
+	defer func() { st.forwardNanos += time.Since(start).Nanoseconds() }()
+	prev, err := st.advance(candidates, make([]*Node, 0, len(st.level)), 0)
+	if err != nil {
 		return err
 	}
-	start := time.Now()
-
-	if t == 0 {
-		nodes := make([]*Node, 0, len(candidates))
-		st.alphas = st.alphas[:0]
-		for _, c := range candidates {
-			n := st.b.newNode(0, c.Loc, st.b.initialStay(c.Loc), nil)
-			n.prob = c.P
-			n.idx = int32(len(nodes))
-			nodes = append(nodes, n)
-			st.alphas = append(st.alphas, c.P)
-		}
-		st.levels = append(st.levels, nodes)
-		st.steps = append(st.steps, ExplainStep{Candidates: len(candidates), NodesBuilt: len(nodes)})
-		normalizeAlphas(st.alphas)
-		st.forwardNanos += time.Since(start).Nanoseconds()
-		return nil
+	if prev != nil {
+		st.link(prev, st.level, candidates)
 	}
-
-	if st.b.tl.size() > st.internCap {
-		st.b.tl = newTLInterner()
-		st.rebuilds++
-	}
-
-	clear(st.level)
-	cur := st.levels[t-1]
-	next := make([]*Node, 0, len(cur))
-	prunedBefore := st.prunes[pruneDU] + st.prunes[pruneLT] + st.prunes[pruneTT]
-	st.succs = resize(st.succs, len(cur)*len(candidates))
-	st.outDeg = resize(st.outDeg, len(cur))
-	st.inDeg = st.inDeg[:0]
-	st.nextAlphas = st.nextAlphas[:0]
-	pi := 0
-	for i, n := range cur {
-		st.outDeg[i] = 0
-		for _, c := range candidates {
-			key, why := st.b.successorKey(n, c.Loc)
-			st.prunes[why]++
-			if why != pruneNone {
-				st.succs[pi] = nil
-				pi++
-				continue
-			}
-			succ, seen := st.level[key]
-			if !seen {
-				succ = st.b.newNode(t, int(key.loc), int(key.stay), st.b.tl.seq(key.tl))
-				succ.idx = int32(len(next))
-				st.level[key] = succ
-				next = append(next, succ)
-				st.inDeg = append(st.inDeg, 0)
-				st.nextAlphas = append(st.nextAlphas, 0)
-			}
-			st.succs[pi] = succ
-			pi++
-			st.outDeg[i]++
-			st.inDeg[succ.idx]++
-			// Same accumulation order as Filter.Observe: frontier order
-			// outer, candidate order inner.
-			st.nextAlphas[succ.idx] += st.alphas[i] * c.P
-		}
-	}
-	step := ExplainStep{
-		Candidates: len(candidates),
-		Considered: len(cur) * len(candidates),
-		NodesBuilt: len(next),
-	}
-	step.Accepted = step.Considered - int(st.prunes[pruneDU]+st.prunes[pruneLT]+st.prunes[pruneTT]-prunedBefore)
-	if len(next) == 0 {
-		st.dead = true
-		st.forwardNanos += time.Since(start).Nanoseconds()
-		return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
-	}
-	for i, n := range cur {
-		n.out = st.b.carve(int(st.outDeg[i]))
-	}
-	for i, m := range next {
-		m.in = st.b.carve(int(st.inDeg[i]))
-	}
-	pi = 0
-	for _, n := range cur {
-		for _, c := range candidates {
-			succ := st.succs[pi]
-			pi++
-			if succ == nil {
-				continue
-			}
-			e := st.b.newEdge(n, succ, c.P)
-			n.out = append(n.out, e)
-			succ.in = append(succ.in, e)
-		}
-	}
-	st.levels = append(st.levels, next)
-	st.steps = append(st.steps, step)
-	st.alphas, st.nextAlphas = st.nextAlphas, st.alphas
-	normalizeAlphas(st.alphas)
-	st.forwardNanos += time.Since(start).Nanoseconds()
+	st.levels = append(st.levels, st.level)
+	st.steps = append(st.steps, st.step)
 	return nil
-}
-
-func normalizeAlphas(alphas []float64) {
-	total := 0.0
-	for _, a := range alphas {
-		total += a
-	}
-	if total <= 0 {
-		return
-	}
-	for i := range alphas {
-		alphas[i] /= total
-	}
-}
-
-// Distribution returns the filtered distribution at the newest timestamp,
-// aggregated by location and sorted by descending probability (ties broken
-// by ascending location ID) — the same values, in the same shape, as
-// Filter.Distribution over the same readings.
-func (st *BuildState) Distribution() ([]LocProb, error) {
-	if len(st.levels) == 0 {
-		return nil, fmt.Errorf("core: build state has observed nothing")
-	}
-	frontier := st.levels[len(st.levels)-1]
-	byLoc := make(map[int]float64, len(frontier))
-	for i, n := range frontier {
-		byLoc[n.Loc] += st.alphas[i]
-	}
-	return sortDistribution(byLoc), nil
-}
-
-// TopLocations returns the up-to-k most probable current locations with
-// their filtered probabilities, descending. k < 1 is an error.
-func (st *BuildState) TopLocations(k int) ([]LocProb, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("core: top-k needs k >= 1, got %d", k)
-	}
-	dist, err := st.Distribution()
-	if err != nil {
-		return nil, err
-	}
-	if len(dist) > k {
-		dist = dist[:k]
-	}
-	return dist, nil
 }
 
 // Smooth conditions the observed readings under the integrity constraints

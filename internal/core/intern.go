@@ -53,8 +53,8 @@ func (in *tlInterner) seq(id tlID) []TLEntry { return in.seqs[id] }
 
 // nodeKey is the comparable identity of a location node within one timestamp:
 // (l, δ, TL) with the TL slice replaced by its interned ID. It is the map key
-// of the forward phase's per-level dedup and of Filter.Observe's frontier
-// merge; both previously built a string per candidate successor.
+// of the forward kernel's per-level dedup, which previously built a string
+// per candidate successor.
 type nodeKey struct {
 	loc  int32
 	stay int32

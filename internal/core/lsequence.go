@@ -76,34 +76,44 @@ func (ls *LSequence) NumLocations() int {
 	return max + 1
 }
 
-// Validate checks structural sanity: at least one timestamp, at least one
-// candidate per timestamp, positive probabilities summing to 1 (within tol),
-// and no duplicate locations within a step.
+// Validate checks structural sanity: at least one timestamp, a well-formed
+// candidate set per timestamp (see validateCandidates) whose probabilities
+// sum to 1 (within tol).
 func (ls *LSequence) Validate() error {
 	if ls == nil || len(ls.Steps) == 0 {
 		return fmt.Errorf("core: empty l-sequence")
 	}
 	for t, s := range ls.Steps {
-		if len(s.Candidates) == 0 {
-			return fmt.Errorf("core: timestamp %d has no candidate locations", t)
+		if err := validateCandidates(s.Candidates, t); err != nil {
+			return err
 		}
 		sum := 0.0
-		seen := make(map[int]bool, len(s.Candidates))
 		for _, c := range s.Candidates {
-			if c.P <= 0 {
-				return fmt.Errorf("core: timestamp %d has non-positive probability %g for location %d", t, c.P, c.Loc)
-			}
-			if c.Loc < 0 {
-				return fmt.Errorf("core: timestamp %d has negative location ID %d", t, c.Loc)
-			}
-			if seen[c.Loc] {
-				return fmt.Errorf("core: timestamp %d lists location %d twice", t, c.Loc)
-			}
-			seen[c.Loc] = true
 			sum += c.P
 		}
 		if math.Abs(sum-1) > 1e-6 {
 			return fmt.Errorf("core: timestamp %d probabilities sum to %g, want 1", t, sum)
+		}
+	}
+	return nil
+}
+
+// validateCandidates rejects malformed candidate sets: empty, non-positive
+// probabilities, negative locations, or duplicate locations (a duplicate
+// would double-accumulate its forward mass and silently skew the frontier).
+// Shared by LSequence.Validate and every streaming Observe.
+func validateCandidates(candidates []Candidate, t int) error {
+	if len(candidates) == 0 {
+		return fmt.Errorf("core: empty candidate set at timestamp %d", t)
+	}
+	for i, c := range candidates {
+		if c.P <= 0 || c.Loc < 0 {
+			return fmt.Errorf("core: bad candidate (loc %d, p %g) at timestamp %d", c.Loc, c.P, t)
+		}
+		for _, prev := range candidates[:i] {
+			if prev.Loc == c.Loc {
+				return fmt.Errorf("core: duplicate candidate location %d at timestamp %d", c.Loc, t)
+			}
 		}
 	}
 	return nil
