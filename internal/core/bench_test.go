@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/constraints"
@@ -185,26 +186,25 @@ func BenchmarkFullSmooth500(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeDecode measures graph serialization round trips.
-func BenchmarkEncodeDecode(b *testing.B) {
+// BenchmarkEncode measures graph serialization the way the persister does
+// it: into one bytes.Buffer reset and reused across graphs.
+func BenchmarkEncode(b *testing.B) {
 	ls, ic := benchScenario()
 	g, err := Build(ls, ic, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf discardCounter
+		buf.Reset()
 		if err := g.Encode(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// discardCounter is an io.Writer that counts bytes.
-type discardCounter int
-
-func (d *discardCounter) Write(p []byte) (int, error) {
-	*d += discardCounter(len(p))
-	return len(p), nil
 }

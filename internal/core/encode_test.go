@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -30,31 +32,9 @@ func TestDecodeRejectsHugeDuration(t *testing.T) {
 // FuzzDecode feeds arbitrary bytes to Decode. It must never panic, every
 // graph it accepts must satisfy the ct-graph invariants, and re-encoding an
 // accepted graph must be a fixed point: decoding the encoding and encoding
-// again reproduces the same bytes.
+// again reproduces the same bytes, and those bytes are encoding/json's.
 func FuzzDecode(f *testing.F) {
-	var seeds []*Graph
-	rng := stats.NewRNG(606)
-	for len(seeds) < 8 {
-		ls, ic := randomScenario(rng)
-		if g, err := Build(ls, ic, nil); err == nil {
-			seeds = append(seeds, g)
-		} else if !errors.Is(err, ErrNoValidTrajectory) {
-			f.Fatal(err)
-		}
-	}
-	steps, ic := longScenario(12)
-	ls := &LSequence{Steps: make([]Step, len(steps))}
-	for t, cands := range steps {
-		ls.Steps[t].Candidates = cands
-	}
-	for _, mode := range []constraints.EndLatencyMode{constraints.StrictEnd, constraints.LenientEnd} {
-		g, err := Build(ls, ic, &Options{EndLatency: mode})
-		if err != nil {
-			f.Fatal(err)
-		}
-		seeds = append(seeds, g)
-	}
-	for _, g := range seeds {
+	for _, g := range sampleGraphs(f) {
 		var buf bytes.Buffer
 		if err := g.Encode(&buf); err != nil {
 			f.Fatal(err)
@@ -75,6 +55,9 @@ func FuzzDecode(f *testing.F) {
 		if err := g.Encode(&first); err != nil {
 			t.Fatalf("encoding an accepted graph: %v", err)
 		}
+		if want, err := referenceEncode(g); err != nil || !bytes.Equal(first.Bytes(), want) {
+			t.Fatalf("Encode differs from encoding/json (err %v):\n got %s\nwant %s", err, first.Bytes(), want)
+		}
 		back, err := Decode(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("re-decoding an accepted graph: %v", err)
@@ -87,4 +70,118 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
+}
+
+// sampleGraphs returns eight random-scenario graphs plus a long scenario
+// built under both end-latency modes.
+func sampleGraphs(tb testing.TB) []*Graph {
+	tb.Helper()
+	var graphs []*Graph
+	rng := stats.NewRNG(606)
+	for len(graphs) < 8 {
+		ls, ic := randomScenario(rng)
+		if g, err := Build(ls, ic, nil); err == nil {
+			graphs = append(graphs, g)
+		} else if !errors.Is(err, ErrNoValidTrajectory) {
+			tb.Fatal(err)
+		}
+	}
+	steps, ic := longScenario(12)
+	ls := &LSequence{Steps: make([]Step, len(steps))}
+	for t, cands := range steps {
+		ls.Steps[t].Candidates = cands
+	}
+	for _, mode := range []constraints.EndLatencyMode{constraints.StrictEnd, constraints.LenientEnd} {
+		g, err := Build(ls, ic, &Options{EndLatency: mode})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	return graphs
+}
+
+// referenceEncode is the reflection-driven encoding Encode must reproduce
+// byte for byte: the graphJSON view of g through encoding/json.
+func referenceEncode(g *Graph) ([]byte, error) {
+	out := graphJSON{Version: graphFormatVersion, Duration: g.Duration()}
+	offsets := make([]int, g.Duration())
+	for t := 0; t < g.Duration(); t++ {
+		if t > 0 {
+			offsets[t] = offsets[t-1] + len(g.byTime[t-1])
+		}
+		for _, n := range g.byTime[t] {
+			out.Nodes = append(out.Nodes, nodeJSON{
+				Time: n.Time, Loc: n.Loc, Stay: n.Stay, TL: n.TL, Prob: n.prob,
+			})
+		}
+	}
+	for t := 0; t < g.Duration(); t++ {
+		for _, n := range g.byTime[t] {
+			for _, e := range n.out {
+				out.Edges = append(out.Edges, edgeJSON{
+					From: offsets[t] + int(e.From.idx), To: offsets[t+1] + int(e.To.idx), P: e.P,
+				})
+			}
+		}
+	}
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(&out)
+	return buf.Bytes(), err
+}
+
+// twoNodeGraph is a one-edge graph carrying the given source probability
+// and edge probability, for exercising the float encoding directly.
+func twoNodeGraph(prob, p float64) *Graph {
+	src := &Node{Time: 0, Loc: 1, prob: prob}
+	dst := &Node{Time: 1, Loc: 2, Stay: 3, TL: []TLEntry{{Time: 0, Loc: 1}, {Time: 0, Loc: 4}}}
+	e := &Edge{From: src, To: dst, P: p}
+	src.out = []*Edge{e}
+	dst.in = []*Edge{e}
+	return &Graph{byTime: [][]*Node{{src}, {dst}}}
+}
+
+func TestEncodeMatchesEncodingJSON(t *testing.T) {
+	graphs := sampleGraphs(t)
+	floats := []float64{
+		0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 1e-6, 1e-7, -1e-7, 1.5e-9, 1e-10,
+		5e-324, math.MaxFloat64, 1e20, 1e21, -1e21, 123456789.125, 0.999999999999,
+	}
+	for _, f := range floats {
+		graphs = append(graphs, twoNodeGraph(f, f))
+	}
+	lone := &Node{Time: 0, Loc: 0, prob: 1}
+	graphs = append(graphs, &Graph{}, &Graph{byTime: [][]*Node{{lone}}})
+	for i, g := range graphs {
+		want, err := referenceEncode(g)
+		if err != nil {
+			t.Fatalf("graph %d: reference encoding: %v", i, err)
+		}
+		var plain bytes.Buffer
+		if err := g.Encode(&plain); err != nil {
+			t.Fatalf("graph %d: %v", i, err)
+		}
+		if !bytes.Equal(plain.Bytes(), want) {
+			t.Fatalf("graph %d: Encode differs from encoding/json:\n got %s\nwant %s", i, plain.Bytes(), want)
+		}
+		// A non-Buffer writer takes the same bytes.
+		var sb strings.Builder
+		if err := g.Encode(&sb); err != nil || sb.String() != string(want) {
+			t.Fatalf("graph %d: Encode into a strings.Builder differs (err %v)", i, err)
+		}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, g := range []*Graph{twoNodeGraph(bad, 1), twoNodeGraph(1, bad)} {
+			if _, err := referenceEncode(g); err == nil {
+				t.Fatalf("reference encoding accepted %v", bad)
+			}
+			var buf bytes.Buffer
+			buf.WriteString("prefix")
+			if err := g.Encode(&buf); err == nil {
+				t.Errorf("Encode accepted %v", bad)
+			} else if buf.String() != "prefix" {
+				t.Errorf("failed Encode of %v wrote %q", bad, buf.String())
+			}
+		}
+	}
 }

@@ -4,14 +4,21 @@
 //
 // The formats favor recoverability over density. A log is a flat sequence of
 // frames — 4-byte little-endian payload length, 4-byte CRC32 (IEEE) of the
-// payload, then the JSON payload — so a crash mid-append leaves at worst a
-// broken tail that ReplayLog detects (short frame, checksum mismatch, or
-// undecodable JSON) and discards, keeping every record before it. Snapshots
-// reuse the same frame format but are written in one atomic pass, so readers
-// either see the old snapshot or the new one, never a mix.
+// payload, then the payload — so a crash mid-append leaves at worst a broken
+// tail that ReplayLog detects (short frame, checksum mismatch, or
+// undecodable record) and discards, keeping every record before it.
+// Snapshots reuse the same frame format but are written in one atomic pass,
+// so readers either see the old snapshot or the new one, never a mix.
+//
+// A payload is one binary record: the version byte 2, then Op, ID and Dep,
+// each as a uvarint length followed by its bytes, then Data verbatim to the
+// end of the payload. Data is written as given, never parsed or re-encoded,
+// so appending a large record costs one CRC pass and one buffered write. Logs written before the binary records carry a JSON
+// object per payload instead (version 1, always starting with '{');
+// ReplayLog reads both kinds, also mixed within one log.
 //
 // The package knows nothing about what the records mean; Record carries an
-// opcode, an id, and opaque JSON data, and the server layers its put/del/meta
+// opcode, an id, and opaque data, and the server layers its put/del/meta
 // semantics on top.
 package persist
 
@@ -25,6 +32,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 )
 
 // Record is one entry of a log or snapshot.
@@ -35,9 +43,14 @@ type Record struct {
 	ID string `json:"id,omitempty"`
 	// Dep optionally names the deployment the object belongs to.
 	Dep string `json:"dep,omitempty"`
-	// Data is the opaque JSON payload (an encoded ct-graph for puts).
+	// Data is the opaque payload (an encoded ct-graph for puts). Replay
+	// delivers it as a fresh slice the callback may keep.
 	Data json.RawMessage `json:"data,omitempty"`
 }
+
+// recordVersion is the first byte of a binary record payload. A version-1
+// payload is a JSON object and so starts with '{'.
+const recordVersion = 2
 
 // frameHeaderLen is the bytes preceding each payload: uint32 length then
 // uint32 CRC32, both little-endian.
@@ -50,12 +63,12 @@ const maxRecordBytes = 1 << 30
 // Log is an append-only record log. Appends are buffered; Sync flushes the
 // buffer and fsyncs, making everything appended before it durable. A Log is
 // not safe for concurrent use — the server funnels all appends through one
-// writer goroutine.
+// writer goroutine — except Size, which any goroutine may call.
 type Log struct {
 	path string
 	f    *os.File
 	w    *bufio.Writer
-	size int64
+	size atomic.Int64
 }
 
 // OpenLog opens (creating if needed) the record log at path for appending.
@@ -69,17 +82,15 @@ func OpenLog(path string) (*Log, error) {
 		f.Close()
 		return nil, fmt.Errorf("persist: stat log: %w", err)
 	}
-	return &Log{path: path, f: f, w: bufio.NewWriter(f), size: st.Size()}, nil
+	l := &Log{path: path, f: f, w: bufio.NewWriter(f)}
+	l.size.Store(st.Size())
+	return l, nil
 }
 
 // Append buffers one record. It is durable only after the next Sync.
 func (l *Log) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("persist: encoding record: %w", err)
-	}
-	n, err := writeFrame(l.w, payload)
-	l.size += int64(n)
+	n, err := writeRecord(l.w, rec)
+	l.size.Add(int64(n))
 	if err != nil {
 		return fmt.Errorf("persist: appending record: %w", err)
 	}
@@ -98,7 +109,7 @@ func (l *Log) Sync() error {
 }
 
 // Size returns the log's byte size including buffered appends.
-func (l *Log) Size() int64 { return l.size }
+func (l *Log) Size() int64 { return l.size.Load() }
 
 // Reset truncates the log to empty — called after its contents have been
 // compacted into a snapshot. The file stays open (appends continue at the
@@ -113,7 +124,7 @@ func (l *Log) Reset() error {
 	if err := l.f.Sync(); err != nil {
 		return fmt.Errorf("persist: fsyncing truncated log: %w", err)
 	}
-	l.size = 0
+	l.size.Store(0)
 	return nil
 }
 
@@ -127,17 +138,67 @@ func (l *Log) Close() error {
 	return closeErr
 }
 
-// writeFrame writes one length+CRC32 framed payload, returning the bytes
-// written (even on error, for size accounting).
-func writeFrame(w io.Writer, payload []byte) (int, error) {
-	var hdr [frameHeaderLen]byte
-	frameHeader(&hdr, payload)
-	n, err := w.Write(hdr[:])
+// writeRecord writes rec as one framed binary record, returning the bytes
+// written (even on error, for size accounting). The frame header and the
+// record header go out in one write and rec.Data in a second; the CRC runs
+// over both without joining them.
+func writeRecord(w io.Writer, rec Record) (int, error) {
+	var scratch [64]byte
+	b := appendRecordHeader(scratch[:frameHeaderLen], rec)
+	hdr := b[frameHeaderLen:]
+	length := len(hdr) + len(rec.Data)
+	if length > maxRecordBytes {
+		return 0, fmt.Errorf("persist: %d-byte record exceeds the record limit", length)
+	}
+	binary.LittleEndian.PutUint32(b[:4], uint32(length))
+	binary.LittleEndian.PutUint32(b[4:frameHeaderLen], crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, rec.Data))
+	n, err := w.Write(b)
 	if err != nil {
 		return n, err
 	}
-	m, err := w.Write(payload)
+	m, err := w.Write(rec.Data)
 	return n + m, err
+}
+
+// appendRecordHeader appends everything of rec's binary payload but Data:
+// the version byte, then Op, ID and Dep as uvarint-length-prefixed strings.
+func appendRecordHeader(b []byte, rec Record) []byte {
+	b = append(b, recordVersion)
+	for _, s := range [...]string{rec.Op, rec.ID, rec.Dep} {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	return b
+}
+
+// decodeRecord decodes one frame payload of either version. Data aliases
+// payload. It fails on anything Append could not have written: an unknown
+// version byte, a string running past the payload, an overlong uvarint, or
+// a version-1 payload that is not a JSON record.
+func decodeRecord(payload []byte) (Record, error) {
+	var rec Record
+	if len(payload) > 0 && payload[0] == '{' {
+		err := json.Unmarshal(payload, &rec)
+		return rec, err
+	}
+	if len(payload) == 0 || payload[0] != recordVersion {
+		return rec, errors.New("persist: unknown record version")
+	}
+	rest := payload[1:]
+	for _, dst := range [...]*string{&rec.Op, &rec.ID, &rec.Dep} {
+		n, k := binary.Uvarint(rest)
+		// A minimal uvarint never ends in a zero byte after the first, so
+		// every accepted record re-encodes to the bytes it was read from.
+		if k <= 0 || (k > 1 && rest[k-1] == 0) || n > uint64(len(rest)-k) {
+			return rec, errors.New("persist: malformed record header")
+		}
+		*dst = string(rest[k : k+int(n)])
+		rest = rest[k+int(n):]
+	}
+	if len(rest) > 0 {
+		rec.Data = rest
+	}
+	return rec, nil
 }
 
 func frameHeader(hdr *[frameHeaderLen]byte, payload []byte) {
@@ -189,10 +250,10 @@ func ParseFrame(buf []byte) (payload, rest []byte, err error) {
 
 // ReplayLog reads the record log at path, calling fn for each intact record
 // in order. A missing file replays zero records. A broken tail — truncated
-// frame, oversized length, checksum mismatch, or undecodable payload — stops
-// the replay and reports truncated=true; every record before the break has
-// already been delivered. Only an error from fn (returned verbatim) or a
-// filesystem error aborts the replay.
+// frame, a length prefix past the end of the file, checksum mismatch, or
+// undecodable payload — stops the replay and reports truncated=true; every
+// record before the break has already been delivered. Only an error from fn
+// (returned verbatim) or a filesystem error aborts the replay.
 func ReplayLog(path string, fn func(Record) error) (n int, truncated bool, err error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
@@ -202,10 +263,19 @@ func ReplayLog(path string, fn func(Record) error) (n int, truncated bool, err e
 		return 0, false, fmt.Errorf("persist: opening log for replay: %w", err)
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, fmt.Errorf("persist: stat log for replay: %w", err)
+	}
+	return replay(bufio.NewReader(f), st.Size(), fn)
+}
+
+// replay is ReplayLog over the size bytes of r.
+func replay(r io.Reader, size int64, fn func(Record) error) (n int, truncated bool, err error) {
+	left := size // bytes not yet read; bounds each payload allocation
 	for {
 		var hdr [frameHeaderLen]byte
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				return n, false, nil // clean end
 			}
@@ -213,18 +283,20 @@ func ReplayLog(path string, fn func(Record) error) (n int, truncated bool, err e
 		}
 		length := binary.LittleEndian.Uint32(hdr[:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if length > maxRecordBytes {
-			return n, true, nil
+		left -= frameHeaderLen
+		if length > maxRecordBytes || int64(length) > left {
+			return n, true, nil // frame cut short, or a garbage length
 		}
+		left -= int64(length)
 		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return n, true, nil // frame cut short
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return n, true, nil // file shrank under the replay
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
 			return n, true, nil
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
+		rec, err := decodeRecord(payload)
+		if err != nil {
 			return n, true, nil
 		}
 		if err := fn(rec); err != nil {
@@ -252,11 +324,7 @@ func WriteLogAtomic(path string, recs []Record) (int64, error) {
 	w := bufio.NewWriter(tmp)
 	var size int64
 	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return 0, fmt.Errorf("persist: encoding snapshot record: %w", err)
-		}
-		n, err := writeFrame(w, payload)
+		n, err := writeRecord(w, rec)
 		size += int64(n)
 		if err != nil {
 			return 0, fmt.Errorf("persist: writing snapshot record: %w", err)

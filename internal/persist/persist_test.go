@@ -6,13 +6,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // collect replays path into a slice, failing the test on a replay error.
-func collect(t *testing.T, path string) ([]Record, int, bool) {
+func collect(t testing.TB, path string) ([]Record, int, bool) {
 	t.Helper()
 	var recs []Record
 	n, truncated, err := ReplayLog(path, func(r Record) error {
@@ -26,7 +27,7 @@ func collect(t *testing.T, path string) ([]Record, int, bool) {
 }
 
 // appendRecords opens the log at path and appends+syncs the given records.
-func appendRecords(t *testing.T, path string, recs ...Record) {
+func appendRecords(t testing.TB, path string, recs ...Record) {
 	t.Helper()
 	l, err := OpenLog(path)
 	if err != nil {
@@ -307,19 +308,16 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameMatchesLogFormat(t *testing.T) {
-	// AppendFrame must produce the exact on-disk bytes writeFrame does, so
+	// AppendFrame must produce the exact on-disk bytes writeRecord does, so
 	// the wire codec and the durability layer stay one format.
 	rec := Record{Op: "put", ID: "t1", Data: []byte(`{"k":1}`)}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := append(appendRecordHeader(nil, rec), rec.Data...)
 	var fileBuf bytes.Buffer
-	if _, err := writeFrame(&fileBuf, payload); err != nil {
+	if _, err := writeRecord(&fileBuf, rec); err != nil {
 		t.Fatal(err)
 	}
 	if got := AppendFrame(nil, payload); !bytes.Equal(got, fileBuf.Bytes()) {
-		t.Fatal("AppendFrame bytes differ from writeFrame bytes")
+		t.Fatal("AppendFrame bytes differ from writeRecord bytes")
 	}
 }
 
@@ -340,4 +338,243 @@ func TestParseFrameRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadFrame", name, err)
 		}
 	}
+}
+
+// TestLogSizeWhileAppending reads Size from one goroutine while another
+// appends, as the server's deployment snapshots do beside its WAL writer.
+// Run it under -race.
+func TestLogSizeWhileAppending(t *testing.T) {
+	l, err := OpenLog(filepath.Join(t.TempDir(), "test.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const records = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < records; i++ {
+			if err := l.Append(rec("put", "t"+strconv.Itoa(i), `{"a":1}`)); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	var last int64
+	for waiting := true; waiting; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			waiting = false
+		default:
+		}
+		size := l.Size()
+		if size < last {
+			t.Fatalf("size went backwards: %d after %d", size, last)
+		}
+		last = size
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(l.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Size() != st.Size() {
+		t.Fatalf("Size() = %d, file holds %d bytes", l.Size(), st.Size())
+	}
+}
+
+// TestReplayLengthPastEOFIsTornTail: a garbage length prefix below the
+// record limit but past the end of the file must end the replay as a torn
+// tail without allocating the claimed length first.
+func TestReplayLengthPastEOFIsTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "test.wal")
+	appendRecords(t, path, rec("put", "t1", `{"a":1}`))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const claimed = 256 << 20 // well under maxRecordBytes
+	var hdr [frameHeaderLen]byte
+	hdr[3] = claimed >> 24
+	if _, err := f.Write(append(hdr[:], "short body"...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, n, truncated := collect(t, path)
+	runtime.ReadMemStats(&after)
+	if !truncated || n != 1 {
+		t.Fatalf("length past EOF: n=%d truncated=%v, want prefix of 1", n, truncated)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > claimed/16 {
+		t.Fatalf("replay allocated %d bytes for a frame claiming %d", grew, claimed)
+	}
+}
+
+// v1Log is a log as written before binary records: each payload is the
+// record's encoding/json object.
+var v1Log = []string{
+	`{"op":"meta","data":{"next":7}}`,
+	`{"op":"put","id":"t1","dep":"d1","data":{"version":1,"duration":1}}`,
+	`{"op":"del","id":"t1"}`,
+	`{"op":"put","id":"t2","dep":"d2","data":[1,2]}`,
+}
+
+var v1Records = []Record{
+	rec("meta", "", `{"next":7}`),
+	{Op: "put", ID: "t1", Dep: "d1", Data: []byte(`{"version":1,"duration":1}`)},
+	rec("del", "t1", ""),
+	{Op: "put", ID: "t2", Dep: "d2", Data: []byte(`[1,2]`)},
+}
+
+func appendV1Frames(dst []byte, payloads ...string) []byte {
+	for _, p := range payloads {
+		dst = AppendFrame(dst, []byte(p))
+	}
+	return dst
+}
+
+func sameRecords(t *testing.T, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Op != want[i].Op || got[i].ID != want[i].ID || got[i].Dep != want[i].Dep || !bytes.Equal(got[i].Data, want[i].Data) {
+			t.Errorf("record %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
+
+func TestReplayVersion1Log(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.wal")
+	if err := os.WriteFile(path, appendV1Frames(nil, v1Log...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, _, truncated := collect(t, path)
+	if truncated {
+		t.Fatal("version-1 log reported truncated")
+	}
+	sameRecords(t, got, v1Records)
+}
+
+func TestReplayMixedVersionLog(t *testing.T) {
+	dir := t.TempDir()
+	mixed := filepath.Join(dir, "mixed.wal")
+	if err := os.WriteFile(mixed, appendV1Frames(nil, v1Log[:2]...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	appendRecords(t, mixed, v1Records[2])
+	f, err := os.OpenFile(mixed, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(appendV1Frames(nil, v1Log[3])); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, _, truncated := collect(t, mixed)
+	if truncated {
+		t.Fatal("mixed log reported truncated")
+	}
+	sameRecords(t, got, v1Records)
+
+	// Rewriting it as a snapshot keeps every record.
+	snap := filepath.Join(dir, "snap")
+	if _, err := WriteLogAtomic(snap, got); err != nil {
+		t.Fatal(err)
+	}
+	again, _, truncated := collect(t, snap)
+	if truncated {
+		t.Fatal("rewritten log reported truncated")
+	}
+	sameRecords(t, again, v1Records)
+}
+
+// FuzzReplayLog feeds arbitrary bytes to ReplayLog, both as a whole log and
+// as the payload of one well-formed frame (which gets past the checksum to
+// the record decoder). The seeds are log files written by Append and
+// WriteLogAtomic, a version-1 log and a mixed one. Replay must never panic; every record it delivers
+// before a break must re-append to the very frame it came from when that
+// frame is a binary record, and round-trip through a rewrite either way.
+func FuzzReplayLog(f *testing.F) {
+	dir := f.TempDir()
+	wal := filepath.Join(dir, "seed.wal")
+	appendRecords(f, wal, v1Records...)
+	appendRecords(f, wal, rec("put", "t9", `{"nodes":3}`), Record{Op: "put", ID: "t10", Dep: "d1"})
+	snap := filepath.Join(dir, "seed.snap")
+	if _, err := WriteLogAtomic(snap, v1Records); err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range []string{wal, snap} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add(appendV1Frames(nil, v1Log...))
+	f.Add(append(appendV1Frames(nil, v1Log[:2]...), AppendFrame(nil, append(appendRecordHeader(nil, v1Records[2]), v1Records[2].Data...))...))
+	f.Add(append(appendRecordHeader(nil, v1Records[1]), v1Records[1].Data...))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReplay(t, data)
+		checkReplay(t, AppendFrame(nil, data))
+	})
+}
+
+// checkReplay replays data as a log and checks what it delivers against the
+// frames it was read from.
+func checkReplay(t *testing.T, data []byte) {
+	got, n, truncated := replayBytes(t, data)
+	if n != len(got) {
+		t.Fatalf("replay counted %d records, delivered %d", n, len(got))
+	}
+	rest := data
+	var rewritten bytes.Buffer
+	for i, r := range got {
+		payload, tail, err := ParseFrame(rest)
+		if err != nil {
+			t.Fatalf("record %d was delivered from a bad frame: %v", i, err)
+		}
+		start := rewritten.Len()
+		if _, err := writeRecord(&rewritten, r); err != nil {
+			t.Fatalf("re-appending record %d: %v", i, err)
+		}
+		if payload[0] == recordVersion && !bytes.Equal(rewritten.Bytes()[start:], rest[:len(rest)-len(tail)]) {
+			t.Fatalf("record %d re-appends to different bytes", i)
+		}
+		rest = tail
+	}
+	if !truncated && len(rest) != 0 {
+		t.Fatalf("clean replay left %d bytes unread", len(rest))
+	}
+	back, _, truncated := replayBytes(t, rewritten.Bytes())
+	if truncated {
+		t.Fatal("rewritten log reported truncated")
+	}
+	sameRecords(t, back, got)
+}
+
+// replayBytes runs ReplayLog's frame loop over an in-memory log.
+func replayBytes(t *testing.T, data []byte) ([]Record, int, bool) {
+	var recs []Record
+	n, truncated, err := replay(bytes.NewReader(data), int64(len(data)), func(r Record) error {
+		recs = append(recs, r)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	return recs, n, truncated
 }

@@ -278,10 +278,11 @@ func (p *persister) flush() {
 	tr := obs.NewTrace("persist.flush")
 	_, sp := obs.Start(obs.WithTrace(context.Background(), tr), "persist.flush")
 	sp.Int("records", int64(len(batch)))
+	var buf bytes.Buffer // reused: Append does not keep Data
 	for _, e := range batch {
 		rec := persist.Record{Op: e.op, ID: e.id, Dep: e.dep}
 		if e.c != nil {
-			var buf bytes.Buffer
+			buf.Reset()
 			if err := e.c.Encode(&buf); err != nil {
 				p.logError("encoding graph "+e.id, err)
 				continue
@@ -327,15 +328,23 @@ func (p *persister) compact() {
 	}
 	recs := make([]persist.Record, 0, len(items)+1)
 	recs = append(recs, persist.Record{Op: "meta", Data: meta})
+	// Every graph is encoded into one buffer; the records slice it only
+	// once it has stopped growing.
+	var buf bytes.Buffer
+	ends := make([]int, 0, len(items))
 	for _, it := range items {
-		var buf bytes.Buffer
-		if err := it.c.Encode(&buf); err != nil {
+		if err := it.c.Encode(&buf); err != nil { // writes nothing on error
 			p.logError("encoding graph "+it.id, err)
 			continue
 		}
-		recs = append(recs, persist.Record{
-			Op: "put", ID: it.id, Dep: it.depID, Data: bytes.TrimSpace(buf.Bytes()),
-		})
+		buf.Truncate(buf.Len() - 1) // Encode's trailing newline
+		recs = append(recs, persist.Record{Op: "put", ID: it.id, Dep: it.depID})
+		ends = append(ends, buf.Len())
+	}
+	start := 0
+	for i, end := range ends {
+		recs[i+1].Data = buf.Bytes()[start:end]
+		start = end
 	}
 	if _, err := persist.WriteLogAtomic(filepath.Join(p.dir, trajSnapshotFile), recs); err != nil {
 		p.logError("writing snapshot", err)

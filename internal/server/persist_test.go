@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	rfidclean "repro"
+	"repro/internal/persist"
 )
 
 // durable opens a server against dir and mounts it on a test listener.
@@ -426,6 +427,67 @@ func TestDurableCompaction(t *testing.T) {
 	}
 	if c4 := cleanOne(t, base2, depID, testReadingsSeed(t, sys, 64, 40)); c4.ID != "t4" {
 		t.Fatalf("post-compaction fresh id = %s, want t4", c4.ID)
+	}
+}
+
+// rewriteAsVersion1 rewrites the record log at path the way builds before
+// binary records wrote it: every payload is the record's encoding/json
+// object.
+func rewriteAsVersion1(t *testing.T, path string) {
+	t.Helper()
+	var out []byte
+	if _, _, err := persist.ReplayLog(path, func(rec persist.Record) error {
+		payload, err := json.Marshal(rec)
+		out = persist.AppendFrame(out, payload)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableRecoversVersion1DataDir: a data directory whose snapshot and
+// WAL hold JSON-payload records recovers to the same answers, and the next
+// compaction rewrites it in binary records.
+func TestDurableRecoversVersion1DataDir(t *testing.T) {
+	dir := t.TempDir()
+	depJSON, sys := testDeployment(t)
+	base, srv, ts := durable(t, dir, Options{})
+	depID := registerDeployment(t, base, depJSON)
+	c1 := cleanOne(t, base, depID, testReadingsSeed(t, sys, 81, 40))
+	srv.persist.compactNow()
+	c2 := cleanOne(t, base, depID, testReadingsSeed(t, sys, 82, 40))
+	before := make(map[string][]byte)
+	for _, id := range []string{c1.ID, c2.ID} {
+		for _, u := range queryURLs(base, id) {
+			_, body := getBody(t, u)
+			before[strings.TrimPrefix(u, base)] = body
+		}
+	}
+	srv.persist.drain()
+	crash(srv, ts)
+	snap, wal := filepath.Join(dir, trajSnapshotFile), filepath.Join(dir, trajWALFile)
+	rewriteAsVersion1(t, snap)
+	rewriteAsVersion1(t, wal)
+
+	base2, srv2, _ := durable(t, dir, Options{})
+	for path, want := range before {
+		if code, got := getBody(t, base2+path); code != http.StatusOK || !bytes.Equal(got, want) {
+			t.Errorf("GET %s from a version-1 data dir = %d %s, want %s", path, code, got, want)
+		}
+	}
+	srv2.persist.compactNow()
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if payload, _, err := persist.ParseFrame(data); err != nil || payload[0] == '{' {
+		t.Fatalf("compaction left a version-1 snapshot (err %v)", err)
+	}
+	if srv2.persist.wal.Size() != 0 {
+		t.Fatal("compaction left the WAL non-empty")
 	}
 }
 
