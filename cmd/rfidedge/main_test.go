@@ -71,7 +71,11 @@ func edgeReadings(t *testing.T, sys *rfidclean.System, seed uint64, duration int
 func newDaemon(t *testing.T) (string, string, *rfidclean.System) {
 	t.Helper()
 	depJSON, sys := edgeDeployment(t)
-	ts := httptest.NewServer(server.New())
+	srv, err := server.Open(server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	resp, err := http.Post(ts.URL+"/v1/deployments", "application/json", bytes.NewReader(depJSON))
 	if err != nil {

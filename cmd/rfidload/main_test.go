@@ -22,11 +22,21 @@ func e2eArgs(ts *httptest.Server, extra ...string) []string {
 	return append(args, extra...)
 }
 
+// openServer opens an in-memory server, failing the test when Open does.
+func openServer(t *testing.T) *server.Server {
+	t.Helper()
+	srv, err := server.Open(server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 func TestEndToEndPassingSLO(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a 2s wall-clock load run")
 	}
-	ts := httptest.NewServer(server.New())
+	ts := httptest.NewServer(openServer(t))
 	defer ts.Close()
 
 	dir := t.TempDir()
@@ -130,7 +140,7 @@ func TestEndToEndViolatedSLOExitsNonZero(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives a 2s wall-clock load run")
 	}
-	ts := httptest.NewServer(server.New())
+	ts := httptest.NewServer(openServer(t))
 	defer ts.Close()
 
 	dir := t.TempDir()

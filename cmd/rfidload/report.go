@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs/hist"
-	"repro/internal/server"
+	"repro/internal/obs/metrics"
 )
 
 // endpointNames is the fixed endpoint taxonomy the recorder and the SLO
@@ -230,7 +230,7 @@ func (r *recorder) buildResult(elapsed time.Duration) *Result {
 	if elapsed > 0 {
 		res.Throughput = float64(res.TotalRequests) / elapsed.Seconds()
 	}
-	bounds := server.LatencyBucketBounds()
+	bounds := metrics.LatencyBounds()
 	for name, ep := range r.eps {
 		n := ep.hist.Count()
 		if n == 0 {

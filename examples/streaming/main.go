@@ -135,7 +135,12 @@ func main() {
 	fmt.Printf("max |filtered - smoothed| at the final timestamp: %.2g\n", maxDiff)
 
 	// --- The same workflow over HTTP: streaming ingestion sessions. ---
-	ts := httptest.NewServer(server.New())
+	srv, err := server.Open(server.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
 	dep := &rfidclean.Deployment{

@@ -3,18 +3,21 @@ package query
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 )
 
-// Engine answers stay and trajectory queries over one ct-graph. It caches
-// the forward/backward passes; create a new Engine per graph. Engines are
-// not safe for concurrent use.
+// Engine answers stay and trajectory queries over one ct-graph. It computes
+// the forward/backward passes on the first query that needs them and caches
+// them; create a new Engine per graph. Engines are safe for concurrent use:
+// the graph is read-only and the pass fill runs once.
 type Engine struct {
 	g      *core.Graph
 	numLoc int
 
-	alpha, beta [][]float64 // indexed [tau][node.Index()]
+	passes      sync.Once
+	alpha, beta [][]float64 // indexed [tau][node.Index()]; set by passes
 }
 
 // NewEngine returns a query engine over the graph. numLocations must exceed
@@ -24,10 +27,10 @@ func NewEngine(g *core.Graph, numLocations int) *Engine {
 }
 
 func (e *Engine) ensurePasses() {
-	if e.alpha == nil {
+	e.passes.Do(func() {
 		e.alpha = e.g.Forward()
 		e.beta = e.g.Backward()
-	}
+	})
 }
 
 // Stay answers a stay query: the conditioned distribution over locations at

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,13 +13,55 @@ import (
 	"repro/internal/persist"
 )
 
-func TestCodecReadingsRoundTrip(t *testing.T) {
-	want := []rfidclean.Reading{
+// codecReadings is a readings batch with multi-reader, empty and sparse
+// timestamps.
+func codecReadings() []rfidclean.Reading {
+	return []rfidclean.Reading{
 		{Time: 0, Readers: rfidclean.NewReaderSet(2, 0, 7)},
 		{Time: 1, Readers: rfidclean.NewReaderSet()}, // missed read
 		{Time: 2, Readers: rfidclean.NewReaderSet(5)},
 		{Time: 300, Readers: rfidclean.NewReaderSet(1, 2, 3, 4, 128)},
 	}
+}
+
+// codecStatus is a dead session's status with a three-entry distribution.
+func codecStatus() StreamStatus {
+	return StreamStatus{
+		ID:         "s42",
+		Deployment: "d1",
+		Time:       17,
+		Readings:   18,
+		Frontier:   5,
+		Beam:       3,
+		Dead:       true,
+		Current: []LocationProb{
+			{Location: "corridor", P: 0.625},
+			{Location: "lab", P: 0.375},
+			{Location: "office", P: math.Nextafter(0, 1)}, // smallest subnormal survives
+		},
+	}
+}
+
+// codecCorrupt returns frames every decoder must reject, keyed by what is
+// wrong with them.
+func codecCorrupt() map[string][]byte {
+	good := EncodeStreamReadings([]rfidclean.Reading{{Time: 0, Readers: rfidclean.NewReaderSet(1)}})
+	return map[string][]byte{
+		"empty body":      nil,
+		"truncated frame": good[:len(good)-1],
+		"trailing bytes":  append(append([]byte(nil), good...), 0x00),
+		"status frame":    EncodeStreamStatus(StreamStatus{ID: "s1"}),
+		// A payload claiming more readings than bytes remain must error,
+		// not allocate gigabytes.
+		"absurd count": persist.AppendFrame(nil, []byte{codecKindReadings, 0xff, 0xff, 0xff, 0xff, 0x0f}),
+		// Truncated inside the varint stream (CRC recomputed so only the
+		// codec layer can object): says 2 readings, carries ~1.
+		"short payload": persist.AppendFrame(nil, []byte{codecKindReadings, 2, 0, 1, 2}),
+	}
+}
+
+func TestCodecReadingsRoundTrip(t *testing.T) {
+	want := codecReadings()
 	got, err := DecodeStreamReadings(EncodeStreamReadings(want))
 	if err != nil {
 		t.Fatal(err)
@@ -37,20 +80,7 @@ func TestCodecReadingsRoundTrip(t *testing.T) {
 }
 
 func TestCodecStatusRoundTrip(t *testing.T) {
-	want := StreamStatus{
-		ID:         "s42",
-		Deployment: "d1",
-		Time:       17,
-		Readings:   18,
-		Frontier:   5,
-		Beam:       3,
-		Dead:       true,
-		Current: []LocationProb{
-			{Location: "corridor", P: 0.625},
-			{Location: "lab", P: 0.375},
-			{Location: "office", P: math.Nextafter(0, 1)}, // smallest subnormal survives
-		},
-	}
+	want := codecStatus()
 	got, err := DecodeStreamStatus(EncodeStreamStatus(want))
 	if err != nil {
 		t.Fatal(err)
@@ -76,29 +106,113 @@ func TestCodecStatusRoundTrip(t *testing.T) {
 }
 
 func TestCodecRejectsCorruption(t *testing.T) {
-	good := EncodeStreamReadings([]rfidclean.Reading{{Time: 0, Readers: rfidclean.NewReaderSet(1)}})
-	cases := map[string][]byte{
-		"empty body":      nil,
-		"truncated frame": good[:len(good)-1],
-		"trailing bytes":  append(append([]byte(nil), good...), 0x00),
-		"status frame":    EncodeStreamStatus(StreamStatus{ID: "s1"}),
-	}
-	// A payload claiming more readings than bytes remain must error, not
-	// allocate gigabytes.
-	absurd := persist.AppendFrame(nil, []byte{codecKindReadings, 0xff, 0xff, 0xff, 0xff, 0x0f})
-	cases["absurd count"] = absurd
-	// Truncated inside the varint stream (CRC recomputed so only the codec
-	// layer can object).
-	payload := []byte{codecKindReadings, 2, 0, 1, 2} // says 2 readings, carries ~1
-	cases["short payload"] = persist.AppendFrame(nil, payload)
-	for name, buf := range cases {
+	for name, buf := range codecCorrupt() {
 		if _, err := DecodeStreamReadings(buf); err == nil {
 			t.Errorf("%s: decode succeeded, want error", name)
 		}
 	}
+	good := EncodeStreamReadings([]rfidclean.Reading{{Time: 0, Readers: rfidclean.NewReaderSet(1)}})
 	if _, err := DecodeStreamStatus(good); err == nil {
 		t.Error("status decode accepted a readings frame")
 	}
+}
+
+// codecSeeds is the fuzz corpus: every codec fixture, well-formed or not,
+// as the frame bytes a client would send.
+func codecSeeds() [][]byte {
+	seeds := [][]byte{
+		EncodeStreamReadings(codecReadings()),
+		EncodeStreamReadings(nil),
+		EncodeStreamReadings(benchReadings()[:20]),
+		EncodeStreamStatus(codecStatus()),
+		EncodeStreamStatus(StreamStatus{ID: "s1", Deployment: "d1", Time: -1}),
+	}
+	corrupt := codecCorrupt()
+	names := make([]string, 0, len(corrupt))
+	for name := range corrupt {
+		names = append(names, name)
+	}
+	sort.Strings(names) // stable seed numbering
+	for _, name := range names {
+		seeds = append(seeds, corrupt[name])
+	}
+	return seeds
+}
+
+// oneFrame reports whether b is exactly one intact frame of the given
+// payload kind — the framing every accepted message must have.
+func oneFrame(b []byte, kind byte) bool {
+	payload, rest, err := persist.ParseFrame(b)
+	return err == nil && len(rest) == 0 && len(payload) > 0 && payload[0] == kind
+}
+
+// FuzzDecodeStreamReadings: no input panics the decoder; anything that is
+// not one intact readings frame, including an accepted frame cut short, is
+// an error; and an accepted batch survives re-encoding,
+// decode(encode(decode(b))) == decode(b).
+func FuzzDecodeStreamReadings(f *testing.F) {
+	for _, seed := range codecSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := DecodeStreamReadings(b)
+		if err != nil {
+			return
+		}
+		if !oneFrame(b, codecKindReadings) {
+			t.Fatalf("accepted a malformed frame %x", b)
+		}
+		if _, err := DecodeStreamReadings(b[:len(b)-1]); err == nil {
+			t.Fatalf("accepted a truncated frame %x", b[:len(b)-1])
+		}
+		again, err := DecodeStreamReadings(EncodeStreamReadings(got))
+		if err != nil {
+			t.Fatalf("re-encoded batch does not decode: %v", err)
+		}
+		if len(again) != len(got) {
+			t.Fatalf("round trip changed the batch size: %d -> %d", len(got), len(again))
+		}
+		for i := range got {
+			if again[i].Time != got[i].Time || !again[i].Readers.Equal(got[i].Readers) {
+				t.Fatalf("reading %d round-tripped to %+v, want %+v", i, again[i], got[i])
+			}
+		}
+	})
+}
+
+// FuzzDecodeStreamStatus is FuzzDecodeStreamReadings for status frames;
+// probabilities must round-trip bit for bit, NaN payloads included.
+func FuzzDecodeStreamStatus(f *testing.F) {
+	for _, seed := range codecSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		got, err := DecodeStreamStatus(b)
+		if err != nil {
+			return
+		}
+		if !oneFrame(b, codecKindStatus) {
+			t.Fatalf("accepted a malformed frame %x", b)
+		}
+		if _, err := DecodeStreamStatus(b[:len(b)-1]); err == nil {
+			t.Fatalf("accepted a truncated frame %x", b[:len(b)-1])
+		}
+		again, err := DecodeStreamStatus(EncodeStreamStatus(got))
+		if err != nil {
+			t.Fatalf("re-encoded status does not decode: %v", err)
+		}
+		if again.ID != got.ID || again.Deployment != got.Deployment || again.Time != got.Time ||
+			again.Readings != got.Readings || again.Frontier != got.Frontier || again.Beam != got.Beam ||
+			again.Dead != got.Dead || len(again.Current) != len(got.Current) {
+			t.Fatalf("status round-tripped to %+v, want %+v", again, got)
+		}
+		for i := range got.Current {
+			if again.Current[i].Location != got.Current[i].Location ||
+				math.Float64bits(again.Current[i].P) != math.Float64bits(got.Current[i].P) {
+				t.Fatalf("entry %d round-tripped to %+v, want %+v", i, again.Current[i], got.Current[i])
+			}
+		}
+	})
 }
 
 func TestCodecNegotiation(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/obs/hist"
+	"repro/internal/obs/metrics"
 )
 
 // This file is the tail-attribution half of /metrics: a per-endpoint request
@@ -137,14 +138,13 @@ func (rh *requestHistograms) observe(endpoint string, d time.Duration, reqID str
 	eh.mu.Unlock()
 }
 
-// writeTo renders the per-endpoint series with exemplar suffixes:
+// writeSeries renders the per-endpoint series with exemplar suffixes:
 //
 //	name_bucket{endpoint="clean",le="2.5"} 40 # {request_id="…",traced="true"} 2.31 1717…
 //
 // Exemplars whose trace the recorder has since dropped are omitted rather
 // than emitted as dead links.
-func (rh *requestHistograms) writeTo(w io.Writer, name, help string) {
-	writeHeader(w, name, help, "histogram")
+func (rh *requestHistograms) writeSeries(w io.Writer, name string) {
 	rh.mu.Lock()
 	names := make([]string, 0, len(rh.eps))
 	for k := range rh.eps {
@@ -165,14 +165,14 @@ func (rh *requestHistograms) writeTo(w io.Writer, name, help string) {
 		copy(ex, eh.ex)
 		eh.mu.Unlock()
 		for j, b := range rh.bounds {
-			fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d", name, ep, formatFloat(b), cum[j])
+			fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=%q} %d", name, ep, metrics.FormatFloat(b), cum[j])
 			rh.writeExemplar(w, ex[j])
 			io.WriteString(w, "\n")
 		}
 		fmt.Fprintf(w, "%s_bucket{endpoint=%q,le=\"+Inf\"} %d", name, ep, cum[len(rh.bounds)])
 		rh.writeExemplar(w, ex[len(rh.bounds)])
 		io.WriteString(w, "\n")
-		fmt.Fprintf(w, "%s_sum{endpoint=%q} %s\n", name, ep, formatFloat(float64(eh.hist.Sum())/1e9))
+		fmt.Fprintf(w, "%s_sum{endpoint=%q} %s\n", name, ep, metrics.FormatFloat(float64(eh.hist.Sum())/1e9))
 		fmt.Fprintf(w, "%s_count{endpoint=%q} %d\n", name, ep, eh.hist.Count())
 	}
 }
@@ -182,8 +182,8 @@ func (rh *requestHistograms) writeExemplar(w io.Writer, ex exemplar) {
 		return
 	}
 	fmt.Fprintf(w, " # {request_id=%q,traced=\"%t\"} %s %s",
-		ex.requestID, ex.traced, formatFloat(ex.valueSeconds),
-		formatFloat(float64(ex.unixNanos)/1e9))
+		ex.requestID, ex.traced, metrics.FormatFloat(ex.valueSeconds),
+		metrics.FormatFloat(float64(ex.unixNanos)/1e9))
 }
 
 // quantile exposes an endpoint's latency quantile in seconds (health

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/obs/metrics"
 )
 
 func TestClassifyEndpoint(t *testing.T) {
@@ -51,7 +53,7 @@ var exemplarLine = regexp.MustCompile(
 // retained request (sampled away, no request ID, or since dropped by the
 // recorder) render bare.
 func TestExemplarRendering(t *testing.T) {
-	rh := newRequestHistograms(LatencyBucketBounds())
+	rh := newRequestHistograms(metrics.LatencyBounds())
 	held := map[string]bool{"req-fast": true, "req-slow": true}
 	rh.held = func(id string) bool { return held[id] }
 
@@ -61,7 +63,7 @@ func TestExemplarRendering(t *testing.T) {
 	rh.observe("clean", 300*time.Microsecond, "", true)         // no request ID
 
 	var buf strings.Builder
-	rh.writeTo(&buf, "rfidclean_request_duration_seconds", "request latency")
+	rh.writeSeries(&buf, "rfidclean_request_duration_seconds")
 	out := buf.String()
 
 	wantExemplar := map[string]string{`le="0.001"`: "req-fast", `le="10"`: "req-slow"}
@@ -107,7 +109,7 @@ func TestExemplarRendering(t *testing.T) {
 	// With no held callback (tracing off) no exemplars render at all.
 	rh.held = nil
 	buf.Reset()
-	rh.writeTo(&buf, "rfidclean_request_duration_seconds", "request latency")
+	rh.writeSeries(&buf, "rfidclean_request_duration_seconds")
 	if strings.Contains(buf.String(), " # ") {
 		t.Error("exemplars rendered with tracing disabled")
 	}
@@ -117,7 +119,7 @@ func TestExemplarRendering(t *testing.T) {
 // slot holds the most recent retained request, so a second request in the
 // same bucket replaces the first.
 func TestExemplarBucketOverwrite(t *testing.T) {
-	rh := newRequestHistograms(LatencyBucketBounds())
+	rh := newRequestHistograms(metrics.LatencyBounds())
 	rh.held = func(string) bool { return true }
 	rh.observe("clean", 700*time.Microsecond, "first", true)
 	rh.observe("clean", 800*time.Microsecond, "second", true)
@@ -125,7 +127,7 @@ func TestExemplarBucketOverwrite(t *testing.T) {
 	rh.observe("clean", 900*time.Microsecond, "sampled-away", false)
 
 	var buf strings.Builder
-	rh.writeTo(&buf, "h", "help")
+	rh.writeSeries(&buf, "h")
 	out := buf.String()
 	if strings.Contains(out, `request_id="first"`) {
 		t.Errorf("overwritten exemplar still rendered:\n%s", out)
@@ -175,7 +177,7 @@ func TestMetricsExemplarResolves(t *testing.T) {
 // the realistic retention mix: roughly one in eight requests keeps its trace
 // and takes the exemplar-slot lock, the rest ride the lock-free histogram.
 func BenchmarkObserveWithExemplars(b *testing.B) {
-	rh := newRequestHistograms(LatencyBucketBounds())
+	rh := newRequestHistograms(metrics.LatencyBounds())
 	rh.held = func(string) bool { return true }
 	// Warm the endpoint so its one-time histogram allocation stays outside
 	// the timer: the steady state is what the zero-alloc contract covers.

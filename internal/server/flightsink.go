@@ -48,11 +48,11 @@ func (s *Server) flightGauges() map[string]int64 {
 	return map[string]int64{
 		"store_bytes":           bytes,
 		"store_trajectories":    int64(count),
-		"store_evictions_total": int64(s.metrics.storeEvictions.value()),
-		"stream_sessions":       s.metrics.streamSessions.value(),
-		"stream_subscribers":    s.metrics.streamSubscribers.value(),
-		"inflight_requests":     s.metrics.inflight.value(),
-		"persist_errors_total":  int64(s.metrics.persistErrors.value()),
+		"store_evictions_total": int64(s.metrics.storeEvictions.Value()),
+		"stream_sessions":       s.metrics.streamSessions.Value(),
+		"stream_subscribers":    s.metrics.streamSubscribers.Value(),
+		"inflight_requests":     s.metrics.inflight.Value(),
+		"persist_errors_total":  int64(s.metrics.persistErrors.Value()),
 	}
 }
 

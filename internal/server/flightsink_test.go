@@ -18,7 +18,7 @@ import (
 // TestDebugFlightEndpoint checks GET /debug/flight serves the sampled window
 // with runtime stats and the server's application gauges.
 func TestDebugFlightEndpoint(t *testing.T) {
-	srv := NewWithOptions(Options{FlightInterval: time.Hour}) // one boot sample, no ticking
+	srv := openServer(t, Options{FlightInterval: time.Hour}) // one boot sample, no ticking
 	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -61,7 +61,7 @@ func TestDebugFlightEndpoint(t *testing.T) {
 
 // TestDebugFlightDisabled checks a negative interval turns the recorder off.
 func TestDebugFlightDisabled(t *testing.T) {
-	srv := NewWithOptions(Options{FlightInterval: -1})
+	srv := openServer(t, Options{FlightInterval: -1})
 	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

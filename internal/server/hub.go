@@ -99,7 +99,7 @@ type sessionHub struct {
 	sessionID string
 	buffer    int // per-subscriber channel capacity
 	history   int // resume ring capacity (0 disables resume)
-	m         *metrics
+	m         *serverMetrics
 
 	mu     sync.Mutex
 	nextID uint64
@@ -109,7 +109,7 @@ type sessionHub struct {
 	closed bool
 }
 
-func newSessionHub(sessionID string, buffer, history int, m *metrics) *sessionHub {
+func newSessionHub(sessionID string, buffer, history int, m *serverMetrics) *sessionHub {
 	if buffer < 1 {
 		buffer = 1
 	}
@@ -134,7 +134,7 @@ func (h *sessionHub) subscribe(lastID uint64, hasLast bool) (sub *subscriber, re
 	}
 	sub = &subscriber{ch: make(chan streamEvent, h.buffer)}
 	h.subs[sub] = struct{}{}
-	h.m.streamSubscribers.add(1)
+	h.m.streamSubscribers.Add(1)
 	if hasLast {
 		n := len(h.ring)
 		for i := 0; i < n; i++ {
@@ -161,7 +161,7 @@ func (h *sessionHub) unsubscribe(sub *subscriber) {
 	h.mu.Lock()
 	if _, ok := h.subs[sub]; ok {
 		delete(h.subs, sub)
-		h.m.streamSubscribers.add(-1)
+		h.m.streamSubscribers.Add(-1)
 	}
 	h.mu.Unlock()
 }
@@ -194,8 +194,8 @@ func (h *sessionHub) publish(kind string, payload any) {
 	h.offerLocked(ev)
 	elapsed := time.Since(start)
 	h.mu.Unlock()
-	h.m.streamEvents.inc(kind)
-	h.m.fanoutSeconds.observe(elapsed.Seconds())
+	h.m.streamEvents.Inc(kind)
+	h.m.fanoutSeconds.Observe(elapsed.Seconds())
 }
 
 // remember appends an event to the bounded resume ring; the caller holds
@@ -222,9 +222,9 @@ func (h *sessionHub) offerLocked(ev streamEvent) {
 			delete(h.subs, sub)
 			sub.evicted = true
 			close(sub.ch)
-			h.m.streamSubscribers.add(-1)
-			h.m.streamEventsDropped.inc()
-			h.m.streamSubsEvicted.inc()
+			h.m.streamSubscribers.Add(-1)
+			h.m.streamEventsDropped.Inc()
+			h.m.streamSubsEvicted.Inc()
 		}
 	}
 }
@@ -258,8 +258,8 @@ func (h *sessionHub) shutdown(reason string) {
 		close(sub.ch)
 	}
 	h.mu.Unlock()
-	h.m.streamSubscribers.add(int64(-n))
-	h.m.streamEvents.inc(eventKindClose)
+	h.m.streamSubscribers.Add(int64(-n))
+	h.m.streamEvents.Inc(eventKindClose)
 }
 
 // StreamDeltaEvent is the payload published after each accepted readings

@@ -28,7 +28,7 @@ func TestHubPublishSubscribe(t *testing.T) {
 	if sub == nil || len(replay) != 0 || gap {
 		t.Fatalf("fresh subscribe = (%v, %d, %v)", sub, len(replay), gap)
 	}
-	if got := m.streamSubscribers.value(); got != 1 {
+	if got := m.streamSubscribers.Value(); got != 1 {
 		t.Fatalf("subscriber gauge = %d, want 1", got)
 	}
 	h.publish(eventKindDelta, StreamDeltaEvent{ID: "s1", Time: 0})
@@ -41,12 +41,12 @@ func TestHubPublishSubscribe(t *testing.T) {
 	if ev.id != 2 || ev.kind != eventKindSmooth {
 		t.Fatalf("second event = id %d kind %s", ev.id, ev.kind)
 	}
-	if got := m.streamEvents.get(eventKindDelta); got != 1 {
+	if got := m.streamEvents.Get(eventKindDelta); got != 1 {
 		t.Fatalf("delta event counter = %d, want 1", got)
 	}
 	h.unsubscribe(sub)
 	h.unsubscribe(sub) // idempotent: the gauge moves exactly once
-	if got := m.streamSubscribers.value(); got != 0 {
+	if got := m.streamSubscribers.Value(); got != 0 {
 		t.Fatalf("subscriber gauge after unsubscribe = %d, want 0", got)
 	}
 	if h.subscribers() != 0 {
@@ -132,10 +132,10 @@ func TestHubSlowSubscriberEvicted(t *testing.T) {
 	if h.subscribers() != 1 {
 		t.Fatalf("subscribers after eviction = %d, want 1 (the live one)", h.subscribers())
 	}
-	if got := m.streamSubsEvicted.value(); got != 1 {
+	if got := m.streamSubsEvicted.Value(); got != 1 {
 		t.Fatalf("evicted counter = %d, want 1", got)
 	}
-	if got := m.streamEventsDropped.value(); got != 1 {
+	if got := m.streamEventsDropped.Value(); got != 1 {
 		t.Fatalf("dropped counter = %d, want 1", got)
 	}
 	h.shutdown(closeReasonClosed)
@@ -145,7 +145,7 @@ func TestHubSlowSubscriberEvicted(t *testing.T) {
 	if _, ok := <-live.ch; ok {
 		t.Fatal("live channel still open after shutdown")
 	}
-	if got := m.streamSubscribers.value(); got != 0 {
+	if got := m.streamSubscribers.Value(); got != 0 {
 		t.Fatalf("subscriber gauge after shutdown = %d, want 0", got)
 	}
 }
@@ -167,7 +167,7 @@ func TestHubShutdownIdempotent(t *testing.T) {
 		t.Fatal("shutdown must not read as eviction")
 	}
 	h.publish(eventKindDelta, StreamDeltaEvent{}) // dropped, not panicking
-	if got := m.streamEvents.get(eventKindDelta); got != 0 {
+	if got := m.streamEvents.Get(eventKindDelta); got != 0 {
 		t.Fatalf("post-shutdown publish counted: %d", got)
 	}
 	if sub2, _, _ := h.subscribe(0, false); sub2 != nil {
@@ -501,10 +501,10 @@ func TestHubLoad(t *testing.T) {
 	// phase and take the p99 bucket bound of the delta.
 	obsHist := srv.metrics.observeSeconds
 	snapshot := func() []uint64 {
-		obsHist.mu.Lock()
-		defer obsHist.mu.Unlock()
-		return append([]uint64(nil), obsHist.counts...)
+		_, counts := obsHist.Buckets()
+		return counts
 	}
+	bounds, _ := obsHist.Buckets()
 	histP99 := func(before, after []uint64) float64 {
 		var total, cum uint64
 		for i := range after {
@@ -517,8 +517,8 @@ func TestHubLoad(t *testing.T) {
 		for i := range after {
 			cum += after[i] - before[i]
 			if cum >= need {
-				if i < len(obsHist.bounds) {
-					return obsHist.bounds[i]
+				if i < len(bounds) {
+					return bounds[i]
 				}
 				return math.Inf(1)
 			}

@@ -14,17 +14,17 @@ func TestSplitIDAndIDLess(t *testing.T) {
 	ordered := []string{"d1", "d2", "d9", "d10", "d11", "d100"}
 	for i := 0; i < len(ordered); i++ {
 		for j := 0; j < len(ordered); j++ {
-			got := idLess(ordered[i], ordered[j])
+			got := IDLess(ordered[i], ordered[j])
 			if want := i < j; got != want {
-				t.Errorf("idLess(%s, %s) = %v, want %v", ordered[i], ordered[j], got, want)
+				t.Errorf("IDLess(%s, %s) = %v, want %v", ordered[i], ordered[j], got, want)
 			}
 		}
 	}
 	// Mixed prefixes and non-numeric ids fall back to lexicographic order.
-	if !idLess("d2", "t1") || idLess("t1", "d2") {
+	if !IDLess("d2", "t1") || IDLess("t1", "d2") {
 		t.Error("cross-prefix ids should order lexicographically")
 	}
-	if !idLess("abc", "abd") {
+	if !IDLess("abc", "abd") {
 		t.Error("non-numeric ids should order lexicographically")
 	}
 	if n, ok := idNum("t", "t42"); !ok || n != 42 {
@@ -42,7 +42,7 @@ func TestSplitIDAndIDLess(t *testing.T) {
 // read d2 before d10 — the lexicographic sort the endpoint used to apply put
 // d10 between d1 and d2.
 func TestDeploymentListNumericOrder(t *testing.T) {
-	srv := New()
+	srv := openServer(t, Options{})
 	defer srv.Close()
 	depJSON, _ := testDeployment(t)
 	dep, err := rfidclean.DecodeDeployment(bytes.NewReader(depJSON))

@@ -1,150 +1,30 @@
 package server
 
 import (
-	"fmt"
-	"io"
 	"net/http"
-	"runtime"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
 
 	rfidclean "repro"
+	"repro/internal/obs/metrics"
 )
 
-// This file is a minimal, stdlib-only metrics registry for the query head.
-// It knows exactly the instruments the server needs — counters, gauges, one
-// kind of histogram, and counters fanned out over a small label set — and
-// renders them in the Prometheus text exposition format at GET /metrics.
-// Pulling in a client library for a handful of gauges would dwarf the server
-// itself; the format is simple enough to emit directly.
+// serverMetrics is the query head's instrument set on the shared registry
+// (internal/obs/metrics), rendered at GET /metrics in registration order.
+// All fields are safe for concurrent use.
+type serverMetrics struct {
+	reg metrics.Registry
 
-// counter is a monotonically increasing metric.
-type counter struct{ n atomic.Uint64 }
-
-func (c *counter) inc()          { c.n.Add(1) }
-func (c *counter) add(d uint64)  { c.n.Add(d) }
-func (c *counter) value() uint64 { return c.n.Load() }
-
-// gauge is a metric that can go up and down.
-type gauge struct{ n atomic.Int64 }
-
-func (g *gauge) set(v int64)  { g.n.Store(v) }
-func (g *gauge) add(d int64)  { g.n.Add(d) }
-func (g *gauge) value() int64 { return g.n.Load() }
-
-// labeled fans a counter out over the value combinations of a fixed label
-// list (e.g. {mode, outcome}).
-type labeled struct {
-	labels []string
-	mu     sync.Mutex
-	vals   map[string]*counter // key = label values joined with \x00
-}
-
-func newLabeled(labels ...string) *labeled {
-	return &labeled{labels: labels, vals: make(map[string]*counter)}
-}
-
-func (l *labeled) inc(values ...string) { l.add(1, values...) }
-
-func (l *labeled) add(d uint64, values ...string) {
-	if len(values) != len(l.labels) {
-		panic("server: labeled counter arity mismatch")
-	}
-	key := strings.Join(values, "\x00")
-	l.mu.Lock()
-	c := l.vals[key]
-	if c == nil {
-		c = &counter{}
-		l.vals[key] = c
-	}
-	l.mu.Unlock()
-	c.add(d)
-}
-
-// get returns the current count for one label-value combination (testing and
-// health reporting; missing series read as zero).
-func (l *labeled) get(values ...string) uint64 {
-	key := strings.Join(values, "\x00")
-	l.mu.Lock()
-	c := l.vals[key]
-	l.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return c.value()
-}
-
-// histogram is a Prometheus-style cumulative histogram with fixed bounds.
-type histogram struct {
-	bounds []float64
-	mu     sync.Mutex
-	counts []uint64 // per-bucket (not cumulative); counts[len(bounds)] = +Inf
-	sum    float64
-	count  uint64
-}
-
-func newHistogram(bounds ...float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += v
-	h.count++
-	h.mu.Unlock()
-}
-
-// labeledHistogram fans a histogram out over the values of a single label
-// (e.g. {phase}); every series shares one bound list.
-type labeledHistogram struct {
-	label  string
-	bounds []float64
-	mu     sync.Mutex
-	vals   map[string]*histogram
-}
-
-func newLabeledHistogram(label string, bounds ...float64) *labeledHistogram {
-	return &labeledHistogram{label: label, bounds: bounds, vals: make(map[string]*histogram)}
-}
-
-func (lh *labeledHistogram) observe(value string, v float64) {
-	lh.mu.Lock()
-	h := lh.vals[value]
-	if h == nil {
-		h = newHistogram(lh.bounds...)
-		lh.vals[value] = h
-	}
-	lh.mu.Unlock()
-	h.observe(v)
-}
-
-// series returns the histogram of one label value (testing; nil when the
-// series has never been observed).
-func (lh *labeledHistogram) series(value string) *histogram {
-	lh.mu.Lock()
-	defer lh.mu.Unlock()
-	return lh.vals[value]
-}
-
-// metrics is the server's registry. All fields are safe for concurrent use.
-type metrics struct {
 	// Request counters.
-	cleanRequests *labeled // {mode: single|group|batch, outcome}
-	batchSlots    *labeled // {outcome: ok|error}
-	queryOps      *labeled // {op: stay|match|top|occupancy|stats|delete}
+	cleanRequests *metrics.CounterVec // {mode: single|group|batch|stream, outcome}
+	batchSlots    *metrics.CounterVec // {outcome: ok|error}
+	queryOps      *metrics.CounterVec // {op: stay|match|top|occupancy|stats|delete|list}
 
 	// Constraint cache.
-	cacheHits   counter
-	cacheMisses counter
+	cacheHits   *metrics.Counter
+	cacheMisses *metrics.Counter
 
 	// Latency and size distributions.
-	cleanSeconds *histogram
-	graphBytes   *histogram
+	cleanSeconds *metrics.Histogram
+	graphBytes   *metrics.Histogram
 
 	// Per-endpoint request latency with exemplars linking high buckets to
 	// retained traces (exemplar.go).
@@ -152,283 +32,156 @@ type metrics struct {
 
 	// Cleaning explain aggregates: where clean time goes, phase by phase,
 	// and how many candidate successors each constraint family pruned.
-	phaseSeconds     *labeledHistogram // {phase: derive|compile|forward|backward|revise}
-	prunedCandidates *labeled          // {constraint: DU|LT|TT}
+	phaseSeconds     *metrics.HistogramVec // {phase: derive|compile|forward|backward|revise}
+	prunedCandidates *metrics.CounterVec   // {constraint: DU|LT|TT}
 
 	// Trajectory store.
-	storeBytes     gauge
-	storeCount     gauge
-	storeEvictions counter
+	storeBytes     *metrics.Gauge
+	storeCount     *metrics.Gauge
+	storeEvictions *metrics.Counter
 
 	// Streaming sessions.
-	streamSessions gauge    // currently open sessions
-	streamReadings *labeled // {outcome: ok|out_of_order|gap|budget|bad_reading|dead_end|dead_session}
-	observeSeconds *histogram
-	streamReaped   counter
-	streamEvicted  counter
-	streamSmooths  *labeled // {mode: incremental|full}
+	streamSessions *metrics.Gauge      // currently open sessions
+	streamReadings *metrics.CounterVec // {outcome: ok|out_of_order|gap|budget|bad_reading|dead_end|dead_session}
+	observeSeconds *metrics.Histogram
+	streamReaped   *metrics.Counter
+	streamEvicted  *metrics.Counter
+	streamSmooths  *metrics.CounterVec // {mode: incremental|full}
 
 	// Event fan-out (hub.go).
-	streamSubscribers   gauge    // SSE subscribers currently attached
-	streamEvents        *labeled // {kind: delta|smooth|close}
-	streamEventsDropped counter  // events a subscriber's buffer could not take
-	streamSubsEvicted   counter  // subscribers dropped for falling behind
-	fanoutSeconds       *histogram
+	streamSubscribers   *metrics.Gauge      // SSE subscribers currently attached
+	streamEvents        *metrics.CounterVec // {kind: delta|smooth|close}
+	streamEventsDropped *metrics.Counter    // events a subscriber's buffer could not take
+	streamSubsEvicted   *metrics.Counter    // subscribers dropped for falling behind
+	fanoutSeconds       *metrics.Histogram
 
 	// Resource bounds and liveness.
-	deployments    gauge
-	bodyRejections counter
-	inflight       gauge // /v1/ requests currently being served
+	deployments    *metrics.Gauge
+	bodyRejections *metrics.Counter
+	inflight       *metrics.Gauge // /v1/ requests currently being served
 
 	// Durability (persist.go); all zero when the server runs without a data
 	// directory.
-	persistFlushes        counter
-	persistCompactions    counter
-	persistErrors         counter
-	persistBytes          gauge // total bytes of the on-disk data files
-	persistFlushSeconds   *histogram
-	recoveredDeployments  gauge
-	recoveredTrajectories gauge
-	recoveryDropped       gauge // records dropped at boot (unknown dep, undecodable, over budget)
-	recoveryTruncated     gauge // 1 when the last boot found a corrupt/truncated log tail
+	persistFlushes        *metrics.Counter
+	persistCompactions    *metrics.Counter
+	persistErrors         *metrics.Counter
+	persistBytes          *metrics.Gauge // total bytes of the on-disk data files
+	persistFlushSeconds   *metrics.Histogram
+	recoveredDeployments  *metrics.Gauge
+	recoveredTrajectories *metrics.Gauge
+	recoveryDropped       *metrics.Gauge // records dropped at boot (unknown dep, undecodable, over budget)
+	recoveryTruncated     *metrics.Gauge // 1 when the last boot found a corrupt/truncated log tail
 }
 
-// LatencyBucketBounds returns the canonical request-latency bucket ladder
-// (seconds) used by the server's clean-duration histogram. It is exported so
-// external harnesses (cmd/rfidload) can render their per-endpoint results on
-// the same ladder and line up client-side and server-side distributions.
-func LatencyBucketBounds() []float64 {
-	return []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-}
-
-func newMetrics() *metrics {
-	return &metrics{
-		cleanRequests:  newLabeled("mode", "outcome"),
-		batchSlots:     newLabeled("outcome"),
-		queryOps:       newLabeled("op"),
-		cleanSeconds:   newHistogram(LatencyBucketBounds()...),
-		requestSeconds: newRequestHistograms(LatencyBucketBounds()),
-		graphBytes: newHistogram(
-			1<<10, 4<<10, 16<<10, 64<<10, 256<<10, 1<<20, 4<<20, 16<<20,
-		),
-		phaseSeconds: newLabeledHistogram("phase",
-			0.00001, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1, 5,
-		),
-		prunedCandidates: newLabeled("constraint"),
-		streamReadings:   newLabeled("outcome"),
-		observeSeconds: newHistogram(
-			0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.25, 1,
-		),
-		streamSmooths: newLabeled("mode"),
-		streamEvents:  newLabeled("kind"),
-		fanoutSeconds: newHistogram(
-			0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005, 0.0001,
-			0.00025, 0.0005, 0.001, 0.0025, 0.01, 0.05, 0.25,
-		),
-		persistFlushSeconds: newHistogram(
-			0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1,
-		),
-	}
+func newMetrics() *serverMetrics {
+	m := &serverMetrics{}
+	r := &m.reg
+	m.cleanRequests = r.CounterVec("rfidclean_clean_requests_total",
+		"Clean requests served, by mode and outcome.", "mode", "outcome")
+	m.batchSlots = r.CounterVec("rfidclean_batch_slots_total",
+		"Individual batch-clean slots, by outcome.", "outcome")
+	m.queryOps = r.CounterVec("rfidclean_query_ops_total",
+		"Trajectory query operations served, by operation.", "op")
+	m.cacheHits = r.Counter("rfidclean_constraint_cache_hits_total",
+		"Clean requests that reused a cached constraint set.")
+	m.cacheMisses = r.Counter("rfidclean_constraint_cache_misses_total",
+		"Clean requests that ran DU/LT/TT constraint inference.")
+	m.cleanSeconds = r.Histogram("rfidclean_clean_duration_seconds",
+		"End-to-end latency of successful clean requests.", metrics.LatencyBounds()...)
+	m.graphBytes = r.Histogram("rfidclean_graph_bytes",
+		"Estimated size of stored conditioned trajectory graphs.",
+		1<<10, 4<<10, 16<<10, 64<<10, 256<<10, 1<<20, 4<<20, 16<<20)
+	m.requestSeconds = newRequestHistograms(metrics.LatencyBounds())
+	r.Func("rfidclean_request_duration_seconds",
+		"Per-endpoint request latency; buckets carry exemplars linking to retained traces at /debug/traces.",
+		"histogram", m.requestSeconds.writeSeries)
+	m.phaseSeconds = r.HistogramVec("rfidclean_clean_phase_duration_seconds",
+		"Per-phase latency of cleans (derive, compile, forward, backward, revise).", "phase",
+		0.00001, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1, 5)
+	m.prunedCandidates = r.CounterVec("rfidclean_pruned_candidates_total",
+		"Candidate successors pruned by integrity constraints, by constraint family.", "constraint")
+	m.storeBytes = r.Gauge("rfidclean_store_bytes",
+		"Estimated bytes of trajectory graphs currently stored.")
+	m.storeCount = r.Gauge("rfidclean_store_trajectories",
+		"Trajectory graphs currently stored.")
+	m.storeEvictions = r.Counter("rfidclean_store_evictions_total",
+		"Trajectory graphs evicted to fit the store byte budget.")
+	m.streamSessions = r.Gauge("rfidclean_stream_sessions",
+		"Streaming sessions currently open.")
+	m.streamReadings = r.CounterVec("rfidclean_stream_readings_total",
+		"Streaming readings processed, by outcome.", "outcome")
+	m.observeSeconds = r.Histogram("rfidclean_stream_observe_duration_seconds",
+		"Per-reading latency of streaming filter observations.",
+		0.00001, 0.000025, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.25, 1)
+	m.streamReaped = r.Counter("rfidclean_stream_reaped_total",
+		"Streaming sessions closed by the idle-TTL reaper.")
+	m.streamEvicted = r.Counter("rfidclean_stream_evicted_total",
+		"Streaming sessions evicted to admit new ones at the session cap.")
+	m.streamSmooths = r.CounterVec("rfidclean_stream_smooths_total",
+		"Stream smoothing operations, by rebuild mode (incremental reuses the session's live forward state; full rebuilds from the buffered readings).", "mode")
+	m.streamSubscribers = r.Gauge("rfidclean_stream_subscribers",
+		"SSE event subscribers currently attached across all streaming sessions.")
+	m.streamEvents = r.CounterVec("rfidclean_stream_events_total",
+		"Events published to streaming-session hubs, by kind.", "kind")
+	m.streamEventsDropped = r.Counter("rfidclean_stream_events_dropped_total",
+		"Events a slow subscriber's buffer could not accept (each drop also evicts the subscriber).")
+	m.streamSubsEvicted = r.Counter("rfidclean_stream_subscribers_evicted_total",
+		"SSE subscribers dropped for falling behind their event buffer.")
+	m.fanoutSeconds = r.Histogram("rfidclean_stream_fanout_duration_seconds",
+		"Time to enqueue one published event to every subscriber of a session.",
+		0.000001, 0.0000025, 0.000005, 0.00001, 0.000025, 0.00005, 0.0001,
+		0.00025, 0.0005, 0.001, 0.0025, 0.01, 0.05, 0.25)
+	m.deployments = r.Gauge("rfidclean_deployments",
+		"Deployments currently registered.")
+	m.bodyRejections = r.Counter("rfidclean_body_rejections_total",
+		"POST bodies rejected for exceeding the size limit.")
+	m.inflight = r.Gauge("rfidclean_inflight_requests",
+		"API (/v1/) requests currently being served.")
+	m.persistFlushes = r.Counter("rfidclean_persist_flushes_total",
+		"Durability flushes: WAL append+fsync batches plus deployments snapshots.")
+	m.persistCompactions = r.Counter("rfidclean_persist_compactions_total",
+		"WAL compactions into the trajectory snapshot.")
+	m.persistErrors = r.Counter("rfidclean_persist_errors_total",
+		"Persistence operations that failed (logged, not fatal).")
+	m.persistBytes = r.Gauge("rfidclean_persist_bytes",
+		"Total bytes of the on-disk data files (WAL, snapshots).")
+	m.persistFlushSeconds = r.Histogram("rfidclean_persist_flush_duration_seconds",
+		"Latency of durability flushes.",
+		0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1)
+	m.recoveredDeployments = r.Gauge("rfidclean_persist_recovered_deployments",
+		"Deployments recovered from the data directory at boot.")
+	m.recoveredTrajectories = r.Gauge("rfidclean_persist_recovered_trajectories",
+		"Trajectory graphs recovered from snapshot+WAL at boot.")
+	m.recoveryDropped = r.Gauge("rfidclean_persist_recovery_dropped",
+		"Recovered records dropped at boot (unknown deployment, undecodable, over budget).")
+	m.recoveryTruncated = r.Gauge("rfidclean_persist_recovery_truncated",
+		"1 when the last boot found a corrupt or truncated log tail.")
+	r.GoRuntime()
+	return m
 }
 
 // recordExplain folds one clean's explain report into the per-phase latency
 // histograms and the per-constraint prune counters.
-func (m *metrics) recordExplain(ex *rfidclean.Explain) {
+func (m *serverMetrics) recordExplain(ex *rfidclean.Explain) {
 	if ex == nil {
 		return
 	}
-	m.phaseSeconds.observe("derive", float64(ex.DeriveNanos)/1e9)
-	m.phaseSeconds.observe("compile", float64(ex.Build.CompileNanos)/1e9)
-	m.phaseSeconds.observe("forward", float64(ex.Build.ForwardNanos)/1e9)
-	m.phaseSeconds.observe("backward", float64(ex.Build.BackwardNanos)/1e9)
-	m.phaseSeconds.observe("revise", float64(ex.Build.ReviseNanos)/1e9)
-	m.prunedCandidates.add(uint64(ex.Build.PrunedDU), "DU")
-	m.prunedCandidates.add(uint64(ex.Build.PrunedLT), "LT")
-	m.prunedCandidates.add(uint64(ex.Build.PrunedTT), "TT")
+	m.phaseSeconds.Observe("derive", float64(ex.DeriveNanos)/1e9)
+	m.phaseSeconds.Observe("compile", float64(ex.Build.CompileNanos)/1e9)
+	m.phaseSeconds.Observe("forward", float64(ex.Build.ForwardNanos)/1e9)
+	m.phaseSeconds.Observe("backward", float64(ex.Build.BackwardNanos)/1e9)
+	m.phaseSeconds.Observe("revise", float64(ex.Build.ReviseNanos)/1e9)
+	m.prunedCandidates.Add(uint64(ex.Build.PrunedDU), "DU")
+	m.prunedCandidates.Add(uint64(ex.Build.PrunedLT), "LT")
+	m.prunedCandidates.Add(uint64(ex.Build.PrunedTT), "TT")
 }
 
 // ServeHTTP renders the registry in the Prometheus text format.
-func (m *metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (m *serverMetrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.writeTo(w)
+	w.Header().Set("Content-Type", metrics.ContentType)
+	m.reg.WriteText(w)
 }
-
-func (m *metrics) writeTo(w io.Writer) {
-	writeLabeled(w, "rfidclean_clean_requests_total",
-		"Clean requests served, by mode and outcome.", m.cleanRequests)
-	writeLabeled(w, "rfidclean_batch_slots_total",
-		"Individual batch-clean slots, by outcome.", m.batchSlots)
-	writeLabeled(w, "rfidclean_query_ops_total",
-		"Trajectory query operations served, by operation.", m.queryOps)
-	writeCounter(w, "rfidclean_constraint_cache_hits_total",
-		"Clean requests that reused a cached constraint set.", &m.cacheHits)
-	writeCounter(w, "rfidclean_constraint_cache_misses_total",
-		"Clean requests that ran DU/LT/TT constraint inference.", &m.cacheMisses)
-	writeHistogram(w, "rfidclean_clean_duration_seconds",
-		"End-to-end latency of successful clean requests.", m.cleanSeconds)
-	writeHistogram(w, "rfidclean_graph_bytes",
-		"Estimated size of stored conditioned trajectory graphs.", m.graphBytes)
-	m.requestSeconds.writeTo(w, "rfidclean_request_duration_seconds",
-		"Per-endpoint request latency; buckets carry exemplars linking to retained traces at /debug/traces.")
-	writeLabeledHistogram(w, "rfidclean_clean_phase_duration_seconds",
-		"Per-phase latency of cleans (derive, compile, forward, backward, revise).", m.phaseSeconds)
-	writeLabeled(w, "rfidclean_pruned_candidates_total",
-		"Candidate successors pruned by integrity constraints, by constraint family.", m.prunedCandidates)
-	writeGauge(w, "rfidclean_store_bytes",
-		"Estimated bytes of trajectory graphs currently stored.", &m.storeBytes)
-	writeGauge(w, "rfidclean_store_trajectories",
-		"Trajectory graphs currently stored.", &m.storeCount)
-	writeCounter(w, "rfidclean_store_evictions_total",
-		"Trajectory graphs evicted to fit the store byte budget.", &m.storeEvictions)
-	writeGauge(w, "rfidclean_stream_sessions",
-		"Streaming sessions currently open.", &m.streamSessions)
-	writeLabeled(w, "rfidclean_stream_readings_total",
-		"Streaming readings processed, by outcome.", m.streamReadings)
-	writeHistogram(w, "rfidclean_stream_observe_duration_seconds",
-		"Per-reading latency of streaming filter observations.", m.observeSeconds)
-	writeCounter(w, "rfidclean_stream_reaped_total",
-		"Streaming sessions closed by the idle-TTL reaper.", &m.streamReaped)
-	writeCounter(w, "rfidclean_stream_evicted_total",
-		"Streaming sessions evicted to admit new ones at the session cap.", &m.streamEvicted)
-	writeLabeled(w, "rfidclean_stream_smooths_total",
-		"Stream smoothing operations, by rebuild mode (incremental reuses the session's live forward state; full rebuilds from the buffered readings).", m.streamSmooths)
-	writeGauge(w, "rfidclean_stream_subscribers",
-		"SSE event subscribers currently attached across all streaming sessions.", &m.streamSubscribers)
-	writeLabeled(w, "rfidclean_stream_events_total",
-		"Events published to streaming-session hubs, by kind.", m.streamEvents)
-	writeCounter(w, "rfidclean_stream_events_dropped_total",
-		"Events a slow subscriber's buffer could not accept (each drop also evicts the subscriber).", &m.streamEventsDropped)
-	writeCounter(w, "rfidclean_stream_subscribers_evicted_total",
-		"SSE subscribers dropped for falling behind their event buffer.", &m.streamSubsEvicted)
-	writeHistogram(w, "rfidclean_stream_fanout_duration_seconds",
-		"Time to enqueue one published event to every subscriber of a session.", m.fanoutSeconds)
-	writeGauge(w, "rfidclean_deployments",
-		"Deployments currently registered.", &m.deployments)
-	writeCounter(w, "rfidclean_body_rejections_total",
-		"POST bodies rejected for exceeding the size limit.", &m.bodyRejections)
-	writeGauge(w, "rfidclean_inflight_requests",
-		"API (/v1/) requests currently being served.", &m.inflight)
-	writeCounter(w, "rfidclean_persist_flushes_total",
-		"Durability flushes: WAL append+fsync batches plus deployments snapshots.", &m.persistFlushes)
-	writeCounter(w, "rfidclean_persist_compactions_total",
-		"WAL compactions into the trajectory snapshot.", &m.persistCompactions)
-	writeCounter(w, "rfidclean_persist_errors_total",
-		"Persistence operations that failed (logged, not fatal).", &m.persistErrors)
-	writeGauge(w, "rfidclean_persist_bytes",
-		"Total bytes of the on-disk data files (WAL, snapshots).", &m.persistBytes)
-	writeHistogram(w, "rfidclean_persist_flush_duration_seconds",
-		"Latency of durability flushes.", m.persistFlushSeconds)
-	writeGauge(w, "rfidclean_persist_recovered_deployments",
-		"Deployments recovered from the data directory at boot.", &m.recoveredDeployments)
-	writeGauge(w, "rfidclean_persist_recovered_trajectories",
-		"Trajectory graphs recovered from snapshot+WAL at boot.", &m.recoveredTrajectories)
-	writeGauge(w, "rfidclean_persist_recovery_dropped",
-		"Recovered records dropped at boot (unknown deployment, undecodable, over budget).", &m.recoveryDropped)
-	writeGauge(w, "rfidclean_persist_recovery_truncated",
-		"1 when the last boot found a corrupt or truncated log tail.", &m.recoveryTruncated)
-	writeRuntimeGauges(w)
-}
-
-// writeRuntimeGauges samples the Go runtime at scrape time. The series are
-// emitted in sorted name order so scrapes are deterministic and diffable.
-func writeRuntimeGauges(w io.Writer) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	writeHeader(w, "go_gc_pause_seconds_total", "Cumulative stop-the-world GC pause time.", "counter")
-	fmt.Fprintf(w, "go_gc_pause_seconds_total %s\n", formatFloat(float64(ms.PauseTotalNs)/1e9))
-	writeHeader(w, "go_gc_runs_total", "Completed GC cycles.", "counter")
-	fmt.Fprintf(w, "go_gc_runs_total %d\n", ms.NumGC)
-	writeHeader(w, "go_gomaxprocs", "Value of GOMAXPROCS.", "gauge")
-	fmt.Fprintf(w, "go_gomaxprocs %d\n", runtime.GOMAXPROCS(0))
-	writeHeader(w, "go_goroutines", "Number of live goroutines.", "gauge")
-	fmt.Fprintf(w, "go_goroutines %d\n", runtime.NumGoroutine())
-	writeHeader(w, "go_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge")
-	fmt.Fprintf(w, "go_heap_alloc_bytes %d\n", ms.HeapAlloc)
-}
-
-func writeHeader(w io.Writer, name, help, typ string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func writeCounter(w io.Writer, name, help string, c *counter) {
-	writeHeader(w, name, help, "counter")
-	fmt.Fprintf(w, "%s %d\n", name, c.value())
-}
-
-func writeGauge(w io.Writer, name, help string, g *gauge) {
-	writeHeader(w, name, help, "gauge")
-	fmt.Fprintf(w, "%s %d\n", name, g.value())
-}
-
-func writeLabeled(w io.Writer, name, help string, l *labeled) {
-	writeHeader(w, name, help, "counter")
-	l.mu.Lock()
-	keys := make([]string, 0, len(l.vals))
-	for k := range l.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts := strings.Split(k, "\x00")
-		pairs := make([]string, len(parts))
-		for i, v := range parts {
-			pairs[i] = fmt.Sprintf("%s=%q", l.labels[i], v)
-		}
-		fmt.Fprintf(w, "%s{%s} %d\n", name, strings.Join(pairs, ","), l.vals[k].value())
-	}
-	l.mu.Unlock()
-}
-
-func writeHistogram(w io.Writer, name, help string, h *histogram) {
-	writeHeader(w, name, help, "histogram")
-	writeHistogramSeries(w, name, "", h)
-}
-
-// writeHistogramSeries emits one histogram's buckets/sum/count; extraLabel
-// ('phase="forward"') is prepended to each bucket's label set when non-empty.
-func writeHistogramSeries(w io.Writer, name, extraLabel string, h *histogram) {
-	sep := ""
-	if extraLabel != "" {
-		sep = ","
-	}
-	h.mu.Lock()
-	cum := uint64(0)
-	for i, b := range h.bounds {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{%s%sle=%q} %d\n", name, extraLabel, sep, formatFloat(b), cum)
-	}
-	cum += h.counts[len(h.bounds)]
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, extraLabel, sep, cum)
-	if extraLabel != "" {
-		fmt.Fprintf(w, "%s_sum{%s} %s\n", name, extraLabel, formatFloat(h.sum))
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, extraLabel, h.count)
-	} else {
-		fmt.Fprintf(w, "%s_sum %s\n", name, formatFloat(h.sum))
-		fmt.Fprintf(w, "%s_count %d\n", name, h.count)
-	}
-	h.mu.Unlock()
-}
-
-func writeLabeledHistogram(w io.Writer, name, help string, lh *labeledHistogram) {
-	writeHeader(w, name, help, "histogram")
-	lh.mu.Lock()
-	keys := make([]string, 0, len(lh.vals))
-	for k := range lh.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	series := make([]*histogram, len(keys))
-	for i, k := range keys {
-		series[i] = lh.vals[k]
-	}
-	lh.mu.Unlock()
-	for i, k := range keys {
-		writeHistogramSeries(w, name, fmt.Sprintf("%s=%q", lh.label, k), series[i])
-	}
-}
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -9,45 +9,6 @@ import (
 	"testing"
 )
 
-func TestHistogramBuckets(t *testing.T) {
-	h := newHistogram(1, 10, 100)
-	for _, v := range []float64{0.5, 1, 5, 50, 500} {
-		h.observe(v)
-	}
-	var buf bytes.Buffer
-	writeHistogram(&buf, "x", "help", h)
-	got := buf.String()
-	for _, want := range []string{
-		`x_bucket{le="1"} 2`, // 0.5 and the boundary value 1
-		`x_bucket{le="10"} 3`,
-		`x_bucket{le="100"} 4`,
-		`x_bucket{le="+Inf"} 5`,
-		`x_count 5`,
-		`x_sum 556.5`,
-	} {
-		if !strings.Contains(got, want) {
-			t.Errorf("missing %q in:\n%s", want, got)
-		}
-	}
-}
-
-func TestLabeledCounterRendering(t *testing.T) {
-	l := newLabeled("mode", "outcome")
-	l.inc("single", "ok")
-	l.inc("single", "ok")
-	l.inc("batch", "error")
-	var buf bytes.Buffer
-	writeLabeled(&buf, "reqs", "help", l)
-	got := buf.String()
-	if !strings.Contains(got, `reqs{mode="single",outcome="ok"} 2`) ||
-		!strings.Contains(got, `reqs{mode="batch",outcome="error"} 1`) {
-		t.Errorf("unexpected rendering:\n%s", got)
-	}
-	if l.get("single", "ok") != 2 || l.get("nope", "nope") != 0 {
-		t.Error("labeled get mismatch")
-	}
-}
-
 // scrape fetches /metrics and returns the text body.
 func scrape(t *testing.T, base string) string {
 	t.Helper()
@@ -133,7 +94,7 @@ func TestMetricsReflectServedCleans(t *testing.T) {
 }
 
 func TestMetricsMethodNotAllowed(t *testing.T) {
-	ts := httptest.NewServer(New())
+	ts := httptest.NewServer(openServer(t, Options{}))
 	t.Cleanup(ts.Close)
 	resp, err := http.Post(ts.URL+"/metrics", "text/plain", nil)
 	if err != nil {

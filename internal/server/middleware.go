@@ -89,8 +89,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var endpoint string
 	if api {
 		endpoint = classifyEndpoint(r.Method, r.URL.Path)
-		s.metrics.inflight.add(1)
-		defer s.metrics.inflight.add(-1)
+		s.metrics.inflight.Add(1)
+		defer s.metrics.inflight.Add(-1)
 	}
 	var sse *sseLogInfo
 	if endpoint == "stream_events" {

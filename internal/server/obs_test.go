@@ -69,7 +69,7 @@ func TestRequestIDGeneratedAndEchoed(t *testing.T) {
 // TestRequestIDOn413 pins the request ID onto the body-too-large error path,
 // which short-circuits before any handler logic runs.
 func TestRequestIDOn413(t *testing.T) {
-	ts := httptest.NewServer(NewWithOptions(Options{MaxBodyBytes: 64}))
+	ts := httptest.NewServer(openServer(t, Options{MaxBodyBytes: 64}))
 	defer ts.Close()
 	// Valid JSON, so the size cap (not a syntax error) is what trips.
 	big := []byte(`{"deployment":"` + strings.Repeat("x", 4096) + `"}`)
@@ -116,7 +116,7 @@ func (b *syncBuffer) String() string {
 // path and status, and that probe endpoints log at debug only.
 func TestAccessLog(t *testing.T) {
 	var logs syncBuffer
-	srv := NewWithOptions(Options{
+	srv := openServer(t, Options{
 		Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo})),
 	})
 	ts := httptest.NewServer(srv)
@@ -227,7 +227,7 @@ func TestDebugTraces(t *testing.T) {
 // TestTracingDisabled checks a negative TraceBuffer turns /debug/traces off
 // without breaking request serving.
 func TestTracingDisabled(t *testing.T) {
-	ts := httptest.NewServer(NewWithOptions(Options{TraceBuffer: -1}))
+	ts := httptest.NewServer(openServer(t, Options{TraceBuffer: -1}))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/debug/traces")
 	if err != nil {
@@ -373,7 +373,7 @@ func TestMetricsObservability(t *testing.T) {
 // a second (or concurrent) Close must neither panic nor return before the
 // reaper goroutine has drained.
 func TestServerCloseIdempotent(t *testing.T) {
-	srv := New()
+	srv := openServer(t, Options{})
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}

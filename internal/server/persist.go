@@ -109,7 +109,7 @@ type snapItem struct {
 type persister struct {
 	dir          string
 	snapInterval time.Duration
-	m            *metrics
+	m            *serverMetrics
 	logger       *slog.Logger
 	recorder     *obs.Recorder
 	onError      func(step string) // flight-recorder dump trigger; nil when disabled
@@ -135,7 +135,7 @@ type persister struct {
 	source func() ([]snapItem, int)
 }
 
-func newPersister(dir string, snapInterval time.Duration, m *metrics, logger *slog.Logger, recorder *obs.Recorder) (*persister, error) {
+func newPersister(dir string, snapInterval time.Duration, m *serverMetrics, logger *slog.Logger, recorder *obs.Recorder) (*persister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: creating data dir: %w", err)
 	}
@@ -298,8 +298,8 @@ func (p *persister) flush() {
 	}
 	sp.End()
 	p.recorder.Record(tr)
-	p.m.persistFlushes.inc()
-	p.m.persistFlushSeconds.observe(time.Since(start).Seconds())
+	p.m.persistFlushes.Inc()
+	p.m.persistFlushSeconds.Observe(time.Since(start).Seconds())
 	p.updateBytesGauge()
 }
 
@@ -354,7 +354,7 @@ func (p *persister) compact() {
 		p.logError("truncating wal", err)
 		return
 	}
-	p.m.persistCompactions.inc()
+	p.m.persistCompactions.Inc()
 	p.updateBytesGauge()
 }
 
@@ -374,8 +374,8 @@ func (p *persister) saveDeployments(collect func() depsDoc) error {
 	if err := persist.WriteFileAtomic(filepath.Join(p.dir, deploymentsFile), data); err != nil {
 		return err
 	}
-	p.m.persistFlushes.inc()
-	p.m.persistFlushSeconds.observe(time.Since(start).Seconds())
+	p.m.persistFlushes.Inc()
+	p.m.persistFlushSeconds.Observe(time.Since(start).Seconds())
 	p.updateBytesGauge()
 	return nil
 }
@@ -388,11 +388,11 @@ func (p *persister) updateBytesGauge() {
 			total += st.Size()
 		}
 	}
-	p.m.persistBytes.set(total)
+	p.m.persistBytes.Set(total)
 }
 
 func (p *persister) logError(step string, err error) {
-	p.m.persistErrors.inc()
+	p.m.persistErrors.Inc()
 	p.logger.Error("persist: "+step+" failed", slog.String("error", err.Error()))
 	if p.onError != nil {
 		p.onError(step)
@@ -421,7 +421,7 @@ func (s *Server) deploymentsDoc() depsDoc {
 	}
 	s.mu.RUnlock()
 	sort.Slice(doc.Deployments, func(i, j int) bool {
-		return idLess(doc.Deployments[i].ID, doc.Deployments[j].ID)
+		return IDLess(doc.Deployments[i].ID, doc.Deployments[j].ID)
 	})
 	return doc
 }
@@ -432,10 +432,8 @@ func (s *Server) deploymentsDoc() depsDoc {
 // recovering the valid prefix; a corrupt deployments.json fails the boot
 // loudly, since it is written atomically and everything hangs off it.
 // It runs before the persister's writer starts, so tombstones it enqueues
-// (for budget-dropped entries) are flushed once serving begins. ts is the
-// concrete trajectory store (restore is a recovery concern, deliberately off
-// the handler-facing trajectoryStore interface).
-func (s *Server) recoverFrom(dir string, ts *trajStore) error {
+// (for budget-dropped entries) are flushed once serving begins.
+func (s *Server) recoverFrom(dir string) error {
 	start := time.Now()
 	tr := obs.NewTrace("persist.recover")
 	_, root := obs.Start(obs.WithTrace(context.Background(), tr), "persist.recover")
@@ -521,14 +519,14 @@ func (s *Server) recoverFrom(dir string, ts *trajStore) error {
 		}
 		items = append(items, snapItem{id: pe.rec.ID, depID: pe.rec.Dep, c: c})
 	}
-	budgetDropped := ts.restore(items, maxT)
+	budgetDropped := s.store.restore(items, maxT)
 
 	recoveredTraj := len(items) - budgetDropped
-	s.metrics.recoveredDeployments.set(int64(recoveredDeps))
-	s.metrics.recoveredTrajectories.set(int64(recoveredTraj))
-	s.metrics.recoveryDropped.set(int64(dropped + budgetDropped))
+	s.metrics.recoveredDeployments.Set(int64(recoveredDeps))
+	s.metrics.recoveredTrajectories.Set(int64(recoveredTraj))
+	s.metrics.recoveryDropped.Set(int64(dropped + budgetDropped))
 	if truncated {
-		s.metrics.recoveryTruncated.set(1)
+		s.metrics.recoveryTruncated.Set(1)
 	}
 	root.Int("deployments", int64(recoveredDeps)).
 		Int("trajectories", int64(recoveredTraj)).
@@ -582,6 +580,6 @@ func (s *Server) recoverDeployments(dir string) (int, error) {
 	if doc.Next > s.nextDep {
 		s.nextDep = doc.Next
 	}
-	s.metrics.deployments.set(int64(len(s.deployments)))
+	s.metrics.deployments.Set(int64(len(s.deployments)))
 	return len(doc.Deployments), nil
 }

@@ -551,7 +551,7 @@ func TestPersistenceOffByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if srv.persist != nil || srv.store.(*trajStore).persist != nil {
+	if srv.persist != nil || srv.store.persist != nil {
 		t.Fatal("persistence wired in without DataDir")
 	}
 }

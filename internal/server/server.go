@@ -68,8 +68,8 @@ import (
 	"repro/internal/obs/flight"
 )
 
-// Server is the HTTP query head. Create one with New and mount it as an
-// http.Handler.
+// Server is the HTTP query head. Create one with Open, mount it as an
+// http.Handler, and Close it when done.
 type Server struct {
 	workers      int
 	maxBody      int64         // <= 0 disables the body cap
@@ -82,9 +82,9 @@ type Server struct {
 	deployments map[string]*deployment
 	nextDep     int
 
-	store    trajectoryStore
-	sessions sessionRegistry
-	metrics  *metrics
+	store    *trajStore
+	sessions *sessionStore
+	metrics  *serverMetrics
 	logger   *slog.Logger
 	recorder *obs.Recorder // nil when tracing is disabled
 	persist  *persister    // nil when Options.DataDir is unset
@@ -187,7 +187,7 @@ type deployment struct {
 	dep   *rfidclean.Deployment
 	sys   *rfidclean.System
 	raw   []byte // canonical encoded form, reused by persistence snapshots
-	cache constraintSource
+	cache *constraintCache
 	// dead flips when DELETE /v1/deployments/{id} removes the deployment.
 	// A clean or smooth that looked the deployment up before the delete
 	// checks it after storing its graph: either the delete's store sweep
@@ -201,20 +201,6 @@ type trajectory struct {
 	id      string
 	depID   string
 	cleaned *rfidclean.Cleaned
-}
-
-// New returns a ready-to-serve Server with default options.
-func New() *Server { return NewWithOptions(Options{}) }
-
-// NewWithOptions returns a ready-to-serve Server. It panics when recovery
-// from Options.DataDir fails — only reachable with DataDir set; durable
-// callers should prefer Open and handle the error.
-func NewWithOptions(opts Options) *Server {
-	s, err := Open(opts)
-	if err != nil {
-		panic("server: " + err.Error())
-	}
-	return s
 }
 
 // Open returns a ready-to-serve Server. With Options.DataDir set it first
@@ -252,11 +238,6 @@ func Open(opts Options) (*Server, error) {
 		// every /metrics exemplar resolves at /debug/traces?id=.
 		m.requestSeconds.held = recorder.Held
 	}
-	// The handler fields are interface-typed (ifaces.go); the concrete
-	// stores stay in scope here for the persistence and flight-recorder
-	// hooks only Open wires.
-	ts := newTrajStore(opts.MaxStoreBytes, stride, offset, m)
-	ss := newSessionStore(opts, stride, offset, m)
 	s := &Server{
 		deployments:  make(map[string]*deployment),
 		workers:      opts.Workers,
@@ -265,8 +246,8 @@ func Open(opts Options) (*Server, error) {
 		sseHeartbeat: heartbeat,
 		idStride:     stride,
 		idOffset:     offset,
-		store:        ts,
-		sessions:     ss,
+		store:        newTrajStore(opts.MaxStoreBytes, stride, offset, m),
+		sessions:     newSessionStore(opts, stride, offset, m),
 		metrics:      m,
 		logger:       logger,
 		recorder:     recorder,
@@ -297,9 +278,9 @@ func Open(opts Options) (*Server, error) {
 			return nil, err
 		}
 		s.persist = p
-		ts.persist = p
-		p.source = ts.snapshot
-		if err := s.recoverFrom(opts.DataDir, ts); err != nil {
+		s.store.persist = p
+		p.source = s.store.snapshot
+		if err := s.recoverFrom(opts.DataDir); err != nil {
 			p.wal.Close()
 			return nil, err
 		}
@@ -308,8 +289,8 @@ func Open(opts Options) (*Server, error) {
 	// Dump triggers attach after recovery so boot-time eviction of an
 	// over-budget snapshot is not mistaken for a live storm.
 	if s.flight != nil {
-		ts.onEvict = s.flight.noteEvictions
-		ss.onEvict = s.flight.noteEvictions
+		s.store.onEvict = s.flight.noteEvictions
+		s.sessions.onEvict = s.flight.noteEvictions
 		if s.persist != nil {
 			s.persist.onError = s.flight.notePersistError
 		}
@@ -369,7 +350,7 @@ func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
 func (s *Server) bodyError(w http.ResponseWriter, err error) int {
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		s.metrics.bodyRejections.inc()
+		s.metrics.bodyRejections.Inc()
 		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
 		return http.StatusRequestEntityTooLarge
 	}
@@ -482,7 +463,7 @@ func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
 		}
 		n := len(s.deployments)
 		s.mu.Unlock()
-		s.metrics.deployments.set(int64(n))
+		s.metrics.deployments.Set(int64(n))
 		s.persistDeployments()
 		writeJSON(w, http.StatusCreated, map[string]string{"id": id})
 	case http.MethodGet:
@@ -502,7 +483,7 @@ func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		s.mu.RUnlock()
-		sort.Slice(rows, func(i, j int) bool { return idLess(rows[i].ID, rows[j].ID) })
+		sort.Slice(rows, func(i, j int) bool { return IDLess(rows[i].ID, rows[j].ID) })
 		writeJSON(w, http.StatusOK, rows)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -547,7 +528,7 @@ func (s *Server) handleDeploymentByID(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "unknown deployment %q", id)
 			return
 		}
-		s.metrics.deployments.set(int64(n))
+		s.metrics.deployments.Set(int64(n))
 		// Trajectories cleaned under the deployment go with it: they could
 		// not be recovered after a restart (no plan to decode against), so
 		// keeping them live would make restart behavior diverge.
@@ -575,13 +556,13 @@ func (s *Server) handleTrajectoryList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	s.metrics.queryOps.inc("list")
+	s.metrics.queryOps.Inc("list")
 	writeJSON(w, http.StatusOK, s.store.list())
 }
 
 // splitID separates an id like "t12" into its non-digit prefix and numeric
 // suffix. ok is false when the suffix is missing or not all digits.
-func splitID(id string) (prefix string, n int, ok bool) {
+func SplitID(id string) (prefix string, n int, ok bool) {
 	i := 0
 	for i < len(id) && (id[i] < '0' || id[i] > '9') {
 		i++
@@ -599,9 +580,9 @@ func splitID(id string) (prefix string, n int, ok bool) {
 // idLess orders ids numerically within a shared prefix ("d2" before "d10"),
 // falling back to lexicographic order across prefixes or for ids without a
 // numeric suffix.
-func idLess(a, b string) bool {
-	ap, an, aok := splitID(a)
-	bp, bn, bok := splitID(b)
+func IDLess(a, b string) bool {
+	ap, an, aok := SplitID(a)
+	bp, bn, bok := SplitID(b)
 	if aok && bok && ap == bp {
 		if an != bn {
 			return an < bn
@@ -615,11 +596,31 @@ func idLess(a, b string) bool {
 // "d") — used to restore id counters from recovered state. ok is false when
 // the id does not match the prefix or has no numeric suffix.
 func idNum(prefix, id string) (int, bool) {
-	p, n, ok := splitID(id)
+	p, n, ok := SplitID(id)
 	if !ok || p != prefix {
 		return 0, false
 	}
 	return n, true
+}
+
+// nextStridedID returns the smallest n > cur with n % stride == offset;
+// stride <= 1 degenerates to cur+1. Id counters in a sharded deployment
+// advance through this so worker shard i of N mints ids congruent to i mod
+// N: two shards can never mint the same id, and the router derives the
+// owner of an existing id from its residue alone — no ring lookup, no
+// shared counter. It also rounds counters recovered from a pre-sharding
+// data directory (or a different shard assignment) up to the shard's own
+// residue class instead of trusting their residue.
+func nextStridedID(cur, stride, offset int) int {
+	n := cur + 1
+	if stride <= 1 {
+		return n
+	}
+	rem := n % stride
+	if rem <= offset {
+		return n + offset - rem
+	}
+	return n + stride - rem + offset
 }
 
 // lookupDeployment resolves a deployment id under a read lock.
@@ -637,10 +638,10 @@ func (s *Server) constraints(ctx context.Context, dep *deployment, p rfidclean.C
 		return dep.sys.Constraints(p)
 	})
 	if hit {
-		s.metrics.cacheHits.inc()
+		s.metrics.cacheHits.Inc()
 		sp.Str("cache", "hit")
 	} else {
-		s.metrics.cacheMisses.inc()
+		s.metrics.cacheMisses.Inc()
 		sp.Str("cache", "miss")
 	}
 	sp.End()
@@ -686,7 +687,7 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	mode, outcome := "single", "error"
-	defer func() { s.metrics.cleanRequests.inc(mode, outcome) }()
+	defer func() { s.metrics.cleanRequests.Inc(mode, outcome) }()
 
 	var req CleanRequest
 	if !s.decodeBody(w, r, &req) {
@@ -756,8 +757,8 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	}
 	st := cleaned.Stats()
 	outcome = "ok"
-	s.metrics.cleanSeconds.observe(time.Since(start).Seconds())
-	s.metrics.graphBytes.observe(float64(st.Bytes))
+	s.metrics.cleanSeconds.Observe(time.Since(start).Seconds())
+	s.metrics.graphBytes.Observe(float64(st.Bytes))
 	writeJSON(w, http.StatusCreated, CleanResponse{ID: id, Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes})
 }
 
@@ -802,7 +803,7 @@ func (s *Server) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	outcome := "error"
-	defer func() { s.metrics.cleanRequests.inc("batch", outcome) }()
+	defer func() { s.metrics.cleanRequests.Inc("batch", outcome) }()
 
 	var req BatchCleanRequest
 	if !s.decodeBody(w, r, &req) {
@@ -869,18 +870,18 @@ func (s *Server) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 	out := make([]BatchCleanResult, len(req.Sequences))
 	for i := range req.Sequences {
 		if errs[i] != nil {
-			s.metrics.batchSlots.inc("error")
+			s.metrics.batchSlots.Inc("error")
 			out[i] = BatchCleanResult{Error: errs[i].Error()}
 			continue
 		}
-		s.metrics.batchSlots.inc("ok")
+		s.metrics.batchSlots.Inc("ok")
 		s.metrics.recordExplain(cleaned[i].Explain())
 		st := cleaned[i].Stats()
-		s.metrics.graphBytes.observe(float64(st.Bytes))
+		s.metrics.graphBytes.Observe(float64(st.Bytes))
 		out[i] = BatchCleanResult{ID: ids[i], Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes}
 	}
 	outcome = "ok"
-	s.metrics.cleanSeconds.observe(time.Since(start).Seconds())
+	s.metrics.cleanSeconds.Observe(time.Since(start).Seconds())
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -898,7 +899,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "unknown trajectory %q", id)
 			return
 		}
-		s.metrics.queryOps.inc("delete")
+		s.metrics.queryOps.Inc("delete")
 		writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 		return
 	}
@@ -913,7 +914,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 	}
 	switch op {
 	case "stay", "match", "top", "occupancy", "explain":
-		s.metrics.queryOps.inc(op)
+		s.metrics.queryOps.Inc(op)
 		_, sp := obs.Start(r.Context(), "query."+op)
 		switch op {
 		case "stay":
@@ -929,7 +930,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 		}
 		sp.End()
 	case "":
-		s.metrics.queryOps.inc("stats")
+		s.metrics.queryOps.Inc("stats")
 		st := traj.cleaned.Stats()
 		writeJSON(w, http.StatusOK, CleanResponse{ID: traj.id, Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes})
 	default:

@@ -52,12 +52,22 @@ func testDeployment(t testing.TB) ([]byte, *rfidclean.System) {
 	return buf.Bytes(), sys
 }
 
+// openServer opens a Server, failing the test when Open does.
+func openServer(t testing.TB, opts Options) *Server {
+	t.Helper()
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // harness spins up the server and registers the test deployment, returning
 // the base URL, the deployment id, and readings for a known trajectory.
 func harness(t *testing.T) (base string, depID string, sys *rfidclean.System, readings rfidclean.ReadingSequence) {
 	t.Helper()
 	depJSON, sys := testDeployment(t)
-	ts := httptest.NewServer(New())
+	ts := httptest.NewServer(openServer(t, Options{}))
 	t.Cleanup(ts.Close)
 
 	resp, err := http.Post(ts.URL+"/v1/deployments", "application/json", bytes.NewReader(depJSON))
@@ -442,7 +452,7 @@ func TestServerInconsistentReadings(t *testing.T) {
 	if err := dep.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New())
+	ts := httptest.NewServer(openServer(t, Options{}))
 	t.Cleanup(ts.Close)
 	resp, err := http.Post(ts.URL+"/v1/deployments", "application/json", &buf)
 	if err != nil {
@@ -489,7 +499,7 @@ func TestServerHealthz(t *testing.T) {
 
 func TestServerBodyLimit(t *testing.T) {
 	depJSON, sys := testDeployment(t)
-	ts := httptest.NewServer(NewWithOptions(Options{MaxBodyBytes: 512}))
+	ts := httptest.NewServer(openServer(t, Options{MaxBodyBytes: 512}))
 	t.Cleanup(ts.Close)
 
 	// The deployment itself exceeds 512 bytes: registering it trips the cap.
@@ -725,12 +735,43 @@ func TestServerConcurrentAccess(t *testing.T) {
 	}
 }
 
+// TestServerConcurrentQueriesOneTrajectory fires stay, match and top at a
+// freshly cleaned trajectory all at once: every request shares the one
+// stored graph, whose query passes are filled lazily by whichever request
+// gets there first. Under -race this pins that fill's synchronization.
+func TestServerConcurrentQueriesOneTrajectory(t *testing.T) {
+	base, depID, _, readings := harness(t)
+	for round := 0; round < 4; round++ {
+		resp, cleaned := postClean(t, base, CleanRequest{Deployment: depID, Readings: readings, MaxSpeed: 2, MinStay: 5})
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("clean status = %d", resp.StatusCode)
+		}
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < 4; i++ {
+			for _, op := range []string{"stay?t=12", "match?pattern=%3F+lab+%3F", "top?k=2"} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					url := fmt.Sprintf("%s/v1/trajectories/%s/%s", base, cleaned.ID, op)
+					if code := getJSON(t, url, nil); code != http.StatusOK {
+						t.Errorf("GET %s = %d", url, code)
+					}
+				}()
+			}
+		}
+		close(start)
+		wg.Wait()
+	}
+}
+
 // BenchmarkServerCleanCached measures the repeated-clean steady state: every
 // iteration after the first hits the constraint cache, so the cost is the
 // prior + Algorithm 1, not DU/LT/TT inference.
 func BenchmarkServerCleanCached(b *testing.B) {
 	depJSON, sys := testDeployment(b)
-	ts := httptest.NewServer(New())
+	ts := httptest.NewServer(openServer(b, Options{}))
 	b.Cleanup(ts.Close)
 	resp, err := http.Post(ts.URL+"/v1/deployments", "application/json", bytes.NewReader(depJSON))
 	if err != nil {

@@ -74,7 +74,7 @@ func TestCrossShardIDNamespacesDisjoint(t *testing.T) {
 
 	seen := map[string]int{} // id -> shard that minted it
 	for shardIdx := 0; shardIdx < 2; shardIdx++ {
-		srv := NewWithOptions(Options{ShardCount: 2, ShardIndex: shardIdx})
+		srv := openServer(t, Options{ShardCount: 2, ShardIndex: shardIdx})
 		defer srv.Close()
 		ts := httptest.NewServer(srv)
 		defer ts.Close()
@@ -192,7 +192,7 @@ func TestAssignIDHeaderContract(t *testing.T) {
 
 	// Single-node mode refuses the header outright: nothing should be able
 	// to inject ids into an unsharded namespace.
-	single := httptest.NewServer(New())
+	single := httptest.NewServer(openServer(t, Options{}))
 	defer single.Close()
 	resp := post(single, "d9", depJSON)
 	resp.Body.Close()
@@ -200,7 +200,7 @@ func TestAssignIDHeaderContract(t *testing.T) {
 		t.Fatalf("single-node assigned-id status = %d, want 400", resp.StatusCode)
 	}
 
-	worker := httptest.NewServer(NewWithOptions(Options{ShardCount: 2, ShardIndex: 0}))
+	worker := httptest.NewServer(openServer(t, Options{ShardCount: 2, ShardIndex: 0}))
 	defer worker.Close()
 
 	resp = post(worker, "d9", depJSON)
@@ -264,7 +264,7 @@ func TestDeleteDeploymentDuringClean(t *testing.T) {
 	}
 	readings := rfidclean.GenerateReadings(truth, sys.Truth, rng)
 
-	srv := New()
+	srv := openServer(t, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -345,7 +345,7 @@ func TestDeleteDeploymentDuringStream(t *testing.T) {
 	}
 	readings := rfidclean.GenerateReadings(truth, sys.Truth, rng)
 
-	srv := New()
+	srv := openServer(t, Options{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

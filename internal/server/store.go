@@ -29,7 +29,7 @@ type trajStore struct {
 	maxBytes int64 // <= 0 means unlimited
 	stride   int   // id-allocation stride (shard count; <= 1: single-node)
 	offset   int   // this shard's residue class
-	m        *metrics
+	m        *serverMetrics
 	persist  *persister  // nil when -data-dir is unset
 	onEvict  func(n int) // flight-recorder storm detector; nil when disabled
 
@@ -47,7 +47,7 @@ type storeItem struct {
 	lastUsed atomic.Int64
 }
 
-func newTrajStore(maxBytes int64, stride, offset int, m *metrics) *trajStore {
+func newTrajStore(maxBytes int64, stride, offset int, m *serverMetrics) *trajStore {
 	return &trajStore{maxBytes: maxBytes, stride: stride, offset: offset, m: m, items: make(map[string]*storeItem)}
 }
 
@@ -82,8 +82,8 @@ func (st *trajStore) addBatch(depID string, cs []*rfidclean.Cleaned) []string {
 	victims := st.evictLocked(fresh)
 	count, bytes := len(st.items), st.bytes
 	st.mu.Unlock()
-	st.m.storeCount.set(int64(count))
-	st.m.storeBytes.set(bytes)
+	st.m.storeCount.Set(int64(count))
+	st.m.storeBytes.Set(bytes)
 	if st.onEvict != nil {
 		st.onEvict(len(victims))
 	}
@@ -133,7 +133,7 @@ func (st *trajStore) evictLocked(fresh map[string]bool) []string {
 		}
 		delete(st.items, c.id)
 		st.bytes -= c.it.bytes
-		st.m.storeEvictions.inc()
+		st.m.storeEvictions.Inc()
 		victims = append(victims, c.id)
 	}
 	return victims
@@ -163,8 +163,8 @@ func (st *trajStore) delete(id string) bool {
 	count, bytes := len(st.items), st.bytes
 	st.mu.Unlock()
 	if it != nil {
-		st.m.storeCount.set(int64(count))
-		st.m.storeBytes.set(bytes)
+		st.m.storeCount.Set(int64(count))
+		st.m.storeBytes.Set(bytes)
 		if st.persist != nil {
 			st.persist.del(id)
 		}
@@ -187,8 +187,8 @@ func (st *trajStore) deleteByDep(depID string) int {
 	count, bytes := len(st.items), st.bytes
 	st.mu.Unlock()
 	if len(removed) > 0 {
-		st.m.storeCount.set(int64(count))
-		st.m.storeBytes.set(bytes)
+		st.m.storeCount.Set(int64(count))
+		st.m.storeBytes.Set(bytes)
 		if st.persist != nil {
 			for _, id := range removed {
 				st.persist.del(id)
@@ -254,8 +254,8 @@ func (st *trajStore) restore(items []snapItem, next int) int {
 	victims := st.evictLocked(nil)
 	count, bytes := len(st.items), st.bytes
 	st.mu.Unlock()
-	st.m.storeCount.set(int64(count))
-	st.m.storeBytes.set(bytes)
+	st.m.storeCount.Set(int64(count))
+	st.m.storeBytes.Set(bytes)
 	if st.persist != nil {
 		for _, v := range victims {
 			st.persist.del(v)
@@ -276,6 +276,6 @@ func (st *trajStore) list() []TrajectoryRow {
 		})
 	}
 	st.mu.RUnlock()
-	sort.Slice(rows, func(i, j int) bool { return idLess(rows[i].ID, rows[j].ID) })
+	sort.Slice(rows, func(i, j int) bool { return IDLess(rows[i].ID, rows[j].ID) })
 	return rows
 }

@@ -57,15 +57,15 @@ func TestTrajStoreLRUEviction(t *testing.T) {
 	if st.get(idA) == nil || st.get(idC) == nil {
 		t.Error("recently used / fresh graphs were evicted")
 	}
-	if m.storeEvictions.value() != 1 {
-		t.Errorf("evictions = %d, want 1", m.storeEvictions.value())
+	if m.storeEvictions.Value() != 1 {
+		t.Errorf("evictions = %d, want 1", m.storeEvictions.Value())
 	}
 	count, bytes := st.stats()
 	if count != 2 || bytes != 2*one {
 		t.Errorf("stats = (%d, %d), want (2, %d)", count, bytes, 2*one)
 	}
-	if m.storeCount.value() != 2 || m.storeBytes.value() != 2*one {
-		t.Errorf("gauges = (%d, %d), want (2, %d)", m.storeCount.value(), m.storeBytes.value(), 2*one)
+	if m.storeCount.Value() != 2 || m.storeBytes.Value() != 2*one {
+		t.Errorf("gauges = (%d, %d), want (2, %d)", m.storeCount.Value(), m.storeBytes.Value(), 2*one)
 	}
 }
 
@@ -119,14 +119,14 @@ func TestTrajStoreDelete(t *testing.T) {
 	if count, bytes := st.stats(); count != 0 || bytes != 0 {
 		t.Errorf("stats after delete = (%d, %d)", count, bytes)
 	}
-	if m.storeBytes.value() != 0 || m.storeCount.value() != 0 {
-		t.Errorf("gauges after delete = (%d, %d)", m.storeCount.value(), m.storeBytes.value())
+	if m.storeBytes.Value() != 0 || m.storeCount.Value() != 0 {
+		t.Errorf("gauges after delete = (%d, %d)", m.storeCount.Value(), m.storeBytes.Value())
 	}
 }
 
 // syntheticStore builds a store of n one-byte items with monotonically
 // increasing recency stamps, without paying for n real cleans.
-func syntheticStore(n int, maxBytes int64, m *metrics) *trajStore {
+func syntheticStore(n int, maxBytes int64, m *serverMetrics) *trajStore {
 	st := newTrajStore(maxBytes, 1, 0, m)
 	for i := 0; i < n; i++ {
 		id := "t" + strconv.Itoa(i+1)

@@ -120,7 +120,7 @@ type sessionStore struct {
 	history     int           // per-session resume ring (hub.go)
 	stride      int           // id-allocation stride (shard count; <= 1: single-node)
 	offset      int           // this shard's residue class
-	m           *metrics
+	m           *serverMetrics
 	onEvict     func(n int) // flight-recorder storm detector; nil when disabled
 
 	mu       sync.Mutex
@@ -135,7 +135,7 @@ type sessionStore struct {
 	closed   bool
 }
 
-func newSessionStore(opts Options, stride, offset int, m *metrics) *sessionStore {
+func newSessionStore(opts Options, stride, offset int, m *serverMetrics) *sessionStore {
 	maxSessions := opts.MaxSessions
 	if maxSessions == 0 {
 		maxSessions = DefaultMaxSessions
@@ -222,7 +222,7 @@ func (st *sessionStore) open(dep *deployment, prms rfidclean.ConstraintParams, i
 	s.hub = newSessionHub(s.id, st.subBuffer, st.history, st.m)
 	s.touch()
 	st.sessions[s.id] = s
-	st.m.streamSessions.set(int64(len(st.sessions)))
+	st.m.streamSessions.Set(int64(len(st.sessions)))
 	if st.ttl > 0 && !st.reaping {
 		st.reaping = true
 		go st.reapLoop()
@@ -252,8 +252,8 @@ func (st *sessionStore) evictOldestLocked() {
 	}
 	delete(st.sessions, victim.id)
 	st.markGoneLocked(victim.id)
-	st.m.streamSessions.set(int64(len(st.sessions)))
-	st.m.streamEvicted.inc()
+	st.m.streamSessions.Set(int64(len(st.sessions)))
+	st.m.streamEvicted.Inc()
 	if st.onEvict != nil {
 		st.onEvict(1)
 	}
@@ -274,7 +274,7 @@ func (st *sessionStore) remove(id string) bool {
 	if ok {
 		delete(st.sessions, id)
 		st.markGoneLocked(id)
-		st.m.streamSessions.set(int64(len(st.sessions)))
+		st.m.streamSessions.Set(int64(len(st.sessions)))
 	}
 	st.mu.Unlock()
 	return ok
@@ -329,12 +329,12 @@ func (st *sessionStore) reap(now time.Time) int {
 		}
 	}
 	if len(victims) > 0 {
-		st.m.streamSessions.set(int64(len(st.sessions)))
+		st.m.streamSessions.Set(int64(len(st.sessions)))
 	}
 	st.mu.Unlock()
 	for _, s := range victims {
 		s.hub.shutdown(closeReasonReaped)
-		st.m.streamReaped.inc()
+		st.m.streamReaped.Inc()
 	}
 	return len(victims)
 }
@@ -355,7 +355,7 @@ func (st *sessionStore) close() {
 			s.hub.shutdown(closeReasonShutdown)
 		}
 		st.sessions = make(map[string]*streamSession)
-		st.m.streamSessions.set(0)
+		st.m.streamSessions.Set(0)
 	}
 	st.mu.Unlock()
 	if first {
@@ -570,7 +570,7 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 	defer sess.mu.Unlock()
 	defer sess.touch()
 	if sess.dead {
-		s.metrics.streamReadings.inc("dead_session")
+		s.metrics.streamReadings.Inc("dead_session")
 		writeError(w, http.StatusGone, "session %s hit a dead end at timestamp %d and accepts no more readings", sess.id, sess.time()+1)
 		return
 	}
@@ -587,23 +587,23 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 	for _, reading := range req.Readings {
 		next := len(sess.readings)
 		if reading.Time < next {
-			s.metrics.streamReadings.inc("out_of_order")
+			s.metrics.streamReadings.Inc("out_of_order")
 			writeError(w, http.StatusConflict, "duplicate or out-of-order timestamp %d (already observed through %d)", reading.Time, next-1)
 			return
 		}
 		if reading.Time > next {
-			s.metrics.streamReadings.inc("gap")
+			s.metrics.streamReadings.Inc("gap")
 			writeError(w, http.StatusUnprocessableEntity, "timestamp gap: got %d, next expected %d", reading.Time, next)
 			return
 		}
 		if budget := s.sessions.readingBudget(); budget > 0 && next >= budget {
-			s.metrics.streamReadings.inc("budget")
+			s.metrics.streamReadings.Inc("budget")
 			writeError(w, http.StatusTooManyRequests, "session reading budget (%d) exhausted; smooth and close, or open a new session", budget)
 			return
 		}
 		cands, err := sess.dep.sys.Candidates(reading.Readers)
 		if err != nil {
-			s.metrics.streamReadings.inc("bad_reading")
+			s.metrics.streamReadings.Inc("bad_reading")
 			writeError(w, http.StatusBadRequest, "timestamp %d: %v", reading.Time, err)
 			return
 		}
@@ -620,21 +620,21 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 		if err == nil {
 			err = sess.state.Observe(cands)
 		}
-		s.metrics.observeSeconds.observe(time.Since(start).Seconds())
+		s.metrics.observeSeconds.Observe(time.Since(start).Seconds())
 		if errors.Is(err, rfidclean.ErrNoValidTrajectory) {
 			sess.dead = true
-			s.metrics.streamReadings.inc("dead_end")
+			s.metrics.streamReadings.Inc("dead_end")
 			writeError(w, http.StatusUnprocessableEntity, "timestamp %d is inconsistent with the constraints; session is dead (buffered prefix of %d readings remains smoothable)", reading.Time, len(sess.readings))
 			return
 		}
 		if err != nil {
-			s.metrics.streamReadings.inc("bad_reading")
+			s.metrics.streamReadings.Inc("bad_reading")
 			writeError(w, http.StatusBadRequest, "timestamp %d: %v", reading.Time, err)
 			return
 		}
 		sess.readings = append(sess.readings, reading)
 		accepted++
-		s.metrics.streamReadings.inc("ok")
+		s.metrics.streamReadings.Inc("ok")
 	}
 	writeStreamStatus(w, r, http.StatusOK, statusLocked(sess))
 }
@@ -697,7 +697,7 @@ func (s *Server) smoothLocked(ctx context.Context, sess *streamSession) (CleanRe
 	}
 	start := time.Now()
 	outcome := "error"
-	defer func() { s.metrics.cleanRequests.inc("stream", outcome) }()
+	defer func() { s.metrics.cleanRequests.Inc("stream", outcome) }()
 	ic, err := s.constraints(ctx, sess.dep, sess.prms)
 	if err != nil {
 		return CleanResponse{}, http.StatusInternalServerError, err
@@ -718,7 +718,7 @@ func (s *Server) smoothLocked(ctx context.Context, sess *streamSession) (CleanRe
 			cleaned, err = sess.dep.sys.CleanCtx(ctx, sess.readings, ic, opts)
 		}
 	})
-	s.metrics.streamSmooths.inc(mode)
+	s.metrics.streamSmooths.Inc(mode)
 	if err != nil {
 		// The forward pass accepted this prefix, so conditioning can only
 		// fail on internal errors, not on constraint violations.
@@ -738,8 +738,8 @@ func (s *Server) smoothLocked(ctx context.Context, sess *streamSession) (CleanRe
 	}
 	st := cleaned.Stats()
 	outcome = "ok"
-	s.metrics.cleanSeconds.observe(time.Since(start).Seconds())
-	s.metrics.graphBytes.observe(float64(st.Bytes))
+	s.metrics.cleanSeconds.Observe(time.Since(start).Seconds())
+	s.metrics.graphBytes.Observe(float64(st.Bytes))
 	resp := CleanResponse{ID: id, Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes}
 	sess.hub.publish(eventKindSmooth, StreamSmoothEvent{ID: sess.id, Trajectory: resp, Mode: mode})
 	return resp, http.StatusCreated, nil

@@ -21,7 +21,7 @@ import (
 func streamHarness(t *testing.T, opts Options) (base string, srv *Server, depID string, sys *rfidclean.System) {
 	t.Helper()
 	depJSON, sys := testDeployment(t)
-	srv = NewWithOptions(opts)
+	srv = openServer(t, opts)
 	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -406,7 +406,7 @@ func TestStreamDeadEnd(t *testing.T) {
 	if err := dep.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewWithOptions(Options{})
+	srv := openServer(t, Options{})
 	t.Cleanup(func() { srv.Close() })
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -529,7 +529,7 @@ func TestStreamReaperAndClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case <-srv.sessions.(*sessionStore).done:
+	case <-srv.sessions.done:
 	default:
 		t.Fatal("reaper goroutine still running after Close")
 	}
@@ -866,7 +866,7 @@ func TestStreamStatusTopParam(t *testing.T) {
 // a terminal "evicted" close event.
 func TestEvictOldestDeterministic(t *testing.T) {
 	base, srv, depID, _ := streamHarness(t, Options{MaxSessions: 3, SessionTTL: -1})
-	st := srv.sessions.(*sessionStore)
+	st := srv.sessions
 	for round := 0; round < 8; round++ {
 		for st.count() < 3 {
 			openStream(t, base, depID, 0)
@@ -891,7 +891,7 @@ func TestEvictOldestDeterministic(t *testing.T) {
 		if !st.isGone(lowestID) {
 			t.Fatalf("round %d: evicted session %s was not tombstoned", round, lowestID)
 		}
-		if got := srv.metrics.streamSessions.value(); got != 3 {
+		if got := srv.metrics.streamSessions.Value(); got != 3 {
 			t.Fatalf("round %d: session gauge = %d, want 3", round, got)
 		}
 		ev, ok := <-sub.ch
@@ -906,7 +906,7 @@ func TestEvictOldestDeterministic(t *testing.T) {
 // the ring honestly degrade to 404.
 func TestTombstoneRingWraparound(t *testing.T) {
 	base, srv, _, _ := streamHarness(t, Options{})
-	st := srv.sessions.(*sessionStore)
+	st := srv.sessions
 	const closed = sessionTombstones + 904
 	st.mu.Lock()
 	for i := 1; i <= closed; i++ {

@@ -1,24 +1,17 @@
 package shard
 
 import (
-	"fmt"
-	"io"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
+
+	"repro/internal/obs/metrics"
 )
 
-// Router-side metrics: a deliberately tiny stdlib-only registry in the same
-// Prometheus text format internal/server emits. The router's series are all
-// keyed by shard, so an operator reading the router's /metrics sees at a
-// glance which worker is slow, erroring, or unreachable — the per-shard
-// health view next to the aggregate /healthz. The instruments mirror the
-// server's (same bucket ladder, same rendering) but are re-implemented here:
-// the server's primitives are unexported by design, and the router needs
-// only a fraction of them.
+// Router-side metrics, on the same registry and bucket ladder as the
+// worker's (internal/obs/metrics). The router's series are all keyed by
+// shard, so an operator reading the router's /metrics sees at a glance which
+// worker is slow, erroring, or unreachable — the per-shard health view next
+// to the aggregate /healthz.
 
 // requestClasses are the outcome classes of one forwarded request.
 const (
@@ -29,159 +22,54 @@ const (
 	classTransport = "transport" // no response: dial/read failure or timeout
 )
 
-// counter is a monotonically increasing metric.
-type counter struct{ n atomic.Uint64 }
-
-func (c *counter) inc()          { c.n.Add(1) }
-func (c *counter) value() uint64 { return c.n.Load() }
-
-// labeled fans a counter out over the value combinations of a fixed label
-// list.
-type labeled struct {
-	labels []string
-	mu     sync.Mutex
-	vals   map[string]*counter // key = label values joined with \x00
-}
-
-func newLabeled(labels ...string) *labeled {
-	return &labeled{labels: labels, vals: make(map[string]*counter)}
-}
-
-func (l *labeled) inc(values ...string) {
-	if len(values) != len(l.labels) {
-		panic("shard: labeled counter arity mismatch")
-	}
-	key := strings.Join(values, "\x00")
-	l.mu.Lock()
-	c := l.vals[key]
-	if c == nil {
-		c = &counter{}
-		l.vals[key] = c
-	}
-	l.mu.Unlock()
-	c.inc()
-}
-
-// get returns one series' count (tests; missing series read as zero).
-func (l *labeled) get(values ...string) uint64 {
-	key := strings.Join(values, "\x00")
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if c := l.vals[key]; c != nil {
-		return c.value()
-	}
-	return 0
-}
-
-// labeledGauge fans a gauge out over the values of a single label.
-type labeledGauge struct {
-	label string
-	mu    sync.Mutex
-	vals  map[string]*atomic.Int64
-}
-
-func newLabeledGauge(label string) *labeledGauge {
-	return &labeledGauge{label: label, vals: make(map[string]*atomic.Int64)}
-}
-
-func (g *labeledGauge) set(value string, v int64) {
-	g.mu.Lock()
-	n := g.vals[value]
-	if n == nil {
-		n = &atomic.Int64{}
-		g.vals[value] = n
-	}
-	g.mu.Unlock()
-	n.Store(v)
-}
-
-// histogram is a cumulative histogram with fixed bounds.
-type histogram struct {
-	bounds []float64
-	mu     sync.Mutex
-	counts []uint64 // per-bucket; counts[len(bounds)] = +Inf
-	sum    float64
-	count  uint64
-}
-
-func newHistogram(bounds []float64) *histogram {
-	return &histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-func (h *histogram) observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += v
-	h.count++
-	h.mu.Unlock()
-}
-
-// labeledHistogram fans a histogram out over the values of a single label;
-// every series shares one bound list.
-type labeledHistogram struct {
-	label  string
-	bounds []float64
-	mu     sync.Mutex
-	vals   map[string]*histogram
-}
-
-func newLabeledHistogram(label string, bounds []float64) *labeledHistogram {
-	return &labeledHistogram{label: label, bounds: bounds, vals: make(map[string]*histogram)}
-}
-
-func (lh *labeledHistogram) observe(value string, v float64) {
-	lh.mu.Lock()
-	h := lh.vals[value]
-	if h == nil {
-		h = newHistogram(lh.bounds)
-		lh.vals[value] = h
-	}
-	lh.mu.Unlock()
-	h.observe(v)
-}
-
-// latencyBounds is the request-latency bucket ladder (seconds), matching the
-// server's so router-side and worker-side distributions line up.
-var latencyBounds = []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-
-// routerMetrics is the router's registry.
+// routerMetrics is the router's instrument set.
 type routerMetrics struct {
+	reg metrics.Registry
 	// requests counts every forwarded sub-request by shard and outcome
 	// class (2xx..5xx, or transport when no response came back).
-	requests *labeled
+	requests *metrics.CounterVec
 	// seconds is the per-shard forwarded-request latency.
-	seconds *labeledHistogram
+	seconds *metrics.HistogramVec
 	// retries counts connection-error retries across all shards.
-	retries counter
+	retries *metrics.Counter
 	// shardUp is 1/0 per shard as of its last contact.
-	shardUp *labeledGauge
+	shardUp *metrics.GaugeVec
 	// partials counts scatter-gather reads answered degraded (some shard
 	// unreachable; response carries the partial marker).
-	partials counter
+	partials *metrics.Counter
 	// replicationFailures counts deployment register/delete fan-outs that
 	// could not reach every shard.
-	replicationFailures counter
+	replicationFailures *metrics.Counter
 }
 
 func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{
-		requests: newLabeled("shard", "class"),
-		seconds:  newLabeledHistogram("shard", latencyBounds),
-		shardUp:  newLabeledGauge("shard"),
-	}
+	m := &routerMetrics{}
+	r := &m.reg
+	m.requests = r.CounterVec("rfidclean_router_requests_total",
+		"Requests the router forwarded to worker shards, by shard and outcome class.", "shard", "class")
+	m.seconds = r.HistogramVec("rfidclean_router_request_duration_seconds",
+		"Latency of requests forwarded to worker shards, by shard.", "shard", metrics.LatencyBounds()...)
+	m.retries = r.Counter("rfidclean_router_retries_total",
+		"Forwarded requests retried after a connection-level error.")
+	m.shardUp = r.GaugeVec("rfidclean_router_shard_up",
+		"1 when the shard answered its most recent forwarded request, 0 when it was unreachable.", "shard")
+	m.partials = r.Counter("rfidclean_router_partial_reads_total",
+		"Scatter-gather reads answered degraded because a shard was unreachable.")
+	m.replicationFailures = r.Counter("rfidclean_router_replication_failures_total",
+		"Deployment register/delete fan-outs that could not reach every shard.")
+	return m
 }
 
 // observe records one forwarded sub-request's outcome for a shard.
 func (m *routerMetrics) observe(shard int, class string, seconds float64) {
 	s := strconv.Itoa(shard)
-	m.requests.inc(s, class)
-	m.seconds.observe(s, seconds)
+	m.requests.Inc(s, class)
+	m.seconds.Observe(s, seconds)
 	up := int64(1)
 	if class == classTransport {
 		up = 0
 	}
-	m.shardUp.set(s, up)
+	m.shardUp.Set(s, up)
 }
 
 // ServeHTTP renders the registry in the Prometheus text format.
@@ -190,90 +78,6 @@ func (m *routerMetrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	m.writeTo(w)
+	w.Header().Set("Content-Type", metrics.ContentType)
+	m.reg.WriteText(w)
 }
-
-func (m *routerMetrics) writeTo(w io.Writer) {
-	writeHeader(w, "rfidclean_router_requests_total",
-		"Requests the router forwarded to worker shards, by shard and outcome class.", "counter")
-	writeLabeledValues(w, "rfidclean_router_requests_total", m.requests)
-	writeHeader(w, "rfidclean_router_request_duration_seconds",
-		"Latency of requests forwarded to worker shards, by shard.", "histogram")
-	m.writeLatencies(w)
-	writeHeader(w, "rfidclean_router_retries_total",
-		"Forwarded requests retried after a connection-level error.", "counter")
-	fmt.Fprintf(w, "rfidclean_router_retries_total %d\n", m.retries.value())
-	writeHeader(w, "rfidclean_router_shard_up",
-		"1 when the shard answered its most recent forwarded request, 0 when it was unreachable.", "gauge")
-	m.shardUp.mu.Lock()
-	keys := make([]string, 0, len(m.shardUp.vals))
-	for k := range m.shardUp.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "rfidclean_router_shard_up{%s=%q} %d\n", m.shardUp.label, k, m.shardUp.vals[k].Load())
-	}
-	m.shardUp.mu.Unlock()
-	writeHeader(w, "rfidclean_router_partial_reads_total",
-		"Scatter-gather reads answered degraded because a shard was unreachable.", "counter")
-	fmt.Fprintf(w, "rfidclean_router_partial_reads_total %d\n", m.partials.value())
-	writeHeader(w, "rfidclean_router_replication_failures_total",
-		"Deployment register/delete fan-outs that could not reach every shard.", "counter")
-	fmt.Fprintf(w, "rfidclean_router_replication_failures_total %d\n", m.replicationFailures.value())
-}
-
-func (m *routerMetrics) writeLatencies(w io.Writer) {
-	m.seconds.mu.Lock()
-	keys := make([]string, 0, len(m.seconds.vals))
-	for k := range m.seconds.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	series := make([]*histogram, len(keys))
-	for i, k := range keys {
-		series[i] = m.seconds.vals[k]
-	}
-	m.seconds.mu.Unlock()
-	name := "rfidclean_router_request_duration_seconds"
-	for i, k := range keys {
-		h := series[i]
-		label := fmt.Sprintf("%s=%q", m.seconds.label, k)
-		h.mu.Lock()
-		cum := uint64(0)
-		for j, b := range h.bounds {
-			cum += h.counts[j]
-			fmt.Fprintf(w, "%s_bucket{%s,le=%q} %d\n", name, label, formatFloat(b), cum)
-		}
-		cum += h.counts[len(h.bounds)]
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, label, cum)
-		fmt.Fprintf(w, "%s_sum{%s} %s\n", name, label, formatFloat(h.sum))
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, label, h.count)
-		h.mu.Unlock()
-	}
-}
-
-func writeLabeledValues(w io.Writer, name string, l *labeled) {
-	l.mu.Lock()
-	keys := make([]string, 0, len(l.vals))
-	for k := range l.vals {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		parts := strings.Split(k, "\x00")
-		pairs := make([]string, len(parts))
-		for i, v := range parts {
-			pairs[i] = fmt.Sprintf("%s=%q", l.labels[i], v)
-		}
-		fmt.Fprintf(w, "%s{%s} %d\n", name, strings.Join(pairs, ","), l.vals[k].value())
-	}
-	l.mu.Unlock()
-}
-
-func writeHeader(w io.Writer, name, help, typ string) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-}
-
-func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -25,6 +25,8 @@ import (
 	"hash/fnv"
 	"sort"
 	"strconv"
+
+	"repro/internal/server"
 )
 
 // defaultVnodes is how many virtual nodes each shard contributes to the
@@ -103,47 +105,14 @@ func hash64(key string) uint64 {
 	return x
 }
 
-// splitNum separates an id like "t12" into its non-digit prefix and numeric
-// suffix (the same grammar internal/server's ids use). ok is false when the
-// suffix is missing or not all digits.
-func splitNum(id string) (prefix string, n int, ok bool) {
-	i := 0
-	for i < len(id) && (id[i] < '0' || id[i] > '9') {
-		i++
-	}
-	if i == len(id) {
-		return id, 0, false
-	}
-	n, err := strconv.Atoi(id[i:])
-	if err != nil {
-		return id, 0, false
-	}
-	return id[:i], n, true
-}
-
 // OwnerOfID resolves an existing resource id ("t42", "s7") to its shard
 // under n shard-scoped id namespaces: the worker that minted the id is the
 // one whose index matches the id's numeric residue mod n. ok is false for
 // ids without a numeric suffix or whose prefix does not match.
 func OwnerOfID(prefix, id string, n int) (int, bool) {
-	p, num, ok := splitNum(id)
+	p, num, ok := server.SplitID(id)
 	if !ok || p != prefix || n < 1 {
 		return 0, false
 	}
 	return num % n, true
-}
-
-// idLess orders ids numerically within a shared prefix ("t2" before "t10"),
-// matching internal/server's listing order so a scatter-gathered merge is
-// indistinguishable from a single node's.
-func idLess(a, b string) bool {
-	ap, an, aok := splitNum(a)
-	bp, bn, bok := splitNum(b)
-	if aok && bok && ap == bp {
-		if an != bn {
-			return an < bn
-		}
-		return a < b
-	}
-	return a < b
 }

@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/server"
 )
 
 // TestRingDeterministic: placement is a pure function of (key, shard count)
@@ -96,13 +98,13 @@ func TestOwnerOfID(t *testing.T) {
 // TestIDLess: the merge order matches the worker's listing order, so a
 // scatter-gathered listing reads like a single node's.
 func TestIDLess(t *testing.T) {
-	if !idLess("t2", "t10") {
+	if !server.IDLess("t2", "t10") {
 		t.Error("t2 should sort before t10 (numeric, not lexicographic)")
 	}
-	if idLess("t10", "t2") {
+	if server.IDLess("t10", "t2") {
 		t.Error("t10 should not sort before t2")
 	}
-	if !idLess("d1", "t1") {
+	if !server.IDLess("d1", "t1") {
 		t.Error("cross-prefix falls back to lexicographic")
 	}
 }

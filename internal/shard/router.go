@@ -95,7 +95,7 @@ func NewRouter(opts Options) (*Router, error) {
 	}
 	for i, base := range opts.Shards {
 		c := NewClient(i, strings.TrimRight(base, "/"), opts.Timeout, opts.Retries)
-		c.onRetry = func(int) { rt.m.retries.inc() }
+		c.onRetry = func(int) { rt.m.retries.Inc() }
 		c.onResult = rt.m.observe
 		rt.clients = append(rt.clients, c)
 	}
@@ -275,7 +275,7 @@ func (rt *Router) handleDeployments(w http.ResponseWriter, r *http.Request) {
 			writeJSON(w, http.StatusCreated, map[string]string{"id": id})
 			return
 		}
-		rt.m.replicationFailures.inc()
+		rt.m.replicationFailures.Inc()
 		// Partial registration would leave shards disagreeing on the
 		// deployment set, so roll back the shards that accepted it. The
 		// compensating deletes are best-effort — an unreachable shard stays
@@ -319,7 +319,7 @@ func (rt *Router) assignDeploymentID(ctx context.Context) (string, error) {
 				return "", fmt.Errorf("shard %d deployment listing: %w", i, err)
 			}
 			for _, row := range rows {
-				if _, n, ok := splitNum(row.ID); ok && n > max {
+				if _, n, ok := server.SplitID(row.ID); ok && n > max {
 					max = n
 				}
 			}
@@ -348,7 +348,7 @@ func (rt *Router) handleDeploymentByID(w http.ResponseWriter, r *http.Request) {
 		for i, rp := range replies {
 			switch {
 			case rp.err != nil:
-				rt.m.replicationFailures.inc()
+				rt.m.replicationFailures.Inc()
 				rt.log.Warn("router: deployment delete replication failed",
 					slog.Int("shard", i), slog.String("error", rp.err.Error()))
 			case rp.status == http.StatusOK:
@@ -702,10 +702,10 @@ func (rt *Router) handleTrajectoryList(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, "all %d shards unreachable", len(replies))
 		return
 	}
-	sort.Slice(rows, func(i, j int) bool { return idLess(rows[i].ID, rows[j].ID) })
+	sort.Slice(rows, func(i, j int) bool { return server.IDLess(rows[i].ID, rows[j].ID) })
 	status := http.StatusOK
 	if len(down) > 0 {
-		rt.m.partials.inc()
+		rt.m.partials.Inc()
 		w.Header().Set(PartialHeader, strings.Join(down, ","))
 		status = http.StatusPartialContent
 	}

@@ -142,7 +142,7 @@ func TestRouterListingDegradedShard(t *testing.T) {
 	if len(rows) != 2 || rows[0].ID != "t2" || rows[1].ID != "t3" {
 		t.Fatalf("degraded listing = %+v, want [t2 t3]", rows)
 	}
-	if got := rt.m.partials.value(); got != 1 {
+	if got := rt.m.partials.Value(); got != 1 {
 		t.Fatalf("partial metric = %d, want 1", got)
 	}
 }
@@ -328,7 +328,7 @@ func TestRouterDeploymentReplicationPartialFailure(t *testing.T) {
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("partial replication status = %d, want 502; body %s", rec.Code, rec.Body)
 	}
-	if got := rt.m.replicationFailures.value(); got != 1 {
+	if got := rt.m.replicationFailures.Value(); got != 1 {
 		t.Fatalf("replication failures metric = %d, want 1", got)
 	}
 	var sawRollback bool
