@@ -25,18 +25,25 @@
 //	curl -X POST :8080/v1/stream/s1/smooth
 //	curl -X DELETE :8080/v1/stream/s1
 //
-// Event fan-out is tuned with -sse-buffer (events buffered per subscriber
-// before a slow consumer is dropped), -sse-history (Last-Event-ID resume
-// window), and -sse-heartbeat (idle-stream keepalive comments); cmd/rfidedge
-// is the matching reader-side adapter that feeds sessions from hardware.
+// cmd/rfidedge is the matching reader-side adapter that feeds sessions from
+// hardware.
 //
 // With -demo, the server starts preloaded with the SYN1 deployment so the
-// API can be exercised immediately. -max-body caps POST body sizes,
-// -max-store-bytes puts the trajectory store under an LRU byte budget, and
-// -pprof mounts net/http/pprof under /debug/pprof/. -max-sessions caps open
-// streaming sessions (least-recently-active eviction past it),
-// -session-ttl bounds how long an idle session lives, and
-// -max-session-readings caps each session's smoothing buffer.
+// API can be exercised immediately. -max-store-bytes puts the trajectory
+// store under an LRU byte budget, and -pprof mounts net/http/pprof under
+// /debug/pprof/. The remaining serving limits are fixed:
+//
+//	POST body                     32 MiB (413 past it; the router applies it too)
+//	constraint cache              64 parameter sets per deployment, LRU
+//	open streaming sessions       1024 (least-recently-active evicted past it)
+//	idle session lifetime         15m (then reaped)
+//	readings per session          65536 (429 past it)
+//	SSE subscriber buffer         64 events (a slower subscriber is dropped)
+//	SSE resume history            256 events per session (Last-Event-ID)
+//	SSE heartbeat                 15s on an idle stream
+//	flight-recorder window        300 samples, one per second
+//	router per-request timeout    30s, with 2 retries on connection errors
+//	batch-clean concurrency       GOMAXPROCS
 //
 // With -data-dir the daemon is durable: deployments and cleaned trajectory
 // graphs are persisted under the directory (snapshot + write-ahead log,
@@ -64,16 +71,16 @@
 //
 // Observability: every response carries an X-Request-ID (echoed from the
 // request or generated), access lines go to stderr as structured slog
-// records at -log-level verbosity, each /v1/ request records a span trace
-// served at /debug/traces (ring size -trace-buffer), and cleaned
+// records at -log-level verbosity, each /v1/ request (and each persistence
+// flush, compaction and recovery) records a span trace served at
+// /debug/traces under a per-endpoint tail-retention policy, and cleaned
 // trajectories answer /v1/trajectories/{id}/explain with per-phase timings
 // and per-constraint prune counts. A background flight recorder samples
-// runtime and store health every -flight-interval into a -flight-buffer
-// ring served at /debug/flight; the window is dumped to -data-dir on an
-// eviction storm, a persistence error, or SIGQUIT (which keeps the daemon
-// serving). On SIGINT/SIGTERM the server stops
-// accepting connections, drains in-flight requests for up to -drain-timeout,
-// then stops the session reaper before exiting.
+// runtime and store health into the window served at /debug/flight; the
+// window is dumped to -data-dir on an eviction storm, a persistence error,
+// or SIGQUIT (which keeps the daemon serving). On SIGINT/SIGTERM the server
+// stops accepting connections, drains in-flight requests for up to
+// -drain-timeout, then stops the session reaper before exiting.
 package main
 
 import (
@@ -105,25 +112,14 @@ import (
 // config carries the daemon's settings; main fills it from flags, tests fill
 // it directly.
 type config struct {
-	addr               string
-	demo               bool
-	workers            int
-	maxBody            int64
-	maxStoreBytes      int64
-	maxSessions        int
-	sessionTTL         time.Duration
-	maxSessionReadings int
-	subscriberBuffer   int
-	eventHistory       int
-	sseHeartbeat       time.Duration
-	pprof              bool
-	drain              time.Duration
-	logLevel           string
-	traceBuffer        int
-	dataDir            string
-	snapshotInterval   time.Duration
-	flightInterval     time.Duration
-	flightBuffer       int
+	addr             string
+	demo             bool
+	maxStoreBytes    int64
+	pprof            bool
+	drain            time.Duration
+	logLevel         string
+	dataDir          string
+	snapshotInterval time.Duration
 
 	// Worker mode: this process owns the id namespace n ≡ shardIndex
 	// (mod shardCount). Zero values mean single-node.
@@ -131,9 +127,7 @@ type config struct {
 	shardCount int
 
 	// Router mode: front these worker base URLs instead of serving locally.
-	shards       string
-	shardTimeout time.Duration
-	shardRetries int
+	shards string
 
 	ready chan<- net.Addr // if non-nil, receives the bound listen address
 }
@@ -160,28 +154,15 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.BoolVar(&cfg.demo, "demo", false, "preload the SYN1 deployment as d1")
-	flag.IntVar(&cfg.workers, "workers", 0, "batch-clean concurrency (0 = GOMAXPROCS)")
-	flag.Int64Var(&cfg.maxBody, "max-body", server.DefaultMaxBodyBytes, "max POST body bytes (<= 0 disables the cap)")
 	flag.Int64Var(&cfg.maxStoreBytes, "max-store-bytes", 0, "trajectory-store byte budget with LRU eviction (0 = unlimited)")
-	flag.IntVar(&cfg.maxSessions, "max-sessions", server.DefaultMaxSessions, "max open streaming sessions; past it the least-recently-active session is evicted (<= 0 removes the cap)")
-	flag.DurationVar(&cfg.sessionTTL, "session-ttl", server.DefaultSessionTTL, "idle streaming sessions are reaped after this long (<= 0 disables reaping)")
-	flag.IntVar(&cfg.maxSessionReadings, "max-session-readings", server.DefaultMaxSessionReadings, "max readings a streaming session buffers for smoothing (<= 0 removes the cap)")
-	flag.IntVar(&cfg.subscriberBuffer, "sse-buffer", server.DefaultSubscriberBuffer, "events buffered per SSE subscriber; a subscriber that falls this far behind is dropped")
-	flag.IntVar(&cfg.eventHistory, "sse-history", server.DefaultEventHistory, "recent events each session retains for Last-Event-ID resume (<= 0 disables resume)")
-	flag.DurationVar(&cfg.sseHeartbeat, "sse-heartbeat", server.DefaultSSEHeartbeat, "comment interval on idle SSE event streams (<= 0 disables heartbeats)")
 	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.DurationVar(&cfg.drain, "drain-timeout", 10*time.Second, "how long to drain in-flight requests on shutdown")
 	flag.StringVar(&cfg.logLevel, "log-level", "info", "structured log verbosity: debug, info, warn or error (debug includes /healthz and /metrics access lines)")
-	flag.IntVar(&cfg.traceBuffer, "trace-buffer", 0, "recent request traces kept for GET /debug/traces (0 = default 256, negative disables tracing)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "persist deployments and trajectories under this directory and recover them on boot (empty = in-memory only)")
 	flag.DurationVar(&cfg.snapshotInterval, "snapshot-interval", 0, "how often the trajectory write-ahead log is compacted into a snapshot (0 = default 1m, negative disables periodic compaction)")
-	flag.DurationVar(&cfg.flightInterval, "flight-interval", 0, "flight-recorder sampling interval for GET /debug/flight (0 = default 1s, negative disables the recorder)")
-	flag.IntVar(&cfg.flightBuffer, "flight-buffer", 0, "flight-recorder ring size in samples (0 = default 300)")
 	flag.IntVar(&cfg.shardIndex, "shard-index", 0, "this worker's shard index in [0, -shard-count)")
 	flag.IntVar(&cfg.shardCount, "shard-count", 0, "total worker shards; > 1 scopes this worker's ids to its shard-index residue class")
 	flag.StringVar(&cfg.shards, "shards", "", "comma-separated worker base URLs; when set the daemon runs as a router over them instead of serving locally")
-	flag.DurationVar(&cfg.shardTimeout, "shard-timeout", 0, "router: per-forwarded-request timeout (0 = 30s default)")
-	flag.IntVar(&cfg.shardRetries, "shard-retries", -1, "router: retries per request on connection-level errors (-1 = default 2, 0 disables)")
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -198,55 +179,18 @@ func run(ctx context.Context, cfg config) error {
 	if cfg.shards != "" {
 		return runRouter(ctx, cfg)
 	}
-	maxBody := cfg.maxBody
-	if maxBody <= 0 {
-		maxBody = -1 // Options treats 0 as "default"; negative disables
-	}
-	// The same normalization applies to the session knobs: a non-positive
-	// flag means "no cap / no reaping", which Options spells negative.
-	maxSessions := cfg.maxSessions
-	if maxSessions <= 0 {
-		maxSessions = -1
-	}
-	sessionTTL := cfg.sessionTTL
-	if sessionTTL <= 0 {
-		sessionTTL = -1
-	}
-	maxSessionReadings := cfg.maxSessionReadings
-	if maxSessionReadings <= 0 {
-		maxSessionReadings = -1
-	}
-	eventHistory := cfg.eventHistory
-	if eventHistory <= 0 {
-		eventHistory = -1
-	}
-	sseHeartbeat := cfg.sseHeartbeat
-	if sseHeartbeat <= 0 {
-		sseHeartbeat = -1
-	}
 	level, err := parseLogLevel(cfg.logLevel)
 	if err != nil {
 		return err
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 	srv, err := server.Open(server.Options{
-		ShardCount:         cfg.shardCount,
-		ShardIndex:         cfg.shardIndex,
-		Workers:            cfg.workers,
-		MaxBodyBytes:       maxBody,
-		MaxStoreBytes:      cfg.maxStoreBytes,
-		MaxSessions:        maxSessions,
-		SessionTTL:         sessionTTL,
-		MaxSessionReadings: maxSessionReadings,
-		SubscriberBuffer:   cfg.subscriberBuffer,
-		EventHistory:       eventHistory,
-		SSEHeartbeat:       sseHeartbeat,
-		Logger:             logger,
-		TraceBuffer:        cfg.traceBuffer,
-		DataDir:            cfg.dataDir,
-		SnapshotInterval:   cfg.snapshotInterval,
-		FlightInterval:     cfg.flightInterval,
-		FlightBuffer:       cfg.flightBuffer,
+		ShardCount:       cfg.shardCount,
+		ShardIndex:       cfg.shardIndex,
+		MaxStoreBytes:    cfg.maxStoreBytes,
+		Logger:           logger,
+		DataDir:          cfg.dataDir,
+		SnapshotInterval: cfg.snapshotInterval,
 	})
 	if err != nil {
 		return err
@@ -371,13 +315,7 @@ func runRouter(ctx context.Context, cfg config) error {
 		return err
 	}
 	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	rt, err := shard.NewRouter(shard.Options{
-		Shards:       bases,
-		Timeout:      cfg.shardTimeout,
-		Retries:      cfg.shardRetries,
-		MaxBodyBytes: cfg.maxBody,
-		Logger:       logger,
-	})
+	rt, err := shard.NewRouter(shard.Options{Shards: bases, Logger: logger})
 	if err != nil {
 		return err
 	}

@@ -194,10 +194,9 @@ func TestRunShutdownWithStreamSession(t *testing.T) {
 	runErr := make(chan error, 1)
 	go func() {
 		runErr <- run(ctx, config{
-			addr:       "127.0.0.1:0",
-			drain:      5 * time.Second,
-			sessionTTL: time.Minute,
-			ready:      ready,
+			addr:  "127.0.0.1:0",
+			drain: 5 * time.Second,
+			ready: ready,
 		})
 	}()
 	var base string

@@ -28,7 +28,7 @@ func bootFleet(t *testing.T, n int, workerCfg config) (routerBase string, worker
 		t.Cleanup(func() { stopDaemon(t, shutdown, runErr) })
 		workerBases[i] = base
 	}
-	routerBase, shutdown, runErr := bootDaemon(t, config{shards: strings.Join(workerBases, ","), shardRetries: -1})
+	routerBase, shutdown, runErr := bootDaemon(t, config{shards: strings.Join(workerBases, ",")})
 	t.Cleanup(func() { stopDaemon(t, shutdown, runErr) })
 	return routerBase, workerBases
 }
@@ -314,9 +314,10 @@ func TestRouterSSEResume(t *testing.T) {
 	if err := dep.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Workers keep only 4 events of resume history so the gap path is easy
-	// to force.
-	routerBase, _ := bootFleet(t, 3, config{eventHistory: 4})
+	// Each worker session keeps a fixed 256-event resume history; the gap
+	// path below is forced by publishing past it.
+	const resumeHistory = 256
+	routerBase, _ := bootFleet(t, 3, config{})
 	depID := register(t, routerBase, buf.Bytes())
 
 	openBody, err := json.Marshal(server.StreamOpenRequest{Deployment: depID, Tag: "obj-sse", MaxSpeed: 2, MinStay: 5})
@@ -383,7 +384,7 @@ func TestRouterSSEResume(t *testing.T) {
 	}
 
 	// Resume from id 3: events 4 and 5 replay, in order, with no gap
-	// diagnostic — the history ring (4 entries) still holds them.
+	// diagnostic — the history ring still holds them.
 	conn = openSSE(t, routerBase, sessID, lastID)
 	lines, lastID = conn.readUntil(t, 2)
 	conn.close()
@@ -400,10 +401,10 @@ func TestRouterSSEResume(t *testing.T) {
 		t.Fatalf("resumed events = %v (last %q), want [4 5]", ids, lastID)
 	}
 
-	// Push the history window past id 1, then resume from 1: the worker
+	// Push the history window past id 2, then resume from 1: the worker
 	// flags the gap and the comment must reach the client through the
 	// router.
-	for ; tm < 11; tm++ {
+	for ; tm < resumeHistory+3; tm++ {
 		feed(tm)
 	}
 	conn = openSSE(t, routerBase, sessID, "1")

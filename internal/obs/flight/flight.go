@@ -13,11 +13,11 @@ import (
 	"time"
 )
 
-// Defaults used when the corresponding constructor argument is non-positive.
 const (
+	// DefaultInterval is the sampling cadence New uses for a non-positive
+	// interval.
 	DefaultInterval = time.Second
-	DefaultSize     = 300 // at DefaultInterval: a five-minute window
-	maxEvents       = 64  // bounded ring of dump-triggering events
+	maxEvents       = 64 // bounded ring of dump-triggering events
 )
 
 // Sample is one flight-recorder tick.
@@ -72,15 +72,13 @@ type Recorder struct {
 	done      chan struct{}
 }
 
-// New builds a recorder sampling every interval into a ring of size slots.
+// New builds a recorder sampling every interval into a ring of size (>= 1)
+// slots.
 // gauges, when non-nil, is called once per tick to attach application state;
 // it must be safe for concurrent use and cheap.
 func New(interval time.Duration, size int, gauges func() map[string]int64) *Recorder {
 	if interval <= 0 {
 		interval = DefaultInterval
-	}
-	if size <= 0 {
-		size = DefaultSize
 	}
 	return &Recorder{
 		interval: interval,

@@ -1,7 +1,7 @@
 // Package obs is the stdlib-only observability layer shared by the cleaning
 // core and the HTTP query head: context-propagated spans recorded into
-// per-request traces, a bounded ring of recent traces, and request-ID
-// generation.
+// per-request traces, a recorder that retains the tail of them per endpoint,
+// and request-ID generation.
 //
 // The design optimizes for the uninstrumented case. A span is started with
 //

@@ -112,35 +112,36 @@ func TestConcurrentSpanRecording(t *testing.T) {
 	}
 }
 
+// TestRecorderRingEviction checks a per-endpoint FIFO ring (the 5xx tier):
+// it holds the newest errorRingSize traces, lists them newest first, honors
+// a Snapshot limit, and an evicted trace no longer resolves.
 func TestRecorderRingEviction(t *testing.T) {
-	r := NewRecorder(4)
-	if r.Capacity() != 4 {
-		t.Fatalf("Capacity = %d", r.Capacity())
+	r := NewRecorder()
+	n := errorRingSize + 6
+	for i := 0; i < n; i++ {
+		r.RecordRequest(NewTrace("t"+strconv.Itoa(i)), "persist.flush", time.Millisecond, 500)
 	}
-	for i := 0; i < 10; i++ {
-		r.Record(NewTrace("t" + strconv.Itoa(i)))
+	if r.Len() != errorRingSize {
+		t.Fatalf("Len = %d, want %d", r.Len(), errorRingSize)
 	}
-	if r.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", r.Len())
-	}
-	if r.Added() != 10 {
-		t.Fatalf("Added = %d, want 10", r.Added())
+	if r.Added() != uint64(n) {
+		t.Fatalf("Added = %d, want %d", r.Added(), n)
 	}
 	snap := r.Snapshot(0)
-	if len(snap) != 4 {
-		t.Fatalf("Snapshot holds %d traces, want 4", len(snap))
+	if len(snap) != errorRingSize {
+		t.Fatalf("Snapshot holds %d traces, want %d", len(snap), errorRingSize)
 	}
 	for i, tr := range snap {
-		want := "t" + strconv.Itoa(9-i) // newest first
+		want := "t" + strconv.Itoa(n-1-i) // newest first
 		if tr.ID() != want {
 			t.Fatalf("snap[%d] = %q, want %q", i, tr.ID(), want)
 		}
 	}
-	if got := r.Snapshot(2); len(got) != 2 || got[0].ID() != "t9" {
+	if got := r.Snapshot(2); len(got) != 2 || got[0].ID() != "t"+strconv.Itoa(n-1) {
 		t.Fatalf("Snapshot(2) = %v", got)
 	}
-	if tr := r.Find("t7"); tr == nil {
-		t.Fatal("Find(t7) = nil, want the held trace")
+	if tr := r.Find("t" + strconv.Itoa(n-3)); tr == nil {
+		t.Fatal("Find of a held trace = nil")
 	}
 	if tr := r.Find("t2"); tr != nil {
 		t.Fatal("Find(t2) returned an evicted trace")
@@ -148,14 +149,14 @@ func TestRecorderRingEviction(t *testing.T) {
 }
 
 func TestRecorderConcurrent(t *testing.T) {
-	r := NewRecorder(8)
+	r := NewRecorder()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				r.Record(NewTrace(fmt.Sprintf("w%d-%d", w, i)))
+				r.RecordRequest(NewTrace(fmt.Sprintf("w%d-%d", w, i)), "persist.flush", time.Millisecond, 0)
 				_ = r.Snapshot(3)
 			}
 		}(w)
@@ -168,8 +169,8 @@ func TestRecorderConcurrent(t *testing.T) {
 
 func TestNilRecorderAndNilSpanAreNoOps(t *testing.T) {
 	var r *Recorder
-	r.Record(NewTrace("x")) // must not panic
-	if r.Snapshot(1) != nil || r.Len() != 0 || r.Added() != 0 || r.Capacity() != 0 || r.Find("x") != nil {
+	r.RecordRequest(NewTrace("x"), "persist.flush", time.Millisecond, 0) // must not panic
+	if r.Snapshot(1) != nil || r.Len() != 0 || r.Added() != 0 || r.Find("x") != nil {
 		t.Fatal("nil recorder should report empty")
 	}
 	var sp *Span
@@ -182,7 +183,7 @@ func TestNilRecorderAndNilSpanAreNoOps(t *testing.T) {
 // a slow trace must survive an arbitrary flood of fast requests on the same
 // endpoint instead of being FIFO-evicted.
 func TestTailRetentionSlowSurvivesFlood(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewRecorder()
 	slow := NewTrace("slow-one")
 	if !r.RecordRequest(slow, "clean", 5*time.Second, 201) {
 		t.Fatal("slow trace was not admitted")
@@ -217,7 +218,7 @@ func TestTailRetentionSlowSurvivesFlood(t *testing.T) {
 // TestTailRetentionConcurrent floods one endpoint from many goroutines while
 // a reader snapshots — the -race version of the survival claim.
 func TestTailRetentionConcurrent(t *testing.T) {
-	r := NewRecorder(8)
+	r := NewRecorder()
 	slow := NewTrace("slow-concurrent")
 	r.RecordRequest(slow, "clean", 10*time.Second, 201)
 	var wg sync.WaitGroup
@@ -243,7 +244,7 @@ func TestTailRetentionConcurrent(t *testing.T) {
 // TestErrorTraceRetention checks 5xx traces are always admitted and kept in
 // a bounded per-endpoint ring, independent of their duration.
 func TestErrorTraceRetention(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewRecorder()
 	for i := 0; i < tailReservoirSize+5; i++ {
 		r.RecordRequest(NewTrace("pad-"+strconv.Itoa(i)), "clean", time.Hour, 200)
 	}
@@ -269,7 +270,7 @@ func TestErrorTraceRetention(t *testing.T) {
 // TestRecorderEndpointsIsolated checks one endpoint's flood cannot evict
 // another endpoint's tail.
 func TestRecorderEndpointsIsolated(t *testing.T) {
-	r := NewRecorder(4)
+	r := NewRecorder()
 	r.RecordRequest(NewTrace("stream-slow"), "stream_readings", 2*time.Second, 200)
 	for i := 0; i < 5000; i++ {
 		r.RecordRequest(NewTrace("c-"+strconv.Itoa(i)), "clean", time.Second, 200)
@@ -288,33 +289,34 @@ func TestRecordRequestNil(t *testing.T) {
 	if r.Held("x") {
 		t.Fatal("nil recorder Held must be false")
 	}
-	r2 := NewRecorder(2)
+	r2 := NewRecorder()
 	if r2.RecordRequest(nil, "clean", time.Second, 200) {
 		t.Fatal("nil trace must not be retained")
 	}
 }
 
-// TestSnapshotMergesTiers checks Snapshot lists legacy and request traces
-// together, newest first, and Find resolves duplicate IDs to the newest.
+// TestSnapshotMergesTiers checks Snapshot lists every endpoint and tier
+// together (request traces beside persistence traces, reservoir beside 5xx
+// ring), newest first, and Find resolves duplicate IDs to the newest.
 func TestSnapshotMergesTiers(t *testing.T) {
-	r := NewRecorder(4)
-	r.Record(NewTrace("legacy-1"))
+	r := NewRecorder()
 	r.RecordRequest(NewTrace("req-1"), "clean", time.Second, 200)
+	r.RecordRequest(NewTrace("req-err"), "clean", time.Millisecond, 500)
 	dup1 := NewTrace("persist.flush")
 	dup2 := NewTrace("persist.flush")
-	r.Record(dup1)
-	r.Record(dup2)
+	r.RecordRequest(dup1, "persist.flush", time.Millisecond, 0)
+	r.RecordRequest(dup2, "persist.flush", time.Millisecond, 0)
 	snap := r.Snapshot(0)
 	if len(snap) != 4 {
 		t.Fatalf("Snapshot holds %d traces, want 4", len(snap))
 	}
-	if snap[0].ID() != "persist.flush" || snap[3].ID() != "legacy-1" {
-		t.Fatalf("snapshot order wrong: %s ... %s", snap[0].ID(), snap[3].ID())
+	if snap[0] != dup2 || snap[1] != dup1 || snap[2].ID() != "req-err" || snap[3].ID() != "req-1" {
+		t.Fatalf("snapshot order wrong: %s %s %s %s", snap[0].ID(), snap[1].ID(), snap[2].ID(), snap[3].ID())
 	}
 	if got := r.Find("persist.flush"); got != dup2 {
 		t.Fatal("Find(dup) should return the newest duplicate")
 	}
-	if !r.Held("persist.flush") || !r.Held("req-1") {
+	if !r.Held("persist.flush") || !r.Held("req-1") || !r.Held("req-err") {
 		t.Fatal("Held missing merged-tier traces")
 	}
 }

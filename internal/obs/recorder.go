@@ -6,10 +6,6 @@ import (
 	"time"
 )
 
-// DefaultRecorderCapacity is the legacy ring size used when NewRecorder is
-// given a non-positive capacity.
-const DefaultRecorderCapacity = 256
-
 // Per-endpoint retention tiers. The numbers are deliberately small: the
 // recorder's job is to keep the *interesting* traces — the tail and the
 // failures — not to archive the flood of fast, healthy requests.
@@ -33,7 +29,7 @@ const (
 type heldTrace struct {
 	t   *Trace
 	seq uint64 // global admission order (newest-first listing)
-	dur int64  // request duration in nanoseconds (0 for legacy records)
+	dur int64  // duration in nanoseconds
 }
 
 // endpointGroup is one endpoint's two-tier retention state.
@@ -49,17 +45,11 @@ type endpointGroup struct {
 // Recorder retains completed traces with a tail-biased, per-endpoint policy:
 // every 5xx, the slowest N per endpoint, and a small probabilistic sample of
 // normal requests — so a slow trace survives any number of fast requests
-// instead of being flooded out of a shared FIFO. Traces recorded through the
-// legacy Record (internal operations such as persistence flushes) go to a
-// separate FIFO ring of the configured capacity. A nil *Recorder is valid
-// and drops everything.
+// instead of being flooded out of a shared FIFO. Internal operations (such
+// as persistence flushes) are recorded the same way under their own
+// endpoint names. A nil *Recorder is valid and drops everything.
 type Recorder struct {
-	mu       sync.Mutex
-	capacity int
-
-	legacy     []*heldTrace // FIFO ring for Record()
-	legacyNext int
-	legacyLen  int
+	mu sync.Mutex
 
 	groups map[string]*endpointGroup
 	ids    map[string]int // held-trace ID refcounts (duplicate IDs allowed)
@@ -68,18 +58,12 @@ type Recorder struct {
 	held   int    // traces currently retained across all tiers
 }
 
-// NewRecorder returns a recorder whose legacy ring holds up to capacity
-// traces (DefaultRecorderCapacity when capacity <= 0). The per-endpoint tail
-// tiers are fixed-size and come on top.
-func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		capacity = DefaultRecorderCapacity
-	}
+// NewRecorder returns an empty recorder. Its per-endpoint tiers are
+// fixed-size, so what it holds is bounded by the number of endpoints.
+func NewRecorder() *Recorder {
 	return &Recorder{
-		capacity: capacity,
-		legacy:   make([]*heldTrace, capacity),
-		groups:   make(map[string]*endpointGroup),
-		ids:      make(map[string]int),
+		groups: make(map[string]*endpointGroup),
+		ids:    make(map[string]int),
 	}
 }
 
@@ -100,24 +84,6 @@ func (r *Recorder) dropLocked(h *heldTrace) {
 	} else {
 		delete(r.ids, h.t.id)
 	}
-}
-
-// Record adds a completed trace to the legacy FIFO ring, evicting the oldest
-// when full. Request traces should go through RecordRequest instead so the
-// tail policy applies.
-func (r *Recorder) Record(t *Trace) {
-	if r == nil || t == nil {
-		return
-	}
-	r.mu.Lock()
-	r.added++
-	r.dropLocked(r.legacy[r.legacyNext])
-	r.legacy[r.legacyNext] = r.holdLocked(t, 0)
-	r.legacyNext = (r.legacyNext + 1) % len(r.legacy)
-	if r.legacyLen < len(r.legacy) {
-		r.legacyLen++
-	}
-	r.mu.Unlock()
 }
 
 // RecordRequest offers a completed request trace under the two-tier policy
@@ -193,9 +159,6 @@ func (r *Recorder) RecordRequest(t *Trace, endpoint string, d time.Duration, sta
 // allLocked collects every held trace, unsorted.
 func (r *Recorder) allLocked() []*heldTrace {
 	out := make([]*heldTrace, 0, r.held)
-	for i := 0; i < r.legacyLen; i++ {
-		out = append(out, r.legacy[i])
-	}
 	for _, g := range r.groups {
 		out = append(out, g.sample...)
 		out = append(out, g.slow...)
@@ -281,12 +244,4 @@ func (r *Recorder) Added() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.added
-}
-
-// Capacity returns the legacy ring size.
-func (r *Recorder) Capacity() int {
-	if r == nil {
-		return 0
-	}
-	return r.capacity
 }

@@ -57,6 +57,13 @@ func (e *Engine) Trajectory(p Pattern) (float64, error) {
 	if err := p.Validate(); err != nil {
 		return 0, err
 	}
+	// Every path spans the whole window, so a pattern that needs more
+	// timestamps than the window has matches none: the answer is exactly 0.
+	// Checking first also keeps a huge run length (one automaton state per
+	// unit) from ever reaching compile.
+	if p.longerThan(e.g.Duration()) {
+		return 0, nil
+	}
 	d := compile(p)
 
 	// DP over (node, DFA state). DFA determinism guarantees each path

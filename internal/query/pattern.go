@@ -139,3 +139,19 @@ func (p Pattern) MinDuration() int {
 	}
 	return n
 }
+
+// longerThan reports whether MinDuration exceeds n. The sum stops as soon as
+// it passes n, so run lengths near the int limit cannot overflow it.
+func (p Pattern) longerThan(n int) bool {
+	sum := 0
+	for _, c := range p {
+		if c.Wildcard {
+			continue
+		}
+		if c.MinLen > n-sum {
+			return true
+		}
+		sum += c.MinLen
+	}
+	return false
+}

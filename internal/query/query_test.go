@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/constraints"
 	"repro/internal/core"
@@ -232,6 +234,45 @@ func TestTrajectoryImpossiblePattern(t *testing.T) {
 	}
 }
 
+// TestTrajectoryPatternLongerThanWindow: a run length past the window's
+// duration answers exactly 0 without compiling the pattern (the automaton
+// has one state per unit of run length, so `? lab[1000000000] ?` would
+// otherwise take the process down), and summing the run lengths cannot
+// overflow.
+func TestTrajectoryPatternLongerThanWindow(t *testing.T) {
+	g := buildGraph(t, [][]float64{{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.5}}, nil)
+	e := NewEngine(g, 2)
+	for _, p := range []Pattern{
+		{Wild(), At(1, 1_000_000_000), Wild()},
+		{At(0, math.MaxInt), At(1, math.MaxInt)},
+		{At(0, 2), Wild(), At(1, 2)},
+	} {
+		done := make(chan struct{})
+		var got float64
+		var err error
+		go func() {
+			defer close(done)
+			got, err = e.Trajectory(p)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Trajectory(%v) still running after 10s", p)
+		}
+		if err != nil || got != 0 {
+			t.Fatalf("Trajectory(%v) = %v, %v; want 0", p, got, err)
+		}
+	}
+	// At exactly the window's length the pattern is still evaluated.
+	got, err := e.Trajectory(Pattern{At(0, 3)})
+	if err != nil || math.Abs(got-0.125) > 1e-12 {
+		t.Fatalf("Trajectory(L0[3]) = %v, %v; want 0.125", got, err)
+	}
+	if (Pattern{Wild(), At(0, 3)}).longerThan(3) || !(Pattern{At(0, 2), At(1, 2)}).longerThan(3) {
+		t.Fatal("longerThan misjudges the window boundary")
+	}
+}
+
 func TestTrajectoryInvalidPattern(t *testing.T) {
 	g := buildGraph(t, [][]float64{{1}}, nil)
 	e := NewEngine(g, 1)
@@ -298,6 +339,52 @@ func TestPatternFormatRoundTrip(t *testing.T) {
 	if back.Format(func(id int) string { return names[id] }) != s {
 		t.Errorf("round trip failed: %v", back)
 	}
+}
+
+// FuzzParsePattern checks the pattern parser on arbitrary input: it never
+// panics, every pattern it accepts is valid, and formatting an accepted
+// pattern with the same names parses back to the same pattern.
+func FuzzParsePattern(f *testing.F) {
+	for _, seed := range []string{
+		"? lobby[3] ? lab ?", "? lab ?", "? mars ?", "? F0.L1[10] ?",
+		"? lab[100000] ?", "lab[1000000000]", "lab[+3] lab[01]",
+		"", "lobby[", "lobby[0]", "lobby[x]", "[3]", "nowhere",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		// Any name resolves to the next free id, except two that are
+		// unknown; names holds the inverse for Format.
+		ids := map[string]int{}
+		var names []string
+		resolve := func(name string) (int, error) {
+			if name == "nowhere" || name == "mars" {
+				return 0, fmt.Errorf("unknown location %q", name)
+			}
+			id, ok := ids[name]
+			if !ok {
+				id = len(names)
+				ids[name] = id
+				names = append(names, name)
+			}
+			return id, nil
+		}
+		p, err := ParsePattern(s, resolve)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParsePattern(%q) accepted an invalid pattern: %v", s, err)
+		}
+		text := p.Format(func(id int) string { return names[id] })
+		back, err := ParsePattern(text, resolve)
+		if err != nil {
+			t.Fatalf("formatted pattern %q (from %q) does not parse: %v", text, s, err)
+		}
+		if !slices.Equal(back, p) {
+			t.Fatalf("%q parsed to %v, formatted %q parsed back to %v", s, p, text, back)
+		}
+	})
 }
 
 func TestPatternValidateAndMinDuration(t *testing.T) {

@@ -34,12 +34,7 @@ type cacheEntry struct {
 	err  error
 }
 
-const defaultCacheEntries = 64
-
 func newConstraintCache(maxEntries int) *constraintCache {
-	if maxEntries <= 0 {
-		maxEntries = defaultCacheEntries
-	}
 	return &constraintCache{
 		maxEntries: maxEntries,
 		entries:    make(map[rfidclean.ConstraintParams]*cacheEntry),

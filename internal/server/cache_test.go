@@ -77,7 +77,7 @@ func TestConstraintCacheRecencyOrder(t *testing.T) {
 
 func TestConstraintCacheSingleInference(t *testing.T) {
 	var calls atomic.Int64
-	c := newConstraintCache(0)
+	c := newConstraintCache(constraintCacheEntries)
 	p := rfidclean.ConstraintParams{MaxSpeed: 2, MinStay: 5}
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -106,7 +106,7 @@ func TestConstraintCacheCachesErrors(t *testing.T) {
 		calls.Add(1)
 		return nil, boom
 	}
-	c := newConstraintCache(0)
+	c := newConstraintCache(constraintCacheEntries)
 	p := rfidclean.ConstraintParams{MaxSpeed: -1}
 	if _, err, _ := c.get(p, infer); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
@@ -130,7 +130,7 @@ func TestConstraintCacheRecoversPanic(t *testing.T) {
 		calls.Add(1)
 		panic("inference exploded")
 	}
-	c := newConstraintCache(0)
+	c := newConstraintCache(constraintCacheEntries)
 	p := rfidclean.ConstraintParams{MaxSpeed: 1}
 	ic, err, _ := c.get(p, infer)
 	if ic != nil || err == nil || !strings.Contains(err.Error(), "inference exploded") {

@@ -42,14 +42,6 @@ import (
 // successfully-written heartbeat also counts as session activity, so a
 // session with a live subscriber is not reaped under it.
 
-// Event fan-out defaults, applied when the corresponding Options fields are
-// zero.
-const (
-	DefaultSubscriberBuffer = 64
-	DefaultEventHistory     = 256
-	DefaultSSEHeartbeat     = 15 * time.Second
-)
-
 // sseWriteTimeout bounds every write to a subscriber's connection; a peer
 // that stops draining its socket is disconnected rather than pinning the
 // handler goroutine forever.
@@ -98,7 +90,7 @@ type subscriber struct {
 type sessionHub struct {
 	sessionID string
 	buffer    int // per-subscriber channel capacity
-	history   int // resume ring capacity (0 disables resume)
+	history   int // resume ring capacity
 	m         *serverMetrics
 
 	mu     sync.Mutex
@@ -110,9 +102,6 @@ type sessionHub struct {
 }
 
 func newSessionHub(sessionID string, buffer, history int, m *serverMetrics) *sessionHub {
-	if buffer < 1 {
-		buffer = 1
-	}
 	return &sessionHub{
 		sessionID: sessionID,
 		buffer:    buffer,
@@ -201,9 +190,6 @@ func (h *sessionHub) publish(kind string, payload any) {
 // remember appends an event to the bounded resume ring; the caller holds
 // h.mu.
 func (h *sessionHub) remember(ev streamEvent) {
-	if h.history <= 0 {
-		return
-	}
 	if len(h.ring) < h.history {
 		h.ring = append(h.ring, ev)
 		return
@@ -403,11 +389,7 @@ func (s *Server) handleStreamEvents(w http.ResponseWriter, r *http.Request, sess
 		}
 	}
 
-	heartbeat := s.sseHeartbeat
-	if heartbeat <= 0 {
-		heartbeat = time.Duration(1<<62 - 1) // disabled: effectively never fires
-	}
-	ticker := time.NewTicker(heartbeat)
+	ticker := time.NewTicker(s.sseHeartbeat)
 	defer ticker.Stop()
 	for {
 		select {

@@ -94,7 +94,7 @@ func TestHubResume(t *testing.T) {
 // and the publisher never waits.
 func TestHubSlowSubscriberEvicted(t *testing.T) {
 	m := newMetrics()
-	h := newSessionHub("s1", 8, 0, m)
+	h := newSessionHub("s1", 8, eventHistory, m)
 	stalled, _, _ := h.subscribe(0, false)
 	live, _, _ := h.subscribe(0, false)
 	// Publish one past the stalled subscriber's buffer, draining the live
@@ -289,7 +289,7 @@ func subscribeSSE(t *testing.T, base, sid, lastEventID string) (*sseReader, cont
 // produce delta events, a smooth produces a smooth event, and DELETE ends
 // the stream with a final smooth, a terminal close event, and EOF.
 func TestStreamEventsSSE(t *testing.T) {
-	base, _, depID, sys := streamHarness(t, Options{SSEHeartbeat: -1})
+	base, _, depID, sys := streamHarness(t, Options{})
 	sid := openStream(t, base, depID, 0)
 	readings := testReadings(t, sys, 21, 30)
 
@@ -365,7 +365,8 @@ func TestStreamEventsSSE(t *testing.T) {
 // replays the events it missed, and a cursor older than the ring is told
 // about the gap.
 func TestStreamEventsResume(t *testing.T) {
-	base, _, depID, sys := streamHarness(t, Options{SSEHeartbeat: -1, EventHistory: 4})
+	base, srv, depID, sys := streamHarness(t, Options{})
+	srv.sessions.history = 4
 	sid := openStream(t, base, depID, 0)
 	readings := testReadings(t, sys, 22, 30)
 	for i := 0; i < 6; i++ { // publishes delta ids 1..6; ring keeps 3..6
@@ -412,7 +413,8 @@ func TestStreamEventsResume(t *testing.T) {
 // comments and that each one counts as session activity — a watched session
 // outlives its idle TTL.
 func TestStreamEventsHeartbeat(t *testing.T) {
-	base, srv, depID, _ := streamHarness(t, Options{SSEHeartbeat: 20 * time.Millisecond, SessionTTL: 80 * time.Millisecond})
+	base, srv, depID, _ := streamHarness(t, Options{})
+	srv.sseHeartbeat, srv.sessions.ttl = 20*time.Millisecond, 80*time.Millisecond
 	sid := openStream(t, base, depID, 0)
 	sr, cancel := subscribeSSE(t, base, sid, "")
 	defer cancel()
@@ -436,7 +438,7 @@ func TestStreamEventsHeartbeat(t *testing.T) {
 // TestDrainSubscribers is the graceful-shutdown hook: draining ends every
 // subscriber stream with a shutdown close event while sessions stay open.
 func TestDrainSubscribers(t *testing.T) {
-	base, srv, depID, _ := streamHarness(t, Options{SSEHeartbeat: -1})
+	base, srv, depID, _ := streamHarness(t, Options{})
 	sid := openStream(t, base, depID, 0)
 	sr, cancel := subscribeSSE(t, base, sid, "")
 	defer cancel()
@@ -475,10 +477,8 @@ func TestHubLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load test skipped in -short mode")
 	}
-	base, srv, depID, sys := streamHarness(t, Options{
-		SSEHeartbeat:       -1,
-		MaxSessionReadings: 1 << 17,
-	})
+	base, srv, depID, sys := streamHarness(t, Options{})
+	srv.sseHeartbeat = time.Hour // no heartbeat writes inside the measurement
 	sid := openStream(t, base, depID, 0)
 	readings := testReadings(t, sys, 23, 260)
 
@@ -622,8 +622,8 @@ func TestHubLoad(t *testing.T) {
 	if !stalled.evicted {
 		t.Fatalf("stalled subscriber was never evicted (%d buffered)", drainedEvents)
 	}
-	if drainedEvents > DefaultSubscriberBuffer {
-		t.Fatalf("stalled subscriber held %d events, beyond its %d buffer", drainedEvents, DefaultSubscriberBuffer)
+	if drainedEvents > subscriberBuffer {
+		t.Fatalf("stalled subscriber held %d events, beyond its %d buffer", drainedEvents, subscriberBuffer)
 	}
 
 	postLoaded := snapshot()
@@ -673,7 +673,7 @@ func TestHubLoad(t *testing.T) {
 // subscribers — the per-batch overhead the Observe path pays when a session
 // is being watched.
 func BenchmarkHubFanout(b *testing.B) {
-	h := newSessionHub("s1", 1024, 0, newMetrics())
+	h := newSessionHub("s1", 1024, eventHistory, newMetrics())
 	const subs = 128
 	var wg sync.WaitGroup
 	for i := 0; i < subs; i++ {
@@ -709,8 +709,7 @@ func BenchmarkHubFanout(b *testing.B) {
 func TestSSEAccessLogDelivery(t *testing.T) {
 	var logs syncBuffer
 	base, _, depID, sys := streamHarness(t, Options{
-		SSEHeartbeat: -1,
-		Logger:       slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo})),
+		Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo})),
 	})
 	sid := openStream(t, base, depID, 0)
 	sr, cancel := subscribeSSE(t, base, sid, "")

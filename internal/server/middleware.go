@@ -147,16 +147,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // debugTracesResponse is the GET /debug/traces body.
 type debugTracesResponse struct {
-	// Capacity is the trace ring size; Recorded counts traces ever recorded
-	// (held + evicted).
-	Capacity int    `json:"capacity"`
+	// Recorded counts traces ever offered to the recorder (held, sampled
+	// away or evicted).
 	Recorded uint64 `json:"recorded"`
 	// Traces are the requested span trees, newest first.
 	Traces []obs.TraceExport `json:"traces"`
 }
 
-// handleDebugTraces serves recent request traces: all held traces newest
-// first, ?limit=N to cap the count, ?id=<request id> to fetch one.
+// handleDebugTraces serves the retained request and persistence traces:
+// all held traces newest first, ?limit=N to cap the count, ?id=<request id>
+// to fetch one.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -185,7 +185,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	held := s.recorder.Snapshot(limit)
 	out := debugTracesResponse{
-		Capacity: s.recorder.Capacity(),
 		Recorded: s.recorder.Added(),
 		Traces:   make([]obs.TraceExport, len(held)),
 	}

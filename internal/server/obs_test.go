@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"log/slog"
 
@@ -69,7 +68,9 @@ func TestRequestIDGeneratedAndEchoed(t *testing.T) {
 // TestRequestIDOn413 pins the request ID onto the body-too-large error path,
 // which short-circuits before any handler logic runs.
 func TestRequestIDOn413(t *testing.T) {
-	ts := httptest.NewServer(openServer(t, Options{MaxBodyBytes: 64}))
+	srv := openServer(t, Options{})
+	srv.maxBody = 64
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	// Valid JSON, so the size cap (not a syntax error) is what trips.
 	big := []byte(`{"deployment":"` + strings.Repeat("x", 4096) + `"}`)
@@ -215,8 +216,8 @@ func TestDebugTraces(t *testing.T) {
 	if status := getJSON(t, base+"/debug/traces?limit=5", &listing); status != http.StatusOK {
 		t.Fatalf("trace list status = %d", status)
 	}
-	if listing.Capacity != obs.DefaultRecorderCapacity || listing.Recorded == 0 || len(listing.Traces) == 0 {
-		t.Fatalf("listing = capacity %d, recorded %d, %d traces", listing.Capacity, listing.Recorded, len(listing.Traces))
+	if listing.Recorded == 0 || len(listing.Traces) == 0 {
+		t.Fatalf("listing = recorded %d, %d traces", listing.Recorded, len(listing.Traces))
 	}
 
 	if status := getJSON(t, base+"/debug/traces?id=unknown-id", nil); status != http.StatusNotFound {
@@ -382,7 +383,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 	}
 
 	// With a running reaper: every closer must wait for the drain.
-	st := newSessionStore(Options{SessionTTL: time.Hour}, 1, 0, newMetrics())
+	st := newSessionStore(1, 0, newMetrics())
 	if st.open(&deployment{id: "d"}, rfidclean.ConstraintParams{}, nil, nil, nil) == nil {
 		t.Fatal("open returned nil before close")
 	}

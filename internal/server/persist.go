@@ -35,8 +35,10 @@ import (
 //     immediately on enqueue).
 //   - Every SnapshotInterval the WAL is compacted: the live store contents
 //     are rewritten atomically into trajectories.snap (prefixed by a "meta"
-//     record pinning the id counter) and the WAL is truncated. Recovery cost
-//     stays proportional to the live data, not to the write history.
+//     record pinning the id counter) and the WAL is truncated. The trigger
+//     is time alone (plus Server.Close), never WAL size: recovery replays
+//     the live data plus every record written since the last compaction,
+//     which within one interval can exceed the live data without bound.
 //
 // On boot, recovery replays snapshot then WAL — tolerating a corrupt or
 // truncated log tail by keeping the valid prefix — rebuilds the store within
@@ -297,7 +299,7 @@ func (p *persister) flush() {
 		p.logError("fsyncing wal", err)
 	}
 	sp.End()
-	p.recorder.Record(tr)
+	p.recorder.RecordRequest(tr, "persist.flush", time.Since(start), 0)
 	p.m.persistFlushes.Inc()
 	p.m.persistFlushSeconds.Observe(time.Since(start).Seconds())
 	p.updateBytesGauge()
@@ -313,13 +315,14 @@ func (p *persister) compact() {
 	if p.source == nil {
 		return
 	}
+	began := time.Now()
 	items, next := p.source()
 	tr := obs.NewTrace("persist.compact")
 	_, sp := obs.Start(obs.WithTrace(context.Background(), tr), "persist.compact")
 	sp.Int("trajectories", int64(len(items)))
 	defer func() {
 		sp.End()
-		p.recorder.Record(tr)
+		p.recorder.RecordRequest(tr, "persist.compact", time.Since(began), 0)
 	}()
 	meta, err := json.Marshal(metaPayload{Next: next})
 	if err != nil {
@@ -439,7 +442,7 @@ func (s *Server) recoverFrom(dir string) error {
 	_, root := obs.Start(obs.WithTrace(context.Background(), tr), "persist.recover")
 	defer func() {
 		root.End()
-		s.recorder.Record(tr)
+		s.recorder.RecordRequest(tr, "persist.recover", time.Since(start), 0)
 	}()
 
 	recoveredDeps, err := s.recoverDeployments(dir)
@@ -571,7 +574,7 @@ func (s *Server) recoverDeployments(dir string) (int, error) {
 		}
 		s.deployments[de.ID] = &deployment{
 			id: de.ID, dep: dep, sys: sys, raw: de.Data,
-			cache: newConstraintCache(s.cacheEntries),
+			cache: newConstraintCache(constraintCacheEntries),
 		}
 		if n, ok := idNum("d", de.ID); ok && n > s.nextDep {
 			s.nextDep = n

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	rfidclean "repro"
+	"repro/internal/obs"
 	"repro/internal/persist"
 )
 
@@ -427,6 +428,43 @@ func TestDurableCompaction(t *testing.T) {
 	}
 	if c4 := cleanOne(t, base2, depID, testReadingsSeed(t, sys, 64, 40)); c4.ID != "t4" {
 		t.Fatalf("post-compaction fresh id = %s, want t4", c4.ID)
+	}
+}
+
+// TestDurablePersistTraces checks the persister's own traces — recovery at
+// boot, WAL flushes and compactions — are retained beside request traces and
+// listed at /debug/traces under their operation names.
+func TestDurablePersistTraces(t *testing.T) {
+	dir := t.TempDir()
+	depJSON, sys := testDeployment(t)
+	base, srv, ts := durable(t, dir, Options{})
+	depID := registerDeployment(t, base, depJSON)
+	cleanOne(t, base, depID, testReadingsSeed(t, sys, 71, 40))
+	srv.persist.drain()
+	crash(srv, ts)
+
+	base2, srv2, _ := durable(t, dir, Options{})
+	cleanOne(t, base2, depID, testReadingsSeed(t, sys, 72, 40))
+	srv2.persist.compactNow()
+
+	var listing debugTracesResponse
+	if code := getJSON(t, base2+"/debug/traces", &listing); code != http.StatusOK {
+		t.Fatalf("trace list status = %d", code)
+	}
+	roots := make(map[string]bool)
+	for _, tr := range listing.Traces {
+		if len(tr.Spans) > 0 {
+			roots[tr.ID+"/"+tr.Spans[0].Name] = true
+		}
+	}
+	for _, op := range []string{"persist.recover", "persist.flush", "persist.compact"} {
+		if !roots[op+"/"+op] {
+			t.Errorf("/debug/traces lists no %s trace; have %v", op, roots)
+		}
+		var tr obs.TraceExport
+		if code := getJSON(t, base2+"/debug/traces?id="+op, &tr); code != http.StatusOK || tr.ID != op {
+			t.Errorf("/debug/traces?id=%s = %d, trace %q", op, code, tr.ID)
+		}
 	}
 }
 

@@ -72,9 +72,8 @@ import (
 // http.Handler, and Close it when done.
 type Server struct {
 	workers      int
-	maxBody      int64         // <= 0 disables the body cap
-	cacheEntries int           // per-deployment constraint cache capacity
-	sseHeartbeat time.Duration // comment interval on idle SSE streams (<= 0 disables)
+	maxBody      int64         // POST body cap (BodyLimit)
+	sseHeartbeat time.Duration // comment interval on idle SSE streams
 	idStride     int           // id-allocation stride (Options.ShardCount; <= 1: single-node)
 	idOffset     int           // this shard's residue class (Options.ShardIndex)
 
@@ -97,56 +96,22 @@ type Options struct {
 	// Workers caps how many sequences a batch clean processes concurrently.
 	// Zero or negative uses GOMAXPROCS.
 	Workers int
-	// MaxBodyBytes caps the size of POST request bodies; oversized requests
-	// are rejected with 413. Zero uses the default (32 MiB); negative
-	// disables the cap.
-	MaxBodyBytes int64
 	// MaxStoreBytes caps the total estimated size of stored trajectory
 	// graphs; past it, the least-recently-queried graphs are evicted. Zero
 	// or negative means unlimited.
 	MaxStoreBytes int64
-	// ConstraintCacheEntries caps the per-deployment constraint cache
-	// (zero or negative uses the default, 64 entries).
-	ConstraintCacheEntries int
-	// MaxSessions caps concurrently open streaming sessions; at capacity
-	// the least-recently-active session is evicted. Zero uses the default
-	// (1024); negative removes the cap.
-	MaxSessions int
-	// SessionTTL is how long an idle streaming session lives before the
-	// background reaper closes it. Zero uses the default (15 minutes);
-	// negative disables reaping.
-	SessionTTL time.Duration
-	// MaxSessionReadings caps the readings a session buffers for offline
-	// smoothing. Zero uses the default (65536); negative removes the cap.
-	MaxSessionReadings int
-	// SubscriberBuffer caps the events buffered per SSE subscriber; a
-	// subscriber whose buffer is full when an event arrives is evicted so
-	// it can never block the ingestion hot path. Zero uses the default
-	// (64); values below 1 are clamped to 1.
-	SubscriberBuffer int
-	// EventHistory is how many recent events each session retains for
-	// Last-Event-ID resume. Zero uses the default (256); negative disables
-	// resume.
-	EventHistory int
-	// SSEHeartbeat is the comment interval on idle event streams (also the
-	// cadence at which a live subscriber refreshes its session's idle
-	// clock). Zero uses the default (15s); negative disables heartbeats.
-	SSEHeartbeat time.Duration
 	// Logger receives structured access logs and server events. Nil
 	// discards them.
 	Logger *slog.Logger
-	// TraceBuffer is how many recent request traces GET /debug/traces can
-	// serve (the span-tree ring size). Zero uses the default
-	// (obs.DefaultRecorderCapacity); negative disables tracing entirely.
+	// TraceBuffer turns request and persistence tracing (GET /debug/traces)
+	// off when negative; any other value leaves it on. Retention is the
+	// recorder's fixed per-endpoint tail policy.
 	TraceBuffer int
 	// FlightInterval is the runtime flight recorder's sampling cadence
 	// (GET /debug/flight; dumped to DataDir on eviction storms, persistence
 	// errors and SIGQUIT). Zero uses the default (1s); negative disables the
 	// flight recorder entirely.
 	FlightInterval time.Duration
-	// FlightBuffer is how many samples the flight ring holds. Zero uses the
-	// default (300 — a five-minute window at the default interval).
-	FlightBuffer int
 	// ShardCount and ShardIndex configure the server as worker shard
 	// ShardIndex of ShardCount in a sharded deployment (cmd/rfidcleand
 	// router mode). Resource ids — trajectories, stream sessions and
@@ -170,9 +135,23 @@ type Options struct {
 	SnapshotInterval time.Duration
 }
 
-// DefaultMaxBodyBytes is the POST body cap applied when Options.MaxBodyBytes
-// is zero.
-const DefaultMaxBodyBytes = 32 << 20
+// BodyLimit caps POST request bodies; a larger body is answered 413. The
+// shard router applies the same cap to the bodies it forwards.
+const BodyLimit = 32 << 20
+
+// Fixed serving limits. They are not options. Open copies the ones tests
+// need to shrink into fields of the Server (maxBody, sseHeartbeat) and its
+// session store; a test sets those before sending traffic.
+const (
+	constraintCacheEntries = 64               // per-deployment constraint cache, LRU past it
+	maxSessions            = 1024             // open streaming sessions; least-recently-active evicted past it
+	sessionTTL             = 15 * time.Minute // idle streaming sessions are reaped after this
+	maxSessionReadings     = 1 << 16          // readings a session buffers for smoothing; 429 past it
+	subscriberBuffer       = 64               // events buffered per SSE subscriber; dropped past it
+	eventHistory           = 256              // recent events a session keeps for Last-Event-ID resume
+	sseHeartbeat           = 15 * time.Second // comment interval on idle SSE streams
+	flightBuffer           = 300              // flight-recorder samples: five minutes at the default 1s
+)
 
 // AssignIDHeader carries a router-allocated deployment id on
 // POST /v1/deployments. Only servers running in sharded worker mode
@@ -210,10 +189,6 @@ type trajectory struct {
 // the error is non-nil only when the data directory is unusable or the
 // atomically-written deployments snapshot is corrupt.
 func Open(opts Options) (*Server, error) {
-	maxBody := opts.MaxBodyBytes
-	if maxBody == 0 {
-		maxBody = DefaultMaxBodyBytes
-	}
 	stride, offset := opts.ShardCount, opts.ShardIndex
 	if stride <= 1 {
 		stride, offset = 1, 0
@@ -226,11 +201,7 @@ func Open(opts Options) (*Server, error) {
 	}
 	var recorder *obs.Recorder
 	if opts.TraceBuffer >= 0 {
-		recorder = obs.NewRecorder(opts.TraceBuffer)
-	}
-	heartbeat := opts.SSEHeartbeat
-	if heartbeat == 0 {
-		heartbeat = DefaultSSEHeartbeat
+		recorder = obs.NewRecorder()
 	}
 	m := newMetrics()
 	if recorder != nil {
@@ -241,13 +212,12 @@ func Open(opts Options) (*Server, error) {
 	s := &Server{
 		deployments:  make(map[string]*deployment),
 		workers:      opts.Workers,
-		maxBody:      maxBody,
-		cacheEntries: opts.ConstraintCacheEntries,
-		sseHeartbeat: heartbeat,
+		maxBody:      BodyLimit,
+		sseHeartbeat: sseHeartbeat,
 		idStride:     stride,
 		idOffset:     offset,
 		store:        newTrajStore(opts.MaxStoreBytes, stride, offset, m),
-		sessions:     newSessionStore(opts, stride, offset, m),
+		sessions:     newSessionStore(stride, offset, m),
 		metrics:      m,
 		logger:       logger,
 		recorder:     recorder,
@@ -267,7 +237,7 @@ func Open(opts Options) (*Server, error) {
 	s.mux.Handle("/metrics", m)
 	if opts.FlightInterval >= 0 {
 		s.flight = &flightSink{
-			rec:     flight.New(opts.FlightInterval, opts.FlightBuffer, s.flightGauges),
+			rec:     flight.New(opts.FlightInterval, flightBuffer, s.flightGauges),
 			dataDir: opts.DataDir,
 			logger:  logger,
 		}
@@ -338,11 +308,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	})
 }
 
-// limitBody applies the configured POST body cap.
+// limitBody applies the POST body cap.
 func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
-	if s.maxBody > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
+	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 }
 
 // bodyError writes the uniform error for a failed body decode: 413 when the
@@ -459,7 +427,7 @@ func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
 		}
 		s.deployments[id] = &deployment{
 			id: id, dep: dep, sys: sys, raw: raw,
-			cache: newConstraintCache(s.cacheEntries),
+			cache: newConstraintCache(constraintCacheEntries),
 		}
 		n := len(s.deployments)
 		s.mu.Unlock()
@@ -560,7 +528,7 @@ func (s *Server) handleTrajectoryList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.store.list())
 }
 
-// splitID separates an id like "t12" into its non-digit prefix and numeric
+// SplitID separates an id like "t12" into its non-digit prefix and numeric
 // suffix. ok is false when the suffix is missing or not all digits.
 func SplitID(id string) (prefix string, n int, ok bool) {
 	i := 0
@@ -577,7 +545,7 @@ func SplitID(id string) (prefix string, n int, ok bool) {
 	return id[:i], n, true
 }
 
-// idLess orders ids numerically within a shared prefix ("d2" before "d10"),
+// IDLess orders ids numerically within a shared prefix ("d2" before "d10"),
 // falling back to lexicographic order across prefixes or for ids without a
 // numeric suffix.
 func IDLess(a, b string) bool {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	rfidclean "repro"
 )
@@ -339,6 +340,23 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestServerMatchPatternLongerThanWindow: a pattern whose run lengths
+// exceed the trajectory's window answers {"p":0} at once rather than
+// compiling an automaton with one state per unit of run length, which for
+// this pattern would exhaust the daemon's memory.
+func TestServerMatchPatternLongerThanWindow(t *testing.T) {
+	base, depID, _, readings := harness(t)
+	_, cleaned := postClean(t, base, CleanRequest{Deployment: depID, Readings: readings, MaxSpeed: 2, MinStay: 5})
+	start := time.Now()
+	code, body := getBody(t, fmt.Sprintf("%s/v1/trajectories/%s/match?pattern=%s", base, cleaned.ID, "%3F+lab%5B1000000000%5D+%3F"))
+	if code != http.StatusOK || strings.TrimSpace(string(body)) != `{"p":0}` {
+		t.Fatalf("match ? lab[1000000000] ? = %d %s, want 200 {\"p\":0}", code, body)
+	}
+	if elapsed := time.Since(start); elapsed > 10*time.Second {
+		t.Fatalf("over-long pattern took %s to answer", elapsed)
+	}
+}
+
 func TestServerBatchClean(t *testing.T) {
 	base, depID, sys, _ := harness(t)
 
@@ -499,7 +517,9 @@ func TestServerHealthz(t *testing.T) {
 
 func TestServerBodyLimit(t *testing.T) {
 	depJSON, sys := testDeployment(t)
-	ts := httptest.NewServer(openServer(t, Options{MaxBodyBytes: 512}))
+	srv := openServer(t, Options{})
+	srv.maxBody = 512
+	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
 	// The deployment itself exceeds 512 bytes: registering it trips the cap.

@@ -49,14 +49,6 @@ import (
 // reaped by a background goroutine after a TTL; the reaper is wired into
 // Server.Close so a graceful shutdown drains it deterministically.
 
-// Streaming session defaults, applied when the corresponding Options fields
-// are zero.
-const (
-	DefaultMaxSessions        = 1024
-	DefaultSessionTTL         = 15 * time.Minute
-	DefaultMaxSessionReadings = 1 << 16
-)
-
 // streamSession is one live-tracking session. Its mutex serializes state
 // advancement and buffer appends; lastActive is atomic so the reaper can
 // scan sessions without contending with a slow Observe.
@@ -113,11 +105,10 @@ const sessionTombstones = 4096
 // client racing its own reaper gets 410 Gone — "re-open and re-send" — rather
 // than the 404 it would get for an id that never existed.
 type sessionStore struct {
-	maxSessions int           // <= 0: unlimited
-	ttl         time.Duration // <= 0: sessions are never reaped
-	maxReadings int           // <= 0: unlimited buffering
-	subBuffer   int           // per-subscriber event buffer (hub.go)
-	history     int           // per-session resume ring (hub.go)
+	maxSessions int           // open-session cap (maxSessions)
+	ttl         time.Duration // idle lifetime (sessionTTL)
+	maxReadings int           // per-session smoothing buffer (maxSessionReadings)
+	history     int           // per-session resume ring (eventHistory, hub.go)
 	stride      int           // id-allocation stride (shard count; <= 1: single-node)
 	offset      int           // this shard's residue class
 	m           *serverMetrics
@@ -135,36 +126,12 @@ type sessionStore struct {
 	closed   bool
 }
 
-func newSessionStore(opts Options, stride, offset int, m *serverMetrics) *sessionStore {
-	maxSessions := opts.MaxSessions
-	if maxSessions == 0 {
-		maxSessions = DefaultMaxSessions
-	}
-	ttl := opts.SessionTTL
-	if ttl == 0 {
-		ttl = DefaultSessionTTL
-	}
-	maxReadings := opts.MaxSessionReadings
-	if maxReadings == 0 {
-		maxReadings = DefaultMaxSessionReadings
-	}
-	subBuffer := opts.SubscriberBuffer
-	if subBuffer == 0 {
-		subBuffer = DefaultSubscriberBuffer
-	}
-	history := opts.EventHistory
-	if history == 0 {
-		history = DefaultEventHistory
-	}
-	if history < 0 {
-		history = 0 // resume disabled
-	}
+func newSessionStore(stride, offset int, m *serverMetrics) *sessionStore {
 	return &sessionStore{
 		maxSessions: maxSessions,
-		ttl:         ttl,
-		maxReadings: maxReadings,
-		subBuffer:   subBuffer,
-		history:     history,
+		ttl:         sessionTTL,
+		maxReadings: maxSessionReadings,
+		history:     eventHistory,
 		stride:      stride,
 		offset:      offset,
 		m:           m,
@@ -207,7 +174,7 @@ func (st *sessionStore) open(dep *deployment, prms rfidclean.ConstraintParams, i
 	if st.closed {
 		return nil
 	}
-	if st.maxSessions > 0 && len(st.sessions) >= st.maxSessions {
+	if len(st.sessions) >= st.maxSessions {
 		st.evictOldestLocked()
 	}
 	st.next = nextStridedID(st.next, st.stride, st.offset)
@@ -219,11 +186,11 @@ func (st *sessionStore) open(dep *deployment, prms rfidclean.ConstraintParams, i
 		state:  state,
 		filter: f,
 	}
-	s.hub = newSessionHub(s.id, st.subBuffer, st.history, st.m)
+	s.hub = newSessionHub(s.id, subscriberBuffer, st.history, st.m)
 	s.touch()
 	st.sessions[s.id] = s
 	st.m.streamSessions.Set(int64(len(st.sessions)))
-	if st.ttl > 0 && !st.reaping {
+	if !st.reaping {
 		st.reaping = true
 		go st.reapLoop()
 	}
@@ -287,23 +254,12 @@ func (st *sessionStore) count() int {
 	return len(st.sessions)
 }
 
-// readingBudget reports the per-session smoothing-buffer cap (<= 0:
-// unlimited).
-func (st *sessionStore) readingBudget() int { return st.maxReadings }
-
 // reapLoop periodically drops sessions idle past the TTL. It exits when the
-// store closes; the tick is a fraction of the TTL so a session outlives its
-// TTL by at most ~25%.
+// store closes; the tick is a quarter of the TTL, capped at a minute, so a
+// session outlives its TTL by at most that tick.
 func (st *sessionStore) reapLoop() {
 	defer close(st.done)
-	tick := st.ttl / 4
-	if tick < 10*time.Millisecond {
-		tick = 10 * time.Millisecond
-	}
-	if tick > time.Minute {
-		tick = time.Minute
-	}
-	ticker := time.NewTicker(tick)
+	ticker := time.NewTicker(min(st.ttl/4, time.Minute))
 	defer ticker.Stop()
 	for {
 		select {
@@ -596,7 +552,7 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 			writeError(w, http.StatusUnprocessableEntity, "timestamp gap: got %d, next expected %d", reading.Time, next)
 			return
 		}
-		if budget := s.sessions.readingBudget(); budget > 0 && next >= budget {
+		if budget := s.sessions.maxReadings; next >= budget {
 			s.metrics.streamReadings.Inc("budget")
 			writeError(w, http.StatusTooManyRequests, "session reading budget (%d) exhausted; smooth and close, or open a new session", budget)
 			return

@@ -457,7 +457,8 @@ func TestStreamDeadEnd(t *testing.T) {
 // TestStreamReadingBudget: the per-session buffer cap answers 429 and the
 // buffered prefix still smooths.
 func TestStreamReadingBudget(t *testing.T) {
-	base, _, depID, sys := streamHarness(t, Options{MaxSessionReadings: 3})
+	base, srv, depID, sys := streamHarness(t, Options{})
+	srv.sessions.maxReadings = 3
 	readings := testReadings(t, sys, 9, 10)
 	sid := openStream(t, base, depID, 0)
 	feedOneByOne(t, base, sid, readings[:3])
@@ -476,7 +477,8 @@ func TestStreamReadingBudget(t *testing.T) {
 // TestStreamEviction: at the session cap the least-recently-active session
 // is evicted to admit a new one.
 func TestStreamEviction(t *testing.T) {
-	base, srv, depID, _ := streamHarness(t, Options{MaxSessions: 2})
+	base, srv, depID, _ := streamHarness(t, Options{})
+	srv.sessions.maxSessions = 2
 	first := openStream(t, base, depID, 0)
 	time.Sleep(2 * time.Millisecond) // order the activity stamps
 	second := openStream(t, base, depID, 0)
@@ -505,7 +507,8 @@ func TestStreamEviction(t *testing.T) {
 // TestStreamReaperAndClose proves the idle reaper fires and that Server.Close
 // drains it deterministically and refuses new sessions.
 func TestStreamReaperAndClose(t *testing.T) {
-	base, srv, depID, _ := streamHarness(t, Options{SessionTTL: 30 * time.Millisecond})
+	base, srv, depID, _ := streamHarness(t, Options{})
+	srv.sessions.ttl = 30 * time.Millisecond
 	openStream(t, base, depID, 0)
 	openStream(t, base, depID, 0)
 
@@ -865,8 +868,11 @@ func TestStreamStatusTopParam(t *testing.T) {
 // whatever the map iterator happens to visit first — and its subscribers get
 // a terminal "evicted" close event.
 func TestEvictOldestDeterministic(t *testing.T) {
-	base, srv, depID, _ := streamHarness(t, Options{MaxSessions: 3, SessionTTL: -1})
+	base, srv, depID, _ := streamHarness(t, Options{})
 	st := srv.sessions
+	// The flattened stamps below are ancient, but the reaper's first tick
+	// is a minute after the first open, far past this test.
+	st.maxSessions = 3
 	for round := 0; round < 8; round++ {
 		for st.count() < 3 {
 			openStream(t, base, depID, 0)
@@ -948,7 +954,9 @@ func TestTombstoneRingWraparound(t *testing.T) {
 // under -race in CI). Every feeder must eventually lose its session to the
 // reaper and see 410, never a hang, panic, or torn state.
 func TestReapVsInflightReadings(t *testing.T) {
-	base, _, depID, sys := streamHarness(t, Options{SessionTTL: 20 * time.Millisecond, SSEHeartbeat: -1})
+	base, srv, depID, sys := streamHarness(t, Options{})
+	// No heartbeat may keep a watched session alive past the TTL.
+	srv.sseHeartbeat, srv.sessions.ttl = time.Hour, 20*time.Millisecond
 	readings := testReadings(t, sys, 33, 120)
 	errc := make(chan error, 4)
 	var wg sync.WaitGroup

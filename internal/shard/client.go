@@ -9,16 +9,15 @@ import (
 	"time"
 )
 
-// Client default knobs, applied when the corresponding Options fields are
-// zero.
+// Client limits.
 const (
-	// DefaultTimeout bounds one forwarded request end to end (dial through
+	// requestTimeout bounds one forwarded request end to end (dial through
 	// body read). Generous: a cold constraint inference on a worker can
 	// take seconds.
-	DefaultTimeout = 30 * time.Second
-	// DefaultRetries is how many times a request is re-sent after a
+	requestTimeout = 30 * time.Second
+	// requestRetries is how many times a request is re-sent after a
 	// connection-level error.
-	DefaultRetries = 2
+	requestRetries = 2
 	// retryBaseDelay spaces retry attempts (doubled per attempt). Small on
 	// purpose: the retryable failures are connection-level, where backoff
 	// is about riding out a worker restart, not load shedding.
@@ -33,9 +32,9 @@ const (
 // where a blind retry could re-execute a non-idempotent operation.
 type Client struct {
 	index   int
-	base    string // http://host:port, no trailing slash
-	timeout time.Duration
-	retries int
+	base    string        // http://host:port, no trailing slash
+	timeout time.Duration // requestTimeout; tests shorten it
+	retries int           // requestRetries; tests change it
 	http    *http.Client
 	stream  *http.Client // no timeout: SSE responses outlive any fixed budget
 
@@ -45,20 +44,13 @@ type Client struct {
 }
 
 // NewClient builds a client for shard index at base (e.g.
-// "http://127.0.0.1:9001"). timeout <= 0 uses DefaultTimeout; retries < 0
-// uses DefaultRetries (0 disables retrying).
-func NewClient(index int, base string, timeout time.Duration, retries int) *Client {
-	if timeout <= 0 {
-		timeout = DefaultTimeout
-	}
-	if retries < 0 {
-		retries = DefaultRetries
-	}
+// "http://127.0.0.1:9001").
+func NewClient(index int, base string) *Client {
 	return &Client{
 		index:   index,
 		base:    base,
-		timeout: timeout,
-		retries: retries,
+		timeout: requestTimeout,
+		retries: requestRetries,
 		http:    &http.Client{},
 		stream:  &http.Client{},
 	}

@@ -27,7 +27,8 @@ func deadPort(t *testing.T) string {
 // TestClientRetriesConnectionRefused: a refused connection is retried up to
 // the budget, each retry is reported, and the final error still surfaces.
 func TestClientRetriesConnectionRefused(t *testing.T) {
-	c := NewClient(0, deadPort(t), time.Second, 2)
+	c := NewClient(0, deadPort(t))
+	c.timeout = time.Second
 	var retries atomic.Int32
 	c.onRetry = func(int) { retries.Add(1) }
 	var transport atomic.Int32
@@ -62,7 +63,8 @@ func TestClientNoRetryOnTimeout(t *testing.T) {
 	}))
 	defer slow.Close()
 
-	c := NewClient(0, slow.URL, 50*time.Millisecond, 3)
+	c := NewClient(0, slow.URL)
+	c.timeout, c.retries = 50*time.Millisecond, 3
 	var retries atomic.Int32
 	c.onRetry = func(int) { retries.Add(1) }
 	start := time.Now()
@@ -88,7 +90,8 @@ func TestClientSuccessAfterWorkerComesBack(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer ok.Close()
-	c := NewClient(3, ok.URL, time.Second, 2)
+	c := NewClient(3, ok.URL)
+	c.timeout = time.Second
 	var gotShard atomic.Int32
 	var gotClass atomic.Value
 	c.onResult = func(shard int, class string, _ float64) {

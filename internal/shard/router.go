@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/server"
 )
@@ -31,16 +30,6 @@ type Options struct {
 	// worker running with -shard-index i, or id residues resolve to the
 	// wrong process.
 	Shards []string
-	// Timeout bounds each forwarded request (0 = DefaultTimeout).
-	Timeout time.Duration
-	// Retries is the per-request retry budget for connection-level errors
-	// (< 0 = DefaultRetries).
-	Retries int
-	// MaxBodyBytes caps request bodies read by the router (0 = the server's
-	// default cap, negative = no cap). The router reads bodies fully — they
-	// must be replayable for retry — so the cap guards router memory exactly
-	// like the worker's cap guards its own.
-	MaxBodyBytes int64
 	// Logger receives replication and degradation warnings; nil discards.
 	Logger *slog.Logger
 }
@@ -58,8 +47,12 @@ type Router struct {
 	ring    *Ring
 	m       *routerMetrics
 	log     *slog.Logger
-	maxBody int64
 	mux     *http.ServeMux
+	// maxBody caps request bodies read by the router (server.BodyLimit).
+	// The router reads bodies fully — they must be replayable for retry —
+	// so the cap guards router memory exactly like the worker's cap guards
+	// its own.
+	maxBody int64
 
 	// rr spreads un-keyed stream opens round-robin; tagged opens use the
 	// ring so the same tag's sessions co-locate with its cleans.
@@ -78,10 +71,6 @@ func NewRouter(opts Options) (*Router, error) {
 	if len(opts.Shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
 	}
-	maxBody := opts.MaxBodyBytes
-	if maxBody == 0 {
-		maxBody = server.DefaultMaxBodyBytes
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -90,11 +79,11 @@ func NewRouter(opts Options) (*Router, error) {
 		ring:    NewRing(len(opts.Shards), 0),
 		m:       newRouterMetrics(),
 		log:     logger,
-		maxBody: maxBody,
 		mux:     http.NewServeMux(),
+		maxBody: server.BodyLimit,
 	}
 	for i, base := range opts.Shards {
-		c := NewClient(i, strings.TrimRight(base, "/"), opts.Timeout, opts.Retries)
+		c := NewClient(i, strings.TrimRight(base, "/"))
 		c.onRetry = func(int) { rt.m.retries.Inc() }
 		c.onResult = rt.m.observe
 		rt.clients = append(rt.clients, c)
@@ -208,11 +197,7 @@ func (rt *Router) firstHealthy(w http.ResponseWriter, r *http.Request, body []by
 // readBody drains the request body under the router's cap. ok is false when
 // the cap was exceeded (an error response has been written).
 func (rt *Router) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	rd := r.Body
-	if rt.maxBody > 0 {
-		rd = http.MaxBytesReader(w, r.Body, rt.maxBody)
-	}
-	body, err := io.ReadAll(rd)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, rt.maxBody))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

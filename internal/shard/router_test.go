@@ -54,9 +54,12 @@ func newTestRouter(t *testing.T, n int, handler func(shard int) http.Handler) (*
 		fakes[i] = f
 		bases[i] = f.srv.URL
 	}
-	rt, err := NewRouter(Options{Shards: bases, Timeout: 5 * time.Second, Retries: 0})
+	rt, err := NewRouter(Options{Shards: bases})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, c := range rt.clients {
+		c.timeout, c.retries = 5*time.Second, 0
 	}
 	return rt, fakes
 }
@@ -481,5 +484,38 @@ func TestRouterMetricsPerShard(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n---\n%s", want, body)
 		}
+	}
+}
+
+// TestRouterBodyCap: the router applies the worker's body cap itself, since
+// it buffers every body for replay. An oversized clean is answered 413
+// without reaching a shard; one within the cap is forwarded.
+func TestRouterBodyCap(t *testing.T) {
+	rt, fakes := newTestRouter(t, 1, func(int) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			writeJSON(w, http.StatusCreated, map[string]string{"id": "t1"})
+		})
+	})
+	if rt.maxBody != server.BodyLimit {
+		t.Fatalf("router body cap = %d, want server.BodyLimit %d", rt.maxBody, server.BodyLimit)
+	}
+	rt.maxBody = 64
+
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/clean", strings.NewReader(strings.Repeat("x", 65))))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status = %d, want 413; body %s", rec.Code, rec.Body)
+	}
+	if got := fakes[0].paths(); len(got) != 0 {
+		t.Fatalf("oversized body reached the shard: %v", got)
+	}
+
+	rec = httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/clean", strings.NewReader(`{"deployment":"d1"}`)))
+	if rec.Code != http.StatusCreated {
+		t.Fatalf("body within the cap: status = %d, want 201; body %s", rec.Code, rec.Body)
+	}
+	if got := fakes[0].paths(); len(got) != 1 || got[0] != "POST /v1/clean" {
+		t.Fatalf("shard saw %v, want one POST /v1/clean", got)
 	}
 }
