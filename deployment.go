@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/floorplan"
 )
@@ -102,7 +103,24 @@ func DecodeDeployment(r io.Reader) (*Deployment, error) {
 	return d, nil
 }
 
+// Instantiating a deployment (System) allocates, per floor, one int per grid
+// cell (the cell space) and one float64 per reader and cell for each of the
+// truth and calibrated detection matrices, and calibration draws up to
+// CalibrationSamples Bernoulli samples per reader and cell. validate bounds
+// all three so a deployment from an untrusted source cannot exhaust memory or
+// stall the process. The paper's largest dataset (SYN2: 8 floors of 22x10 m
+// at 0.5 m cells, 104 readers, 30 samples) needs 7,040 cells, 732,160
+// detection entries and 21,964,800 draws — 595x, 11x and 24x under these.
+const (
+	maxGridCells        = 1 << 22 // 32 MiB of cell-to-location index
+	maxDetectionEntries = 1 << 23 // 64 MiB per detection matrix, two matrices
+	maxCalibrationDraws = 1 << 29 // a few seconds of sampling
+)
+
 func (d *Deployment) validate() error {
+	if d.Plan == nil {
+		return fmt.Errorf("rfidclean: deployment has no plan")
+	}
 	if len(d.Readers) == 0 {
 		return fmt.Errorf("rfidclean: deployment has no readers")
 	}
@@ -116,11 +134,28 @@ func (d *Deployment) validate() error {
 			return fmt.Errorf("rfidclean: reader %d on floor %d; plan has %d floors", r.ID, r.Floor, d.Plan.NumFloors())
 		}
 	}
-	if d.CellSize <= 0 {
-		return fmt.Errorf("rfidclean: deployment cell size must be positive")
+	if !(d.CellSize > 0) || math.IsInf(d.CellSize, 0) {
+		return fmt.Errorf("rfidclean: deployment cell size must be positive and finite")
 	}
 	if d.CalibrationSamples <= 0 {
 		return fmt.Errorf("rfidclean: deployment needs at least one calibration sample per cell")
+	}
+	// Counted in float64, rounding each grid side up, so a tiny cell size
+	// over a large outline cannot overflow: an upper bound on the cells
+	// NewCellSpace allocates.
+	outline := d.Plan.Outline()
+	cells := math.Max(1, math.Ceil(outline.Width()/d.CellSize)) *
+		math.Max(1, math.Ceil(outline.Height()/d.CellSize)) *
+		float64(d.Plan.NumFloors())
+	entries := cells * float64(len(d.Readers))
+	switch {
+	case cells > maxGridCells:
+		return fmt.Errorf("rfidclean: deployment grid has %.3g cells at cell size %g; the limit is %d", cells, d.CellSize, maxGridCells)
+	case entries > maxDetectionEntries:
+		return fmt.Errorf("rfidclean: deployment has %.3g reader-cell pairs (%d readers); the limit is %d", entries, len(d.Readers), maxDetectionEntries)
+	case entries*float64(d.CalibrationSamples) > maxCalibrationDraws:
+		return fmt.Errorf("rfidclean: deployment calibration needs %.3g samples (%d per reader and cell); the limit is %d",
+			entries*float64(d.CalibrationSamples), d.CalibrationSamples, maxCalibrationDraws)
 	}
 	return nil
 }

@@ -382,22 +382,14 @@ func TestObserveAfterDeadEnd(t *testing.T) {
 	}
 }
 
-// TestFilterSoakDay streams a day of 1 Hz readings (86,400 timestamps) under
-// LT and TT constraints through an exact and a beamed Filter. TL entries
-// carry absolute times, so the interner must be rebuilt and stay bounded;
-// the forward mass must stay a normalized vector of positive normal floats;
-// and over the first 4,096 readings the exact filter must answer
-// bit-identically to a BuildState fed the same readings.
-func TestFilterSoakDay(t *testing.T) {
-	const (
-		day      = 86400
-		stateLen = 4096
-	)
-	// Five locations; every step offers location 0 plus one to three
-	// others. No constraint ever forbids entering or staying at 0 (its
-	// latency bound only delays leaving it), so no frontier — beamed or not
-	// — can dead-end, while the TT constraints among 1-4 keep recently left
-	// locations, with their absolute times, in the nodes' TLs.
+// soakScenario returns n steps of 1 Hz readings over five locations under LT
+// and TT constraints. Every step offers location 0 plus one to three others.
+// No constraint ever forbids entering or staying at 0 (its latency bound only
+// delays leaving it), so no frontier — beamed or not — can dead-end, while
+// the TT constraints among 1-4 keep recently left locations, with their
+// absolute times, in the nodes' TLs. The steps are a prefix of one fixed
+// stream, whatever n is.
+func soakScenario(t *testing.T, n int) ([][]Candidate, *constraints.Set) {
 	ic := constraints.NewSet()
 	ic.AddLT(0, 3)
 	for _, tt := range [][3]int{{1, 2, 4}, {2, 3, 3}, {3, 4, 5}, {4, 1, 3}, {1, 3, 6}, {2, 4, 2}} {
@@ -406,7 +398,7 @@ func TestFilterSoakDay(t *testing.T) {
 		}
 	}
 	rng := stats.NewRNG(86400)
-	steps := make([][]Candidate, day)
+	steps := make([][]Candidate, n)
 	for k := range steps {
 		cands := []Candidate{{Loc: 0, P: rng.Range(0.05, 1)}}
 		for loc := 1; loc < 5; loc++ {
@@ -423,6 +415,21 @@ func TestFilterSoakDay(t *testing.T) {
 		}
 		steps[k] = cands
 	}
+	return steps, ic
+}
+
+// TestFilterSoakDay streams a day of 1 Hz readings (86,400 timestamps) under
+// LT and TT constraints through an exact and a beamed Filter. TL entries
+// carry absolute times, so the interner must be rebuilt and stay bounded;
+// the forward mass must stay a normalized vector of positive normal floats;
+// and over the first 4,096 readings the exact filter must answer
+// bit-identically to a BuildState fed the same readings.
+func TestFilterSoakDay(t *testing.T) {
+	const (
+		day      = 86400
+		stateLen = 4096
+	)
+	steps, ic := soakScenario(t, day)
 	exact := NewFilter(ic, nil)
 	beamed := NewFilter(ic, &FilterOptions{Beam: 3})
 	st := NewBuildState(ic)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
 	"math"
 	"testing"
@@ -315,4 +317,71 @@ func TestBuildStateInternerRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphsBitIdentical(t, want, got)
+}
+
+// TestBuildStateSoakSession streams one stream session's worth of readings —
+// soakSession, the query head's per-session cap outside the race detector —
+// through a BuildState, smoothing every quarter of the session as a live
+// client would. Every smooth must keep the graph invariants and a finite,
+// positive normalizer, and must recompute a suffix bounded independently of
+// the session's length (the deterministic form of "smoothing cost stays
+// flat"). At the first and the last smooth the graph must encode
+// byte-identically to a full Build over the same prefix.
+func TestBuildStateSoakSession(t *testing.T) {
+	const (
+		smoothEvery = soakSession / 4
+		// Levels below the newest smoothEvery that a smooth may recompute
+		// before its survivals converge to the previous pass's.
+		slack = 256
+	)
+	steps, ic := soakScenario(t, soakSession)
+	ls := &LSequence{Steps: make([]Step, soakSession)}
+	for k, cands := range steps {
+		ls.Steps[k].Candidates = cands
+	}
+	st := NewBuildState(ic)
+	maxRecomputed := 0
+	for k, cands := range steps {
+		if err := st.Observe(cands); err != nil {
+			t.Fatalf("step %d: %v", k, err)
+		}
+		n := k + 1
+		if n%smoothEvery != 0 {
+			continue
+		}
+		var ex BuildExplain
+		g, err := st.Smooth(&Options{EndLatency: constraints.LenientEnd, Explain: &ex})
+		if err != nil {
+			t.Fatalf("smooth at %d: %v", n, err)
+		}
+		if err := g.CheckInvariants(1e-9); err != nil {
+			t.Fatalf("smooth at %d: invariants: %v", n, err)
+		}
+		if !(ex.Normalizer > 0) || math.IsInf(ex.Normalizer, 0) {
+			t.Fatalf("smooth at %d: normalizer %v", n, ex.Normalizer)
+		}
+		if ex.RecomputedLevels > smoothEvery+slack {
+			t.Fatalf("smooth at %d recomputed %d levels, want at most %d", n, ex.RecomputedLevels, smoothEvery+slack)
+		}
+		maxRecomputed = max(maxRecomputed, ex.RecomputedLevels)
+		if n != smoothEvery && n != soakSession {
+			continue
+		}
+		want, err := Build(prefixLS(ls, n), ic, &Options{EndLatency: constraints.LenientEnd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The encodings run to ~170 MB at the cap: compare digests.
+		got, ref := sha256.New(), sha256.New()
+		if err := g.Encode(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Encode(ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Sum(nil), ref.Sum(nil)) {
+			t.Fatalf("smooth at %d: encoding differs from a full Build", n)
+		}
+	}
+	t.Logf("%d readings, 4 smooths, at most %d levels recomputed per smooth", soakSession, maxRecomputed)
 }

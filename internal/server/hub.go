@@ -8,8 +8,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	rfidclean "repro"
 )
 
 // This file implements push-based event fan-out for streaming sessions —
@@ -267,7 +265,8 @@ type StreamDeltaEvent struct {
 type StreamSmoothEvent struct {
 	ID         string        `json:"id"`
 	Trajectory CleanResponse `json:"trajectory"`
-	// Mode is incremental (live BuildState suffix re-run) or full rebuild.
+	// Mode is always "incremental": every smooth re-runs the suffix of the
+	// session's live build state.
 	Mode string `json:"mode"`
 }
 
@@ -280,27 +279,14 @@ const deltaTopK = 5
 func deltaLocked(sess *streamSession, accepted int) StreamDeltaEvent {
 	ev := StreamDeltaEvent{
 		ID:       sess.id,
-		Time:     sess.time(),
-		Readings: len(sess.readings),
+		Time:     sess.live.Time(),
+		Readings: sess.state.Duration(),
 		Accepted: accepted,
+		Frontier: sess.live.FrontierSize(),
 		Dead:     sess.dead,
 	}
-	var (
-		dist []rfidclean.LocProb
-		err  error
-	)
-	if sess.filter != nil {
-		ev.Frontier = sess.filter.FrontierSize()
-		dist, err = sess.filter.TopLocations(deltaTopK)
-	} else {
-		ev.Frontier = sess.state.FrontierSize()
-		dist, err = sess.state.TopLocations(deltaTopK)
-	}
-	if err == nil {
-		ev.Current = make([]LocationProb, len(dist))
-		for i, lp := range dist {
-			ev.Current[i] = LocationProb{Location: sess.dep.sys.Plan.Location(lp.Loc).Name, P: lp.P}
-		}
+	if dist, err := sess.live.TopLocations(deltaTopK); err == nil {
+		ev.Current = locationProbs(sess, dist)
 	}
 	return ev
 }

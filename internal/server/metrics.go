@@ -46,7 +46,7 @@ type serverMetrics struct {
 	observeSeconds *metrics.Histogram
 	streamReaped   *metrics.Counter
 	streamEvicted  *metrics.Counter
-	streamSmooths  *metrics.CounterVec // {mode: incremental|full}
+	streamSmooths  *metrics.CounterVec // {mode: incremental}
 
 	// Event fan-out (hub.go).
 	streamSubscribers   *metrics.Gauge      // SSE subscribers currently attached
@@ -118,7 +118,7 @@ func newMetrics() *serverMetrics {
 	m.streamEvicted = r.Counter("rfidclean_stream_evicted_total",
 		"Streaming sessions evicted to admit new ones at the session cap.")
 	m.streamSmooths = r.CounterVec("rfidclean_stream_smooths_total",
-		"Stream smoothing operations, by rebuild mode (incremental reuses the session's live forward state; full rebuilds from the buffered readings).", "mode")
+		"Stream smoothing operations, by mode (always incremental: a suffix re-run of the session's live build state).", "mode")
 	m.streamSubscribers = r.Gauge("rfidclean_stream_subscribers",
 		"SSE event subscribers currently attached across all streaming sessions.")
 	m.streamEvents = r.CounterVec("rfidclean_stream_events_total",

@@ -15,7 +15,7 @@
 //	POST   /v1/stream/{id}/readings        append readings -> StreamStatus
 //	GET    /v1/stream/{id}?top=k           current filtered distribution
 //	GET    /v1/stream/{id}/events          SSE: delta/smooth/close events
-//	POST   /v1/stream/{id}/smooth          offline re-clean of the buffer
+//	POST   /v1/stream/{id}/smooth          smooth the accepted readings
 //	DELETE /v1/stream/{id}                 close (final smooth unless ?smooth=no)
 //	GET    /v1/trajectories                list stored trajectories
 //	GET    /v1/trajectories/{id}/stay?t=N  stay-query distribution
@@ -146,7 +146,7 @@ const (
 	constraintCacheEntries = 64               // per-deployment constraint cache, LRU past it
 	maxSessions            = 1024             // open streaming sessions; least-recently-active evicted past it
 	sessionTTL             = 15 * time.Minute // idle streaming sessions are reaped after this
-	maxSessionReadings     = 1 << 16          // readings a session buffers for smoothing; 429 past it
+	maxSessionReadings     = 1 << 16          // readings (build-state levels) a session accepts; 429 past it
 	subscriberBuffer       = 64               // events buffered per SSE subscriber; dropped past it
 	eventHistory           = 256              // recent events a session keeps for Last-Event-ID resume
 	sseHeartbeat           = 15 * time.Second // comment interval on idle SSE streams
@@ -169,11 +169,16 @@ type deployment struct {
 	cache *constraintCache
 	// dead flips when DELETE /v1/deployments/{id} removes the deployment.
 	// A clean or smooth that looked the deployment up before the delete
-	// checks it after storing its graph: either the delete's store sweep
-	// removes the graph, or the writer observes dead and removes it itself
-	// — so an in-flight clean can never leave an orphan trajectory behind
-	// a deleted deployment.
+	// checks it after storing its graph (Server.admit): either the delete's
+	// store sweep removes the graph, or the writer observes dead and removes
+	// it itself — so an in-flight clean can never leave an orphan trajectory
+	// behind a deleted deployment.
 	dead atomic.Bool
+}
+
+// deletedErr answers a request whose deployment was deleted under it.
+func (d *deployment) deletedErr() error {
+	return fmt.Errorf("deployment %q was deleted", d.id)
 }
 
 type trajectory struct {
@@ -598,9 +603,20 @@ func (s *Server) lookupDeployment(id string) *deployment {
 	return s.deployments[id]
 }
 
-// constraints resolves the constraint set for a clean request through the
-// deployment's cache, recording the hit/miss.
-func (s *Server) constraints(ctx context.Context, dep *deployment, p rfidclean.ConstraintParams) (*rfidclean.ConstraintSet, error) {
+// resolve looks up the deployment a clean, batch clean or stream open names
+// and its constraint set for p, through the deployment's cache. On failure
+// it writes the error (404 unknown deployment, 400 bad maxSpeed or failed
+// inference) and returns a nil deployment and the clean-outcome label.
+func (s *Server) resolve(ctx context.Context, w http.ResponseWriter, depID string, p rfidclean.ConstraintParams) (*deployment, *rfidclean.ConstraintSet, string) {
+	dep := s.lookupDeployment(depID)
+	if dep == nil {
+		writeError(w, http.StatusNotFound, "unknown deployment %q", depID)
+		return nil, nil, "not_found"
+	}
+	if p.MaxSpeed <= 0 {
+		writeError(w, http.StatusBadRequest, "maxSpeed must be positive")
+		return nil, nil, "bad_request"
+	}
 	_, sp := obs.Start(ctx, "constraints.lookup")
 	ic, err, hit := dep.cache.get(p, func() (*rfidclean.ConstraintSet, error) {
 		return dep.sys.Constraints(p)
@@ -613,7 +629,37 @@ func (s *Server) constraints(ctx context.Context, dep *deployment, p rfidclean.C
 		sp.Str("cache", "miss")
 	}
 	sp.End()
-	return ic, err
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "constraint inference: %v", err)
+		return nil, nil, "bad_request"
+	}
+	return dep, ic, ""
+}
+
+// admit stores the graphs a clean, batch clean or stream smooth produced,
+// positionally (nil slots get ""), with ids from one critical section. If
+// the deployment was deleted meanwhile, it follows the deployment.dead
+// protocol: it removes what it stored and returns deletedErr. Otherwise it
+// records each graph's explain report and size.
+func (s *Server) admit(ctx context.Context, dep *deployment, cleaned []*rfidclean.Cleaned) ([]string, error) {
+	_, sp := obs.Start(ctx, "store.add")
+	ids := s.store.addBatch(dep.id, cleaned)
+	sp.End()
+	if dep.dead.Load() {
+		for _, id := range ids {
+			if id != "" {
+				s.store.delete(id)
+			}
+		}
+		return nil, dep.deletedErr()
+	}
+	for _, c := range cleaned {
+		if c != nil {
+			s.metrics.recordExplain(c.Explain())
+			s.metrics.graphBytes.Observe(float64(c.Stats().Bytes))
+		}
+	}
+	return ids, nil
 }
 
 // CleanRequest asks the server to clean one reading sequence against a
@@ -665,24 +711,12 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	if len(req.Group) > 0 {
 		mode = "group"
 	}
-	dep := s.lookupDeployment(req.Deployment)
-	if dep == nil {
-		outcome = "not_found"
-		writeError(w, http.StatusNotFound, "unknown deployment %q", req.Deployment)
-		return
-	}
-	if req.MaxSpeed <= 0 {
-		outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "maxSpeed must be positive")
-		return
-	}
 	ctx := r.Context()
-	ic, err := s.constraints(ctx, dep, rfidclean.ConstraintParams{
+	dep, ic, failed := s.resolve(ctx, w, req.Deployment, rfidclean.ConstraintParams{
 		MaxSpeed: req.MaxSpeed, MinStay: req.MinStay, TTCap: req.TTCap,
 	})
-	if err != nil {
-		outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "constraint inference: %v", err)
+	if dep == nil {
+		outcome = failed
 		return
 	}
 	// Explain reports are always collected on server cleans: they feed the
@@ -691,7 +725,10 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	opts := &rfidclean.BuildOptions{EndLatency: endMode(req.StrictEnd), Explain: &rfidclean.BuildExplain{}}
 	// Profiler labels tie CPU/heap samples from the conditioning passes back
 	// to the API surface and deployment that caused them.
-	var cleaned *rfidclean.Cleaned
+	var (
+		cleaned *rfidclean.Cleaned
+		err     error
+	)
 	pprof.Do(ctx, pprof.Labels("endpoint", "clean", "deployment", dep.id), func(ctx context.Context) {
 		if mode == "group" {
 			group := append([]rfidclean.ReadingSequence{req.Readings}, req.Group...)
@@ -710,24 +747,16 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "cleaning failed: %v", err)
 		return
 	}
-	s.metrics.recordExplain(cleaned.Explain())
-	_, sp := obs.Start(ctx, "store.add")
-	id := s.store.add(dep.id, cleaned)
-	sp.End()
-	if dep.dead.Load() {
-		// The deployment was deleted while this clean ran; its sweep may
-		// have missed the graph we just stored, so remove it ourselves
-		// (delete is idempotent) and answer as the lookup now would.
-		s.store.delete(id)
+	ids, err := s.admit(ctx, dep, []*rfidclean.Cleaned{cleaned})
+	if err != nil {
 		outcome = "not_found"
-		writeError(w, http.StatusNotFound, "deployment %q was deleted while cleaning", dep.id)
+		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	st := cleaned.Stats()
 	outcome = "ok"
 	s.metrics.cleanSeconds.Observe(time.Since(start).Seconds())
-	s.metrics.graphBytes.Observe(float64(st.Bytes))
-	writeJSON(w, http.StatusCreated, CleanResponse{ID: id, Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes})
+	writeJSON(w, http.StatusCreated, CleanResponse{ID: ids[0], Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes})
 }
 
 func endMode(strict bool) rfidclean.EndLatencyMode {
@@ -778,29 +807,17 @@ func (s *Server) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 		outcome = "bad_request"
 		return
 	}
-	dep := s.lookupDeployment(req.Deployment)
-	if dep == nil {
-		outcome = "not_found"
-		writeError(w, http.StatusNotFound, "unknown deployment %q", req.Deployment)
-		return
-	}
-	if req.MaxSpeed <= 0 {
-		outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "maxSpeed must be positive")
-		return
-	}
 	if len(req.Sequences) == 0 {
 		outcome = "bad_request"
 		writeError(w, http.StatusBadRequest, "sequences must be non-empty")
 		return
 	}
 	ctx := r.Context()
-	ic, err := s.constraints(ctx, dep, rfidclean.ConstraintParams{
+	dep, ic, failed := s.resolve(ctx, w, req.Deployment, rfidclean.ConstraintParams{
 		MaxSpeed: req.MaxSpeed, MinStay: req.MinStay, TTCap: req.TTCap,
 	})
-	if err != nil {
-		outcome = "bad_request"
-		writeError(w, http.StatusBadRequest, "constraint inference: %v", err)
+	if dep == nil {
+		outcome = failed
 		return
 	}
 	// CleanAll clones these options per slot (fresh Explain each), so the
@@ -819,20 +836,10 @@ func (s *Server) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 			Context: ctx, // a vanished client stops burning CPU on unstarted slots
 		})
 	})
-	// Allocate all ids in one critical section so a batch's ids are
-	// consecutive and never interleave with concurrent single cleans.
-	_, sp := obs.Start(ctx, "store.add")
-	ids := s.store.addBatch(dep.id, cleaned)
-	sp.End()
-	if dep.dead.Load() {
-		// Deployment deleted mid-batch: compensate like handleClean does.
-		for _, id := range ids {
-			if id != "" {
-				s.store.delete(id)
-			}
-		}
+	ids, err := s.admit(ctx, dep, cleaned)
+	if err != nil {
 		outcome = "not_found"
-		writeError(w, http.StatusNotFound, "deployment %q was deleted while cleaning", dep.id)
+		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	out := make([]BatchCleanResult, len(req.Sequences))
@@ -843,9 +850,7 @@ func (s *Server) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		s.metrics.batchSlots.Inc("ok")
-		s.metrics.recordExplain(cleaned[i].Explain())
 		st := cleaned[i].Stats()
-		s.metrics.graphBytes.Observe(float64(st.Bytes))
 		out[i] = BatchCleanResult{ID: ids[i], Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes}
 	}
 	outcome = "ok"

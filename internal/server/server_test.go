@@ -515,6 +515,46 @@ func TestServerHealthz(t *testing.T) {
 	}
 }
 
+// TestServerRejectsOversizedGrid: a deployment whose grid would not fit in
+// memory — two rooms of 20x6 m at a 0.1 mm cell, 1.2e10 cells — is refused
+// with 400 before the server allocates its cell space, and the server keeps
+// serving.
+func TestServerRejectsOversizedGrid(t *testing.T) {
+	base, _, _, _ := harness(t)
+	b := rfidclean.NewMapBuilder()
+	left := b.AddLocation("left", rfidclean.Room, 0, rfidclean.RectWH(0, 0, 10, 6))
+	right := b.AddLocation("right", rfidclean.Room, 0, rfidclean.RectWH(10, 0, 10, 6))
+	b.AddDoor(left, right, rfidclean.Pt(10, 3), 1)
+	plan, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := (&rfidclean.Deployment{
+		Name:               "fine",
+		Plan:               plan,
+		Readers:            []rfidclean.Reader{{ID: 0, Name: "r", Floor: 0, Pos: rfidclean.Pt(5, 3)}},
+		Detection:          rfidclean.DefaultThreeState(),
+		CellSize:           1e-4,
+		CalibrationSamples: 30,
+		Seed:               1,
+	}).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+"/v1/deployments", "application/json", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized deployment status = %d, want 400", resp.StatusCode)
+	}
+	var health map[string]any
+	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK || health["deployments"].(float64) != 1 {
+		t.Fatalf("healthz after the rejected deployment = %d %v", code, health)
+	}
+}
+
 func TestServerBodyLimit(t *testing.T) {
 	depJSON, sys := testDeployment(t)
 	srv := openServer(t, Options{})

@@ -51,11 +51,6 @@ func newTrajStore(maxBytes int64, stride, offset int, m *serverMetrics) *trajSto
 	return &trajStore{maxBytes: maxBytes, stride: stride, offset: offset, m: m, items: make(map[string]*storeItem)}
 }
 
-// add stores one cleaned graph and returns its id.
-func (st *trajStore) add(depID string, c *rfidclean.Cleaned) string {
-	return st.addBatch(depID, []*rfidclean.Cleaned{c})[0]
-}
-
 // addBatch stores every non-nil graph under a single critical section, so a
 // batch's ids are consecutive and can never interleave with a concurrent
 // single clean's. ids is positional; nil slots get "".

@@ -43,14 +43,14 @@ func TestTrajStoreLRUEviction(t *testing.T) {
 	// Budget for two graphs, not three.
 	st := newTrajStore(2*one+one/2, 1, 0, m)
 
-	idA := st.add("d1", cs[0])
-	idB := st.add("d1", cs[1])
+	idA := st.addBatch("d1", cs[:1])[0]
+	idB := st.addBatch("d1", cs[1:2])[0]
 	if st.get(idA) == nil || st.get(idB) == nil {
 		t.Fatal("stored graphs not retrievable")
 	}
 	// Touch A so B is the LRU victim.
 	st.get(idA)
-	idC := st.add("d1", cs[2])
+	idC := st.addBatch("d1", cs[2:3])[0]
 	if st.get(idB) != nil {
 		t.Error("LRU graph survived eviction")
 	}
@@ -96,7 +96,7 @@ func TestTrajStoreFreshBatchNotSelfEvicting(t *testing.T) {
 		}
 	}
 	// The next add sheds the overshoot down to the budget.
-	idNew := st.add("d1", testCleaneds(t, 1)[0])
+	idNew := st.addBatch("d1", testCleaneds(t, 1))[0]
 	if st.get(idNew) == nil {
 		t.Fatal("fresh single add evicted")
 	}
@@ -109,7 +109,7 @@ func TestTrajStoreDelete(t *testing.T) {
 	cs := testCleaneds(t, 1)
 	m := newMetrics()
 	st := newTrajStore(0, 1, 0, m)
-	id := st.add("d1", cs[0])
+	id := st.addBatch("d1", cs[:1])[0]
 	if !st.delete(id) {
 		t.Fatal("delete of existing trajectory failed")
 	}

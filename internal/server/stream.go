@@ -35,7 +35,7 @@ import (
 //	POST   /v1/stream/{id}/readings      append readings -> StreamStatus
 //	GET    /v1/stream/{id}[?top=k]       current filtered distribution
 //	GET    /v1/stream/{id}/events        SSE event subscription (hub.go)
-//	POST   /v1/stream/{id}/smooth        offline re-clean -> CleanResponse
+//	POST   /v1/stream/{id}/smooth        smooth the accepted readings -> CleanResponse
 //	DELETE /v1/stream/{id}[?smooth=no]   close (smoothing by default)
 //
 // The readings POST and the status GET also speak a compact binary codec
@@ -44,24 +44,29 @@ import (
 //
 // Sessions are bounded three ways: a beam width caps each filter's frontier
 // (an approximation trade documented on FilterOptions), a per-session
-// reading budget caps the smoothing buffer, and a server-wide session cap
+// reading budget caps the build state's levels, and a server-wide session cap
 // evicts the least-recently-active session when full. Idle sessions are
 // reaped by a background goroutine after a TTL; the reaper is wired into
 // Server.Close so a graceful shutdown drains it deterministically.
 
+// frontier answers a session's live queries. Core's Filter and BuildState
+// share one frontier implementation, so a beam-capped session hands its
+// queries to the beam Filter and an exact session to its BuildState.
+type frontier interface {
+	Observe([]rfidclean.LCandidate) error
+	Time() int
+	FrontierSize() int
+	Distribution() ([]rfidclean.LocProb, error)
+	TopLocations(k int) ([]rfidclean.LocProb, error)
+}
+
 // streamSession is one live-tracking session. Its mutex serializes state
-// advancement and buffer appends; lastActive is atomic so the reaper can
-// scan sessions without contending with a slow Observe.
+// advancement; lastActive is atomic so the reaper can scan sessions without
+// contending with a slow Observe.
 type streamSession struct {
 	id   string
 	dep  *deployment
-	prms rfidclean.ConstraintParams
-	// ic pins the constraint set the session's state was built under.
-	// smoothLocked compares it against the cache's current answer for prms:
-	// a pointer change means the cache was recalibrated or cycled under us,
-	// so the incremental state is stale and smoothing falls back to a full
-	// rebuild.
-	ic *rfidclean.ConstraintSet
+	beam int // beam width of the live frontier (0 = exact)
 
 	// hub fans the session's delta/smooth/close events out to SSE
 	// subscribers (hub.go). It is created with the session and closed by
@@ -69,26 +74,17 @@ type streamSession struct {
 	hub *sessionHub
 
 	mu sync.Mutex
-	// state is the incremental build: one forward level per accepted
-	// reading, smoothed on demand. It also answers frontier queries for
-	// exact (beam-less) sessions.
+	// state is the incremental build under the constraint set the session
+	// resolved at open, which it pins for its lifetime: one forward level per
+	// accepted reading, so its Duration is the accepted-reading count (a
+	// dead end appends no level), and every smooth is a suffix re-run of it.
 	state *rfidclean.BuildState
-	// filter is non-nil only for beam-capped sessions, where the bounded
-	// frontier it maintains is the distribution the client asked for.
-	filter   *rfidclean.Filter
-	readings rfidclean.ReadingSequence // buffered for smoothing fallback
-	dead     bool                      // constraints ruled out every continuation
+	// live answers frontier queries: state itself, or for beam sessions a
+	// beam Filter fed the same readings. Chosen once, at open.
+	live frontier
+	dead bool // constraints ruled out every continuation
 
 	lastActive atomic.Int64 // unix nanoseconds
-}
-
-// time returns the last observed timestamp (-1 before the first reading);
-// the caller holds ss.mu.
-func (ss *streamSession) time() int {
-	if ss.filter != nil {
-		return ss.filter.Time()
-	}
-	return ss.state.Time()
 }
 
 func (ss *streamSession) touch() { ss.lastActive.Store(time.Now().UnixNano()) }
@@ -107,7 +103,7 @@ const sessionTombstones = 4096
 type sessionStore struct {
 	maxSessions int           // open-session cap (maxSessions)
 	ttl         time.Duration // idle lifetime (sessionTTL)
-	maxReadings int           // per-session smoothing buffer (maxSessionReadings)
+	maxReadings int           // per-session build-state levels (maxSessionReadings)
 	history     int           // per-session resume ring (eventHistory, hub.go)
 	stride      int           // id-allocation stride (shard count; <= 1: single-node)
 	offset      int           // this shard's residue class
@@ -168,7 +164,7 @@ func (st *sessionStore) isGone(id string) bool {
 // evicted to make room — live tracking favors fresh streams over stale ones,
 // and an evicted client can always re-open and re-send. Returns nil when the
 // store has been closed.
-func (st *sessionStore) open(dep *deployment, prms rfidclean.ConstraintParams, ic *rfidclean.ConstraintSet, state *rfidclean.BuildState, f *rfidclean.Filter) *streamSession {
+func (st *sessionStore) open(dep *deployment, state *rfidclean.BuildState, live frontier, beam int) *streamSession {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -179,12 +175,11 @@ func (st *sessionStore) open(dep *deployment, prms rfidclean.ConstraintParams, i
 	}
 	st.next = nextStridedID(st.next, st.stride, st.offset)
 	s := &streamSession{
-		id:     "s" + strconv.Itoa(st.next),
-		dep:    dep,
-		prms:   prms,
-		ic:     ic,
-		state:  state,
-		filter: f,
+		id:    "s" + strconv.Itoa(st.next),
+		dep:   dep,
+		beam:  beam,
+		state: state,
+		live:  live,
 	}
 	s.hub = newSessionHub(s.id, subscriberBuffer, st.history, st.m)
 	s.touch()
@@ -356,14 +351,15 @@ type StreamStatus struct {
 	Deployment string `json:"deployment"`
 	// Time is the last observed timestamp (-1 before the first reading).
 	Time int `json:"time"`
-	// Readings is how many readings the session has buffered for smoothing.
+	// Readings is how many readings the session has accepted (the prefix a
+	// smooth conditions).
 	Readings int `json:"readings"`
 	// Frontier is the filter's live node count (memory gauge).
 	Frontier int `json:"frontier"`
 	// Beam echoes the session's beam width (0 = exact).
 	Beam int `json:"beam,omitempty"`
 	// Dead reports that the constraints ruled out every continuation; the
-	// session only serves its buffered prefix from here on.
+	// session only serves its accepted prefix from here on.
 	Dead bool `json:"dead,omitempty"`
 	// Current is the filtered distribution over locations, descending
 	// (GET only; capped by ?top=k).
@@ -380,31 +376,22 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	dep := s.lookupDeployment(req.Deployment)
-	if dep == nil {
-		writeError(w, http.StatusNotFound, "unknown deployment %q", req.Deployment)
-		return
-	}
-	if req.MaxSpeed <= 0 {
-		writeError(w, http.StatusBadRequest, "maxSpeed must be positive")
-		return
-	}
 	if req.Beam < 0 {
 		writeError(w, http.StatusBadRequest, "beam must be >= 0")
 		return
 	}
-	prms := rfidclean.ConstraintParams{MaxSpeed: req.MaxSpeed, MinStay: req.MinStay, TTCap: req.TTCap}
-	ic, err := s.constraints(r.Context(), dep, prms)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "constraint inference: %v", err)
+	dep, ic, _ := s.resolve(r.Context(), w, req.Deployment, rfidclean.ConstraintParams{
+		MaxSpeed: req.MaxSpeed, MinStay: req.MinStay, TTCap: req.TTCap,
+	})
+	if dep == nil {
 		return
 	}
 	state := rfidclean.NewBuildState(ic)
-	var f *rfidclean.Filter
+	var live frontier = state
 	if req.Beam > 0 {
-		f = rfidclean.NewFilter(ic, &rfidclean.FilterOptions{Beam: req.Beam})
+		live = rfidclean.NewFilter(ic, &rfidclean.FilterOptions{Beam: req.Beam})
 	}
-	sess := s.sessions.open(dep, prms, ic, state, f)
+	sess := s.sessions.open(dep, state, live, req.Beam)
 	if sess == nil {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
@@ -415,7 +402,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		// graphs. Close it as if it were never opened.
 		s.sessions.remove(sess.id)
 		sess.hub.shutdown(closeReasonClosed)
-		writeError(w, http.StatusNotFound, "deployment %q was deleted", dep.id)
+		writeError(w, http.StatusNotFound, "%v", dep.deletedErr())
 		return
 	}
 	writeJSON(w, http.StatusCreated, map[string]string{"id": sess.id})
@@ -459,20 +446,24 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 // statusLocked renders the session's progress; the caller holds sess.mu.
 func statusLocked(sess *streamSession) StreamStatus {
-	st := StreamStatus{
+	return StreamStatus{
 		ID:         sess.id,
 		Deployment: sess.dep.id,
-		Time:       sess.time(),
-		Readings:   len(sess.readings),
+		Time:       sess.live.Time(),
+		Readings:   sess.state.Duration(),
+		Frontier:   sess.live.FrontierSize(),
+		Beam:       sess.beam,
 		Dead:       sess.dead,
 	}
-	if sess.filter != nil {
-		st.Frontier = sess.filter.FrontierSize()
-		st.Beam = sess.filter.Beam()
-	} else {
-		st.Frontier = sess.state.FrontierSize()
+}
+
+// locationProbs names the locations of a frontier distribution.
+func locationProbs(sess *streamSession, dist []rfidclean.LocProb) []LocationProb {
+	out := make([]LocationProb, len(dist))
+	for i, lp := range dist {
+		out[i] = LocationProb{Location: sess.dep.sys.Plan.Location(lp.Loc).Name, P: lp.P}
 	}
-	return st
+	return out
 }
 
 // writeStreamStatus writes a status response in the negotiated codec.
@@ -491,7 +482,7 @@ func writeStreamStatus(w http.ResponseWriter, r *http.Request, code int, st Stre
 // filter one timestamp per reading. Timestamps must arrive densely and in
 // order: reading N is timestamp N. A duplicate or out-of-order timestamp is
 // rejected with 409, a gap with 422, and a reading the constraints rule out
-// kills the session (422; the buffered prefix remains smoothable). On a
+// kills the session (422; the accepted prefix remains smoothable). On a
 // mid-batch error the already-observed prefix is kept.
 func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, sess *streamSession) {
 	var req StreamReadingsRequest
@@ -527,7 +518,7 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 	defer sess.touch()
 	if sess.dead {
 		s.metrics.streamReadings.Inc("dead_session")
-		writeError(w, http.StatusGone, "session %s hit a dead end at timestamp %d and accepts no more readings", sess.id, sess.time()+1)
+		writeError(w, http.StatusGone, "session %s hit a dead end at timestamp %d and accepts no more readings", sess.id, sess.live.Time()+1)
 		return
 	}
 	// One delta event per batch that moved the session — readings accepted,
@@ -541,7 +532,7 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 		}
 	}()
 	for _, reading := range req.Readings {
-		next := len(sess.readings)
+		next := sess.state.Duration()
 		if reading.Time < next {
 			s.metrics.streamReadings.Inc("out_of_order")
 			writeError(w, http.StatusConflict, "duplicate or out-of-order timestamp %d (already observed through %d)", reading.Time, next-1)
@@ -566,21 +557,19 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 		// Beam sessions observe the filter first: its frontier is a subset
 		// of the exact state's, so a reading the filter accepts cannot
 		// dead-end the state, and a reading the filter rejects leaves the
-		// state covering exactly the buffered prefix. (A beam dead end is
+		// state covering exactly the accepted prefix. (A beam dead end is
 		// an approximation artifact — the exact state may still be alive —
 		// but the session dies either way: its filtered answers are gone.)
 		start := time.Now()
-		if sess.filter != nil {
-			err = sess.filter.Observe(cands)
-		}
-		if err == nil {
+		err = sess.live.Observe(cands)
+		if err == nil && sess.beam > 0 {
 			err = sess.state.Observe(cands)
 		}
 		s.metrics.observeSeconds.Observe(time.Since(start).Seconds())
 		if errors.Is(err, rfidclean.ErrNoValidTrajectory) {
 			sess.dead = true
 			s.metrics.streamReadings.Inc("dead_end")
-			writeError(w, http.StatusUnprocessableEntity, "timestamp %d is inconsistent with the constraints; session is dead (buffered prefix of %d readings remains smoothable)", reading.Time, len(sess.readings))
+			writeError(w, http.StatusUnprocessableEntity, "timestamp %d is inconsistent with the constraints; session is dead (accepted prefix of %d readings remains smoothable)", reading.Time, next)
 			return
 		}
 		if err != nil {
@@ -588,7 +577,6 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 			writeError(w, http.StatusBadRequest, "timestamp %d: %v", reading.Time, err)
 			return
 		}
-		sess.readings = append(sess.readings, reading)
 		accepted++
 		s.metrics.streamReadings.Inc("ok")
 	}
@@ -610,99 +598,76 @@ func (s *Server) handleStreamStatus(w http.ResponseWriter, r *http.Request, sess
 	defer sess.mu.Unlock()
 	sess.touch()
 	st := statusLocked(sess)
-	if sess.time() >= 0 {
+	if st.Time >= 0 {
 		var (
 			dist []rfidclean.LocProb
 			err  error
 		)
-		switch {
-		case sess.filter != nil && top > 0:
-			dist, err = sess.filter.TopLocations(top)
-		case sess.filter != nil:
-			dist, err = sess.filter.Distribution()
-		case top > 0:
-			dist, err = sess.state.TopLocations(top)
-		default:
-			dist, err = sess.state.Distribution()
+		if top > 0 {
+			dist, err = sess.live.TopLocations(top)
+		} else {
+			dist, err = sess.live.Distribution()
 		}
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		st.Current = make([]LocationProb, len(dist))
-		for i, lp := range dist {
-			st.Current[i] = LocationProb{Location: sess.dep.sys.Plan.Location(lp.Loc).Name, P: lp.P}
-		}
+		st.Current = locationProbs(sess, dist)
 	}
 	writeStreamStatus(w, r, http.StatusOK, st)
 }
 
-// smoothLocked conditions the buffered sequence (LenientEnd, so the final
+// smoothMode labels every smooth on the rfidclean_stream_smooths_total
+// series and in the smooth event: a suffix re-run of the session's state.
+const smoothMode = "incremental"
+
+// smoothLocked conditions the accepted readings (LenientEnd, so the final
 // timestamp agrees with the filtered answer) and stores the ct-graph in the
-// trajectory store. The fast path reuses the session's incremental build
-// state — only the backward/revise suffix the newest readings can
-// invalidate is recomputed, and the result is bit-identical to a full
-// rebuild. It falls back to a full offline CleanCtx when the constraint
-// cache no longer returns the set the state was built under (recalibration
-// or cache cycling) or when the state does not cover the whole buffer. The
-// caller holds sess.mu.
+// trajectory store. It re-runs only the backward/revise suffix of the
+// session's build state that the newest readings can invalidate; the result
+// is bit-identical to a full offline clean of those readings under the
+// constraint set the session opened with. The caller holds sess.mu.
 func (s *Server) smoothLocked(ctx context.Context, sess *streamSession) (CleanResponse, int, error) {
-	if len(sess.readings) == 0 {
+	if sess.state.Duration() == 0 {
 		return CleanResponse{}, http.StatusUnprocessableEntity,
 			errors.New("session has no readings to smooth")
 	}
 	start := time.Now()
 	outcome := "error"
 	defer func() { s.metrics.cleanRequests.Inc("stream", outcome) }()
-	ic, err := s.constraints(ctx, sess.dep, sess.prms)
-	if err != nil {
-		return CleanResponse{}, http.StatusInternalServerError, err
-	}
 	opts := &rfidclean.BuildOptions{
 		EndLatency: rfidclean.LenientEnd,
 		Explain:    &rfidclean.BuildExplain{},
 	}
-	var cleaned *rfidclean.Cleaned
-	mode := "full"
+	var (
+		cleaned *rfidclean.Cleaned
+		err     error
+	)
 	// Smoothing work is labeled stream_smooth regardless of which route
 	// triggered it (the smooth endpoint or the closing smooth).
-	pprof.Do(ctx, pprof.Labels("endpoint", "stream_smooth", "deployment", sess.dep.id), func(ctx context.Context) {
-		if sess.state != nil && sess.ic == ic && sess.state.Duration() == len(sess.readings) {
-			mode = "incremental"
-			cleaned, err = sess.dep.sys.SmoothState(sess.state, opts)
-		} else {
-			cleaned, err = sess.dep.sys.CleanCtx(ctx, sess.readings, ic, opts)
-		}
+	pprof.Do(ctx, pprof.Labels("endpoint", "stream_smooth", "deployment", sess.dep.id), func(context.Context) {
+		cleaned, err = sess.dep.sys.SmoothState(sess.state, opts)
 	})
-	s.metrics.streamSmooths.Inc(mode)
+	s.metrics.streamSmooths.Inc(smoothMode)
 	if err != nil {
 		// The forward pass accepted this prefix, so conditioning can only
 		// fail on internal errors, not on constraint violations.
 		return CleanResponse{}, http.StatusInternalServerError, err
 	}
-	s.metrics.recordExplain(cleaned.Explain())
-	_, sp := obs.Start(ctx, "store.add")
-	id := s.store.add(sess.dep.id, cleaned)
-	sp.End()
-	if sess.dep.dead.Load() {
-		// The session outlived its deployment (deleted mid-stream). The
-		// graph just stored would be an orphan — remove it (idempotent
-		// against the delete's own sweep) and report the deployment gone.
-		s.store.delete(id)
-		return CleanResponse{}, http.StatusNotFound,
-			errors.New("deployment " + sess.dep.id + " was deleted")
+	ids, err := s.admit(ctx, sess.dep, []*rfidclean.Cleaned{cleaned})
+	if err != nil {
+		return CleanResponse{}, http.StatusNotFound, err
 	}
 	st := cleaned.Stats()
 	outcome = "ok"
 	s.metrics.cleanSeconds.Observe(time.Since(start).Seconds())
-	s.metrics.graphBytes.Observe(float64(st.Bytes))
-	resp := CleanResponse{ID: id, Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes}
-	sess.hub.publish(eventKindSmooth, StreamSmoothEvent{ID: sess.id, Trajectory: resp, Mode: mode})
+	resp := CleanResponse{ID: ids[0], Nodes: st.Nodes, Edges: st.Edges, Bytes: st.Bytes}
+	sess.hub.publish(eventKindSmooth, StreamSmoothEvent{ID: sess.id, Trajectory: resp, Mode: smoothMode})
 	return resp, http.StatusCreated, nil
 }
 
 // handleStreamSmooth serves POST /v1/stream/{id}/smooth: the on-demand
-// offline re-clean. The session stays open and keeps accepting readings.
+// smooth. The session stays open and keeps accepting readings.
 func (s *Server) handleStreamSmooth(w http.ResponseWriter, r *http.Request, sess *streamSession) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -723,10 +688,10 @@ type StreamCloseResponse struct {
 	Trajectory *CleanResponse `json:"trajectory,omitempty"`
 }
 
-// handleStreamClose serves DELETE /v1/stream/{id}. By default the buffered
-// sequence is smoothed one last time so the client walks away with the
-// ct-graph answer; ?smooth=no (or false/0) skips that, as does an empty
-// buffer. Any other ?smooth= value is rejected up front — a typo like
+// handleStreamClose serves DELETE /v1/stream/{id}. By default the accepted
+// readings are smoothed one last time so the client walks away with the
+// ct-graph answer; ?smooth=no (or false/0) skips that, as does a session
+// with no readings. Any other ?smooth= value is rejected up front — a typo like
 // ?smooth=nope used to silently smooth, the opposite of what was asked.
 func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, sess *streamSession) {
 	smooth := true
@@ -750,7 +715,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, sess 
 	// then broadcasts the terminal close and drops every subscriber.
 	defer sess.hub.shutdown(closeReasonClosed)
 	out := StreamCloseResponse{Closed: sess.id}
-	if smooth && len(sess.readings) > 0 {
+	if smooth && sess.state.Duration() > 0 {
 		resp, status, err := s.smoothLocked(r.Context(), sess)
 		if err != nil {
 			writeError(w, status, "session closed, but final smoothing failed: %v", err)

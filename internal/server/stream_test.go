@@ -377,8 +377,9 @@ func TestStreamValidation(t *testing.T) {
 // in A and C, and the rooms are wide enough that neither reader's range
 // (MinorRadius = 4m) reaches a neighboring room — so an A-only reading pins
 // the object to A and a C-only reading to C. Jumping A to C in one timestep
-// has no door path, the session dies with 422, the buffered prefix stays
-// smoothable, and further readings get 410.
+// has no door path, the session dies with 422, the accepted prefix stays
+// smoothable — to exactly what /v1/clean answers over it — and further
+// readings get 410.
 func TestStreamDeadEnd(t *testing.T) {
 	b := rfidclean.NewMapBuilder()
 	ra := b.AddLocation("a", rfidclean.Room, 0, rfidclean.RectWH(0, 0, 10, 6))
@@ -447,15 +448,86 @@ func TestStreamDeadEnd(t *testing.T) {
 	if st := streamStatus(t, base, sid, 0); !st.Dead || st.Readings != prefix {
 		t.Errorf("dead session status = %+v", st)
 	}
-	// ... but the prefix still smooths.
+	// ... but the prefix still smooths, to exactly what /v1/clean answers
+	// over the same readings.
 	resp, body := postJSON(t, base+"/v1/stream/"+sid+"/smooth", nil)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("smoothing dead session prefix = %d: %s", resp.StatusCode, body)
 	}
+	var smoothed CleanResponse
+	if err := json.Unmarshal(body, &smoothed); err != nil {
+		t.Fatal(err)
+	}
+	prefixReadings := make(rfidclean.ReadingSequence, prefix)
+	for i := range prefixReadings {
+		prefixReadings[i] = rfidclean.Reading{Time: i, Readers: inA}
+	}
+	checkStaysMatchClean(t, base, smoothed.ID, CleanRequest{
+		Deployment: created["id"], Readings: prefixReadings, MaxSpeed: 2, MinStay: 5,
+	})
 }
 
-// TestStreamReadingBudget: the per-session buffer cap answers 429 and the
-// buffered prefix still smooths.
+// checkStaysMatchClean cleans req through /v1/clean and asserts the stored
+// trajectory id answers every stay query with the same bytes.
+func checkStaysMatchClean(t *testing.T, base, id string, req CleanRequest) {
+	t.Helper()
+	resp, body := postJSON(t, base+"/v1/clean", req)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("reference clean status = %d: %s", resp.StatusCode, body)
+	}
+	var ref CleanResponse
+	if err := json.Unmarshal(body, &ref); err != nil {
+		t.Fatal(err)
+	}
+	for tau := range req.Readings {
+		code, got := getBody(t, fmt.Sprintf("%s/v1/trajectories/%s/stay?t=%d", base, id, tau))
+		refCode, want := getBody(t, fmt.Sprintf("%s/v1/trajectories/%s/stay?t=%d", base, ref.ID, tau))
+		if code != http.StatusOK || refCode != http.StatusOK {
+			t.Fatalf("stay t=%d status = %d (reference %d)", tau, code, refCode)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("stay t=%d: smoothed %s, /v1/clean %s", tau, got, want)
+		}
+	}
+}
+
+// TestStreamSmoothAfterCacheCycle smooths a session whose constraint-cache
+// entry was evicted after it opened. Inference is deterministic, so the set
+// the session pinned at open is still the right one: the smooth must reuse
+// the live state and store what /v1/clean — which re-infers the set — stores.
+func TestStreamSmoothAfterCacheCycle(t *testing.T) {
+	base, srv, depID, sys := streamHarness(t, Options{})
+	srv.lookupDeployment(depID).cache.maxEntries = 1
+	readings := testReadings(t, sys, 77, 40)
+	sid := openStream(t, base, depID, 0)
+	feedOneByOne(t, base, sid, readings)
+
+	// A clean under other parameters takes the cache's only slot.
+	if resp, body := postJSON(t, base+"/v1/clean", CleanRequest{
+		Deployment: depID, Readings: readings, MaxSpeed: 3, MinStay: 4,
+	}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("evicting clean status = %d: %s", resp.StatusCode, body)
+	}
+	resp, body := postJSON(t, base+"/v1/stream/"+sid+"/smooth", nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("smooth status = %d: %s", resp.StatusCode, body)
+	}
+	var smoothed CleanResponse
+	if err := json.Unmarshal(body, &smoothed); err != nil {
+		t.Fatal(err)
+	}
+	checkStaysMatchClean(t, base, smoothed.ID, CleanRequest{
+		Deployment: depID, Readings: readings, MaxSpeed: 2, MinStay: 5,
+	})
+	// Three inferences: the session's open, the evicting clean and the
+	// reference clean, each a miss in a one-entry cache.
+	mustContain(t, scrape(t, base),
+		"rfidclean_constraint_cache_misses_total 3",
+		`rfidclean_stream_smooths_total{mode="incremental"} 1`)
+}
+
+// TestStreamReadingBudget: the per-session reading budget answers 429 and
+// the accepted prefix still smooths.
 func TestStreamReadingBudget(t *testing.T) {
 	base, srv, depID, sys := streamHarness(t, Options{})
 	srv.sessions.maxReadings = 3

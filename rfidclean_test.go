@@ -509,7 +509,13 @@ func TestDeploymentValidation(t *testing.T) {
 			d.Readers = rs
 		},
 		func(d *rfidclean.Deployment) { d.CellSize = 0 },
+		func(d *rfidclean.Deployment) { d.CellSize = math.Inf(1) },
 		func(d *rfidclean.Deployment) { d.CalibrationSamples = 0 },
+		// The 12x8 m plan with 3 readers: 9.6e7 grid cells; 3.84e6 cells but
+		// 1.15e7 reader-cell pairs; 1,152 pairs at 2^20 samples each.
+		func(d *rfidclean.Deployment) { d.CellSize = 1e-3 },
+		func(d *rfidclean.Deployment) { d.CellSize = 0.005 },
+		func(d *rfidclean.Deployment) { d.CalibrationSamples = 1 << 20 },
 	}
 	for i, mutate := range cases {
 		d := good()
