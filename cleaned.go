@@ -133,10 +133,17 @@ func (c *Cleaned) ExpectedVisitTime(location string, from, to int) (float64, err
 }
 
 // Marginals returns the conditioned per-timestamp distribution over
-// locations: out[τ][locID]. It returns an error when the graph mentions a
-// location ID the plan does not know about.
+// locations: out[τ][locID], the stay answer at every τ. It returns an error
+// when the graph mentions a location ID the plan does not know about.
 func (c *Cleaned) Marginals() ([][]float64, error) {
-	return c.graph.Marginals(c.plan.NumLocations())
+	out := make([][]float64, c.Duration())
+	for t := range out {
+		var err error
+		if out[t], err = c.engine.Stay(t); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // MostProbable returns the single most probable valid trajectory (one
@@ -195,8 +202,12 @@ func DecodeCleaned(r io.Reader, plan *Plan) (*Cleaned, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := g.Marginals(plan.NumLocations()); err != nil {
-		return nil, fmt.Errorf("rfidclean: decoded graph does not fit the plan: %w", err)
+	for t := 0; t < g.Duration(); t++ {
+		for lvl, i := g.Level(t), 0; i < lvl.Width(); i++ {
+			if loc := lvl.Loc(i); loc >= plan.NumLocations() {
+				return nil, fmt.Errorf("rfidclean: decoded graph does not fit the plan: location ID %d at timestamp %d outside [0, %d)", loc, t, plan.NumLocations())
+			}
+		}
 	}
 	return newCleaned(g, plan), nil
 }

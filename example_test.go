@@ -83,7 +83,7 @@ func ExampleBuildCTGraph() {
 
 func countPaths(g *rfidclean.CTGraph) int {
 	n := 0
-	if err := g.WalkPaths(1000, func([]*rfidclean.CTNode, float64) { n++ }); err != nil {
+	if err := g.WalkPaths(1000, func([]int, float64) { n++ }); err != nil {
 		log.Fatal(err)
 	}
 	return n

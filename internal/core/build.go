@@ -106,14 +106,14 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	_, spForward := obs.Start(ctx, "core.forward")
 
 	// Forward phase (lines 1-14): the sources, then expand+link per level.
-	g := &Graph{byTime: make([][]*Node, duration)}
+	g := &Graph{byTime: make([][]*node, duration)}
 	g.byTime[0] = k.sources(ls.Steps[0].Candidates, nil)
 	if ex != nil {
 		ex.Steps[0] = k.step
 	}
 	for t := 1; t < duration; t++ {
 		cur, cands := g.byTime[t-1], ls.Steps[t].Candidates
-		next := k.expand(t, cur, cands, make([]*Node, 0, len(cur)), nil)
+		next := k.expand(t, cur, cands, make([]*node, 0, len(cur)), nil)
 		if ex != nil {
 			ex.Steps[t] = k.step
 		}
@@ -185,7 +185,7 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 // semantics (Definition 2), which get survival 0 and are removed. Returns the
 // number of condemned targets. Shared by Build and BuildState.Smooth so both
 // paths run the identical operations in the identical order.
-func condemnTargets(nodes []*Node, strict bool) int {
+func condemnTargets(nodes []*node, strict bool) int {
 	condemned := 0
 	for _, n := range nodes {
 		if strict && n.Stay != StayUntracked {
@@ -209,7 +209,7 @@ func condemnTargets(nodes []*Node, strict bool) int {
 // follow up with detachRemoved for this timestamp. Shared by Build and
 // BuildState.Smooth: keeping the float operations in one body is what makes
 // the incremental path bit-identical to the offline one.
-func conditionLevel(nodes []*Node) (removed int, ok bool) {
+func conditionLevel(nodes []*node) (removed int, ok bool) {
 	maxS := 0.0
 	for _, n := range nodes {
 		// Drop edges into removed nodes, accumulate survival,
@@ -256,7 +256,7 @@ func conditionLevel(nodes []*Node) (removed int, ok bool) {
 // conditionSources conditions the source probabilities (lines 30-31):
 // p'_N(src) = p_N(src)·S(src) / Σ p_N·S. ok is false when no source retains
 // positive mass. Shared by Build and BuildState.Smooth.
-func conditionSources(nodes []*Node) (total float64, ok bool) {
+func conditionSources(nodes []*node) (total float64, ok bool) {
 	for _, src := range nodes {
 		src.prob *= src.surv
 		total += src.prob
@@ -282,7 +282,7 @@ func (g *Graph) detachRemoved(t int) {
 
 // detachRemovedLevel is detachRemoved over an explicit node list, so
 // BuildState.Smooth can apply it to cloned levels.
-func detachRemovedLevel(nodes []*Node) {
+func detachRemovedLevel(nodes []*node) {
 	for _, n := range nodes {
 		if !n.removed {
 			continue
@@ -319,7 +319,7 @@ func (g *Graph) scrubOrphans() int {
 // scrubLevelOrphans removes the orphans of a single timestamp: nodes whose
 // predecessors were all removed. Per-level so BuildState.Smooth can sweep
 // only the recomputed suffix.
-func scrubLevelOrphans(nodes []*Node) int {
+func scrubLevelOrphans(nodes []*node) int {
 	ghosts := 0
 	for _, n := range nodes {
 		if n.removed {
@@ -354,7 +354,7 @@ func (g *Graph) compact() {
 
 // compactLevel drops the removed nodes of a single timestamp in place and
 // reassigns the dense per-level indices.
-func compactLevel(nodes *[]*Node) {
+func compactLevel(nodes *[]*node) {
 	alive := (*nodes)[:0]
 	for _, n := range *nodes {
 		if !n.removed {
@@ -391,9 +391,9 @@ type builder struct {
 	cs      *constraints.Compiled
 	tl      *tlInterner
 	scratch []TLEntry
-	nodes   []Node
-	edges   []Edge
-	ptrs    []*Edge
+	nodes   []node
+	edges   []edge
+	ptrs    []*edge
 }
 
 func newBuilder(ic *constraints.Set) builder {
@@ -402,24 +402,24 @@ func newBuilder(ic *constraints.Set) builder {
 
 // newNode allocates a node from the arena. tl must be a canonical interned
 // slice (or nil).
-func (b *builder) newNode(t, loc, stay int, tl []TLEntry) *Node {
+func (b *builder) newNode(t, loc, stay int, tl []TLEntry) *node {
 	if len(b.nodes) == cap(b.nodes) {
-		b.nodes = make([]Node, 0, nodeBlockSize)
+		b.nodes = make([]node, 0, nodeBlockSize)
 	}
 	b.nodes = b.nodes[:len(b.nodes)+1]
 	n := &b.nodes[len(b.nodes)-1]
-	*n = Node{Time: t, Loc: loc, Stay: stay, TL: tl}
+	*n = node{Time: t, Loc: loc, Stay: stay, TL: tl}
 	return n
 }
 
 // newEdge allocates an edge from the arena.
-func (b *builder) newEdge(from, to *Node, p float64) *Edge {
+func (b *builder) newEdge(from, to *node, p float64) *edge {
 	if len(b.edges) == cap(b.edges) {
-		b.edges = make([]Edge, 0, edgeBlockSize)
+		b.edges = make([]edge, 0, edgeBlockSize)
 	}
 	b.edges = b.edges[:len(b.edges)+1]
 	e := &b.edges[len(b.edges)-1]
-	*e = Edge{From: from, To: to, P: p}
+	*e = edge{From: from, To: to, P: p}
 	return e
 }
 
@@ -427,9 +427,9 @@ func (b *builder) newEdge(from, to *Node, p float64) *Edge {
 // arena in one block copy, detaching it from the source's adjacency. Used by
 // the incremental bulk copies, where the field-by-field newNode path showed
 // up in profiles.
-func (b *builder) cloneNode(n *Node) *Node {
+func (b *builder) cloneNode(n *node) *node {
 	if len(b.nodes) == cap(b.nodes) {
-		b.nodes = make([]Node, 0, nodeBlockSize)
+		b.nodes = make([]node, 0, nodeBlockSize)
 	}
 	b.nodes = b.nodes[:len(b.nodes)+1]
 	c := &b.nodes[len(b.nodes)-1]
@@ -443,20 +443,20 @@ func (b *builder) cloneNode(n *Node) *Node {
 // of known size allocates at most three exact blocks.
 func (b *builder) grow(n, e, p int) {
 	if cap(b.nodes)-len(b.nodes) < n {
-		b.nodes = make([]Node, 0, n)
+		b.nodes = make([]node, 0, n)
 	}
 	if cap(b.edges)-len(b.edges) < e {
-		b.edges = make([]Edge, 0, e)
+		b.edges = make([]edge, 0, e)
 	}
 	if cap(b.ptrs)-len(b.ptrs) < p {
-		b.ptrs = make([]*Edge, 0, p)
+		b.ptrs = make([]*edge, 0, p)
 	}
 }
 
 // carve returns an empty edge list with capacity exactly n, cut from the
 // pointer arena. The three-index slice expression caps each list at its own
 // region, so lists carved from one block can never grow into each other.
-func (b *builder) carve(n int) []*Edge {
+func (b *builder) carve(n int) []*edge {
 	if n == 0 {
 		return nil
 	}
@@ -465,7 +465,7 @@ func (b *builder) carve(n int) []*Edge {
 		if n > size {
 			size = n
 		}
-		b.ptrs = make([]*Edge, 0, size)
+		b.ptrs = make([]*edge, 0, size)
 	}
 	s := b.ptrs[len(b.ptrs) : len(b.ptrs) : len(b.ptrs)+n]
 	b.ptrs = b.ptrs[:len(b.ptrs)+n]
@@ -488,7 +488,7 @@ func (b *builder) initialStay(loc int) int {
 // reports. The successor's TL is assembled in the builder's scratch slice and
 // interned, so checking a candidate that deduplicates onto an existing node
 // allocates nothing.
-func (b *builder) successorKey(n *Node, loc int) (nodeKey, pruneReason) {
+func (b *builder) successorKey(n *node, loc int) (nodeKey, pruneReason) {
 	t2 := n.Time + 1
 	// Condition 2: direct reachability.
 	if b.cs.Unreachable(n.Loc, loc) {
@@ -556,7 +556,7 @@ func (b *builder) internTL(tl []TLEntry, t2, drop int, add *TLEntry) tlID {
 }
 
 // removeOutEdge removes e from pred's outgoing edge list.
-func removeOutEdge(pred *Node, e *Edge) {
+func removeOutEdge(pred *node, e *edge) {
 	for i, cand := range pred.out {
 		if cand == e {
 			pred.out[i] = pred.out[len(pred.out)-1]
@@ -567,7 +567,7 @@ func removeOutEdge(pred *Node, e *Edge) {
 }
 
 // removeInEdge removes e from succ's incoming edge list.
-func removeInEdge(succ *Node, e *Edge) {
+func removeInEdge(succ *node, e *edge) {
 	for i, cand := range succ.in {
 		if cand == e {
 			succ.in[i] = succ.in[len(succ.in)-1]

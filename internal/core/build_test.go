@@ -48,18 +48,18 @@ func TestRunningExampleGraph(t *testing.T) {
 	}
 	// The paper's Fig. 7: a single path n0 -> n3 -> n7 with probability 1.
 	for tau := 0; tau < 3; tau++ {
-		if n := len(g.NodesAt(tau)); n != 1 {
+		if n := g.Level(tau).Width(); n != 1 {
 			t.Fatalf("timestamp %d has %d nodes, want 1", tau, n)
 		}
 	}
-	src := g.Sources()[0]
+	src := g.byTime[0][0]
 	if src.Loc != l1 {
 		t.Errorf("source location = L%d, want L1", src.Loc)
 	}
-	if math.Abs(src.SourceProb()-1) > 1e-12 {
-		t.Errorf("p_N(n0) = %v, want 1", src.SourceProb())
+	if math.Abs(src.prob-1) > 1e-12 {
+		t.Errorf("p_N(n0) = %v, want 1", src.prob)
 	}
-	n3 := g.NodesAt(1)[0]
+	n3 := g.byTime[1][0]
 	if n3.Loc != l3 {
 		t.Errorf("middle node at L%d, want L3", n3.Loc)
 	}
@@ -70,19 +70,19 @@ func TestRunningExampleGraph(t *testing.T) {
 	if len(n3.TL) != 1 || n3.TL[0] != (TLEntry{Time: 0, Loc: l1}) {
 		t.Errorf("n3.TL = %v, want [(0,L1)]", n3.TL)
 	}
-	n7 := g.NodesAt(2)[0]
+	n7 := g.byTime[2][0]
 	if n7.Loc != l3 || n7.Stay != StayUntracked {
 		t.Errorf("n7 = %v, want (2, L3, ⊥, ...)", n7)
 	}
-	for _, n := range []*Node{src, n3} {
-		if len(n.Out()) != 1 || math.Abs(n.Out()[0].P-1) > 1e-12 {
-			t.Errorf("node %v out edges not conditioned to 1: %v", n, n.Out())
+	for _, n := range []*node{src, n3} {
+		if len(n.out) != 1 || math.Abs(n.out[0].P-1) > 1e-12 {
+			t.Errorf("node %v out edges not conditioned to 1: %v", n, n.out)
 		}
 	}
 	if err := g.CheckInvariants(1e-9); err != nil {
 		t.Errorf("invariants: %v", err)
 	}
-	dist, err := g.ConditionedDistribution(100)
+	dist, err := g.conditionedDistribution(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestNoConstraintsKeepsPrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := g.ConditionedDistribution(100)
+	dist, err := g.conditionedDistribution(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestLatencyWindowStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := g.ConditionedDistribution(100)
+	dist, err := g.conditionedDistribution(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestLatencyEndModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sd, err := strict.ConditionedDistribution(100)
+	sd, err := strict.conditionedDistribution(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestLatencyEndModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := lenient.ConditionedDistribution(100)
+	ld, err := lenient.conditionedDistribution(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestTTDirectMoveBlocked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := g.ConditionedDistribution(100)
+	dist, err := g.conditionedDistribution(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestTTThroughIntermediate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := g.ConditionedDistribution(200)
+	dist, err := g.conditionedDistribution(200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,10 +305,10 @@ func TestNodeMergingAcrossPredecessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(g.NodesAt(1)); n != 1 {
+	if n := g.Level(1).Width(); n != 1 {
 		t.Fatalf("expected merged successor, got %d nodes", n)
 	}
-	if ins := len(g.NodesAt(1)[0].In()); ins != 2 {
+	if ins := len(g.byTime[1][0].in); ins != 2 {
 		t.Errorf("merged node has %d in-edges, want 2", ins)
 	}
 }
@@ -333,10 +333,10 @@ func TestTLDistinguishesNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(g.NodesAt(1)); n != 2 {
+	if n := g.Level(1).Width(); n != 2 {
 		t.Fatalf("TL histories merged: %d nodes at τ=1, want 2", n)
 	}
-	dist, err := g.ConditionedDistribution(100)
+	dist, err := g.conditionedDistribution(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,11 +365,11 @@ func TestTLExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	// At τ=1 the histories differ (entry (0,0) alive: 1-0 < 2).
-	if n := len(g.NodesAt(1)); n != 2 {
+	if n := g.Level(1).Width(); n != 2 {
 		t.Fatalf("nodes at τ=1 = %d, want 2", n)
 	}
 	// At τ=2, 2-0 >= 2: entry expired, nodes merge.
-	if n := len(g.NodesAt(2)); n != 1 {
+	if n := g.Level(2).Width(); n != 1 {
 		t.Errorf("nodes at τ=2 = %d, want 1 (TL entry should expire)", n)
 	}
 }
@@ -388,7 +388,7 @@ func TestConditioningRatiosPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := g.ConditionedDistribution(10)
+	dist, err := g.conditionedDistribution(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func TestSingleTimestamp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := g.ConditionedDistribution(10)
+	dist, err := g.conditionedDistribution(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,7 +483,7 @@ func TestSingleTimestampWithLatencyStrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := g.ConditionedDistribution(10)
+	dist, err := g.conditionedDistribution(10)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -191,13 +191,16 @@ func Decode(r io.Reader) (*Graph, error) {
 	if in.Duration <= 0 || in.Duration > len(in.Nodes) {
 		return nil, fmt.Errorf("core: decoded graph has duration %d with %d nodes", in.Duration, len(in.Nodes))
 	}
-	g := &Graph{byTime: make([][]*Node, in.Duration)}
-	nodes := make([]*Node, len(in.Nodes))
+	g := &Graph{byTime: make([][]*node, in.Duration)}
+	nodes := make([]*node, len(in.Nodes))
 	for i, nj := range in.Nodes {
 		if nj.Time < 0 || nj.Time >= in.Duration {
 			return nil, fmt.Errorf("core: node %d has timestamp %d outside [0, %d)", i, nj.Time, in.Duration)
 		}
-		n := &Node{Time: nj.Time, Loc: nj.Loc, Stay: nj.Stay, TL: nj.TL, prob: nj.Prob}
+		if nj.Loc < 0 {
+			return nil, fmt.Errorf("core: node %d has negative location ID %d", i, nj.Loc)
+		}
+		n := &node{Time: nj.Time, Loc: nj.Loc, Stay: nj.Stay, TL: nj.TL, prob: nj.Prob}
 		n.idx = int32(len(g.byTime[nj.Time]))
 		nodes[i] = n
 		g.byTime[nj.Time] = append(g.byTime[nj.Time], n)
@@ -210,7 +213,7 @@ func Decode(r io.Reader) (*Graph, error) {
 		if to.Time != from.Time+1 {
 			return nil, fmt.Errorf("core: edge %d does not connect consecutive timestamps", i)
 		}
-		e := &Edge{From: from, To: to, P: ej.P}
+		e := &edge{From: from, To: to, P: ej.P}
 		from.out = append(from.out, e)
 		to.in = append(to.in, e)
 	}

@@ -133,12 +133,12 @@ func referenceEncode(g *Graph) ([]byte, error) {
 // twoNodeGraph is a one-edge graph carrying the given source probability
 // and edge probability, for exercising the float encoding directly.
 func twoNodeGraph(prob, p float64) *Graph {
-	src := &Node{Time: 0, Loc: 1, prob: prob}
-	dst := &Node{Time: 1, Loc: 2, Stay: 3, TL: []TLEntry{{Time: 0, Loc: 1}, {Time: 0, Loc: 4}}}
-	e := &Edge{From: src, To: dst, P: p}
-	src.out = []*Edge{e}
-	dst.in = []*Edge{e}
-	return &Graph{byTime: [][]*Node{{src}, {dst}}}
+	src := &node{Time: 0, Loc: 1, prob: prob}
+	dst := &node{Time: 1, Loc: 2, Stay: 3, TL: []TLEntry{{Time: 0, Loc: 1}, {Time: 0, Loc: 4}}}
+	e := &edge{From: src, To: dst, P: p}
+	src.out = []*edge{e}
+	dst.in = []*edge{e}
+	return &Graph{byTime: [][]*node{{src}, {dst}}}
 }
 
 func TestEncodeMatchesEncodingJSON(t *testing.T) {
@@ -150,8 +150,8 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	for _, f := range floats {
 		graphs = append(graphs, twoNodeGraph(f, f))
 	}
-	lone := &Node{Time: 0, Loc: 0, prob: 1}
-	graphs = append(graphs, &Graph{}, &Graph{byTime: [][]*Node{{lone}}})
+	lone := &node{Time: 0, Loc: 0, prob: 1}
+	graphs = append(graphs, &Graph{}, &Graph{byTime: [][]*node{{lone}}})
 	for i, g := range graphs {
 		want, err := referenceEncode(g)
 		if err != nil {

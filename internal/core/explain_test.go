@@ -28,15 +28,15 @@ func TestExplainConsistency(t *testing.T) {
 			t.Fatalf("step %d: accepted %d > considered %d", t2, st.Accepted, st.Considered)
 		}
 		if t2 > 0 {
-			wantConsidered := len(g.NodesAt(t2-1))*st.Candidates + 0
+			wantConsidered := g.Level(t2-1).Width()*st.Candidates + 0
 			// NodesAt reflects the compacted graph; Considered counts pairs
 			// over the pre-backward level, so only a lower bound holds.
 			if st.Considered < wantConsidered {
 				t.Fatalf("step %d: considered %d < final-node lower bound %d", t2, st.Considered, wantConsidered)
 			}
 		}
-		if st.NodesFinal != len(g.NodesAt(t2)) {
-			t.Fatalf("step %d: NodesFinal %d, graph has %d", t2, st.NodesFinal, len(g.NodesAt(t2)))
+		if st.NodesFinal != g.Level(t2).Width() {
+			t.Fatalf("step %d: NodesFinal %d, graph has %d", t2, st.NodesFinal, g.Level(t2).Width())
 		}
 		if st.NodesFinal > st.NodesBuilt {
 			t.Fatalf("step %d: NodesFinal %d > NodesBuilt %d", t2, st.NodesFinal, st.NodesBuilt)

@@ -132,7 +132,7 @@ func TestTopKAgainstEnumeration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, err := g.ConditionedDistribution(1 << 20)
+		dist, err := g.conditionedDistribution(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,11 +225,11 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if back.Duration() != g.Duration() {
 			t.Fatalf("duration changed")
 		}
-		want, err := g.ConditionedDistribution(1 << 20)
+		want, err := g.conditionedDistribution(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := back.ConditionedDistribution(1 << 20)
+		got, err := back.conditionedDistribution(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,6 +254,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		"bad version":   `{"version":99,"duration":1,"nodes":[{"time":0,"loc":0,"prob":1}],"edges":[]}`,
 		"zero duration": `{"version":1,"duration":0,"nodes":[],"edges":[]}`,
 		"bad node time": `{"version":1,"duration":1,"nodes":[{"time":5,"loc":0,"prob":1}],"edges":[]}`,
+		"negative loc":  `{"version":1,"duration":1,"nodes":[{"time":0,"loc":-1,"prob":1}],"edges":[]}`,
 		"bad edge ref":  `{"version":1,"duration":1,"nodes":[{"time":0,"loc":0,"prob":1}],"edges":[{"from":0,"to":9,"p":1}]}`,
 		"non-consecutive edge": `{"version":1,"duration":2,` +
 			`"nodes":[{"time":0,"loc":0,"prob":1},{"time":0,"loc":1},{"time":1,"loc":0}],` +

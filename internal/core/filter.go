@@ -26,7 +26,7 @@ import (
 type Filter struct {
 	frontier
 	beam  int
-	spare []*Node // the previous level's slice, reused as the next expand target
+	spare []*node // the previous level's slice, reused as the next expand target
 }
 
 // FilterOptions configures a Filter.

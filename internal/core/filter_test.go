@@ -135,7 +135,7 @@ func entryKey(e frontierEntry) string {
 // frontierEntry is one frontier node with its forward mass, so the beam test
 // can sort the exact frontier without disturbing the filter.
 type frontierEntry struct {
-	node  *Node
+	node  *node
 	alpha float64
 }
 

@@ -32,8 +32,8 @@ type kernel struct {
 	internCap int
 	rebuilds  int
 
-	dedup  map[nodeKey]*Node // successors of the level being expanded
-	succs  []*Node           // successor per (node, candidate) pair, nil when pruned
+	dedup  map[nodeKey]*node // successors of the level being expanded
+	succs  []*node           // successor per (node, candidate) pair, nil when pruned
 	outDeg []int32           // out-degree per node of the expanded level
 	inDeg  []int32           // in-degree per successor
 	mass   []float64         // unnormalized forward mass per successor
@@ -46,12 +46,12 @@ func newKernel(ic *constraints.Set) kernel {
 	if ic == nil {
 		ic = constraints.NewSet()
 	}
-	return kernel{b: newBuilder(ic), internCap: filterInternCap, dedup: make(map[nodeKey]*Node)}
+	return kernel{b: newBuilder(ic), internCap: filterInternCap, dedup: make(map[nodeKey]*node)}
 }
 
 // sources appends the τ=0 nodes to level (lines 1-4): one per candidate,
 // with p_N set from the a-priori probability.
-func (k *kernel) sources(cands []Candidate, level []*Node) []*Node {
+func (k *kernel) sources(cands []Candidate, level []*node) []*node {
 	for _, c := range cands {
 		n := k.b.newNode(0, c.Loc, k.b.initialStay(c.Loc), nil)
 		n.prob = c.P
@@ -70,7 +70,7 @@ func (k *kernel) sources(cands []Candidate, level []*Node) []*Node {
 // is non-nil, the successors' unnormalized forward mass is accumulated into
 // k.mass — frontier order outer, candidate order inner, the one summation
 // order every streaming path shares.
-func (k *kernel) expand(t int, cur []*Node, cands []Candidate, next []*Node, alphas []float64) []*Node {
+func (k *kernel) expand(t int, cur []*node, cands []Candidate, next []*node, alphas []float64) []*node {
 	if k.b.tl.size() > k.internCap {
 		k.b.tl = newTLInterner()
 		k.rebuilds++
@@ -125,7 +125,7 @@ func (k *kernel) expand(t int, cur []*Node, cands []Candidate, next []*Node, alp
 // adjacency lists for cur and next (the levels of the last expand) out of the
 // pointer arena and fills them with the a-priori edges, so the in/out lists
 // never pay append-growth reallocations.
-func (k *kernel) link(cur, next []*Node, cands []Candidate) {
+func (k *kernel) link(cur, next []*node, cands []Candidate) {
 	for i, n := range cur {
 		n.out = k.b.carve(int(k.outDeg[i]))
 	}
@@ -154,7 +154,7 @@ func (k *kernel) link(cur, next []*Node, cands []Candidate) {
 type frontier struct {
 	kernel
 	time   int       // timestamp of level; -1 before the first observation
-	level  []*Node   // alive nodes at time
+	level  []*node   // alive nodes at time
 	alphas []float64 // normalized forward mass, aligned with level
 	dead   bool
 }
@@ -168,7 +168,7 @@ func newFrontier(ic *constraints.Set) frontier {
 // afterwards. A positive beam then keeps only the beam most probable nodes,
 // and the forward mass is normalized. It returns the previous level (nil on
 // the first call) and ErrNoValidTrajectory on a dead end.
-func (f *frontier) advance(cands []Candidate, next []*Node, beam int) ([]*Node, error) {
+func (f *frontier) advance(cands []Candidate, next []*node, beam int) ([]*node, error) {
 	if f.dead {
 		return nil, fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, f.time+1)
 	}
@@ -210,7 +210,7 @@ func (f *frontier) advance(cands []Candidate, next []*Node, beam int) ([]*Node, 
 // ties broken by node identity (location, stay, then TL) so entries
 // straddling the beam boundary with equal mass truncate deterministically.
 type byMass struct {
-	level  []*Node
+	level  []*node
 	alphas []float64
 }
 
@@ -230,7 +230,7 @@ func (f byMass) Less(i, j int) bool {
 // location, then stay counter, then TL lexicographically. Two distinct nodes
 // of a level never compare equal — (Loc, Stay, TL) is exactly the nodeKey
 // the forward phase deduplicates on.
-func (n *Node) identityLess(m *Node) bool {
+func (n *node) identityLess(m *node) bool {
 	if n.Loc != m.Loc {
 		return n.Loc < m.Loc
 	}

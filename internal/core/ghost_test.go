@@ -46,7 +46,7 @@ func TestNoGhostNodesAfterUnderflowPruning(t *testing.T) {
 	}
 	// The island dies by underflow partway through the window, so late
 	// levels must contain only the two mainland locations.
-	for _, n := range g.Targets() {
+	for _, n := range g.byTime[len(g.byTime)-1] {
 		if n.Loc == 1 {
 			t.Fatalf("unreachable island node %v survived at the final timestamp", n)
 		}
@@ -69,12 +69,12 @@ func TestCheckInvariantsDetectsGhosts(t *testing.T) {
 	// An unreachable node: alive, indexed, but with no in-edges linking it
 	// to the previous level.
 	g := mustBuild(t, FromDistributions([][]float64{{0.5, 0.5}, {0.5, 0.5}}))
-	ghost := &Node{Time: 1, Loc: 3, idx: int32(len(g.byTime[1]))}
+	ghost := &node{Time: 1, Loc: 3, idx: int32(len(g.byTime[1]))}
 	// Give it an in-edge from a removed node, like the seed's dangling
 	// references: the edge's From is not part of the graph.
-	removed := &Node{Time: 0, Loc: 3, removed: true}
-	e := &Edge{From: removed, To: ghost, P: 1}
-	ghost.in = []*Edge{e}
+	removed := &node{Time: 0, Loc: 3, removed: true}
+	e := &edge{From: removed, To: ghost, P: 1}
+	ghost.in = []*edge{e}
 	g.byTime[1] = append(g.byTime[1], ghost)
 	if err := g.CheckInvariants(1e-6); err == nil {
 		t.Fatalf("graph with a dangling in-edge from a removed node passed invariants")
@@ -83,11 +83,11 @@ func TestCheckInvariantsDetectsGhosts(t *testing.T) {
 	// A ghost whose in-edge looks plausible but whose From is not listed at
 	// the previous level.
 	g2 := mustBuild(t, FromDistributions([][]float64{{0.5, 0.5}, {0.5, 0.5}}))
-	foreign := &Node{Time: 0, Loc: 3, idx: 99}
-	ghost2 := &Node{Time: 1, Loc: 3, idx: int32(len(g2.byTime[1]))}
-	e2 := &Edge{From: foreign, To: ghost2, P: 1}
-	ghost2.in = []*Edge{e2}
-	foreign.out = []*Edge{e2}
+	foreign := &node{Time: 0, Loc: 3, idx: 99}
+	ghost2 := &node{Time: 1, Loc: 3, idx: int32(len(g2.byTime[1]))}
+	e2 := &edge{From: foreign, To: ghost2, P: 1}
+	ghost2.in = []*edge{e2}
+	foreign.out = []*edge{e2}
 	g2.byTime[1] = append(g2.byTime[1], ghost2)
 	if err := g2.CheckInvariants(1e-6); err == nil {
 		t.Fatalf("graph with a foreign predecessor passed invariants")

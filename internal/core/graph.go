@@ -21,9 +21,11 @@ type TLEntry struct {
 	Loc  int
 }
 
-// Node is a location node (τ, l, δ, TL) of §4.1. Two nodes with equal
+// node is a location node (τ, l, δ, TL) of §4.1. Two nodes with equal
 // exported fields are the same node; the graph never materializes duplicates.
-type Node struct {
+// Nodes and edges never leave the package: readers walk a finished graph
+// through Level and Arcs.
+type node struct {
 	Time int       // timestamp τ
 	Loc  int       // location l
 	Stay int       // δ: length of the current stay while a latency constraint is pending, or StayUntracked (⊥)
@@ -31,30 +33,16 @@ type Node struct {
 
 	idx int32 // dense index within the node's timestamp level
 
-	out []*Edge
-	in  []*Edge
+	out []*edge
+	in  []*edge
 
 	surv    float64 // surviving (valid) fraction of compatible mass, rescaled per level
 	prob    float64 // p_N for source nodes
 	removed bool
 }
 
-// Out returns the node's outgoing edges. The slice must not be modified.
-func (n *Node) Out() []*Edge { return n.out }
-
-// In returns the node's incoming edges. The slice must not be modified.
-func (n *Node) In() []*Edge { return n.in }
-
-// SourceProb returns p_N(n) for a source node (0 for non-source nodes).
-func (n *Node) SourceProb() float64 { return n.prob }
-
-// Index returns the node's dense index within its timestamp level: the
-// position of the node in NodesAt(n.Time). Indices let query passes address
-// per-node state with slices instead of map[*Node] lookups.
-func (n *Node) Index() int { return int(n.idx) }
-
 // String implements fmt.Stringer.
-func (n *Node) String() string {
+func (n *node) String() string {
 	stay := "⊥"
 	if n.Stay != StayUntracked {
 		stay = strconv.Itoa(n.Stay)
@@ -66,10 +54,10 @@ func (n *Node) String() string {
 	return fmt.Sprintf("(%d, L%d, %s, {%s})", n.Time, n.Loc, stay, strings.Join(tl, ","))
 }
 
-// Edge is a ct-graph edge from a node to one of its successors, carrying the
+// edge is a ct-graph edge from a node to one of its successors, carrying the
 // (initially a-priori, finally conditioned) probability p_E.
-type Edge struct {
-	From, To *Node
+type edge struct {
+	From, To *node
 	P        float64
 }
 
@@ -78,27 +66,50 @@ type Edge struct {
 // path's source probability and edge probabilities is the conditioned
 // probability of its trajectory.
 type Graph struct {
-	byTime [][]*Node // alive nodes per timestamp; byTime[t][i].Index() == i
+	byTime [][]*node // alive nodes per timestamp; byTime[t][i].idx == i
 }
 
 // Duration returns the number of timestamps spanned by the graph.
 func (g *Graph) Duration() int { return len(g.byTime) }
 
-// NodesAt returns the alive nodes at timestamp t. The slice must not be
-// modified.
-func (g *Graph) NodesAt(t int) []*Node { return g.byTime[t] }
+// Level is a read-only view of the nodes of one timestamp. A node is named
+// by its dense index in [0, Width()); per-node query state lives in slices
+// indexed the same way.
+type Level struct{ nodes []*node }
 
-// Sources returns the source nodes (timestamp 0).
-func (g *Graph) Sources() []*Node { return g.byTime[0] }
+// Level returns the view of timestamp t.
+func (g *Graph) Level(t int) Level { return Level{g.byTime[t]} }
 
-// Targets returns the target nodes (last timestamp).
-func (g *Graph) Targets() []*Node { return g.byTime[len(g.byTime)-1] }
+// Width returns the number of nodes at the level.
+func (l Level) Width() int { return len(l.nodes) }
 
-// levels allocates one float64 slot per alive node, shaped like byTime.
+// Loc returns the location of node i.
+func (l Level) Loc(i int) int { return l.nodes[i].Loc }
+
+// SourceProb returns p_N of node i; only level 0 holds source nodes.
+func (l Level) SourceProb(i int) float64 { return l.nodes[i].prob }
+
+// Out returns the out-arcs of node i, in the order every pass walks them.
+func (l Level) Out(i int) Arcs { return Arcs{l.nodes[i].out} }
+
+// Arcs is a read-only view of one node's out-arcs.
+type Arcs struct{ edges []*edge }
+
+// Len returns the number of arcs.
+func (a Arcs) Len() int { return len(a.edges) }
+
+// At returns arc k: the index of its target in the next level and its
+// conditioned probability p_E.
+func (a Arcs) At(k int) (to int, p float64) {
+	e := a.edges[k]
+	return int(e.To.idx), e.P
+}
+
+// levels allocates one float64 slot per node, shaped like the graph.
 func (g *Graph) levels() [][]float64 {
-	out := make([][]float64, len(g.byTime))
-	for t, nodes := range g.byTime {
-		out[t] = make([]float64, len(nodes))
+	out := make([][]float64, g.Duration())
+	for t := range out {
+		out[t] = make([]float64, g.Level(t).Width())
 	}
 	return out
 }
@@ -129,93 +140,71 @@ func (g *Graph) Stats() Stats {
 	return s
 }
 
-// PathProbability returns the probability of the source-to-target path given
-// as a slice of nodes: p_N of the first node times the probabilities of the
-// traversed edges. It returns an error when the slice is not a
-// source-to-target path of the graph.
-func (g *Graph) PathProbability(path []*Node) (float64, error) {
+// PathProbability returns the probability of the source-to-target path
+// given as one node index per level: p_N of its source times the
+// probabilities of the traversed arcs. It returns an error when the indices
+// do not name a source-to-target path of the graph.
+func (g *Graph) PathProbability(path []int) (float64, error) {
 	if len(path) != g.Duration() {
 		return 0, fmt.Errorf("core: path has %d nodes, graph spans %d timestamps", len(path), g.Duration())
 	}
-	if path[0].Time != 0 {
-		return 0, fmt.Errorf("core: path does not start at a source node")
+	for t, i := range path {
+		if w := g.Level(t).Width(); i < 0 || i >= w {
+			return 0, fmt.Errorf("core: path names node %d at timestamp %d, which has %d", i, t, w)
+		}
 	}
-	p := path[0].prob
-	for i := 0; i+1 < len(path); i++ {
-		var e *Edge
-		for _, cand := range path[i].out {
-			if cand.To == path[i+1] {
-				e = cand
-				break
+	p := g.Level(0).SourceProb(path[0])
+	for t := 0; t+1 < len(path); t++ {
+		arcs, found := g.Level(t).Out(path[t]), false
+		for k := 0; k < arcs.Len() && !found; k++ {
+			if to, pe := arcs.At(k); to == path[t+1] {
+				p *= pe
+				found = true
 			}
 		}
-		if e == nil {
-			return 0, fmt.Errorf("core: no edge from %v to %v", path[i], path[i+1])
+		if !found {
+			return 0, fmt.Errorf("core: no arc from node %d at timestamp %d to node %d", path[t], t, path[t+1])
 		}
-		p *= e.P
 	}
 	return p, nil
 }
 
-// Trajectory returns the location sequence traversed by a path of nodes.
-func Trajectory(path []*Node) []int {
-	locs := make([]int, len(path))
-	for i, n := range path {
-		locs[i] = n.Loc
-	}
-	return locs
-}
-
-// WalkPaths calls fn for every source-to-target path with its conditioned
-// probability, stopping early (with an error) after more than limit paths.
-// Each invocation receives a freshly allocated path slice that the callback
-// may retain. WalkPaths is intended for tests and small graphs; real
-// consumers should use Marginals, queries, sampling or MostProbable instead.
-func (g *Graph) WalkPaths(limit int, fn func(path []*Node, p float64)) error {
-	count := 0
-	var rec func(path []*Node, p float64) error
-	rec = func(path []*Node, p float64) error {
-		n := path[len(path)-1]
-		if n.Time == g.Duration()-1 {
+// WalkPaths calls fn for every source-to-target path, given as one node
+// index per level, with its conditioned probability, stopping early (with
+// an error) after more than limit paths. Each invocation receives a freshly
+// allocated path slice that the callback may retain. WalkPaths is intended
+// for tests and small graphs; real consumers should use Marginals, queries,
+// sampling or MostProbable instead.
+func (g *Graph) WalkPaths(limit int, fn func(path []int, p float64)) error {
+	count, last := 0, g.Duration()-1
+	path := make([]int, g.Duration())
+	var rec func(t, i int, p float64) error
+	rec = func(t, i int, p float64) error {
+		path[t] = i
+		if t == last {
 			count++
 			if count > limit {
 				return fmt.Errorf("core: more than %d paths", limit)
 			}
-			// Copy: the recursion reuses path's backing array across sibling
-			// branches, so handing it out directly would let callbacks that
-			// retain paths see them silently overwritten.
-			cp := make([]*Node, len(path))
-			copy(cp, path)
-			fn(cp, p)
+			fn(append([]int(nil), path...), p)
 			return nil
 		}
-		for _, e := range n.out {
-			if err := rec(append(path, e.To), p*e.P); err != nil {
+		arcs := g.Level(t).Out(i)
+		for k := 0; k < arcs.Len(); k++ {
+			to, pe := arcs.At(k)
+			if err := rec(t+1, to, p*pe); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	for _, src := range g.Sources() {
-		if err := rec([]*Node{src}, src.prob); err != nil {
+	src := g.Level(0)
+	for i := 0; i < src.Width(); i++ {
+		if err := rec(0, i, src.SourceProb(i)); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// ConditionedDistribution enumerates every valid trajectory with its
-// conditioned probability, keyed by the comma-separated location sequence.
-// Intended for tests; fails beyond limit paths.
-func (g *Graph) ConditionedDistribution(limit int) (map[string]float64, error) {
-	out := make(map[string]float64)
-	err := g.WalkPaths(limit, func(path []*Node, p float64) {
-		out[TrajectoryKey(Trajectory(path))] += p
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // TrajectoryKey renders a location sequence as a canonical map key.
@@ -231,19 +220,21 @@ func TrajectoryKey(locs []int) string {
 }
 
 // Forward returns, for every node, the total probability of source-prefixes
-// reaching it: alpha[t][n.Index()] = Σ over partial paths from a source to n
-// of the product of the source probability and edge probabilities.
+// reaching it: alpha[t][i] = Σ over partial paths from a source to node i of
+// level t of the product of the source probability and arc probabilities.
 func (g *Graph) Forward() [][]float64 {
 	alpha := g.levels()
-	for _, src := range g.byTime[0] {
-		alpha[0][src.idx] = src.prob
+	src := g.Level(0)
+	for i := range alpha[0] {
+		alpha[0][i] = src.SourceProb(i)
 	}
 	for t := 0; t+1 < g.Duration(); t++ {
-		row, next := alpha[t], alpha[t+1]
-		for _, n := range g.byTime[t] {
-			a := row[n.idx]
-			for _, e := range n.out {
-				next[e.To.idx] += a * e.P
+		lvl, row, next := g.Level(t), alpha[t], alpha[t+1]
+		for i, a := range row {
+			arcs := lvl.Out(i)
+			for k := 0; k < arcs.Len(); k++ {
+				to, p := arcs.At(k)
+				next[to] += a * p
 			}
 		}
 	}
@@ -251,25 +242,45 @@ func (g *Graph) Forward() [][]float64 {
 }
 
 // Backward returns, for every node, the total probability of suffixes from
-// it to a target: beta[t][n.Index()] = Σ over partial paths from n to a
-// target of the product of edge probabilities (1 for targets).
+// it to a target: beta[t][i] = Σ over partial paths from node i of level t
+// to a target of the product of arc probabilities (1 for targets).
 func (g *Graph) Backward() [][]float64 {
 	beta := g.levels()
 	last := g.Duration() - 1
-	for _, n := range g.byTime[last] {
-		beta[last][n.idx] = 1
+	for i := range beta[last] {
+		beta[last][i] = 1
 	}
 	for t := last - 1; t >= 0; t-- {
-		row, next := beta[t], beta[t+1]
-		for _, n := range g.byTime[t] {
+		lvl, row, next := g.Level(t), beta[t], beta[t+1]
+		for i := range row {
+			arcs := lvl.Out(i)
 			var b float64
-			for _, e := range n.out {
-				b += e.P * next[e.To.idx]
+			for k := 0; k < arcs.Len(); k++ {
+				to, p := arcs.At(k)
+				b += p * next[to]
 			}
-			row[n.idx] = b
+			row[i] = b
 		}
 	}
 	return beta
+}
+
+// LocationMass folds level t into a fresh distribution over numLocations
+// locations: out[l] sums α·β of the level's nodes at l, in index order.
+// Every marginal-based answer (stay queries, Marginals, events) sums
+// through it, so they all associate the same floats the same way. It
+// returns an error when a location falls outside [0, numLocations).
+func (g *Graph) LocationMass(t int, alpha, beta [][]float64, numLocations int) ([]float64, error) {
+	lvl, a, b := g.Level(t), alpha[t], beta[t]
+	out := make([]float64, numLocations)
+	for i := range a {
+		loc := lvl.Loc(i)
+		if uint(loc) >= uint(numLocations) {
+			return nil, fmt.Errorf("core: location ID %d at timestamp %d outside [0, %d)", loc, t, numLocations)
+		}
+		out[loc] += a[i] * b[i]
+	}
+	return out, nil
 }
 
 // Marginals returns, for each timestamp, the conditioned distribution over
@@ -278,18 +289,13 @@ func (g *Graph) Backward() [][]float64 {
 // rows; it returns an error when the graph mentions a location ID outside
 // [0, numLocations).
 func (g *Graph) Marginals(numLocations int) ([][]float64, error) {
-	alpha := g.Forward()
-	beta := g.Backward()
+	alpha, beta := g.Forward(), g.Backward()
 	out := make([][]float64, g.Duration())
 	for t := range out {
-		row := make([]float64, numLocations)
-		for _, n := range g.byTime[t] {
-			if n.Loc >= numLocations {
-				return nil, fmt.Errorf("core: node %v has location ID %d outside [0, %d)", n, n.Loc, numLocations)
-			}
-			row[n.Loc] += alpha[t][n.idx] * beta[t][n.idx]
+		var err error
+		if out[t], err = g.LocationMass(t, alpha, beta, numLocations); err != nil {
+			return nil, err
 		}
-		out[t] = row
 	}
 	return out, nil
 }
@@ -303,23 +309,24 @@ func (g *Graph) MostProbable() ([]int, float64) {
 	best := g.levels()
 	back := make([][]int32, g.Duration())
 	for t := 1; t < g.Duration(); t++ {
-		back[t] = make([]int32, len(g.byTime[t]))
+		back[t] = make([]int32, len(best[t]))
 	}
-	for _, src := range g.byTime[0] {
-		best[0][src.idx] = src.prob
+	src := g.Level(0)
+	for i := range best[0] {
+		best[0][i] = src.SourceProb(i)
 	}
 	for t := 0; t+1 < g.Duration(); t++ {
-		row, next := best[t], best[t+1]
-		nb := back[t+1]
-		for _, n := range g.byTime[t] {
-			b := row[n.idx]
+		lvl, row, next, nb := g.Level(t), best[t], best[t+1], back[t+1]
+		for i, b := range row {
 			if b == 0 {
 				continue
 			}
-			for _, e := range n.out {
-				if v := b * e.P; v > next[e.To.idx] {
-					next[e.To.idx] = v
-					nb[e.To.idx] = n.idx
+			arcs := lvl.Out(i)
+			for k := 0; k < arcs.Len(); k++ {
+				to, p := arcs.At(k)
+				if v := b * p; v > next[to] {
+					next[to] = v
+					nb[to] = int32(i)
 				}
 			}
 		}
@@ -327,10 +334,10 @@ func (g *Graph) MostProbable() ([]int, float64) {
 	last := g.Duration() - 1
 	argmax := int32(-1)
 	bestP := 0.0
-	for _, n := range g.byTime[last] {
-		if p := best[last][n.idx]; p > bestP {
+	for i, p := range best[last] {
+		if p > bestP {
 			bestP = p
-			argmax = n.idx
+			argmax = int32(i)
 		}
 	}
 	if argmax < 0 {
@@ -338,7 +345,7 @@ func (g *Graph) MostProbable() ([]int, float64) {
 	}
 	locs := make([]int, g.Duration())
 	for t, i := last, argmax; ; t, i = t-1, back[t][i] {
-		locs[t] = g.byTime[t][i].Loc
+		locs[t] = g.Level(t).Loc(int(i))
 		if t == 0 {
 			break
 		}
@@ -351,29 +358,29 @@ func (g *Graph) MostProbable() ([]int, float64) {
 // source suffices — the property §7 highlights as an advantage of ct-graphs
 // over rejection-style "sampling under constraints".
 func (g *Graph) Sample(rng *stats.RNG) []int {
-	srcs := g.Sources()
-	weights := make([]float64, len(srcs))
-	for i, s := range srcs {
-		weights[i] = s.prob
+	src := g.Level(0)
+	weights := make([]float64, src.Width())
+	for i := range weights {
+		weights[i] = src.SourceProb(i)
 	}
-	idx := rng.Pick(weights)
-	if idx < 0 {
+	i := rng.Pick(weights)
+	if i < 0 {
 		return nil
 	}
-	n := srcs[idx]
 	locs := make([]int, 0, g.Duration())
-	locs = append(locs, n.Loc)
-	for n.Time+1 < g.Duration() {
-		w := make([]float64, len(n.out))
-		for i, e := range n.out {
-			w[i] = e.P
+	locs = append(locs, src.Loc(i))
+	for t := 0; t+1 < g.Duration(); t++ {
+		arcs := g.Level(t).Out(i)
+		w := make([]float64, arcs.Len())
+		for k := range w {
+			_, w[k] = arcs.At(k)
 		}
-		i := rng.Pick(w)
-		if i < 0 {
+		k := rng.Pick(w)
+		if k < 0 {
 			return nil // defensive: dead end cannot happen in a well-formed graph
 		}
-		n = n.out[i].To
-		locs = append(locs, n.Loc)
+		i, _ = arcs.At(k)
+		locs = append(locs, g.Level(t+1).Loc(i))
 	}
 	return locs
 }
@@ -390,7 +397,7 @@ func (g *Graph) CheckInvariants(tol float64) error {
 		return fmt.Errorf("core: empty graph")
 	}
 	var srcSum float64
-	for _, s := range g.Sources() {
+	for _, s := range g.byTime[0] {
 		srcSum += s.prob
 	}
 	if math.Abs(srcSum-1) > tol {

@@ -22,13 +22,37 @@ func buildSimple(t *testing.T) *Graph {
 	return g
 }
 
+// pathLocations returns the location sequence of a path given as one node
+// index per level.
+func (g *Graph) pathLocations(path []int) []int {
+	locs := make([]int, len(path))
+	for t, i := range path {
+		locs[t] = g.Level(t).Loc(i)
+	}
+	return locs
+}
+
+// conditionedDistribution enumerates every valid trajectory with its
+// conditioned probability, keyed by the comma-separated location sequence.
+// It fails beyond limit paths.
+func (g *Graph) conditionedDistribution(limit int) (map[string]float64, error) {
+	out := make(map[string]float64)
+	err := g.WalkPaths(limit, func(path []int, p float64) {
+		out[TrajectoryKey(g.pathLocations(path))] += p
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestGraphAccessors(t *testing.T) {
 	g := buildSimple(t)
 	if g.Duration() != 2 {
 		t.Errorf("Duration = %d", g.Duration())
 	}
-	if len(g.Sources()) != 2 || len(g.Targets()) != 2 {
-		t.Errorf("sources/targets = %d/%d", len(g.Sources()), len(g.Targets()))
+	if len(g.byTime[0]) != 2 || len(g.byTime[len(g.byTime)-1]) != 2 {
+		t.Errorf("sources/targets = %d/%d", len(g.byTime[0]), len(g.byTime[len(g.byTime)-1]))
 	}
 	s := g.Stats()
 	if s.Nodes != 4 || s.Edges != 4 {
@@ -41,36 +65,58 @@ func TestGraphAccessors(t *testing.T) {
 
 func TestPathProbability(t *testing.T) {
 	g := buildSimple(t)
-	src := g.Sources()[0]
-	dst := src.Out()[0].To
-	p, err := g.PathProbability([]*Node{src, dst})
+	src := g.Level(0)
+	dst, pe := src.Out(0).At(0)
+	p, err := g.PathProbability([]int{0, dst})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(p-src.SourceProb()*src.Out()[0].P) > 1e-12 {
+	if math.Abs(p-src.SourceProb(0)*pe) > 1e-12 {
 		t.Errorf("PathProbability = %v", p)
 	}
-	if _, err := g.PathProbability([]*Node{src}); err == nil {
+	if _, err := g.PathProbability([]int{0}); err == nil {
 		t.Errorf("short path accepted")
 	}
-	if _, err := g.PathProbability([]*Node{dst, src}); err == nil {
-		t.Errorf("path not starting at source accepted")
+	if _, err := g.PathProbability([]int{0, 2}); err == nil {
+		t.Errorf("out-of-range node index accepted")
 	}
-	// Disconnected pair.
-	other := g.Sources()[1]
-	disconnected := []*Node{src, other}
-	if _, err := g.PathProbability(disconnected); err == nil {
+	if _, err := g.PathProbability([]int{-1, 0}); err == nil {
+		t.Errorf("negative node index accepted")
+	}
+	// Disconnected pair: DU forbids 0 -> 1, so the L0 source has no arc to
+	// the L1 node of the next level.
+	ic := constraints.NewSet()
+	ic.AddDU(0, 1)
+	g, err = Build(FromDistributions([][]float64{{0.6, 0.4}, {0.5, 0.5}}), ic, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := -1, -1
+	for i := 0; i < g.Level(0).Width(); i++ {
+		if g.Level(0).Loc(i) == 0 {
+			from = i
+		}
+	}
+	for i := 0; i < g.Level(1).Width(); i++ {
+		if g.Level(1).Loc(i) == 1 {
+			to = i
+		}
+	}
+	if from < 0 || to < 0 {
+		t.Fatalf("graph lacks the L0 source or the L1 successor")
+	}
+	if _, err := g.PathProbability([]int{from, to}); err == nil {
 		t.Errorf("non-edge accepted")
 	}
 }
 
 func TestWalkPathsLimit(t *testing.T) {
 	g := buildSimple(t)
-	if err := g.WalkPaths(2, func([]*Node, float64) {}); err == nil {
+	if err := g.WalkPaths(2, func([]int, float64) {}); err == nil {
 		t.Errorf("limit not enforced (4 paths, limit 2)")
 	}
 	count := 0
-	if err := g.WalkPaths(10, func([]*Node, float64) { count++ }); err != nil {
+	if err := g.WalkPaths(10, func([]int, float64) { count++ }); err != nil {
 		t.Fatal(err)
 	}
 	if count != 4 {
@@ -94,8 +140,8 @@ func TestForwardBackwardMass(t *testing.T) {
 	beta := g.Backward()
 	for tau := 0; tau < g.Duration(); tau++ {
 		var mass float64
-		for _, n := range g.NodesAt(tau) {
-			mass += alpha[tau][n.Index()] * beta[tau][n.Index()]
+		for _, n := range g.byTime[tau] {
+			mass += alpha[tau][int(n.idx)] * beta[tau][int(n.idx)]
 		}
 		if math.Abs(mass-1) > 1e-9 {
 			t.Errorf("mass at %d = %v", tau, mass)
@@ -129,7 +175,7 @@ func TestMarginalsSumToOne(t *testing.T) {
 }
 
 func TestNodeString(t *testing.T) {
-	n := &Node{Time: 3, Loc: 2, Stay: StayUntracked, TL: []TLEntry{{Time: 1, Loc: 0}}}
+	n := &node{Time: 3, Loc: 2, Stay: StayUntracked, TL: []TLEntry{{Time: 1, Loc: 0}}}
 	s := n.String()
 	if !strings.Contains(s, "L2") || !strings.Contains(s, "⊥") || !strings.Contains(s, "(1,L0)") {
 		t.Errorf("String = %q", s)
@@ -199,9 +245,9 @@ func TestNodeIndexMatchesPosition(t *testing.T) {
 		t.Fatal(err)
 	}
 	for tau := 0; tau < g.Duration(); tau++ {
-		for i, n := range g.NodesAt(tau) {
-			if n.Index() != i {
-				t.Errorf("node %v at position %d has Index %d", n, i, n.Index())
+		for i, n := range g.byTime[tau] {
+			if int(n.idx) != i {
+				t.Errorf("node %v at position %d has Index %d", n, i, int(n.idx))
 			}
 		}
 	}
@@ -240,18 +286,17 @@ func TestTrajectoryKeyAndTrajectory(t *testing.T) {
 		t.Errorf("empty TrajectoryKey wrong")
 	}
 	g := buildSimple(t)
-	src := g.Sources()[0]
-	path := []*Node{src, src.Out()[0].To}
-	locs := Trajectory(path)
-	if len(locs) != 2 || locs[0] != src.Loc {
-		t.Errorf("Trajectory = %v", locs)
+	to, _ := g.Level(0).Out(0).At(0)
+	locs := g.pathLocations([]int{0, to})
+	if len(locs) != 2 || locs[0] != g.Level(0).Loc(0) || locs[1] != g.Level(1).Loc(to) {
+		t.Errorf("pathLocations = %v", locs)
 	}
 }
 
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	g := buildSimple(t)
 	// Corrupt an edge probability.
-	g.Sources()[0].out[0].P = 0.9
+	g.byTime[0][0].out[0].P = 0.9
 	if err := g.CheckInvariants(1e-9); err == nil {
 		t.Errorf("corrupted graph passed invariants")
 	}

@@ -45,7 +45,7 @@ type BuildState struct {
 
 	// levels[t] holds the raw (unconditioned) nodes of timestamp t in
 	// construction order (idx = position; never compacted).
-	levels [][]*Node
+	levels [][]*node
 
 	// Cumulative forward-phase explain data, mirroring what a full Build
 	// over the same readings would report (prune counts live in the kernel).
@@ -85,7 +85,7 @@ func (st *BuildState) Duration() int { return len(st.levels) }
 func (st *BuildState) Observe(candidates []Candidate) error {
 	start := time.Now()
 	defer func() { st.forwardNanos += time.Since(start).Nanoseconds() }()
-	prev, err := st.advance(candidates, make([]*Node, 0, len(st.level)), 0)
+	prev, err := st.advance(candidates, make([]*node, 0, len(st.level)), 0)
 	if err != nil {
 		return err
 	}
@@ -125,7 +125,7 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	// is independent. The zero builder is a pure allocator (no constraint
 	// or interner state), which is all cloning needs.
 	var cb builder
-	clones := make([][]*Node, duration)
+	clones := make([][]*node, duration)
 	clones[duration-1] = cloneLevel(&cb, st.levels[duration-1])
 	condemned := condemnTargets(clones[duration-1], strict)
 
@@ -237,7 +237,7 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 // edges onto the fresh clones of the boundary level. Edges out of level
 // boundary-1 in the snapshot point at snapshot nodes, whose dense index maps
 // back to the raw (clone) position through finalIdx[boundary].
-func (st *BuildState) assembleWithPrefix(cb *builder, clones [][]*Node, boundary int) *Graph {
+func (st *BuildState) assembleWithPrefix(cb *builder, clones [][]*node, boundary int) *Graph {
 	g := &Graph{byTime: clones}
 	fidx := st.finalIdx[boundary]
 	snapB := st.snap.byTime[boundary]
@@ -271,7 +271,7 @@ func (st *BuildState) assembleWithPrefix(cb *builder, clones [][]*Node, boundary
 			pcur += k
 		}
 	}
-	nptrs := make([]*Node, nodes) // one slab for every level's node slice
+	nptrs := make([]*node, nodes) // one slab for every level's node slice
 	for t := 0; t < boundary; t++ {
 		src := st.snap.byTime[t]
 		cp := nptrs[:len(src):len(src)]
@@ -295,7 +295,7 @@ func (st *BuildState) assembleWithPrefix(cb *builder, clones [][]*Node, boundary
 	// from the snapshot's post-detach order; nothing numeric consumes
 	// in-edge order, only membership.
 	for t := 0; t < boundary; t++ {
-		var next []*Node
+		var next []*node
 		if t+1 < boundary {
 			next = g.byTime[t+1]
 		}
@@ -304,7 +304,7 @@ func (st *BuildState) assembleWithPrefix(cb *builder, clones [][]*Node, boundary
 			out := pslab[pcur : pcur : pcur+len(n.out)]
 			pcur += len(n.out)
 			for _, e := range n.out {
-				var to *Node
+				var to *node
 				if next != nil {
 					to = next[e.To.idx]
 				} else {
@@ -312,7 +312,7 @@ func (st *BuildState) assembleWithPrefix(cb *builder, clones [][]*Node, boundary
 				}
 				ce := &eslab[ecur]
 				ecur++
-				*ce = Edge{From: from, To: to, P: e.P}
+				*ce = edge{From: from, To: to, P: e.P}
 				out = append(out, ce)
 				to.in = append(to.in, ce)
 			}
@@ -324,8 +324,8 @@ func (st *BuildState) assembleWithPrefix(cb *builder, clones [][]*Node, boundary
 
 // cloneLevel copies one timestamp's raw nodes (identity fields and source
 // probability; no edges) into the clone arena, preserving order.
-func cloneLevel(cb *builder, raw []*Node) []*Node {
-	out := make([]*Node, len(raw))
+func cloneLevel(cb *builder, raw []*node) []*node {
+	out := make([]*node, len(raw))
 	for i, n := range raw {
 		out[i] = cb.cloneNode(n)
 	}
@@ -335,7 +335,7 @@ func cloneLevel(cb *builder, raw []*Node) []*Node {
 // cloneEdges copies the raw edges between two consecutive levels onto their
 // clones, carving exact-capacity adjacency like the forward phase so the
 // clone lists start in raw construction order.
-func cloneEdges(cb *builder, raw, rawNext, cur, next []*Node) {
+func cloneEdges(cb *builder, raw, rawNext, cur, next []*node) {
 	for j, m := range rawNext {
 		next[j].in = cb.carve(len(m.in))
 	}
@@ -351,7 +351,7 @@ func cloneEdges(cb *builder, raw, rawNext, cur, next []*Node) {
 }
 
 // survivals snapshots a level's post-rescale survival vector in level order.
-func survivals(nodes []*Node) []float64 {
+func survivals(nodes []*node) []float64 {
 	s := make([]float64, len(nodes))
 	for i, n := range nodes {
 		s[i] = n.surv
@@ -360,7 +360,7 @@ func survivals(nodes []*Node) []float64 {
 }
 
 // surviving returns the positions of the non-removed nodes, ascending.
-func surviving(nodes []*Node) []int32 {
+func surviving(nodes []*node) []int32 {
 	idx := make([]int32, 0, len(nodes))
 	for i, n := range nodes {
 		if !n.removed {

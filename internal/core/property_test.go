@@ -94,7 +94,7 @@ func TestPropertyGraphMatchesOracle(t *testing.T) {
 			if err := g.CheckInvariants(1e-9); err != nil {
 				t.Fatalf("trial %d (%v): invariants: %v", trial, mode, err)
 			}
-			got, err := g.ConditionedDistribution(1 << 20)
+			got, err := g.conditionedDistribution(1 << 20)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -133,8 +133,8 @@ func TestPropertyPathsAreValid(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		seen := make(map[string]bool)
-		err = g.WalkPaths(1<<20, func(path []*Node, p float64) {
-			locs := Trajectory(path)
+		err = g.WalkPaths(1<<20, func(path []int, p float64) {
+			locs := g.pathLocations(path)
 			if !ic.ValidTrajectory(locs, mode) {
 				t.Fatalf("trial %d: graph emitted invalid trajectory %v", trial, locs)
 			}
@@ -177,9 +177,9 @@ func TestPropertyMarginalsMatchEnumeration(t *testing.T) {
 		for tau := range want {
 			want[tau] = make([]float64, numLocs)
 		}
-		err = g.WalkPaths(1<<20, func(path []*Node, p float64) {
-			for tau, n := range path {
-				want[tau][n.Loc] += p
+		err = g.WalkPaths(1<<20, func(path []int, p float64) {
+			for tau, loc := range g.pathLocations(path) {
+				want[tau][loc] += p
 			}
 		})
 		if err != nil {
@@ -215,9 +215,9 @@ func TestPropertyWalkPathsRetainable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var paths [][]*Node
+		var paths [][]int
 		var probs []float64
-		err = g.WalkPaths(1<<20, func(path []*Node, p float64) {
+		err = g.WalkPaths(1<<20, func(path []int, p float64) {
 			paths = append(paths, path)
 			probs = append(probs, p)
 		})
@@ -235,7 +235,7 @@ func TestPropertyWalkPathsRetainable(t *testing.T) {
 			if math.Abs(p-probs[i]) > 1e-12 {
 				t.Fatalf("trial %d: retained path %d has prob %v, reported %v", trial, i, p, probs[i])
 			}
-			key := TrajectoryKey(Trajectory(path))
+			key := TrajectoryKey(g.pathLocations(path))
 			if seen[key] {
 				t.Fatalf("trial %d: retained paths collapsed onto %s", trial, key)
 			}
@@ -343,7 +343,7 @@ func TestPropertySampleDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := g.ConditionedDistribution(100)
+	want, err := g.conditionedDistribution(100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func TestPropertyViterbi(t *testing.T) {
 			t.Fatalf("trial %d: MostProbable returned nil on non-empty graph", trial)
 		}
 		var trueBest float64
-		err = g.WalkPaths(1<<20, func(path []*Node, p float64) {
+		err = g.WalkPaths(1<<20, func(path []int, p float64) {
 			if p > trueBest {
 				trueBest = p
 			}
@@ -401,7 +401,7 @@ func TestPropertyViterbi(t *testing.T) {
 		if math.Abs(bestP-trueBest) > 1e-9 {
 			t.Fatalf("trial %d: Viterbi prob %v, true best %v", trial, bestP, trueBest)
 		}
-		dist, err := g.ConditionedDistribution(1 << 20)
+		dist, err := g.conditionedDistribution(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -74,8 +74,8 @@ func TestQuickTrajectoryKeyInjective(t *testing.T) {
 // field equality over a bounded domain.
 func TestQuickNodeKeyReflectsIdentity(t *testing.T) {
 	in := newTLInterner()
-	mk := func(loc, stay uint8, tlLoc, tlTime uint8, hasTL bool) (*Node, nodeKey) {
-		n := &Node{Time: 1, Loc: int(loc % 8), Stay: int(stay % 3)}
+	mk := func(loc, stay uint8, tlLoc, tlTime uint8, hasTL bool) (*node, nodeKey) {
+		n := &node{Time: 1, Loc: int(loc % 8), Stay: int(stay % 3)}
 		if hasTL {
 			n.TL = []TLEntry{{Time: int(tlTime % 4), Loc: int(tlLoc % 8)}}
 		}
@@ -121,7 +121,7 @@ func TestQuickConditioningPreservesRatios(t *testing.T) {
 		if err != nil {
 			return true // everything died: nothing to compare
 		}
-		dist, err := g.ConditionedDistribution(100)
+		dist, err := g.conditionedDistribution(100)
 		if err != nil {
 			return false
 		}

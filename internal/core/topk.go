@@ -17,12 +17,12 @@ func (g *Graph) TopK(k int) ([][]int, []float64) {
 	type hyp struct {
 		p    float64
 		prev *hyp
-		node *Node
+		node int // index within the hypothesis' level
 	}
 	// Hypotheses come from an arena: blocks are never reallocated, so the
 	// prev pointers stay stable.
 	var arena []hyp
-	newHyp := func(p float64, prev *hyp, node *Node) *hyp {
+	newHyp := func(p float64, prev *hyp, node int) *hyp {
 		if len(arena) == cap(arena) {
 			arena = make([]hyp, 0, 1024)
 		}
@@ -33,38 +33,40 @@ func (g *Graph) TopK(k int) ([][]int, []float64) {
 	}
 	best := make([][][]*hyp, g.Duration())
 	for t := range best {
-		best[t] = make([][]*hyp, len(g.byTime[t]))
+		best[t] = make([][]*hyp, g.Level(t).Width())
 	}
-	push := func(n *Node, p float64, prev *hyp) {
-		list := best[n.Time][n.idx]
+	push := func(t, i int, p float64, prev *hyp) {
+		list := best[t][i]
 		if len(list) == k {
 			if p <= list[k-1].p {
 				return
 			}
-			list[k-1] = newHyp(p, prev, n)
+			list[k-1] = newHyp(p, prev, i)
 		} else {
-			list = append(list, newHyp(p, prev, n))
+			list = append(list, newHyp(p, prev, i))
 		}
-		for i := len(list) - 1; i > 0 && list[i].p > list[i-1].p; i-- {
-			list[i], list[i-1] = list[i-1], list[i]
+		for j := len(list) - 1; j > 0 && list[j].p > list[j-1].p; j-- {
+			list[j], list[j-1] = list[j-1], list[j]
 		}
-		best[n.Time][n.idx] = list
+		best[t][i] = list
 	}
-	for _, src := range g.Sources() {
-		push(src, src.prob, nil)
+	for i := range best[0] {
+		push(0, i, g.Level(0).SourceProb(i), nil)
 	}
 	for t := 0; t+1 < g.Duration(); t++ {
-		for _, n := range g.byTime[t] {
-			for _, h := range best[t][n.idx] {
-				for _, e := range n.out {
-					push(e.To, h.p*e.P, h)
+		for i, list := range best[t] {
+			arcs := g.Level(t).Out(i)
+			for _, h := range list {
+				for a := 0; a < arcs.Len(); a++ {
+					to, p := arcs.At(a)
+					push(t+1, to, h.p*p, h)
 				}
 			}
 		}
 	}
 	var finals []*hyp
-	for _, tgt := range g.Targets() {
-		finals = append(finals, best[tgt.Time][tgt.idx]...)
+	for _, list := range best[len(best)-1] {
+		finals = append(finals, list...)
 	}
 	sort.Slice(finals, func(i, j int) bool { return finals[i].p > finals[j].p })
 	if len(finals) > k {
@@ -74,8 +76,8 @@ func (g *Graph) TopK(k int) ([][]int, []float64) {
 	probs := make([]float64, len(finals))
 	for i, h := range finals {
 		locs := make([]int, g.Duration())
-		for cur := h; cur != nil; cur = cur.prev {
-			locs[cur.node.Time] = cur.node.Loc
+		for cur, t := h, len(best)-1; cur != nil; cur, t = cur.prev, t-1 {
+			locs[t] = g.Level(t).Loc(cur.node)
 		}
 		trajectories[i] = locs
 		probs[i] = h.p

@@ -17,13 +17,15 @@ func (e *Engine) TransitionMatrix() [][]float64 {
 		out[i] = make([]float64, e.numLoc)
 	}
 	for t := 0; t+1 < e.g.Duration(); t++ {
-		for _, n := range e.g.NodesAt(t) {
-			a := e.alpha[t][n.Index()]
+		lvl, nxt := e.g.Level(t), e.g.Level(t+1)
+		for i, a := range e.alpha[t] {
 			if a == 0 {
 				continue
 			}
-			for _, edge := range n.Out() {
-				out[n.Loc][edge.To.Loc] += a * edge.P * e.beta[t+1][edge.To.Index()]
+			row, arcs := out[lvl.Loc(i)], lvl.Out(i)
+			for k := 0; k < arcs.Len(); k++ {
+				to, p := arcs.At(k)
+				row[nxt.Loc(to)] += a * p * e.beta[t+1][to]
 			}
 		}
 	}
@@ -50,41 +52,33 @@ func (ev Event) String() string {
 }
 
 // Events segments the window into runs of the per-timestamp most probable
-// location. Runs whose mean confidence falls below minConfidence are still
-// reported (the caller decides what to trust); confidence is attached to
-// every event.
+// location (the lowest location ID on a tie). Every event carries its
+// confidence; the caller decides what to trust. Events returns nil when the
+// graph mentions a location outside the engine's range.
 func (e *Engine) Events() []Event {
 	e.ensurePasses()
-	duration := e.g.Duration()
 	var events []Event
-	var cur *Event
 	var confSum float64
-	for t := 0; t < duration; t++ {
-		bestLoc, bestP := -1, -1.0
-		// Aggregate node masses per location.
-		byLoc := make(map[int]float64)
-		for _, n := range e.g.NodesAt(t) {
-			byLoc[n.Loc] += e.alpha[t][n.Index()] * e.beta[t][n.Index()]
+	for t := 0; t < e.g.Duration(); t++ {
+		dist, err := e.g.LocationMass(t, e.alpha, e.beta, e.numLoc)
+		if err != nil {
+			return nil
 		}
-		for loc, p := range byLoc {
-			if p > bestP || (p == bestP && loc < bestLoc) {
+		bestLoc, bestP := -1, -1.0
+		for loc, p := range dist {
+			if p > bestP {
 				bestLoc, bestP = loc, p
 			}
 		}
-		if cur != nil && cur.Loc == bestLoc {
-			cur.To = t
+		if n := len(events); n > 0 && events[n-1].Loc == bestLoc {
+			ev := &events[n-1]
+			ev.To = t
 			confSum += bestP
-			cur.Confidence = confSum / float64(cur.Duration())
+			ev.Confidence = confSum / float64(ev.Duration())
 			continue
 		}
-		if cur != nil {
-			events = append(events, *cur)
-		}
-		cur = &Event{Loc: bestLoc, From: t, To: t, Confidence: bestP}
+		events = append(events, Event{Loc: bestLoc, From: t, To: t, Confidence: bestP})
 		confSum = bestP
-	}
-	if cur != nil {
-		events = append(events, *cur)
 	}
 	return events
 }

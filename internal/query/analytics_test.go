@@ -45,9 +45,10 @@ func TestTransitionMatrixAgainstEnumeration(t *testing.T) {
 		for i := range want {
 			want[i] = make([]float64, 3)
 		}
-		err = g.WalkPaths(1<<20, func(path []*core.Node, p float64) {
-			for i := 0; i+1 < len(path); i++ {
-				want[path[i].Loc][path[i+1].Loc] += p
+		err = g.WalkPaths(1<<20, func(path []int, p float64) {
+			locs := pathLocs(g, path)
+			for i := 0; i+1 < len(locs); i++ {
+				want[locs[i]][locs[i+1]] += p
 			}
 		})
 		if err != nil {

@@ -17,7 +17,7 @@ type Engine struct {
 	numLoc int
 
 	passes      sync.Once
-	alpha, beta [][]float64 // indexed [tau][node.Index()]; set by passes
+	alpha, beta [][]float64 // indexed [tau][node index]; set by passes
 }
 
 // NewEngine returns a query engine over the graph. numLocations must exceed
@@ -40,14 +40,7 @@ func (e *Engine) Stay(tau int) ([]float64, error) {
 		return nil, fmt.Errorf("query: timestamp %d outside window [0, %d)", tau, e.g.Duration())
 	}
 	e.ensurePasses()
-	dist := make([]float64, e.numLoc)
-	for _, n := range e.g.NodesAt(tau) {
-		if n.Loc >= e.numLoc {
-			return nil, fmt.Errorf("query: node location ID %d outside [0, %d)", n.Loc, e.numLoc)
-		}
-		dist[n.Loc] += e.alpha[tau][n.Index()] * e.beta[tau][n.Index()]
-	}
-	return dist, nil
+	return e.g.LocationMass(tau, e.alpha, e.beta, e.numLoc)
 }
 
 // Trajectory answers a trajectory query: the probability that the object's
@@ -66,23 +59,17 @@ func (e *Engine) Trajectory(p Pattern) (float64, error) {
 	}
 	d := compile(p)
 
-	// DP over (node, DFA state). DFA determinism guarantees each path
-	// contributes to exactly one state, so probabilities add correctly.
-	// Accumulation iterates nodes in graph order and states in sorted
-	// order, keeping answers bit-for-bit reproducible across runs (map
-	// iteration order would otherwise reassociate the float sums).
-	cur := make(map[*core.Node]map[int]float64)
-	addState := func(m map[*core.Node]map[int]float64, n *core.Node, q int, p float64) {
-		states := m[n]
-		if states == nil {
-			states = make(map[int]float64)
-			m[n] = states
-		}
-		states[q] += p
-	}
-	for _, src := range e.g.Sources() {
-		if q := d.next(0, src.Loc); q >= 0 {
-			addState(cur, src, q, src.SourceProb())
+	// DP over (node, DFA state), one state map per node index of the
+	// level. DFA determinism guarantees each path contributes to exactly
+	// one state, so probabilities add correctly. Accumulation iterates
+	// nodes in index order and states in sorted order, keeping answers
+	// bit-for-bit reproducible across runs (map iteration order would
+	// otherwise reassociate the float sums).
+	src := e.g.Level(0)
+	cur := make([]map[int]float64, src.Width())
+	for i := range cur {
+		if q := d.next(0, src.Loc(i)); q >= 0 {
+			cur[i] = map[int]float64{q: src.SourceProb(i)}
 		}
 	}
 	sortedStates := func(states map[int]float64) []int {
@@ -94,18 +81,23 @@ func (e *Engine) Trajectory(p Pattern) (float64, error) {
 		return qs
 	}
 	for tau := 0; tau+1 < e.g.Duration(); tau++ {
-		next := make(map[*core.Node]map[int]float64)
+		lvl, nxt := e.g.Level(tau), e.g.Level(tau+1)
+		next := make([]map[int]float64, nxt.Width())
 		alive := false
-		for _, n := range e.g.NodesAt(tau) {
-			states := cur[n]
+		for i, states := range cur {
 			if states == nil {
 				continue
 			}
+			arcs := lvl.Out(i)
 			for _, q := range sortedStates(states) {
 				p := states[q]
-				for _, edge := range n.Out() {
-					if nq := d.next(q, edge.To.Loc); nq >= 0 {
-						addState(next, edge.To, nq, p*edge.P)
+				for k := 0; k < arcs.Len(); k++ {
+					to, pe := arcs.At(k)
+					if nq := d.next(q, nxt.Loc(to)); nq >= 0 {
+						if next[to] == nil {
+							next[to] = make(map[int]float64)
+						}
+						next[to][nq] += p * pe
 						alive = true
 					}
 				}
@@ -117,11 +109,7 @@ func (e *Engine) Trajectory(p Pattern) (float64, error) {
 		}
 	}
 	total := 0.0
-	for _, n := range e.g.Targets() {
-		states := cur[n]
-		if states == nil {
-			continue
-		}
+	for _, states := range cur {
 		for _, q := range sortedStates(states) {
 			if d.accepting[q] {
 				total += states[q]

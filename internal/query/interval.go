@@ -1,10 +1,6 @@
 package query
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // EverIn answers an interval-occupancy query: the probability that the
 // object was at location loc at some timestamp in [from, to] (inclusive).
@@ -21,37 +17,35 @@ func (e *Engine) EverIn(loc, from, to int) (float64, error) {
 	if from < 0 || to >= e.g.Duration() {
 		return 0, fmt.Errorf("query: interval [%d, %d] outside window [0, %d)", from, to, e.g.Duration())
 	}
-	avoid := func(n *core.Node) bool {
-		return n.Loc == loc && n.Time >= from && n.Time <= to
-	}
-	// Forward mass restricted to paths avoiding loc within the window,
-	// indexed by the nodes' dense per-level indices.
-	alpha := make([][]float64, e.g.Duration())
-	for t := range alpha {
-		alpha[t] = make([]float64, len(e.g.NodesAt(t)))
-	}
-	for _, src := range e.g.Sources() {
-		if !avoid(src) {
-			alpha[0][src.Index()] = src.SourceProb()
+	// Forward mass restricted to paths avoiding loc within the window, one
+	// level at a time, indexed by the nodes' dense per-level indices.
+	src := e.g.Level(0)
+	alpha := make([]float64, src.Width())
+	for i := range alpha {
+		if from > 0 || src.Loc(i) != loc {
+			alpha[i] = src.SourceProb(i)
 		}
 	}
-	for t := 0; t+1 < e.g.Duration(); t++ {
-		for _, n := range e.g.NodesAt(t) {
-			a := alpha[t][n.Index()]
+	for t := 1; t < e.g.Duration(); t++ {
+		prev, lvl := e.g.Level(t-1), e.g.Level(t)
+		next := make([]float64, lvl.Width())
+		inWindow := t >= from && t <= to
+		for i, a := range alpha {
 			if a == 0 {
 				continue
 			}
-			for _, edge := range n.Out() {
-				if !avoid(edge.To) {
-					alpha[t+1][edge.To.Index()] += a * edge.P
+			arcs := prev.Out(i)
+			for k := 0; k < arcs.Len(); k++ {
+				if j, p := arcs.At(k); !inWindow || lvl.Loc(j) != loc {
+					next[j] += a * p
 				}
 			}
 		}
+		alpha = next
 	}
 	var never float64
-	last := e.g.Duration() - 1
-	for _, n := range e.g.Targets() {
-		never += alpha[last][n.Index()]
+	for _, a := range alpha {
+		never += a
 	}
 	if never > 1 {
 		never = 1
@@ -72,9 +66,10 @@ func (e *Engine) ExpectedVisitTime(loc, from, to int) (float64, error) {
 	e.ensurePasses()
 	total := 0.0
 	for t := from; t <= to; t++ {
-		for _, n := range e.g.NodesAt(t) {
-			if n.Loc == loc {
-				total += e.alpha[t][n.Index()] * e.beta[t][n.Index()]
+		lvl := e.g.Level(t)
+		for i := 0; i < lvl.Width(); i++ {
+			if lvl.Loc(i) == loc {
+				total += e.alpha[t][i] * e.beta[t][i]
 			}
 		}
 	}

@@ -48,10 +48,10 @@ func TestEverInAgainstEnumeration(t *testing.T) {
 		}
 		wantEver := 0.0
 		wantTime := 0.0
-		err = g.WalkPaths(1<<20, func(path []*core.Node, p float64) {
-			hit := false
+		err = g.WalkPaths(1<<20, func(path []int, p float64) {
+			locs, hit := pathLocs(g, path), false
 			for tau := from; tau <= to; tau++ {
-				if path[tau].Loc == loc {
+				if locs[tau] == loc {
 					hit = true
 					wantTime += p
 				}

@@ -14,6 +14,16 @@ import (
 	"repro/internal/stats"
 )
 
+// pathLocs returns the location sequence of a path given as one node index
+// per level, as WalkPaths hands it out.
+func pathLocs(g *core.Graph, path []int) []int {
+	locs := make([]int, len(path))
+	for t, i := range path {
+		locs[t] = g.Level(t).Loc(i)
+	}
+	return locs
+}
+
 // refMatches is an independent reference implementation of pattern matching
 // by brute-force splitting, used to validate the DFA.
 func refMatches(p Pattern, locs []int) bool {
@@ -200,8 +210,8 @@ func TestTrajectoryProbabilityAgainstEnumeration(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := 0.0
-		err = g.WalkPaths(1<<20, func(path []*core.Node, prob float64) {
-			if refMatches(p, core.Trajectory(path)) {
+		err = g.WalkPaths(1<<20, func(path []int, prob float64) {
+			if refMatches(p, pathLocs(g, path)) {
 				want += prob
 			}
 		})

@@ -165,8 +165,6 @@ type (
 	LCandidate = core.Candidate
 	// CTGraph is a conditioned trajectory graph.
 	CTGraph = core.Graph
-	// CTNode is a location node (τ, l, δ, TL) of a ct-graph.
-	CTNode = core.Node
 	// BuildOptions configures ct-graph construction.
 	BuildOptions = core.Options
 	// BuildExplain is Algorithm 1's explain report (attach one to
