@@ -68,7 +68,6 @@ type config struct {
 	maxSpeed    float64
 	minStay     int
 	ttCap       int
-	beam        int
 	mode        string // poll | events
 	poll        time.Duration
 	batch       int
@@ -107,7 +106,6 @@ func main() {
 	flag.Float64Var(&cfg.maxSpeed, "max-speed", 2, "object max speed (m/s) for TT inference")
 	flag.IntVar(&cfg.minStay, "min-stay", 5, "minimum stay (s) for LT inference")
 	flag.IntVar(&cfg.ttCap, "tt-cap", 0, "TT horizon cap (0 = uncapped)")
-	flag.IntVar(&cfg.beam, "beam", 0, "session beam width (0 = exact filtering)")
 	flag.StringVar(&cfg.mode, "mode", "poll", "how to consume the reader: poll (GET /scan) or events (GET /events/ eventsource)")
 	flag.DurationVar(&cfg.poll, "poll", 250*time.Millisecond, "poll interval in poll mode")
 	flag.IntVar(&cfg.batch, "batch", 16, "max readings per POST to the daemon")
@@ -394,7 +392,6 @@ func (e *edge) openSession(ctx context.Context) error {
 		MaxSpeed:   e.cfg.maxSpeed,
 		MinStay:    e.cfg.minStay,
 		TTCap:      e.cfg.ttCap,
-		Beam:       e.cfg.beam,
 	})
 	if err != nil {
 		return err

@@ -1,12 +1,12 @@
 // Command streaming demonstrates the online cleaner: instead of collecting a
 // whole reading sequence and conditioning it in one batch (Algorithm 1), a
-// Filter consumes readings one timestamp at a time and maintains the
+// BuildState consumes readings one timestamp at a time and maintains the
 // filtered distribution of the object's current location — the natural mode
 // for live tracking dashboards.
 //
 // The example tracks an object in real time, prints the live estimate at
-// regular intervals, and finally compares the online estimate against the
-// offline (smoothed) ct-graph answer: at the last timestamp the two
+// regular intervals, and finally smooths the same state into the offline
+// ct-graph answer and compares the two: at the last timestamp they
 // coincide; at earlier timestamps smoothing can use the future and is
 // therefore at least as sharp.
 //
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/httptest"
 
@@ -66,39 +67,36 @@ func main() {
 	}
 	readings := rfidclean.GenerateReadings(truth, sys.Truth, rng)
 
-	// Online pass: feed readings to the filter as they "arrive".
-	filter := rfidclean.NewFilter(ic, nil)
+	// Online pass: feed readings to the build state as they "arrive".
+	state := rfidclean.NewBuildState(ic)
 	fmt.Println("live tracking (online filter):")
 	liveCorrect := 0
 	for _, r := range readings {
-		dist := sys.Prior.Dist(r.Readers)
-		var cands []rfidclean.LCandidate
-		for loc, p := range dist {
-			if p > 0 {
-				cands = append(cands, rfidclean.LCandidate{Loc: loc, P: p})
-			}
-		}
-		if err := filter.Observe(cands); err != nil {
-			log.Fatalf("t=%d: %v", r.Time, err)
-		}
-		loc, p, err := filter.MostLikely()
+		cands, err := sys.Candidates(r.Readers)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if loc == truth.Points[r.Time].Loc {
+		if err := state.Observe(cands); err != nil {
+			log.Fatalf("t=%d: %v", r.Time, err)
+		}
+		top, err := state.TopLocations(1)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if top[0].Loc == truth.Points[r.Time].Loc {
 			liveCorrect++
 		}
 		if r.Time%40 == 0 {
 			fmt.Printf("  t=%3d  estimate %-9s (p=%.2f, frontier %d nodes)   truth %s\n",
-				r.Time, plan.Location(loc).Name, p, filter.FrontierSize(),
+				r.Time, plan.Location(top[0].Loc).Name, top[0].P, state.FrontierSize(),
 				plan.Location(truth.Points[r.Time].Loc).Name)
 		}
 	}
 	fmt.Printf("online top-1 accuracy: %.1f%%\n", 100*float64(liveCorrect)/float64(duration))
 
-	// Offline pass for comparison: the smoothed distribution conditions on
-	// the whole sequence.
-	cleaned, err := sys.Clean(readings, ic, &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd})
+	// Offline answer for comparison: smoothing the same state conditions
+	// on the whole sequence.
+	cleaned, err := sys.SmoothState(state, &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func main() {
 	fmt.Printf("offline (smoothed) top-1 accuracy: %.1f%%\n", 100*float64(offCorrect)/float64(duration))
 
 	// At the final timestamp the filtered and smoothed answers coincide.
-	final, err := filter.Current(sys.Plan.NumLocations())
+	final, err := state.Distribution()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,14 +121,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	filtered := make([]float64, len(smoothed))
+	for _, lp := range final {
+		filtered[lp.Loc] = lp.P
+	}
 	maxDiff := 0.0
-	for loc := range final {
-		if d := final[loc] - smoothed[loc]; d > maxDiff || -d > maxDiff {
-			if d < 0 {
-				d = -d
-			}
-			maxDiff = d
-		}
+	for loc, p := range smoothed {
+		maxDiff = max(maxDiff, math.Abs(filtered[loc]-p))
 	}
 	fmt.Printf("max |filtered - smoothed| at the final timestamp: %.2g\n", maxDiff)
 
@@ -183,8 +180,8 @@ func main() {
 		}
 	}
 
-	// Close the session; by default the server re-cleans the buffered
-	// sequence offline and stores the smoothed ct-graph.
+	// Close the session; by default the server smooths the session's build
+	// state one last time and stores the smoothed ct-graph.
 	req, err := http.NewRequest(http.MethodDelete, ts.URL+"/v1/stream/"+sid, nil)
 	if err != nil {
 		log.Fatal(err)

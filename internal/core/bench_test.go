@@ -108,15 +108,16 @@ func BenchmarkForwardBackward(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterObserve measures one streaming observation step.
-func BenchmarkFilterObserve(b *testing.B) {
+// BenchmarkStateObserve measures the streaming ingest path a stream session
+// runs: a fresh BuildState observing every step of benchScenario.
+func BenchmarkStateObserve(b *testing.B) {
 	ls, ic := benchScenario()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewFilter(ic, nil)
+		st := NewBuildState(ic)
 		for _, step := range ls.Steps {
-			if err := f.Observe(step.Candidates); err != nil {
+			if err := st.Observe(step.Candidates); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,25 +12,24 @@ import (
 	"repro/internal/stats"
 )
 
-// TestFilterMatchesGraphAtEveryPrefix: the filtered distribution after t+1
-// observations equals the final-timestamp marginal of a ct-graph built on
-// the first t+1 steps (lenient semantics), for random scenarios.
+// TestFilterMatchesGraphAtEveryPrefix: the filtered distribution a
+// BuildState answers after t+1 observations equals the final-timestamp
+// marginal of a ct-graph built on the first t+1 steps (lenient semantics),
+// for random scenarios.
 func TestFilterMatchesGraphAtEveryPrefix(t *testing.T) {
 	rng := stats.NewRNG(555)
 	for trial := 0; trial < 200; trial++ {
 		ls, ic := randomScenario(rng)
 		numLoc := ls.NumLocations()
-		f := NewFilter(ic, nil)
-		dead := false
+		st := NewBuildState(ic)
 		for step := 0; step < ls.Duration(); step++ {
-			err := f.Observe(ls.Steps[step].Candidates)
+			err := st.Observe(ls.Steps[step].Candidates)
 			prefix := &LSequence{Steps: ls.Steps[:step+1]}
 			g, gErr := Build(prefix, ic, &Options{EndLatency: constraints.LenientEnd})
 			if errors.Is(gErr, ErrNoValidTrajectory) {
 				if !errors.Is(err, ErrNoValidTrajectory) {
 					t.Fatalf("trial %d step %d: graph dead but filter alive", trial, step)
 				}
-				dead = true
 				break
 			}
 			if gErr != nil {
@@ -39,10 +38,7 @@ func TestFilterMatchesGraphAtEveryPrefix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d step %d: filter died but graph alive: %v", trial, step, err)
 			}
-			got, err := f.Current(numLoc)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := filtered(t, st, numLoc)
 			marg, err := g.Marginals(numLoc)
 			if err != nil {
 				t.Fatal(err)
@@ -54,70 +50,56 @@ func TestFilterMatchesGraphAtEveryPrefix(t *testing.T) {
 						trial, step, loc, got[loc], want[loc])
 				}
 			}
-			if f.Time() != step {
-				t.Fatalf("Time() = %d, want %d", f.Time(), step)
+			if st.Time() != step {
+				t.Fatalf("Time() = %d, want %d", st.Time(), step)
 			}
 		}
-		if dead {
-			continue
-		}
 	}
 }
 
+// TestFilterMostLikelyAndErrors: the frontier queries refuse an empty state
+// and bad candidates, and TopLocations(1) is the most likely location.
 func TestFilterMostLikelyAndErrors(t *testing.T) {
-	f := NewFilter(nil, nil)
-	if _, err := f.Current(2); err == nil {
-		t.Errorf("Current before Observe accepted")
+	st := NewBuildState(nil)
+	if _, err := st.Distribution(); err == nil {
+		t.Errorf("Distribution before Observe accepted")
 	}
-	if _, _, err := f.MostLikely(); err == nil {
-		t.Errorf("MostLikely before Observe accepted")
+	if _, err := st.TopLocations(1); err == nil {
+		t.Errorf("TopLocations before Observe accepted")
 	}
-	if err := f.Observe(nil); err == nil {
+	if err := st.Observe(nil); err == nil {
 		t.Errorf("empty candidates accepted")
 	}
-	if err := f.Observe([]Candidate{{Loc: -1, P: 1}}); err == nil {
+	if err := st.Observe([]Candidate{{Loc: -1, P: 1}}); err == nil {
 		t.Errorf("bad candidate accepted")
 	}
-	if err := f.Observe([]Candidate{{Loc: 0, P: 0.3}, {Loc: 1, P: 0.7}}); err != nil {
+	if err := st.Observe([]Candidate{{Loc: 0, P: 0.3}, {Loc: 1, P: 0.7}}); err != nil {
 		t.Fatal(err)
 	}
-	loc, p, err := f.MostLikely()
-	if err != nil || loc != 1 || math.Abs(p-0.7) > 1e-12 {
-		t.Errorf("MostLikely = %d %v %v", loc, p, err)
+	top, err := st.TopLocations(1)
+	if err != nil || len(top) != 1 || top[0].Loc != 1 || math.Abs(top[0].P-0.7) > 1e-12 {
+		t.Errorf("TopLocations(1) = %v %v", top, err)
 	}
-	if f.FrontierSize() != 2 {
-		t.Errorf("FrontierSize = %d", f.FrontierSize())
+	if st.FrontierSize() != 2 {
+		t.Errorf("FrontierSize = %d", st.FrontierSize())
 	}
 }
 
+// TestFilterDeadEnd: a move the constraints rule out fails with
+// ErrNoValidTrajectory and empties the frontier.
 func TestFilterDeadEnd(t *testing.T) {
 	ic := constraints.NewSet()
 	ic.AddDU(0, 1)
-	f := NewFilter(ic, nil)
-	if err := f.Observe([]Candidate{{Loc: 0, P: 1}}); err != nil {
+	st := NewBuildState(ic)
+	if err := st.Observe([]Candidate{{Loc: 0, P: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	err := f.Observe([]Candidate{{Loc: 1, P: 1}})
+	err := st.Observe([]Candidate{{Loc: 1, P: 1}})
 	if !errors.Is(err, ErrNoValidTrajectory) {
 		t.Errorf("err = %v", err)
 	}
-}
-
-func TestFilterBeam(t *testing.T) {
-	// Beam 1 keeps only the best node; the distribution stays normalized.
-	f := NewFilter(nil, &FilterOptions{Beam: 1})
-	if err := f.Observe([]Candidate{{Loc: 0, P: 0.4}, {Loc: 1, P: 0.6}}); err != nil {
-		t.Fatal(err)
-	}
-	if f.FrontierSize() != 1 {
-		t.Fatalf("beam not applied: %d", f.FrontierSize())
-	}
-	dist, err := f.Current(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist[1] != 1 || dist[0] != 0 {
-		t.Errorf("beam-1 dist = %v", dist)
+	if st.FrontierSize() != 0 || st.Time() != 0 {
+		t.Errorf("after the dead end: frontier %d, time %d; want 0, 0", st.FrontierSize(), st.Time())
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/constraints"
@@ -32,20 +33,29 @@ import (
 // Each Smooth returns an independent Graph: callers may retain earlier
 // results (e.g. a trajectory store) while the session keeps smoothing.
 //
-// A BuildState also maintains the normalized forward mass of the newest
-// level, so for exact (beam-less) sessions it answers the same frontier
-// queries as Filter — Distribution, TopLocations, FrontierSize — with
-// bit-identical values, making a separate Filter per session redundant.
+// BuildState is also the online cleaner. It keeps the normalized forward
+// mass of the newest level, and Distribution/TopLocations answer the
+// *filtered* distribution of the object's current location: conditioned on
+// the readings so far, the best a live tracker can do. This extends the
+// paper toward the streaming setting its §7 alludes to. At the newest
+// timestamp the filtered distribution equals the smoothed marginal of a
+// LenientEnd Build over the same readings.
 //
 // BuildState is not safe for concurrent use.
 type BuildState struct {
-	// frontier is the forward pass: its level is the newest of levels
-	// (until a dead end empties it).
-	frontier
+	// kernel is the forward pass; its interner, prune counts and scratch
+	// persist across readings.
+	kernel
 
 	// levels[t] holds the raw (unconditioned) nodes of timestamp t in
 	// construction order (idx = position; never compacted).
 	levels [][]*node
+	// level is the newest of levels with alphas, its normalized forward
+	// mass. A dead end empties both and sets dead; every later Observe
+	// fails.
+	level  []*node
+	alphas []float64
+	dead   bool
 
 	// Cumulative forward-phase explain data, mirroring what a full Build
 	// over the same readings would report (prune counts live in the kernel).
@@ -71,30 +81,113 @@ type BuildState struct {
 
 // NewBuildState returns an incremental build over the given constraints.
 func NewBuildState(ic *constraints.Set) *BuildState {
-	return &BuildState{frontier: newFrontier(ic)}
+	return &BuildState{kernel: newKernel(ic)}
 }
 
 // Duration returns the number of observed timestamps.
 func (st *BuildState) Duration() int { return len(st.levels) }
 
 // Observe appends one timestamp to the raw graph: the forward kernel's
-// expand and link, exactly as Build runs them. It returns
-// ErrNoValidTrajectory when no continuation is consistent with the
-// constraints; the already observed prefix stays smoothable, but no further
-// readings are accepted.
+// sources, or expand and link, exactly as Build runs them. candidates is the
+// step's candidate set (non-zero probabilities summing to 1, as produced by
+// prior.Model). It returns ErrNoValidTrajectory when no continuation is
+// consistent with the constraints; the already observed prefix stays
+// smoothable, but no further readings are accepted.
 func (st *BuildState) Observe(candidates []Candidate) error {
 	start := time.Now()
 	defer func() { st.forwardNanos += time.Since(start).Nanoseconds() }()
-	prev, err := st.advance(candidates, make([]*node, 0, len(st.level)), 0)
-	if err != nil {
+	t := len(st.levels)
+	if st.dead {
+		return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
+	}
+	if err := validateCandidates(candidates, t); err != nil {
 		return err
 	}
-	if prev != nil {
-		st.link(prev, st.level, candidates)
+	next := make([]*node, 0, len(st.level))
+	if t == 0 {
+		next = st.sources(candidates, next)
+		st.mass = st.mass[:0]
+		for _, c := range candidates {
+			st.mass = append(st.mass, c.P)
+		}
+	} else {
+		if next = st.expand(t, st.level, candidates, next, st.alphas); len(next) == 0 {
+			st.dead = true
+			st.level, st.alphas = nil, nil
+			return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
+		}
+		st.link(st.level, next, candidates)
 	}
-	st.levels = append(st.levels, st.level)
+	st.level = next
+	st.alphas, st.mass = st.mass, st.alphas
+	total := 0.0
+	for _, a := range st.alphas {
+		total += a
+	}
+	if total > 0 {
+		for i := range st.alphas {
+			st.alphas[i] /= total
+		}
+	}
+	st.levels = append(st.levels, next)
 	st.steps = append(st.steps, st.step)
 	return nil
+}
+
+// Time returns the timestamp of the last observation (-1 before the first).
+func (st *BuildState) Time() int { return len(st.levels) - 1 }
+
+// FrontierSize returns the number of alive location nodes at the newest
+// timestamp (0 after a dead end).
+func (st *BuildState) FrontierSize() int { return len(st.level) }
+
+// InternerRebuilds returns how many times the TL interner has been discarded
+// and rebuilt to bound memory on a long stream.
+func (st *BuildState) InternerRebuilds() int { return st.rebuilds }
+
+// LocProb is one (location ID, probability) entry of a filtered
+// distribution.
+type LocProb struct {
+	Loc int
+	P   float64
+}
+
+// Distribution returns the filtered distribution at the newest timestamp
+// aggregated by location, sorted by descending probability (ties broken by
+// ascending location ID), omitting zero-probability locations — the shape a
+// live-tracking serving layer returns to clients.
+func (st *BuildState) Distribution() ([]LocProb, error) {
+	if len(st.levels) == 0 {
+		return nil, fmt.Errorf("core: nothing observed yet")
+	}
+	byLoc := make(map[int]float64, len(st.level))
+	for i, n := range st.level {
+		byLoc[n.Loc] += st.alphas[i]
+	}
+	out := make([]LocProb, 0, len(byLoc))
+	for l, p := range byLoc {
+		out = append(out, LocProb{Loc: l, P: p})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].P != out[j].P {
+			return out[i].P > out[j].P
+		}
+		return out[i].Loc < out[j].Loc
+	})
+	return out, nil
+}
+
+// TopLocations returns the up-to-k most probable current locations with
+// their filtered probabilities, descending. k < 1 is an error.
+func (st *BuildState) TopLocations(k int) ([]LocProb, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("core: top-k needs k >= 1, got %d", k)
+	}
+	dist, err := st.Distribution()
+	if err != nil {
+		return nil, err
+	}
+	return dist[:min(k, len(dist))], nil
 }
 
 // Smooth conditions the observed readings under the integrity constraints

@@ -225,46 +225,8 @@ func TestIncrementalSmoothIndependence(t *testing.T) {
 	}
 }
 
-// TestBuildStateFrontierMatchesFilter asserts the BuildState's frontier
-// queries return bit-identical values to an exact Filter fed the same
-// candidates, so a serving layer can use either interchangeably.
-func TestBuildStateFrontierMatchesFilter(t *testing.T) {
-	ls, ic := benchScenario()
-	st := NewBuildState(ic)
-	f := NewFilter(ic, nil)
-	for k := 0; k < 120; k++ {
-		cands := ls.Steps[k].Candidates
-		if err := st.Observe(cands); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Observe(cands); err != nil {
-			t.Fatal(err)
-		}
-		if st.Time() != f.Time() || st.FrontierSize() != f.FrontierSize() {
-			t.Fatalf("step %d: time/frontier diverge: state (%d,%d), filter (%d,%d)",
-				k, st.Time(), st.FrontierSize(), f.Time(), f.FrontierSize())
-		}
-		sd, err := st.Distribution()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fd, err := f.Distribution()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(sd) != len(fd) {
-			t.Fatalf("step %d: distribution sizes diverge", k)
-		}
-		for i := range sd {
-			if sd[i].Loc != fd[i].Loc || math.Float64bits(sd[i].P) != math.Float64bits(fd[i].P) {
-				t.Fatalf("step %d entry %d: state %+v, filter %+v", k, i, sd[i], fd[i])
-			}
-		}
-	}
-}
-
-// TestBuildStateValidation mirrors Filter.Observe's candidate validation,
-// including the duplicate-location rejection.
+// TestBuildStateValidation covers Observe's candidate validation, including
+// the duplicate-location rejection, and the empty-state Smooth.
 func TestBuildStateValidation(t *testing.T) {
 	st := NewBuildState(nil)
 	if err := st.Observe(nil); err == nil {
@@ -295,7 +257,7 @@ func TestBuildStateValidation(t *testing.T) {
 }
 
 // TestBuildStateInternerRebuild exercises the TL interner cap on a long
-// stream, mirroring the Filter's bound.
+// stream: the smoothed graph is bit-identical to a full Build.
 func TestBuildStateInternerRebuild(t *testing.T) {
 	ls, ic := benchScenario()
 	st := NewBuildState(ic)
@@ -322,11 +284,14 @@ func TestBuildStateInternerRebuild(t *testing.T) {
 // TestBuildStateSoakSession streams one stream session's worth of readings —
 // soakSession, the query head's per-session cap outside the race detector —
 // through a BuildState, smoothing every quarter of the session as a live
-// client would. Every smooth must keep the graph invariants and a finite,
-// positive normalizer, and must recompute a suffix bounded independently of
-// the session's length (the deterministic form of "smoothing cost stays
-// flat"). At the first and the last smooth the graph must encode
-// byte-identically to a full Build over the same prefix.
+// client would. At every reading the TL interner must stay within its cap
+// plus one step (TL entries carry absolute times, so it must be rebuilt), and
+// the filtered forward mass must be positive normal floats summing to 1.
+// Every smooth must keep the graph invariants and a finite, positive
+// normalizer, and must recompute a suffix bounded independently of the
+// session's length (the deterministic form of "smoothing cost stays flat").
+// At the first and the last smooth the graph must encode byte-identically to
+// a full Build over the same prefix.
 func TestBuildStateSoakSession(t *testing.T) {
 	const (
 		smoothEvery = soakSession / 4
@@ -342,8 +307,24 @@ func TestBuildStateSoakSession(t *testing.T) {
 	st := NewBuildState(ic)
 	maxRecomputed := 0
 	for k, cands := range steps {
+		// One step adds at most one chain of links per (node, candidate)
+		// pair, and a TL holds at most one entry per location.
+		oneStep := st.FrontierSize() * len(cands) * 3
 		if err := st.Observe(cands); err != nil {
 			t.Fatalf("step %d: %v", k, err)
+		}
+		if got := st.b.tl.size(); got > st.internCap+oneStep {
+			t.Fatalf("step %d: interner holds %d links, cap %d + one step %d", k, got, st.internCap, oneStep)
+		}
+		sum := 0.0
+		for _, a := range st.alphas {
+			if !(a >= 0x1p-1022) || math.IsInf(a, 0) {
+				t.Fatalf("step %d: forward mass %v is not a positive normal float", k, a)
+			}
+			sum += a
+		}
+		if math.Abs(sum-1) > 1e-12 {
+			t.Fatalf("step %d: forward mass sums to %v", k, sum)
 		}
 		n := k + 1
 		if n%smoothEvery != 0 {
@@ -383,5 +364,9 @@ func TestBuildStateSoakSession(t *testing.T) {
 			t.Fatalf("smooth at %d: encoding differs from a full Build", n)
 		}
 	}
-	t.Logf("%d readings, 4 smooths, at most %d levels recomputed per smooth", soakSession, maxRecomputed)
+	if st.InternerRebuilds() == 0 {
+		t.Fatalf("the interner never rebuilt over %d readings", soakSession)
+	}
+	t.Logf("%d readings, 4 smooths, at most %d levels recomputed per smooth, %d interner rebuilds",
+		soakSession, maxRecomputed, st.InternerRebuilds())
 }

@@ -244,88 +244,6 @@ func TestPropertyWalkPathsRetainable(t *testing.T) {
 	}
 }
 
-// TestPropertyFilterBeamWideEnoughIsExact: beam-filtered streaming with a
-// beam at least as wide as the frontier ever gets equals exact filtering,
-// which in turn equals the LenientEnd graph's final marginal.
-func TestPropertyFilterBeamWideEnoughIsExact(t *testing.T) {
-	rng := stats.NewRNG(98765)
-	for trial := 0; trial < 200; trial++ {
-		ls, ic := randomScenario(rng)
-		numLocs := ls.NumLocations()
-		exact := NewFilter(ic, nil)
-		wide := NewFilter(ic, &FilterOptions{Beam: 1 << 16})
-		narrow := NewFilter(ic, &FilterOptions{Beam: 1})
-		dead := false
-		for step := 0; step < ls.Duration(); step++ {
-			cands := ls.Steps[step].Candidates
-			errE := exact.Observe(cands)
-			errW := wide.Observe(cands)
-			if (errE == nil) != (errW == nil) {
-				t.Fatalf("trial %d step %d: exact err %v, wide-beam err %v", trial, step, errE, errW)
-			}
-			if errE != nil {
-				dead = true
-				break
-			}
-			// The narrow beam may die where exact survives (it is an
-			// approximation) but must never fail in some other way.
-			if errN := narrow.Observe(cands); errN != nil {
-				if !errors.Is(errN, ErrNoValidTrajectory) {
-					t.Fatalf("trial %d step %d: narrow beam error %v", trial, step, errN)
-				}
-				narrow = nil
-			}
-			de, err := exact.Current(numLocs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dw, err := wide.Current(numLocs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for loc := range de {
-				if math.Abs(de[loc]-dw[loc]) > 1e-9 {
-					t.Fatalf("trial %d step %d loc %d: exact %v, wide beam %v",
-						trial, step, loc, de[loc], dw[loc])
-				}
-			}
-			if narrow == nil {
-				narrow = NewFilter(ic, &FilterOptions{Beam: 1}) // restart; prefix died
-				dead = true
-				break
-			}
-			if n, err := narrow.Current(numLocs); err != nil {
-				t.Fatal(err)
-			} else if narrow.FrontierSize() > 1 || len(n) != numLocs {
-				t.Fatalf("trial %d step %d: beam-1 frontier %d", trial, step, narrow.FrontierSize())
-			}
-		}
-		if dead {
-			continue
-		}
-		// At the final timestamp exact filtering equals the LenientEnd
-		// graph's smoothed marginal.
-		g, err := Build(ls, ic, &Options{EndLatency: constraints.LenientEnd})
-		if err != nil {
-			t.Fatalf("trial %d: filter survived but Build failed: %v", trial, err)
-		}
-		marg, err := g.Marginals(numLocs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := exact.Current(numLocs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := marg[g.Duration()-1]
-		for loc := range want {
-			if math.Abs(got[loc]-want[loc]) > 1e-9 {
-				t.Fatalf("trial %d loc %d: filter %v, graph %v", trial, loc, got[loc], want[loc])
-			}
-		}
-	}
-}
-
 // TestPropertySampleDistribution verifies that ancestral sampling follows the
 // conditioned distribution on a fixed scenario.
 func TestPropertySampleDistribution(t *testing.T) {

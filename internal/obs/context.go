@@ -14,12 +14,6 @@ func WithTrace(ctx context.Context, t *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, t)
 }
 
-// FromContext returns the trace attached to ctx, or nil.
-func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceKey{}).(*Trace)
-	return t
-}
-
 // Start begins a span named name under the trace (and parent span) carried
 // by ctx, returning a derived context for child spans and the span handle.
 // When ctx carries no trace it returns ctx unchanged and a nil span — the

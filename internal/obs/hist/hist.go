@@ -78,9 +78,6 @@ func (h *Hist) Sum() int64 { return h.sum.Load() }
 // Max returns the largest recorded value, or 0 when empty.
 func (h *Hist) Max() int64 { return h.max.Load() }
 
-// BucketCount returns the raw count of a single fine-grained bucket.
-func (h *Hist) BucketCount(idx int) uint64 { return h.counts[idx].Load() }
-
 // Quantile returns the value at quantile q in [0, 1] (the midpoint of the
 // bucket holding the rank), or 0 for an empty histogram.
 func (h *Hist) Quantile(q float64) int64 {

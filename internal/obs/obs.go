@@ -68,9 +68,6 @@ func NewTrace(id string) *Trace {
 // ID returns the trace's identifier.
 func (t *Trace) ID() string { return t.id }
 
-// Begin returns the trace's start time.
-func (t *Trace) Begin() time.Time { return t.begin }
-
 // SpanCount returns how many spans have been started on the trace.
 func (t *Trace) SpanCount() int {
 	t.mu.Lock()

@@ -24,10 +24,14 @@ import (
 //
 //	0x01 readings: uvarint count, then per reading a varint timestamp, a
 //	     uvarint reader count, and that many varint reader IDs
-//	0x02 status:   uvarint-prefixed id and deployment strings, varint time,
-//	     uvarint readings/frontier/beam, a flags byte (bit 0 = dead), then
-//	     a uvarint entry count of (uvarint-prefixed location name, 8-byte
+//	0x03 status:   uvarint-prefixed id and deployment strings, varint time,
+//	     uvarint readings/frontier, a flags byte (bit 0 = dead), then a
+//	     uvarint entry count of (uvarint-prefixed location name, 8-byte
 //	     little-endian IEEE-754 probability) pairs
+//
+// Tag 0x02 was the status layout with a beam uvarint after the frontier. It
+// is retired, not reused, so a decoder of either layout rejects the other's
+// frames by kind instead of misreading the flags.
 //
 // Integers are encoding/binary varints. Error responses are always JSON
 // apiError regardless of negotiation — a client that cannot parse them is
@@ -39,7 +43,7 @@ const ContentTypeBinary = "application/x-rfidclean"
 // Payload kind tags, the first byte of every frame payload.
 const (
 	codecKindReadings byte = 0x01
-	codecKindStatus   byte = 0x02
+	codecKindStatus   byte = 0x03
 )
 
 // requestIsBinary reports whether the request body is binary-codec encoded.
@@ -126,7 +130,6 @@ func EncodeStreamStatus(st StreamStatus) []byte {
 	p = binary.AppendVarint(p, int64(st.Time))
 	p = binary.AppendUvarint(p, uint64(st.Readings))
 	p = binary.AppendUvarint(p, uint64(st.Frontier))
-	p = binary.AppendUvarint(p, uint64(st.Beam))
 	var flags byte
 	if st.Dead {
 		flags |= 1
@@ -153,7 +156,6 @@ func DecodeStreamStatus(body []byte) (StreamStatus, error) {
 	st.Time = int(c.varint())
 	st.Readings = int(c.uvarint())
 	st.Frontier = int(c.uvarint())
-	st.Beam = int(c.uvarint())
 	st.Dead = c.byte()&1 != 0
 	count := c.uvarint()
 	if c.err == nil && count > uint64(len(c.buf)) {

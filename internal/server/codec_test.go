@@ -32,7 +32,6 @@ func codecStatus() StreamStatus {
 		Time:       17,
 		Readings:   18,
 		Frontier:   5,
-		Beam:       3,
 		Dead:       true,
 		Current: []LocationProb{
 			{Location: "corridor", P: 0.625},
@@ -87,7 +86,7 @@ func TestCodecStatusRoundTrip(t *testing.T) {
 	}
 	if got.ID != want.ID || got.Deployment != want.Deployment || got.Time != want.Time ||
 		got.Readings != want.Readings || got.Frontier != want.Frontier ||
-		got.Beam != want.Beam || got.Dead != want.Dead || len(got.Current) != len(want.Current) {
+		got.Dead != want.Dead || len(got.Current) != len(want.Current) {
 		t.Fatalf("status = %+v, want %+v", got, want)
 	}
 	for i := range want.Current {
@@ -114,6 +113,14 @@ func TestCodecRejectsCorruption(t *testing.T) {
 	good := EncodeStreamReadings([]rfidclean.Reading{{Time: 0, Readers: rfidclean.NewReaderSet(1)}})
 	if _, err := DecodeStreamStatus(good); err == nil {
 		t.Error("status decode accepted a readings frame")
+	}
+	// A status frame of the retired 0x02 layout (a beam uvarint after the
+	// frontier) must fail on its kind tag, not decode shifted by one field.
+	old := appendCodecString([]byte{0x02}, "s1")
+	old = appendCodecString(old, "d1")
+	old = append(old, 8, 5, 2, 0, 1, 0) // time 4, readings 5, frontier 2, beam 0, dead, no entries
+	if _, err := DecodeStreamStatus(persist.AppendFrame(nil, old)); err == nil || !strings.Contains(err.Error(), "payload kind 0x02") {
+		t.Errorf("status decode of a 0x02 frame: %v, want a kind error", err)
 	}
 }
 
@@ -202,7 +209,7 @@ func FuzzDecodeStreamStatus(f *testing.F) {
 			t.Fatalf("re-encoded status does not decode: %v", err)
 		}
 		if again.ID != got.ID || again.Deployment != got.Deployment || again.Time != got.Time ||
-			again.Readings != got.Readings || again.Frontier != got.Frontier || again.Beam != got.Beam ||
+			again.Readings != got.Readings || again.Frontier != got.Frontier ||
 			again.Dead != got.Dead || len(again.Current) != len(got.Current) {
 			t.Fatalf("status round-tripped to %+v, want %+v", again, got)
 		}
@@ -334,7 +341,7 @@ func TestBinaryBodyOnJSONEndpoints(t *testing.T) {
 	}
 
 	// Positive control: the same frame is welcome where binary is spoken.
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	resp, err := http.Post(base+"/v1/stream/"+sid+"/readings", ContentTypeBinary, bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)

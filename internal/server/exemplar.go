@@ -185,15 +185,3 @@ func (rh *requestHistograms) writeExemplar(w io.Writer, ex exemplar) {
 		ex.requestID, ex.traced, metrics.FormatFloat(ex.valueSeconds),
 		metrics.FormatFloat(float64(ex.unixNanos)/1e9))
 }
-
-// quantile exposes an endpoint's latency quantile in seconds (health
-// reporting and tests; 0 when the endpoint saw no traffic).
-func (rh *requestHistograms) quantile(endpoint string, q float64) float64 {
-	rh.mu.Lock()
-	eh := rh.eps[endpoint]
-	rh.mu.Unlock()
-	if eh == nil {
-		return 0
-	}
-	return float64(eh.hist.Quantile(q)) / 1e9
-}

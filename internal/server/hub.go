@@ -279,13 +279,13 @@ const deltaTopK = 5
 func deltaLocked(sess *streamSession, accepted int) StreamDeltaEvent {
 	ev := StreamDeltaEvent{
 		ID:       sess.id,
-		Time:     sess.live.Time(),
+		Time:     sess.state.Time(),
 		Readings: sess.state.Duration(),
 		Accepted: accepted,
-		Frontier: sess.live.FrontierSize(),
+		Frontier: sess.state.FrontierSize(),
 		Dead:     sess.dead,
 	}
-	if dist, err := sess.live.TopLocations(deltaTopK); err == nil {
+	if dist, err := sess.state.TopLocations(deltaTopK); err == nil {
 		ev.Current = locationProbs(sess, dist)
 	}
 	return ev

@@ -290,7 +290,7 @@ func subscribeSSE(t *testing.T, base, sid, lastEventID string) (*sseReader, cont
 // the stream with a final smooth, a terminal close event, and EOF.
 func TestStreamEventsSSE(t *testing.T) {
 	base, _, depID, sys := streamHarness(t, Options{})
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	readings := testReadings(t, sys, 21, 30)
 
 	sr, cancel := subscribeSSE(t, base, sid, "")
@@ -367,7 +367,7 @@ func TestStreamEventsSSE(t *testing.T) {
 func TestStreamEventsResume(t *testing.T) {
 	base, srv, depID, sys := streamHarness(t, Options{})
 	srv.sessions.history = 4
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	readings := testReadings(t, sys, 22, 30)
 	for i := 0; i < 6; i++ { // publishes delta ids 1..6; ring keeps 3..6
 		resp, body := postJSON(t, base+"/v1/stream/"+sid+"/readings", StreamReadingsRequest{Readings: readings[i : i+1]})
@@ -415,7 +415,7 @@ func TestStreamEventsResume(t *testing.T) {
 func TestStreamEventsHeartbeat(t *testing.T) {
 	base, srv, depID, _ := streamHarness(t, Options{})
 	srv.sseHeartbeat, srv.sessions.ttl = 20*time.Millisecond, 80*time.Millisecond
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	sr, cancel := subscribeSSE(t, base, sid, "")
 	defer cancel()
 	deadline := time.Now().Add(5 * time.Second)
@@ -439,7 +439,7 @@ func TestStreamEventsHeartbeat(t *testing.T) {
 // subscriber stream with a shutdown close event while sessions stay open.
 func TestDrainSubscribers(t *testing.T) {
 	base, srv, depID, _ := streamHarness(t, Options{})
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	sr, cancel := subscribeSSE(t, base, sid, "")
 	defer cancel()
 	srv.DrainSubscribers()
@@ -479,7 +479,7 @@ func TestHubLoad(t *testing.T) {
 	}
 	base, srv, depID, sys := streamHarness(t, Options{})
 	srv.sseHeartbeat = time.Hour // no heartbeat writes inside the measurement
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	readings := testReadings(t, sys, 23, 260)
 
 	post := func(i int) time.Duration {
@@ -711,7 +711,7 @@ func TestSSEAccessLogDelivery(t *testing.T) {
 	base, _, depID, sys := streamHarness(t, Options{
 		Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelInfo})),
 	})
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	sr, cancel := subscribeSSE(t, base, sid, "")
 
 	readings := testReadings(t, sys, 21, 30)

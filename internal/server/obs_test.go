@@ -384,7 +384,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 
 	// With a running reaper: every closer must wait for the drain.
 	st := newSessionStore(1, 0, newMetrics())
-	if st.open(&deployment{id: "d"}, nil, nil, 0) == nil {
+	if st.open(&deployment{id: "d"}, nil) == nil {
 		t.Fatal("open returned nil before close")
 	}
 	if !st.reaping {
@@ -404,7 +404,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st.open(&deployment{id: "d"}, nil, nil, 0) != nil {
+	if st.open(&deployment{id: "d"}, nil) != nil {
 		t.Fatal("open succeeded after close")
 	}
 }

@@ -27,9 +27,6 @@ import (
 // re-runs only the backward/revise suffix the newest readings can
 // invalidate and yields a ct-graph bit-identical to a full offline rebuild,
 // stored in the trajectory store where the usual query endpoints apply.
-// Sessions opened with a beam width route filtering through a core.Filter
-// (the beam cap is a frontier approximation BuildState does not make) but
-// still smooth incrementally through the exact state.
 //
 //	POST   /v1/stream                     StreamOpenRequest -> {"id": ...}
 //	POST   /v1/stream/{id}/readings      append readings -> StreamStatus
@@ -42,31 +39,18 @@ import (
 // (see codec.go), negotiated per request via Content-Type / Accept:
 // application/x-rfidclean.
 //
-// Sessions are bounded three ways: a beam width caps each filter's frontier
-// (an approximation trade documented on FilterOptions), a per-session
-// reading budget caps the build state's levels, and a server-wide session cap
-// evicts the least-recently-active session when full. Idle sessions are
-// reaped by a background goroutine after a TTL; the reaper is wired into
-// Server.Close so a graceful shutdown drains it deterministically.
-
-// frontier answers a session's live queries. Core's Filter and BuildState
-// share one frontier implementation, so a beam-capped session hands its
-// queries to the beam Filter and an exact session to its BuildState.
-type frontier interface {
-	Observe([]rfidclean.LCandidate) error
-	Time() int
-	FrontierSize() int
-	Distribution() ([]rfidclean.LocProb, error)
-	TopLocations(k int) ([]rfidclean.LocProb, error)
-}
+// Sessions are bounded two ways: a per-session reading budget caps the build
+// state's levels, and a server-wide session cap evicts the
+// least-recently-active session when full. Idle sessions are reaped by a
+// background goroutine after a TTL; the reaper is wired into Server.Close so
+// a graceful shutdown drains it deterministically.
 
 // streamSession is one live-tracking session. Its mutex serializes state
 // advancement; lastActive is atomic so the reaper can scan sessions without
 // contending with a slow Observe.
 type streamSession struct {
-	id   string
-	dep  *deployment
-	beam int // beam width of the live frontier (0 = exact)
+	id  string
+	dep *deployment
 
 	// hub fans the session's delta/smooth/close events out to SSE
 	// subscribers (hub.go). It is created with the session and closed by
@@ -77,12 +61,10 @@ type streamSession struct {
 	// state is the incremental build under the constraint set the session
 	// resolved at open, which it pins for its lifetime: one forward level per
 	// accepted reading, so its Duration is the accepted-reading count (a
-	// dead end appends no level), and every smooth is a suffix re-run of it.
+	// dead end appends no level), every live query reads its frontier, and
+	// every smooth is a suffix re-run of it.
 	state *rfidclean.BuildState
-	// live answers frontier queries: state itself, or for beam sessions a
-	// beam Filter fed the same readings. Chosen once, at open.
-	live frontier
-	dead bool // constraints ruled out every continuation
+	dead  bool // constraints ruled out every continuation
 
 	lastActive atomic.Int64 // unix nanoseconds
 }
@@ -164,7 +146,7 @@ func (st *sessionStore) isGone(id string) bool {
 // evicted to make room — live tracking favors fresh streams over stale ones,
 // and an evicted client can always re-open and re-send. Returns nil when the
 // store has been closed.
-func (st *sessionStore) open(dep *deployment, state *rfidclean.BuildState, live frontier, beam int) *streamSession {
+func (st *sessionStore) open(dep *deployment, state *rfidclean.BuildState) *streamSession {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -177,9 +159,7 @@ func (st *sessionStore) open(dep *deployment, state *rfidclean.BuildState, live 
 	s := &streamSession{
 		id:    "s" + strconv.Itoa(st.next),
 		dep:   dep,
-		beam:  beam,
 		state: state,
-		live:  live,
 	}
 	s.hub = newSessionHub(s.id, subscriberBuffer, st.history, st.m)
 	s.touch()
@@ -333,10 +313,6 @@ type StreamOpenRequest struct {
 	MinStay int `json:"minStay"`
 	// TTCap optionally truncates TT horizons (0 = uncapped).
 	TTCap int `json:"ttCap"`
-	// Beam optionally caps the filter's frontier (0 = exact filtering).
-	// Long, highly ambiguous streams trade a little exactness for a hard
-	// per-session memory bound.
-	Beam int `json:"beam"`
 }
 
 // StreamReadingsRequest appends readings to a session, in timestamp order.
@@ -354,10 +330,9 @@ type StreamStatus struct {
 	// Readings is how many readings the session has accepted (the prefix a
 	// smooth conditions).
 	Readings int `json:"readings"`
-	// Frontier is the filter's live node count (memory gauge).
+	// Frontier is the build state's live node count at the newest
+	// timestamp.
 	Frontier int `json:"frontier"`
-	// Beam echoes the session's beam width (0 = exact).
-	Beam int `json:"beam,omitempty"`
 	// Dead reports that the constraints ruled out every continuation; the
 	// session only serves its accepted prefix from here on.
 	Dead bool `json:"dead,omitempty"`
@@ -376,22 +351,13 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	if req.Beam < 0 {
-		writeError(w, http.StatusBadRequest, "beam must be >= 0")
-		return
-	}
 	dep, ic, _ := s.resolve(r.Context(), w, req.Deployment, rfidclean.ConstraintParams{
 		MaxSpeed: req.MaxSpeed, MinStay: req.MinStay, TTCap: req.TTCap,
 	})
 	if dep == nil {
 		return
 	}
-	state := rfidclean.NewBuildState(ic)
-	var live frontier = state
-	if req.Beam > 0 {
-		live = rfidclean.NewFilter(ic, &rfidclean.FilterOptions{Beam: req.Beam})
-	}
-	sess := s.sessions.open(dep, state, live, req.Beam)
+	sess := s.sessions.open(dep, rfidclean.NewBuildState(ic))
 	if sess == nil {
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
@@ -449,10 +415,9 @@ func statusLocked(sess *streamSession) StreamStatus {
 	return StreamStatus{
 		ID:         sess.id,
 		Deployment: sess.dep.id,
-		Time:       sess.live.Time(),
+		Time:       sess.state.Time(),
 		Readings:   sess.state.Duration(),
-		Frontier:   sess.live.FrontierSize(),
-		Beam:       sess.beam,
+		Frontier:   sess.state.FrontierSize(),
 		Dead:       sess.dead,
 	}
 }
@@ -479,7 +444,7 @@ func writeStreamStatus(w http.ResponseWriter, r *http.Request, code int, st Stre
 }
 
 // handleStreamReadings appends readings to the session and advances the
-// filter one timestamp per reading. Timestamps must arrive densely and in
+// build state one timestamp per reading. Timestamps must arrive densely and in
 // order: reading N is timestamp N. A duplicate or out-of-order timestamp is
 // rejected with 409, a gap with 422, and a reading the constraints rule out
 // kills the session (422; the accepted prefix remains smoothable). On a
@@ -508,7 +473,7 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 	defer sp.End()
 	sp.Int("readings", int64(len(req.Readings)))
 	// Label the whole observe loop once (set/restore, not a per-reading
-	// pprof.Do) so profile samples from the filter and state updates carry
+	// pprof.Do) so profile samples from the state updates carry
 	// the endpoint and deployment.
 	labeled := pprof.WithLabels(r.Context(), pprof.Labels("endpoint", "stream_readings", "deployment", sess.dep.id))
 	pprof.SetGoroutineLabels(labeled)
@@ -518,7 +483,7 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 	defer sess.touch()
 	if sess.dead {
 		s.metrics.streamReadings.Inc("dead_session")
-		writeError(w, http.StatusGone, "session %s hit a dead end at timestamp %d and accepts no more readings", sess.id, sess.live.Time()+1)
+		writeError(w, http.StatusGone, "session %s hit a dead end at timestamp %d and accepts no more readings", sess.id, sess.state.Duration())
 		return
 	}
 	// One delta event per batch that moved the session — readings accepted,
@@ -554,17 +519,8 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 			writeError(w, http.StatusBadRequest, "timestamp %d: %v", reading.Time, err)
 			return
 		}
-		// Beam sessions observe the filter first: its frontier is a subset
-		// of the exact state's, so a reading the filter accepts cannot
-		// dead-end the state, and a reading the filter rejects leaves the
-		// state covering exactly the accepted prefix. (A beam dead end is
-		// an approximation artifact — the exact state may still be alive —
-		// but the session dies either way: its filtered answers are gone.)
 		start := time.Now()
-		err = sess.live.Observe(cands)
-		if err == nil && sess.beam > 0 {
-			err = sess.state.Observe(cands)
-		}
+		err = sess.state.Observe(cands)
 		s.metrics.observeSeconds.Observe(time.Since(start).Seconds())
 		if errors.Is(err, rfidclean.ErrNoValidTrajectory) {
 			sess.dead = true
@@ -604,9 +560,9 @@ func (s *Server) handleStreamStatus(w http.ResponseWriter, r *http.Request, sess
 			err  error
 		)
 		if top > 0 {
-			dist, err = sess.live.TopLocations(top)
+			dist, err = sess.state.TopLocations(top)
 		} else {
-			dist, err = sess.live.Distribution()
+			dist, err = sess.state.Distribution()
 		}
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, "%v", err)

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	rfidclean "repro"
+	"repro/internal/dataset"
 )
 
 // streamHarness boots a server with the given options and registers the test
@@ -61,10 +62,10 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, out.Bytes()
 }
 
-func openStream(t *testing.T, base, depID string, beam int) string {
+func openStream(t *testing.T, base, depID string) string {
 	t.Helper()
 	resp, body := postJSON(t, base+"/v1/stream", StreamOpenRequest{
-		Deployment: depID, MaxSpeed: 2, MinStay: 5, Beam: beam,
+		Deployment: depID, MaxSpeed: 2, MinStay: 5,
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("open stream status = %d: %s", resp.StatusCode, body)
@@ -177,7 +178,7 @@ func TestStreamEndToEnd(t *testing.T) {
 	base, _, depID, sys := streamHarness(t, Options{})
 	readings := testReadings(t, sys, 77, 60)
 	want := offlineFinalDistribution(t, sys, readings)
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 
 	// A fresh session has observed nothing.
 	if st := streamStatus(t, base, sid, 0); st.Time != -1 || len(st.Current) != 0 {
@@ -266,10 +267,10 @@ func TestStreamBatchMatchesOneByOne(t *testing.T) {
 	base, _, depID, sys := streamHarness(t, Options{})
 	readings := testReadings(t, sys, 21, 40)
 
-	one := openStream(t, base, depID, 0)
+	one := openStream(t, base, depID)
 	feedOneByOne(t, base, one, readings)
 
-	chunked := openStream(t, base, depID, 0)
+	chunked := openStream(t, base, depID)
 	for i := 0; i < len(readings); i += 7 {
 		end := i + 7
 		if end > len(readings) {
@@ -308,7 +309,6 @@ func TestStreamValidation(t *testing.T) {
 	}{
 		"unknown deployment": {StreamOpenRequest{Deployment: "d999", MaxSpeed: 2}, http.StatusNotFound},
 		"zero speed":         {StreamOpenRequest{Deployment: depID}, http.StatusBadRequest},
-		"negative beam":      {StreamOpenRequest{Deployment: depID, MaxSpeed: 2, Beam: -1}, http.StatusBadRequest},
 	} {
 		if resp, _ := postJSON(t, base+"/v1/stream", tc.req); resp.StatusCode != tc.want {
 			t.Errorf("%s: open status = %d, want %d", name, resp.StatusCode, tc.want)
@@ -323,7 +323,33 @@ func TestStreamValidation(t *testing.T) {
 		}
 	}
 
-	sid := openStream(t, base, depID, 0)
+	// An open body still carrying the retired "beam" field is decoded like
+	// any body with an unknown field: the session is exact, answering
+	// bit-identically to one opened without it.
+	resp, body := postJSON(t, base+"/v1/stream", map[string]any{
+		"deployment": depID, "maxSpeed": 2, "minStay": 5, "beam": 3,
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("open with beam = %d: %s", resp.StatusCode, body)
+	}
+	var created map[string]string
+	if err := json.Unmarshal(body, &created); err != nil {
+		t.Fatal(err)
+	}
+	withBeam, exact := created["id"], openStream(t, base, depID)
+	feedOneByOne(t, base, withBeam, readings)
+	feedOneByOne(t, base, exact, readings)
+	got, want := streamStatus(t, base, withBeam, 0), streamStatus(t, base, exact, 0)
+	if got.Frontier != want.Frontier || len(got.Current) != len(want.Current) {
+		t.Fatalf("beam session status %+v, exact %+v", got, want)
+	}
+	for i := range want.Current {
+		if got.Current[i] != want.Current[i] {
+			t.Fatalf("entry %d: beam session %+v, exact %+v", i, got.Current[i], want.Current[i])
+		}
+	}
+
+	sid := openStream(t, base, depID)
 	feedOneByOne(t, base, sid, readings[:3])
 
 	post := func(rs ...rfidclean.Reading) int {
@@ -366,7 +392,7 @@ func TestStreamValidation(t *testing.T) {
 	}
 
 	// Smoothing an empty session is a 422.
-	empty := openStream(t, base, depID, 0)
+	empty := openStream(t, base, depID)
 	if resp, _ := postJSON(t, base+"/v1/stream/"+empty+"/smooth", nil); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Errorf("smooth empty session = %d, want 422", resp.StatusCode)
 	}
@@ -421,7 +447,7 @@ func TestStreamDeadEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp0.Body.Close()
-	sid := openStream(t, base, created["id"], 0)
+	sid := openStream(t, base, created["id"])
 
 	inA := rfidclean.NewReaderSet(0)
 	inC := rfidclean.NewReaderSet(1)
@@ -499,7 +525,7 @@ func TestStreamSmoothAfterCacheCycle(t *testing.T) {
 	base, srv, depID, sys := streamHarness(t, Options{})
 	srv.lookupDeployment(depID).cache.maxEntries = 1
 	readings := testReadings(t, sys, 77, 40)
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	feedOneByOne(t, base, sid, readings)
 
 	// A clean under other parameters takes the cache's only slot.
@@ -532,7 +558,7 @@ func TestStreamReadingBudget(t *testing.T) {
 	base, srv, depID, sys := streamHarness(t, Options{})
 	srv.sessions.maxReadings = 3
 	readings := testReadings(t, sys, 9, 10)
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	feedOneByOne(t, base, sid, readings[:3])
 
 	resp, _ := postJSON(t, base+"/v1/stream/"+sid+"/readings", StreamReadingsRequest{
@@ -551,14 +577,14 @@ func TestStreamReadingBudget(t *testing.T) {
 func TestStreamEviction(t *testing.T) {
 	base, srv, depID, _ := streamHarness(t, Options{})
 	srv.sessions.maxSessions = 2
-	first := openStream(t, base, depID, 0)
+	first := openStream(t, base, depID)
 	time.Sleep(2 * time.Millisecond) // order the activity stamps
-	second := openStream(t, base, depID, 0)
+	second := openStream(t, base, depID)
 	time.Sleep(2 * time.Millisecond)
 	// Touch the first so the second is now the stalest.
 	streamStatus(t, base, first, 0)
 	time.Sleep(2 * time.Millisecond)
-	third := openStream(t, base, depID, 0)
+	third := openStream(t, base, depID)
 
 	if srv.sessions.count() != 2 {
 		t.Fatalf("open sessions = %d, want 2", srv.sessions.count())
@@ -581,8 +607,8 @@ func TestStreamEviction(t *testing.T) {
 func TestStreamReaperAndClose(t *testing.T) {
 	base, srv, depID, _ := streamHarness(t, Options{})
 	srv.sessions.ttl = 30 * time.Millisecond
-	openStream(t, base, depID, 0)
-	openStream(t, base, depID, 0)
+	openStream(t, base, depID)
+	openStream(t, base, depID)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.sessions.count() > 0 {
@@ -637,7 +663,7 @@ func TestStreamConcurrentSessions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sid := openStream(t, base, depID, 0)
+			sid := openStream(t, base, depID)
 			for j, r := range cases[i].readings {
 				resp, body := postJSON(t, base+"/v1/stream/"+sid+"/readings", StreamReadingsRequest{
 					Readings: []rfidclean.Reading{r},
@@ -664,35 +690,11 @@ func TestStreamConcurrentSessions(t *testing.T) {
 	}
 }
 
-// TestStreamBeamSession: a beam-limited session bounds its frontier and
-// still produces a normalized, sorted distribution.
-func TestStreamBeamSession(t *testing.T) {
-	base, _, depID, sys := streamHarness(t, Options{})
-	readings := testReadings(t, sys, 55, 50)
-	sid := openStream(t, base, depID, 2)
-
-	st := feedOneByOne(t, base, sid, readings)
-	if st.Beam != 2 {
-		t.Fatalf("status beam = %d, want 2", st.Beam)
-	}
-	if st.Frontier > 2 {
-		t.Fatalf("frontier %d exceeds beam 2", st.Frontier)
-	}
-	st = streamStatus(t, base, sid, 0)
-	total := 0.0
-	for _, lp := range st.Current {
-		total += lp.P
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Fatalf("beamed distribution sums to %v", total)
-	}
-}
-
 // TestStreamHealthz: open sessions are visible in the health payload.
 func TestStreamHealthz(t *testing.T) {
 	base, _, depID, _ := streamHarness(t, Options{})
-	openStream(t, base, depID, 0)
-	openStream(t, base, depID, 0)
+	openStream(t, base, depID)
+	openStream(t, base, depID)
 	var health map[string]any
 	if code := getJSON(t, base+"/healthz", &health); code != http.StatusOK {
 		t.Fatalf("healthz status = %d", code)
@@ -711,7 +713,7 @@ func TestStreamIncrementalSmoothMatchesBatchClean(t *testing.T) {
 	base, _, depID, sys := streamHarness(t, Options{})
 	readings := testReadings(t, sys, 131, 45)
 
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	feedOneByOne(t, base, sid, readings)
 	resp, body := postJSON(t, base+"/v1/stream/"+sid+"/smooth", nil)
 	if resp.StatusCode != http.StatusCreated {
@@ -769,11 +771,11 @@ func TestStreamBinaryCodec(t *testing.T) {
 	base, _, depID, sys := streamHarness(t, Options{})
 	readings := testReadings(t, sys, 909, 30)
 
-	jsonSid := openStream(t, base, depID, 0)
+	jsonSid := openStream(t, base, depID)
 	feedOneByOne(t, base, jsonSid, readings)
 	want := streamStatus(t, base, jsonSid, 0)
 
-	binSid := openStream(t, base, depID, 0)
+	binSid := openStream(t, base, depID)
 	for i := 0; i < len(readings); i += 5 {
 		end := i + 5
 		if end > len(readings) {
@@ -887,7 +889,7 @@ func TestStreamCloseSmoothParam(t *testing.T) {
 		return resp.StatusCode, out
 	}
 
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	feedOneByOne(t, base, sid, readings)
 	for _, junk := range []string{"?smooth=nope", "?smooth=yess", "?smooth=2"} {
 		if code, _ := del(sid, junk); code != http.StatusBadRequest {
@@ -902,7 +904,7 @@ func TestStreamCloseSmoothParam(t *testing.T) {
 		t.Fatalf("smooth=no close: status %d, %+v", code, out)
 	}
 
-	sid = openStream(t, base, depID, 0)
+	sid = openStream(t, base, depID)
 	feedOneByOne(t, base, sid, readings)
 	if code, out := del(sid, "?smooth=TRUE"); code != http.StatusOK || out.Trajectory == nil {
 		t.Fatalf("smooth=TRUE close: status %d, %+v", code, out)
@@ -913,7 +915,7 @@ func TestStreamCloseSmoothParam(t *testing.T) {
 // typed 400s, not silently treated as "no cap".
 func TestStreamStatusTopParam(t *testing.T) {
 	base, _, depID, sys := streamHarness(t, Options{})
-	sid := openStream(t, base, depID, 0)
+	sid := openStream(t, base, depID)
 	feedOneByOne(t, base, sid, testReadings(t, sys, 3, 5))
 	for _, junk := range []string{"abc", "1.5", "0", "-3", "%20"} {
 		resp, err := http.Get(base + "/v1/stream/" + sid + "?top=" + junk)
@@ -947,7 +949,7 @@ func TestEvictOldestDeterministic(t *testing.T) {
 	st.maxSessions = 3
 	for round := 0; round < 8; round++ {
 		for st.count() < 3 {
-			openStream(t, base, depID, 0)
+			openStream(t, base, depID)
 		}
 		// Flatten every stamp so only the tie-break decides.
 		st.mu.Lock()
@@ -962,7 +964,7 @@ func TestEvictOldestDeterministic(t *testing.T) {
 		st.mu.Unlock()
 		sub, _, _ := victim.hub.subscribe(0, false)
 
-		openStream(t, base, depID, 0) // at the cap: must displace the victim
+		openStream(t, base, depID) // at the cap: must displace the victim
 		if st.get(lowestID) != nil {
 			t.Fatalf("round %d: session %s survived eviction", round, lowestID)
 		}
@@ -1114,4 +1116,93 @@ func postJSONQuiet(url string, body any) (*http.Response, []byte) {
 		return nil, []byte(err.Error())
 	}
 	return resp, out.Bytes()
+}
+
+// FuzzStreamBodies posts fuzzed bytes as a stream open body and, when the
+// open answers 201, fuzzed bytes as that session's JSON readings body,
+// against a server holding the SYN1 deployment. The server must not panic;
+// every answer below 500 that is not a 2xx must be a JSON apiError, and a
+// 2xx must decode as the endpoint's response type; /healthz must still
+// answer afterwards.
+func FuzzStreamBodies(f *testing.F) {
+	cfg := dataset.SYN1()
+	d, err := dataset.Build("SYN1", cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw, err := (&rfidclean.Deployment{
+		Name: "SYN1", Plan: d.Plan, Readers: d.Readers,
+		Detection: cfg.Detection, CellSize: cfg.CellSize,
+		CalibrationSamples: cfg.CalibrationSamples, Seed: cfg.Seed,
+	}).EncodeBytes()
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := openServer(f, Options{TraceBuffer: -1, FlightInterval: -1})
+	f.Cleanup(func() { srv.Close() })
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		return rec
+	}
+	rec := serve(http.MethodPost, "/v1/deployments", raw)
+	var created map[string]string
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &created) != nil {
+		f.Fatalf("register SYN1 = %d: %s", rec.Code, rec.Body)
+	}
+	depID := created["id"]
+
+	inst, err := d.Generate(10, 1, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	syn1Readings, _ := json.Marshal(StreamReadingsRequest{Readings: inst[0].Readings})
+	for _, open := range []any{
+		StreamOpenRequest{Deployment: depID, MaxSpeed: 2, MinStay: 5},
+		StreamOpenRequest{Deployment: depID, MaxSpeed: 2},
+		StreamOpenRequest{Deployment: "d999", MaxSpeed: 2},
+		StreamOpenRequest{Deployment: depID},
+		map[string]any{"deployment": depID, "maxSpeed": 2, "minStay": 5, "beam": 3},
+	} {
+		body, _ := json.Marshal(open)
+		f.Add(body, syn1Readings)
+	}
+
+	// answer checks one response against the fuzz properties and decodes a
+	// 2xx body into ok.
+	answer := func(t *testing.T, what string, rec *httptest.ResponseRecorder, ok any) {
+		switch {
+		case rec.Code >= 500: // 5xx answers are outside the checked properties
+		case rec.Code >= 200 && rec.Code < 300:
+			if err := json.Unmarshal(rec.Body.Bytes(), ok); err != nil {
+				t.Fatalf("%s: %d body %q does not decode: %v", what, rec.Code, rec.Body, err)
+			}
+		default:
+			var e apiError
+			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+				t.Fatalf("%s: %d answered with Content-Type %q", what, rec.Code, ct)
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+				t.Fatalf("%s: %d body %q is not an apiError (%v)", what, rec.Code, rec.Body, err)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, open, readings []byte) {
+		rec := serve(http.MethodPost, "/v1/stream", open)
+		var created map[string]string
+		answer(t, "open", rec, &created)
+		if rec.Code == http.StatusCreated {
+			sid := created["id"]
+			var st StreamStatus
+			answer(t, "readings", serve(http.MethodPost, "/v1/stream/"+sid+"/readings", readings), &st)
+			if rec := serve(http.MethodDelete, "/v1/stream/"+sid+"?smooth=no", nil); rec.Code != http.StatusOK {
+				t.Fatalf("close %s = %d: %s", sid, rec.Code, rec.Body)
+			}
+		}
+		if rec := serve(http.MethodGet, "/healthz", nil); rec.Code != http.StatusOK {
+			t.Fatalf("healthz = %d: %s", rec.Code, rec.Body)
+		}
+	})
 }

@@ -178,28 +178,17 @@ type (
 
 // Streaming.
 type (
-	// Filter is the online (streaming) cleaner: it consumes candidate
-	// sets one timestamp at a time and maintains the filtered
-	// distribution of the object's current location.
-	Filter = core.Filter
-	// FilterOptions configures a Filter (e.g. a beam width).
-	FilterOptions = core.FilterOptions
 	// LocProb is one (location ID, probability) entry of a filtered
-	// distribution, as returned by Filter.Distribution/TopLocations.
+	// distribution, as returned by BuildState.Distribution/TopLocations.
 	LocProb = core.LocProb
-	// BuildState keeps Algorithm 1's forward pass alive across readings so
-	// streaming sessions can smooth incrementally: Observe appends one
-	// timestamp, Smooth reconditions only the suffix the newest readings
+	// BuildState is the online cleaner. It keeps Algorithm 1's forward pass
+	// alive across readings: Observe appends one timestamp, Distribution and
+	// TopLocations answer the filtered distribution of the object's current
+	// location, and Smooth reconditions only the suffix the newest readings
 	// can invalidate and returns a graph bit-identical to a full offline
-	// build over the same readings. It also answers the exact (beam-less)
-	// Filter's frontier queries.
+	// build over the same readings.
 	BuildState = core.BuildState
 )
-
-// NewFilter returns a streaming cleaner over the given constraints.
-func NewFilter(ic *ConstraintSet, opts *FilterOptions) *Filter {
-	return core.NewFilter(ic, opts)
-}
 
 // NewBuildState returns an incremental build over the given constraints.
 func NewBuildState(ic *ConstraintSet) *BuildState {
@@ -435,7 +424,7 @@ func (s *System) SmoothState(st *BuildState, opts *BuildOptions) (*Cleaned, erro
 
 // Candidates converts one reading's detecting-reader set into the candidate
 // locations with non-zero probability under the prior — the per-timestamp
-// input of a streaming Filter. The result is freshly allocated and owned by
+// input of BuildState.Observe. The result is freshly allocated and owned by
 // the caller.
 func (s *System) Candidates(r ReaderSet) ([]LCandidate, error) {
 	if s.Prior == nil {

@@ -312,23 +312,24 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Errorf("decoded duration = %d", back.Duration())
 	}
 
-	// Streaming filter tracks the object online.
-	f := rfidclean.NewFilter(ic, nil)
+	// The build state tracks the object online.
+	st := rfidclean.NewBuildState(ic)
 	for _, r := range readings {
-		dist := sys.Prior.Dist(r.Readers)
-		var cands []rfidclean.LCandidate
-		for loc, p := range dist {
-			if p > 0 {
-				cands = append(cands, rfidclean.LCandidate{Loc: loc, P: p})
-			}
+		cands, err := sys.Candidates(r.Readers)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err := f.Observe(cands); err != nil {
+		if err := st.Observe(cands); err != nil {
 			t.Fatal(err)
 		}
 	}
-	final, err := f.Current(sys.Plan.NumLocations())
+	dist, err := st.Distribution()
 	if err != nil {
 		t.Fatal(err)
+	}
+	final := make([]float64, sys.Plan.NumLocations())
+	for _, lp := range dist {
+		final[lp.Loc] = lp.P
 	}
 	smoothed, err := cleaned.StayDistribution(89)
 	if err != nil {
