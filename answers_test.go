@@ -19,6 +19,9 @@ import (
 // least one bit.
 const pinnedDigest = "f8f851e7a2ba01097d6e580134b8b1c43ab2786f62636228b31a6f87cf8d6af9"
 
+// pinnedQuotientDigest is the same digest over the quotient of that clean.
+const pinnedQuotientDigest = "7cbcf0627be2a5fa0f12bd670de97c4a9f8eb3ef23ff1180a6c98e73cb1e1f9d"
+
 func buildSYN1(tb testing.TB) *dataset.Dataset {
 	tb.Helper()
 	d, err := dataset.Build("SYN1", dataset.SYN1())
@@ -32,7 +35,13 @@ func buildSYN1(tb testing.TB) *dataset.Dataset {
 // given constraint selection.
 func cleanSYN1(tb testing.TB, sel dataset.Selection, duration, n int) (*dataset.Dataset, []*Cleaned) {
 	tb.Helper()
-	d := buildSYN1(tb)
+	return cleanDataset(tb, buildSYN1(tb), sel, duration, n)
+}
+
+// cleanDataset cleans n seeded sequences of d of the given duration under
+// the given constraint selection with Build, LenientEnd.
+func cleanDataset(tb testing.TB, d *dataset.Dataset, sel dataset.Selection, duration, n int) (*dataset.Dataset, []*Cleaned) {
+	tb.Helper()
 	insts, err := d.Generate(duration, n, 19)
 	if err != nil {
 		tb.Fatal(err)
@@ -82,7 +91,26 @@ func TestQueryAnswersPinned(t *testing.T) {
 		t.Skip("answer digest is pinned for amd64 floating point")
 	}
 	_, cs := cleanSYN1(t, dataset.SelDULTTT, 120, 1)
-	c := cs[0]
+	if got := answerDigest(t, cs[0]); got != pinnedDigest {
+		t.Fatalf("answer digest %s, want %s", got, pinnedDigest)
+	}
+}
+
+// TestQueryAnswersPinnedQuotient pins the same answers on the quotient of
+// the same clean, the graph the server stores.
+func TestQueryAnswersPinnedQuotient(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("answer digest is pinned for amd64 floating point")
+	}
+	_, cs := cleanSYN1(t, dataset.SelDULTTT, 120, 1)
+	if got := answerDigest(t, cs[0].Quotient()); got != pinnedQuotientDigest {
+		t.Fatalf("quotient answer digest %s, want %s", got, pinnedQuotientDigest)
+	}
+}
+
+// answerDigest hashes every marginal-, pattern- and path-based answer of c.
+func answerDigest(t *testing.T, c *Cleaned) string {
+	t.Helper()
 	dg := digest{sha256.New()}
 	dur := c.Duration()
 	for tau := 0; tau < dur; tau++ {
@@ -145,7 +173,141 @@ func TestQueryAnswersPinned(t *testing.T) {
 			dg.floats(ever, visit)
 		}
 	}
-	if got := hex.EncodeToString(dg.h.Sum(nil)); got != pinnedDigest {
-		t.Fatalf("answer digest %s, want %s", got, pinnedDigest)
+	return hex.EncodeToString(dg.h.Sum(nil))
+}
+
+// TestQuotientAnswersAgree checks the quotient the server stores against
+// Algorithm 1's graph on SYN1 and SYN2 under DU, DU+LT and DU+LT+TT. On
+// 8-s windows every trajectory keeps a bit-identical probability, and the
+// quotient's distribution is the enumeration oracle's. On 60-s windows
+// stay, pattern, top-k and marginal answers agree within 1e-12, and
+// most-probable and top-k probabilities are bit-identical.
+func TestQuotientAnswersAgree(t *testing.T) {
+	for _, ds := range []struct {
+		name string
+		cfg  dataset.Config
+	}{{"SYN1", dataset.SYN1()}, {"SYN2", dataset.SYN2()}} {
+		d, err := dataset.Build(ds.name, ds.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sel := range []dataset.Selection{dataset.SelDU, dataset.SelDULT, dataset.SelDULTTT} {
+			insts, err := d.Generate(8, 4, 19)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, inst := range insts {
+				ls, err := d.Prior.LSequence(inst.Readings)
+				if err != nil {
+					t.Fatal(err)
+				}
+				g, err := core.Build(ls, d.Constraints(sel), &core.Options{EndLatency: constraints.LenientEnd})
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle, err := core.EnumerateConditioned(ls, d.Constraints(sel), constraints.LenientEnd, 1<<20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, got := trajectoryBits(t, g), trajectoryBits(t, g.Quotient())
+				if len(want) != len(got) || len(got) != len(oracle.Trajectories) {
+					t.Fatalf("%s/%v: graph has %d trajectories, quotient %d, oracle %d",
+						ds.name, sel, len(want), len(got), len(oracle.Trajectories))
+				}
+				for k, p := range want {
+					if got[k] != p {
+						t.Fatalf("%s/%v: P(%s) graph %x, quotient %x", ds.name, sel, k, p, got[k])
+					}
+				}
+				for k, p := range oracle.Distribution() {
+					if math.Abs(math.Float64frombits(got[k])-p) > 1e-9 {
+						t.Fatalf("%s/%v: P(%s) quotient %v, oracle %v", ds.name, sel, k, math.Float64frombits(got[k]), p)
+					}
+				}
+			}
+			_, long := cleanDataset(t, d, sel, 60, 2)
+			for _, c := range long {
+				answersAgree(t, c, c.Quotient())
+			}
+		}
+	}
+}
+
+// trajectoryBits maps every trajectory of g to its probability's bits.
+func trajectoryBits(t *testing.T, g *core.Graph) map[string]uint64 {
+	t.Helper()
+	out := make(map[string]uint64)
+	locs := make([]int, g.Duration())
+	err := g.WalkPaths(1<<18, func(path []int, p float64) {
+		for tau, i := range path {
+			locs[tau] = g.Level(tau).Loc(i)
+		}
+		out[core.TrajectoryKey(locs)] = math.Float64bits(p)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// answersAgree asserts that q answers every query like c: sums within
+// 1e-12, best-path probabilities bit for bit.
+func answersAgree(t *testing.T, c, q *Cleaned) {
+	t.Helper()
+	if err := q.Graph().CheckInvariants(1e-9); err != nil {
+		t.Fatalf("quotient invariants: %v", err)
+	}
+	if q.Stats().Nodes > c.Stats().Nodes {
+		t.Fatalf("quotient has %d nodes, graph %d", q.Stats().Nodes, c.Stats().Nodes)
+	}
+	near := func(what string, a, b float64) {
+		t.Helper()
+		if math.Abs(a-b) > 1e-12 {
+			t.Fatalf("%s: graph %v, quotient %v", what, a, b)
+		}
+	}
+	cm, err := c.Marginals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	qm, err := q.Marginals()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tau := range cm {
+		for l := range cm[tau] {
+			near("marginal", cm[tau][l], qm[tau][l])
+		}
+	}
+	best, bestP := c.MostProbable()
+	if _, p := q.MostProbable(); math.Float64bits(p) != math.Float64bits(bestP) {
+		t.Fatalf("most probable: graph %v, quotient %v", bestP, p)
+	}
+	_, cp := c.TopK(5)
+	_, qp := q.TopK(5)
+	if len(cp) != len(qp) {
+		t.Fatalf("top-k: graph %d, quotient %d", len(cp), len(qp))
+	}
+	for i := range cp {
+		if math.Float64bits(cp[i]) != math.Float64bits(qp[i]) {
+			t.Fatalf("top-k %d: graph %v, quotient %v", i, cp[i], qp[i])
+		}
+	}
+	dur := c.Duration()
+	a, b := best[dur/4], best[3*dur/4]
+	for _, p := range []Pattern{
+		{Wild(), At(b, 5), Wild(), At(a, 1), Wild()},
+		{Wild(), At(a, 1), Wild(), At(b, 1), Wild()},
+		{At(best[0], 1), Wild()},
+	} {
+		want, err := c.MatchProbability(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := q.MatchProbability(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		near("match "+p.String(), want, got)
 	}
 }

@@ -1,6 +1,7 @@
 package rfidclean_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -66,6 +67,41 @@ func TestCleanAllMatchesSequential(t *testing.T) {
 						i, tau, loc, gm[tau][loc], wm[tau][loc])
 				}
 			}
+		}
+	}
+}
+
+// TestCleanAllQuotient: with BuildOptions.Quotient set, every slot holds
+// the quotient of the sequence's clean, byte for byte, and keeps its
+// explain report.
+func TestCleanAllQuotient(t *testing.T) {
+	sys := demoSystem(t)
+	ic, err := sys.InferConstraints(2, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings := batchReadings(t, sys, 6, 60, 2)
+	opts := &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd, Explain: &rfidclean.BuildExplain{}}
+	quotient := *opts
+	quotient.Quotient = true
+	cleaned, errs := sys.CleanAll(readings, ic, &rfidclean.BatchOptions{Build: &quotient, Workers: 3})
+	encode := func(c *rfidclean.Cleaned) string {
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for i, r := range readings {
+		want, err := sys.Clean(r, ic, opts)
+		if err != nil || errs[i] != nil {
+			t.Fatalf("slot %d: sequential err %v, batch err %v", i, err, errs[i])
+		}
+		if encode(cleaned[i]) != encode(want.Quotient()) {
+			t.Fatalf("slot %d: batch result is not the quotient of the sequence's clean", i)
+		}
+		if cleaned[i].Explain() == nil {
+			t.Fatalf("slot %d: explain report dropped", i)
 		}
 	}
 }

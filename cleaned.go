@@ -48,6 +48,18 @@ func newCleanedExplained(g *core.Graph, plan *floorplan.Plan, opts *core.Options
 	return c
 }
 
+// Quotient returns a Cleaned over the quotient of c's graph
+// (core.Graph.Quotient): one node per distinct future, with every valid
+// trajectory and its probability kept bit for bit, and no stay counters or
+// TL entries. Answers that sum over trajectories agree with c's within
+// rounding. The explain report, which describes Algorithm 1's graph, is
+// kept.
+func (c *Cleaned) Quotient() *Cleaned {
+	q := newCleaned(c.graph.Quotient(), c.plan)
+	q.explain = c.explain
+	return q
+}
+
 // Explain is the cleaning explain report of one Clean call: where the time
 // went and where candidate interpretations were pruned, constraint family by
 // constraint family. Collect one by cleaning with BuildOptions.Explain set.

@@ -45,6 +45,9 @@ func TestDecodeCleanedRejectsForeignLocations(t *testing.T) {
 func FuzzDecodeCleaned(f *testing.F) {
 	d, cs := cleanSYN1(f, dataset.SelDULTTT, 12, 2)
 	for _, c := range cs {
+		cs = append(cs, c.Quotient()) // the form the server stores
+	}
+	for _, c := range cs {
 		var buf bytes.Buffer
 		if err := c.Encode(&buf); err != nil {
 			f.Fatal(err)

@@ -209,3 +209,18 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkQuotient measures the quotient pass the server runs on every
+// graph it stores, over the benchScenario graph.
+func BenchmarkQuotient(b *testing.B) {
+	ls, ic := benchScenario()
+	g, err := Build(ls, ic, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Quotient()
+	}
+}

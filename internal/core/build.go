@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/constraints"
@@ -29,6 +30,13 @@ type Options struct {
 	// goroutine with no synchronization: callers running concurrent builds
 	// must give each its own Options value.
 	Explain *BuildExplain
+
+	// Quotient makes Build and BuildState.Smooth return the quotient of
+	// Algorithm 1's graph (Graph.Quotient) in its place; the explain report
+	// still describes Algorithm 1's graph. Build's own graph then never
+	// leaves it, so Build hands that graph's arena blocks to the builds
+	// after it instead of leaving them to the garbage collector.
+	Quotient bool
 }
 
 func (o *Options) endLatency() constraints.EndLatencyMode {
@@ -37,6 +45,8 @@ func (o *Options) endLatency() constraints.EndLatencyMode {
 	}
 	return o.EndLatency
 }
+
+func (o *Options) quotient() bool { return o != nil && o.Quotient }
 
 func (o *Options) explain() *BuildExplain {
 	if o == nil {
@@ -157,11 +167,11 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 		phaseStart = time.Now()
 	}
 	_, spRevise := obs.Start(ctx, "core.revise")
-	defer spRevise.End()
 
 	// Condition the source probabilities (lines 30-31).
 	total, ok := conditionSources(g.byTime[0])
 	if !ok {
+		spRevise.End()
 		return nil, ErrNoValidTrajectory
 	}
 	ghosts := g.scrubOrphans()
@@ -176,6 +186,14 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 			ex.Steps[t].NodesFinal = len(g.byTime[t])
 		}
 		ex.ReviseNanos = time.Since(phaseStart).Nanoseconds()
+	}
+	spRevise.End()
+	if opts.quotient() {
+		_, sp := obs.Start(ctx, "core.quotient")
+		q := g.Quotient()
+		k.b.release()
+		sp.End()
+		return q, nil
 	}
 	return g, nil
 }
@@ -394,17 +412,58 @@ type builder struct {
 	nodes   []node
 	edges   []edge
 	ptrs    []*edge
+
+	// blocks are the fixed-size arena blocks this builder took.
+	blocks arenaBlocks
+}
+
+// arenaBlocks are fixed-size arena blocks. A Build whose graph does not
+// outlive it (Options.Quotient) puts its blocks back in the pools, and
+// later builders take them from there before allocating new ones. Every
+// node and edge is written whole when it is handed out, so what a block
+// held before never shows.
+type arenaBlocks struct {
+	nodes []*[nodeBlockSize]node
+	edges []*[edgeBlockSize]edge
+	ptrs  []*[ptrBlockSize]*edge
+}
+
+var nodeBlocks, edgeBlocks, ptrBlocks sync.Pool
+
+// take returns a pooled block, or a fresh one, and records it in blocks.
+func take[A any](pool *sync.Pool, blocks *[]*A) *A {
+	a, ok := pool.Get().(*A)
+	if !ok {
+		a = new(A)
+	}
+	*blocks = append(*blocks, a)
+	return a
 }
 
 func newBuilder(ic *constraints.Set) builder {
 	return builder{cs: ic.Compile(), tl: newTLInterner()}
 }
 
+// release puts every block the builder took back in the pools. Nothing may
+// use a node or edge of the builder afterwards.
+func (b *builder) release() {
+	for _, a := range b.blocks.nodes {
+		nodeBlocks.Put(a)
+	}
+	for _, a := range b.blocks.edges {
+		edgeBlocks.Put(a)
+	}
+	for _, a := range b.blocks.ptrs {
+		ptrBlocks.Put(a)
+	}
+	*b = builder{}
+}
+
 // newNode allocates a node from the arena. tl must be a canonical interned
 // slice (or nil).
 func (b *builder) newNode(t, loc, stay int, tl []TLEntry) *node {
 	if len(b.nodes) == cap(b.nodes) {
-		b.nodes = make([]node, 0, nodeBlockSize)
+		b.nodes = take(&nodeBlocks, &b.blocks.nodes)[:0]
 	}
 	b.nodes = b.nodes[:len(b.nodes)+1]
 	n := &b.nodes[len(b.nodes)-1]
@@ -415,7 +474,7 @@ func (b *builder) newNode(t, loc, stay int, tl []TLEntry) *node {
 // newEdge allocates an edge from the arena.
 func (b *builder) newEdge(from, to *node, p float64) *edge {
 	if len(b.edges) == cap(b.edges) {
-		b.edges = make([]edge, 0, edgeBlockSize)
+		b.edges = take(&edgeBlocks, &b.blocks.edges)[:0]
 	}
 	b.edges = b.edges[:len(b.edges)+1]
 	e := &b.edges[len(b.edges)-1]
@@ -429,7 +488,7 @@ func (b *builder) newEdge(from, to *node, p float64) *edge {
 // up in profiles.
 func (b *builder) cloneNode(n *node) *node {
 	if len(b.nodes) == cap(b.nodes) {
-		b.nodes = make([]node, 0, nodeBlockSize)
+		b.nodes = take(&nodeBlocks, &b.blocks.nodes)[:0]
 	}
 	b.nodes = b.nodes[:len(b.nodes)+1]
 	c := &b.nodes[len(b.nodes)-1]
@@ -461,11 +520,11 @@ func (b *builder) carve(n int) []*edge {
 		return nil
 	}
 	if cap(b.ptrs)-len(b.ptrs) < n {
-		size := ptrBlockSize
-		if n > size {
-			size = n
+		if n > ptrBlockSize {
+			b.ptrs = make([]*edge, 0, n)
+		} else {
+			b.ptrs = take(&ptrBlocks, &b.blocks.ptrs)[:0]
 		}
-		b.ptrs = make([]*edge, 0, size)
 	}
 	s := b.ptrs[len(b.ptrs) : len(b.ptrs) : len(b.ptrs)+n]
 	b.ptrs = b.ptrs[:len(b.ptrs)+n]

@@ -322,6 +322,10 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 		}
 		ex.ReviseNanos = time.Since(reviseStart).Nanoseconds()
 	}
+	if opts.quotient() {
+		// The state keeps g as its snapshot, so the quotient is a copy.
+		return g.Quotient(), nil
+	}
 	return g, nil
 }
 

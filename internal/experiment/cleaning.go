@@ -26,6 +26,12 @@ type CleaningResult struct {
 	MeanNodes   float64
 	MeanEdges   float64
 	MeanBytes   float64
+
+	// The same for the quotient of each graph (core.Graph.Quotient), the
+	// form the server stores: the pass's time and the quotient's size.
+	MeanQuotientSeconds float64
+	MeanQuotientNodes   float64
+	MeanQuotientBytes   float64
 }
 
 // CleaningCost measures the average running time of the ct-graph
@@ -47,7 +53,7 @@ func CleaningCost(d *dataset.Dataset, p Params) ([]CleaningResult, error) {
 				Dataset: d.Name, Selection: sel, Duration: dur,
 				Trajectories: len(insts),
 			}
-			var secs, nodes, edges, bytes []float64
+			var secs, nodes, edges, bytes, qsecs, qnodes, qbytes []float64
 			for _, inst := range insts {
 				start := time.Now()
 				g, err := buildGraph(d, inst, sel, p.Mode)
@@ -63,11 +69,20 @@ func CleaningCost(d *dataset.Dataset, p Params) ([]CleaningResult, error) {
 				nodes = append(nodes, float64(st.Nodes))
 				edges = append(edges, float64(st.Edges))
 				bytes = append(bytes, float64(st.Bytes))
+				start = time.Now()
+				q := g.Quotient()
+				qsecs = append(qsecs, time.Since(start).Seconds())
+				qs := q.Stats()
+				qnodes = append(qnodes, float64(qs.Nodes))
+				qbytes = append(qbytes, float64(qs.Bytes))
 			}
 			res.MeanSeconds = stats.Mean(secs)
 			res.MeanNodes = stats.Mean(nodes)
 			res.MeanEdges = stats.Mean(edges)
 			res.MeanBytes = stats.Mean(bytes)
+			res.MeanQuotientSeconds = stats.Mean(qsecs)
+			res.MeanQuotientNodes = stats.Mean(qnodes)
+			res.MeanQuotientBytes = stats.Mean(qbytes)
 			out = append(out, res)
 		}
 	}
@@ -78,7 +93,7 @@ func CleaningCost(d *dataset.Dataset, p Params) ([]CleaningResult, error) {
 func CleaningTable(results []CleaningResult) *Table {
 	t := &Table{
 		Title:  "Fig. 8(a)/(b) — average cleaning time (seconds) vs trajectory duration",
-		Header: []string{"dataset", "constraints", "duration(s)", "mean time(s)", "nodes", "edges", "size(MB)", "skipped"},
+		Header: []string{"dataset", "constraints", "duration(s)", "mean time(s)", "nodes", "edges", "size(MB)", "quotient time(s)", "skipped"},
 	}
 	for _, r := range results {
 		t.Rows = append(t.Rows, []string{
@@ -89,6 +104,7 @@ func CleaningTable(results []CleaningResult) *Table {
 			fmt.Sprintf("%.0f", r.MeanNodes),
 			fmt.Sprintf("%.0f", r.MeanEdges),
 			fmt.Sprintf("%.2f", r.MeanBytes/1e6),
+			fmt.Sprintf("%.4f", r.MeanQuotientSeconds),
 			fmt.Sprintf("%d", r.Skipped),
 		})
 	}
@@ -96,11 +112,12 @@ func CleaningTable(results []CleaningResult) *Table {
 }
 
 // GraphSizeTable renders the §6.7 comparison: ct-graph memory for the
-// longest duration under DU-only vs all constraints.
+// longest duration under DU-only vs all constraints, for Algorithm 1's graph
+// and for its quotient.
 func GraphSizeTable(results []CleaningResult) *Table {
 	t := &Table{
 		Title:  "§6.7 — ct-graph size at the longest duration",
-		Header: []string{"dataset", "constraints", "duration(s)", "size(MB)", "nodes"},
+		Header: []string{"dataset", "constraints", "duration(s)", "size(MB)", "nodes", "quotient size(MB)", "quotient nodes"},
 	}
 	maxDur := 0
 	for _, r := range results {
@@ -118,6 +135,8 @@ func GraphSizeTable(results []CleaningResult) *Table {
 			fmt.Sprintf("%d", r.Duration),
 			fmt.Sprintf("%.3f", r.MeanBytes/1e6),
 			fmt.Sprintf("%.0f", r.MeanNodes),
+			fmt.Sprintf("%.3f", r.MeanQuotientBytes/1e6),
+			fmt.Sprintf("%.0f", r.MeanQuotientNodes),
 		})
 	}
 	return t
@@ -132,7 +151,10 @@ type QueryCostResult struct {
 
 	MeanStaySeconds float64
 	MeanTrajSeconds float64
-	Skipped         int
+	// The same queries over the quotient of each graph.
+	MeanQuotientStaySeconds float64
+	MeanQuotientTrajSeconds float64
+	Skipped                 int
 }
 
 // QueryCost measures average stay- and trajectory-query times over the
@@ -152,7 +174,7 @@ func QueryCost(d *dataset.Dataset, p Params) ([]QueryCostResult, error) {
 		}
 		for _, sel := range dataset.Selections {
 			res := QueryCostResult{Dataset: d.Name, Selection: sel, Duration: dur}
-			var staySecs, trajSecs []float64
+			var staySecs, trajSecs, qStaySecs, qTrajSecs []float64
 			rng := stats.NewRNG(d.Config.Seed ^ uint64(dur)<<16 ^ uint64(sel))
 			for _, inst := range insts {
 				g, err := buildGraph(d, inst, sel, p.Mode)
@@ -163,37 +185,61 @@ func QueryCost(d *dataset.Dataset, p Params) ([]QueryCostResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				eng := query.NewEngine(g, d.Plan.NumLocations())
-				start := time.Now()
-				for q := 0; q < p.StayQueries; q++ {
-					if _, err := eng.Stay(rng.Intn(dur)); err != nil {
-						return nil, err
-					}
+				taus := make([]int, p.StayQueries)
+				for q := range taus {
+					taus[q] = rng.Intn(dur)
 				}
-				staySecs = append(staySecs, time.Since(start).Seconds()/float64(p.StayQueries))
-
-				start = time.Now()
-				for q := 0; q < p.TrajQueries; q++ {
-					pat := query.RandomPattern(rng, locIDs, rng.IntRange(2, 4))
-					if _, err := eng.Trajectory(pat); err != nil {
-						return nil, err
-					}
+				pats := make([]query.Pattern, p.TrajQueries)
+				for q := range pats {
+					pats[q] = query.RandomPattern(rng, locIDs, rng.IntRange(2, 4))
 				}
-				trajSecs = append(trajSecs, time.Since(start).Seconds()/float64(p.TrajQueries))
+				stay, traj, err := timeQueries(query.NewEngine(g, d.Plan.NumLocations()), taus, pats)
+				if err != nil {
+					return nil, err
+				}
+				staySecs, trajSecs = append(staySecs, stay), append(trajSecs, traj)
+				stay, traj, err = timeQueries(query.NewEngine(g.Quotient(), d.Plan.NumLocations()), taus, pats)
+				if err != nil {
+					return nil, err
+				}
+				qStaySecs, qTrajSecs = append(qStaySecs, stay), append(qTrajSecs, traj)
 			}
 			res.MeanStaySeconds = stats.Mean(staySecs)
 			res.MeanTrajSeconds = stats.Mean(trajSecs)
+			res.MeanQuotientStaySeconds = stats.Mean(qStaySecs)
+			res.MeanQuotientTrajSeconds = stats.Mean(qTrajSecs)
 			out = append(out, res)
 		}
 	}
 	return out, nil
 }
 
-// QueryCostTable renders query-cost results (Fig. 8(c)).
+// timeQueries runs the stay queries at taus and the trajectory queries pats
+// on eng and returns the mean seconds per query of each kind.
+func timeQueries(eng *query.Engine, taus []int, pats []query.Pattern) (stay, traj float64, err error) {
+	start := time.Now()
+	for _, tau := range taus {
+		if _, err := eng.Stay(tau); err != nil {
+			return 0, 0, err
+		}
+	}
+	stay = time.Since(start).Seconds() / float64(len(taus))
+	start = time.Now()
+	for _, pat := range pats {
+		if _, err := eng.Trajectory(pat); err != nil {
+			return 0, 0, err
+		}
+	}
+	return stay, time.Since(start).Seconds() / float64(len(pats)), nil
+}
+
+// QueryCostTable renders query-cost results (Fig. 8(c)), over Algorithm 1's
+// graphs and over their quotients.
 func QueryCostTable(results []QueryCostResult) *Table {
 	t := &Table{
-		Title:  "Fig. 8(c) — average query time (seconds) vs trajectory duration",
-		Header: []string{"dataset", "constraints", "duration(s)", "stay query(s)", "trajectory query(s)", "skipped"},
+		Title: "Fig. 8(c) — average query time (seconds) vs trajectory duration",
+		Header: []string{"dataset", "constraints", "duration(s)", "stay query(s)", "trajectory query(s)",
+			"quotient stay(s)", "quotient trajectory(s)", "skipped"},
 	}
 	for _, r := range results {
 		t.Rows = append(t.Rows, []string{
@@ -202,6 +248,8 @@ func QueryCostTable(results []QueryCostResult) *Table {
 			fmt.Sprintf("%d", r.Duration),
 			fmt.Sprintf("%.6f", r.MeanStaySeconds),
 			fmt.Sprintf("%.6f", r.MeanTrajSeconds),
+			fmt.Sprintf("%.6f", r.MeanQuotientStaySeconds),
+			fmt.Sprintf("%.6f", r.MeanQuotientTrajSeconds),
 			fmt.Sprintf("%d", r.Skipped),
 		})
 	}

@@ -57,11 +57,12 @@ type Options struct {
 
 // Model computes p*(l|R) from a detection matrix (typically the calibrated
 // F̂ of rfid.Calibrate) and converts reading sequences into l-sequences.
-// A Model caches one distribution per distinct reader set and is safe for
-// concurrent use.
+// A Model caches one distribution per distinct set of known readers and is
+// safe for concurrent use.
 type Model struct {
-	f    *rfid.Matrix
-	opts Options
+	f     *rfid.Matrix
+	opts  Options
+	known map[int]bool // IDs of the matrix's readers
 
 	mu    sync.Mutex
 	cache map[string][]float64
@@ -69,7 +70,11 @@ type Model struct {
 
 // New returns a model over the given detection matrix.
 func New(f *rfid.Matrix, opts Options) *Model {
-	return &Model{f: f, opts: opts, cache: make(map[string][]float64)}
+	known := make(map[int]bool, len(f.Readers))
+	for _, r := range f.Readers {
+		known[r.ID] = true
+	}
+	return &Model{f: f, opts: opts, known: known, cache: make(map[string][]float64)}
 }
 
 // NumLocations returns the number of locations of the underlying plan.
@@ -79,7 +84,7 @@ func (m *Model) NumLocations() int { return m.f.Cells.Plan.NumLocations() }
 // object is there given that it was detected by exactly the readers in R.
 // The returned slice is owned by the model's cache and must not be modified.
 func (m *Model) Dist(r rfid.Set) []float64 {
-	key := r.Key()
+	key := m.cacheKey(r)
 	m.mu.Lock()
 	d, ok := m.cache[key]
 	m.mu.Unlock()
@@ -91,6 +96,26 @@ func (m *Model) Dist(r rfid.Set) []float64 {
 	m.cache[key] = d
 	m.mu.Unlock()
 	return d
+}
+
+// cacheKey returns the key of r's known readers. p*(·|R) ignores readers
+// the matrix does not know, so sets that differ only in unknown IDs share
+// one cache entry, and a client posting ever-new reader IDs cannot grow
+// the cache.
+func (m *Model) cacheKey(r rfid.Set) string {
+	ids := r.IDs()
+	for i, id := range ids {
+		if !m.known[id] {
+			known := append([]int(nil), ids[:i]...)
+			for _, id := range ids[i+1:] {
+				if m.known[id] {
+					known = append(known, id)
+				}
+			}
+			return rfid.NewSet(known...).Key()
+		}
+	}
+	return r.Key()
 }
 
 func (m *Model) compute(r rfid.Set) []float64 {
@@ -211,7 +236,8 @@ func (m *Model) LSequence(seq rfid.Sequence) (*core.LSequence, error) {
 	return ls, nil
 }
 
-// CacheSize returns the number of distinct reader sets seen so far.
+// CacheSize returns the number of distinct sets of known readers seen so
+// far.
 func (m *Model) CacheSize() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

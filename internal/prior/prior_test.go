@@ -180,6 +180,36 @@ func TestDistCaching(t *testing.T) {
 	}
 }
 
+// TestDistCacheIgnoresUnknownReaders: reader sets that differ only in IDs
+// the matrix does not know share one cache entry, and the answer for every
+// known set stays bit-identical to a fresh model's, under both formulas.
+func TestDistCacheIgnoresUnknownReaders(t *testing.T) {
+	f := fixture(t)
+	for _, formula := range []Formula{PaperFormula, FullLikelihood} {
+		fresh, m := New(f, Options{Formula: formula}), New(f, Options{Formula: formula})
+		want := fresh.Dist(rfid.NewSet(0))
+		for i := 0; i < 10000; i++ {
+			got := m.Dist(rfid.NewSet(0, 1000+i, -1-i%7))
+			for loc := range want {
+				if math.Float64bits(got[loc]) != math.Float64bits(want[loc]) {
+					t.Fatalf("%v: set %d: p(%d) = %v, want %v", formula, i, loc, got[loc], want[loc])
+				}
+			}
+		}
+		if m.CacheSize() != 1 {
+			t.Fatalf("%v: CacheSize = %d after 10000 sets differing in unknown readers, want 1", formula, m.CacheSize())
+		}
+		for _, set := range []rfid.Set{rfid.NewSet(), rfid.NewSet(1), rfid.NewSet(0, 1)} {
+			want, got := fresh.Dist(set), m.Dist(set)
+			for loc := range want {
+				if math.Float64bits(got[loc]) != math.Float64bits(want[loc]) {
+					t.Fatalf("%v: dist(%v) p(%d) = %v, want %v", formula, set, loc, got[loc], want[loc])
+				}
+			}
+		}
+	}
+}
+
 func TestLSequence(t *testing.T) {
 	m := New(fixture(t), Options{})
 	seq := rfid.Sequence{

@@ -245,9 +245,10 @@ func TestTracingDisabled(t *testing.T) {
 
 // TestExplainEndpoint is the acceptance E2E: the explain report's
 // per-constraint prune counts must sum consistently with the ct-graph's
-// candidate counts, and its node tallies must match the stored graph.
+// candidate counts. Its node tallies describe Algorithm 1's graph, while
+// the response's nodes count the stored quotient, which is no larger.
 func TestExplainEndpoint(t *testing.T) {
-	base, depID, _, readings := harness(t)
+	base, depID, sys, readings := harness(t)
 	created := cleanWithID(t, base, "explain-e2e", CleanRequest{
 		Deployment: depID, Readings: readings, MaxSpeed: 2, MinStay: 3,
 	})
@@ -274,8 +275,20 @@ func TestExplainEndpoint(t *testing.T) {
 	if pruned := b.PrunedDU + b.PrunedLT + b.PrunedTT; pruned != gap {
 		t.Fatalf("prune counters sum to %d, considered-accepted gap is %d", pruned, gap)
 	}
-	if nodes != int64(er.Nodes) || er.Nodes != created.Nodes {
-		t.Fatalf("Σ NodesFinal = %d, graph nodes = %d (created %d)", nodes, er.Nodes, created.Nodes)
+	ic, err := sys.InferConstraints(2, 3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := sys.Clean(readings, ic, &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if nodes != int64(raw.Stats().Nodes) {
+		t.Fatalf("Σ NodesFinal = %d, Algorithm 1's graph has %d nodes", nodes, raw.Stats().Nodes)
+	}
+	if er.Nodes != created.Nodes || er.Nodes != raw.Quotient().Stats().Nodes || int64(er.Nodes) > nodes {
+		t.Fatalf("stored nodes = %d (created %d), quotient %d, Σ NodesFinal = %d",
+			er.Nodes, created.Nodes, raw.Quotient().Stats().Nodes, nodes)
 	}
 	if b.ForwardNanos <= 0 || b.BackwardNanos <= 0 {
 		t.Fatalf("per-phase timings missing: %+v", b)

@@ -686,7 +686,8 @@ type CleanRequest struct {
 	StrictEnd bool `json:"strictEnd"`
 }
 
-// CleanResponse reports the cleaned trajectory handle and its graph size.
+// CleanResponse reports the cleaned trajectory handle and the size of the
+// graph stored for it: the quotient of its ct-graph.
 type CleanResponse struct {
 	ID    string `json:"id"`
 	Nodes int    `json:"nodes"`
@@ -721,8 +722,9 @@ func (s *Server) handleClean(w http.ResponseWriter, r *http.Request) {
 	}
 	// Explain reports are always collected on server cleans: they feed the
 	// per-phase/per-constraint metrics and the explain endpoint, and cost a
-	// few hundred bytes next to the graph itself.
-	opts := &rfidclean.BuildOptions{EndLatency: endMode(req.StrictEnd), Explain: &rfidclean.BuildExplain{}}
+	// few hundred bytes next to the graph itself. The server stores and logs
+	// the quotient of every graph (DESIGN §3m).
+	opts := &rfidclean.BuildOptions{EndLatency: endMode(req.StrictEnd), Explain: &rfidclean.BuildExplain{}, Quotient: true}
 	// Profiler labels tie CPU/heap samples from the conditioning passes back
 	// to the API surface and deployment that caused them.
 	var (
@@ -831,7 +833,9 @@ func (s *Server) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 	// slot's conditioning to the batch endpoint and its deployment.
 	pprof.Do(ctx, pprof.Labels("endpoint", "clean_batch", "deployment", dep.id), func(ctx context.Context) {
 		cleaned, errs = dep.sys.CleanAll(req.Sequences, ic, &rfidclean.BatchOptions{
-			Build:   &rfidclean.BuildOptions{EndLatency: endMode(req.StrictEnd), Explain: &rfidclean.BuildExplain{}},
+			Build: &rfidclean.BuildOptions{
+				EndLatency: endMode(req.StrictEnd), Explain: &rfidclean.BuildExplain{}, Quotient: true,
+			},
 			Workers: s.workers,
 			Context: ctx, // a vanished client stops burning CPU on unstarted slots
 		})
@@ -913,7 +917,10 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 
 // ExplainResponse is the GET /v1/trajectories/{id}/explain body: the cleaning
 // explain report collected when the trajectory was cleaned, labeled with the
-// graph it produced.
+// graph the server stores. The report describes Algorithm 1's graph: the sum
+// of its per-step NodesFinal is that graph's node count. Nodes and Edges
+// count the stored quotient, which keeps one node per distinct future, so
+// Nodes is at most that sum, and the sum over Nodes is the merge factor.
 type ExplainResponse struct {
 	ID         string `json:"id"`
 	Deployment string `json:"deployment"`

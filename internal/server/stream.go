@@ -578,8 +578,8 @@ func (s *Server) handleStreamStatus(w http.ResponseWriter, r *http.Request, sess
 const smoothMode = "incremental"
 
 // smoothLocked conditions the accepted readings (LenientEnd, so the final
-// timestamp agrees with the filtered answer) and stores the ct-graph in the
-// trajectory store. It re-runs only the backward/revise suffix of the
+// timestamp agrees with the filtered answer) and stores the quotient of the
+// ct-graph in the trajectory store. It re-runs only the backward/revise suffix of the
 // session's build state that the newest readings can invalidate; the result
 // is bit-identical to a full offline clean of those readings under the
 // constraint set the session opened with. The caller holds sess.mu.
@@ -594,6 +594,7 @@ func (s *Server) smoothLocked(ctx context.Context, sess *streamSession) (CleanRe
 	opts := &rfidclean.BuildOptions{
 		EndLatency: rfidclean.LenientEnd,
 		Explain:    &rfidclean.BuildExplain{},
+		Quotient:   true,
 	}
 	var (
 		cleaned *rfidclean.Cleaned

@@ -1118,13 +1118,15 @@ func postJSONQuiet(url string, body any) (*http.Response, []byte) {
 	return resp, out.Bytes()
 }
 
-// FuzzStreamBodies posts fuzzed bytes as a stream open body and, when the
-// open answers 201, fuzzed bytes as that session's JSON readings body,
-// against a server holding the SYN1 deployment. The server must not panic;
-// every answer below 500 that is not a 2xx must be a JSON apiError, and a
-// 2xx must decode as the endpoint's response type; /healthz must still
-// answer afterwards.
-func FuzzStreamBodies(f *testing.F) {
+// fuzzHarness is the server the body fuzz targets post to: one holding the
+// SYN1 deployment, driven in-process.
+type fuzzHarness struct {
+	srv   *Server
+	depID string
+	data  *dataset.Dataset
+}
+
+func newFuzzHarness(f *testing.F) *fuzzHarness {
 	cfg := dataset.SYN1()
 	d, err := dataset.Build("SYN1", cfg)
 	if err != nil {
@@ -1138,23 +1140,65 @@ func FuzzStreamBodies(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	srv := openServer(f, Options{TraceBuffer: -1, FlightInterval: -1})
-	f.Cleanup(func() { srv.Close() })
-	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
-		req := httptest.NewRequest(method, path, bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		return rec
-	}
-	rec := serve(http.MethodPost, "/v1/deployments", raw)
+	h := &fuzzHarness{srv: openServer(f, Options{TraceBuffer: -1, FlightInterval: -1}), data: d}
+	f.Cleanup(func() { h.srv.Close() })
+	rec := h.serve(http.MethodPost, "/v1/deployments", raw)
 	var created map[string]string
 	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &created) != nil {
 		f.Fatalf("register SYN1 = %d: %s", rec.Code, rec.Body)
 	}
-	depID := created["id"]
+	h.depID = created["id"]
+	return h
+}
 
-	inst, err := d.Generate(10, 1, 1)
+func (h *fuzzHarness) serve(method, path string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(method, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	h.srv.ServeHTTP(rec, req)
+	return rec
+}
+
+// answer checks one response against the fuzz properties and decodes a 2xx
+// body into ok: every answer below 500 that is not a 2xx must be a JSON
+// apiError, and a 2xx must decode as the endpoint's response type.
+func (h *fuzzHarness) answer(t *testing.T, what string, rec *httptest.ResponseRecorder, ok any) {
+	t.Helper()
+	switch {
+	case rec.Code >= 500: // 5xx answers are outside the checked properties
+	case rec.Code >= 200 && rec.Code < 300:
+		if err := json.Unmarshal(rec.Body.Bytes(), ok); err != nil {
+			t.Fatalf("%s: %d body %q does not decode: %v", what, rec.Code, rec.Body, err)
+		}
+	default:
+		var e apiError
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Fatalf("%s: %d answered with Content-Type %q", what, rec.Code, ct)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+			t.Fatalf("%s: %d body %q is not an apiError (%v)", what, rec.Code, rec.Body, err)
+		}
+	}
+}
+
+// healthy fails unless /healthz still answers.
+func (h *fuzzHarness) healthy(t *testing.T) {
+	t.Helper()
+	if rec := h.serve(http.MethodGet, "/healthz", nil); rec.Code != http.StatusOK {
+		t.Fatalf("healthz = %d: %s", rec.Code, rec.Body)
+	}
+}
+
+// FuzzStreamBodies posts fuzzed bytes as a stream open body and, when the
+// open answers 201, fuzzed bytes as that session's JSON readings body,
+// against a server holding the SYN1 deployment. The server must not panic;
+// every answer below 500 that is not a 2xx must be a JSON apiError, and a
+// 2xx must decode as the endpoint's response type; /healthz must still
+// answer afterwards.
+func FuzzStreamBodies(f *testing.F) {
+	h := newFuzzHarness(f)
+	depID := h.depID
+	inst, err := h.data.Generate(10, 1, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -1169,40 +1213,83 @@ func FuzzStreamBodies(f *testing.F) {
 		body, _ := json.Marshal(open)
 		f.Add(body, syn1Readings)
 	}
-
-	// answer checks one response against the fuzz properties and decodes a
-	// 2xx body into ok.
-	answer := func(t *testing.T, what string, rec *httptest.ResponseRecorder, ok any) {
-		switch {
-		case rec.Code >= 500: // 5xx answers are outside the checked properties
-		case rec.Code >= 200 && rec.Code < 300:
-			if err := json.Unmarshal(rec.Body.Bytes(), ok); err != nil {
-				t.Fatalf("%s: %d body %q does not decode: %v", what, rec.Code, rec.Body, err)
-			}
-		default:
-			var e apiError
-			if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-				t.Fatalf("%s: %d answered with Content-Type %q", what, rec.Code, ct)
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
-				t.Fatalf("%s: %d body %q is not an apiError (%v)", what, rec.Code, rec.Body, err)
-			}
-		}
-	}
 	f.Fuzz(func(t *testing.T, open, readings []byte) {
-		rec := serve(http.MethodPost, "/v1/stream", open)
+		rec := h.serve(http.MethodPost, "/v1/stream", open)
 		var created map[string]string
-		answer(t, "open", rec, &created)
+		h.answer(t, "open", rec, &created)
 		if rec.Code == http.StatusCreated {
 			sid := created["id"]
 			var st StreamStatus
-			answer(t, "readings", serve(http.MethodPost, "/v1/stream/"+sid+"/readings", readings), &st)
-			if rec := serve(http.MethodDelete, "/v1/stream/"+sid+"?smooth=no", nil); rec.Code != http.StatusOK {
+			h.answer(t, "readings", h.serve(http.MethodPost, "/v1/stream/"+sid+"/readings", readings), &st)
+			if rec := h.serve(http.MethodDelete, "/v1/stream/"+sid+"?smooth=no", nil); rec.Code != http.StatusOK {
 				t.Fatalf("close %s = %d: %s", sid, rec.Code, rec.Body)
 			}
 		}
-		if rec := serve(http.MethodGet, "/healthz", nil); rec.Code != http.StatusOK {
-			t.Fatalf("healthz = %d: %s", rec.Code, rec.Body)
+		h.healthy(t)
+	})
+}
+
+// FuzzCleanBodies posts fuzzed bytes as a POST /v1/clean body and as a POST
+// /v1/clean/batch body, against a server holding the SYN1 deployment, with
+// the properties of FuzzStreamBodies. In addition, the nodes, edges and
+// bytes a 2xx answer reports for a trajectory must equal what
+// GET /v1/trajectories/{id} then reports for it.
+func FuzzCleanBodies(f *testing.F) {
+	h := newFuzzHarness(f)
+	depID := h.depID
+	insts, err := h.data.Generate(10, 2, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seqs := []rfidclean.ReadingSequence{insts[0].Readings, insts[1].Readings}
+	for _, pair := range [][2]any{
+		{CleanRequest{Deployment: depID, Readings: seqs[0], MaxSpeed: 2, MinStay: 5},
+			BatchCleanRequest{Deployment: depID, Sequences: seqs, MaxSpeed: 2, MinStay: 5}},
+		{CleanRequest{Deployment: depID, Readings: seqs[0], Group: seqs[1:], MaxSpeed: 2, StrictEnd: true},
+			BatchCleanRequest{Deployment: depID, Sequences: seqs, MaxSpeed: 2, TTCap: 3, StrictEnd: true}},
+		{CleanRequest{Deployment: "d999", Readings: seqs[0], MaxSpeed: 2},
+			BatchCleanRequest{Deployment: depID, MaxSpeed: 2}},
+		{CleanRequest{Deployment: depID, Readings: seqs[0]},
+			BatchCleanRequest{Deployment: depID, Sequences: []rfidclean.ReadingSequence{nil, seqs[1]}, MaxSpeed: 2}},
+	} {
+		clean, _ := json.Marshal(pair[0])
+		batch, _ := json.Marshal(pair[1])
+		f.Add(clean, batch)
+	}
+
+	// stored checks the size a clean reported against the stored graph's,
+	// then deletes the trajectory so the store stays small.
+	stored := func(t *testing.T, what string, got CleanResponse) {
+		t.Helper()
+		var want CleanResponse
+		rec := h.serve(http.MethodGet, "/v1/trajectories/"+got.ID, nil)
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &want) != nil {
+			t.Fatalf("%s: GET %s = %d: %s", what, got.ID, rec.Code, rec.Body)
 		}
+		if got != want {
+			t.Fatalf("%s: answered %+v, stored %+v", what, got, want)
+		}
+		if rec := h.serve(http.MethodDelete, "/v1/trajectories/"+got.ID, nil); rec.Code != http.StatusOK {
+			t.Fatalf("%s: DELETE %s = %d: %s", what, got.ID, rec.Code, rec.Body)
+		}
+	}
+	f.Fuzz(func(t *testing.T, clean, batch []byte) {
+		rec := h.serve(http.MethodPost, "/v1/clean", clean)
+		var one CleanResponse
+		h.answer(t, "clean", rec, &one)
+		if rec.Code == http.StatusCreated {
+			stored(t, "clean", one)
+		}
+		rec = h.serve(http.MethodPost, "/v1/clean/batch", batch)
+		var slots []BatchCleanResult
+		h.answer(t, "batch", rec, &slots)
+		if rec.Code == http.StatusOK {
+			for _, s := range slots {
+				if s.ID != "" {
+					stored(t, "batch slot", CleanResponse{ID: s.ID, Nodes: s.Nodes, Edges: s.Edges, Bytes: s.Bytes})
+				}
+			}
+		}
+		h.healthy(t)
 	})
 }
