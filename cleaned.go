@@ -52,8 +52,8 @@ func newCleanedExplained(g *core.Graph, plan *floorplan.Plan, opts *core.Options
 // (core.Graph.Quotient): one node per distinct future, with every valid
 // trajectory and its probability kept bit for bit, and no stay counters or
 // TL entries. Answers that sum over trajectories agree with c's within
-// rounding. The explain report, which describes Algorithm 1's graph, is
-// kept.
+// rounding. The explain report, which describes the graph c's build made,
+// is kept.
 func (c *Cleaned) Quotient() *Cleaned {
 	q := newCleaned(c.graph.Quotient(), c.plan)
 	q.explain = c.explain

@@ -241,6 +241,10 @@ func (s *Set) Compile() *Compiled {
 	return c
 }
 
+// Len returns the compiled range: every location that has a constraint is
+// below it.
+func (c *Compiled) Len() int { return c.n }
+
 // Unreachable mirrors Set.Unreachable.
 func (c *Compiled) Unreachable(from, to int) bool {
 	return uint(from) < uint(c.n) && uint(to) < uint(c.n) && c.unreach[from*c.n+to]

@@ -224,3 +224,18 @@ func BenchmarkQuotient(b *testing.B) {
 		g.Quotient()
 	}
 }
+
+// BenchmarkBuildQuotient measures the serving build: Build with
+// Options.Quotient, which looks ahead (benchScenario has TT constraints) and
+// returns the quotient, pooling its arena blocks across iterations.
+func BenchmarkBuildQuotient(b *testing.B) {
+	ls, ic := benchScenario()
+	opts := &Options{Quotient: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(ls, ic, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,10 +33,14 @@ type Options struct {
 	Explain *BuildExplain
 
 	// Quotient makes Build and BuildState.Smooth return the quotient of
-	// Algorithm 1's graph (Graph.Quotient) in its place; the explain report
-	// still describes Algorithm 1's graph. Build's own graph then never
-	// leaves it, so Build hands that graph's arena blocks to the builds
-	// after it instead of leaving them to the garbage collector.
+	// Algorithm 1's graph (Graph.Quotient) in its place. Build's own graph
+	// then never leaves it, so Build looks ahead: its forward phase drops
+	// TL entries that no later candidate can make prune (lookahead.go),
+	// which merges early some nodes the quotient would merge, and the
+	// result encodes byte for byte like Build(…).Quotient(). The explain
+	// report describes the graph Build built, which can have fewer nodes
+	// than Algorithm 1's. Build also hands that graph's arena blocks to the
+	// builds after it instead of leaving them to the garbage collector.
 	Quotient bool
 }
 
@@ -108,6 +113,11 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	_, spCompile := obs.Start(ctx, "core.compile")
 	phaseStart := time.Now()
 	k := newKernel(ic)
+	if opts.quotient() {
+		// Build's own graph never leaves it, so it may merge nodes that
+		// differ only in dead TL entries (lookahead.go).
+		k.b.look = newLookahead(k.b.cs, ls)
+	}
 	if ex != nil {
 		ex.CompileNanos = time.Since(phaseStart).Nanoseconds()
 		phaseStart = time.Now()
@@ -401,12 +411,14 @@ const (
 )
 
 // builder holds the constraint set plus the allocation state of the forward
-// kernel (forward.go): the compiled constraint view, the TL interner, a
-// scratch slice for assembling successor TLs, and node/edge arenas. Blocks
+// kernel (forward.go): the compiled constraint view, the lookahead that
+// decides which TL entries live (nil unless Build set one), the TL interner,
+// a scratch slice for assembling successor TLs, and node/edge arenas. Blocks
 // are never reallocated once handed out, so node and edge pointers stay
 // stable.
 type builder struct {
 	cs      *constraints.Compiled
+	look    *lookahead
 	tl      *tlInterner
 	scratch []TLEntry
 	nodes   []node
@@ -562,7 +574,7 @@ func (b *builder) successorKey(n *node, loc int) (nodeKey, pruneReason) {
 				stay = StayUntracked // constraint satisfied: normalize to ⊥
 			}
 		}
-		id := b.internTL(n.TL, t2, -1, nil)
+		id := b.internTL(n.TL, t2, -1, -1)
 		return nodeKey{loc: int32(loc), stay: int32(stay), tl: id}, pruneNone
 	}
 	// Condition 4: leaving is allowed only once any latency constraint on
@@ -581,47 +593,52 @@ func (b *builder) successorKey(n *node, loc int) (nodeKey, pruneReason) {
 			return nodeKey{}, pruneTT
 		}
 	}
-	// Condition 6: extend TL with the location being left (when it is the
-	// source of some TT constraint), expire stale entries, and drop any
-	// entry for the location being entered.
-	var add *TLEntry
-	if b.cs.HasTTFrom(n.Loc) && t2-n.Time < b.cs.MaxTravelingTime(n.Loc) {
-		add = &TLEntry{Time: n.Time, Loc: n.Loc}
-	}
-	id := b.internTL(n.TL, t2, loc, add)
+	// Condition 6: extend TL with the location being left, drop entries
+	// no longer live and any entry for the location being entered.
+	id := b.internTL(n.TL, t2, loc, n.Loc)
 	return nodeKey{loc: int32(loc), stay: int32(b.initialStay(loc)), tl: id}, pruneNone
 }
 
-// internTL builds the successor TL in the scratch slice — the entries of tl
-// still able to influence a TT check at time t2, minus any entry for
-// location drop, plus the optional add entry — and returns its interned ID.
-func (b *builder) internTL(tl []TLEntry, t2, drop int, add *TLEntry) tlID {
+// internTL builds the successor TL in the scratch slice and returns its
+// interned ID: the entries of tl still live at t2, minus any entry for
+// location drop, plus an entry for location left (-1 when the move stays)
+// left at t2−1, when that location is a TT source and the entry is live.
+// Which entries are live is fixed for the whole build: with a lookahead, an
+// entry lives while some later move can still break its TT constraint;
+// without, until its longest traveling time has passed.
+func (b *builder) internTL(tl []TLEntry, t2, drop, left int) tlID {
 	s := b.scratch[:0]
-	for _, e := range tl {
-		if e.Loc == drop {
-			continue
+	add := b.cs.HasTTFrom(left)
+	if la := b.look; la != nil {
+		row := la.row(t2 + 1)
+		for _, e := range tl {
+			if e.Loc != drop && row[la.col[e.Loc]] < int32(e.Time) {
+				s = append(s, e)
+			}
 		}
-		if t2-e.Time >= b.cs.MaxTravelingTime(e.Loc) {
-			continue
+		add = add && row[la.col[left]] < int32(t2-1)
+	} else {
+		for _, e := range tl {
+			if e.Loc != drop && t2-e.Time < b.cs.MaxTravelingTime(e.Loc) {
+				s = append(s, e)
+			}
 		}
-		s = append(s, e)
 	}
-	if add != nil {
-		s = append(s, *add)
+	if add {
+		s = append(s, TLEntry{Time: t2 - 1, Loc: left})
 		sortTL(s)
 	}
 	b.scratch = s
 	return b.tl.intern(s)
 }
 
-// removeOutEdge removes e from pred's outgoing edge list.
+// removeOutEdge removes e from pred's outgoing edge list, keeping the rest
+// in candidate order: a node's backward sum runs over its out-edges in list
+// order, so nodes with identical futures must list them identically for
+// Graph.Quotient to merge them, whichever successors died.
 func removeOutEdge(pred *node, e *edge) {
-	for i, cand := range pred.out {
-		if cand == e {
-			pred.out[i] = pred.out[len(pred.out)-1]
-			pred.out = pred.out[:len(pred.out)-1]
-			return
-		}
+	if i := slices.Index(pred.out, e); i >= 0 {
+		pred.out = slices.Delete(pred.out, i, i+1)
 	}
 }
 

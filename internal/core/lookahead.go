@@ -1,0 +1,93 @@
+package core
+
+import (
+	"math"
+
+	"repro/internal/constraints"
+)
+
+// never is the deadline of a TT source none of whose targets is a candidate
+// again: far above any timestamp, and far enough below MaxInt32 that
+// subtracting a traveling time cannot wrap.
+const never = math.MaxInt32 / 2
+
+// lookahead is the offline forward phase's view of the readings still to
+// come, which a stream does not have. A TL entry (τ', l') can only prune a
+// move into a TT target l2 of l' made before τ' + ν(l', l2). So once no
+// target is a candidate early enough, the entry can never prune again: it is
+// dead, and nodes that differ only in dead entries have identical futures.
+//
+// deadline(t, l') is the minimum over the targets l2 of l' of first(t, l2) −
+// ν(l', l2), first(t, l2) being the first timestamp ≥ t at which l2 is a
+// candidate. An entry (τ', l') of a node at timestamp t is dead iff
+// deadline(t+1, l') ≥ τ'. first only grows with t, so a dead entry stays
+// dead; and an entry the expiry rule drops (t − τ' ≥ maxTravelingTime(l'))
+// is dead, so the lookahead rule replaces it.
+type lookahead struct {
+	col      []int32 // col[l] is TT source l's column of deadlines, -1 for other locations
+	width    int     // columns: one per TT source
+	deadline []int32 // deadline(t, l') at [t*width + col[l']], t in [0, duration]
+}
+
+// newLookahead tabulates the deadlines of ls under cs, or returns nil when cs
+// has no TT constraint. Going back in time, first(t, ·) differs from
+// first(t+1, ·) only at the candidates of t, so each row is the next one
+// lowered through the constraints into those candidates: O(duration ×
+// candidates × TT sources), after an O(range × TT sources) table of ν.
+// Candidate locations outside cs's range are never TT targets and are
+// ignored.
+func newLookahead(cs *constraints.Compiled, ls *LSequence) *lookahead {
+	n := cs.Len()
+	var srcs []int
+	for l := 0; l < n; l++ {
+		if cs.HasTTFrom(l) {
+			srcs = append(srcs, l)
+		}
+	}
+	if srcs == nil {
+		return nil
+	}
+	la := &lookahead{col: make([]int32, n), width: len(srcs)}
+	for l := range la.col {
+		la.col[l] = -1
+	}
+	for c, l := range srcs {
+		la.col[l] = int32(c)
+	}
+	// into[l2*width + c] is ν(l', l2) for the source l' of column c, 0
+	// when there is no such constraint.
+	into := make([]int32, n*la.width)
+	for c, l := range srcs {
+		for l2 := 0; l2 < n; l2++ {
+			if nu, ok := cs.TT(l, l2); ok {
+				into[l2*la.width+c] = int32(nu)
+			}
+		}
+	}
+	duration := len(ls.Steps)
+	la.deadline = make([]int32, (duration+1)*la.width)
+	row := la.row(duration)
+	for c := range row {
+		row[c] = never
+	}
+	for t := duration - 1; t >= 0; t-- {
+		row = la.row(t)
+		copy(row, la.row(t+1))
+		for _, cand := range ls.Steps[t].Candidates {
+			if uint(cand.Loc) >= uint(n) {
+				continue
+			}
+			for c, nu := range into[cand.Loc*la.width : (cand.Loc+1)*la.width] {
+				if nu != 0 {
+					row[c] = min(row[c], int32(t)-nu)
+				}
+			}
+		}
+	}
+	return la
+}
+
+// row returns the deadlines of timestamp t, indexed by column.
+func (la *lookahead) row(t int) []int32 {
+	return la.deadline[t*la.width : (t+1)*la.width]
+}

@@ -100,6 +100,8 @@ func checkQuotient(t *testing.T, g, q *Graph, numLocs int) {
 // TestPropertyQuotientMatchesOracle checks the quotient of every consistent
 // random scenario, under both end-latency modes, against Build's graph and
 // the enumeration oracle, and that the pass leaves Build's graph untouched.
+// Build with Options.Quotient fails exactly when Build does and otherwise
+// encodes like the quotient byte for byte.
 func TestPropertyQuotientMatchesOracle(t *testing.T) {
 	rng := stats.NewRNG(20140326)
 	const trials = 1500
@@ -108,6 +110,10 @@ func TestPropertyQuotientMatchesOracle(t *testing.T) {
 		ls, ic := randomScenario(rng)
 		for _, mode := range []constraints.EndLatencyMode{constraints.StrictEnd, constraints.LenientEnd} {
 			g, err := Build(ls, ic, &Options{EndLatency: mode})
+			served, servedErr := Build(ls, ic, &Options{EndLatency: mode, Quotient: true})
+			if (err == nil) != (servedErr == nil) {
+				t.Fatalf("trial %d (%v): build err %v, quotient build err %v", trial, mode, err, servedErr)
+			}
 			if errors.Is(err, ErrNoValidTrajectory) {
 				continue
 			}
@@ -120,6 +126,9 @@ func TestPropertyQuotientMatchesOracle(t *testing.T) {
 				t.Fatalf("trial %d: Quotient modified the graph", trial)
 			}
 			checkQuotient(t, g, q, 4)
+			if !bytes.Equal(encoded(t, served), encoded(t, q)) {
+				t.Fatalf("trial %d (%v): lookahead quotient build differs from the quotient of the build", trial, mode)
+			}
 			oracle, err := EnumerateConditioned(ls, ic, mode, 1<<20)
 			if err != nil {
 				t.Fatalf("trial %d: oracle: %v", trial, err)
@@ -225,15 +234,18 @@ func TestQuotientEncoding(t *testing.T) {
 }
 
 // TestBuildQuotientOption: Build with Options.Quotient returns the quotient
-// of the graph Build returns without it, byte for byte, with the same
-// explain counters, while the arena blocks of earlier quotient builds are
-// reused by later ones, including concurrent ones. Smooth with the option
-// returns the same bytes.
+// of the graph Build returns without it, byte for byte, while the arena
+// blocks of earlier quotient builds are reused by later ones, including
+// concurrent ones. Its explain report describes the lookahead graph it
+// built: the same counters on every run, prune counters that sum to the
+// considered−accepted gap, and no more nodes built at any step than without
+// the option. Smooth with the option returns the same bytes.
 func TestBuildQuotientOption(t *testing.T) {
 	type scenario struct {
 		ls *LSequence
 		ic *constraints.Set
 	}
+	const mode = constraints.LenientEnd
 	rng := stats.NewRNG(20140328)
 	var scenarios []scenario
 	for i := 0; i < 300; i++ {
@@ -243,14 +255,30 @@ func TestBuildQuotientOption(t *testing.T) {
 	ls, ic := benchScenario()
 	scenarios = append(scenarios, scenario{ls, ic}, scenario{prefixLS(ls, 60), ic})
 	want := make([][]byte, len(scenarios))
+	wantEx := make([]BuildExplain, len(scenarios))
 	for i, sc := range scenarios {
-		if g, err := Build(sc.ls, sc.ic, &Options{EndLatency: constraints.LenientEnd}); err == nil {
-			want[i] = encoded(t, g.Quotient())
+		var exRaw BuildExplain
+		g, err := Build(sc.ls, sc.ic, &Options{EndLatency: mode, Explain: &exRaw})
+		if err != nil {
+			continue
+		}
+		want[i] = encoded(t, g.Quotient())
+		if _, err := Build(sc.ls, sc.ic, &Options{EndLatency: mode, Explain: &wantEx[i], Quotient: true}); err != nil {
+			t.Fatalf("scenario %d: quotient build: %v", i, err)
+		}
+		var gap int64
+		for s, step := range wantEx[i].Steps {
+			if step.NodesBuilt > exRaw.Steps[s].NodesBuilt {
+				t.Fatalf("scenario %d step %d: %d nodes built, %d without the option", i, s, step.NodesBuilt, exRaw.Steps[s].NodesBuilt)
+			}
+			gap += int64(step.Considered - step.Accepted)
+		}
+		if pruned := wantEx[i].PrunedTotal(); pruned != gap {
+			t.Fatalf("scenario %d: prune counters sum to %d, considered-accepted gap is %d", i, pruned, gap)
 		}
 	}
 	check := func(i int) error {
-		const mode = constraints.LenientEnd
-		var ex, exRaw BuildExplain
+		var ex BuildExplain
 		got, err := Build(scenarios[i].ls, scenarios[i].ic, &Options{EndLatency: mode, Explain: &ex, Quotient: true})
 		if (err == nil) != (want[i] != nil) {
 			return fmt.Errorf("scenario %d: quotient build err %v", i, err)
@@ -265,15 +293,14 @@ func TestBuildQuotientOption(t *testing.T) {
 		if !bytes.Equal(buf.Bytes(), want[i]) {
 			return fmt.Errorf("scenario %d: quotient build differs from the quotient of the build", i)
 		}
-		if _, err := Build(scenarios[i].ls, scenarios[i].ic, &Options{EndLatency: mode, Explain: &exRaw}); err != nil {
-			return err
-		}
-		if ex.PrunedTT != exRaw.PrunedTT || ex.BackwardRemoved != exRaw.BackwardRemoved || len(ex.Steps) != len(exRaw.Steps) {
-			return fmt.Errorf("scenario %d: explain %+v, without the option %+v", i, ex, exRaw)
+		ref := &wantEx[i]
+		if ex.PrunedDU != ref.PrunedDU || ex.PrunedLT != ref.PrunedLT || ex.PrunedTT != ref.PrunedTT ||
+			ex.BackwardRemoved != ref.BackwardRemoved || len(ex.Steps) != len(ref.Steps) {
+			return fmt.Errorf("scenario %d: explain %+v, first run %+v", i, ex, *ref)
 		}
 		for s := range ex.Steps {
-			if ex.Steps[s] != exRaw.Steps[s] {
-				return fmt.Errorf("scenario %d: explain step %d: %+v, without the option %+v", i, s, ex.Steps[s], exRaw.Steps[s])
+			if ex.Steps[s] != ref.Steps[s] {
+				return fmt.Errorf("scenario %d: explain step %d: %+v, first run %+v", i, s, ex.Steps[s], ref.Steps[s])
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"time"
@@ -22,22 +23,31 @@ type CleaningResult struct {
 	Trajectories int
 	Skipped      int // instances where cleaning found no valid trajectory
 
-	MeanSeconds float64
-	MeanNodes   float64
-	MeanEdges   float64
-	MeanBytes   float64
+	MeanSeconds    float64
+	MeanNodes      float64
+	MeanNodesBuilt float64 // nodes the forward phase built, removed ones included
+	MeanEdges      float64
+	MeanBytes      float64
 
 	// The same for the quotient of each graph (core.Graph.Quotient), the
 	// form the server stores: the pass's time and the quotient's size.
 	MeanQuotientSeconds float64
 	MeanQuotientNodes   float64
 	MeanQuotientBytes   float64
+
+	// The serving build: core.Build with Options.Quotient, whose forward
+	// phase looks ahead and which returns the quotient (DESIGN §3n). Its
+	// time includes the l-sequence, like MeanSeconds, and the quotient pass.
+	MeanServedSeconds    float64
+	MeanServedNodesBuilt float64
 }
 
 // CleaningCost measures the average running time of the ct-graph
 // construction (CTG in the paper's notation) over the dataset, for every
 // constraint set and duration — the workload of Fig. 8(a) and 8(b). The
-// same measurements yield the ct-graph sizes of §6.7.
+// same measurements yield the ct-graph sizes of §6.7. Every instance is
+// also cleaned by the serving build, whose quotient must encode byte for
+// byte like the quotient of Algorithm 1's graph: a difference is an error.
 func CleaningCost(d *dataset.Dataset, p Params) ([]CleaningResult, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -53,10 +63,18 @@ func CleaningCost(d *dataset.Dataset, p Params) ([]CleaningResult, error) {
 				Dataset: d.Name, Selection: sel, Duration: dur,
 				Trajectories: len(insts),
 			}
-			var secs, nodes, edges, bytes, qsecs, qnodes, qbytes []float64
+			var secs, nodes, built, edges, sizes, qsecs, qnodes, qbytes, ssecs, sbuilt []float64
 			for _, inst := range insts {
+				var ex, sex core.BuildExplain
 				start := time.Now()
-				g, err := buildGraph(d, inst, sel, p.Mode)
+				g, err := buildWith(d, inst, sel, &core.Options{EndLatency: p.Mode, Explain: &ex})
+				elapsed := time.Since(start).Seconds()
+				start = time.Now()
+				served, servedErr := buildWith(d, inst, sel, &core.Options{EndLatency: p.Mode, Explain: &sex, Quotient: true})
+				servedElapsed := time.Since(start).Seconds()
+				if (err == nil) != (servedErr == nil) {
+					return nil, fmt.Errorf("experiment: %s %v %d s: build err %v, served build err %v", d.Name, sel, dur, err, servedErr)
+				}
 				if errors.Is(err, core.ErrNoValidTrajectory) {
 					res.Skipped++
 					continue
@@ -64,36 +82,67 @@ func CleaningCost(d *dataset.Dataset, p Params) ([]CleaningResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				secs = append(secs, time.Since(start).Seconds())
+				secs = append(secs, elapsed)
 				st := g.Stats()
 				nodes = append(nodes, float64(st.Nodes))
+				built = append(built, float64(nodesBuilt(&ex)))
 				edges = append(edges, float64(st.Edges))
-				bytes = append(bytes, float64(st.Bytes))
+				sizes = append(sizes, float64(st.Bytes))
 				start = time.Now()
 				q := g.Quotient()
 				qsecs = append(qsecs, time.Since(start).Seconds())
 				qs := q.Stats()
 				qnodes = append(qnodes, float64(qs.Nodes))
 				qbytes = append(qbytes, float64(qs.Bytes))
+				if same, err := sameEncoding(q, served); err != nil || !same {
+					return nil, fmt.Errorf("experiment: %s %v %d s: served build differs from the quotient of the build (%v)", d.Name, sel, dur, err)
+				}
+				ssecs = append(ssecs, servedElapsed)
+				sbuilt = append(sbuilt, float64(nodesBuilt(&sex)))
 			}
 			res.MeanSeconds = stats.Mean(secs)
 			res.MeanNodes = stats.Mean(nodes)
+			res.MeanNodesBuilt = stats.Mean(built)
 			res.MeanEdges = stats.Mean(edges)
-			res.MeanBytes = stats.Mean(bytes)
+			res.MeanBytes = stats.Mean(sizes)
 			res.MeanQuotientSeconds = stats.Mean(qsecs)
 			res.MeanQuotientNodes = stats.Mean(qnodes)
 			res.MeanQuotientBytes = stats.Mean(qbytes)
+			res.MeanServedSeconds = stats.Mean(ssecs)
+			res.MeanServedNodesBuilt = stats.Mean(sbuilt)
 			out = append(out, res)
 		}
 	}
 	return out, nil
 }
 
+// nodesBuilt sums the nodes an explained build created over its steps.
+func nodesBuilt(ex *core.BuildExplain) int {
+	n := 0
+	for _, st := range ex.Steps {
+		n += st.NodesBuilt
+	}
+	return n
+}
+
+// sameEncoding reports whether a and b encode to the same bytes.
+func sameEncoding(a, b *core.Graph) (bool, error) {
+	var ab, bb bytes.Buffer
+	if err := a.Encode(&ab); err != nil {
+		return false, err
+	}
+	if err := b.Encode(&bb); err != nil {
+		return false, err
+	}
+	return bytes.Equal(ab.Bytes(), bb.Bytes()), nil
+}
+
 // CleaningTable renders cleaning-cost results as the series of Fig. 8(a)/(b).
 func CleaningTable(results []CleaningResult) *Table {
 	t := &Table{
-		Title:  "Fig. 8(a)/(b) — average cleaning time (seconds) vs trajectory duration",
-		Header: []string{"dataset", "constraints", "duration(s)", "mean time(s)", "nodes", "edges", "size(MB)", "quotient time(s)", "skipped"},
+		Title: "Fig. 8(a)/(b) — average cleaning time (seconds) vs trajectory duration",
+		Header: []string{"dataset", "constraints", "duration(s)", "mean time(s)", "nodes", "nodes built", "edges", "size(MB)", "quotient time(s)",
+			"served time(s)", "served nodes built", "skipped"},
 	}
 	for _, r := range results {
 		t.Rows = append(t.Rows, []string{
@@ -102,9 +151,12 @@ func CleaningTable(results []CleaningResult) *Table {
 			fmt.Sprintf("%d", r.Duration),
 			fmt.Sprintf("%.4f", r.MeanSeconds),
 			fmt.Sprintf("%.0f", r.MeanNodes),
+			fmt.Sprintf("%.0f", r.MeanNodesBuilt),
 			fmt.Sprintf("%.0f", r.MeanEdges),
 			fmt.Sprintf("%.2f", r.MeanBytes/1e6),
 			fmt.Sprintf("%.4f", r.MeanQuotientSeconds),
+			fmt.Sprintf("%.4f", r.MeanServedSeconds),
+			fmt.Sprintf("%.0f", r.MeanServedNodesBuilt),
 			fmt.Sprintf("%d", r.Skipped),
 		})
 	}

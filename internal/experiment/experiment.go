@@ -174,9 +174,14 @@ func (t *Table) Render(w io.Writer) error {
 // buildGraph runs the cleaning pipeline for one instance under one
 // constraint selection.
 func buildGraph(d *dataset.Dataset, inst dataset.Instance, sel dataset.Selection, mode constraints.EndLatencyMode) (*core.Graph, error) {
+	return buildWith(d, inst, sel, &core.Options{EndLatency: mode})
+}
+
+// buildWith is buildGraph with explicit build options.
+func buildWith(d *dataset.Dataset, inst dataset.Instance, sel dataset.Selection, opts *core.Options) (*core.Graph, error) {
 	ls, err := d.Prior.LSequence(inst.Readings)
 	if err != nil {
 		return nil, err
 	}
-	return core.Build(ls, d.Constraints(sel), &core.Options{EndLatency: mode})
+	return core.Build(ls, d.Constraints(sel), opts)
 }

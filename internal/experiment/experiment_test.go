@@ -75,6 +75,9 @@ func TestCleaningCost(t *testing.T) {
 		if r.MeanNodes <= 0 || r.MeanSeconds < 0 {
 			t.Errorf("degenerate result %+v", r)
 		}
+		if r.MeanServedNodesBuilt <= 0 || r.MeanServedNodesBuilt > r.MeanNodesBuilt || r.MeanNodes > r.MeanNodesBuilt {
+			t.Errorf("served build made %v nodes, Algorithm 1 %v (%v kept)", r.MeanServedNodesBuilt, r.MeanNodesBuilt, r.MeanNodes)
+		}
 		byKey[r.Selection.String()+"@"+itoa(r.Duration)] = r
 	}
 	du := byKey["DU@120"]

@@ -245,8 +245,10 @@ func TestTracingDisabled(t *testing.T) {
 
 // TestExplainEndpoint is the acceptance E2E: the explain report's
 // per-constraint prune counts must sum consistently with the ct-graph's
-// candidate counts. Its node tallies describe Algorithm 1's graph, while
-// the response's nodes count the stored quotient, which is no larger.
+// candidate counts. Its node tallies describe the graph the serving build
+// built (Build with Quotient, which drops dead TL entries by lookahead), no
+// larger at any step than Algorithm 1's, while the response's nodes count
+// the stored quotient, which is no larger still.
 func TestExplainEndpoint(t *testing.T) {
 	base, depID, sys, readings := harness(t)
 	created := cleanWithID(t, base, "explain-e2e", CleanRequest{
@@ -279,16 +281,27 @@ func TestExplainEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := sys.Clean(readings, ic, &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd})
+	var served, plain rfidclean.BuildExplain
+	q, err := sys.Clean(readings, ic, &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd, Explain: &served, Quotient: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodes != int64(raw.Stats().Nodes) {
-		t.Fatalf("Σ NodesFinal = %d, Algorithm 1's graph has %d nodes", nodes, raw.Stats().Nodes)
+	if _, err := sys.Clean(readings, ic, &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd, Explain: &plain}); err != nil {
+		t.Fatal(err)
 	}
-	if er.Nodes != created.Nodes || er.Nodes != raw.Quotient().Stats().Nodes || int64(er.Nodes) > nodes {
+	var want int64
+	for i, st := range served.Steps {
+		if st.NodesBuilt > plain.Steps[i].NodesBuilt {
+			t.Fatalf("step %d: serving build built %d nodes, Algorithm 1 %d", i, st.NodesBuilt, plain.Steps[i].NodesBuilt)
+		}
+		want += int64(st.NodesFinal)
+	}
+	if nodes != want {
+		t.Fatalf("Σ NodesFinal = %d, the serving build's graph has %d nodes", nodes, want)
+	}
+	if er.Nodes != created.Nodes || er.Nodes != q.Stats().Nodes || int64(er.Nodes) > nodes {
 		t.Fatalf("stored nodes = %d (created %d), quotient %d, Σ NodesFinal = %d",
-			er.Nodes, created.Nodes, raw.Quotient().Stats().Nodes, nodes)
+			er.Nodes, created.Nodes, q.Stats().Nodes, nodes)
 	}
 	if b.ForwardNanos <= 0 || b.BackwardNanos <= 0 {
 		t.Fatalf("per-phase timings missing: %+v", b)
