@@ -106,6 +106,45 @@ func TestCleanAllQuotient(t *testing.T) {
 	}
 }
 
+// TestCleanAllSharesOneConstraintSet: concurrent slots compile one shared
+// set (run it under -race), and a change to the set after a batch is seen
+// by the next batch. Each round is checked against sequential cleans over a
+// fresh copy of the set, which has compiled nothing yet.
+func TestCleanAllSharesOneConstraintSet(t *testing.T) {
+	sys := demoSystem(t)
+	ic, err := sys.InferConstraints(2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings := batchReadings(t, sys, 16, 40, 3)
+	opts := &rfidclean.BuildOptions{Quotient: true}
+	encode := func(c *rfidclean.Cleaned, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		var buf bytes.Buffer
+		if err := c.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	for round := 0; round < 2; round++ {
+		if round == 1 {
+			// Every stay must now last 4 timestamps: the graphs change.
+			for l := 0; l < sys.Plan.NumLocations(); l++ {
+				ic.AddLT(l, 4)
+			}
+		}
+		cleaned, errs := sys.CleanAll(readings, ic, &rfidclean.BatchOptions{Build: opts, Workers: 8})
+		fresh := ic.Clone()
+		for i, r := range readings {
+			if got, want := encode(cleaned[i], errs[i]), encode(sys.Clean(r, fresh, opts)); got != want {
+				t.Fatalf("round %d slot %d: batch over the shared set differs from a clean over a fresh copy", round, i)
+			}
+		}
+	}
+}
+
 // TestCleanAllIsolatesFailures: one inconsistent sequence fails its own slot
 // only, and the default worker count handles an empty batch.
 func TestCleanAllIsolatesFailures(t *testing.T) {

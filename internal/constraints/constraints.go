@@ -22,6 +22,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/floorplan"
 )
@@ -57,6 +58,8 @@ type Set struct {
 	latency map[int]int
 	tt      map[int]map[int]int // from -> to -> min traveling time ν
 	maxTT   map[int]int         // from -> max ν over its TT constraints
+
+	compiled atomic.Pointer[Compiled] // Compile's result until the set changes
 }
 
 // NewSet returns an empty constraint set.
@@ -96,6 +99,7 @@ func (s *Set) Clone() *Set {
 // can never remain at the location for two consecutive time points.
 func (s *Set) AddDU(from, to int) {
 	s.unreach[[2]int{from, to}] = true
+	s.compiled.Store(nil)
 }
 
 // AddLT adds latency(loc, minStay). Constraints with minStay <= 1 are
@@ -103,6 +107,7 @@ func (s *Set) AddDU(from, to int) {
 func (s *Set) AddLT(loc, minStay int) {
 	if minStay > 1 {
 		s.latency[loc] = minStay
+		s.compiled.Store(nil)
 	}
 }
 
@@ -128,6 +133,7 @@ func (s *Set) AddTT(from, to, nu int) error {
 	if nu > s.maxTT[from] {
 		s.maxTT[from] = nu
 	}
+	s.compiled.Store(nil)
 	return nil
 }
 
@@ -191,11 +197,30 @@ type Compiled struct {
 	tt      []int32 // [from*n+to], 0 = no constraint
 	maxTT   []int32 // [from]
 	hasTT   []bool  // [from]
+
+	// The TT sources, the locations some TT constraint leaves, numbered
+	// by column in ascending location order: ttCol[loc] is loc's column
+	// (-1 for other locations), and into[to*sources+c] is ν from the
+	// source of column c to to (0 = no constraint).
+	sources int
+	ttCol   []int32
+	into    []int32
 }
 
-// Compile builds the dense view. The result is immutable and must be rebuilt
-// if the set changes.
+// Compile returns the dense view of the set. It is built on the first call
+// and kept until the set changes (AddDU, AddLT, AddTT and Merge drop it), so
+// every build over one set shares one view. Compile may run concurrently
+// with other reads of the set, but not with a change to it.
 func (s *Set) Compile() *Compiled {
+	if c := s.compiled.Load(); c != nil {
+		return c
+	}
+	c := s.compile()
+	s.compiled.Store(c)
+	return c
+}
+
+func (s *Set) compile() *Compiled {
 	n := 0
 	track := func(loc int) {
 		if loc+1 > n {
@@ -222,6 +247,7 @@ func (s *Set) Compile() *Compiled {
 		tt:      make([]int32, n*n),
 		maxTT:   make([]int32, n),
 		hasTT:   make([]bool, n),
+		ttCol:   make([]int32, n),
 	}
 	for k, v := range s.unreach {
 		if v {
@@ -237,6 +263,22 @@ func (s *Set) Compile() *Compiled {
 		}
 		c.hasTT[from] = len(m) > 0
 		c.maxTT[from] = int32(s.maxTT[from])
+	}
+	for loc := range c.ttCol {
+		c.ttCol[loc] = -1
+		if c.hasTT[loc] {
+			c.ttCol[loc] = int32(c.sources)
+			c.sources++
+		}
+	}
+	c.into = make([]int32, n*c.sources)
+	for from, col := range c.ttCol {
+		if col < 0 {
+			continue
+		}
+		for to := 0; to < n; to++ {
+			c.into[to*c.sources+int(col)] = c.tt[from*n+to]
+		}
 	}
 	return c
 }
@@ -282,6 +324,24 @@ func (c *Compiled) MaxTravelingTime(from int) int {
 	return int(c.maxTT[from])
 }
 
+// TTSources returns how many locations some TT constraint leaves: the
+// number of columns of TTInto's rows.
+func (c *Compiled) TTSources() int { return c.sources }
+
+// TTColumns returns, for every location below Len, its column in TTInto's
+// rows, or -1 when no TT constraint leaves it. Callers must not modify it.
+func (c *Compiled) TTColumns() []int32 { return c.ttCol }
+
+// TTInto returns the traveling times into to, by TT-source column: ν from
+// that source to to, or 0 when no constraint binds. It is nil when to is
+// outside the compiled range. Callers must not modify it.
+func (c *Compiled) TTInto(to int) []int32 {
+	if uint(to) >= uint(c.n) {
+		return nil
+	}
+	return c.into[to*c.sources : (to+1)*c.sources]
+}
+
 // Counts returns the number of DU, LT and TT constraints in the set.
 func (s *Set) Counts() (du, lt, tt int) {
 	du = len(s.unreach)
@@ -316,6 +376,7 @@ func (s *Set) Merge(other *Set) {
 	if other == nil {
 		return
 	}
+	s.compiled.Store(nil)
 	for k := range other.unreach {
 		s.unreach[k] = true
 	}

@@ -322,3 +322,73 @@ func TestEndLatencyModeString(t *testing.T) {
 		t.Errorf("mode strings wrong")
 	}
 }
+
+// TestCompileCachedUntilChange: Compile returns one view until the set
+// changes, and every change drops it.
+func TestCompileCachedUntilChange(t *testing.T) {
+	s := NewSet()
+	s.AddDU(0, 1)
+	c := s.Compile()
+	if s.Compile() != c {
+		t.Fatalf("a second Compile of an unchanged set built a new view")
+	}
+	other := NewSet()
+	other.AddDU(3, 0)
+	for name, change := range map[string]func(){
+		"AddDU": func() { s.AddDU(1, 2) },
+		"AddLT": func() { s.AddLT(2, 4) },
+		"AddTT": func() { _ = s.AddTT(0, 2, 5) },
+		"Merge": func() { s.Merge(other) },
+	} {
+		before := s.Compile()
+		change()
+		after := s.Compile()
+		if after == before {
+			t.Fatalf("%s kept the stale compiled view", name)
+		}
+		if s.Compile() != after {
+			t.Fatalf("after %s, Compile does not cache", name)
+		}
+	}
+	c = s.Compile()
+	if !c.Unreachable(1, 2) || !c.Unreachable(3, 0) {
+		t.Errorf("compiled view misses DU constraints")
+	}
+	if d, ok := c.Latency(2); !ok || d != 4 {
+		t.Errorf("compiled latency(2) = %d, %v", d, ok)
+	}
+	if nu, ok := c.TT(0, 2); !ok || nu != 5 {
+		t.Errorf("compiled TT(0,2) = %d, %v", nu, ok)
+	}
+}
+
+// TestCompiledTTColumns: the TT sources are numbered by column in location
+// order, and TTInto reads ν by target and source column.
+func TestCompiledTTColumns(t *testing.T) {
+	s := NewSet()
+	_ = s.AddTT(4, 1, 3)
+	_ = s.AddTT(2, 1, 6)
+	_ = s.AddTT(2, 5, 2)
+	c := s.Compile()
+	if c.TTSources() != 2 {
+		t.Fatalf("TTSources = %d, want 2", c.TTSources())
+	}
+	cols := c.TTColumns()
+	for l, want := range []int32{-1, -1, 0, -1, 1, -1} {
+		if cols[l] != want {
+			t.Errorf("column of %d = %d, want %d", l, cols[l], want)
+		}
+	}
+	if got := c.TTInto(1); len(got) != 2 || got[0] != 6 || got[1] != 3 {
+		t.Errorf("TTInto(1) = %v, want [6 3]", got)
+	}
+	if got := c.TTInto(5); len(got) != 2 || got[0] != 2 || got[1] != 0 {
+		t.Errorf("TTInto(5) = %v, want [2 0]", got)
+	}
+	if c.TTInto(6) != nil || c.TTInto(-1) != nil {
+		t.Errorf("TTInto outside the range is not nil")
+	}
+	if NewSet().Compile().TTSources() != 0 {
+		t.Errorf("an empty set has TT sources")
+	}
+}

@@ -210,6 +210,28 @@ func BenchmarkEncode(b *testing.B) {
 	}
 }
 
+// BenchmarkDecode measures the recovery path: decoding the encoded
+// benchScenario graph back into a queryable graph, invariants checked.
+func BenchmarkDecode(b *testing.B) {
+	ls, ic := benchScenario()
+	g, err := Build(ls, ic, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(bytes.NewReader(buf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQuotient measures the quotient pass the server runs on every
 // graph it stores, over the benchScenario graph.
 func BenchmarkQuotient(b *testing.B) {

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -113,6 +115,9 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	_, spCompile := obs.Start(ctx, "core.compile")
 	phaseStart := time.Now()
 	k := newKernel(ic)
+	// The graph that leaves Build is frozen, so the arena goes back to the
+	// pools whatever the outcome.
+	defer k.b.release()
 	if opts.quotient() {
 		// Build's own graph never leaves it, so it may merge nodes that
 		// differ only in dead TL entries (lookahead.go).
@@ -126,13 +131,13 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	_, spForward := obs.Start(ctx, "core.forward")
 
 	// Forward phase (lines 1-14): the sources, then expand+link per level.
-	g := &Graph{byTime: make([][]*node, duration)}
-	g.byTime[0] = k.sources(ls.Steps[0].Candidates, nil)
+	levels := make([][]*node, duration)
+	levels[0] = k.sources(ls.Steps[0].Candidates, nil)
 	if ex != nil {
 		ex.Steps[0] = k.step
 	}
 	for t := 1; t < duration; t++ {
-		cur, cands := g.byTime[t-1], ls.Steps[t].Candidates
+		cur, cands := levels[t-1], ls.Steps[t].Candidates
 		next := k.expand(t, cur, cands, make([]*node, 0, len(cur)), nil)
 		if ex != nil {
 			ex.Steps[t] = k.step
@@ -141,7 +146,7 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 			return nil, fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
 		}
 		k.link(cur, next, cands)
-		g.byTime[t] = next
+		levels[t] = next
 	}
 
 	spForward.End()
@@ -158,17 +163,17 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	// Target survivals: 1, except targets condemned by strict
 	// end-of-window latency semantics (Definition 2).
 	strict := opts.endLatency() == constraints.StrictEnd
-	condemned := condemnTargets(g.byTime[duration-1], strict)
-	g.detachRemoved(duration - 1)
+	condemned := condemnTargets(levels[duration-1], strict)
+	detachRemovedLevel(levels[duration-1])
 
 	backwardRemoved := 0
 	for t := duration - 2; t >= 0; t-- {
-		removed, ok := conditionLevel(g.byTime[t])
+		removed, ok := conditionLevel(levels[t])
 		backwardRemoved += removed
 		if !ok {
 			return nil, ErrNoValidTrajectory
 		}
-		g.detachRemoved(t)
+		detachRemovedLevel(levels[t])
 	}
 
 	spBackward.End()
@@ -179,33 +184,39 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	_, spRevise := obs.Start(ctx, "core.revise")
 
 	// Condition the source probabilities (lines 30-31).
-	total, ok := conditionSources(g.byTime[0])
+	total, ok := conditionSources(levels[0])
 	if !ok {
 		spRevise.End()
 		return nil, ErrNoValidTrajectory
 	}
-	ghosts := g.scrubOrphans()
-	g.compact()
+	// Scrub and compact: a node orphaned by removals one level earlier
+	// keeps a positive survival, because the backward sweep visits levels
+	// last to first. Sweeping forward cascades the removal.
+	ghosts := 0
+	for t := 1; t < duration; t++ {
+		ghosts += scrubLevelOrphans(levels[t])
+	}
+	for t := range levels {
+		compactLevel(&levels[t])
+	}
 	if ex != nil {
 		ex.TargetsCondemned = condemned
 		ex.BackwardRemoved = backwardRemoved
 		ex.GhostsRemoved = ghosts
 		ex.Normalizer = total
 		ex.RecomputedLevels = duration
-		for t := range g.byTime {
-			ex.Steps[t].NodesFinal = len(g.byTime[t])
+		for t := range levels {
+			ex.Steps[t].NodesFinal = len(levels[t])
 		}
 		ex.ReviseNanos = time.Since(phaseStart).Nanoseconds()
 	}
 	spRevise.End()
 	if opts.quotient() {
 		_, sp := obs.Start(ctx, "core.quotient")
-		q := g.Quotient()
-		k.b.release()
-		sp.End()
-		return q, nil
+		defer sp.End()
+		return quotientOf(levels), nil
 	}
-	return g, nil
+	return freeze(nil, 0, levels), nil
 }
 
 // condemnTargets initializes the target survivals (the backward recurrence's
@@ -298,18 +309,12 @@ func conditionSources(nodes []*node) (total float64, ok bool) {
 	return total, true
 }
 
-// detachRemoved unlinks a removed node at timestamp t from both sides of its
-// adjacency (lines 26-29 of the paper): its in-edges disappear from the
-// predecessors' out lists and its out-edges from the successors' in lists.
-// Forgetting the second half used to leave dangling in-edges pointing at
-// removed nodes whenever a node died with surviving out-edges (possible only
-// through survival underflow within a level).
-func (g *Graph) detachRemoved(t int) {
-	detachRemovedLevel(g.byTime[t])
-}
-
-// detachRemovedLevel is detachRemoved over an explicit node list, so
-// BuildState.Smooth can apply it to cloned levels.
+// detachRemovedLevel unlinks the removed nodes of one timestamp from both
+// sides of their adjacency (lines 26-29 of the paper): their in-edges
+// disappear from the predecessors' out lists and their out-edges from the
+// successors' in lists. Forgetting the second half used to leave dangling
+// in-edges pointing at removed nodes whenever a node died with surviving
+// out-edges (possible only through survival underflow within a level).
 func detachRemovedLevel(nodes []*node) {
 	for _, n := range nodes {
 		if !n.removed {
@@ -326,27 +331,14 @@ func detachRemovedLevel(nodes []*node) {
 	}
 }
 
-// scrubOrphans removes nodes whose predecessors were all removed by the
-// backward phase. The backward sweep visits levels last-to-first, so a node
-// orphaned by removals one level earlier keeps a positive survival and used
-// to outlive compact() as an unreachable ghost. Sweeping forward cascades
-// the removal: an orphan's own successors lose its in-edges immediately and
-// are re-examined on the next iteration. Orphans carry zero forward mass, so
-// conditioned probabilities are unaffected; a level can never lose all its
-// nodes here, because that would require the previous level to have been
-// fully removed, which the backward phase already reports as
-// ErrNoValidTrajectory. Returns the number of ghosts removed.
-func (g *Graph) scrubOrphans() int {
-	ghosts := 0
-	for t := 1; t < len(g.byTime); t++ {
-		ghosts += scrubLevelOrphans(g.byTime[t])
-	}
-	return ghosts
-}
-
 // scrubLevelOrphans removes the orphans of a single timestamp: nodes whose
-// predecessors were all removed. Per-level so BuildState.Smooth can sweep
-// only the recomputed suffix.
+// predecessors were all removed. An orphan's own successors lose its
+// in-edges at once, so sweeping levels forward cascades the removal.
+// Orphans carry zero forward mass, so conditioned probabilities are
+// unaffected; a level can never lose all its nodes here, because that would
+// require the previous level to have been fully removed, which the backward
+// phase already reports as ErrNoValidTrajectory. Returns the number of
+// ghosts removed.
 func scrubLevelOrphans(nodes []*node) int {
 	ghosts := 0
 	for _, n := range nodes {
@@ -372,14 +364,6 @@ func scrubLevelOrphans(nodes []*node) int {
 	return ghosts
 }
 
-// compact drops removed nodes from the per-timestamp lists and reassigns the
-// dense per-level indices to match the surviving positions.
-func (g *Graph) compact() {
-	for t := range g.byTime {
-		compactLevel(&g.byTime[t])
-	}
-}
-
 // compactLevel drops the removed nodes of a single timestamp in place and
 // reassigns the dense per-level indices.
 func compactLevel(nodes *[]*node) {
@@ -393,6 +377,88 @@ func compactLevel(nodes *[]*node) {
 	*nodes = alive
 }
 
+// measure returns the shape of the graph freeze writes from the same
+// arguments.
+func measure(prefix *Graph, reuse int, levels [][]*node) shape {
+	s := shape{levels: len(levels)}
+	if reuse > 0 {
+		s.nodes = int(prefix.levelOff[reuse])
+		s.arcs = int(prefix.arcOff[s.nodes])
+		s.sources = len(prefix.src)
+		if len(prefix.tlOff) > 0 {
+			s.ident, s.tls = true, int(prefix.tlOff[s.nodes])
+		}
+	} else {
+		s.sources = len(levels[0])
+	}
+	for _, level := range levels[reuse:] {
+		s.nodes += len(level)
+		for _, n := range level {
+			s.arcs += len(n.out)
+			s.tls += len(n.TL)
+			s.ident = s.ident || n.Stay != StayUntracked || len(n.TL) > 0
+		}
+	}
+	return s
+}
+
+// freeze writes levels — compacted, so every node is alive and its idx is
+// its position — into a new frozen graph. When reuse > 0, levels
+// 0..reuse-1 are prefix's, copied unchanged, and levels[:reuse] are not
+// read: the arcs out of prefix's level reuse-1 must already index
+// levels[reuse].
+func freeze(prefix *Graph, reuse int, levels [][]*node) *Graph {
+	g := newGraph(measure(prefix, reuse, levels))
+	g.fill(prefix, reuse, levels)
+	return g
+}
+
+// fill writes the nodes and arcs of freeze's arguments into g, whose
+// columns were carved for their shape; with the δ and TL columns left out,
+// it skips node identity.
+func (g *Graph) fill(prefix *Graph, reuse int, levels [][]*node) {
+	n, a, e := 0, int32(0), int32(0)
+	if reuse > 0 {
+		n = int(prefix.levelOff[reuse])
+		a = prefix.arcOff[n]
+		copy(g.levelOff, prefix.levelOff[:reuse+1])
+		copy(g.loc, prefix.loc[:n])
+		copy(g.arcOff, prefix.arcOff[:n+1])
+		copy(g.to, prefix.to[:a])
+		copy(g.p, prefix.p[:a])
+		copy(g.src, prefix.src)
+		if len(prefix.tlOff) > 0 && len(g.tlOff) > 0 {
+			e = prefix.tlOff[n]
+			copy(g.stay, prefix.stay[:n])
+			copy(g.tlOff, prefix.tlOff[:n+1])
+			copy(g.tl, prefix.tl[:e])
+		}
+	}
+	ident := len(g.tlOff) > 0
+	for t := reuse; t < len(levels); t++ {
+		for _, nd := range levels[t] {
+			g.loc[n] = int32(nd.Loc)
+			if t == 0 {
+				g.src[n] = nd.prob
+			}
+			for _, ed := range nd.out {
+				g.to[a], g.p[a] = ed.To.idx, ed.P
+				a++
+			}
+			if ident {
+				g.stay[n] = int32(nd.Stay)
+				e += int32(copy(g.tl[e:], nd.TL))
+			}
+			n++
+			g.arcOff[n] = a
+			if ident {
+				g.tlOff[n] = e
+			}
+		}
+		g.levelOff[t+1] = int32(n)
+	}
+}
+
 // resize returns s with length n, reallocating only when the capacity is too
 // small. Contents are unspecified.
 func resize[T any](s []T, n int) []T {
@@ -400,6 +466,47 @@ func resize[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// node is a location node (τ, l, δ, TL) of §4.1 in the builder's mutable
+// arena. Two nodes with equal exported fields are the same node; the
+// forward phase never materializes duplicates. Nodes and edges live only
+// while Build or BuildState works on them: what leaves the package is a
+// frozen Graph.
+type node struct {
+	Time int       // timestamp τ
+	Loc  int       // location l
+	Stay int       // δ: length of the current stay while a latency constraint is pending, or StayUntracked (⊥)
+	TL   []TLEntry // sorted by Loc; relevant recent leave times for TT checks; interned, do not modify
+
+	idx int32 // dense index within the node's timestamp level
+
+	out []*edge
+	in  []*edge
+
+	surv    float64 // surviving (valid) fraction of compatible mass, rescaled per level
+	prob    float64 // p_N for source nodes
+	removed bool
+}
+
+// String implements fmt.Stringer.
+func (n *node) String() string {
+	stay := "⊥"
+	if n.Stay != StayUntracked {
+		stay = strconv.Itoa(n.Stay)
+	}
+	var tl []string
+	for _, e := range n.TL {
+		tl = append(tl, fmt.Sprintf("(%d,L%d)", e.Time, e.Loc))
+	}
+	return fmt.Sprintf("(%d, L%d, %s, {%s})", n.Time, n.Loc, stay, strings.Join(tl, ","))
+}
+
+// edge is an arena edge from a node to one of its successors, carrying the
+// (initially a-priori, finally conditioned) probability p_E.
+type edge struct {
+	From, To *node
+	P        float64
 }
 
 // Arena block sizes: big enough to amortize allocation, small enough not to
@@ -429,11 +536,11 @@ type builder struct {
 	blocks arenaBlocks
 }
 
-// arenaBlocks are fixed-size arena blocks. A Build whose graph does not
-// outlive it (Options.Quotient) puts its blocks back in the pools, and
-// later builders take them from there before allocating new ones. Every
-// node and edge is written whole when it is handed out, so what a block
-// held before never shows.
+// arenaBlocks are fixed-size arena blocks. A Build, and a
+// BuildState.Smooth for its clones, puts its blocks back in the pools once
+// the graph is frozen, and later builders take them from there before
+// allocating new ones. Every node and edge is written whole when it is
+// handed out, so what a block held before never shows.
 type arenaBlocks struct {
 	nodes []*[nodeBlockSize]node
 	edges []*[edgeBlockSize]edge
@@ -507,21 +614,6 @@ func (b *builder) cloneNode(n *node) *node {
 	*c = *n
 	c.out, c.in = nil, nil
 	return c
-}
-
-// grow ensures the arena can hold n more nodes, e more edges and p more
-// edge-pointer slots without falling back to chunked blocks, so a bulk copy
-// of known size allocates at most three exact blocks.
-func (b *builder) grow(n, e, p int) {
-	if cap(b.nodes)-len(b.nodes) < n {
-		b.nodes = make([]node, 0, n)
-	}
-	if cap(b.edges)-len(b.edges) < e {
-		b.edges = make([]edge, 0, e)
-	}
-	if cap(b.ptrs)-len(b.ptrs) < p {
-		b.ptrs = make([]*edge, 0, p)
-	}
 }
 
 // carve returns an empty edge list with capacity exactly n, cut from the

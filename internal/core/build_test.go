@@ -52,31 +52,31 @@ func TestRunningExampleGraph(t *testing.T) {
 			t.Fatalf("timestamp %d has %d nodes, want 1", tau, n)
 		}
 	}
-	src := g.byTime[0][0]
-	if src.Loc != l1 {
-		t.Errorf("source location = L%d, want L1", src.Loc)
+	src := g.Level(0)
+	if src.Loc(0) != l1 {
+		t.Errorf("source location = L%d, want L1", src.Loc(0))
 	}
-	if math.Abs(src.prob-1) > 1e-12 {
-		t.Errorf("p_N(n0) = %v, want 1", src.prob)
+	if math.Abs(src.SourceProb(0)-1) > 1e-12 {
+		t.Errorf("p_N(n0) = %v, want 1", src.SourceProb(0))
 	}
-	n3 := g.byTime[1][0]
-	if n3.Loc != l3 {
-		t.Errorf("middle node at L%d, want L3", n3.Loc)
+	if loc := g.Level(1).Loc(0); loc != l3 {
+		t.Errorf("middle node at L%d, want L3", loc)
 	}
 	// n3 = (1, L3, δ pending, TL={(0,L1)}).
-	if n3.Stay == StayUntracked {
+	stay, tl := g.identity(1, 0)
+	if stay == StayUntracked {
 		t.Errorf("n3 should have a pending stay counter")
 	}
-	if len(n3.TL) != 1 || n3.TL[0] != (TLEntry{Time: 0, Loc: l1}) {
-		t.Errorf("n3.TL = %v, want [(0,L1)]", n3.TL)
+	if len(tl) != 1 || tl[0] != (TLEntry{Time: 0, Loc: l1}) {
+		t.Errorf("n3.TL = %v, want [(0,L1)]", tl)
 	}
-	n7 := g.byTime[2][0]
-	if n7.Loc != l3 || n7.Stay != StayUntracked {
-		t.Errorf("n7 = %v, want (2, L3, ⊥, ...)", n7)
+	if stay, _ := g.identity(2, 0); g.Level(2).Loc(0) != l3 || stay != StayUntracked {
+		t.Errorf("n7 = (2, L%d, %d), want (2, L3, ⊥, ...)", g.Level(2).Loc(0), stay)
 	}
-	for _, n := range []*node{src, n3} {
-		if len(n.out) != 1 || math.Abs(n.out[0].P-1) > 1e-12 {
-			t.Errorf("node %v out edges not conditioned to 1: %v", n, n.out)
+	for tau := 0; tau < 2; tau++ {
+		arcs := g.Level(tau).Out(0)
+		if _, p := arcs.At(0); arcs.Len() != 1 || math.Abs(p-1) > 1e-12 {
+			t.Errorf("node 0 at timestamp %d: out arcs not conditioned to 1", tau)
 		}
 	}
 	if err := g.CheckInvariants(1e-9); err != nil {
@@ -152,6 +152,45 @@ func TestBuildErrNoValidTrajectory(t *testing.T) {
 	}
 	if _, err := EnumerateConditioned(ls, ic, constraints.StrictEnd, 100); !errors.Is(err, ErrNoValidTrajectory) {
 		t.Errorf("oracle err = %v, want ErrNoValidTrajectory", err)
+	}
+}
+
+// TestBuildSeesConstraintChange: Build compiles its set once and keeps the
+// compiled view on the set, so a constraint added after a build must reach
+// the next build, under each way of changing the set.
+func TestBuildSeesConstraintChange(t *testing.T) {
+	ls := FromDistributions([][]float64{{1}, {0.5, 0.5}, {0, 0.5, 0.5}})
+	for name, change := range map[string]func(*constraints.Set){
+		"DU": func(ic *constraints.Set) { ic.AddDU(0, 1) },
+		"LT": func(ic *constraints.Set) { ic.AddLT(0, 2) },
+		"TT": func(ic *constraints.Set) { _ = ic.AddTT(0, 2, 3) },
+		"Merge": func(ic *constraints.Set) {
+			other := constraints.NewSet()
+			other.AddDU(0, 1)
+			ic.Merge(other)
+		},
+	} {
+		ic := constraints.NewSet()
+		ic.AddDU(1, 0)
+		if _, err := Build(ls, ic, &Options{Quotient: true}); err != nil {
+			t.Fatal(err)
+		}
+		change(ic)
+		got, err := Build(ls, ic, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := EnumerateConditioned(ls, ic, constraints.StrictEnd, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, err := got.conditionedDistribution(100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(dist) != len(want.Trajectories) {
+			t.Fatalf("%s: build after the change keeps %d trajectories, the oracle %d", name, len(dist), len(want.Trajectories))
+		}
 	}
 }
 
@@ -308,7 +347,7 @@ func TestNodeMergingAcrossPredecessors(t *testing.T) {
 	if n := g.Level(1).Width(); n != 1 {
 		t.Fatalf("expected merged successor, got %d nodes", n)
 	}
-	if ins := len(g.byTime[1][0].in); ins != 2 {
+	if ins := g.inDegrees(0)[0]; ins != 2 {
 		t.Errorf("merged node has %d in-edges, want 2", ins)
 	}
 }

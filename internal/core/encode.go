@@ -63,40 +63,35 @@ func (g *Graph) Encode(w io.Writer) error {
 // 22 a TL entry. Sizing the destination from it spares encoding into an
 // empty buffer a chain of doublings and their copies.
 func (g *Graph) jsonSizeHint() int {
-	size := 64
-	for _, level := range g.byTime {
-		for _, n := range level {
-			size += 32 + 24*len(n.TL) + 48*len(n.out)
-		}
-	}
-	return size
+	return 64 + 32*len(g.loc) + 24*len(g.tl) + 48*len(g.to)
 }
 
 // appendJSON appends the graphJSON encoding of g to b, field for field in
-// the struct's order and with its omitempty rules. Nodes are serialized
-// level by level in index order, so a node's global position is its level
-// offset plus its dense per-level index.
+// the struct's order and with its omitempty rules. Nodes are serialized in
+// their frozen order, level by level, so a node's position in the JSON is
+// its node number.
 func (g *Graph) appendJSON(b []byte) ([]byte, error) {
 	var err error
+	d := g.Duration()
 	b = append(b, `{"version":`...)
 	b = strconv.AppendInt(b, graphFormatVersion, 10)
 	b = append(b, `,"duration":`...)
-	b = strconv.AppendInt(b, int64(g.Duration()), 10)
+	b = strconv.AppendInt(b, int64(d), 10)
 	b = append(b, `,"nodes":`...)
 	open := len(b)
-	for _, level := range g.byTime {
-		for _, n := range level {
+	for t := 0; t < d; t++ {
+		for n := g.levelOff[t]; n < g.levelOff[t+1]; n++ {
 			b = append(b, `,{"time":`...)
-			b = strconv.AppendInt(b, int64(n.Time), 10)
+			b = strconv.AppendInt(b, int64(t), 10)
 			b = append(b, `,"loc":`...)
-			b = strconv.AppendInt(b, int64(n.Loc), 10)
-			if n.Stay != 0 {
+			b = strconv.AppendInt(b, int64(g.loc[n]), 10)
+			if len(g.stay) > 0 && g.stay[n] != 0 {
 				b = append(b, `,"stay":`...)
-				b = strconv.AppendInt(b, int64(n.Stay), 10)
+				b = strconv.AppendInt(b, int64(g.stay[n]), 10)
 			}
-			if len(n.TL) > 0 {
+			if len(g.tlOff) > 0 && g.tlOff[n] < g.tlOff[n+1] {
 				b = append(b, `,"tl":[`...)
-				for i, e := range n.TL {
+				for i, e := range g.tl[g.tlOff[n]:g.tlOff[n+1]] {
 					if i > 0 {
 						b = append(b, ',')
 					}
@@ -108,9 +103,9 @@ func (g *Graph) appendJSON(b []byte) ([]byte, error) {
 				}
 				b = append(b, ']')
 			}
-			if n.prob != 0 {
+			if t == 0 && g.src[n] != 0 {
 				b = append(b, `,"prob":`...)
-				if b, err = appendFloat(b, n.prob); err != nil {
+				if b, err = appendFloat(b, g.src[n]); err != nil {
 					return nil, err
 				}
 			}
@@ -120,23 +115,21 @@ func (g *Graph) appendJSON(b []byte) ([]byte, error) {
 	b = closeArray(b, open)
 	b = append(b, `,"edges":`...)
 	open = len(b)
-	off := 0
-	for _, level := range g.byTime {
-		next := off + len(level)
-		for _, n := range level {
-			for _, e := range n.out {
+	for t := 0; t+1 < d; t++ {
+		next := int64(g.levelOff[t+1])
+		for n := g.levelOff[t]; n < g.levelOff[t+1]; n++ {
+			for a := g.arcOff[n]; a < g.arcOff[n+1]; a++ {
 				b = append(b, `,{"from":`...)
-				b = strconv.AppendInt(b, int64(off+int(e.From.idx)), 10)
+				b = strconv.AppendInt(b, int64(n), 10)
 				b = append(b, `,"to":`...)
-				b = strconv.AppendInt(b, int64(next+int(e.To.idx)), 10)
+				b = strconv.AppendInt(b, next+int64(g.to[a]), 10)
 				b = append(b, `,"p":`...)
-				if b, err = appendFloat(b, e.P); err != nil {
+				if b, err = appendFloat(b, g.p[a]); err != nil {
 					return nil, err
 				}
 				b = append(b, '}')
 			}
 		}
-		off = next
 	}
 	b = closeArray(b, open)
 	return append(b, "}\n"...), nil
@@ -176,7 +169,9 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// Decode reads a graph written by Encode and rebuilds its adjacency.
+// Decode reads a graph written by Encode into the frozen layout. Nodes keep
+// their order of appearance within their level, and arcs their order of
+// appearance within their source node.
 func Decode(r io.Reader) (*Graph, error) {
 	var in graphJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -191,31 +186,74 @@ func Decode(r io.Reader) (*Graph, error) {
 	if in.Duration <= 0 || in.Duration > len(in.Nodes) {
 		return nil, fmt.Errorf("core: decoded graph has duration %d with %d nodes", in.Duration, len(in.Nodes))
 	}
-	g := &Graph{byTime: make([][]*node, in.Duration)}
-	nodes := make([]*node, len(in.Nodes))
+	s := shape{levels: in.Duration, nodes: len(in.Nodes), arcs: len(in.Edges)}
+	// perLevel[t+1] counts level t's nodes; num[i] becomes JSON node i's
+	// dense index within its level.
+	perLevel := make([]int32, in.Duration+1)
+	num := make([]int32, len(in.Nodes))
 	for i, nj := range in.Nodes {
-		if nj.Time < 0 || nj.Time >= in.Duration {
+		switch {
+		case nj.Time < 0 || nj.Time >= in.Duration:
 			return nil, fmt.Errorf("core: node %d has timestamp %d outside [0, %d)", i, nj.Time, in.Duration)
+		case nj.Loc < 0 || nj.Loc > math.MaxInt32:
+			return nil, fmt.Errorf("core: node %d has location ID %d outside [0, %d]", i, nj.Loc, math.MaxInt32)
+		case nj.Stay < math.MinInt32 || nj.Stay > math.MaxInt32:
+			return nil, fmt.Errorf("core: node %d has stay counter %d outside the int32 range", i, nj.Stay)
+		case nj.Prob != 0 && nj.Time != 0:
+			return nil, fmt.Errorf("core: node %d at timestamp %d has a source probability", i, nj.Time)
 		}
-		if nj.Loc < 0 {
-			return nil, fmt.Errorf("core: node %d has negative location ID %d", i, nj.Loc)
-		}
-		n := &node{Time: nj.Time, Loc: nj.Loc, Stay: nj.Stay, TL: nj.TL, prob: nj.Prob}
-		n.idx = int32(len(g.byTime[nj.Time]))
-		nodes[i] = n
-		g.byTime[nj.Time] = append(g.byTime[nj.Time], n)
+		num[i] = perLevel[nj.Time+1]
+		perLevel[nj.Time+1]++
+		s.tls += len(nj.TL)
+		s.ident = s.ident || nj.Stay != 0 || len(nj.TL) > 0
 	}
-	for i, ej := range in.Edges {
-		if ej.From < 0 || ej.From >= len(nodes) || ej.To < 0 || ej.To >= len(nodes) {
+	s.sources = int(perLevel[1])
+	g := newGraph(s)
+	for t := 0; t < in.Duration; t++ {
+		g.levelOff[t+1] = g.levelOff[t] + perLevel[t+1]
+	}
+	// node maps JSON node i to its node number.
+	node := func(i int) int32 { return g.levelOff[in.Nodes[i].Time] + num[i] }
+	for i := range in.Edges {
+		ej := &in.Edges[i]
+		if ej.From < 0 || ej.From >= len(in.Nodes) || ej.To < 0 || ej.To >= len(in.Nodes) {
 			return nil, fmt.Errorf("core: edge %d references unknown node", i)
 		}
-		from, to := nodes[ej.From], nodes[ej.To]
-		if to.Time != from.Time+1 {
+		if in.Nodes[ej.To].Time != in.Nodes[ej.From].Time+1 {
 			return nil, fmt.Errorf("core: edge %d does not connect consecutive timestamps", i)
 		}
-		e := &edge{From: from, To: to, P: ej.P}
-		from.out = append(from.out, e)
-		to.in = append(to.in, e)
+		g.arcOff[node(ej.From)+1]++
+	}
+	for n := 0; n < s.nodes; n++ {
+		g.arcOff[n+1] += g.arcOff[n]
+	}
+	// next[n] is where node n's next arc goes.
+	next := make([]int32, s.nodes)
+	copy(next, g.arcOff)
+	for _, ej := range in.Edges {
+		n := node(ej.From)
+		a := next[n]
+		next[n]++
+		g.to[a], g.p[a] = num[ej.To], ej.P
+	}
+	for i, nj := range in.Nodes {
+		n := node(i)
+		g.loc[n] = int32(nj.Loc)
+		if nj.Time == 0 {
+			g.src[n] = nj.Prob
+		}
+		if s.ident {
+			g.stay[n] = int32(nj.Stay)
+			g.tlOff[n+1] = int32(len(nj.TL))
+		}
+	}
+	if s.ident {
+		for n := 0; n < s.nodes; n++ {
+			g.tlOff[n+1] += g.tlOff[n]
+		}
+		for i, nj := range in.Nodes {
+			copy(g.tl[g.tlOff[node(i)]:], nj.TL)
+		}
 	}
 	if err := g.CheckInvariants(1e-6); err != nil {
 		return nil, fmt.Errorf("core: decoded graph is not well-formed: %w", err)

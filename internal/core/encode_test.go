@@ -105,23 +105,24 @@ func sampleGraphs(tb testing.TB) []*Graph {
 // byte for byte: the graphJSON view of g through encoding/json.
 func referenceEncode(g *Graph) ([]byte, error) {
 	out := graphJSON{Version: graphFormatVersion, Duration: g.Duration()}
-	offsets := make([]int, g.Duration())
+	offsets := make([]int, g.Duration()+1)
 	for t := 0; t < g.Duration(); t++ {
-		if t > 0 {
-			offsets[t] = offsets[t-1] + len(g.byTime[t-1])
-		}
-		for _, n := range g.byTime[t] {
+		lvl := g.Level(t)
+		offsets[t+1] = offsets[t] + lvl.Width()
+		for i := 0; i < lvl.Width(); i++ {
+			stay, tl := g.identity(t, i)
 			out.Nodes = append(out.Nodes, nodeJSON{
-				Time: n.Time, Loc: n.Loc, Stay: n.Stay, TL: n.TL, Prob: n.prob,
+				Time: t, Loc: lvl.Loc(i), Stay: stay, TL: tl, Prob: lvl.SourceProb(i),
 			})
 		}
 	}
 	for t := 0; t < g.Duration(); t++ {
-		for _, n := range g.byTime[t] {
-			for _, e := range n.out {
-				out.Edges = append(out.Edges, edgeJSON{
-					From: offsets[t] + int(e.From.idx), To: offsets[t+1] + int(e.To.idx), P: e.P,
-				})
+		lvl := g.Level(t)
+		for i := 0; i < lvl.Width(); i++ {
+			arcs := lvl.Out(i)
+			for k := 0; k < arcs.Len(); k++ {
+				to, p := arcs.At(k)
+				out.Edges = append(out.Edges, edgeJSON{From: offsets[t] + i, To: offsets[t+1] + to, P: p})
 			}
 		}
 	}
@@ -133,12 +134,17 @@ func referenceEncode(g *Graph) ([]byte, error) {
 // twoNodeGraph is a one-edge graph carrying the given source probability
 // and edge probability, for exercising the float encoding directly.
 func twoNodeGraph(prob, p float64) *Graph {
-	src := &node{Time: 0, Loc: 1, prob: prob}
-	dst := &node{Time: 1, Loc: 2, Stay: 3, TL: []TLEntry{{Time: 0, Loc: 1}, {Time: 0, Loc: 4}}}
-	e := &edge{From: src, To: dst, P: p}
-	src.out = []*edge{e}
-	dst.in = []*edge{e}
-	return &Graph{byTime: [][]*node{{src}, {dst}}}
+	return &Graph{
+		levelOff: []int32{0, 1, 2},
+		loc:      []int32{1, 2},
+		arcOff:   []int32{0, 1, 1},
+		to:       []int32{0},
+		p:        []float64{p},
+		src:      []float64{prob},
+		stay:     []int32{0, 3},
+		tlOff:    []int32{0, 0, 2},
+		tl:       []TLEntry{{Time: 0, Loc: 1}, {Time: 0, Loc: 4}},
+	}
 }
 
 func TestEncodeMatchesEncodingJSON(t *testing.T) {
@@ -150,8 +156,8 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	for _, f := range floats {
 		graphs = append(graphs, twoNodeGraph(f, f))
 	}
-	lone := &node{Time: 0, Loc: 0, prob: 1}
-	graphs = append(graphs, &Graph{}, &Graph{byTime: [][]*node{{lone}}})
+	lone := &Graph{levelOff: []int32{0, 1}, loc: []int32{0}, arcOff: []int32{0, 0}, src: []float64{1}}
+	graphs = append(graphs, &Graph{}, lone)
 	for i, g := range graphs {
 		want, err := referenceEncode(g)
 		if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/obs"
@@ -146,7 +147,13 @@ func TestBuildAllocParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc counting is slow")
 	}
+	if raceEnabled {
+		t.Skip("the race detector randomizes the arena pools, so allocation counts do not repeat")
+	}
 	ls, ic := benchScenario()
+	// Build takes its arena blocks from pools that a collection empties,
+	// so the counts are compared with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	base := testing.AllocsPerRun(5, func() {
 		if _, err := Build(ls, ic, nil); err != nil {
 			t.Fatal(err)

@@ -243,6 +243,10 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 			`"edges":[{"from":0,"to":1,"p":1}]}`,
 		"violates invariants": `{"version":1,"duration":2,` +
 			`"nodes":[{"time":0,"loc":0,"prob":1},{"time":1,"loc":0}],"edges":[]}`,
+		"loc beyond int32":  `{"version":1,"duration":1,"nodes":[{"time":0,"loc":2147483648,"prob":1}],"edges":[]}`,
+		"stay beyond int32": `{"version":1,"duration":1,"nodes":[{"time":0,"loc":0,"stay":4294967296,"prob":1}],"edges":[]}`,
+		"prob off level 0": `{"version":1,"duration":2,` +
+			`"nodes":[{"time":0,"loc":0,"prob":1},{"time":1,"loc":0,"prob":0.5}],"edges":[{"from":0,"to":1,"p":1}]}`,
 	}
 	for name, body := range cases {
 		if _, err := Decode(strings.NewReader(body)); err == nil {

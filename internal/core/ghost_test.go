@@ -46,9 +46,10 @@ func TestNoGhostNodesAfterUnderflowPruning(t *testing.T) {
 	}
 	// The island dies by underflow partway through the window, so late
 	// levels must contain only the two mainland locations.
-	for _, n := range g.byTime[len(g.byTime)-1] {
-		if n.Loc == 1 {
-			t.Fatalf("unreachable island node %v survived at the final timestamp", n)
+	last := g.Level(g.Duration() - 1)
+	for i := 0; i < last.Width(); i++ {
+		if last.Loc(i) == 1 {
+			t.Fatalf("unreachable island node %d survived at the final timestamp", i)
 		}
 	}
 	m, err := g.Marginals(3)
@@ -64,39 +65,41 @@ func TestNoGhostNodesAfterUnderflowPruning(t *testing.T) {
 }
 
 // TestCheckInvariantsDetectsGhosts corrupts well-formed graphs the way the
-// seed bug used to and checks CheckInvariants rejects both shapes.
+// seed bug used to and checks CheckInvariants rejects every shape.
 func TestCheckInvariantsDetectsGhosts(t *testing.T) {
-	// An unreachable node: alive, indexed, but with no in-edges linking it
-	// to the previous level.
-	g := mustBuild(t, FromDistributions([][]float64{{0.5, 0.5}, {0.5, 0.5}}))
-	ghost := &node{Time: 1, Loc: 3, idx: int32(len(g.byTime[1]))}
-	// Give it an in-edge from a removed node, like the seed's dangling
-	// references: the edge's From is not part of the graph.
-	removed := &node{Time: 0, Loc: 3, removed: true}
-	e := &edge{From: removed, To: ghost, P: 1}
-	ghost.in = []*edge{e}
-	g.byTime[1] = append(g.byTime[1], ghost)
+	two := func() *Graph { return mustBuild(t, FromDistributions([][]float64{{0.5, 0.5}, {0.5, 0.5}})) }
+	// Two sources fanning out to two targets, plus a third target, the
+	// ghost: alive and listed, but no arc leads to it.
+	ghost := &Graph{
+		levelOff: []int32{0, 2, 5},
+		loc:      []int32{0, 1, 0, 1, 3},
+		src:      []float64{0.5, 0.5},
+		arcOff:   []int32{0, 2, 4, 4, 4, 4},
+		to:       []int32{0, 1, 0, 1},
+		p:        []float64{0.5, 0.5, 0.5, 0.5},
+	}
+	if err := ghost.CheckInvariants(1e-6); err == nil {
+		t.Fatalf("graph with an unreachable node passed invariants")
+	}
+	// The same graph with an arc into the ghost is well formed, which
+	// shows the check above failed on the ghost alone.
+	ghost.arcOff = []int32{0, 1, 3, 3, 3, 3}
+	ghost.to, ghost.p = []int32{2, 0, 1}, []float64{1, 0.5, 0.5}
+	if err := ghost.CheckInvariants(1e-6); err != nil {
+		t.Fatalf("graph with a reachable extra node failed invariants: %v", err)
+	}
+
+	// An arc leading past the next level.
+	g := two()
+	g.to[0] = int32(g.Level(1).Width())
 	if err := g.CheckInvariants(1e-6); err == nil {
-		t.Fatalf("graph with a dangling in-edge from a removed node passed invariants")
+		t.Fatalf("graph with an arc out of range passed invariants")
 	}
 
-	// A ghost whose in-edge looks plausible but whose From is not listed at
-	// the previous level.
-	g2 := mustBuild(t, FromDistributions([][]float64{{0.5, 0.5}, {0.5, 0.5}}))
-	foreign := &node{Time: 0, Loc: 3, idx: 99}
-	ghost2 := &node{Time: 1, Loc: 3, idx: int32(len(g2.byTime[1]))}
-	e2 := &edge{From: foreign, To: ghost2, P: 1}
-	ghost2.in = []*edge{e2}
-	foreign.out = []*edge{e2}
-	g2.byTime[1] = append(g2.byTime[1], ghost2)
-	if err := g2.CheckInvariants(1e-6); err == nil {
-		t.Fatalf("graph with a foreign predecessor passed invariants")
-	}
-
-	// Inconsistent dense index.
-	g3 := mustBuild(t, FromDistributions([][]float64{{0.5, 0.5}, {0.5, 0.5}}))
-	g3.byTime[0][0].idx = 1
+	// Inconsistent offsets.
+	g3 := two()
+	g3.levelOff[1]++
 	if err := g3.CheckInvariants(1e-6); err == nil {
-		t.Fatalf("graph with a wrong dense index passed invariants")
+		t.Fatalf("graph with wrong level offsets passed invariants")
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/stats"
 )
@@ -21,88 +23,170 @@ type TLEntry struct {
 	Loc  int
 }
 
-// node is a location node (τ, l, δ, TL) of §4.1. Two nodes with equal
-// exported fields are the same node; the graph never materializes duplicates.
-// Nodes and edges never leave the package: readers walk a finished graph
-// through Level and Arcs.
-type node struct {
-	Time int       // timestamp τ
-	Loc  int       // location l
-	Stay int       // δ: length of the current stay while a latency constraint is pending, or StayUntracked (⊥)
-	TL   []TLEntry // sorted by Loc; relevant recent leave times for TT checks; interned, do not modify
-
-	idx int32 // dense index within the node's timestamp level
-
-	out []*edge
-	in  []*edge
-
-	surv    float64 // surviving (valid) fraction of compatible mass, rescaled per level
-	prob    float64 // p_N for source nodes
-	removed bool
-}
-
-// String implements fmt.Stringer.
-func (n *node) String() string {
-	stay := "⊥"
-	if n.Stay != StayUntracked {
-		stay = strconv.Itoa(n.Stay)
-	}
-	var tl []string
-	for _, e := range n.TL {
-		tl = append(tl, fmt.Sprintf("(%d,L%d)", e.Time, e.Loc))
-	}
-	return fmt.Sprintf("(%d, L%d, %s, {%s})", n.Time, n.Loc, stay, strings.Join(tl, ","))
-}
-
-// edge is a ct-graph edge from a node to one of its successors, carrying the
-// (initially a-priori, finally conditioned) probability p_E.
-type edge struct {
-	From, To *node
-	P        float64
-}
-
 // Graph is a conditioned trajectory graph (Definition 4): source-to-target
 // paths correspond one-to-one to valid trajectories, and the product of a
 // path's source probability and edge probabilities is the conditioned
 // probability of its trajectory.
+//
+// A Graph is frozen: Build, BuildState.Smooth, Quotient and Decode write it
+// once and nothing modifies it afterwards, so it is safe to share. It holds
+// no pointer per node or per arc. Nodes are numbered level by level, a
+// node's dense index within its level is its number minus the level's
+// offset, and every column is one flat array (compressed sparse rows), so
+// the garbage collector never scans a graph's contents.
 type Graph struct {
-	byTime [][]*node // alive nodes per timestamp; byTime[t][i].idx == i
+	levelOff []int32   // level t holds nodes levelOff[t] to levelOff[t+1]-1
+	loc      []int32   // location of each node
+	arcOff   []int32   // node n's out-arcs are arcOff[n] to arcOff[n+1]-1
+	to       []int32   // each arc's target, as a dense index in the next level
+	p        []float64 // each arc's conditioned probability p_E
+	src      []float64 // p_N of each node of level 0
+
+	// Algorithm 1's node identity (§4.1): δ of each node, and node n's TL
+	// is tl[tlOff[n]:tlOff[n+1]]. All three are empty when every node has
+	// δ = ⊥ and an empty TL, as in every quotient.
+	stay  []int32
+	tlOff []int32
+	tl    []TLEntry
 }
 
 // Duration returns the number of timestamps spanned by the graph.
-func (g *Graph) Duration() int { return len(g.byTime) }
+func (g *Graph) Duration() int { return max(len(g.levelOff)-1, 0) }
 
 // Level is a read-only view of the nodes of one timestamp. A node is named
 // by its dense index in [0, Width()); per-node query state lives in slices
-// indexed the same way.
-type Level struct{ nodes []*node }
+// indexed the same way. A Level, like an Arcs, is two words, so the passes
+// keep both in registers.
+type Level struct {
+	g      *Graph
+	lo, hi int32 // the level's nodes are numbered lo to hi-1
+}
 
 // Level returns the view of timestamp t.
-func (g *Graph) Level(t int) Level { return Level{g.byTime[t]} }
+func (g *Graph) Level(t int) Level { return Level{g, g.levelOff[t], g.levelOff[t+1]} }
 
 // Width returns the number of nodes at the level.
-func (l Level) Width() int { return len(l.nodes) }
+func (l Level) Width() int { return int(l.hi - l.lo) }
 
 // Loc returns the location of node i.
-func (l Level) Loc(i int) int { return l.nodes[i].Loc }
+func (l Level) Loc(i int) int {
+	if uint(i) >= uint(l.hi-l.lo) {
+		panic(errNodeRange)
+	}
+	return int(l.g.loc[int(l.lo)+i])
+}
 
-// SourceProb returns p_N of node i; only level 0 holds source nodes.
-func (l Level) SourceProb(i int) float64 { return l.nodes[i].prob }
+// SourceProb returns p_N of node i; only level 0 holds source nodes, and
+// every other level answers 0.
+func (l Level) SourceProb(i int) float64 {
+	if l.lo != 0 {
+		return 0
+	}
+	return l.g.src[i]
+}
 
 // Out returns the out-arcs of node i, in the order every pass walks them.
-func (l Level) Out(i int) Arcs { return Arcs{l.nodes[i].out} }
+func (l Level) Out(i int) Arcs {
+	if uint(i) >= uint(l.hi-l.lo) {
+		panic(errNodeRange)
+	}
+	n := int(l.lo) + i
+	return Arcs{l.g, l.g.arcOff[n], l.g.arcOff[n+1]}
+}
 
 // Arcs is a read-only view of one node's out-arcs.
-type Arcs struct{ edges []*edge }
+type Arcs struct {
+	g    *Graph
+	a, b int32 // the arcs are numbered a to b-1
+}
 
 // Len returns the number of arcs.
-func (a Arcs) Len() int { return len(a.edges) }
+func (a Arcs) Len() int { return int(a.b - a.a) }
 
 // At returns arc k: the index of its target in the next level and its
 // conditioned probability p_E.
 func (a Arcs) At(k int) (to int, p float64) {
-	e := a.edges[k]
-	return int(e.To.idx), e.P
+	if uint(k) >= uint(a.b-a.a) {
+		panic(errArcRange)
+	}
+	j := int(a.a) + k
+	return int(a.g.to[j]), a.g.p[j]
+}
+
+var (
+	errNodeRange = errors.New("core: node index out of the level's range")
+	errArcRange  = errors.New("core: arc index out of the node's range")
+)
+
+// shape counts the columns of a graph before it is written.
+type shape struct {
+	levels, nodes, sources, arcs int
+	ident                        bool // the δ and TL columns are kept
+	tls                          int
+}
+
+// ints returns how many int32s the shape's int32 columns hold together.
+func (s shape) ints() int {
+	n := s.levels + 1 + 2*s.nodes + 1 + s.arcs
+	if s.ident {
+		n += 2*s.nodes + 1
+	}
+	return n
+}
+
+// carve points g's columns at ints, floats and tl, which hold at least
+// s.ints(), s.sources+s.arcs and s.tls elements. Each column is capped at
+// its own region, and every offset column starts at 0.
+func (g *Graph) carve(s shape, ints []int32, floats []float64, tl []TLEntry) {
+	cut := func(n int) []int32 {
+		c := ints[:n:n]
+		ints = ints[n:]
+		return c
+	}
+	g.levelOff = cut(s.levels + 1)
+	g.loc = cut(s.nodes)
+	g.arcOff = cut(s.nodes + 1)
+	g.to = cut(s.arcs)
+	g.src = floats[:s.sources:s.sources]
+	g.p = floats[s.sources : s.sources+s.arcs : s.sources+s.arcs]
+	g.stay, g.tlOff, g.tl = nil, nil, nil
+	if s.ident {
+		g.stay = cut(s.nodes)
+		g.tlOff = cut(s.nodes + 1)
+		g.tl = tl[:s.tls:s.tls]
+		g.tlOff[0] = 0
+	}
+	g.levelOff[0], g.arcOff[0] = 0, 0
+}
+
+// newGraph allocates a graph of shape s: its int32 columns share one
+// allocation and its float64 columns another.
+func newGraph(s shape) *Graph {
+	g := new(Graph)
+	var tl []TLEntry
+	if s.ident && s.tls > 0 {
+		tl = make([]TLEntry, s.tls)
+	}
+	g.carve(s, make([]int32, s.ints()), make([]float64, s.sources+s.arcs), tl)
+	return g
+}
+
+// Stats summarizes the size of a ct-graph (§6.7 discusses the memory
+// footprint of ct-graphs under different constraint sets).
+type Stats struct {
+	Nodes int
+	Edges int
+	// Bytes is the graph's memory: its header plus, for every column, its
+	// length times its element size. A frozen graph owns nothing else.
+	Bytes int
+}
+
+// Stats returns size statistics for the graph.
+func (g *Graph) Stats() Stats {
+	int32s := len(g.levelOff) + len(g.loc) + len(g.arcOff) + len(g.to) + len(g.stay) + len(g.tlOff)
+	bytes := int(unsafe.Sizeof(*g)) + 4*int32s + 8*(len(g.src)+len(g.p)) +
+		int(unsafe.Sizeof(TLEntry{}))*len(g.tl)
+	return Stats{Nodes: len(g.loc), Edges: len(g.to), Bytes: bytes}
 }
 
 // levels allocates one float64 slot per node, shaped like the graph.
@@ -112,32 +196,6 @@ func (g *Graph) levels() [][]float64 {
 		out[t] = make([]float64, g.Level(t).Width())
 	}
 	return out
-}
-
-// Stats summarizes the size of a ct-graph (§6.7 discusses the memory
-// footprint of ct-graphs under different constraint sets).
-type Stats struct {
-	Nodes int
-	Edges int
-	// Bytes estimates the in-memory footprint: node struct + TL entries +
-	// edge structs + adjacency slots.
-	Bytes int
-}
-
-// Stats returns size statistics for the graph.
-func (g *Graph) Stats() Stats {
-	var s Stats
-	const nodeBytes = 96 // struct + slice headers, approximate
-	const edgeBytes = 24 + 16
-	for _, nodes := range g.byTime {
-		for _, n := range nodes {
-			s.Nodes++
-			s.Bytes += nodeBytes + 16*len(n.TL)
-			s.Edges += len(n.out)
-			s.Bytes += edgeBytes * len(n.out)
-		}
-	}
-	return s
 }
 
 // PathProbability returns the probability of the source-to-target path
@@ -222,19 +280,18 @@ func TrajectoryKey(locs []int) string {
 // Forward returns, for every node, the total probability of source-prefixes
 // reaching it: alpha[t][i] = Σ over partial paths from a source to node i of
 // level t of the product of the source probability and arc probabilities.
+// Forward, Backward and MostProbable run under every query, so they walk
+// the arc columns directly, in the order Level and Arcs give.
 func (g *Graph) Forward() [][]float64 {
 	alpha := g.levels()
-	src := g.Level(0)
-	for i := range alpha[0] {
-		alpha[0][i] = src.SourceProb(i)
-	}
+	copy(alpha[0], g.src)
+	to, p := g.to, g.p
 	for t := 0; t+1 < g.Duration(); t++ {
-		lvl, row, next := g.Level(t), alpha[t], alpha[t+1]
+		row, next := alpha[t], alpha[t+1]
+		off := g.arcOff[g.levelOff[t] : g.levelOff[t+1]+1]
 		for i, a := range row {
-			arcs := lvl.Out(i)
-			for k := 0; k < arcs.Len(); k++ {
-				to, p := arcs.At(k)
-				next[to] += a * p
+			for k := off[i]; k < off[i+1]; k++ {
+				next[to[k]] += a * p[k]
 			}
 		}
 	}
@@ -250,14 +307,14 @@ func (g *Graph) Backward() [][]float64 {
 	for i := range beta[last] {
 		beta[last][i] = 1
 	}
+	to, p := g.to, g.p
 	for t := last - 1; t >= 0; t-- {
-		lvl, row, next := g.Level(t), beta[t], beta[t+1]
+		row, next := beta[t], beta[t+1]
+		off := g.arcOff[g.levelOff[t] : g.levelOff[t+1]+1]
 		for i := range row {
-			arcs := lvl.Out(i)
 			var b float64
-			for k := 0; k < arcs.Len(); k++ {
-				to, p := arcs.At(k)
-				b += p * next[to]
+			for k := off[i]; k < off[i+1]; k++ {
+				b += p[k] * next[to[k]]
 			}
 			row[i] = b
 		}
@@ -311,22 +368,19 @@ func (g *Graph) MostProbable() ([]int, float64) {
 	for t := 1; t < g.Duration(); t++ {
 		back[t] = make([]int32, len(best[t]))
 	}
-	src := g.Level(0)
-	for i := range best[0] {
-		best[0][i] = src.SourceProb(i)
-	}
+	copy(best[0], g.src)
+	to, p := g.to, g.p
 	for t := 0; t+1 < g.Duration(); t++ {
-		lvl, row, next, nb := g.Level(t), best[t], best[t+1], back[t+1]
+		row, next, nb := best[t], best[t+1], back[t+1]
+		off := g.arcOff[g.levelOff[t] : g.levelOff[t+1]+1]
 		for i, b := range row {
 			if b == 0 {
 				continue
 			}
-			arcs := lvl.Out(i)
-			for k := 0; k < arcs.Len(); k++ {
-				to, p := arcs.At(k)
-				if v := b * p; v > next[to] {
-					next[to] = v
-					nb[to] = int32(i)
+			for k := off[i]; k < off[i+1]; k++ {
+				if v := b * p[k]; v > next[to[k]] {
+					next[to[k]] = v
+					nb[to[k]] = int32(i)
 				}
 			}
 		}
@@ -386,123 +440,137 @@ func (g *Graph) Sample(rng *stats.RNG) []int {
 }
 
 // CheckInvariants verifies the structural invariants of a well-formed
-// ct-graph: per-node outgoing probabilities sum to 1 (non-targets), source
-// probabilities sum to 1, dense per-level indices match node positions, edge
-// endpoints agree on adjacency (no dangling in-edges from removed or foreign
-// nodes, and out/in edge counts balance between consecutive levels), and
-// every node lies on some source-to-target path (no unreachable ghosts). It
-// is used by tests and by Decode and returns the first violation found.
+// ct-graph: the columns have consistent shapes, every level has a node,
+// per-node outgoing probabilities sum to 1 (non-targets), source
+// probabilities sum to 1, every arc leads to a node of the next level, every
+// non-source node has a predecessor, and every node lies on some
+// source-to-target path (no unreachable ghosts). It is used by tests and by
+// Decode and returns the first violation found.
 func (g *Graph) CheckInvariants(tol float64) error {
 	if g.Duration() == 0 {
 		return fmt.Errorf("core: empty graph")
 	}
+	if err := g.checkShape(); err != nil {
+		return err
+	}
 	var srcSum float64
-	for _, s := range g.byTime[0] {
-		srcSum += s.prob
+	for _, p := range g.src {
+		srcSum += p
 	}
 	if math.Abs(srcSum-1) > tol {
 		return fmt.Errorf("core: source probabilities sum to %g", srcSum)
 	}
-	outEdges := 0 // edges leaving the previous level
-	for t, nodes := range g.byTime {
-		if len(nodes) == 0 {
-			return fmt.Errorf("core: no nodes at timestamp %d", t)
-		}
-		inEdges := 0
-		for i, n := range nodes {
-			if n.removed {
-				return fmt.Errorf("core: removed node %v still listed", n)
-			}
-			if int(n.idx) != i {
-				return fmt.Errorf("core: node %v has index %d but sits at position %d", n, n.idx, i)
-			}
-			if n.Time != t {
-				return fmt.Errorf("core: node %v listed at timestamp %d", n, t)
-			}
-			if t < g.Duration()-1 {
-				if len(n.out) == 0 {
-					return fmt.Errorf("core: non-target node %v has no successors", n)
-				}
-				var sum float64
-				for _, e := range n.out {
-					if e.From != n {
-						return fmt.Errorf("core: edge list corruption at %v", n)
-					}
-					if e.P <= 0 || e.P > 1+tol {
-						return fmt.Errorf("core: edge %v->%v has probability %g", e.From, e.To, e.P)
-					}
-					sum += e.P
-				}
-				if math.Abs(sum-1) > tol {
-					return fmt.Errorf("core: out-probabilities of %v sum to %g", n, sum)
-				}
-			}
-			if t > 0 && len(n.in) == 0 {
-				return fmt.Errorf("core: non-source node %v has no predecessors", n)
-			}
-			inEdges += len(n.in)
-			for _, e := range n.in {
-				if e.To != n {
-					return fmt.Errorf("core: in-edge list corruption at %v", n)
-				}
-				from := e.From
-				if from == nil || from.removed {
-					return fmt.Errorf("core: node %v has a dangling in-edge from removed node %v", n, from)
-				}
-				if t == 0 || from.Time != t-1 || int(from.idx) >= len(g.byTime[t-1]) || g.byTime[t-1][from.idx] != from {
-					return fmt.Errorf("core: node %v has an in-edge from %v, which is not an alive node of the previous level", n, from)
-				}
-			}
-		}
-		if t > 0 && inEdges != outEdges {
-			return fmt.Errorf("core: level %d has %d in-edges but level %d has %d out-edges", t, inEdges, t-1, outEdges)
-		}
-		outEdges = 0
-		for _, n := range nodes {
-			outEdges += len(n.out)
-		}
-	}
-	// Every node must be reachable from a source (no ghosts left behind by
-	// pruning). Reachability is tracked explicitly rather than via alpha > 0
-	// so that probability underflow on long windows cannot mask a ghost (or
-	// flag a legitimate node).
+	last := g.Duration() - 1
+	// reach[t][i] marks nodes reachable from a source. Reachability is
+	// tracked explicitly rather than via alpha > 0 so that probability
+	// underflow on long windows cannot mask a ghost (or flag a legitimate
+	// node).
 	reach := make([][]bool, g.Duration())
 	for t := range reach {
-		reach[t] = make([]bool, len(g.byTime[t]))
+		reach[t] = make([]bool, g.Level(t).Width())
 	}
-	for i := range g.byTime[0] {
+	for i := range reach[0] {
 		reach[0][i] = true
 	}
-	for t := 0; t+1 < g.Duration(); t++ {
-		for _, n := range g.byTime[t] {
-			if !reach[t][n.idx] {
+	for t := 0; t <= last; t++ {
+		lvl := g.Level(t)
+		if lvl.Width() == 0 {
+			return fmt.Errorf("core: no nodes at timestamp %d", t)
+		}
+		var hasPred []bool
+		if t < last {
+			hasPred = make([]bool, g.Level(t+1).Width())
+		}
+		for i := 0; i < lvl.Width(); i++ {
+			arcs := lvl.Out(i)
+			if t == last {
+				if arcs.Len() > 0 {
+					return fmt.Errorf("core: target node %d at timestamp %d has %d out-arcs", i, t, arcs.Len())
+				}
 				continue
 			}
-			for _, e := range n.out {
-				reach[t+1][e.To.idx] = true
+			if arcs.Len() == 0 {
+				return fmt.Errorf("core: non-target node %d at timestamp %d has no successors", i, t)
+			}
+			var sum float64
+			for k := 0; k < arcs.Len(); k++ {
+				to, p := arcs.At(k)
+				if to < 0 || to >= len(hasPred) {
+					return fmt.Errorf("core: arc %d of node %d at timestamp %d leads to node %d, which level %d does not have", k, i, t, to, t+1)
+				}
+				if p <= 0 || p > 1+tol {
+					return fmt.Errorf("core: arc %d of node %d at timestamp %d has probability %g", k, i, t, p)
+				}
+				sum += p
+				hasPred[to] = true
+				if reach[t][i] {
+					reach[t+1][to] = true
+				}
+			}
+			if math.Abs(sum-1) > tol {
+				return fmt.Errorf("core: out-probabilities of node %d at timestamp %d sum to %g", i, t, sum)
+			}
+		}
+		for i, ok := range hasPred {
+			if !ok {
+				return fmt.Errorf("core: non-source node %d at timestamp %d has no predecessors", i, t+1)
 			}
 		}
 	}
-	for t, nodes := range g.byTime {
-		for _, n := range nodes {
-			if !reach[t][n.idx] {
-				return fmt.Errorf("core: node %v is unreachable from every source", n)
+	for t, row := range reach {
+		for i, ok := range row {
+			if !ok {
+				return fmt.Errorf("core: node %d at timestamp %d is unreachable from every source", i, t)
 			}
 		}
 	}
 	// Marginal mass must be 1 at every timestamp.
 	alpha := g.Forward()
 	beta := g.Backward()
-	for t, nodes := range g.byTime {
+	for t := range alpha {
 		var mass float64
-		for _, n := range nodes {
-			mass += alpha[t][n.idx] * beta[t][n.idx]
+		for i, a := range alpha[t] {
+			mass += a * beta[t][i]
 		}
 		if math.Abs(mass-1) > tol {
 			return fmt.Errorf("core: probability mass at timestamp %d is %g", t, mass)
 		}
 	}
 	return nil
+}
+
+// checkShape verifies that g's columns fit together: offsets start at 0,
+// never decrease and end at their column's length, and every per-node
+// column has one entry per node.
+func (g *Graph) checkShape() error {
+	nodes := len(g.loc)
+	switch {
+	case !offsets(g.levelOff, nodes):
+		return fmt.Errorf("core: level offsets do not partition %d nodes", nodes)
+	case len(g.arcOff) != nodes+1 || !offsets(g.arcOff, len(g.to)) || len(g.p) != len(g.to):
+		return fmt.Errorf("core: arc offsets do not partition %d arcs over %d nodes", len(g.to), nodes)
+	case len(g.src) != int(g.levelOff[1]):
+		return fmt.Errorf("core: %d source probabilities for %d source nodes", len(g.src), g.levelOff[1])
+	case len(g.stay) == 0 && len(g.tlOff) == 0 && len(g.tl) == 0:
+		return nil
+	case len(g.stay) != nodes || len(g.tlOff) != nodes+1 || !offsets(g.tlOff, len(g.tl)):
+		return fmt.Errorf("core: stay and TL columns do not fit %d nodes", nodes)
+	}
+	return nil
+}
+
+// offsets reports whether off is an offset column over n elements: it
+// starts at 0, never decreases and ends at n.
+func offsets(off []int32, n int) bool {
+	if len(off) == 0 || off[0] != 0 || int(off[len(off)-1]) != n {
+		return false
+	}
+	for i := 1; i < len(off); i++ {
+		if off[i] < off[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 // sortTL keeps TL entries in canonical order (by location). TLs hold at most

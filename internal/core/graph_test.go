@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -51,8 +53,8 @@ func TestGraphAccessors(t *testing.T) {
 	if g.Duration() != 2 {
 		t.Errorf("Duration = %d", g.Duration())
 	}
-	if len(g.byTime[0]) != 2 || len(g.byTime[len(g.byTime)-1]) != 2 {
-		t.Errorf("sources/targets = %d/%d", len(g.byTime[0]), len(g.byTime[len(g.byTime)-1]))
+	if src, dst := g.Level(0).Width(), g.Level(g.Duration()-1).Width(); src != 2 || dst != 2 {
+		t.Errorf("sources/targets = %d/%d", src, dst)
 	}
 	s := g.Stats()
 	if s.Nodes != 4 || s.Edges != 4 {
@@ -140,8 +142,8 @@ func TestForwardBackwardMass(t *testing.T) {
 	beta := g.Backward()
 	for tau := 0; tau < g.Duration(); tau++ {
 		var mass float64
-		for _, n := range g.byTime[tau] {
-			mass += alpha[tau][int(n.idx)] * beta[tau][int(n.idx)]
+		for i := 0; i < g.Level(tau).Width(); i++ {
+			mass += alpha[tau][i] * beta[tau][i]
 		}
 		if math.Abs(mass-1) > 1e-9 {
 			t.Errorf("mass at %d = %v", tau, mass)
@@ -244,12 +246,25 @@ func TestNodeIndexMatchesPosition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Levels partition the node numbers in order, and every arc names its
+	// target by its dense index in the next level.
+	nodes := 0
 	for tau := 0; tau < g.Duration(); tau++ {
-		for i, n := range g.byTime[tau] {
-			if int(n.idx) != i {
-				t.Errorf("node %v at position %d has Index %d", n, i, int(n.idx))
+		if int(g.levelOff[tau]) != nodes {
+			t.Errorf("level %d starts at node %d, want %d", tau, g.levelOff[tau], nodes)
+		}
+		lvl := g.Level(tau)
+		nodes += lvl.Width()
+		for i := 0; i < lvl.Width(); i++ {
+			for k := 0; k < lvl.Out(i).Len(); k++ {
+				if to, _ := lvl.Out(i).At(k); to < 0 || to >= g.Level(tau+1).Width() {
+					t.Errorf("arc %d of node %d at timestamp %d targets index %d", k, i, tau, to)
+				}
 			}
 		}
+	}
+	if nodes != g.Stats().Nodes {
+		t.Errorf("levels hold %d nodes, graph %d", nodes, g.Stats().Nodes)
 	}
 }
 
@@ -296,7 +311,7 @@ func TestTrajectoryKeyAndTrajectory(t *testing.T) {
 func TestCheckInvariantsDetectsCorruption(t *testing.T) {
 	g := buildSimple(t)
 	// Corrupt an edge probability.
-	g.byTime[0][0].out[0].P = 0.9
+	g.p[0] = 0.9
 	if err := g.CheckInvariants(1e-9); err == nil {
 		t.Errorf("corrupted graph passed invariants")
 	}
@@ -313,5 +328,106 @@ func TestOptionsDefaults(t *testing.T) {
 	o = &Options{EndLatency: constraints.LenientEnd}
 	if o.endLatency() != constraints.LenientEnd {
 		t.Errorf("options not honored")
+	}
+}
+
+// identity returns δ and TL of node i of level t.
+func (g *Graph) identity(t, i int) (stay int, tl []TLEntry) {
+	if len(g.tlOff) == 0 {
+		return StayUntracked, nil
+	}
+	n := int(g.levelOff[t]) + i
+	return int(g.stay[n]), g.tl[g.tlOff[n]:g.tlOff[n+1]]
+}
+
+// inDegrees returns the number of arcs into each node of level t+1 from
+// level t.
+func (g *Graph) inDegrees(t int) []int {
+	in := make([]int, g.Level(t+1).Width())
+	lvl := g.Level(t)
+	for i := 0; i < lvl.Width(); i++ {
+		for k := 0; k < lvl.Out(i).Len(); k++ {
+			to, _ := lvl.Out(i).At(k)
+			in[to]++
+		}
+	}
+	return in
+}
+
+// TestStatsBytesMatchRetainedHeap: Stats().Bytes is within 10% of the heap
+// that N frozen graphs retain, measured after a collection, for Algorithm 1's
+// graphs and for quotients.
+func TestStatsBytesMatchRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds 400 graphs")
+	}
+	const n = 200
+	ls, ic := benchScenarioN(60)
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second collection empties the arena pools
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, quotient := range []bool{false, true} {
+		opts := &Options{Quotient: quotient}
+		if _, err := Build(ls, ic, opts); err != nil {
+			t.Fatal(err)
+		}
+		graphs := make([]*Graph, n)
+		before := heap()
+		var charged int64
+		for i := range graphs {
+			g, err := Build(ls, ic, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs[i] = g
+			charged += int64(g.Stats().Bytes)
+		}
+		retained := heap() - before
+		ratio := float64(charged) / float64(retained)
+		t.Logf("quotient=%v: %d graphs of %d nodes: Stats().Bytes %d, retained %d (%.3f)",
+			quotient, n, graphs[0].Stats().Nodes, charged, retained, ratio)
+		if ratio < 0.9 || ratio > 1.1 {
+			t.Errorf("quotient=%v: Stats().Bytes sums to %d for %d retained (ratio %.3f), want within 10%%", quotient, charged, retained, ratio)
+		}
+		runtime.KeepAlive(graphs)
+	}
+	runtime.KeepAlive(ls)
+	runtime.KeepAlive(ic)
+}
+
+// TestGraphHoldsNoPointers: no column of a Graph has an element type that
+// contains a pointer, so a stored graph is never scanned by the collector.
+func TestGraphHoldsNoPointers(t *testing.T) {
+	var hasPointer func(reflect.Type) bool
+	hasPointer = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+			reflect.Interface, reflect.String, reflect.UnsafePointer:
+			return true
+		case reflect.Array:
+			return hasPointer(typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointer(typ.Field(i).Type) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	typ := reflect.TypeOf(Graph{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Slice {
+			t.Errorf("field %s is a %s, not a column", f.Name, f.Type)
+			continue
+		}
+		if hasPointer(f.Type.Elem()) {
+			t.Errorf("column %s holds %s, which contains a pointer", f.Name, f.Type.Elem())
+		}
 	}
 }

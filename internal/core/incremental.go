@@ -25,13 +25,15 @@ import (
 // recurrence is swept from the newest level downward, and as soon as some
 // level's rescaled survival vector is bitwise equal to the value the previous
 // Smooth computed for it, every level below would condition identically, so
-// the previous snapshot's prefix is reused (deep-copied and stitched to the
-// fresh suffix) instead of recomputed. Survivals rescale to exactly 1 at
-// unambiguous timestamps, so on real streams convergence is reached within a
-// handful of levels of the newest reading.
+// the previous snapshot's prefix is reused instead of recomputed: its
+// frozen columns are copied in front of the freshly frozen suffix.
+// Survivals rescale to exactly 1 at unambiguous timestamps, so on real
+// streams convergence is reached within a handful of levels of the newest
+// reading.
 //
-// Each Smooth returns an independent Graph: callers may retain earlier
-// results (e.g. a trajectory store) while the session keeps smoothing.
+// Each Smooth returns a new frozen Graph, which the state also keeps as the
+// snapshot the next Smooth reuses: callers may retain earlier results (e.g.
+// a trajectory store) while the session keeps smoothing.
 //
 // BuildState is also the online cleaner. It keeps the normalized forward
 // mass of the newest level, and Distribution/TopLocations answer the
@@ -68,7 +70,7 @@ type BuildState struct {
 	// vector in raw node order; bRemoved[t]/ghosts[t] the per-level
 	// backward-removal and orphan counts; finalIdx[t] the raw indices of
 	// the nodes that survived into the snapshot, ascending. snap is the
-	// graph the last Smooth returned, treated as immutable.
+	// frozen graph the last Smooth returned.
 	prevLen    int
 	prevStrict bool
 	bsurv      [][]float64
@@ -214,10 +216,12 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	}
 	backStart := time.Now()
 
-	// Clone arena for this pass: the result graph owns it, so every Smooth
-	// is independent. The zero builder is a pure allocator (no constraint
-	// or interner state), which is all cloning needs.
+	// Clone arena for this pass: the frozen result owns none of it, so its
+	// blocks go back to the pools at the end. The zero builder is a pure
+	// allocator (no constraint or interner state), which is all cloning
+	// needs.
 	var cb builder
+	defer cb.release()
 	clones := make([][]*node, duration)
 	clones[duration-1] = cloneLevel(&cb, st.levels[duration-1])
 	condemned := condemnTargets(clones[duration-1], strict)
@@ -246,43 +250,42 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	}
 	bsurvNew[duration-1] = survivals(clones[duration-1])
 
-	var g *Graph
 	normalizer := st.normalizer
-	if boundary > 0 {
-		// Converged: level boundary's survivals (and hence removals) are
-		// bitwise what the previous pass computed, so everything below
-		// would recondition identically. Finish the deferred detach of the
-		// boundary level, then reuse the previous snapshot's prefix.
-		detachRemovedLevel(clones[boundary])
-		g = st.assembleWithPrefix(&cb, clones, boundary)
-	} else {
-		detachRemovedLevel(clones[0])
+	detachRemovedLevel(clones[boundary])
+	if boundary == 0 {
 		var ok bool
 		normalizer, ok = conditionSources(clones[0])
 		if !ok {
 			return nil, ErrNoValidTrajectory
 		}
-		g = &Graph{byTime: clones}
 	}
+	// Converged otherwise: level boundary's survivals (and hence removals)
+	// are bitwise what the previous pass computed, so everything below
+	// would recondition identically, and the previous snapshot's prefix is
+	// reused.
 	backNanos := time.Since(backStart).Nanoseconds()
 	reviseStart := time.Now()
 
-	// Scrub and compact the recomputed suffix (the reused prefix is already
-	// scrubbed and dense). Record the per-level survivor sets first: compact
-	// rewrites the level slices in place.
+	// Scrub and compact the recomputed suffix. Record the per-level
+	// survivor sets first: compact rewrites the level slices in place. The
+	// predecessors of a convergence boundary are the reused prefix, whose
+	// arcs reach exactly the boundary nodes that survived the previous
+	// pass; every other node still standing there is an orphan.
 	ghostsNew := make([]int, duration)
-	scrubFrom := boundary
-	if scrubFrom < 1 {
-		scrubFrom = 1
+	if boundary > 0 {
+		ghostsNew[boundary] = scrubBoundary(clones[boundary], st.finalIdx[boundary])
 	}
-	for t := scrubFrom; t < duration; t++ {
-		ghostsNew[t] = scrubLevelOrphans(g.byTime[t])
+	for t := boundary + 1; t < duration; t++ {
+		ghostsNew[t] = scrubLevelOrphans(clones[t])
 	}
 	finalIdxNew := make([][]int32, duration)
 	for t := boundary; t < duration; t++ {
-		finalIdxNew[t] = surviving(g.byTime[t])
-		compactLevel(&g.byTime[t])
+		finalIdxNew[t] = surviving(clones[t])
+		compactLevel(&clones[t])
 	}
+	// The boundary level keeps the previous pass's survivors in the same
+	// order, so the prefix's arcs into it index it unchanged.
+	g := freeze(st.snap, boundary, clones)
 
 	// Commit the bookkeeping for the next pass.
 	st.bsurv = resizeZero(st.bsurv, duration)
@@ -317,8 +320,8 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 		ex.Normalizer = normalizer
 		ex.ReusedLevels = boundary
 		ex.RecomputedLevels = duration - boundary
-		for t := range g.byTime {
-			ex.Steps[t].NodesFinal = len(g.byTime[t])
+		for t := range ex.Steps {
+			ex.Steps[t].NodesFinal = g.Level(t).Width()
 		}
 		ex.ReviseNanos = time.Since(reviseStart).Nanoseconds()
 	}
@@ -329,94 +332,27 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	return g, nil
 }
 
-// assembleWithPrefix builds the result graph by deep-copying levels
-// 0..boundary-1 of the previous snapshot and stitching the copied boundary
-// edges onto the fresh clones of the boundary level. Edges out of level
-// boundary-1 in the snapshot point at snapshot nodes, whose dense index maps
-// back to the raw (clone) position through finalIdx[boundary].
-func (st *BuildState) assembleWithPrefix(cb *builder, clones [][]*node, boundary int) *Graph {
-	g := &Graph{byTime: clones}
-	fidx := st.finalIdx[boundary]
-	snapB := st.snap.byTime[boundary]
-	// Count the prefix once and pre-size the arena so the bulk copy below
-	// cuts three exact blocks instead of churning through chunk allocations
-	// — on a long-lived session this copy IS the cost of a Smooth, and the
-	// allocator overhead was rivaling the copy itself. Every prefix edge
-	// consumes one out slot and one in slot (boundary in-lists included), so
-	// the pointer arena needs exactly 2*edges.
-	nodes, edges := 0, 0
-	for t := 0; t < boundary; t++ {
-		nodes += len(st.snap.byTime[t])
-		for _, n := range st.snap.byTime[t] {
-			edges += len(n.out)
+// scrubBoundary removes the orphans of the boundary level of a converged
+// Smooth: every node still standing but not kept (the raw positions of the
+// previous pass's survivors, ascending). Returns how many it removed.
+func scrubBoundary(nodes []*node, kept []int32) int {
+	ghosts := 0
+	for i, n := range nodes {
+		if len(kept) > 0 && kept[0] == int32(i) {
+			kept = kept[1:]
+			continue
 		}
+		if n.removed {
+			continue
+		}
+		n.removed = true
+		ghosts++
+		for _, e := range n.out {
+			removeInEdge(e.To, e)
+		}
+		n.out = nil
 	}
-	cb.grow(nodes, edges, 2*edges)
-	// Cut the three blocks once and fill through local cursors: the
-	// per-element arena methods (capacity check, method call) were a
-	// measurable slice of the copy on 500-level sessions.
-	nslab := cb.nodes[len(cb.nodes) : len(cb.nodes)+nodes]
-	cb.nodes = cb.nodes[:len(cb.nodes)+nodes]
-	eslab := cb.edges[len(cb.edges) : len(cb.edges)+edges]
-	cb.edges = cb.edges[:len(cb.edges)+edges]
-	pslab := cb.ptrs[len(cb.ptrs) : len(cb.ptrs)+2*edges]
-	cb.ptrs = cb.ptrs[:len(cb.ptrs)+2*edges]
-	ncur, ecur, pcur := 0, 0, 0
-	for j, rawIdx := range fidx {
-		if k := len(snapB[j].in); k > 0 {
-			clones[boundary][rawIdx].in = pslab[pcur : pcur : pcur+k]
-			pcur += k
-		}
-	}
-	nptrs := make([]*node, nodes) // one slab for every level's node slice
-	for t := 0; t < boundary; t++ {
-		src := st.snap.byTime[t]
-		cp := nptrs[:len(src):len(src)]
-		nptrs = nptrs[len(src):]
-		for i, n := range src {
-			c := &nslab[ncur]
-			ncur++
-			*c = *n
-			c.out = nil
-			if k := len(n.in); t > 0 && k > 0 {
-				c.in = pslab[pcur : pcur : pcur+k]
-				pcur += k
-			} else {
-				c.in = nil
-			}
-			cp[i] = c
-		}
-		g.byTime[t] = cp
-	}
-	// Copied in lists are refilled in from-node order, which can differ
-	// from the snapshot's post-detach order; nothing numeric consumes
-	// in-edge order, only membership.
-	for t := 0; t < boundary; t++ {
-		var next []*node
-		if t+1 < boundary {
-			next = g.byTime[t+1]
-		}
-		for i, n := range st.snap.byTime[t] {
-			from := g.byTime[t][i]
-			out := pslab[pcur : pcur : pcur+len(n.out)]
-			pcur += len(n.out)
-			for _, e := range n.out {
-				var to *node
-				if next != nil {
-					to = next[e.To.idx]
-				} else {
-					to = clones[boundary][fidx[e.To.idx]]
-				}
-				ce := &eslab[ecur]
-				ecur++
-				*ce = edge{From: from, To: to, P: e.P}
-				out = append(out, ce)
-				to.in = append(to.in, ce)
-			}
-			from.out = out
-		}
-	}
-	return g
+	return ghosts
 }
 
 // cloneLevel copies one timestamp's raw nodes (identity fields and source

@@ -21,39 +21,41 @@ func graphsBitIdentical(t *testing.T, want, got *Graph) {
 		t.Fatalf("duration: want %d, got %d", want.Duration(), got.Duration())
 	}
 	for tt := 0; tt < want.Duration(); tt++ {
-		wl, gl := want.byTime[tt], got.byTime[tt]
-		if len(wl) != len(gl) {
-			t.Fatalf("t=%d: want %d nodes, got %d", tt, len(wl), len(gl))
+		wl, gl := want.Level(tt), got.Level(tt)
+		if wl.Width() != gl.Width() {
+			t.Fatalf("t=%d: want %d nodes, got %d", tt, wl.Width(), gl.Width())
 		}
-		for i := range wl {
-			wn, gn := wl[i], gl[i]
-			if wn.Time != gn.Time || wn.Loc != gn.Loc || wn.Stay != gn.Stay {
+		for i := 0; i < wl.Width(); i++ {
+			ws, wtl := want.identity(tt, i)
+			gs, gtl := got.identity(tt, i)
+			if wl.Loc(i) != gl.Loc(i) || ws != gs {
 				t.Fatalf("t=%d node %d: want (%d,%d,%d), got (%d,%d,%d)",
-					tt, i, wn.Time, wn.Loc, wn.Stay, gn.Time, gn.Loc, gn.Stay)
+					tt, i, tt, wl.Loc(i), ws, tt, gl.Loc(i), gs)
 			}
-			if len(wn.TL) != len(gn.TL) {
+			if len(wtl) != len(gtl) {
 				t.Fatalf("t=%d node %d: TL length differs", tt, i)
 			}
-			for k := range wn.TL {
-				if wn.TL[k] != gn.TL[k] {
+			for k := range wtl {
+				if wtl[k] != gtl[k] {
 					t.Fatalf("t=%d node %d: TL entry %d differs", tt, i, k)
 				}
 			}
-			if math.Float64bits(wn.prob) != math.Float64bits(gn.prob) {
-				t.Fatalf("t=%d node %d: prob want %x, got %x", tt, i,
-					math.Float64bits(wn.prob), math.Float64bits(gn.prob))
+			if wp, gp := wl.SourceProb(i), gl.SourceProb(i); math.Float64bits(wp) != math.Float64bits(gp) {
+				t.Fatalf("t=%d node %d: prob want %x, got %x", tt, i, math.Float64bits(wp), math.Float64bits(gp))
 			}
-			if len(wn.out) != len(gn.out) {
-				t.Fatalf("t=%d node %d: want %d out-edges, got %d", tt, i, len(wn.out), len(gn.out))
+			wo, gout := wl.Out(i), gl.Out(i)
+			if wo.Len() != gout.Len() {
+				t.Fatalf("t=%d node %d: want %d out-edges, got %d", tt, i, wo.Len(), gout.Len())
 			}
-			for k := range wn.out {
-				we, ge := wn.out[k], gn.out[k]
-				if we.To.idx != ge.To.idx {
-					t.Fatalf("t=%d node %d edge %d: want target %d, got %d", tt, i, k, we.To.idx, ge.To.idx)
+			for k := 0; k < wo.Len(); k++ {
+				wto, wp := wo.At(k)
+				gto, gp := gout.At(k)
+				if wto != gto {
+					t.Fatalf("t=%d node %d edge %d: want target %d, got %d", tt, i, k, wto, gto)
 				}
-				if math.Float64bits(we.P) != math.Float64bits(ge.P) {
+				if math.Float64bits(wp) != math.Float64bits(gp) {
 					t.Fatalf("t=%d node %d edge %d: P want %x, got %x", tt, i, k,
-						math.Float64bits(we.P), math.Float64bits(ge.P))
+						math.Float64bits(wp), math.Float64bits(gp))
 				}
 			}
 		}

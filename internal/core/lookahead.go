@@ -24,7 +24,7 @@ const never = math.MaxInt32 / 2
 // dead; and an entry the expiry rule drops (t − τ' ≥ maxTravelingTime(l'))
 // is dead, so the lookahead rule replaces it.
 type lookahead struct {
-	col      []int32 // col[l] is TT source l's column of deadlines, -1 for other locations
+	col      []int32 // col[l] is TT source l's column of deadlines, -1 for other locations (the compiled view's)
 	width    int     // columns: one per TT source
 	deadline []int32 // deadline(t, l') at [t*width + col[l']], t in [0, duration]
 }
@@ -32,38 +32,15 @@ type lookahead struct {
 // newLookahead tabulates the deadlines of ls under cs, or returns nil when cs
 // has no TT constraint. Going back in time, first(t, ·) differs from
 // first(t+1, ·) only at the candidates of t, so each row is the next one
-// lowered through the constraints into those candidates: O(duration ×
-// candidates × TT sources), after an O(range × TT sources) table of ν.
-// Candidate locations outside cs's range are never TT targets and are
-// ignored.
+// lowered through the constraints into those candidates (the compiled
+// view's table of ν by target and source): O(duration × candidates × TT
+// sources). Candidate locations outside cs's range are never TT targets and
+// are ignored.
 func newLookahead(cs *constraints.Compiled, ls *LSequence) *lookahead {
-	n := cs.Len()
-	var srcs []int
-	for l := 0; l < n; l++ {
-		if cs.HasTTFrom(l) {
-			srcs = append(srcs, l)
-		}
-	}
-	if srcs == nil {
+	if cs.TTSources() == 0 {
 		return nil
 	}
-	la := &lookahead{col: make([]int32, n), width: len(srcs)}
-	for l := range la.col {
-		la.col[l] = -1
-	}
-	for c, l := range srcs {
-		la.col[l] = int32(c)
-	}
-	// into[l2*width + c] is ν(l', l2) for the source l' of column c, 0
-	// when there is no such constraint.
-	into := make([]int32, n*la.width)
-	for c, l := range srcs {
-		for l2 := 0; l2 < n; l2++ {
-			if nu, ok := cs.TT(l, l2); ok {
-				into[l2*la.width+c] = int32(nu)
-			}
-		}
-	}
+	la := &lookahead{col: cs.TTColumns(), width: cs.TTSources()}
 	duration := len(ls.Steps)
 	la.deadline = make([]int32, (duration+1)*la.width)
 	row := la.row(duration)
@@ -74,10 +51,7 @@ func newLookahead(cs *constraints.Compiled, ls *LSequence) *lookahead {
 		row = la.row(t)
 		copy(row, la.row(t+1))
 		for _, cand := range ls.Steps[t].Candidates {
-			if uint(cand.Loc) >= uint(n) {
-				continue
-			}
-			for c, nu := range into[cand.Loc*la.width : (cand.Loc+1)*la.width] {
+			for c, nu := range cs.TTInto(cand.Loc) {
 				if nu != 0 {
 					row[c] = min(row[c], int32(t)-nu)
 				}

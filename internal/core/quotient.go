@@ -39,13 +39,25 @@ func (g *Graph) Quotient() *Graph {
 	if g.Duration() == 0 {
 		return &Graph{}
 	}
-	p, ok := partitions.Get().(*partition)
-	if !ok {
-		p = new(partition)
-	}
+	p := getPartition()
 	p.sweep(g)
-	q := p.assemble()
-	clear(p.reps) // no pooled scratch may keep g alive
+	q := p.assemble(g)
+	partitions.Put(p)
+	return q
+}
+
+// quotientOf returns the quotient of the compacted levels of a build. They
+// are frozen first, without node identity, into the pooled scratch graph.
+func quotientOf(levels [][]*node) *Graph {
+	p := getPartition()
+	s := measure(nil, 0, levels)
+	s.ident, s.tls = false, 0
+	p.ints = resize(p.ints, s.ints())
+	p.floats = resize(p.floats, s.sources+s.arcs)
+	p.raw.carve(s, p.ints, p.floats, nil)
+	p.raw.fill(nil, 0, levels)
+	p.sweep(&p.raw)
+	q := p.assemble(&p.raw)
 	partitions.Put(p)
 	return q
 }
@@ -53,15 +65,16 @@ func (g *Graph) Quotient() *Graph {
 // partition is the outcome of Quotient's backward sweep. Classes are
 // numbered per level in first-occurrence order; the per-class slices hold
 // them level by level from the last, and first[t] is the position of level
-// t's class 0 in them. The rest is the sweep's per-level scratch. Both are
-// reused through partitions by the next Quotient.
+// t's class 0 in them. The rest is the sweep's per-level scratch, and the
+// columns of the graph quotientOf freezes. All of it is reused through
+// partitions by the next Quotient, and none of it keeps a swept or returned
+// graph alive.
 type partition struct {
 	first  []int
 	width  []int   // classes per level
-	reps   []*node // each class's first member
+	reps   []int32 // each class's first member, as a node number of the swept graph
 	arcOff []int32 // each class's arcs are arcs[arcOff[k]:arcOff[k+1]]
 	arcs   []qarc  // the first member's out-arcs, in its out order
-	inDeg  []int32 // arcs into each class from the classes of the level before
 
 	// The class of every node of the level and of the level after; an
 	// open-addressing table from key hash to class, whose slots count as
@@ -71,29 +84,35 @@ type partition struct {
 	table        []classSlot
 	key, keys    []qarc
 	keyOff       []int32
+
+	raw    Graph
+	ints   []int32
+	floats []float64
 }
 
 var partitions sync.Pool // of *partition
+
+func getPartition() *partition {
+	if p, ok := partitions.Get().(*partition); ok {
+		return p
+	}
+	return new(partition)
+}
 
 // sweep partitions g: level by level from the last, it keys every node on
 // its location, its out-arcs sorted by target class and, at level 0, its
 // source probability, and gives equal keys one class.
 func (p *partition) sweep(g *Graph) {
 	d := g.Duration()
-	nodes, edges, widest := 0, 0, 0
-	for _, level := range g.byTime {
-		nodes += len(level)
-		widest = max(widest, len(level))
-		for _, n := range level {
-			edges += len(n.out)
-		}
+	nodes, edges, widest := len(g.loc), len(g.to), 0
+	for t := 0; t < d; t++ {
+		widest = max(widest, g.Level(t).Width())
 	}
 	p.first = resize(p.first, d)
 	p.width = resize(p.width, d)
 	p.reps = slices.Grow(p.reps[:0], nodes)
 	p.arcOff = append(slices.Grow(p.arcOff[:0], nodes+1), 0)
 	p.arcs = slices.Grow(p.arcs[:0], edges)
-	p.inDeg = slices.Grow(p.inDeg[:0], nodes)
 	p.cls, p.nextCls = slices.Grow(p.cls[:0], widest), slices.Grow(p.nextCls[:0], widest)
 	size := 4
 	for size < 2*widest {
@@ -104,32 +123,35 @@ func (p *partition) sweep(g *Graph) {
 	clear(p.table)
 	mask := uint64(size - 1)
 	for t := d - 1; t >= 0; t-- {
-		stamp, level := int32(t+1), g.byTime[t]
+		stamp, level, base := int32(t+1), g.Level(t), g.levelOff[t]
 		p.first[t] = len(p.reps)
 		p.cls, p.nextCls = p.nextCls[:0], p.cls
 		p.keys, p.keyOff = p.keys[:0], append(p.keyOff[:0], 0)
-		for _, n := range level {
+		for i := 0; i < level.Width(); i++ {
 			// The node's arcs go on the end of p.arcs, and stay there only
 			// when it opens a new class.
 			start := len(p.arcs)
-			for _, e := range n.out {
-				p.arcs = append(p.arcs, qarc{to: p.nextCls[e.To.idx], p: math.Float64bits(e.P)})
+			arcs := level.Out(i)
+			for k := 0; k < arcs.Len(); k++ {
+				to, pe := arcs.At(k)
+				p.arcs = append(p.arcs, qarc{to: p.nextCls[to], p: math.Float64bits(pe)})
 			}
 			out := p.arcs[start:]
 			key := append(p.key[:0], out...)
-			for i := 1; i < len(key); i++ {
-				for j := i; j > 0 && key[j].to < key[j-1].to; j-- {
+			for x := 1; x < len(key); x++ {
+				for j := x; j > 0 && key[j].to < key[j-1].to; j-- {
 					key[j], key[j-1] = key[j-1], key[j]
 				}
 			}
 			p.key = key
-			h := mixKey(0, uint64(n.Loc))
+			loc := g.loc[base+int32(i)]
+			h := mixKey(0, uint64(loc))
 			for _, a := range key {
 				h = mixKey(mixKey(h, uint64(a.to)), a.p)
 			}
 			var src uint64
 			if t == 0 {
-				src = math.Float64bits(n.prob)
+				src = math.Float64bits(g.src[i])
 				h = mixKey(h, src)
 			}
 			slot := h & mask
@@ -137,7 +159,7 @@ func (p *partition) sweep(g *Graph) {
 			for ; p.table[slot].stamp == stamp; slot = (slot + 1) & mask {
 				if k := p.table[slot].class; p.table[slot].hash == h {
 					r := p.reps[p.first[t]+int(k)]
-					if r.Loc == n.Loc && (t != 0 || math.Float64bits(r.prob) == src) &&
+					if g.loc[r] == loc && (t != 0 || math.Float64bits(g.src[r]) == src) &&
 						slices.Equal(p.keys[p.keyOff[k]:p.keyOff[k+1]], key) {
 						c = k
 						break
@@ -148,12 +170,8 @@ func (p *partition) sweep(g *Graph) {
 				p.arcs = p.arcs[:start]
 			} else {
 				c = int32(len(p.reps) - p.first[t])
-				p.reps = append(p.reps, n)
+				p.reps = append(p.reps, base+int32(i))
 				p.arcOff = append(p.arcOff, int32(len(p.arcs)))
-				p.inDeg = append(p.inDeg, 0)
-				for _, a := range out {
-					p.inDeg[p.first[t+1]+int(a.to)]++
-				}
 				p.keys = append(p.keys, key...)
 				p.keyOff = append(p.keyOff, int32(len(p.keys)))
 				p.table[slot] = classSlot{hash: h, class: c, stamp: stamp}
@@ -164,47 +182,29 @@ func (p *partition) sweep(g *Graph) {
 	}
 }
 
-// assemble builds the quotient graph: one node per class, copied from its
-// first member, with that member's arcs redirected to the target classes.
-// Nodes, edges, level lists and adjacency each come from one exactly sized
-// slab, and g's edges are not read again.
-func (p *partition) assemble() *Graph {
+// assemble writes the quotient of g, the graph p swept, into a new frozen
+// graph: one node per class, with its first member's location (and source
+// probability) and arcs.
+func (p *partition) assemble(g *Graph) *Graph {
 	d := len(p.width)
-	nodes := make([]node, len(p.reps))
-	slots := make([]*node, len(p.reps))
-	edges := make([]edge, len(p.arcs))
-	ptrs := make([]*edge, 2*len(p.arcs))
-	q := &Graph{byTime: make([][]*node, d)}
-	base := 0
+	q := newGraph(shape{levels: d, nodes: len(p.reps), sources: p.width[0], arcs: len(p.arcs)})
+	n, a := 0, int32(0)
 	for t, w := range p.width {
-		level := slots[base : base+w : base+w]
-		for c := range level {
-			k, n := p.first[t]+c, &nodes[base+c]
-			rep, out, in := p.reps[k], int(p.arcOff[k+1]-p.arcOff[k]), p.inDeg[k]
-			n.Time, n.Loc, n.idx = t, rep.Loc, int32(c)
-			if t == 0 {
-				n.prob = rep.prob
-			}
-			n.out, ptrs = ptrs[:0:out], ptrs[out:]
-			n.in, ptrs = ptrs[:0:in], ptrs[in:]
-			level[c] = n
-		}
-		q.byTime[t] = level
-		base += w
-	}
-	e := 0
-	for t := 0; t+1 < d; t++ {
-		next := q.byTime[t+1]
-		for c, n := range q.byTime[t] {
+		for c := 0; c < w; c++ {
 			k := p.first[t] + c
-			for _, a := range p.arcs[p.arcOff[k]:p.arcOff[k+1]] {
-				qe := &edges[e]
-				e++
-				*qe = edge{From: n, To: next[a.to], P: math.Float64frombits(a.p)}
-				n.out = append(n.out, qe)
-				qe.To.in = append(qe.To.in, qe)
+			rep := p.reps[k]
+			q.loc[n] = g.loc[rep]
+			if t == 0 {
+				q.src[c] = g.src[rep]
 			}
+			for _, arc := range p.arcs[p.arcOff[k]:p.arcOff[k+1]] {
+				q.to[a], q.p[a] = arc.to, math.Float64frombits(arc.p)
+				a++
+			}
+			n++
+			q.arcOff[n] = a
 		}
+		q.levelOff[t+1] = int32(n)
 	}
 	return q
 }

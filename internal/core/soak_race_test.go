@@ -7,3 +7,8 @@ package core
 // (~37 s, ~3.8 GB peak on one core); a quarter of the cap keeps the check
 // under ~10 s. The full-length soak runs in the regular (non-race) test job.
 const soakSession = 1 << 14
+
+// raceEnabled: under the race detector sync.Pool drops a random share of
+// what is put in it, so the arena pools make allocation counts vary from
+// run to run.
+const raceEnabled = true

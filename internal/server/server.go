@@ -96,9 +96,10 @@ type Options struct {
 	// Workers caps how many sequences a batch clean processes concurrently.
 	// Zero or negative uses GOMAXPROCS.
 	Workers int
-	// MaxStoreBytes caps the total estimated size of stored trajectory
-	// graphs; past it, the least-recently-queried graphs are evicted. Zero
-	// or negative means unlimited.
+	// MaxStoreBytes caps the bytes the stored trajectories hold: each
+	// graph's exact size plus its explain report. Past it, the
+	// least-recently-queried graphs are evicted. Zero or negative means
+	// unlimited.
 	MaxStoreBytes int64
 	// Logger receives structured access logs and server events. Nil
 	// discards them.
@@ -687,7 +688,9 @@ type CleanRequest struct {
 }
 
 // CleanResponse reports the cleaned trajectory handle and the size of the
-// graph stored for it: the quotient of its ct-graph.
+// graph stored for it: the quotient of its ct-graph. Bytes is that graph's
+// exact Stats().Bytes; the store's budget also charges the explain report
+// kept beside it.
 type CleanResponse struct {
 	ID    string `json:"id"`
 	Nodes int    `json:"nodes"`

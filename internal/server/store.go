@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	rfidclean "repro"
 )
@@ -14,12 +15,14 @@ import (
 // RWMutex: GET queries take only read locks and run concurrently, while
 // writes (store, delete, eviction) serialize.
 //
-// The store enforces an optional byte budget using each graph's estimated
-// footprint (Cleaned.Stats().Bytes). Past the budget, the least-recently-
-// queried graphs are evicted — the warehousing trade: a re-clean can always
-// regenerate an evicted graph, but memory cannot grow without bound under
-// heavy traffic. Recency is stamped with a lock-free logical clock so reads
-// never upgrade to write locks.
+// The store enforces an optional byte budget, charging each item what it
+// retains (itemBytes: the frozen graph's exact bytes plus its explain
+// report). Past the budget, the least-recently-queried graphs are evicted —
+// the warehousing trade: a re-clean can always regenerate an evicted graph,
+// but memory cannot grow without bound under heavy traffic. Recency is
+// stamped with a lock-free logical clock so reads never upgrade to write
+// locks; under a budget, a min-heap of stamps finds each victim in
+// O(log n).
 //
 // When the server runs with a data directory, every mutation is mirrored to
 // the persister's write-ahead log: stores enqueue "put" records, deletions
@@ -39,6 +42,7 @@ type trajStore struct {
 	items map[string]*storeItem
 	bytes int64
 	next  int
+	lru   lruHeap // under a budget: one entry per item, its stamp possibly stale
 }
 
 type storeItem struct {
@@ -64,13 +68,7 @@ func (st *trajStore) addBatch(depID string, cs []*rfidclean.Cleaned) []string {
 		}
 		st.next = nextStridedID(st.next, st.stride, st.offset)
 		id := "t" + strconv.Itoa(st.next)
-		it := &storeItem{
-			traj:  &trajectory{id: id, depID: depID, cleaned: c},
-			bytes: int64(c.Stats().Bytes),
-		}
-		it.lastUsed.Store(st.clock.Add(1))
-		st.items[id] = it
-		st.bytes += it.bytes
+		st.insertLocked(&trajectory{id: id, depID: depID, cleaned: c})
 		ids[i] = id
 		fresh[id] = true
 	}
@@ -95,43 +93,139 @@ func (st *trajStore) addBatch(depID string, cs []*rfidclean.Cleaned) []string {
 	return ids
 }
 
+// itemBytes is what the store charges for a stored clean: the graph's exact
+// bytes (Stats().Bytes, which CleanResponse.Bytes also reports) plus the
+// explain report the clean keeps, about a quarter of a 20-s quotient.
+func itemBytes(c *rfidclean.Cleaned) int64 {
+	b := int64(c.Stats().Bytes)
+	if ex := c.Explain(); ex != nil {
+		b += int64(unsafe.Sizeof(*ex)) + int64(cap(ex.Build.Steps))*int64(unsafe.Sizeof(rfidclean.ExplainStep{}))
+	}
+	return b
+}
+
+// insertLocked stores traj under its id, stamped as just used.
+func (st *trajStore) insertLocked(traj *trajectory) {
+	it := &storeItem{traj: traj, bytes: itemBytes(traj.cleaned)}
+	it.lastUsed.Store(st.clock.Add(1))
+	st.items[traj.id] = it
+	st.bytes += it.bytes
+	if st.maxBytes <= 0 {
+		return
+	}
+	st.lru.push(lruEntry{used: it.lastUsed.Load(), id: traj.id})
+	// Deleted items leave their entries behind; rebuild before they
+	// outnumber the live ones.
+	if len(st.lru) > 2*len(st.items)+64 {
+		st.lru = st.lru[:0]
+		for id, it := range st.items {
+			st.lru = append(st.lru, lruEntry{used: it.lastUsed.Load(), id: id})
+		}
+		st.lru.init()
+	}
+}
+
 // evictLocked drops least-recently-used items until the store fits its
-// budget, returning the evicted ids. Items stored by the current call are
-// exempt, so a large batch is admitted whole (possibly overshooting the
-// budget until the next add) rather than evicting itself.
+// budget, returning the evicted ids oldest first. Items stored by the
+// current call are exempt, so a large batch is admitted whole (possibly
+// overshooting the budget until the next add) rather than evicting itself.
 //
-// The map is scanned exactly once per call: eviction candidates are
-// collected in a single pass and sorted by recency stamp, so evicting k
-// items under pressure costs O(n log n) instead of the k full scans —
-// O(k·n) — a per-victim search would.
+// The heap's minimum is the victim once its stamp is current: every item
+// has one entry, stamped no later than the item's last use, so a current
+// minimum is older than every other item. A stale minimum (the item was
+// read since) takes its current stamp and sinks, and an entry whose item is
+// gone is dropped. Each victim costs O(log n).
 func (st *trajStore) evictLocked(fresh map[string]bool) []string {
 	if st.maxBytes <= 0 || st.bytes <= st.maxBytes {
 		return nil
 	}
-	type candidate struct {
-		id   string
-		it   *storeItem
-		used int64
-	}
-	cands := make([]candidate, 0, len(st.items))
-	for id, it := range st.items {
-		if fresh[id] {
+	var victims []string
+	var exempt []lruEntry
+	for st.bytes > st.maxBytes && len(st.lru) > 0 {
+		top := st.lru[0]
+		it := st.items[top.id]
+		if it == nil {
+			st.lru.pop()
 			continue
 		}
-		cands = append(cands, candidate{id: id, it: it, used: it.lastUsed.Load()})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].used < cands[j].used })
-	var victims []string
-	for _, c := range cands {
-		if st.bytes <= st.maxBytes {
-			break
+		if used := it.lastUsed.Load(); used != top.used {
+			st.lru[0].used = used
+			st.lru.down(0)
+			continue
 		}
-		delete(st.items, c.id)
-		st.bytes -= c.it.bytes
+		st.lru.pop()
+		if fresh[top.id] {
+			exempt = append(exempt, top)
+			continue
+		}
+		delete(st.items, top.id)
+		st.bytes -= it.bytes
 		st.m.storeEvictions.Inc()
-		victims = append(victims, c.id)
+		victims = append(victims, top.id)
+	}
+	for _, e := range exempt {
+		st.lru.push(e)
 	}
 	return victims
+}
+
+// lruEntry is an item's place in the eviction heap: its id and its recency
+// stamp when the entry was last set.
+type lruEntry struct {
+	used int64
+	id   string
+}
+
+// lruHeap is a binary min-heap of entries by stamp.
+type lruHeap []lruEntry
+
+func (h *lruHeap) push(e lruEntry) {
+	*h = append(*h, e)
+	h.up(len(*h) - 1)
+}
+
+// pop removes the minimum.
+func (h *lruHeap) pop() {
+	s := *h
+	last := len(s) - 1
+	s[0] = s[last]
+	s[last] = lruEntry{}
+	*h = s[:last]
+	h.down(0)
+}
+
+func (h *lruHeap) init() {
+	for i := len(*h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h lruHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].used <= h[i].used {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func (h lruHeap) down(i int) {
+	for {
+		least, l := i, 2*i+1
+		if l < len(h) && h[l].used < h[least].used {
+			least = l
+		}
+		if r := l + 1; r < len(h) && h[r].used < h[least].used {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[least], h[i] = h[i], h[least]
+		i = least
+	}
 }
 
 // get returns the trajectory with the given id, or nil. It touches the LRU
@@ -193,7 +287,7 @@ func (st *trajStore) deleteByDep(depID string) int {
 	return len(removed)
 }
 
-// stats reports the current item count and estimated bytes.
+// stats reports the current item count and the bytes charged for them.
 func (st *trajStore) stats() (count int, bytes int64) {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -235,13 +329,7 @@ func (st *trajStore) snapshot() ([]snapItem, int) {
 func (st *trajStore) restore(items []snapItem, next int) int {
 	st.mu.Lock()
 	for _, it := range items {
-		si := &storeItem{
-			traj:  &trajectory{id: it.id, depID: it.depID, cleaned: it.c},
-			bytes: int64(it.c.Stats().Bytes),
-		}
-		si.lastUsed.Store(st.clock.Add(1))
-		st.items[it.id] = si
-		st.bytes += si.bytes
+		st.insertLocked(&trajectory{id: it.id, depID: it.depID, cleaned: it.c})
 	}
 	if st.next < next {
 		st.next = next

@@ -1,15 +1,17 @@
 package server
 
 import (
+	"runtime"
 	"strconv"
 	"testing"
 
 	rfidclean "repro"
+	"repro/internal/dataset"
 )
 
 // testCleaneds cleans the same short sequence n times against the small test
 // deployment, yielding n distinct graphs of identical (known) size.
-func testCleaneds(t *testing.T, n int) []*rfidclean.Cleaned {
+func testCleaneds(t testing.TB, n int) []*rfidclean.Cleaned {
 	t.Helper()
 	_, sys := testDeployment(t)
 	rng := rfidclean.NewRNG(21)
@@ -133,6 +135,7 @@ func syntheticStore(n int, maxBytes int64, m *serverMetrics) *trajStore {
 		it := &storeItem{traj: &trajectory{id: id, depID: "d1"}, bytes: 1}
 		it.lastUsed.Store(st.clock.Add(1))
 		st.items[id] = it
+		st.lru.push(lruEntry{used: it.lastUsed.Load(), id: id})
 	}
 	st.bytes = int64(n)
 	st.next = n
@@ -160,6 +163,29 @@ func BenchmarkStoreEviction(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreAdmitAtBudget measures one admit into a full store of 2,000
+// graphs: each add evicts exactly one, the least recently used.
+func BenchmarkStoreAdmitAtBudget(b *testing.B) {
+	const n = 2000
+	c := testCleaneds(b, 1)
+	full := make([]*rfidclean.Cleaned, n)
+	for i := range full {
+		full[i] = c[0]
+	}
+	m := newMetrics()
+	st := newTrajStore(n*int64(c[0].Stats().Bytes), 1, 0, m)
+	st.addBatch("d1", full)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.addBatch("d1", c)
+	}
+	b.StopTimer()
+	if got := m.storeEvictions.Value(); got != uint64(b.N) {
+		b.Fatalf("evicted %d in %d admits, want one each", got, b.N)
+	}
+}
+
 // TestEvictLockedOrderAndReturn pins the eviction contract the persistence
 // layer relies on: victims come back oldest-first and exactly cover the
 // overshoot.
@@ -179,4 +205,74 @@ func TestEvictLockedOrderAndReturn(t *testing.T) {
 	if count, bytes := st.stats(); count != 4 || bytes != 4 {
 		t.Fatalf("post-eviction stats = (%d, %d), want (4, 4)", count, bytes)
 	}
+}
+
+// TestStoreBytesMatchRetainedHeap: the store's byte gauge, the unit of
+// -max-store-bytes, is within 15% of the heap that stored SYN1 cleans
+// retain, measured after a collection. The cleans run as the server runs
+// them: a quotient with an explain report.
+func TestStoreBytesMatchRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cleans 400 sequences")
+	}
+	cfg := dataset.SYN1()
+	d, err := dataset.Build("SYN1", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := (&rfidclean.Deployment{
+		Name: "SYN1", Plan: d.Plan, Readers: d.Readers,
+		Detection: cfg.Detection, CellSize: cfg.CellSize,
+		CalibrationSamples: cfg.CalibrationSamples, Seed: cfg.Seed,
+	}).System()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ic, err := sys.InferConstraints(cfg.MaxSpeed, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	insts, err := d.Generate(20, n, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean := func() []*rfidclean.Cleaned {
+		out := make([]*rfidclean.Cleaned, 0, n)
+		for _, inst := range insts {
+			opts := &rfidclean.BuildOptions{Explain: &rfidclean.BuildExplain{}, Quotient: true}
+			if c, err := sys.Clean(inst.Readings, ic, opts); err == nil {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second collection empties the arena pools
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	clean() // warm the prior's caches
+	st := newTrajStore(0, 1, 0, newMetrics())
+	before := heap()
+	cs := clean()
+	st.addBatch("d1", cs)
+	cs = nil
+	retained := heap() - before
+	_, charged := st.stats()
+	if len(st.items) < n/2 {
+		t.Fatalf("only %d of %d sequences cleaned", len(st.items), n)
+	}
+	ratio := float64(charged) / float64(retained)
+	t.Logf("%d stored cleans: charged %d bytes, retained %d (%.3f)", len(st.items), charged, retained, ratio)
+	if ratio < 0.85 || ratio > 1.15 {
+		t.Errorf("store charges %d bytes for %d retained (ratio %.3f), want within 15%%", charged, retained, ratio)
+	}
+	runtime.KeepAlive(st)
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(sys)
+	runtime.KeepAlive(insts)
+	runtime.KeepAlive(ic)
 }
