@@ -1,9 +1,11 @@
 package rfidclean
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"hash"
 	"math"
 	"runtime"
@@ -309,5 +311,45 @@ func answersAgree(t *testing.T, c, q *Cleaned) {
 			t.Fatal(err)
 		}
 		near("match "+p.String(), want, got)
+	}
+}
+
+// TestCleanGroupOfOneIsClean: a group of one tag is a single clean, down to
+// the encoded graph, for SYN1 DU+LT+TT under both end modes.
+func TestCleanGroupOfOneIsClean(t *testing.T) {
+	d := buildSYN1(t)
+	sys := &System{Plan: d.Plan, Prior: d.Prior}
+	ic := d.Constraints(dataset.SelDULTTT)
+	insts, err := d.Generate(30, 4, 19)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compared := 0
+	for _, mode := range []constraints.EndLatencyMode{constraints.StrictEnd, constraints.LenientEnd} {
+		for i, inst := range insts {
+			opts := &BuildOptions{EndLatency: mode}
+			single, err := sys.Clean(inst.Readings, ic, opts)
+			group, gerr := sys.CleanGroup([]ReadingSequence{inst.Readings}, ic, opts)
+			if err != nil || gerr != nil {
+				if !errors.Is(err, ErrNoValidTrajectory) || !errors.Is(gerr, ErrNoValidTrajectory) {
+					t.Fatalf("mode %v, instance %d: Clean error %v, CleanGroup error %v", mode, i, err, gerr)
+				}
+				continue
+			}
+			var a, b bytes.Buffer
+			if err := single.Encode(&a); err != nil {
+				t.Fatal(err)
+			}
+			if err := group.Encode(&b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Errorf("mode %v, instance %d: group of one encodes differently from Clean", mode, i)
+			}
+			compared++
+		}
+	}
+	if compared < len(insts) {
+		t.Fatalf("only %d of %d cleans compared", compared, 2*len(insts))
 	}
 }

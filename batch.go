@@ -2,7 +2,6 @@ package rfidclean
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 )
@@ -60,9 +59,8 @@ func (s *System) CleanAll(readings []ReadingSequence, ic *ConstraintSet, opts *B
 		return cleaned, errs
 	}
 	if s.Prior == nil {
-		err := fmt.Errorf("rfidclean: no prior; call CalibratePrior or SetPrior first")
 		for i := range errs {
-			errs[i] = err
+			errs[i] = errNoPrior
 		}
 		return cleaned, errs
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -22,9 +21,6 @@ type Cleaned struct {
 	plan    *floorplan.Plan
 	engine  *query.Engine
 	explain *Explain
-
-	statsOnce sync.Once
-	stats     core.Stats
 }
 
 func newCleaned(g *core.Graph, plan *floorplan.Plan) *Cleaned {
@@ -236,13 +232,10 @@ func (c *Cleaned) Events() []Event { return c.engine.Events() }
 // entries count stays).
 func (c *Cleaned) TransitionMatrix() [][]float64 { return c.engine.TransitionMatrix() }
 
-// Stats reports the size of the conditioned trajectory graph. The graph is
-// immutable once built, so the walk runs once and the result is memoized —
-// serving layers can account store bytes per request without re-walking.
-func (c *Cleaned) Stats() GraphStats {
-	c.statsOnce.Do(func() { c.stats = c.graph.Stats() })
-	return c.stats
-}
+// Stats reports the size of the conditioned trajectory graph. It reads only
+// the frozen graph's column lengths, so serving layers can account store
+// bytes per request at no cost.
+func (c *Cleaned) Stats() GraphStats { return c.graph.Stats() }
 
 // GraphStats summarizes a ct-graph's size.
 type GraphStats = core.Stats

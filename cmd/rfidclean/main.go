@@ -15,14 +15,12 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
+	rfidclean "repro"
 	"repro/internal/constraints"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/query"
@@ -80,30 +78,37 @@ func main() {
 		mode = constraints.StrictEnd
 	}
 
-	// Build every instance's ct-graph first — concurrently when -workers
-	// allows it — then report in input order.
-	graphs, buildErrs := buildAll(file.Instances, d, ic, mode, *workers)
+	// Clean every instance first — concurrently when -workers allows it —
+	// then report in input order.
+	readings := make([]rfidclean.ReadingSequence, len(file.Instances))
+	for i, inst := range file.Instances {
+		readings[i] = inst.Readings
+	}
+	sys := &rfidclean.System{Plan: d.Plan, Prior: d.Prior}
+	cleaned, cleanErrs := sys.CleanAll(readings, ic, &rfidclean.BatchOptions{
+		Build:   &rfidclean.BuildOptions{EndLatency: mode},
+		Workers: *workers,
+	})
 
 	for i, inst := range file.Instances {
 		fmt.Printf("=== instance %d (%d s, %s, %s) ===\n", i, inst.Duration, file.Dataset, sel)
-		if err := buildErrs[i]; err != nil {
-			if errors.Is(err, core.ErrNoValidTrajectory) {
+		if err := cleanErrs[i]; err != nil {
+			if errors.Is(err, rfidclean.ErrNoValidTrajectory) {
 				fmt.Println("  readings are inconsistent with the constraints; nothing to clean")
 				continue
 			}
 			log.Fatal(err)
 		}
-		g := graphs[i]
-		st := g.Stats()
+		c := cleaned[i]
+		st := c.Stats()
 		fmt.Printf("  ct-graph: %d nodes, %d edges, ~%.1f KB\n", st.Nodes, st.Edges, float64(st.Bytes)/1024)
 
-		eng := query.NewEngine(g, d.Plan.NumLocations())
 		for _, tauStr := range splitNonEmpty(*stays) {
 			tau, err := strconv.Atoi(strings.TrimSpace(tauStr))
 			if err != nil {
 				log.Fatalf("bad -stay timestamp %q", tauStr)
 			}
-			dist, err := eng.Stay(tau)
+			dist, err := c.StayDistribution(tau)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -127,7 +132,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			p, err := eng.Trajectory(pat)
+			p, err := c.MatchProbability(pat)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -140,7 +145,7 @@ func main() {
 		}
 
 		if *top {
-			locs, p := g.MostProbable()
+			locs, p := c.MostProbable()
 			fmt.Printf("  most probable trajectory (p=%.3g): %s\n", p, runs(locs, d))
 			correct := 0
 			for t, l := range locs {
@@ -152,10 +157,9 @@ func main() {
 		}
 
 		if *render {
-			eng2 := query.NewEngine(g, d.Plan.NumLocations())
 			occ := make([]float64, d.Plan.NumLocations())
 			for loc := range occ {
-				v, err := eng2.ExpectedVisitTime(loc, 0, inst.Duration-1)
+				v, err := c.ExpectedVisitTime(d.Plan.Location(loc).Name, 0, inst.Duration-1)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -181,49 +185,13 @@ func main() {
 			rng := stats.NewRNG(1)
 			sec := make([]float64, d.Plan.NumLocations())
 			for s := 0; s < *samples; s++ {
-				for _, l := range g.Sample(rng) {
+				for _, l := range c.Sample(rng) {
 					sec[l]++
 				}
 			}
 			fmt.Printf("  sampled utilization (%d samples): %s\n", *samples, topK(normalize(sec), d, 5))
 		}
 	}
-}
-
-// buildAll conditions every instance on the constraints, running up to
-// workers builds concurrently (0 means GOMAXPROCS). Results are positional:
-// graphs[i] / errs[i] belong to instances[i].
-func buildAll(instances []dataset.FileInstance, d *dataset.Dataset, ic *constraints.Set, mode constraints.EndLatencyMode, workers int) ([]*core.Graph, []error) {
-	graphs := make([]*core.Graph, len(instances))
-	errs := make([]error, len(instances))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(instances) {
-		workers = len(instances)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				ls, err := d.Prior.LSequence(instances[i].Readings)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				graphs[i], errs[i] = core.Build(ls, ic, &core.Options{EndLatency: mode})
-			}
-		}()
-	}
-	for i := range instances {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return graphs, errs
 }
 
 func splitNonEmpty(s string) []string {

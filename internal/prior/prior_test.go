@@ -1,6 +1,7 @@
 package prior
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -180,31 +181,45 @@ func TestDistCaching(t *testing.T) {
 	}
 }
 
-// TestDistCacheIgnoresUnknownReaders: reader sets that differ only in IDs
-// the matrix does not know share one cache entry, and the answer for every
-// known set stays bit-identical to a fresh model's, under both formulas.
+// TestDistCacheIgnoresUnknownReaders: reader sets, alone or as a group's
+// members, that differ only in IDs the matrix does not know share one cache
+// entry, and the answer for every known set stays bit-identical to a fresh
+// model's, under both formulas.
 func TestDistCacheIgnoresUnknownReaders(t *testing.T) {
 	f := fixture(t)
-	for _, formula := range []Formula{PaperFormula, FullLikelihood} {
-		fresh, m := New(f, Options{Formula: formula}), New(f, Options{Formula: formula})
-		want := fresh.Dist(rfid.NewSet(0))
-		for i := 0; i < 10000; i++ {
-			got := m.Dist(rfid.NewSet(0, 1000+i, -1-i%7))
-			for loc := range want {
-				if math.Float64bits(got[loc]) != math.Float64bits(want[loc]) {
-					t.Fatalf("%v: set %d: p(%d) = %v, want %v", formula, i, loc, got[loc], want[loc])
+	for _, row := range []struct {
+		name   string
+		base   []rfid.Set   // the known readers of each member
+		others [][]rfid.Set // further known groups to compare afterwards
+	}{
+		{"single", []rfid.Set{rfid.NewSet(0)},
+			[][]rfid.Set{{rfid.NewSet()}, {rfid.NewSet(1)}, {rfid.NewSet(0, 1)}}},
+		{"group", []rfid.Set{rfid.NewSet(0), rfid.NewSet(0, 1)},
+			[][]rfid.Set{{rfid.NewSet(), rfid.NewSet(1)}, {rfid.NewSet(0, 1), rfid.NewSet(0)}, {rfid.NewSet(0), rfid.NewSet(0), rfid.NewSet(1)}}},
+	} {
+		for _, formula := range []Formula{PaperFormula, FullLikelihood} {
+			fresh, m := New(f, Options{Formula: formula}), New(f, Options{Formula: formula})
+			same := func(what string, got, want []float64) {
+				t.Helper()
+				for loc := range want {
+					if math.Float64bits(got[loc]) != math.Float64bits(want[loc]) {
+						t.Fatalf("%s/%v: %s: p(%d) = %v, want %v", row.name, formula, what, loc, got[loc], want[loc])
+					}
 				}
 			}
-		}
-		if m.CacheSize() != 1 {
-			t.Fatalf("%v: CacheSize = %d after 10000 sets differing in unknown readers, want 1", formula, m.CacheSize())
-		}
-		for _, set := range []rfid.Set{rfid.NewSet(), rfid.NewSet(1), rfid.NewSet(0, 1)} {
-			want, got := fresh.Dist(set), m.Dist(set)
-			for loc := range want {
-				if math.Float64bits(got[loc]) != math.Float64bits(want[loc]) {
-					t.Fatalf("%v: dist(%v) p(%d) = %v, want %v", formula, set, loc, got[loc], want[loc])
+			want := fresh.Dist(row.base...)
+			group := make([]rfid.Set, len(row.base))
+			for i := 0; i < 10000; i++ {
+				for j, set := range row.base {
+					group[j] = rfid.NewSet(append([]int{1000 + i, -1 - (i+j)%7}, set.IDs()...)...)
 				}
+				same(fmt.Sprintf("set %d", i), m.Dist(group...), want)
+			}
+			if m.CacheSize() != 1 {
+				t.Fatalf("%s/%v: CacheSize = %d after 10000 sets differing in unknown readers, want 1", row.name, formula, m.CacheSize())
+			}
+			for _, sets := range row.others {
+				same(fmt.Sprintf("dist%v", sets), m.Dist(sets...), fresh.Dist(sets...))
 			}
 		}
 	}
@@ -262,8 +277,8 @@ func TestDistConcurrent(t *testing.T) {
 					t.Errorf("goroutine %d: dist sums to %v", g, sum(d))
 					return
 				}
-				if _, err := m.GroupDist([]rfid.Set{rfid.NewSet(0), rfid.NewSet(1)}); err != nil {
-					t.Errorf("goroutine %d: %v", g, err)
+				if d := m.Dist(rfid.NewSet(0), rfid.NewSet(1)); math.Abs(sum(d)-1) > 1e-9 {
+					t.Errorf("goroutine %d: group dist sums to %v", g, sum(d))
 					return
 				}
 			}
@@ -272,5 +287,121 @@ func TestDistConcurrent(t *testing.T) {
 	wg.Wait()
 	if m.CacheSize() == 0 {
 		t.Errorf("cache empty after concurrent use")
+	}
+}
+
+func entropy(dist []float64) float64 {
+	h := 0.0
+	for _, p := range dist {
+		if p > 0 {
+			h -= p * math.Log(p)
+		}
+	}
+	return h
+}
+
+func TestGroupDistValidation(t *testing.T) {
+	m := New(fixture(t), Options{})
+	if d := m.Dist(); d != nil {
+		t.Errorf("empty group gave %v", d)
+	}
+}
+
+// TestGroupDistSingletonEqualsDist: a group of one member is the single
+// set's distribution, down to its cache entry.
+func TestGroupDistSingletonEqualsDist(t *testing.T) {
+	m := New(fixture(t), Options{})
+	set := rfid.NewSet(0)
+	single := m.Dist(set)
+	group := m.Dist([]rfid.Set{set}...)
+	if &single[0] != &group[0] || m.CacheSize() != 1 {
+		t.Fatalf("singleton group has its own cache entry (CacheSize %d)", m.CacheSize())
+	}
+}
+
+func TestGroupDistSharper(t *testing.T) {
+	m := New(fixture(t), Options{})
+	// Two members both detected by reader 0 (room A's reader): the joint
+	// evidence squares the cell weights, concentrating mass on room A
+	// harder than the single observation does.
+	single := m.Dist(rfid.NewSet(0))
+	group := m.Dist(rfid.NewSet(0), rfid.NewSet(0))
+	sum := 0.0
+	for _, p := range group {
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Fatalf("group dist sums to %v", sum)
+	}
+	if group[0] < single[0]-1e-9 {
+		t.Errorf("duplicated evidence weakened room A: group %v vs single %v", group[0], single[0])
+	}
+	if entropy(group) > entropy(single)+1e-9 {
+		t.Errorf("group entropy %v not sharper than single %v", entropy(group), entropy(single))
+	}
+}
+
+func TestGroupDistIncompatibleFallsBackUniform(t *testing.T) {
+	// Two members detected by readers with disjoint coverage: no cell
+	// explains both, so the joint distribution falls back to uniform.
+	m2 := New(disjointFixture(t), Options{})
+	dist := m2.Dist(rfid.NewSet(0), rfid.NewSet(1))
+	if math.Abs(dist[0]-0.5) > 1e-9 || math.Abs(dist[1]-0.5) > 1e-9 {
+		t.Errorf("incompatible group should be uniform: %v", dist)
+	}
+}
+
+// disjointFixture builds a plan whose two readers cover disjoint cells.
+func disjointFixture(t *testing.T) *rfid.Matrix {
+	t.Helper()
+	f := fixture(t)
+	// Zero out any cell covered by both readers.
+	for c := range f.Rates[0] {
+		if f.Rates[0][c] > 0 && f.Rates[1][c] > 0 {
+			f.Rates[1][c] = 0
+		}
+	}
+	return f
+}
+
+func TestGroupDistCaching(t *testing.T) {
+	m := New(fixture(t), Options{})
+	sets := []rfid.Set{rfid.NewSet(0), rfid.NewSet(1)}
+	a := m.Dist(sets...)
+	b := m.Dist(sets...)
+	if &a[0] != &b[0] {
+		t.Errorf("group cache miss")
+	}
+}
+
+func TestGroupLSequence(t *testing.T) {
+	m := New(fixture(t), Options{})
+	seqA := rfid.Sequence{
+		{Time: 0, Readers: rfid.NewSet(0)},
+		{Time: 1, Readers: rfid.NewSet()},
+	}
+	seqB := rfid.Sequence{
+		{Time: 0, Readers: rfid.NewSet(0)},
+		{Time: 1, Readers: rfid.NewSet(1)},
+	}
+	ls, err := m.LSequence(seqA, seqB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if ls.Duration() != 2 {
+		t.Errorf("duration = %d", ls.Duration())
+	}
+	// Errors.
+	if _, err := m.LSequence(); err == nil {
+		t.Errorf("empty group accepted")
+	}
+	if _, err := m.LSequence(seqA, seqB[:1]); err == nil {
+		t.Errorf("length mismatch accepted")
+	}
+	if _, err := m.LSequence(seqA, rfid.Sequence{{Time: 5}}); err == nil {
+		t.Errorf("invalid member accepted")
 	}
 }

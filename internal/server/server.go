@@ -186,6 +186,8 @@ type trajectory struct {
 	id      string
 	depID   string
 	cleaned *rfidclean.Cleaned
+
+	passesCharged atomic.Bool // the store charged the cached query passes
 }
 
 // Open returns a ready-to-serve Server. With Options.DataDir set it first
@@ -990,6 +992,7 @@ func (s *Server) handleStay(w http.ResponseWriter, r *http.Request, traj *trajec
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	s.store.chargePasses(traj)
 	out := make([]LocationProb, 0)
 	for loc, p := range dist {
 		if p > 0 {
@@ -1042,6 +1045,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request, traj *traject
 
 func (s *Server) handleOccupancy(w http.ResponseWriter, traj *trajectory) {
 	occ, err := traj.cleaned.ExpectedOccupancy()
+	s.store.chargePasses(traj) // the passes are cached even when err != nil
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -17,7 +17,8 @@ import (
 //
 // The store enforces an optional byte budget, charging each item what it
 // retains (itemBytes: the frozen graph's exact bytes plus its explain
-// report). Past the budget, the least-recently-queried graphs are evicted —
+// report, and passBytes once a query has cached the forward/backward passes
+// on it). Past the budget, the least-recently-queried graphs are evicted —
 // the warehousing trade: a re-clean can always regenerate an evicted graph,
 // but memory cannot grow without bound under heavy traffic. Recency is
 // stamped with a lock-free logical clock so reads never upgrade to write
@@ -75,21 +76,14 @@ func (st *trajStore) addBatch(depID string, cs []*rfidclean.Cleaned) []string {
 	victims := st.evictLocked(fresh)
 	count, bytes := len(st.items), st.bytes
 	st.mu.Unlock()
-	st.m.storeCount.Set(int64(count))
-	st.m.storeBytes.Set(bytes)
-	if st.onEvict != nil {
-		st.onEvict(len(victims))
-	}
 	if st.persist != nil {
 		for i, id := range ids {
 			if id != "" {
 				st.persist.put(id, depID, cs[i])
 			}
 		}
-		for _, v := range victims {
-			st.persist.del(v)
-		}
 	}
+	st.published(count, bytes, victims)
 	return ids
 }
 
@@ -102,6 +96,51 @@ func itemBytes(c *rfidclean.Cleaned) int64 {
 		b += int64(unsafe.Sizeof(*ex)) + int64(cap(ex.Build.Steps))*int64(unsafe.Sizeof(rfidclean.ExplainStep{}))
 	}
 	return b
+}
+
+// passBytes is what a query engine's cached forward and backward passes
+// retain: per pass, one slice header per level and one float64 per node.
+func passBytes(c *rfidclean.Cleaned) int64 {
+	levels := int64(c.Duration()) * int64(unsafe.Sizeof([]float64(nil)))
+	return 2 * (levels + 8*int64(c.Stats().Nodes))
+}
+
+// chargePasses charges traj, once, for the passes a stay or occupancy query
+// has just cached on it, and evicts past the budget; traj itself is exempt,
+// as a fresh add is.
+func (st *trajStore) chargePasses(traj *trajectory) {
+	if traj.passesCharged.Load() {
+		return
+	}
+	st.mu.Lock()
+	it := st.items[traj.id]
+	if it == nil || !traj.passesCharged.CompareAndSwap(false, true) {
+		st.mu.Unlock()
+		return
+	}
+	b := passBytes(traj.cleaned)
+	it.bytes += b
+	st.bytes += b
+	victims := st.evictLocked(map[string]bool{traj.id: true})
+	count, bytes := len(st.items), st.bytes
+	st.mu.Unlock()
+	st.published(count, bytes, victims)
+}
+
+// published reports a mutation made under the lock: it sets the store
+// gauges, tells the storm detector how many items were evicted and
+// tombstones them in the log.
+func (st *trajStore) published(count int, bytes int64, victims []string) {
+	st.m.storeCount.Set(int64(count))
+	st.m.storeBytes.Set(bytes)
+	if st.onEvict != nil {
+		st.onEvict(len(victims))
+	}
+	if st.persist != nil {
+		for _, v := range victims {
+			st.persist.del(v)
+		}
+	}
 }
 
 // insertLocked stores traj under its id, stamped as just used.
@@ -337,13 +376,7 @@ func (st *trajStore) restore(items []snapItem, next int) int {
 	victims := st.evictLocked(nil)
 	count, bytes := len(st.items), st.bytes
 	st.mu.Unlock()
-	st.m.storeCount.Set(int64(count))
-	st.m.storeBytes.Set(bytes)
-	if st.persist != nil {
-		for _, v := range victims {
-			st.persist.del(v)
-		}
-	}
+	st.published(count, bytes, victims) // onEvict attaches after recovery
 	return len(victims)
 }
 

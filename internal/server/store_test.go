@@ -1,6 +1,8 @@
 package server
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
 	"testing"
@@ -123,6 +125,34 @@ func TestTrajStoreDelete(t *testing.T) {
 	}
 	if m.storeBytes.Value() != 0 || m.storeCount.Value() != 0 {
 		t.Errorf("gauges after delete = (%d, %d)", m.storeCount.Value(), m.storeBytes.Value())
+	}
+}
+
+// TestTrajStoreChargesPassesOnce: the first stay query on a stored clean
+// charges the passes it caches, once. A charge that takes the store past its
+// budget evicts the least recently used clean, never the queried one.
+func TestTrajStoreChargesPassesOnce(t *testing.T) {
+	cs := testCleaneds(t, 2)
+	one, passes := itemBytes(cs[0]), passBytes(cs[0])
+	m := newMetrics()
+	st := newTrajStore(2*one+passes/2, 1, 0, m) // both cleans fit, one's passes do not
+	ids := st.addBatch("d1", cs)
+	srv := &Server{store: st}
+	for i := 0; i < 2; i++ {
+		rec := httptest.NewRecorder()
+		srv.handleStay(rec, httptest.NewRequest(http.MethodGet, "/?t=3", nil), st.get(ids[1]))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("stay: %d %s", rec.Code, rec.Body)
+		}
+	}
+	if count, bytes := st.stats(); count != 1 || bytes != one+passes {
+		t.Errorf("stats = (%d, %d), want (1, %d)", count, bytes, one+passes)
+	}
+	if st.get(ids[0]) != nil || st.get(ids[1]) == nil {
+		t.Error("the charge evicted the queried clean, or kept the LRU one")
+	}
+	if m.storeEvictions.Value() != 1 || m.storeBytes.Value() != one+passes {
+		t.Errorf("evictions = %d, store bytes gauge = %d, want 1 and %d", m.storeEvictions.Value(), m.storeBytes.Value(), one+passes)
 	}
 }
 
@@ -258,18 +288,35 @@ func TestStoreBytesMatchRetainedHeap(t *testing.T) {
 	st := newTrajStore(0, 1, 0, newMetrics())
 	before := heap()
 	cs := clean()
-	st.addBatch("d1", cs)
+	ids := st.addBatch("d1", cs)
 	cs = nil
-	retained := heap() - before
-	_, charged := st.stats()
 	if len(st.items) < n/2 {
 		t.Fatalf("only %d of %d sequences cleaned", len(st.items), n)
 	}
-	ratio := float64(charged) / float64(retained)
-	t.Logf("%d stored cleans: charged %d bytes, retained %d (%.3f)", len(st.items), charged, retained, ratio)
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("store charges %d bytes for %d retained (ratio %.3f), want within 15%%", charged, retained, ratio)
+	check := func(phase string) {
+		t.Helper()
+		retained := heap() - before
+		_, charged := st.stats()
+		ratio := float64(charged) / float64(retained)
+		t.Logf("%s: %d stored cleans: charged %d bytes, retained %d (%.3f)", phase, len(st.items), charged, retained, ratio)
+		if ratio < 0.85 || ratio > 1.15 {
+			t.Errorf("%s: store charges %d bytes for %d retained (ratio %.3f), want within 15%%", phase, charged, retained, ratio)
+		}
 	}
+	check("unqueried")
+	// One stay query per item caches its forward/backward passes.
+	srv := &Server{store: st}
+	for _, id := range ids {
+		if id == "" {
+			continue
+		}
+		rec := httptest.NewRecorder()
+		srv.handleStay(rec, httptest.NewRequest(http.MethodGet, "/?t=10", nil), st.get(id))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("stay on %s: %d %s", id, rec.Code, rec.Body)
+		}
+	}
+	check("queried")
 	runtime.KeepAlive(st)
 	runtime.KeepAlive(d)
 	runtime.KeepAlive(sys)

@@ -307,6 +307,9 @@ func (s *System) CalibratePrior(samples int, rng *RNG) {
 	s.Prior = prior.New(rfid.Calibrate(s.Truth, samples, rng), prior.Options{})
 }
 
+// errNoPrior is what cleaning reports before a prior is installed.
+var errNoPrior = fmt.Errorf("rfidclean: no prior; call CalibratePrior or SetPrior first")
+
 // SetPrior installs a custom prior (e.g. with PriorOptions different from
 // the paper's defaults).
 func (s *System) SetPrior(p *Prior) { s.Prior = p }
@@ -359,30 +362,15 @@ func (s *System) Clean(readings ReadingSequence, ic *ConstraintSet, opts *BuildO
 // opts.Explain is set the returned Cleaned carries an explain report
 // (Cleaned.Explain). With neither attached it does the same work as Clean.
 func (s *System) CleanCtx(ctx context.Context, readings ReadingSequence, ic *ConstraintSet, opts *BuildOptions) (*Cleaned, error) {
-	if s.Prior == nil {
-		return nil, fmt.Errorf("rfidclean: no prior; call CalibratePrior or SetPrior first")
-	}
-	_, sp := obs.Start(ctx, "prior.lsequence")
-	deriveStart := time.Now()
-	ls, err := s.Prior.LSequence(readings)
-	derive := time.Since(deriveStart)
-	sp.Int("timestamps", int64(len(readings))).End()
-	if err != nil {
-		return nil, err
-	}
-	g, err := core.BuildCtx(ctx, ls, ic, opts)
-	if err != nil {
-		return nil, err
-	}
-	return newCleanedExplained(g, s.Plan, opts, derive), nil
+	return s.CleanGroupCtx(ctx, []ReadingSequence{readings}, ic, opts)
 }
 
 // CleanGroup cleans the readings of several tags known to move together
 // (attached to the same pallet, cart or person — the supply-chain group
 // correlation the paper's §8 lists as future work). The members' reader sets
 // are fused at the grid-cell level into one joint l-sequence, which is then
-// conditioned like a single object's. All sequences must cover the same
-// window.
+// conditioned like a single object's: a group of one is Clean. All sequences
+// must cover the same window.
 func (s *System) CleanGroup(readings []ReadingSequence, ic *ConstraintSet, opts *BuildOptions) (*Cleaned, error) {
 	return s.CleanGroupCtx(context.Background(), readings, ic, opts)
 }
@@ -390,13 +378,18 @@ func (s *System) CleanGroup(readings []ReadingSequence, ic *ConstraintSet, opts 
 // CleanGroupCtx is CleanGroup with observability; see CleanCtx.
 func (s *System) CleanGroupCtx(ctx context.Context, readings []ReadingSequence, ic *ConstraintSet, opts *BuildOptions) (*Cleaned, error) {
 	if s.Prior == nil {
-		return nil, fmt.Errorf("rfidclean: no prior; call CalibratePrior or SetPrior first")
+		return nil, errNoPrior
 	}
 	_, sp := obs.Start(ctx, "prior.lsequence")
 	deriveStart := time.Now()
-	ls, err := s.Prior.GroupLSequence(readings)
+	ls, err := s.Prior.LSequence(readings...)
 	derive := time.Since(deriveStart)
-	sp.Int("members", int64(len(readings))).End()
+	if len(readings) == 1 {
+		sp.Int("timestamps", int64(len(readings[0])))
+	} else {
+		sp.Int("members", int64(len(readings)))
+	}
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
@@ -428,19 +421,13 @@ func (s *System) SmoothState(st *BuildState, opts *BuildOptions) (*Cleaned, erro
 // the caller.
 func (s *System) Candidates(r ReaderSet) ([]LCandidate, error) {
 	if s.Prior == nil {
-		return nil, fmt.Errorf("rfidclean: no prior; call CalibratePrior or SetPrior first")
+		return nil, errNoPrior
 	}
-	dist := s.Prior.Dist(r)
-	cands := make([]LCandidate, 0, 8)
-	for loc, p := range dist {
-		if p > 0 {
-			cands = append(cands, LCandidate{Loc: loc, P: p})
-		}
+	ls, err := s.Prior.LSequence(ReadingSequence{{Readers: r}})
+	if err != nil {
+		return nil, err
 	}
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("rfidclean: no candidate location for readers %v", r)
-	}
-	return cands, nil
+	return ls.Steps[0].Candidates, nil
 }
 
 // LocationID resolves a location name to its ID.
