@@ -146,8 +146,10 @@ func BenchmarkTopK(b *testing.B) {
 // runs at ingestion (POST readings), not at smoothing time — and every
 // iteration rebuilds the same 501-reading session untimed, so the number is
 // stable in b.N. The backward convergence check stops the recompute a few
-// levels in, so the cost is dominated by cloning the settled prefix — the
-// work a full rebuild (BenchmarkFullSmooth500) redoes from scratch.
+// levels in, so the cost is mostly the result: the settled prefix's frozen
+// columns copied from the previous snapshot, then the few recomputed levels
+// frozen behind them. A full rebuild (BenchmarkFullSmooth500) redoes the
+// forward and backward phases over every level.
 func BenchmarkIncrementalSmooth(b *testing.B) {
 	const warm = 500
 	ls, ic := benchScenarioN(warm + 1)

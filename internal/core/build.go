@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -145,7 +142,7 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 		if len(next) == 0 {
 			return nil, fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
 		}
-		k.link(cur, next, cands)
+		k.link(cur, cands)
 		levels[t] = next
 	}
 
@@ -159,21 +156,18 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	}
 	_, spBackward := obs.Start(ctx, "core.backward")
 
-	// Backward phase (lines 15-31 in closed form; see above).
-	// Target survivals: 1, except targets condemned by strict
-	// end-of-window latency semantics (Definition 2).
-	strict := opts.endLatency() == constraints.StrictEnd
-	condemned := condemnTargets(levels[duration-1], strict)
-	detachRemovedLevel(levels[duration-1])
-
+	// Backward phase (lines 15-31 in closed form; see above), into the
+	// columns of a pass: the working graph itself is only read.
+	p := getPass(levels)
+	defer passes.Put(p)
+	condemned := condemnTargets(levels[duration-1], opts.endLatency() == constraints.StrictEnd, p.surv[duration-1])
 	backwardRemoved := 0
 	for t := duration - 2; t >= 0; t-- {
-		removed, ok := conditionLevel(levels[t])
+		removed, ok := conditionLevel(levels[t], p.surv[t+1], p.surv[t])
 		backwardRemoved += removed
 		if !ok {
 			return nil, ErrNoValidTrajectory
 		}
-		detachRemovedLevel(levels[t])
 	}
 
 	spBackward.End()
@@ -184,20 +178,19 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	_, spRevise := obs.Start(ctx, "core.revise")
 
 	// Condition the source probabilities (lines 30-31).
-	total, ok := conditionSources(levels[0])
+	total, ok := conditionSources(levels[0], p.surv[0], p.src)
 	if !ok {
 		spRevise.End()
 		return nil, ErrNoValidTrajectory
 	}
-	// Scrub and compact: a node orphaned by removals one level earlier
-	// keeps a positive survival, because the backward sweep visits levels
-	// last to first. Sweeping forward cascades the removal.
+	// Number the survivors, dropping ghosts level by level forward.
 	ghosts := 0
-	for t := 1; t < duration; t++ {
-		ghosts += scrubLevelOrphans(levels[t])
-	}
 	for t := range levels {
-		compactLevel(&levels[t])
+		kept, g := p.number(levels, t)
+		ghosts += g
+		if ex != nil {
+			ex.Steps[t].NodesFinal = kept
+		}
 	}
 	if ex != nil {
 		ex.TargetsCondemned = condemned
@@ -205,18 +198,54 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 		ex.GhostsRemoved = ghosts
 		ex.Normalizer = total
 		ex.RecomputedLevels = duration
-		for t := range levels {
-			ex.Steps[t].NodesFinal = len(levels[t])
-		}
 		ex.ReviseNanos = time.Since(phaseStart).Nanoseconds()
 	}
 	spRevise.End()
 	if opts.quotient() {
 		_, sp := obs.Start(ctx, "core.quotient")
 		defer sp.End()
-		return quotientOf(levels), nil
+		return quotientOf(levels, p), nil
 	}
-	return freeze(nil, 0, levels), nil
+	return freeze(nil, 0, levels, p), nil
+}
+
+// pass is what Algorithm 1's backward phase writes about a working graph,
+// which it only reads: per level, columns indexed like the level's nodes.
+// Build takes its pass from passes, carved from floats and ints;
+// BuildState keeps one across its Smooths.
+type pass struct {
+	surv [][]float64 // S(n), rescaled per level; 0 for a removed node
+	idx  [][]int32   // index in the frozen graph; -1 for a removed node
+	src  []float64   // conditioned p_N of the sources
+
+	floats []float64
+	ints   []int32
+}
+
+var passes sync.Pool // of *pass
+
+// getPass returns a pass with a column of every level, from passes.
+func getPass(levels [][]*node) *pass {
+	p, ok := passes.Get().(*pass)
+	if !ok {
+		p = new(pass)
+	}
+	n := 0
+	for _, level := range levels {
+		n += len(level)
+	}
+	p.floats = resize(p.floats, n+len(levels[0]))
+	p.ints = resize(p.ints, n)
+	p.surv = resize(p.surv, len(levels))
+	p.idx = resize(p.idx, len(levels))
+	n = 0
+	for t, level := range levels {
+		end := n + len(level)
+		p.surv[t], p.idx[t] = p.floats[n:end:end], p.ints[n:end:end]
+		n = end
+	}
+	p.src = p.floats[n:]
+	return p
 }
 
 // condemnTargets initializes the target survivals (the backward recurrence's
@@ -224,162 +253,133 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 // semantics (Definition 2), which get survival 0 and are removed. Returns the
 // number of condemned targets. Shared by Build and BuildState.Smooth so both
 // paths run the identical operations in the identical order.
-func condemnTargets(nodes []*node, strict bool) int {
+func condemnTargets(nodes []*node, strict bool, surv []float64) int {
 	condemned := 0
-	for _, n := range nodes {
+	for i, n := range nodes {
 		if strict && n.Stay != StayUntracked {
-			n.surv = 0
-			n.removed = true
+			surv[i] = 0
 			condemned++
 		} else {
-			n.surv = 1
+			surv[i] = 1
 		}
 	}
 	return condemned
 }
 
+// weight returns the unconditioned weight p_E(n,m)·S(m) of an arc, next
+// holding the survivals of the level it enters. The conversion rounds the
+// product, so no platform fuses it into the sum that follows (the Go
+// specification allows fused multiply-add otherwise): conditionLevel and
+// fill must see the same bits.
+func weight(e edge, next []float64) float64 { return float64(e.P * next[e.To]) }
+
+// survival returns Σ_{(n,m) ∈ E} p_E(n,m)·S(m) over n's out-arcs, in their
+// order. An arc into a removed node adds +0, which leaves the sum's bits as
+// they are.
+func survival(n *node, next []float64) float64 {
+	s := 0.0
+	for _, e := range n.out {
+		s += weight(e, next)
+	}
+	return s
+}
+
 // conditionLevel runs one backward iteration (lines 15-29 in closed form)
-// over the nodes of a single timestamp: it drops edges into removed
-// successors, accumulates each node's survival, conditions the surviving
-// out-edges, and rescales the level's survivals by their maximum so the
-// recurrence never underflows (conditioned probabilities depend only on
-// within-level survival ratios, which rescaling preserves). ok is false when
-// the whole level died — i.e. no valid trajectory exists. The caller must
-// follow up with detachRemoved for this timestamp. Shared by Build and
-// BuildState.Smooth: keeping the float operations in one body is what makes
-// the incremental path bit-identical to the offline one.
-func conditionLevel(nodes []*node) (removed int, ok bool) {
+// over the nodes of a single timestamp: it writes each node's survival into
+// surv, given the survivals next of the level after, and rescales the level
+// by its maximum so the recurrence never underflows (conditioned
+// probabilities depend only on within-level survival ratios, which rescaling
+// preserves). A node whose survival is 0 is removed (Proposition 1: no
+// successor means invalid; the sum can also hit zero by underflow when every
+// arc weight is below the smallest denormal, and then the node carries no
+// representable valid mass). ok is false when the whole level died — i.e. no
+// valid trajectory exists. Shared by Build and BuildState.Smooth: running
+// the same float operations, in survival and weight, is what makes the
+// incremental path bit-identical to the offline one.
+func conditionLevel(nodes []*node, next, surv []float64) (removed int, ok bool) {
 	maxS := 0.0
-	for _, n := range nodes {
-		// Drop edges into removed nodes, accumulate survival,
-		// and store the unconditioned weight on each edge.
-		alive := n.out[:0]
-		s := 0.0
-		for _, e := range n.out {
-			if e.To.removed {
-				continue
-			}
-			e.P *= e.To.surv
-			s += e.P
-			alive = append(alive, e)
-		}
-		n.out = alive
-		n.surv = s
+	for i, n := range nodes {
+		s := survival(n, next)
+		surv[i] = s
 		if s > maxS {
 			maxS = s
 		}
 		if s == 0 {
-			// Proposition 1: no successor => invalid. s can also hit
-			// zero by underflow when every surviving edge weight is
-			// below the smallest denormal; either way the node carries
-			// no representable valid mass and is pruned.
-			n.removed = true
 			removed++
-			continue
-		}
-		// Condition the outgoing edges (lines 17-19): each is
-		// divided by the surviving fraction.
-		for _, e := range n.out {
-			e.P /= s
 		}
 	}
 	if maxS == 0 {
 		return removed, false
 	}
-	for _, n := range nodes {
-		n.surv /= maxS
+	for i := range surv {
+		surv[i] /= maxS
 	}
 	return removed, true
 }
 
-// conditionSources conditions the source probabilities (lines 30-31):
-// p'_N(src) = p_N(src)·S(src) / Σ p_N·S. ok is false when no source retains
-// positive mass. Shared by Build and BuildState.Smooth.
-func conditionSources(nodes []*node) (total float64, ok bool) {
-	for _, src := range nodes {
-		src.prob *= src.surv
-		total += src.prob
+// conditionSources conditions the source probabilities (lines 30-31) into
+// src: p'_N(src) = p_N(src)·S(src) / Σ p_N·S. ok is false when no source
+// retains positive mass. Shared by Build and BuildState.Smooth.
+func conditionSources(nodes []*node, surv, src []float64) (total float64, ok bool) {
+	for i, n := range nodes {
+		src[i] = n.prob * surv[i]
+		total += src[i]
 	}
 	if total <= 0 {
 		return total, false
 	}
-	for _, src := range nodes {
-		src.prob /= total
+	for i := range src {
+		src[i] /= total
 	}
 	return total, true
 }
 
-// detachRemovedLevel unlinks the removed nodes of one timestamp from both
-// sides of their adjacency (lines 26-29 of the paper): their in-edges
-// disappear from the predecessors' out lists and their out-edges from the
-// successors' in lists. Forgetting the second half used to leave dangling
-// in-edges pointing at removed nodes whenever a node died with surviving
-// out-edges (possible only through survival underflow within a level).
-func detachRemovedLevel(nodes []*node) {
-	for _, n := range nodes {
-		if !n.removed {
-			continue
-		}
-		for _, e := range n.in {
-			removeOutEdge(e.From, e)
-		}
-		for _, e := range n.out {
-			removeInEdge(e.To, e)
-		}
-		n.in = nil
-		n.out = nil
+// number gives the nodes of level t that survive their index in the frozen
+// graph, in level order, and returns how many it keeps and how many ghosts
+// it drops. A ghost kept a positive survival, but no surviving node of the
+// previous level has an arc into it: the backward sweep visits levels last
+// to first, so it cannot see them, and numbering levels first to last
+// cascades the removal. Ghosts carry zero forward mass, so conditioned
+// probabilities are unaffected; a level can never lose all its nodes here,
+// because that would require the previous level to have been fully removed,
+// which the backward phase already reports as ErrNoValidTrajectory.
+func (p *pass) number(levels [][]*node, t int) (kept, ghosts int) {
+	idx := p.idx[t]
+	reached := int32(-1)
+	if t == 0 {
+		reached = 0
 	}
-}
-
-// scrubLevelOrphans removes the orphans of a single timestamp: nodes whose
-// predecessors were all removed. An orphan's own successors lose its
-// in-edges at once, so sweeping levels forward cascades the removal.
-// Orphans carry zero forward mass, so conditioned probabilities are
-// unaffected; a level can never lose all its nodes here, because that would
-// require the previous level to have been fully removed, which the backward
-// phase already reports as ErrNoValidTrajectory. Returns the number of
-// ghosts removed.
-func scrubLevelOrphans(nodes []*node) int {
-	ghosts := 0
-	for _, n := range nodes {
-		if n.removed {
-			continue
-		}
-		alive := n.in[:0]
-		for _, e := range n.in {
-			if !e.From.removed {
-				alive = append(alive, e)
+	for j := range idx {
+		idx[j] = reached
+	}
+	if t > 0 {
+		prev := p.idx[t-1]
+		for i, n := range levels[t-1] {
+			if prev[i] < 0 {
+				continue
 			}
-		}
-		n.in = alive
-		if len(n.in) == 0 {
-			n.removed = true
-			ghosts++
 			for _, e := range n.out {
-				removeInEdge(e.To, e)
+				idx[e.To] = 0
 			}
-			n.out = nil
 		}
 	}
-	return ghosts
-}
-
-// compactLevel drops the removed nodes of a single timestamp in place and
-// reassigns the dense per-level indices.
-func compactLevel(nodes *[]*node) {
-	alive := (*nodes)[:0]
-	for _, n := range *nodes {
-		if !n.removed {
-			n.idx = int32(len(alive))
-			alive = append(alive, n)
+	for j, s := range p.surv[t] {
+		switch {
+		case s == 0:
+			idx[j] = -1
+		case idx[j] < 0:
+			ghosts++
+		default:
+			idx[j] = int32(kept)
+			kept++
 		}
 	}
-	*nodes = alive
+	return kept, ghosts
 }
 
 // measure returns the shape of the graph freeze writes from the same
 // arguments.
-func measure(prefix *Graph, reuse int, levels [][]*node) shape {
+func measure(prefix *Graph, reuse int, levels [][]*node, p *pass) shape {
 	s := shape{levels: len(levels)}
 	if reuse > 0 {
 		s.nodes = int(prefix.levelOff[reuse])
@@ -388,13 +388,26 @@ func measure(prefix *Graph, reuse int, levels [][]*node) shape {
 		if len(prefix.tlOff) > 0 {
 			s.ident, s.tls = true, int(prefix.tlOff[s.nodes])
 		}
-	} else {
-		s.sources = len(levels[0])
 	}
-	for _, level := range levels[reuse:] {
-		s.nodes += len(level)
-		for _, n := range level {
-			s.arcs += len(n.out)
+	for t := reuse; t < len(levels); t++ {
+		idx := p.idx[t]
+		var next []int32
+		if t+1 < len(levels) {
+			next = p.idx[t+1]
+		}
+		for i, n := range levels[t] {
+			if idx[i] < 0 {
+				continue
+			}
+			s.nodes++
+			if t == 0 {
+				s.sources++
+			}
+			for _, e := range n.out {
+				if next[e.To] >= 0 {
+					s.arcs++
+				}
+			}
 			s.tls += len(n.TL)
 			s.ident = s.ident || n.Stay != StayUntracked || len(n.TL) > 0
 		}
@@ -402,21 +415,21 @@ func measure(prefix *Graph, reuse int, levels [][]*node) shape {
 	return s
 }
 
-// freeze writes levels — compacted, so every node is alive and its idx is
-// its position — into a new frozen graph. When reuse > 0, levels
-// 0..reuse-1 are prefix's, copied unchanged, and levels[:reuse] are not
-// read: the arcs out of prefix's level reuse-1 must already index
-// levels[reuse].
-func freeze(prefix *Graph, reuse int, levels [][]*node) *Graph {
-	g := newGraph(measure(prefix, reuse, levels))
-	g.fill(prefix, reuse, levels)
+// freeze writes the survivors of levels, numbered by p, into a new frozen
+// graph. When reuse > 0, levels 0..reuse-1 are prefix's, copied unchanged,
+// and levels[:reuse] are not read: the arcs out of prefix's level reuse-1
+// must already index level reuse as p numbers it.
+func freeze(prefix *Graph, reuse int, levels [][]*node, p *pass) *Graph {
+	g := newGraph(measure(prefix, reuse, levels, p))
+	g.fill(prefix, reuse, levels, p)
 	return g
 }
 
-// fill writes the nodes and arcs of freeze's arguments into g, whose
+// fill writes the survivors and arcs of freeze's arguments into g, whose
 // columns were carved for their shape; with the δ and TL columns left out,
-// it skips node identity.
-func (g *Graph) fill(prefix *Graph, reuse int, levels [][]*node) {
+// it skips node identity. An arc's conditioned probability is p_E(n,m)·S(m)
+// / S(n) (lines 17-19), S(n) before its level was rescaled.
+func (g *Graph) fill(prefix *Graph, reuse int, levels [][]*node, p *pass) {
 	n, a, e := 0, int32(0), int32(0)
 	if reuse > 0 {
 		n = int(prefix.levelOff[reuse])
@@ -436,17 +449,31 @@ func (g *Graph) fill(prefix *Graph, reuse int, levels [][]*node) {
 	}
 	ident := len(g.tlOff) > 0
 	for t := reuse; t < len(levels); t++ {
-		for _, nd := range levels[t] {
-			g.loc[n] = int32(nd.Loc)
-			if t == 0 {
-				g.src[n] = nd.prob
+		idx := p.idx[t]
+		var next []float64
+		var nextIdx []int32
+		if t+1 < len(levels) {
+			next, nextIdx = p.surv[t+1], p.idx[t+1]
+		}
+		for i, nd := range levels[t] {
+			if idx[i] < 0 {
+				continue
 			}
-			for _, ed := range nd.out {
-				g.to[a], g.p[a] = ed.To.idx, ed.P
-				a++
+			g.loc[n] = nd.Loc
+			if t == 0 {
+				g.src[n] = p.src[i]
+			}
+			if len(nd.out) > 0 {
+				s := survival(nd, next)
+				for _, ed := range nd.out {
+					if to := nextIdx[ed.To]; to >= 0 {
+						g.to[a], g.p[a] = to, weight(ed, next)/s
+						a++
+					}
+				}
 			}
 			if ident {
-				g.stay[n] = int32(nd.Stay)
+				g.stay[n] = nd.Stay
 				e += int32(copy(g.tl[e:], nd.TL))
 			}
 			n++
@@ -468,45 +495,27 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// node is a location node (τ, l, δ, TL) of §4.1 in the builder's mutable
-// arena. Two nodes with equal exported fields are the same node; the
-// forward phase never materializes duplicates. Nodes and edges live only
-// while Build or BuildState works on them: what leaves the package is a
-// frozen Graph.
+// node is a location node (τ, l, δ, TL) of §4.1 in the working graph that
+// Build and BuildState grow; its timestamp τ is its level. Two nodes of a
+// level with equal exported fields are the same node; the forward phase
+// never materializes duplicates. Once the forward kernel has linked its
+// level a node is only read: the backward phase writes into a pass. Nodes
+// and edges live only while Build or BuildState works on them: what leaves
+// the package is a frozen Graph.
 type node struct {
-	Time int       // timestamp τ
-	Loc  int       // location l
-	Stay int       // δ: length of the current stay while a latency constraint is pending, or StayUntracked (⊥)
+	Loc  int32     // location l
+	Stay int32     // δ: length of the current stay while a latency constraint is pending, or StayUntracked (⊥)
 	TL   []TLEntry // sorted by Loc; relevant recent leave times for TT checks; interned, do not modify
 
-	idx int32 // dense index within the node's timestamp level
-
-	out []*edge
-	in  []*edge
-
-	surv    float64 // surviving (valid) fraction of compatible mass, rescaled per level
-	prob    float64 // p_N for source nodes
-	removed bool
+	out  []edge  // a-priori out-arcs, in candidate order
+	prob float64 // a-priori p_N for source nodes
 }
 
-// String implements fmt.Stringer.
-func (n *node) String() string {
-	stay := "⊥"
-	if n.Stay != StayUntracked {
-		stay = strconv.Itoa(n.Stay)
-	}
-	var tl []string
-	for _, e := range n.TL {
-		tl = append(tl, fmt.Sprintf("(%d,L%d)", e.Time, e.Loc))
-	}
-	return fmt.Sprintf("(%d, L%d, %s, {%s})", n.Time, n.Loc, stay, strings.Join(tl, ","))
-}
-
-// edge is an arena edge from a node to one of its successors, carrying the
-// (initially a-priori, finally conditioned) probability p_E.
+// edge is an out-arc of the working graph: the index of its target in the
+// next level and its a-priori probability p_E.
 type edge struct {
-	From, To *node
-	P        float64
+	To int32
+	P  float64
 }
 
 // Arena block sizes: big enough to amortize allocation, small enough not to
@@ -514,15 +523,14 @@ type edge struct {
 const (
 	nodeBlockSize = 256
 	edgeBlockSize = 1024
-	ptrBlockSize  = 4096
 )
 
 // builder holds the constraint set plus the allocation state of the forward
 // kernel (forward.go): the compiled constraint view, the lookahead that
 // decides which TL entries live (nil unless Build set one), the TL interner,
 // a scratch slice for assembling successor TLs, and node/edge arenas. Blocks
-// are never reallocated once handed out, so node and edge pointers stay
-// stable.
+// are never reallocated once handed out, so node pointers and out-arc
+// slices stay valid.
 type builder struct {
 	cs      *constraints.Compiled
 	look    *lookahead
@@ -530,24 +538,21 @@ type builder struct {
 	scratch []TLEntry
 	nodes   []node
 	edges   []edge
-	ptrs    []*edge
 
 	// blocks are the fixed-size arena blocks this builder took.
 	blocks arenaBlocks
 }
 
-// arenaBlocks are fixed-size arena blocks. A Build, and a
-// BuildState.Smooth for its clones, puts its blocks back in the pools once
-// the graph is frozen, and later builders take them from there before
-// allocating new ones. Every node and edge is written whole when it is
-// handed out, so what a block held before never shows.
+// arenaBlocks are fixed-size arena blocks. A Build puts its blocks back in
+// the pools once the graph is frozen, and later builders take them from
+// there before allocating new ones. Every node and edge is written whole
+// when it is handed out, so what a block held before never shows.
 type arenaBlocks struct {
 	nodes []*[nodeBlockSize]node
 	edges []*[edgeBlockSize]edge
-	ptrs  []*[ptrBlockSize]*edge
 }
 
-var nodeBlocks, edgeBlocks, ptrBlocks sync.Pool
+var nodeBlocks, edgeBlocks sync.Pool
 
 // take returns a pooled block, or a fresh one, and records it in blocks.
 func take[A any](pool *sync.Pool, blocks *[]*A) *A {
@@ -572,72 +577,42 @@ func (b *builder) release() {
 	for _, a := range b.blocks.edges {
 		edgeBlocks.Put(a)
 	}
-	for _, a := range b.blocks.ptrs {
-		ptrBlocks.Put(a)
-	}
 	*b = builder{}
 }
 
 // newNode allocates a node from the arena. tl must be a canonical interned
 // slice (or nil).
-func (b *builder) newNode(t, loc, stay int, tl []TLEntry) *node {
+func (b *builder) newNode(loc, stay int32, tl []TLEntry) *node {
 	if len(b.nodes) == cap(b.nodes) {
 		b.nodes = take(&nodeBlocks, &b.blocks.nodes)[:0]
 	}
 	b.nodes = b.nodes[:len(b.nodes)+1]
 	n := &b.nodes[len(b.nodes)-1]
-	*n = node{Time: t, Loc: loc, Stay: stay, TL: tl}
+	*n = node{Loc: loc, Stay: stay, TL: tl}
 	return n
 }
 
-// newEdge allocates an edge from the arena.
-func (b *builder) newEdge(from, to *node, p float64) *edge {
-	if len(b.edges) == cap(b.edges) {
-		b.edges = take(&edgeBlocks, &b.blocks.edges)[:0]
-	}
-	b.edges = b.edges[:len(b.edges)+1]
-	e := &b.edges[len(b.edges)-1]
-	*e = edge{From: from, To: to, P: p}
-	return e
-}
-
-// cloneNode copies a node's value (identity, probabilities, idx) into the
-// arena in one block copy, detaching it from the source's adjacency. Used by
-// the incremental bulk copies, where the field-by-field newNode path showed
-// up in profiles.
-func (b *builder) cloneNode(n *node) *node {
-	if len(b.nodes) == cap(b.nodes) {
-		b.nodes = take(&nodeBlocks, &b.blocks.nodes)[:0]
-	}
-	b.nodes = b.nodes[:len(b.nodes)+1]
-	c := &b.nodes[len(b.nodes)-1]
-	*c = *n
-	c.out, c.in = nil, nil
-	return c
-}
-
-// carve returns an empty edge list with capacity exactly n, cut from the
-// pointer arena. The three-index slice expression caps each list at its own
+// carve returns an empty out-arc list with capacity exactly n, cut from the
+// edge arena. The three-index slice expression caps each list at its own
 // region, so lists carved from one block can never grow into each other.
-func (b *builder) carve(n int) []*edge {
+func (b *builder) carve(n int) []edge {
 	if n == 0 {
 		return nil
 	}
-	if cap(b.ptrs)-len(b.ptrs) < n {
-		if n > ptrBlockSize {
-			b.ptrs = make([]*edge, 0, n)
-		} else {
-			b.ptrs = take(&ptrBlocks, &b.blocks.ptrs)[:0]
+	if cap(b.edges)-len(b.edges) < n {
+		if n > edgeBlockSize {
+			return make([]edge, 0, n)
 		}
+		b.edges = take(&edgeBlocks, &b.blocks.edges)[:0]
 	}
-	s := b.ptrs[len(b.ptrs) : len(b.ptrs) : len(b.ptrs)+n]
-	b.ptrs = b.ptrs[:len(b.ptrs)+n]
+	s := b.edges[len(b.edges) : len(b.edges) : len(b.edges)+n]
+	b.edges = b.edges[:len(b.edges)+n]
 	return s
 }
 
 // initialStay returns the stay counter of a node entering loc (or starting
 // the window there): 1 when a latency constraint is pending, ⊥ otherwise.
-func (b *builder) initialStay(loc int) int {
+func (b *builder) initialStay(loc int) int32 {
 	if delta, ok := b.cs.Latency(loc); ok && delta > 1 {
 		return 1
 	}
@@ -650,16 +625,16 @@ func (b *builder) initialStay(loc int) int {
 // out, so the kernel can attribute prunes per constraint kind in explain
 // reports. The successor's TL is assembled in the builder's scratch slice and
 // interned, so checking a candidate that deduplicates onto an existing node
-// allocates nothing.
-func (b *builder) successorKey(n *node, loc int) (nodeKey, pruneReason) {
-	t2 := n.Time + 1
+// allocates nothing. t is the timestamp of n.
+func (b *builder) successorKey(t int, n *node, loc int) (nodeKey, pruneReason) {
+	t2, from := t+1, int(n.Loc)
 	// Condition 2: direct reachability.
-	if b.cs.Unreachable(n.Loc, loc) {
+	if b.cs.Unreachable(from, loc) {
 		return nodeKey{}, pruneDU
 	}
-	if loc == n.Loc {
+	if loc == from {
 		// Condition 3: staying increments a pending stay counter.
-		stay := n.Stay
+		stay := int(n.Stay)
 		if stay != StayUntracked {
 			stay++
 			if delta, _ := b.cs.Latency(loc); stay >= delta {
@@ -677,7 +652,7 @@ func (b *builder) successorKey(n *node, loc int) (nodeKey, pruneReason) {
 	// Condition 5 (extended to cover the direct move, see DESIGN.md §3):
 	// no TT constraint into loc may still bind, neither from a recently
 	// left location in TL nor from the location being left right now.
-	if nu, ok := b.cs.TT(n.Loc, loc); ok && t2-n.Time < nu {
+	if nu, ok := b.cs.TT(from, loc); ok && t2-t < nu {
 		return nodeKey{}, pruneTT
 	}
 	for _, e := range n.TL {
@@ -687,8 +662,8 @@ func (b *builder) successorKey(n *node, loc int) (nodeKey, pruneReason) {
 	}
 	// Condition 6: extend TL with the location being left, drop entries
 	// no longer live and any entry for the location being entered.
-	id := b.internTL(n.TL, t2, loc, n.Loc)
-	return nodeKey{loc: int32(loc), stay: int32(b.initialStay(loc)), tl: id}, pruneNone
+	id := b.internTL(n.TL, t2, loc, from)
+	return nodeKey{loc: int32(loc), stay: b.initialStay(loc), tl: id}, pruneNone
 }
 
 // internTL builds the successor TL in the scratch slice and returns its
@@ -722,25 +697,4 @@ func (b *builder) internTL(tl []TLEntry, t2, drop, left int) tlID {
 	}
 	b.scratch = s
 	return b.tl.intern(s)
-}
-
-// removeOutEdge removes e from pred's outgoing edge list, keeping the rest
-// in candidate order: a node's backward sum runs over its out-edges in list
-// order, so nodes with identical futures must list them identically for
-// Graph.Quotient to merge them, whichever successors died.
-func removeOutEdge(pred *node, e *edge) {
-	if i := slices.Index(pred.out, e); i >= 0 {
-		pred.out = slices.Delete(pred.out, i, i+1)
-	}
-}
-
-// removeInEdge removes e from succ's incoming edge list.
-func removeInEdge(succ *node, e *edge) {
-	for i, cand := range succ.in {
-		if cand == e {
-			succ.in[i] = succ.in[len(succ.in)-1]
-			succ.in = succ.in[:len(succ.in)-1]
-			return
-		}
-	}
 }

@@ -26,10 +26,9 @@ type kernel struct {
 	internCap int
 	rebuilds  int
 
-	dedup  map[nodeKey]*node // successors of the level being expanded
-	succs  []*node           // successor per (node, candidate) pair, nil when pruned
+	dedup  map[nodeKey]int32 // position of each successor of the level being expanded
+	succs  []int32           // successor position per (node, candidate) pair, -1 when pruned
 	outDeg []int32           // out-degree per node of the expanded level
-	inDeg  []int32           // in-degree per successor
 	mass   []float64         // unnormalized forward mass per successor
 
 	prunes [numPruneReasons]int64 // cumulative, by constraint family
@@ -40,16 +39,15 @@ func newKernel(ic *constraints.Set) kernel {
 	if ic == nil {
 		ic = constraints.NewSet()
 	}
-	return kernel{b: newBuilder(ic), internCap: tlInternCap, dedup: make(map[nodeKey]*node)}
+	return kernel{b: newBuilder(ic), internCap: tlInternCap, dedup: make(map[nodeKey]int32)}
 }
 
 // sources appends the τ=0 nodes to level (lines 1-4): one per candidate,
 // with p_N set from the a-priori probability.
 func (k *kernel) sources(cands []Candidate, level []*node) []*node {
 	for _, c := range cands {
-		n := k.b.newNode(0, c.Loc, k.b.initialStay(c.Loc), nil)
+		n := k.b.newNode(int32(c.Loc), k.b.initialStay(c.Loc), nil)
 		n.prob = c.P
-		n.idx = int32(len(level))
 		level = append(level, n)
 	}
 	k.step = ExplainStep{Candidates: len(cands), NodesBuilt: len(level)}
@@ -60,10 +58,10 @@ func (k *kernel) sources(cands []Candidate, level []*node) []*node {
 // every (node, candidate) pair of cur to the successor Definition 3 permits
 // at timestamp t, deduplicates successors by identity, appends them to next
 // in first-seen order and returns it. Prunes are attributed per constraint
-// family and degrees counted for link. When alphas (the forward mass of cur)
-// is non-nil, the successors' unnormalized forward mass is accumulated into
-// k.mass — frontier order outer, candidate order inner, the summation order
-// behind BuildState's filtered distribution.
+// family and out-degrees counted for link. When alphas (the forward mass of
+// cur) is non-nil, the successors' unnormalized forward mass is accumulated
+// into k.mass — frontier order outer, candidate order inner, the summation
+// order behind BuildState's filtered distribution.
 func (k *kernel) expand(t int, cur []*node, cands []Candidate, next []*node, alphas []float64) []*node {
 	if k.b.tl.size() > k.internCap {
 		k.b.tl = newTLInterner()
@@ -72,37 +70,33 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, next []*node, alp
 	clear(k.dedup)
 	k.succs = resize(k.succs, len(cur)*len(cands))
 	k.outDeg = resize(k.outDeg, len(cur))
-	k.inDeg = k.inDeg[:0]
 	k.mass = k.mass[:0]
 	accepted, pi := 0, 0
 	for i, n := range cur {
 		k.outDeg[i] = 0
 		for _, c := range cands {
-			key, why := k.b.successorKey(n, c.Loc)
+			key, why := k.b.successorKey(t-1, n, c.Loc)
 			k.prunes[why]++
 			if why != pruneNone {
-				k.succs[pi] = nil
+				k.succs[pi] = -1
 				pi++
 				continue
 			}
-			succ, seen := k.dedup[key]
+			j, seen := k.dedup[key]
 			if !seen {
-				succ = k.b.newNode(t, int(key.loc), int(key.stay), k.b.tl.seq(key.tl))
-				succ.idx = int32(len(next))
-				k.dedup[key] = succ
-				next = append(next, succ)
-				k.inDeg = append(k.inDeg, 0)
+				j = int32(len(next))
+				k.dedup[key] = j
+				next = append(next, k.b.newNode(key.loc, key.stay, k.b.tl.seq(key.tl)))
 				if alphas != nil {
 					k.mass = append(k.mass, 0)
 				}
 			}
-			k.succs[pi] = succ
+			k.succs[pi] = j
 			pi++
 			accepted++
 			k.outDeg[i]++
-			k.inDeg[succ.idx]++
 			if alphas != nil {
-				k.mass[succ.idx] += alphas[i] * c.P
+				k.mass[j] += alphas[i] * c.P
 			}
 		}
 	}
@@ -116,27 +110,18 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, next []*node, alp
 }
 
 // link is the second pass of a forward step: it carves exact-capacity
-// adjacency lists for cur and next (the levels of the last expand) out of the
-// pointer arena and fills them with the a-priori edges, so the in/out lists
-// never pay append-growth reallocations.
-func (k *kernel) link(cur, next []*node, cands []Candidate) {
+// out-arc lists for cur (the level of the last expand) out of the edge arena
+// and fills them with the a-priori arcs, so they never pay append-growth
+// reallocations. After link, cur is only read.
+func (k *kernel) link(cur []*node, cands []Candidate) {
+	pi := 0
 	for i, n := range cur {
 		n.out = k.b.carve(int(k.outDeg[i]))
-	}
-	for i, m := range next {
-		m.in = k.b.carve(int(k.inDeg[i]))
-	}
-	pi := 0
-	for _, n := range cur {
 		for _, c := range cands {
-			succ := k.succs[pi]
-			pi++
-			if succ == nil {
-				continue
+			if j := k.succs[pi]; j >= 0 {
+				n.out = append(n.out, edge{To: j, P: c.P})
 			}
-			e := k.b.newEdge(n, succ, c.P)
-			n.out = append(n.out, e)
-			succ.in = append(succ.in, e)
+			pi++
 		}
 	}
 }

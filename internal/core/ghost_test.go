@@ -1,20 +1,21 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/constraints"
 )
 
-// buildUnderflowIsland builds the regression scenario for the ghost-node bug:
+// underflowIsland is the regression scenario for the ghost-node bug:
 // location 1 is an isolated island (unreachable from and to 0/2), so a
 // trajectory starting there must stay there for the whole window. Over a
 // long window the island chain's survival ratio relative to the rest of the
 // level shrinks geometrically (0.1 vs 0.9 per step), so the per-level
 // rescaled survival of the island nodes eventually underflows to zero and
-// the backward phase removes an interior node that still has out-edges.
-func buildUnderflowIsland(t *testing.T) *Graph {
-	t.Helper()
+// the backward phase removes an interior node that still has out-arcs. It
+// is the only scenario in the tests where a node dies by underflow.
+func underflowIsland() (*LSequence, *constraints.Set) {
 	const duration = 400
 	dists := make([][]float64, duration)
 	for i := range dists {
@@ -25,22 +26,27 @@ func buildUnderflowIsland(t *testing.T) *Graph {
 	ic.AddDU(1, 2)
 	ic.AddDU(0, 1)
 	ic.AddDU(2, 1)
-	g, err := Build(FromDistributions(dists), ic, &Options{EndLatency: constraints.StrictEnd})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	return FromDistributions(dists), ic
 }
 
 // TestNoGhostNodesAfterUnderflowPruning is the regression test for the
-// backward-phase pruning bug: removing a node whose survival underflowed to
-// zero used to leave its out-edges dangling in the successors' in lists, and
-// the successor chain — now unreachable from every source — survived
-// compact() as hundreds of ghost nodes. With the fix (detachRemoved unlinks
-// both edge directions and scrubOrphans cascades the removal forward) the
-// graph must satisfy every structural invariant, including reachability.
+// backward-phase pruning bug: the island nodes after the one that died by
+// underflow keep a positive survival, because the backward sweep visits
+// levels last to first, but no surviving node has an arc into them. They
+// used to survive into the graph as hundreds of ghost nodes. Numbering the
+// levels first to last drops them, so the graph must satisfy every
+// structural invariant, including reachability. A BuildState smoothing the
+// same readings before the island underflows, once it does, and at the
+// last two readings (the last converges at the underflowed levels and
+// reuses the prefix below them) must encode byte for byte like Build over
+// each prefix.
 func TestNoGhostNodesAfterUnderflowPruning(t *testing.T) {
-	g := buildUnderflowIsland(t)
+	ls, ic := underflowIsland()
+	opts := &Options{EndLatency: constraints.StrictEnd}
+	g, err := Build(ls, ic, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := g.CheckInvariants(1e-6); err != nil {
 		t.Fatalf("graph contains ghosts or dangling edges: %v", err)
 	}
@@ -60,6 +66,33 @@ func TestNoGhostNodesAfterUnderflowPruning(t *testing.T) {
 		sum := row[0] + row[1] + row[2]
 		if sum < 1-1e-6 || sum > 1+1e-6 {
 			t.Fatalf("marginal mass at %d = %v", tau, sum)
+		}
+	}
+
+	st := NewBuildState(ic)
+	for k, step := range ls.Steps {
+		if err := st.Observe(step.Candidates); err != nil {
+			t.Fatal(err)
+		}
+		n := k + 1
+		if n != 100 && n != 350 && n != ls.Duration()-1 && n != ls.Duration() {
+			continue
+		}
+		var ex BuildExplain
+		got, err := st.Smooth(&Options{EndLatency: opts.EndLatency, Explain: &ex})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Build(prefixLS(ls, n), ic, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encoded(t, got), encoded(t, want)) {
+			t.Fatalf("smooth at %d encodes unlike Build over the prefix", n)
+		}
+		if n == ls.Duration() && (ex.ReusedLevels == 0 || ex.GhostsRemoved == 0 || ex.BackwardRemoved == 0) {
+			t.Fatalf("the last smooth reused %d levels, dropped %d ghosts and removed %d nodes; want all positive",
+				ex.ReusedLevels, ex.GhostsRemoved, ex.BackwardRemoved)
 		}
 	}
 }

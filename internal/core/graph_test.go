@@ -4,7 +4,6 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 
 	"repro/internal/constraints"
@@ -173,18 +172,6 @@ func TestMarginalsSumToOne(t *testing.T) {
 	// Running example: the object is at L1 then L3, L3 with certainty.
 	if m[0][l1] != 1 || m[1][l3] != 1 || m[2][l3] != 1 {
 		t.Errorf("marginals = %v", m)
-	}
-}
-
-func TestNodeString(t *testing.T) {
-	n := &node{Time: 3, Loc: 2, Stay: StayUntracked, TL: []TLEntry{{Time: 1, Loc: 0}}}
-	s := n.String()
-	if !strings.Contains(s, "L2") || !strings.Contains(s, "⊥") || !strings.Contains(s, "(1,L0)") {
-		t.Errorf("String = %q", s)
-	}
-	n.Stay = 2
-	if !strings.Contains(n.String(), "2") {
-		t.Errorf("String = %q", n.String())
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,12 +15,12 @@ import (
 // that the new levels can invalidate.
 //
 // The raw graph (nodes, a-priori edges, source probabilities) is append-only
-// and never conditioned in place. Each Smooth clones the levels it needs to
-// recompute and runs the same per-level helpers as Build (condemnTargets,
-// conditionLevel, conditionSources, scrubLevelOrphans, detachRemovedLevel) on
-// the clones, so every float operation happens in the same order as a full
-// offline Build over the same readings — the smoothed marginals are
-// bit-identical, not merely close.
+// and only read once linked. Each Smooth runs the same per-level helpers as
+// Build (condemnTargets, conditionLevel, conditionSources, number) on the
+// raw levels it needs to recompute, writing into the columns of the state's
+// pass, so every float operation happens in the same order as a full offline
+// Build over the same readings — the smoothed marginals are bit-identical,
+// not merely close.
 //
 // The suffix is bounded by convergence, not by a heuristic: the backward
 // recurrence is swept from the newest level downward, and as soon as some
@@ -50,7 +51,7 @@ type BuildState struct {
 	kernel
 
 	// levels[t] holds the raw (unconditioned) nodes of timestamp t in
-	// construction order (idx = position; never compacted).
+	// construction order (never compacted).
 	levels [][]*node
 	// level is the newest of levels with alphas, its normalized forward
 	// mass. A dead end empties both and sets dead; every later Observe
@@ -66,17 +67,18 @@ type BuildState struct {
 
 	// Bookkeeping from the last successful Smooth, used for convergence
 	// detection and prefix reuse. prevLen is the window length it covered
-	// (0 = none yet). bsurv[t] stores level t's post-rescale survival
-	// vector in raw node order; bRemoved[t]/ghosts[t] the per-level
-	// backward-removal and orphan counts; finalIdx[t] the raw indices of
-	// the nodes that survived into the snapshot, ascending. snap is the
-	// frozen graph the last Smooth returned.
+	// (0 = none yet, or the last Smooth failed part way). The pass holds,
+	// for each level, the columns of the last Smooth that recomputed it:
+	// its post-rescale survivals and its numbering in the snapshot;
+	// bRemoved[t]/ghosts[t] hold that Smooth's backward-removal and orphan
+	// counts. spare takes a level's new survivals until they are compared
+	// with the old. snap is the frozen graph the last Smooth returned.
 	prevLen    int
 	prevStrict bool
-	bsurv      [][]float64
+	pass
 	bRemoved   []int
 	ghosts     []int
-	finalIdx   [][]int32
+	spare      []float64
 	normalizer float64
 	snap       *Graph
 }
@@ -118,7 +120,7 @@ func (st *BuildState) Observe(candidates []Candidate) error {
 			st.level, st.alphas = nil, nil
 			return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
 		}
-		st.link(st.level, next, candidates)
+		st.link(st.level, candidates)
 	}
 	st.level = next
 	st.alphas, st.mass = st.mass, st.alphas
@@ -164,7 +166,7 @@ func (st *BuildState) Distribution() ([]LocProb, error) {
 	}
 	byLoc := make(map[int]float64, len(st.level))
 	for i, n := range st.level {
-		byLoc[n.Loc] += st.alphas[i]
+		byLoc[int(n.Loc)] += st.alphas[i]
 	}
 	out := make([]LocProb, 0, len(byLoc))
 	for l, p := range byLoc {
@@ -216,88 +218,55 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	}
 	backStart := time.Now()
 
-	// Clone arena for this pass: the frozen result owns none of it, so its
-	// blocks go back to the pools at the end. The zero builder is a pure
-	// allocator (no constraint or interner state), which is all cloning
-	// needs.
-	var cb builder
-	defer cb.release()
-	clones := make([][]*node, duration)
-	clones[duration-1] = cloneLevel(&cb, st.levels[duration-1])
-	condemned := condemnTargets(clones[duration-1], strict)
+	// The pass rewrites the columns of the levels it recomputes, so until it
+	// succeeds none of them may be reused.
+	st.prevLen = 0
+	st.grow()
+	condemned := condemnTargets(st.levels[duration-1], strict, st.surv[duration-1])
 
-	// Backward sweep over clones, newest level first. Each iteration first
-	// materializes level t's clone edges (which is when level t+1's deferred
-	// detach can run — removal permutes the predecessors' out lists exactly
-	// as in Build), then conditions level t, then checks convergence.
-	bsurvNew := make([][]float64, duration)
-	bRemovedNew := make([]int, duration)
+	// Backward sweep, newest level first, checking convergence after each
+	// level.
 	boundary := 0
 	for t := duration - 2; t >= 0; t-- {
-		clones[t] = cloneLevel(&cb, st.levels[t])
-		cloneEdges(&cb, st.levels[t], st.levels[t+1], clones[t], clones[t+1])
-		detachRemovedLevel(clones[t+1])
-		removed, ok := conditionLevel(clones[t])
+		surv := resize(st.spare, len(st.levels[t]))
+		st.spare = surv
+		removed, ok := conditionLevel(st.levels[t], st.surv[t+1], surv)
 		if !ok {
 			return nil, ErrNoValidTrajectory
 		}
-		bRemovedNew[t] = removed
-		bsurvNew[t] = survivals(clones[t])
-		if t >= 1 && t < prevLen && float64sEqual(st.bsurv[t], bsurvNew[t]) {
+		st.bRemoved[t] = removed
+		// NaNs cannot appear (survivals are finite sums and quotients of
+		// probabilities), so == is bit equality here.
+		if t >= 1 && t < prevLen && slices.Equal(st.surv[t], surv) {
 			boundary = t
 			break
 		}
+		copy(st.surv[t], surv)
 	}
-	bsurvNew[duration-1] = survivals(clones[duration-1])
 
 	normalizer := st.normalizer
-	detachRemovedLevel(clones[boundary])
 	if boundary == 0 {
+		st.src = resize(st.src, len(st.levels[0]))
 		var ok bool
-		normalizer, ok = conditionSources(clones[0])
-		if !ok {
+		if normalizer, ok = conditionSources(st.levels[0], st.surv[0], st.src); !ok {
 			return nil, ErrNoValidTrajectory
 		}
+		st.number(st.levels, 0)
 	}
 	// Converged otherwise: level boundary's survivals (and hence removals)
 	// are bitwise what the previous pass computed, so everything below
 	// would recondition identically, and the previous snapshot's prefix is
-	// reused.
+	// reused. The boundary level keeps the previous pass's numbering (and
+	// ghost count), which the prefix's arcs into it index.
 	backNanos := time.Since(backStart).Nanoseconds()
 	reviseStart := time.Now()
 
-	// Scrub and compact the recomputed suffix. Record the per-level
-	// survivor sets first: compact rewrites the level slices in place. The
-	// predecessors of a convergence boundary are the reused prefix, whose
-	// arcs reach exactly the boundary nodes that survived the previous
-	// pass; every other node still standing there is an orphan.
-	ghostsNew := make([]int, duration)
-	if boundary > 0 {
-		ghostsNew[boundary] = scrubBoundary(clones[boundary], st.finalIdx[boundary])
-	}
 	for t := boundary + 1; t < duration; t++ {
-		ghostsNew[t] = scrubLevelOrphans(clones[t])
+		_, st.ghosts[t] = st.number(st.levels, t)
 	}
-	finalIdxNew := make([][]int32, duration)
-	for t := boundary; t < duration; t++ {
-		finalIdxNew[t] = surviving(clones[t])
-		compactLevel(&clones[t])
-	}
-	// The boundary level keeps the previous pass's survivors in the same
-	// order, so the prefix's arcs into it index it unchanged.
-	g := freeze(st.snap, boundary, clones)
+	g := freeze(st.snap, boundary, st.levels, &st.pass)
 
 	// Commit the bookkeeping for the next pass.
-	st.bsurv = resizeZero(st.bsurv, duration)
-	st.bRemoved = resizeZero(st.bRemoved, duration)
-	st.ghosts = resizeZero(st.ghosts, duration)
-	st.finalIdx = resizeZero(st.finalIdx, duration)
-	for t := boundary; t < duration; t++ {
-		st.bsurv[t] = bsurvNew[t]
-		st.bRemoved[t] = bRemovedNew[t]
-		st.ghosts[t] = ghostsNew[t]
-		st.finalIdx[t] = finalIdxNew[t]
-	}
 	st.prevLen = duration
 	st.prevStrict = strict
 	st.normalizer = normalizer
@@ -332,102 +301,22 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	return g, nil
 }
 
-// scrubBoundary removes the orphans of the boundary level of a converged
-// Smooth: every node still standing but not kept (the raw positions of the
-// previous pass's survivors, ascending). Returns how many it removed.
-func scrubBoundary(nodes []*node, kept []int32) int {
-	ghosts := 0
-	for i, n := range nodes {
-		if len(kept) > 0 && kept[0] == int32(i) {
-			kept = kept[1:]
-			continue
-		}
-		if n.removed {
-			continue
-		}
-		n.removed = true
-		ghosts++
-		for _, e := range n.out {
-			removeInEdge(e.To, e)
-		}
-		n.out = nil
+// grow gives the levels observed since the last Smooth their pass columns,
+// carved from one allocation of each kind.
+func (st *BuildState) grow() {
+	fresh := st.levels[len(st.surv):]
+	n := 0
+	for _, level := range fresh {
+		n += len(level)
 	}
-	return ghosts
-}
-
-// cloneLevel copies one timestamp's raw nodes (identity fields and source
-// probability; no edges) into the clone arena, preserving order.
-func cloneLevel(cb *builder, raw []*node) []*node {
-	out := make([]*node, len(raw))
-	for i, n := range raw {
-		out[i] = cb.cloneNode(n)
+	floats, ints := make([]float64, n), make([]int32, n)
+	n = 0
+	for _, level := range fresh {
+		end := n + len(level)
+		st.surv = append(st.surv, floats[n:end:end])
+		st.idx = append(st.idx, ints[n:end:end])
+		st.bRemoved = append(st.bRemoved, 0)
+		st.ghosts = append(st.ghosts, 0)
+		n = end
 	}
-	return out
-}
-
-// cloneEdges copies the raw edges between two consecutive levels onto their
-// clones, carving exact-capacity adjacency like the forward phase so the
-// clone lists start in raw construction order.
-func cloneEdges(cb *builder, raw, rawNext, cur, next []*node) {
-	for j, m := range rawNext {
-		next[j].in = cb.carve(len(m.in))
-	}
-	for i, n := range raw {
-		cur[i].out = cb.carve(len(n.out))
-		for _, e := range n.out {
-			to := next[e.To.idx]
-			ce := cb.newEdge(cur[i], to, e.P)
-			cur[i].out = append(cur[i].out, ce)
-			to.in = append(to.in, ce)
-		}
-	}
-}
-
-// survivals snapshots a level's post-rescale survival vector in level order.
-func survivals(nodes []*node) []float64 {
-	s := make([]float64, len(nodes))
-	for i, n := range nodes {
-		s[i] = n.surv
-	}
-	return s
-}
-
-// surviving returns the positions of the non-removed nodes, ascending.
-func surviving(nodes []*node) []int32 {
-	idx := make([]int32, 0, len(nodes))
-	for i, n := range nodes {
-		if !n.removed {
-			idx = append(idx, int32(i))
-		}
-	}
-	return idx
-}
-
-// float64sEqual reports bitwise equality of two equal-meaning vectors. NaNs
-// cannot appear (survivals are finite sums and quotients of probabilities),
-// so == is bit equality here.
-func float64sEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// resizeZero grows s to length n, zeroing any recycled tail slots.
-func resizeZero[T any](s []T, n int) []T {
-	if cap(s) < n {
-		grown := make([]T, n)
-		copy(grown, s)
-		return grown
-	}
-	var zero T
-	for i := len(s); i < n; i++ {
-		s = append(s, zero)
-	}
-	return s[:n]
 }

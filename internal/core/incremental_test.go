@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/constraints"
@@ -60,6 +61,16 @@ func graphsBitIdentical(t *testing.T, want, got *Graph) {
 			}
 		}
 	}
+}
+
+// liveHeap returns the heap in use after a collection. The second collection
+// empties the arena pools.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 func prefixLS(ls *LSequence, n int) *LSequence {
@@ -183,6 +194,58 @@ func TestPropertyIncrementalSmoothEqualsBuild(t *testing.T) {
 	}
 }
 
+// FuzzSmoothEqualsBuild: on any scenario, a BuildState that smooths at the
+// prefixes a schedule picks, flipping the end-latency mode at some of them,
+// fails exactly when Build over the same prefix fails and otherwise encodes
+// byte for byte like it. The schedule is the bytes after the scenario, one
+// per reading: bit 0 skips the smooth (the last reading always smooths), bit
+// 1 flips the mode first.
+func FuzzSmoothEqualsBuild(f *testing.F) {
+	rng := stats.NewRNG(20140331)
+	for i := 0; i < 32; i++ {
+		ls, ic := randomScenario(rng)
+		schedule := make([]byte, ls.Duration())
+		for k := range schedule {
+			schedule[k] = byte(rng.Intn(4))
+		}
+		f.Add(scenarioBytes(ls, ic, schedule))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ls, ic, mode, schedule := fuzzScenario(data)
+		st := NewBuildState(ic)
+		for k, step := range ls.Steps {
+			if err := st.Observe(step.Candidates); err != nil {
+				if _, bErr := Build(prefixLS(ls, k+1), ic, nil); !errors.Is(err, ErrNoValidTrajectory) || !errors.Is(bErr, ErrNoValidTrajectory) {
+					t.Fatalf("observe %d: %v, Build over the prefix: %v", k, err, bErr)
+				}
+				return
+			}
+			var b byte
+			if k < len(schedule) {
+				b = schedule[k]
+			}
+			if b&1 != 0 && k != ls.Duration()-1 {
+				continue
+			}
+			if b&2 != 0 {
+				if mode == constraints.StrictEnd {
+					mode = constraints.LenientEnd
+				} else {
+					mode = constraints.StrictEnd
+				}
+			}
+			got, gotErr := st.Smooth(&Options{EndLatency: mode})
+			want, err := Build(prefixLS(ls, k+1), ic, &Options{EndLatency: mode})
+			if (err == nil) != (gotErr == nil) {
+				t.Fatalf("prefix %d: smooth err %v, build err %v", k+1, gotErr, err)
+			}
+			if err == nil && !bytes.Equal(encoded(t, got), encoded(t, want)) {
+				t.Fatalf("prefix %d: smooth encodes unlike Build", k+1)
+			}
+		}
+	})
+}
+
 // TestIncrementalSmoothIndependence asserts each Smooth returns a graph that
 // later observations and smooths do not mutate.
 func TestIncrementalSmoothIndependence(t *testing.T) {
@@ -293,21 +356,30 @@ func TestBuildStateInternerRebuild(t *testing.T) {
 // normalizer, and must recompute a suffix bounded independently of the
 // session's length (the deterministic form of "smoothing cost stays flat").
 // At the first and the last smooth the graph must encode byte-identically to
-// a full Build over the same prefix.
+// a full Build over the same prefix. Memory is gated per raw node: the heap
+// the state holds after the last reading, and the bytes a Smooth that
+// recomputes every level allocates.
 func TestBuildStateSoakSession(t *testing.T) {
 	const (
 		smoothEvery = soakSession / 4
 		// Levels below the newest smoothEvery that a smooth may recompute
 		// before its survivals converge to the previous pass's.
 		slack = 256
+		// The heap the state holds after the last reading (its raw graph,
+		// pass columns and last snapshot), and the bytes one Smooth that
+		// recomputes every level allocates, per raw node. They measure
+		// about 180 and 57 B.
+		maxHeldPerNode   = 200
+		maxSmoothPerNode = 80
 	)
 	steps, ic := soakScenario(t, soakSession)
 	ls := &LSequence{Steps: make([]Step, soakSession)}
 	for k, cands := range steps {
 		ls.Steps[k].Candidates = cands
 	}
+	heapBefore := liveHeap()
 	st := NewBuildState(ic)
-	maxRecomputed := 0
+	maxRecomputed, rawNodes := 0, 0
 	for k, cands := range steps {
 		// One step adds at most one chain of links per (node, candidate)
 		// pair, and a TL holds at most one entry per location.
@@ -329,6 +401,16 @@ func TestBuildStateSoakSession(t *testing.T) {
 			t.Fatalf("step %d: forward mass sums to %v", k, sum)
 		}
 		n := k + 1
+		if n == soakSession {
+			for _, level := range st.levels {
+				rawNodes += len(level)
+			}
+			held := float64(liveHeap()-heapBefore) / float64(rawNodes)
+			t.Logf("the state holds %.1f B per raw node over %d raw nodes", held, rawNodes)
+			if held > maxHeldPerNode {
+				t.Errorf("the state holds %.1f B per raw node, want at most %d", held, maxHeldPerNode)
+			}
+		}
 		if n%smoothEvery != 0 {
 			continue
 		}
@@ -365,6 +447,26 @@ func TestBuildStateSoakSession(t *testing.T) {
 		if !bytes.Equal(got.Sum(nil), ref.Sum(nil)) {
 			t.Fatalf("smooth at %d: encoding differs from a full Build", n)
 		}
+	}
+	// Flipping the end mode makes the last Smooth recompute every level. It
+	// starts on empty arena pools, so blocks a Build left there do not hide
+	// what it takes.
+	liveHeap()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocBefore := ms.TotalAlloc
+	var ex BuildExplain
+	if _, err := st.Smooth(&Options{EndLatency: constraints.StrictEnd, Explain: &ex}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	if ex.RecomputedLevels != soakSession {
+		t.Fatalf("the full smooth recomputed %d levels, want %d", ex.RecomputedLevels, soakSession)
+	}
+	allocated := float64(ms.TotalAlloc-allocBefore) / float64(rawNodes)
+	t.Logf("a full smooth allocates %.1f B per raw node", allocated)
+	if allocated > maxSmoothPerNode {
+		t.Errorf("a full smooth allocates %.1f B per raw node, want at most %d", allocated, maxSmoothPerNode)
 	}
 	if st.InternerRebuilds() == 0 {
 		t.Fatalf("the interner never rebuilt over %d readings", soakSession)

@@ -11,8 +11,9 @@ import (
 // fuzzScenario decodes a small scenario from data, reading zeros once data
 // runs out: up to 5 constrained locations plus 2 candidate locations beyond
 // the compiled constraint range, up to 8 timestamps, random DU, LT (minimum
-// stay from 1) and TT (ν from 1) constraints, and the end-latency mode.
-func fuzzScenario(data []byte) (*LSequence, *constraints.Set, constraints.EndLatencyMode) {
+// stay from 1) and TT (ν from 1) constraints, and the end-latency mode. It
+// also returns the bytes it did not read.
+func fuzzScenario(data []byte) (*LSequence, *constraints.Set, constraints.EndLatencyMode, []byte) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -65,7 +66,41 @@ func fuzzScenario(data []byte) (*LSequence, *constraints.Set, constraints.EndLat
 		}
 		dists[t] = row
 	}
-	return FromDistributions(dists), ic, mode
+	return FromDistributions(dists), ic, mode, data
+}
+
+// scenarioBytes encodes a randomScenario in fuzzScenario's format, for a
+// seed: candidate weights are quantized to 1..8, and a pair with both a DU
+// and a TT constraint keeps the DU. schedule is appended after it.
+func scenarioBytes(ls *LSequence, ic *constraints.Set, schedule []byte) []byte {
+	numLocs := max(2, ls.NumLocations())
+	data := []byte{byte(numLocs - 2)}
+	for i := 0; i < numLocs; i++ {
+		for j := 0; j < numLocs; j++ {
+			if i == j {
+				continue
+			}
+			b := byte(0)
+			if ic.Unreachable(i, j) {
+				b = 1
+			} else if nu, ok := ic.TT(i, j); ok {
+				b = byte(2 + 4*((nu-1)%5))
+			}
+			data = append(data, b)
+		}
+		minStay, _ := ic.Latency(i)
+		data = append(data, byte(max(minStay, 1)-1))
+	}
+	data = append(data, 0, byte(ls.Duration()-1))
+	for _, step := range ls.Steps {
+		mask, weights := 0, []byte(nil)
+		for _, c := range step.Candidates { // in location order, as FromDistributions lists them
+			mask |= 1 << c.Loc
+			weights = append(weights, byte(min(max(int(c.P*8), 1), 8)-1))
+		}
+		data = append(append(data, byte(mask)), weights...)
+	}
+	return append(data, schedule...)
 }
 
 // FuzzBuildLookahead: on any scenario Build with Options.Quotient, which
@@ -83,7 +118,7 @@ func FuzzBuildLookahead(f *testing.F) {
 	}
 	f.Add([]byte{3, 2, 6, 2, 10, 0, 14, 0, 2, 0, 1, 7, 255, 1, 2, 3, 4, 5, 6, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ls, ic, mode := fuzzScenario(data)
+		ls, ic, mode, _ := fuzzScenario(data)
 		g, err := Build(ls, ic, &Options{EndLatency: mode})
 		got, gotErr := Build(ls, ic, &Options{EndLatency: mode, Quotient: true})
 		if (err == nil) != (gotErr == nil) {

@@ -75,7 +75,7 @@ func TestQuickTrajectoryKeyInjective(t *testing.T) {
 func TestQuickNodeKeyReflectsIdentity(t *testing.T) {
 	in := newTLInterner()
 	mk := func(loc, stay uint8, tlLoc, tlTime uint8, hasTL bool) (*node, nodeKey) {
-		n := &node{Time: 1, Loc: int(loc % 8), Stay: int(stay % 3)}
+		n := &node{Loc: int32(loc % 8), Stay: int32(stay % 3)}
 		if hasTL {
 			n.TL = []TLEntry{{Time: int(tlTime % 4), Loc: int(tlLoc % 8)}}
 		}

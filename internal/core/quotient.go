@@ -46,16 +46,17 @@ func (g *Graph) Quotient() *Graph {
 	return q
 }
 
-// quotientOf returns the quotient of the compacted levels of a build. They
-// are frozen first, without node identity, into the pooled scratch graph.
-func quotientOf(levels [][]*node) *Graph {
+// quotientOf returns the quotient of the levels of a build, as ps numbers
+// them. They are frozen first, without node identity, into the pooled
+// scratch graph.
+func quotientOf(levels [][]*node, ps *pass) *Graph {
 	p := getPartition()
-	s := measure(nil, 0, levels)
+	s := measure(nil, 0, levels, ps)
 	s.ident, s.tls = false, 0
 	p.ints = resize(p.ints, s.ints())
 	p.floats = resize(p.floats, s.sources+s.arcs)
 	p.raw.carve(s, p.ints, p.floats, nil)
-	p.raw.fill(nil, 0, levels)
+	p.raw.fill(nil, 0, levels, ps)
 	p.sweep(&p.raw)
 	q := p.assemble(&p.raw)
 	partitions.Put(p)
