@@ -185,6 +185,62 @@ func BenchmarkPriorDist(b *testing.B) {
 	}
 }
 
+// syn1Deployment returns the SYN1 dataset and its deployment description.
+func syn1Deployment(b *testing.B) (*dataset.Dataset, *rfidclean.Deployment) {
+	b.Helper()
+	cfg := dataset.SYN1()
+	d, err := dataset.Build("SYN1", cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, &rfidclean.Deployment{
+		Name:               "SYN1",
+		Plan:               d.Plan,
+		Readers:            d.Readers,
+		Detection:          cfg.Detection,
+		CellSize:           cfg.CellSize,
+		CalibrationSamples: cfg.CalibrationSamples,
+		Seed:               cfg.Seed,
+	}
+}
+
+// BenchmarkDeploymentSystem measures instantiating the SYN1 deployment: the
+// cell space, the ground-truth detection matrix, its calibration and the
+// prior. A server pays this per registration and per recovered deployment.
+func BenchmarkDeploymentSystem(b *testing.B) {
+	_, dep := syn1Deployment(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dep.System(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCandidates measures System.Candidates, the per-reading prior
+// lookup of a stream session, over a 300-s SYN1 instance with a warm cache.
+func BenchmarkCandidates(b *testing.B) {
+	d, dep := syn1Deployment(b)
+	sys, err := dep.System()
+	if err != nil {
+		b.Fatal(err)
+	}
+	readings := benchInstance(b, d, 300).Readings
+	for _, r := range readings {
+		if _, err := sys.Candidates(r.Readers); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sys.Candidates(readings[i%len(readings)].Readers); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Figure-level benchmarks (one per table/figure) -----------------------
 
 // BenchmarkFig8aCleaningTimeSYN1 regenerates Fig. 8(a): average cleaning

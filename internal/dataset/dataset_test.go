@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"strings"
 	"testing"
@@ -320,5 +323,49 @@ func TestAllReadersDark(t *testing.T) {
 	}
 	if err := g.CheckInvariants(1e-6); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// matrixDigest is the SHA-256 of a detection matrix's rates, row by row,
+// each entry as its little-endian IEEE-754 bits.
+func matrixDigest(m *rfid.Matrix) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, row := range m.Rates {
+		for _, v := range row {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestMatrixDigestsPinned pins the ground-truth and calibrated detection
+// matrices of SYN1 and SYN2 bit for bit, so any change to how F or F̂ is
+// built (the cells a reader is evaluated at, the wall crossings counted, the
+// order calibration draws in) shows as a changed digest.
+func TestMatrixDigestsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		cfg            Config
+		truth, learned string
+	}{
+		{"SYN1", SYN1(),
+			"6e3c30407ee1e8cde4d7a623276e8b6adab66502aa1def361eefa7322f5d21d3",
+			"0b342d1ae6c243bf2a99673301015cfef3be42f0ba614223f9d65f192be8a98a"},
+		{"SYN2", SYN2(),
+			"d2e1cefe7def173055c679aca9373100db086b51756d214c2d2245c1ef13dabb",
+			"9ee43d99a941e2a2acade439e4d21f3c7187705360b4ff44f040d84280385f65"},
+	} {
+		d, err := Build(tc.name, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := matrixDigest(d.Truth); got != tc.truth {
+			t.Errorf("%s truth matrix digest %s, want %s", tc.name, got, tc.truth)
+		}
+		if got := matrixDigest(d.Learned); got != tc.learned {
+			t.Errorf("%s calibrated matrix digest %s, want %s", tc.name, got, tc.learned)
+		}
 	}
 }
