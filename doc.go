@@ -33,6 +33,8 @@
 //	dist, _ := cleaned.StayDistribution(42)            // where at τ=42?
 //	locs, p := cleaned.MostProbable()                  // best explanation
 //
-// See examples/ for complete programs and DESIGN.md for the paper-to-code
+// NewSystem takes the three-state antenna model (ThreeState) and evaluates
+// it only at the cells each reader can reach; every other detection rate is
+// 0. See examples/ for complete programs and DESIGN.md for the paper-to-code
 // map.
 package rfidclean

@@ -129,13 +129,13 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 
 	// Forward phase (lines 1-14): the sources, then expand+link per level.
 	levels := make([][]*node, duration)
-	levels[0] = k.sources(ls.Steps[0].Candidates, nil)
+	levels[0] = k.sources(ls.Steps[0].Candidates)
 	if ex != nil {
 		ex.Steps[0] = k.step
 	}
 	for t := 1; t < duration; t++ {
 		cur, cands := levels[t-1], ls.Steps[t].Candidates
-		next := k.expand(t, cur, cands, make([]*node, 0, len(cur)), nil)
+		next := k.expand(t, cur, cands, nil)
 		if ex != nil {
 			ex.Steps[t] = k.step
 		}

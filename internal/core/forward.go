@@ -27,6 +27,7 @@ type kernel struct {
 	rebuilds  int
 
 	dedup  map[nodeKey]int32 // position of each successor of the level being expanded
+	next   []*node           // successors of the level being expanded, before their exact copy
 	succs  []int32           // successor position per (node, candidate) pair, -1 when pruned
 	outDeg []int32           // out-degree per node of the expanded level
 	mass   []float64         // unnormalized forward mass per successor
@@ -42,13 +43,13 @@ func newKernel(ic *constraints.Set) kernel {
 	return kernel{b: newBuilder(ic), internCap: tlInternCap, dedup: make(map[nodeKey]int32)}
 }
 
-// sources appends the τ=0 nodes to level (lines 1-4): one per candidate,
-// with p_N set from the a-priori probability.
-func (k *kernel) sources(cands []Candidate, level []*node) []*node {
-	for _, c := range cands {
-		n := k.b.newNode(int32(c.Loc), k.b.initialStay(c.Loc), nil)
-		n.prob = c.P
-		level = append(level, n)
+// sources returns the τ=0 level (lines 1-4): one node per candidate, with
+// p_N set from the a-priori probability.
+func (k *kernel) sources(cands []Candidate) []*node {
+	level := make([]*node, len(cands))
+	for i, c := range cands {
+		level[i] = k.b.newNode(int32(c.Loc), k.b.initialStay(c.Loc), nil)
+		level[i].prob = c.P
 	}
 	k.step = ExplainStep{Candidates: len(cands), NodesBuilt: len(level)}
 	return level
@@ -56,13 +57,15 @@ func (k *kernel) sources(cands []Candidate, level []*node) []*node {
 
 // expand runs the first pass of one forward step (lines 5-14): it resolves
 // every (node, candidate) pair of cur to the successor Definition 3 permits
-// at timestamp t, deduplicates successors by identity, appends them to next
-// in first-seen order and returns it. Prunes are attributed per constraint
-// family and out-degrees counted for link. When alphas (the forward mass of
-// cur) is non-nil, the successors' unnormalized forward mass is accumulated
-// into k.mass — frontier order outer, candidate order inner, the summation
-// order behind BuildState's filtered distribution.
-func (k *kernel) expand(t int, cur []*node, cands []Candidate, next []*node, alphas []float64) []*node {
+// at timestamp t, deduplicates successors by identity and returns them in
+// first-seen order, in a slice of exactly their number: a level outlives the
+// step in Build's levels and in a stream session's raw graph. Prunes are
+// attributed per constraint family and out-degrees counted for link. When
+// alphas (the forward mass of cur) is non-nil, the successors' unnormalized
+// forward mass is accumulated into k.mass — frontier order outer, candidate
+// order inner, the summation order behind BuildState's filtered
+// distribution.
+func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64) []*node {
 	if k.b.tl.size() > k.internCap {
 		k.b.tl = newTLInterner()
 		k.rebuilds++
@@ -71,6 +74,7 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, next []*node, alp
 	k.succs = resize(k.succs, len(cur)*len(cands))
 	k.outDeg = resize(k.outDeg, len(cur))
 	k.mass = k.mass[:0]
+	next := k.next[:0]
 	accepted, pi := 0, 0
 	for i, n := range cur {
 		k.outDeg[i] = 0
@@ -106,7 +110,10 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, next []*node, alp
 		Accepted:   accepted,
 		NodesBuilt: len(next),
 	}
-	return next
+	k.next = next
+	level := make([]*node, len(next))
+	copy(level, next)
+	return level
 }
 
 // link is the second pass of a forward step: it carves exact-capacity

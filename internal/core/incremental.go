@@ -107,15 +107,15 @@ func (st *BuildState) Observe(candidates []Candidate) error {
 	if err := validateCandidates(candidates, t); err != nil {
 		return err
 	}
-	next := make([]*node, 0, len(st.level))
+	var next []*node
 	if t == 0 {
-		next = st.sources(candidates, next)
+		next = st.sources(candidates)
 		st.mass = st.mass[:0]
 		for _, c := range candidates {
 			st.mass = append(st.mass, c.P)
 		}
 	} else {
-		if next = st.expand(t, st.level, candidates, next, st.alphas); len(next) == 0 {
+		if next = st.expand(t, st.level, candidates, st.alphas); len(next) == 0 {
 			st.dead = true
 			st.level, st.alphas = nil, nil
 			return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)

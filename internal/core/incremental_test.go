@@ -368,8 +368,8 @@ func TestBuildStateSoakSession(t *testing.T) {
 		// The heap the state holds after the last reading (its raw graph,
 		// pass columns and last snapshot), and the bytes one Smooth that
 		// recomputes every level allocates, per raw node. They measure
-		// about 180 and 57 B.
-		maxHeldPerNode   = 200
+		// about 177 and 57 B.
+		maxHeldPerNode   = 195
 		maxSmoothPerNode = 80
 	)
 	steps, ic := soakScenario(t, soakSession)

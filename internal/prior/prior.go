@@ -18,6 +18,7 @@ package prior
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -63,7 +64,7 @@ type Options struct {
 type Model struct {
 	f     *rfid.Matrix
 	opts  Options
-	known map[int]bool // IDs of the matrix's readers
+	known []int // IDs of the matrix's readers, ascending and distinct
 
 	mu    sync.Mutex
 	cache map[string]entry
@@ -78,11 +79,12 @@ type entry struct {
 
 // New returns a model over the given detection matrix.
 func New(f *rfid.Matrix, opts Options) *Model {
-	known := make(map[int]bool, len(f.Readers))
-	for _, r := range f.Readers {
-		known[r.ID] = true
+	known := make([]int, len(f.Readers))
+	for i, r := range f.Readers {
+		known[i] = r.ID
 	}
-	return &Model{f: f, opts: opts, known: known, cache: make(map[string]entry)}
+	slices.Sort(known)
+	return &Model{f: f, opts: opts, known: slices.Compact(known), cache: make(map[string]entry)}
 }
 
 // NumLocations returns the number of locations of the underlying plan.
@@ -136,7 +138,7 @@ func (m *Model) appendKey(dst []byte, sets []rfid.Set) []byte {
 		}
 		first := true
 		for _, id := range set.IDs() {
-			if !m.known[id] {
+			if _, ok := slices.BinarySearch(m.known, id); !ok {
 				continue
 			}
 			if !first {

@@ -13,6 +13,7 @@ package rfid
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -192,14 +193,6 @@ func (cs *CellSpace) LocationOfCell(id int) int { return cs.locByCell[id] }
 // location. The returned slice must not be modified.
 func (cs *CellSpace) CellsOfLocation(loc int) []int { return cs.cellsByLoc[loc] }
 
-// DetectionModel yields the probability that a reader detects a tag located
-// at a given cell center during one time unit.
-type DetectionModel interface {
-	// Rate returns the detection probability in [0, 1] for a tag at the
-	// given floor and point, as seen by reader r.
-	Rate(plan *floorplan.Plan, r Reader, floor int, p geom.Point) float64
-}
-
 // ThreeState is the three-state detection model: constant MajorRate within
 // MajorRadius, linear decay to zero between MajorRadius and MinorRadius,
 // zero beyond. Each wall crossed between antenna and tag multiplies the rate
@@ -218,25 +211,36 @@ func DefaultThreeState() ThreeState {
 	return ThreeState{MajorRadius: 2, MinorRadius: 4, MajorRate: 0.95, WallFactor: 0.15}
 }
 
-// Rate implements DetectionModel.
+// Rate returns the probability in [0, 1] that reader r detects a tag at the
+// given floor and point during one time unit. It is the per-point definition
+// NewTruthMatrix evaluates only where it can be non-zero.
 func (m ThreeState) Rate(plan *floorplan.Plan, r Reader, floor int, p geom.Point) float64 {
 	if floor != r.Floor {
 		return 0
 	}
-	d := r.Pos.Dist(p)
-	var rate float64
+	rate, ok := m.reach(r.Pos.Dist(p))
+	if ok && m.WallFactor < 1 {
+		rate = m.attenuate(rate, plan.WallsBetween(floor, r.Pos, p))
+	}
+	return rate
+}
+
+// reach returns the rate at distance d from the antenna before walls, and
+// false (with rate 0) beyond the model's support, where walls do not matter.
+func (m ThreeState) reach(d float64) (float64, bool) {
 	switch {
 	case d <= m.MajorRadius:
-		rate = m.MajorRate
+		return m.MajorRate, true
 	case d <= m.MinorRadius:
-		rate = m.MajorRate * (m.MinorRadius - d) / (m.MinorRadius - m.MajorRadius)
-	default:
-		return 0
+		return m.MajorRate * (m.MinorRadius - d) / (m.MinorRadius - m.MajorRadius), true
 	}
-	if m.WallFactor < 1 {
-		for i := plan.WallsBetween(floor, r.Pos, p); i > 0; i-- {
-			rate *= m.WallFactor
-		}
+	return 0, false
+}
+
+// attenuate applies WallFactor once per crossed wall.
+func (m ThreeState) attenuate(rate float64, walls int) float64 {
+	for ; walls > 0; walls-- {
+		rate *= m.WallFactor
 	}
 	return rate
 }
@@ -250,19 +254,98 @@ type Matrix struct {
 	Rates   [][]float64 // [reader][cell]
 }
 
-// NewTruthMatrix builds the ground-truth F from a detection model. This is
-// the matrix the reading generator samples from.
-func NewTruthMatrix(cells *CellSpace, readers []Reader, model DetectionModel) *Matrix {
+// wallSlack widens a reader's reach box before walls are tested against it.
+// Segment.Intersects counts segments that come within 1e-9 m of touching, so
+// a wall whose bounding box misses the box by more than this never crosses a
+// ray inside it.
+const wallSlack = 1e-6
+
+// NewTruthMatrix builds the ground-truth F of a three-state model: the
+// matrix the reading generator samples from. Entry [r][c] is bit for bit
+// model.Rate at the centre of cell c, but each reader is evaluated only where
+// the rate can be non-zero: at the cells of its own floor whose centre lies
+// within the model's radius along both axes (a distance is at least either
+// of its legs), counting crossings only against that floor's walls near
+// those cells. Every other entry is 0.
+func NewTruthMatrix(cells *CellSpace, readers []Reader, model ThreeState) *Matrix {
+	g := cells.Grid
+	per := g.NumCells()
+	centers := make([]geom.Point, per)
+	for i := range centers {
+		centers[i] = g.CellCenter(i)
+	}
+	radius := math.Max(model.MajorRadius, model.MinorRadius)
 	m := &Matrix{Readers: readers, Cells: cells, Rates: make([][]float64, len(readers))}
+	var cols, rows []int
+	var near []geom.Segment
 	for ri, r := range readers {
 		row := make([]float64, cells.NumCells())
-		for c := range row {
-			floor, center := cells.CellCenter(c)
-			row[c] = model.Rate(cells.Plan, r, floor, center)
-		}
 		m.Rates[ri] = row
+		if r.Floor < 0 || r.Floor >= cells.Plan.NumFloors() {
+			continue
+		}
+		// The columns and rows in reach, offset by the subtraction Dist
+		// itself does; a NaN offset or radius keeps its line. box spans
+		// the antenna and every centre visited, so it holds every ray cast.
+		box := geom.Rect{Min: r.Pos, Max: r.Pos}
+		cols = cols[:0]
+		for c := 0; c < g.Cols; c++ {
+			if x := centers[c].X; !(math.Abs(r.Pos.X-x) > radius) {
+				cols = append(cols, c)
+				box.Min.X, box.Max.X = math.Min(box.Min.X, x), math.Max(box.Max.X, x)
+			}
+		}
+		rows = rows[:0]
+		for y := 0; y < g.Rows; y++ {
+			if cy := centers[y*g.Cols].Y; !(math.Abs(r.Pos.Y-cy) > radius) {
+				rows = append(rows, y)
+				box.Min.Y, box.Max.Y = math.Min(box.Min.Y, cy), math.Max(box.Max.Y, cy)
+			}
+		}
+		attenuated := model.WallFactor < 1
+		if attenuated {
+			near = wallsNear(near[:0], cells.Plan, r.Floor, box)
+		}
+		base := r.Floor * per
+		for _, y := range rows {
+			for _, x := range cols {
+				i := y*g.Cols + x
+				p := centers[i]
+				rate, ok := model.reach(r.Pos.Dist(p))
+				if !ok {
+					continue
+				}
+				if attenuated {
+					ray := geom.Seg(r.Pos, p)
+					crossed := 0
+					for _, w := range near {
+						if ray.Intersects(w) {
+							crossed++
+						}
+					}
+					rate = model.attenuate(rate, crossed)
+				}
+				row[base+i] = rate
+			}
+		}
 	}
 	return m
+}
+
+// wallsNear appends to dst the walls of the floor whose bounding box comes
+// within wallSlack of box: every wall a ray inside box can cross. A NaN
+// bound keeps every wall of the floor.
+func wallsNear(dst []geom.Segment, plan *floorplan.Plan, floor int, box geom.Rect) []geom.Segment {
+	for _, w := range plan.Walls() {
+		s := w.Seg
+		if w.Floor != floor ||
+			math.Max(s.A.X, s.B.X) < box.Min.X-wallSlack || math.Min(s.A.X, s.B.X) > box.Max.X+wallSlack ||
+			math.Max(s.A.Y, s.B.Y) < box.Min.Y-wallSlack || math.Min(s.A.Y, s.B.Y) > box.Max.Y+wallSlack {
+			continue
+		}
+		dst = append(dst, s)
+	}
+	return dst
 }
 
 // Calibrate reproduces the paper's empirical construction of F (§6.2): a tag

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"log/slog"
@@ -118,6 +119,11 @@ type persister struct {
 
 	wal *persist.Log // owned by writerLoop once start has been called
 
+	// Byte sizes of deployments.json and trajectories.snap, stated once at
+	// open and then taken from the writes that replace them; atomic because
+	// saveDeployments runs on request goroutines.
+	depBytes, snapBytes atomic.Int64
+
 	depMu sync.Mutex // serializes deployments.json collect+write cycles
 
 	mu     sync.Mutex
@@ -148,7 +154,7 @@ func newPersister(dir string, snapInterval time.Duration, m *serverMetrics, logg
 	if err != nil {
 		return nil, err
 	}
-	return &persister{
+	p := &persister{
 		dir:          dir,
 		snapInterval: snapInterval,
 		m:            m,
@@ -160,7 +166,21 @@ func newPersister(dir string, snapInterval time.Duration, m *serverMetrics, logg
 		force:        make(chan chan struct{}),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
-	}, nil
+	}
+	p.depBytes.Store(fileSize(filepath.Join(dir, deploymentsFile)))
+	p.snapBytes.Store(fileSize(filepath.Join(dir, trajSnapshotFile)))
+	p.updateBytesGauge()
+	return p, nil
+}
+
+// fileSize returns the byte size of the file at path, or 0 when it cannot be
+// stated (a data directory that has not written it yet).
+func fileSize(path string) int64 {
+	st, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return st.Size()
 }
 
 // start launches the background writer. Recovery must be complete first —
@@ -349,10 +369,12 @@ func (p *persister) compact() {
 		recs[i+1].Data = buf.Bytes()[start:end]
 		start = end
 	}
-	if _, err := persist.WriteLogAtomic(filepath.Join(p.dir, trajSnapshotFile), recs); err != nil {
+	size, err := persist.WriteLogAtomic(filepath.Join(p.dir, trajSnapshotFile), recs)
+	if err != nil {
 		p.logError("writing snapshot", err)
 		return
 	}
+	p.snapBytes.Store(size)
 	if err := p.wal.Reset(); err != nil {
 		p.logError("truncating wal", err)
 		return
@@ -377,21 +399,16 @@ func (p *persister) saveDeployments(collect func() depsDoc) error {
 	if err := persist.WriteFileAtomic(filepath.Join(p.dir, deploymentsFile), data); err != nil {
 		return err
 	}
+	p.depBytes.Store(int64(len(data)))
 	p.m.persistFlushes.Inc()
 	p.m.persistFlushSeconds.Observe(time.Since(start).Seconds())
 	p.updateBytesGauge()
 	return nil
 }
 
-// updateBytesGauge re-stats the data files and publishes their total size.
+// updateBytesGauge publishes the total size of the data files.
 func (p *persister) updateBytesGauge() {
-	total := p.wal.Size()
-	for _, name := range []string{deploymentsFile, trajSnapshotFile} {
-		if st, err := os.Stat(filepath.Join(p.dir, name)); err == nil {
-			total += st.Size()
-		}
-	}
-	p.m.persistBytes.Set(total)
+	p.m.persistBytes.Set(p.wal.Size() + p.depBytes.Load() + p.snapBytes.Load())
 }
 
 func (p *persister) logError(step string, err error) {

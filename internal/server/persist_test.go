@@ -431,6 +431,45 @@ func TestDurableCompaction(t *testing.T) {
 	}
 }
 
+// TestDurableBytesGauge checks rfidclean_persist_bytes equals the bytes the
+// data files hold on disk after each kind of write: a registration, a clean,
+// a delete, a compaction, and a reopen of the same directory.
+func TestDurableBytesGauge(t *testing.T) {
+	dir := t.TempDir()
+	depJSON, sys := testDeployment(t)
+	check := func(step string, srv *Server) {
+		t.Helper()
+		var disk int64
+		for _, name := range []string{deploymentsFile, trajSnapshotFile, trajWALFile} {
+			disk += fileSize(filepath.Join(dir, name))
+		}
+		if got := srv.persist.m.persistBytes.Value(); got != disk || disk == 0 {
+			t.Errorf("after %s: gauge %d bytes, data files hold %d", step, got, disk)
+		}
+	}
+	base, srv, ts := durable(t, dir, Options{})
+	depID := registerDeployment(t, base, depJSON)
+	check("register", srv)
+	c1 := cleanOne(t, base, depID, testReadingsSeed(t, sys, 71, 40))
+	cleanOne(t, base, depID, testReadingsSeed(t, sys, 72, 40))
+	srv.persist.drain()
+	check("clean", srv)
+	req, _ := http.NewRequest(http.MethodDelete, base+"/v1/trajectories/"+c1.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	srv.persist.drain()
+	check("delete", srv)
+	srv.persist.compactNow()
+	check("compaction", srv)
+	crash(srv, ts)
+
+	_, srv2, _ := durable(t, dir, Options{})
+	check("reopen", srv2)
+}
+
 // TestDurablePersistTraces checks the persister's own traces — recovery at
 // boot, WAL flushes and compactions — are retained beside request traces and
 // listed at /debug/traces under their operation names.

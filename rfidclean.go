@@ -69,8 +69,6 @@ type (
 	ReadingSequence = rfid.Sequence
 	// CellSpace indexes the grid cells of every floor (§6.2's grid).
 	CellSpace = rfid.CellSpace
-	// DetectionModel yields per-cell detection probabilities.
-	DetectionModel = rfid.DetectionModel
 	// ThreeState is the three-state antenna detection model.
 	ThreeState = rfid.ThreeState
 	// DetectionMatrix is the matrix F[r,c] of §6.2.
@@ -89,8 +87,9 @@ func NewCellSpace(plan *Plan, cellSize float64) (*CellSpace, error) {
 	return rfid.NewCellSpace(plan, cellSize)
 }
 
-// NewTruthMatrix builds the ground-truth detection matrix from a model.
-func NewTruthMatrix(cells *CellSpace, readers []Reader, model DetectionModel) *DetectionMatrix {
+// NewTruthMatrix builds the ground-truth detection matrix of a three-state
+// model, evaluating each reader only at the cells in its reach.
+func NewTruthMatrix(cells *CellSpace, readers []Reader, model ThreeState) *DetectionMatrix {
 	return rfid.NewTruthMatrix(cells, readers, model)
 }
 
@@ -279,9 +278,9 @@ type System struct {
 }
 
 // NewSystem builds a System over a plan: it partitions the floors into
-// square cells of the given size and evaluates the detection model on every
-// (reader, cell) pair.
-func NewSystem(plan *Plan, readers []Reader, model DetectionModel, cellSize float64) (*System, error) {
+// square cells of the given size and evaluates the three-state model at
+// every (reader, cell) pair it can reach; every other pair has rate 0.
+func NewSystem(plan *Plan, readers []Reader, model ThreeState, cellSize float64) (*System, error) {
 	if plan == nil {
 		return nil, fmt.Errorf("rfidclean: nil plan")
 	}
