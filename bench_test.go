@@ -186,7 +186,7 @@ func BenchmarkPriorDist(b *testing.B) {
 }
 
 // syn1Deployment returns the SYN1 dataset and its deployment description.
-func syn1Deployment(b *testing.B) (*dataset.Dataset, *rfidclean.Deployment) {
+func syn1Deployment(b testing.TB) (*dataset.Dataset, *rfidclean.Deployment) {
 	b.Helper()
 	cfg := dataset.SYN1()
 	d, err := dataset.Build("SYN1", cfg)
@@ -238,6 +238,41 @@ func BenchmarkCandidates(b *testing.B) {
 		if _, err := sys.Candidates(readings[i%len(readings)].Readers); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkStreamSession measures one stream session the way the server runs
+// it, without HTTP: open a BuildState, observe a 20-s SYN1 sequence through
+// the prior, smooth it into a stored quotient, release the state.
+func BenchmarkStreamSession(b *testing.B) {
+	d, dep := syn1Deployment(b)
+	sys, err := dep.System()
+	if err != nil {
+		b.Fatal(err)
+	}
+	ic, err := sys.Constraints(rfidclean.ConstraintParams{MaxSpeed: 2, MinStay: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	readings := benchInstance(b, d, 20).Readings
+	opts := &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd, Quotient: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := rfidclean.NewBuildState(ic)
+		for _, r := range readings {
+			cands, err := sys.Candidates(r.Readers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := st.Observe(cands); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if _, err := sys.SmoothState(st, opts); err != nil {
+			b.Fatal(err)
+		}
+		st.Release()
 	}
 }
 

@@ -24,6 +24,16 @@
 // (per-benchmark verdicts, the fresh run's quartile spread, and the
 // regressed list), written before the exit verdict so CI can upload it as
 // an artifact even when the guard trips.
+//
+// -allocs <file> gates allocations as well: allocs/op are read from that
+// bench output, which should come from a run with GOGC=off, one P and
+// -benchmem. Without collections no sync.Pool empties mid-run, and with one
+// P every Put is found by the next Get, so the count is exact and every
+// benchmark with an allocsPerOp baseline fails on any increase; -write
+// records them from it.
+//
+//	GOGC=off go test -run '^$' -bench '...' -benchtime=5x -benchmem -cpu 1 ./... > allocs.txt
+//	benchdiff -baseline BENCH_BASELINE.json -bench fresh.txt -allocs allocs.txt
 package main
 
 import (
@@ -39,39 +49,59 @@ import (
 	"strings"
 )
 
-// baseline is the committed JSON document. NsPerOp is keyed by the benchmark
-// name with the GOMAXPROCS suffix stripped (e.g. "BenchmarkBuild").
+// baseline is the committed JSON document. NsPerOp and AllocsPerOp are keyed
+// by the benchmark name with the GOMAXPROCS suffix stripped (e.g.
+// "BenchmarkBuild").
 type baseline struct {
 	// Note documents provenance for humans reading the committed file.
-	Note    string             `json:"note,omitempty"`
-	GoOS    string             `json:"goos,omitempty"`
-	GoArch  string             `json:"goarch,omitempty"`
-	NsPerOp map[string]float64 `json:"nsPerOp"`
+	Note        string             `json:"note,omitempty"`
+	GoOS        string             `json:"goos,omitempty"`
+	GoArch      string             `json:"goarch,omitempty"`
+	NsPerOp     map[string]float64 `json:"nsPerOp"`
+	AllocsPerOp map[string]float64 `json:"allocsPerOp,omitempty"`
 }
 
 // benchLine matches one result line of `go test -bench` output, capturing the
-// name (sans -N processor suffix) and the ns/op figure.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:[eE][+-]?\d+)?) ns/op`)
+// name (sans -N processor suffix), the ns/op figure and, when the line
+// reports it, the allocs/op figure.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+(?:[eE][+-]?\d+)?) ns/op(?:.*\s(\d+) allocs/op)?`)
 
-// parseSamples extracts every ns/op sample per benchmark, in input order.
-func parseSamples(r io.Reader) (map[string][]float64, error) {
+// parseSamples extracts every ns/op sample per benchmark, in input order,
+// and every allocs/op sample of the lines that report one.
+func parseSamples(r io.Reader) (ns, allocs map[string][]float64, err error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make(map[string][]float64)
+	ns, allocs = make(map[string][]float64), make(map[string][]float64)
 	for _, line := range strings.Split(string(data), "\n") {
 		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		v, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
-			return nil, fmt.Errorf("benchdiff: bad ns/op in %q: %v", line, err)
+			return nil, nil, fmt.Errorf("benchdiff: bad ns/op in %q: %v", line, err)
 		}
-		out[m[1]] = append(out[m[1]], ns)
+		ns[m[1]] = append(ns[m[1]], v)
+		if m[3] != "" {
+			a, err := strconv.ParseFloat(m[3], 64)
+			if err != nil {
+				return nil, nil, fmt.Errorf("benchdiff: bad allocs/op in %q: %v", line, err)
+			}
+			allocs[m[1]] = append(allocs[m[1]], a)
+		}
 	}
-	return out, nil
+	return ns, allocs, nil
+}
+
+// medians returns the (lower) median of each benchmark's samples.
+func medians(samples map[string][]float64) map[string]float64 {
+	out := make(map[string]float64, len(samples))
+	for name, s := range samples {
+		_, out[name], _ = quartiles(s)
+	}
+	return out
 }
 
 // quartiles returns the lower quartile, the (lower) median and the upper
@@ -85,15 +115,11 @@ func quartiles(samples []float64) (q1, median, q3 float64) {
 // parseBench extracts ns/op per benchmark from bench output: the median of
 // its samples.
 func parseBench(r io.Reader) (map[string]float64, error) {
-	samples, err := parseSamples(r)
+	samples, _, err := parseSamples(r)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string]float64, len(samples))
-	for name, s := range samples {
-		_, out[name], _ = quartiles(s)
-	}
-	return out, nil
+	return medians(samples), nil
 }
 
 // benchEntry is one benchmark's comparison in the -json report. BaselineNs
@@ -108,6 +134,12 @@ type benchEntry struct {
 	Samples    int      `json:"samples,omitempty"`
 	Delta      *float64 `json:"delta,omitempty"` // fresh/baseline - 1
 	Verdict    string   `json:"verdict"`         // ok | regressed | missing | new
+
+	// The allocation gate's figures, for benchmarks with an allocsPerOp
+	// baseline when -allocs is given. Any increase regresses.
+	BaselineAllocs *float64 `json:"baselineAllocs,omitempty"`
+	FreshAllocs    *float64 `json:"freshAllocs,omitempty"`
+	AllocsVerdict  string   `json:"allocsVerdict,omitempty"` // ok | regressed | missing
 }
 
 // benchReport is the machine-readable comparison (-json file), uploaded as a
@@ -163,6 +195,36 @@ func compare(base, fresh map[string]float64, threshold float64) (entries []bench
 	return entries, bad
 }
 
+// compareAllocs applies the allocation gate to entries (compare's output):
+// every benchmark with a baseline allocation count must report one in fresh,
+// and no more. It returns the names that failed.
+func compareAllocs(entries []benchEntry, base, fresh map[string]float64) (bad []string) {
+	for i := range entries {
+		e := &entries[i]
+		b, ok := base[e.Name]
+		if !ok {
+			continue
+		}
+		e.BaselineAllocs = &b
+		f, ok := fresh[e.Name]
+		switch {
+		case !ok:
+			e.AllocsVerdict = "missing"
+		case f > b:
+			e.AllocsVerdict = "regressed"
+		default:
+			e.AllocsVerdict = "ok"
+		}
+		if ok {
+			e.FreshAllocs = &f
+		}
+		if e.AllocsVerdict != "ok" {
+			bad = append(bad, e.Name)
+		}
+	}
+	return bad
+}
+
 // renderText prints the human comparison log, sorted for stable CI output.
 func renderText(w io.Writer, entries []benchEntry) {
 	for _, e := range entries {
@@ -178,6 +240,14 @@ func renderText(w io.Writer, entries []benchEntry) {
 			fmt.Fprintf(w, "%-9s%-40s %12.0f -> %12.0f ns/op (%+.1f%%)\n",
 				e.Verdict, e.Name, *e.BaselineNs, *e.FreshNs, *e.Delta*100)
 		}
+		switch e.AllocsVerdict {
+		case "missing":
+			fmt.Fprintf(w, "MISSING  %-40s baseline %.0f allocs/op, absent from the allocation run\n", e.Name, *e.BaselineAllocs)
+		case "regressed":
+			fmt.Fprintf(w, "%-9s%-40s %12.0f -> %12.0f allocs/op\n", "REGRESSED", e.Name, *e.BaselineAllocs, *e.FreshAllocs)
+		case "ok":
+			fmt.Fprintf(w, "%-9s%-40s %12.0f -> %12.0f allocs/op\n", "ok", e.Name, *e.BaselineAllocs, *e.FreshAllocs)
+		}
 	}
 }
 
@@ -190,8 +260,25 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	threshold := fs.Float64("threshold", 0.30, "max allowed fractional slowdown per benchmark")
 	note := fs.String("note", "", "provenance note stored with -write")
 	jsonPath := fs.String("json", "", "also write the comparison as machine-readable JSON here")
+	allocsPath := fs.String("allocs", "", "bench output of a GOGC=off -benchmem run to gate allocs/op with (and -write them from)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	var freshAllocs map[string]float64
+	if *allocsPath != "" {
+		f, err := os.Open(*allocsPath)
+		if err != nil {
+			return err
+		}
+		_, samples, err := parseSamples(f)
+		f.Close()
+		if err != nil {
+			return err
+		}
+		if len(samples) == 0 {
+			return fmt.Errorf("benchdiff: no allocs/op results in %s", *allocsPath)
+		}
+		freshAllocs = medians(samples)
 	}
 
 	in := stdin
@@ -203,7 +290,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		defer f.Close()
 		in = f
 	}
-	samples, err := parseSamples(in)
+	samples, _, err := parseSamples(in)
 	if err != nil {
 		return err
 	}
@@ -218,7 +305,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	if *write {
-		doc := baseline{Note: *note, GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NsPerOp: fresh}
+		doc := baseline{Note: *note, GoOS: runtime.GOOS, GoArch: runtime.GOARCH, NsPerOp: fresh, AllocsPerOp: freshAllocs}
 		data, err := json.MarshalIndent(doc, "", "  ")
 		if err != nil {
 			return err
@@ -241,7 +328,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if len(doc.NsPerOp) == 0 {
 		return fmt.Errorf("benchdiff: %s holds no benchmarks", *baselinePath)
 	}
-	entries, bad := compare(doc.NsPerOp, fresh, *threshold)
+	entries, badNs := compare(doc.NsPerOp, fresh, *threshold)
+	var badAllocs []string
+	if freshAllocs != nil {
+		badAllocs = compareAllocs(entries, doc.AllocsPerOp, freshAllocs)
+	}
+	bad := append(append([]string(nil), badNs...), badAllocs...)
 	for i := range entries {
 		if e := &entries[i]; e.FreshNs != nil {
 			q := spread[e.Name]
@@ -266,11 +358,22 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 	}
-	if len(bad) > 0 {
-		return fmt.Errorf("benchdiff: %d benchmark(s) regressed past %.0f%% or went missing: %v",
-			len(bad), *threshold*100, bad)
+	var failures []string
+	if len(badNs) > 0 {
+		failures = append(failures, fmt.Sprintf("%d benchmark(s) regressed past %.0f%% or went missing: %v",
+			len(badNs), *threshold*100, badNs))
+	}
+	if len(badAllocs) > 0 {
+		failures = append(failures, fmt.Sprintf("%d benchmark(s) allocate more than their baseline or went missing from the allocation run: %v",
+			len(badAllocs), badAllocs))
+	}
+	if len(failures) > 0 {
+		return fmt.Errorf("benchdiff: %s", strings.Join(failures, "; "))
 	}
 	fmt.Fprintf(stdout, "all %d baselined benchmarks within %.0f%%\n", len(doc.NsPerOp), *threshold*100)
+	if freshAllocs != nil {
+		fmt.Fprintf(stdout, "all %d allocation baselines held\n", len(doc.AllocsPerOp))
+	}
 	return nil
 }
 

@@ -251,3 +251,105 @@ BenchmarkBuild-2 5 10 ns/op
 		t.Fatalf("entry = %s", data)
 	}
 }
+
+// sampleAllocs is a GOGC=off -benchmem run of sampleBench's benchmarks.
+const sampleAllocs = `BenchmarkBuild-8             	       5	    100000 ns/op	   43210 B/op	     321 allocs/op
+BenchmarkBuild-8             	       5	    101000 ns/op	   43210 B/op	     321 allocs/op
+BenchmarkTopK-8              	       5	      2400 ns/op	       0 B/op	       0 allocs/op
+BenchmarkFilterObserve       	       5	       790 ns/op	     512 B/op	       4 allocs/op
+`
+
+// TestParseAllocs: allocs/op are taken from the lines that report them.
+func TestParseAllocs(t *testing.T) {
+	_, allocs, err := parseSamples(strings.NewReader(sampleBench + sampleAllocs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := medians(allocs)
+	want := map[string]float64{"BenchmarkBuild": 321, "BenchmarkTopK": 0, "BenchmarkFilterObserve": 4}
+	if len(got) != len(want) {
+		t.Fatalf("parsed %v, want %v", got, want)
+	}
+	for name, a := range want {
+		if got[name] != a {
+			t.Errorf("%s = %v allocs/op, want %v", name, got[name], a)
+		}
+	}
+}
+
+// TestAllocationGate: -write -allocs records allocs/op, a comparison with
+// -allocs fails on one allocation more or on a benchmark missing from the
+// allocation run, and a comparison without -allocs leaves them alone.
+func TestAllocationGate(t *testing.T) {
+	dir := t.TempDir()
+	baselinePath := filepath.Join(dir, "baseline.json")
+	allocsPath := filepath.Join(dir, "allocs.txt")
+	jsonPath := filepath.Join(dir, "benchdiff.json")
+	writeAllocs := func(s string) {
+		if err := os.WriteFile(allocsPath, []byte(s), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeAllocs(sampleAllocs)
+	if err := run([]string{"-write", "-baseline", baselinePath, "-allocs", allocsPath},
+		strings.NewReader(sampleBench), &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	var doc baseline
+	data, err := os.ReadFile(baselinePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.AllocsPerOp["BenchmarkBuild"] != 321 || len(doc.AllocsPerOp) != 3 {
+		t.Fatalf("allocsPerOp = %v", doc.AllocsPerOp)
+	}
+	var out bytes.Buffer
+	if err := run([]string{"-baseline", baselinePath, "-allocs", allocsPath}, strings.NewReader(sampleBench), &out); err != nil {
+		t.Fatalf("self-compare failed: %v\n%s", err, out.String())
+	}
+
+	// Fewer allocations pass; one more fails, named, with the JSON verdict.
+	writeAllocs(strings.Replace(sampleAllocs, "     4 allocs/op", "     3 allocs/op", 1))
+	if err := run([]string{"-baseline", baselinePath, "-allocs", allocsPath}, strings.NewReader(sampleBench), &bytes.Buffer{}); err != nil {
+		t.Fatalf("fewer allocations failed: %v", err)
+	}
+	writeAllocs(strings.Replace(sampleAllocs, "     4 allocs/op", "     5 allocs/op", 1))
+	err = run([]string{"-baseline", baselinePath, "-allocs", allocsPath, "-json", jsonPath}, strings.NewReader(sampleBench), &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkFilterObserve") {
+		t.Fatalf("one more allocation: err = %v, want a failure naming BenchmarkFilterObserve", err)
+	}
+	var report benchReport
+	if data, err = os.ReadFile(jsonPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &report); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range report.Benchmarks {
+		if e.Name == "BenchmarkFilterObserve" && (e.AllocsVerdict != "regressed" || *e.FreshAllocs != 5 || *e.BaselineAllocs != 4) {
+			t.Fatalf("entry = %+v", e)
+		}
+	}
+	if report.Passed {
+		t.Fatal("report passed")
+	}
+
+	// A benchmark the allocation run lacks fails too.
+	writeAllocs(strings.ReplaceAll(sampleAllocs, "BenchmarkTopK", "BenchmarkRenamed"))
+	if err := run([]string{"-baseline", baselinePath, "-allocs", allocsPath}, strings.NewReader(sampleBench), &bytes.Buffer{}); err == nil ||
+		!strings.Contains(err.Error(), "BenchmarkTopK") {
+		t.Fatalf("missing from the allocation run: err = %v", err)
+	}
+
+	// Without -allocs, allocation counts are not compared: the timing run's
+	// counts (here 321 on one of two lines) gate nothing.
+	if err := run([]string{"-baseline", baselinePath}, strings.NewReader(strings.Replace(sampleBench, "321 allocs", "999 allocs", 1)), &bytes.Buffer{}); err != nil {
+		t.Fatalf("timing run without -allocs: %v", err)
+	}
+	if err := run([]string{"-baseline", baselinePath, "-allocs", filepath.Join(dir, "none.txt")}, strings.NewReader(sampleBench), &bytes.Buffer{}); err == nil {
+		t.Error("missing -allocs file accepted")
+	}
+}

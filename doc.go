@@ -35,6 +35,9 @@
 //
 // NewSystem takes the three-state antenna model (ThreeState) and evaluates
 // it only at the cells each reader can reach; every other detection rate is
-// 0. See examples/ for complete programs and DESIGN.md for the paper-to-code
-// map.
+// 0. The DetectionMatrix keeps each reader's row as the span from its first
+// to its last non-zero cell: read an entry with Rate(r, c) and a row with
+// Row(r). A BuildState streaming readings gives its pooled memory back with
+// Release once the stream ends. See examples/ for complete programs and
+// DESIGN.md for the paper-to-code map.
 package rfidclean

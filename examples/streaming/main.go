@@ -69,6 +69,9 @@ func main() {
 
 	// Online pass: feed readings to the build state as they "arrive".
 	state := rfidclean.NewBuildState(ic)
+	// Release hands the state's pooled memory to the next build; the graph
+	// SmoothState returns stays valid.
+	defer state.Release()
 	fmt.Println("live tracking (online filter):")
 	liveCorrect := 0
 	for _, r := range readings {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/constraints"
@@ -111,10 +110,10 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 
 	_, spCompile := obs.Start(ctx, "core.compile")
 	phaseStart := time.Now()
-	k := newKernel(ic)
-	// The graph that leaves Build is frozen, so the arena goes back to the
-	// pools whatever the outcome.
-	defer k.b.release()
+	k := getKernel(ic)
+	// The graph that leaves Build is frozen, so the kernel goes back to the
+	// pool whatever the outcome.
+	defer k.put()
 	if opts.quotient() {
 		// Build's own graph never leaves it, so it may merge nodes that
 		// differ only in dead TL entries (lookahead.go).
@@ -158,8 +157,9 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 
 	// Backward phase (lines 15-31 in closed form; see above), into the
 	// columns of a pass: the working graph itself is only read.
-	p := getPass(levels)
-	defer passes.Put(p)
+	p := &k.pass
+	p.columns(levels)
+	p.src = resize(p.src, len(levels[0]))
 	condemned := condemnTargets(levels[duration-1], opts.endLatency() == constraints.StrictEnd, p.surv[duration-1])
 	backwardRemoved := 0
 	for t := duration - 2; t >= 0; t-- {
@@ -210,42 +210,35 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 }
 
 // pass is what Algorithm 1's backward phase writes about a working graph,
-// which it only reads: per level, columns indexed like the level's nodes.
-// Build takes its pass from passes, carved from floats and ints;
-// BuildState keeps one across its Smooths.
+// which it only reads: per level, columns indexed like the level's nodes,
+// carved from the pass's own arenas. It belongs to a kernel: Build carves
+// it per call, and a BuildState extends it across its Smooths.
 type pass struct {
 	surv [][]float64 // S(n), rescaled per level; 0 for a removed node
 	idx  [][]int32   // index in the frozen graph; -1 for a removed node
 	src  []float64   // conditioned p_N of the sources
 
-	floats []float64
-	ints   []int32
+	floats slab[float64]
+	ints   slab[int32]
 }
 
-var passes sync.Pool // of *pass
+// columns gives the levels of levels past the pass's last column theirs,
+// leaving the columns it already has alone; those must be the columns of
+// levels' first levels. Contents of new columns are unspecified.
+func (p *pass) columns(levels [][]*node) {
+	for _, level := range levels[len(p.surv):] {
+		p.surv = append(p.surv, p.floats.carve(len(level)))
+		p.idx = append(p.idx, p.ints.carve(len(level)))
+	}
+}
 
-// getPass returns a pass with a column of every level, from passes.
-func getPass(levels [][]*node) *pass {
-	p, ok := passes.Get().(*pass)
-	if !ok {
-		p = new(pass)
-	}
-	n := 0
-	for _, level := range levels {
-		n += len(level)
-	}
-	p.floats = resize(p.floats, n+len(levels[0]))
-	p.ints = resize(p.ints, n)
-	p.surv = resize(p.surv, len(levels))
-	p.idx = resize(p.idx, len(levels))
-	n = 0
-	for t, level := range levels {
-		end := n + len(level)
-		p.surv[t], p.idx[t] = p.floats[n:end:end], p.ints[n:end:end]
-		n = end
-	}
-	p.src = p.floats[n:]
-	return p
+// rewind empties the pass and frees its arenas for reuse.
+func (p *pass) rewind() {
+	clear(p.surv)
+	clear(p.idx)
+	p.surv, p.idx, p.src = trim(p.surv), trim(p.idx), trim(p.src)
+	p.floats.reset()
+	p.ints.reset()
 }
 
 // condemnTargets initializes the target survivals (the backward recurrence's
@@ -518,96 +511,51 @@ type edge struct {
 	P  float64
 }
 
-// Arena block sizes: big enough to amortize allocation, small enough not to
-// strand memory on tiny graphs.
-const (
-	nodeBlockSize = 256
-	edgeBlockSize = 1024
-)
-
 // builder holds the constraint set plus the allocation state of the forward
 // kernel (forward.go): the compiled constraint view, the lookahead that
 // decides which TL entries live (nil unless Build set one), the TL interner,
-// a scratch slice for assembling successor TLs, and node/edge arenas. Blocks
-// are never reallocated once handed out, so node pointers and out-arc
-// slices stay valid.
+// a scratch slice for assembling successor TLs, and the node, edge and level
+// arenas. Arena chunks are never reallocated, so node pointers, out-arc
+// lists and levels stay valid until the kernel is put back.
 type builder struct {
 	cs      *constraints.Compiled
 	look    *lookahead
 	tl      *tlInterner
 	scratch []TLEntry
-	nodes   []node
-	edges   []edge
 
-	// blocks are the fixed-size arena blocks this builder took.
-	blocks arenaBlocks
+	nodes  slab[node]
+	edges  slab[edge]
+	levels slab[*node]
 }
 
-// arenaBlocks are fixed-size arena blocks. A Build puts its blocks back in
-// the pools once the graph is frozen, and later builders take them from
-// there before allocating new ones. Every node and edge is written whole
-// when it is handed out, so what a block held before never shows.
-type arenaBlocks struct {
-	nodes []*[nodeBlockSize]node
-	edges []*[edgeBlockSize]edge
-}
-
-var nodeBlocks, edgeBlocks sync.Pool
-
-// take returns a pooled block, or a fresh one, and records it in blocks.
-func take[A any](pool *sync.Pool, blocks *[]*A) *A {
-	a, ok := pool.Get().(*A)
-	if !ok {
-		a = new(A)
-	}
-	*blocks = append(*blocks, a)
-	return a
-}
-
-func newBuilder(ic *constraints.Set) builder {
-	return builder{cs: ic.Compile(), tl: newTLInterner()}
-}
-
-// release puts every block the builder took back in the pools. Nothing may
-// use a node or edge of the builder afterwards.
-func (b *builder) release() {
-	for _, a := range b.blocks.nodes {
-		nodeBlocks.Put(a)
-	}
-	for _, a := range b.blocks.edges {
-		edgeBlocks.Put(a)
-	}
-	*b = builder{}
+// rewind makes every arena chunk free for the next build and resets the
+// interner. Nothing may use a node, edge, level or TL slice of the builder
+// afterwards.
+func (b *builder) rewind() {
+	b.nodes.reset()
+	b.edges.reset()
+	b.levels.reset()
+	b.tl.reset()
+	b.cs, b.look = nil, nil
 }
 
 // newNode allocates a node from the arena. tl must be a canonical interned
-// slice (or nil).
+// slice (or nil). Every field is written, so what the chunk held before
+// never shows.
 func (b *builder) newNode(loc, stay int32, tl []TLEntry) *node {
-	if len(b.nodes) == cap(b.nodes) {
-		b.nodes = take(&nodeBlocks, &b.blocks.nodes)[:0]
-	}
-	b.nodes = b.nodes[:len(b.nodes)+1]
-	n := &b.nodes[len(b.nodes)-1]
+	n := &b.nodes.carve(1)[0]
 	*n = node{Loc: loc, Stay: stay, TL: tl}
 	return n
 }
 
 // carve returns an empty out-arc list with capacity exactly n, cut from the
-// edge arena. The three-index slice expression caps each list at its own
-// region, so lists carved from one block can never grow into each other.
+// edge arena. Its capacity ends where its region does, so lists carved from
+// one chunk can never grow into each other.
 func (b *builder) carve(n int) []edge {
 	if n == 0 {
 		return nil
 	}
-	if cap(b.edges)-len(b.edges) < n {
-		if n > edgeBlockSize {
-			return make([]edge, 0, n)
-		}
-		b.edges = take(&edgeBlocks, &b.blocks.edges)[:0]
-	}
-	s := b.edges[len(b.edges) : len(b.edges) : len(b.edges)+n]
-	b.edges = b.edges[:len(b.edges)+n]
-	return s
+	return b.edges.carve(n)[:0]
 }
 
 // initialStay returns the stay counter of a node entering loc (or starting

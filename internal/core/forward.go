@@ -1,13 +1,18 @@
 package core
 
-import "repro/internal/constraints"
+import (
+	"sync"
+
+	"repro/internal/constraints"
+)
 
 // tlInternCap bounds the TL interner of a forward pass. TL entries carry
 // absolute timestamps, so on an unbounded stream the interner would grow
-// without limit; once it exceeds this many chain links it is discarded and
-// rebuilt. That is safe because interned IDs are only compared within a
-// single expand step, and nodes hold the canonical slices themselves, which
-// outlive the interner that created them.
+// without limit; once it exceeds this many chain links its index is
+// discarded and rebuilt. That is safe because interned IDs are only compared
+// within a single expand step, and nodes hold the canonical slices
+// themselves, whose memory the rebuild leaves alone: it is reused only once
+// the kernel goes back to the pool.
 const tlInternCap = 1 << 16
 
 // kernel is Algorithm 1's forward phase (lines 1-14), the one implementation
@@ -18,6 +23,12 @@ const tlInternCap = 1 << 16
 // Successor identity is the comparable nodeKey (with the TL slice interned),
 // so deduplicating a level costs no per-candidate allocation, and all
 // scratch state is reused across levels.
+//
+// A kernel is also everything a build allocates and throws away: the node,
+// edge and level arenas, the TL interner, the dedup map, the per-level
+// scratch and the backward phase's pass. Every build takes one from kernels
+// (getKernel) and gives it back (put) — Build when it returns, a BuildState
+// when it is released — so the next build reuses all of it.
 type kernel struct {
 	b builder
 
@@ -31,22 +42,71 @@ type kernel struct {
 	succs  []int32           // successor position per (node, candidate) pair, -1 when pruned
 	outDeg []int32           // out-degree per node of the expanded level
 	mass   []float64         // unnormalized forward mass per successor
+	widest int               // the most successors one expand has resolved since getKernel
 
 	prunes [numPruneReasons]int64 // cumulative, by constraint family
 	step   ExplainStep            // tallies of the last sources/expand call
+
+	// pass holds the backward phase's columns: Build carves them afresh,
+	// a BuildState keeps them across its Smooths.
+	pass
 }
 
-func newKernel(ic *constraints.Set) kernel {
+// What a kernel keeps when it goes back to kernels, as slabKeepChunks bounds
+// its arenas: scratch slices up to keepNodes entries, and its dedup map and
+// interner index while they never held more than keepMapEntries. A map keeps
+// its capacity when cleared, and clearing costs its capacity, not its
+// length, so a small build must not inherit the map of a wide one: the
+// dedup map is cleared once per level.
+const (
+	keepNodes      = 1 << 14
+	keepMapEntries = 1 << 10
+)
+
+var kernels sync.Pool // of *kernel
+
+// getKernel returns a kernel from kernels, ready for a forward pass under ic.
+func getKernel(ic *constraints.Set) *kernel {
+	k, ok := kernels.Get().(*kernel)
+	if !ok {
+		k = &kernel{b: builder{tl: newTLInterner()}, dedup: make(map[nodeKey]int32)}
+	}
 	if ic == nil {
 		ic = constraints.NewSet()
 	}
-	return kernel{b: newBuilder(ic), internCap: tlInternCap, dedup: make(map[nodeKey]int32)}
+	k.b.cs = ic.Compile()
+	k.internCap = tlInternCap
+	return k
+}
+
+// put rewinds k and gives it back to kernels. Nothing may use a node, edge,
+// level, TL slice or pass column of k afterwards.
+func (k *kernel) put() {
+	k.b.rewind()
+	k.rebuilds, k.prunes, k.step = 0, [numPruneReasons]int64{}, ExplainStep{}
+	if k.widest > keepMapEntries {
+		k.dedup = make(map[nodeKey]int32)
+	}
+	k.widest = 0
+	clear(k.next[:cap(k.next)])
+	k.next = trim(k.next[:0])
+	k.succs, k.outDeg, k.mass = trim(k.succs), trim(k.outDeg), trim(k.mass)
+	k.pass.rewind()
+	kernels.Put(k)
+}
+
+// trim returns s emptied, or nil when its capacity is past keepNodes.
+func trim[T any](s []T) []T {
+	if cap(s) > keepNodes {
+		return nil
+	}
+	return s[:0]
 }
 
 // sources returns the τ=0 level (lines 1-4): one node per candidate, with
 // p_N set from the a-priori probability.
 func (k *kernel) sources(cands []Candidate) []*node {
-	level := make([]*node, len(cands))
+	level := k.b.levels.carve(len(cands))
 	for i, c := range cands {
 		level[i] = k.b.newNode(int32(c.Loc), k.b.initialStay(c.Loc), nil)
 		level[i].prob = c.P
@@ -67,7 +127,7 @@ func (k *kernel) sources(cands []Candidate) []*node {
 // distribution.
 func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64) []*node {
 	if k.b.tl.size() > k.internCap {
-		k.b.tl = newTLInterner()
+		k.b.tl.rebuild()
 		k.rebuilds++
 	}
 	clear(k.dedup)
@@ -111,7 +171,8 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64)
 		NodesBuilt: len(next),
 	}
 	k.next = next
-	level := make([]*node, len(next))
+	k.widest = max(k.widest, len(next))
+	level := k.b.levels.carve(len(next))
 	copy(level, next)
 	return level
 }

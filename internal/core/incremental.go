@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -44,11 +45,15 @@ import (
 // timestamp the filtered distribution equals the smoothed marginal of a
 // LenientEnd Build over the same readings.
 //
+// A BuildState holds a pooled kernel — its arenas, interner and pass —
+// from NewBuildState until Release gives it back; a state never released
+// leaves it to the garbage collector.
+//
 // BuildState is not safe for concurrent use.
 type BuildState struct {
 	// kernel is the forward pass; its interner, prune counts and scratch
-	// persist across readings.
-	kernel
+	// persist across readings. nil after Release.
+	*kernel
 
 	// levels[t] holds the raw (unconditioned) nodes of timestamp t in
 	// construction order (never compacted).
@@ -67,15 +72,14 @@ type BuildState struct {
 
 	// Bookkeeping from the last successful Smooth, used for convergence
 	// detection and prefix reuse. prevLen is the window length it covered
-	// (0 = none yet, or the last Smooth failed part way). The pass holds,
-	// for each level, the columns of the last Smooth that recomputed it:
-	// its post-rescale survivals and its numbering in the snapshot;
+	// (0 = none yet, or the last Smooth failed part way). The kernel's pass
+	// holds, for each level, the columns of the last Smooth that recomputed
+	// it: its post-rescale survivals and its numbering in the snapshot;
 	// bRemoved[t]/ghosts[t] hold that Smooth's backward-removal and orphan
 	// counts. spare takes a level's new survivals until they are compared
 	// with the old. snap is the frozen graph the last Smooth returned.
 	prevLen    int
 	prevStrict bool
-	pass
 	bRemoved   []int
 	ghosts     []int
 	spare      []float64
@@ -83,9 +87,28 @@ type BuildState struct {
 	snap       *Graph
 }
 
-// NewBuildState returns an incremental build over the given constraints.
+// ErrReleased is returned by a BuildState's Observe, Smooth, Distribution
+// and TopLocations after Release.
+var ErrReleased = errors.New("core: build state released")
+
+// NewBuildState returns an incremental build over the given constraints,
+// holding a kernel from the pool until Release.
 func NewBuildState(ic *constraints.Set) *BuildState {
-	return &BuildState{kernel: newKernel(ic)}
+	return &BuildState{kernel: getKernel(ic)}
+}
+
+// Release gives the state's kernel back to the pool for the next build or
+// session. Graphs Smooth returned stay valid; the state itself is empty
+// afterwards: Observe, Smooth, Distribution and TopLocations return
+// ErrReleased, and Duration, Time, FrontierSize and InternerRebuilds report
+// 0, -1, 0 and 0. Releasing twice is a no-op.
+func (st *BuildState) Release() {
+	if st.kernel == nil {
+		return
+	}
+	k := st.kernel
+	*st = BuildState{}
+	k.put()
 }
 
 // Duration returns the number of observed timestamps.
@@ -98,6 +121,9 @@ func (st *BuildState) Duration() int { return len(st.levels) }
 // consistent with the constraints; the already observed prefix stays
 // smoothable, but no further readings are accepted.
 func (st *BuildState) Observe(candidates []Candidate) error {
+	if st.kernel == nil {
+		return ErrReleased
+	}
 	start := time.Now()
 	defer func() { st.forwardNanos += time.Since(start).Nanoseconds() }()
 	t := len(st.levels)
@@ -147,7 +173,12 @@ func (st *BuildState) FrontierSize() int { return len(st.level) }
 
 // InternerRebuilds returns how many times the TL interner has been discarded
 // and rebuilt to bound memory on a long stream.
-func (st *BuildState) InternerRebuilds() int { return st.rebuilds }
+func (st *BuildState) InternerRebuilds() int {
+	if st.kernel == nil {
+		return 0
+	}
+	return st.rebuilds
+}
 
 // LocProb is one (location ID, probability) entry of a filtered
 // distribution.
@@ -161,6 +192,9 @@ type LocProb struct {
 // ascending location ID), omitting zero-probability locations — the shape a
 // live-tracking serving layer returns to clients.
 func (st *BuildState) Distribution() ([]LocProb, error) {
+	if st.kernel == nil {
+		return nil, ErrReleased
+	}
 	if len(st.levels) == 0 {
 		return nil, fmt.Errorf("core: nothing observed yet")
 	}
@@ -203,6 +237,9 @@ func (st *BuildState) TopLocations(k int) ([]LocProb, error) {
 // Changing Options.EndLatency between calls is supported but invalidates the
 // convergence bookkeeping, forcing that call to recompute every level.
 func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
+	if st.kernel == nil {
+		return nil, ErrReleased
+	}
 	duration := len(st.levels)
 	if duration == 0 {
 		return nil, fmt.Errorf("core: build state has observed nothing")
@@ -221,7 +258,11 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	// The pass rewrites the columns of the levels it recomputes, so until it
 	// succeeds none of them may be reused.
 	st.prevLen = 0
-	st.grow()
+	st.columns(st.levels)
+	for len(st.bRemoved) < duration {
+		st.bRemoved = append(st.bRemoved, 0)
+		st.ghosts = append(st.ghosts, 0)
+	}
 	condemned := condemnTargets(st.levels[duration-1], strict, st.surv[duration-1])
 
 	// Backward sweep, newest level first, checking convergence after each
@@ -299,24 +340,4 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 		return g.Quotient(), nil
 	}
 	return g, nil
-}
-
-// grow gives the levels observed since the last Smooth their pass columns,
-// carved from one allocation of each kind.
-func (st *BuildState) grow() {
-	fresh := st.levels[len(st.surv):]
-	n := 0
-	for _, level := range fresh {
-		n += len(level)
-	}
-	floats, ints := make([]float64, n), make([]int32, n)
-	n = 0
-	for _, level := range fresh {
-		end := n + len(level)
-		st.surv = append(st.surv, floats[n:end:end])
-		st.idx = append(st.idx, ints[n:end:end])
-		st.bRemoved = append(st.bRemoved, 0)
-		st.ghosts = append(st.ghosts, 0)
-		n = end
-	}
 }

@@ -331,9 +331,9 @@ func TestAllReadersDark(t *testing.T) {
 func matrixDigest(m *rfid.Matrix) string {
 	h := sha256.New()
 	var b [8]byte
-	for _, row := range m.Rates {
-		for _, v := range row {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	for r := range m.Readers {
+		for c := 0; c < m.Cells.NumCells(); c++ {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(m.Rate(r, c)))
 			h.Write(b[:])
 		}
 	}

@@ -223,7 +223,7 @@ func TestGenerateReadings(t *testing.T) {
 		}
 		for _, rid := range r.Readers.IDs() {
 			detections++
-			if truth.Rates[rid][cell] <= 0 {
+			if truth.Rate(rid, cell) <= 0 {
 				t.Fatalf("reader %d fired at cell with zero rate", rid)
 			}
 		}

@@ -87,6 +87,10 @@ func New(f *rfid.Matrix, opts Options) *Model {
 	return &Model{f: f, opts: opts, known: slices.Compact(known), cache: make(map[string]entry)}
 }
 
+// Matrix returns the detection matrix the model was built over. It must not
+// be modified.
+func (m *Model) Matrix() *rfid.Matrix { return m.f }
+
 // NumLocations returns the number of locations of the underlying plan.
 func (m *Model) NumLocations() int { return m.f.Cells.Plan.NumLocations() }
 
@@ -184,7 +188,7 @@ func (m *Model) compute(sets []rfid.Set) []float64 {
 			w := 1.0
 			for _, mem := range members {
 				for _, ri := range mem.fired {
-					w *= m.f.Rates[ri][c]
+					w *= m.f.Rate(ri, c)
 					if w == 0 {
 						continue cells
 					}
@@ -193,7 +197,7 @@ func (m *Model) compute(sets []rfid.Set) []float64 {
 					continue
 				}
 				for _, ri := range mem.silent {
-					w *= 1 - m.f.Rates[ri][c]
+					w *= 1 - m.f.Rate(ri, c)
 					if w == 0 {
 						continue cells
 					}

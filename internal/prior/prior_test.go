@@ -351,14 +351,17 @@ func TestGroupDistIncompatibleFallsBackUniform(t *testing.T) {
 	}
 }
 
-// disjointFixture builds a plan whose two readers cover disjoint cells.
+// disjointFixture is fixture's plan and readers under a model whose reach
+// (1.9 m) is under half the 4 m between the readers, so no cell is covered
+// by both.
 func disjointFixture(t *testing.T) *rfid.Matrix {
 	t.Helper()
 	f := fixture(t)
-	// Zero out any cell covered by both readers.
-	for c := range f.Rates[0] {
-		if f.Rates[0][c] > 0 && f.Rates[1][c] > 0 {
-			f.Rates[1][c] = 0
+	model := rfid.ThreeState{MajorRadius: 1, MinorRadius: 1.9, MajorRate: 0.95, WallFactor: 0.15}
+	f = rfid.NewTruthMatrix(f.Cells, f.Readers, model)
+	for c := 0; c < f.Cells.NumCells(); c++ {
+		if f.Rate(0, c) > 0 && f.Rate(1, c) > 0 {
+			t.Fatalf("cell %d is covered by both readers", c)
 		}
 	}
 	return f

@@ -140,7 +140,8 @@ type CellSpace struct {
 }
 
 // NewCellSpace partitions every floor of plan into square cells of the given
-// size and precomputes the cell/location correspondence.
+// size and precomputes the cell/location correspondence: a cell belongs to
+// the location Plan.LocationAt gives for its centre.
 func NewCellSpace(plan *floorplan.Plan, cellSize float64) (*CellSpace, error) {
 	grid, err := geom.NewGrid(plan.Outline(), cellSize)
 	if err != nil {
@@ -150,17 +151,74 @@ func NewCellSpace(plan *floorplan.Plan, cellSize float64) (*CellSpace, error) {
 	per := grid.NumCells()
 	total := per * plan.NumFloors()
 	cs.locByCell = make([]int, total)
+	for id := range cs.locByCell {
+		cs.locByCell[id] = -1
+	}
+	centers := make([]geom.Point, per)
+	for i := range centers {
+		centers[i] = grid.CellCenter(i)
+	}
+	// Each location visits only the cells around its bounds, in plan order,
+	// with LocationAt's tie rule: a location strictly containing a centre
+	// takes it, otherwise the first whose boundary holds it.
+	strict := make([]bool, total)
+	for _, l := range plan.Locations() {
+		if l.Floor < 0 || l.Floor >= plan.NumFloors() {
+			continue
+		}
+		x0, x1 := cellRange(grid.Region.Min.X, cellSize, grid.Cols, l.Bounds.Min.X, l.Bounds.Max.X)
+		y0, y1 := cellRange(grid.Region.Min.Y, cellSize, grid.Rows, l.Bounds.Min.Y, l.Bounds.Max.Y)
+		base := l.Floor * per
+		for y := y0; y < y1; y++ {
+			for x := x0; x < x1; x++ {
+				i := y*grid.Cols + x
+				id := base + i
+				switch {
+				case strict[id]:
+				case l.Bounds.ContainsStrict(centers[i]):
+					cs.locByCell[id], strict[id] = l.ID, true
+				case cs.locByCell[id] < 0 && l.Bounds.Contains(centers[i]):
+					cs.locByCell[id] = l.ID
+				}
+			}
+		}
+	}
+	// Every location's cells, ascending, in one exactly sized backing array.
+	off := make([]int, plan.NumLocations()+1)
+	for _, loc := range cs.locByCell {
+		if loc >= 0 {
+			off[loc+1]++
+		}
+	}
+	for loc := range plan.NumLocations() {
+		off[loc+1] += off[loc]
+	}
+	cells := make([]int, off[len(off)-1])
 	cs.cellsByLoc = make([][]int, plan.NumLocations())
-	for id := 0; id < total; id++ {
-		floor := id / per
-		center := grid.CellCenter(id % per)
-		loc := plan.LocationAt(floor, center)
-		cs.locByCell[id] = loc
+	for loc := range cs.cellsByLoc {
+		cs.cellsByLoc[loc] = cells[off[loc]:off[loc]:off[loc+1]]
+	}
+	for id, loc := range cs.locByCell {
 		if loc >= 0 {
 			cs.cellsByLoc[loc] = append(cs.cellsByLoc[loc], id)
 		}
 	}
 	return cs, nil
+}
+
+// cellRange returns the grid lines [lo, hi) along one axis, of n lines of the
+// given size starting at origin, whose centres can lie within [a, b]: one
+// line of margin each side absorbs rounding, and a NaN or unbounded bound
+// keeps every line on its side.
+func cellRange(origin, size float64, n int, a, b float64) (lo, hi int) {
+	lo, hi = 0, n
+	if f := math.Floor((a-origin)/size) - 1; f > 0 {
+		lo = int(math.Min(f, float64(n)))
+	}
+	if f := math.Ceil((b-origin)/size) + 1; f < float64(n) {
+		hi = int(math.Max(f, 0))
+	}
+	return lo, hi
 }
 
 // NumCells returns the total number of cells over all floors.
@@ -245,13 +303,46 @@ func (m ThreeState) attenuate(rate float64, walls int) float64 {
 	return rate
 }
 
-// Matrix is the detection-rate matrix F of §6.2: Rates[r][c] is the
+// Matrix is the detection-rate matrix F of §6.2: Rate(r, c) is the
 // probability (or observed frequency) that a tag staying in cell c is
 // detected by reader r in one time unit.
+//
+// A reader detects nothing on other floors or past its minor radius, so F is
+// almost all zeros. Each row is stored as its span: the entries from the
+// reader's first to its last non-zero cell, in global cell order; every entry
+// outside the span is 0. The spans of all readers lie back to back in one
+// backing slice, and a matrix calibrated from another shares its spans.
 type Matrix struct {
 	Readers []Reader
 	Cells   *CellSpace
-	Rates   [][]float64 // [reader][cell]
+
+	first []int     // per reader: the global cell ID of its span's first entry
+	off   []int     // reader r's span is rates[off[r]:off[r+1]]
+	rates []float64 // every span, in reader order
+}
+
+// Row returns reader r's span: the global cell ID of its first entry and the
+// entries themselves, cell first+k at index k. Every cell outside the span
+// has rate 0. The returned slice must not be modified.
+func (m *Matrix) Row(r int) (first int, rates []float64) {
+	return m.first[r], m.rates[m.off[r]:m.off[r+1]]
+}
+
+// Rate returns F[r, c]: the entry of reader r (a row index, as in Readers)
+// at global cell c.
+func (m *Matrix) Rate(r, c int) float64 {
+	first, rates := m.Row(r)
+	if i := c - first; uint(i) < uint(len(rates)) {
+		return rates[i]
+	}
+	return 0
+}
+
+// Bytes returns the size of the matrix's storage: 8 bytes per stored rate
+// and 16 per reader for its span (8 more for the end of the last). A matrix
+// calibrated from another shares that one's spans, and each reports them.
+func (m *Matrix) Bytes() int {
+	return 8 * (len(m.rates) + len(m.first) + len(m.off))
 }
 
 // wallSlack widens a reader's reach box before walls are tested against it.
@@ -266,7 +357,8 @@ const wallSlack = 1e-6
 // the rate can be non-zero: at the cells of its own floor whose centre lies
 // within the model's radius along both axes (a distance is at least either
 // of its legs), counting crossings only against that floor's walls near
-// those cells. Every other entry is 0.
+// those cells. Every other entry is 0, and each row keeps the span from its
+// first to its last entry whose bits are not those of +0.
 func NewTruthMatrix(cells *CellSpace, readers []Reader, model ThreeState) *Matrix {
 	g := cells.Grid
 	per := g.NumCells()
@@ -275,12 +367,17 @@ func NewTruthMatrix(cells *CellSpace, readers []Reader, model ThreeState) *Matri
 		centers[i] = g.CellCenter(i)
 	}
 	radius := math.Max(model.MajorRadius, model.MinorRadius)
-	m := &Matrix{Readers: readers, Cells: cells, Rates: make([][]float64, len(readers))}
+	// The non-zero rates, reader after reader, each reader's in cell order;
+	// counts[r] of them are reader r's.
+	type entry struct {
+		reader, cell int
+		rate         float64
+	}
+	var found []entry
+	counts := make([]int, len(readers))
 	var cols, rows []int
 	var near []geom.Segment
 	for ri, r := range readers {
-		row := make([]float64, cells.NumCells())
-		m.Rates[ri] = row
 		if r.Floor < 0 || r.Floor >= cells.Plan.NumFloors() {
 			continue
 		}
@@ -307,6 +404,7 @@ func NewTruthMatrix(cells *CellSpace, readers []Reader, model ThreeState) *Matri
 			near = wallsNear(near[:0], cells.Plan, r.Floor, box)
 		}
 		base := r.Floor * per
+		n := len(found)
 		for _, y := range rows {
 			for _, x := range cols {
 				i := y*g.Cols + x
@@ -325,9 +423,27 @@ func NewTruthMatrix(cells *CellSpace, readers []Reader, model ThreeState) *Matri
 					}
 					rate = model.attenuate(rate, crossed)
 				}
-				row[base+i] = rate
+				if math.Float64bits(rate) != 0 {
+					found = append(found, entry{ri, base + i, rate})
+				}
 			}
 		}
+		counts[ri] = len(found) - n
+	}
+	m := &Matrix{Readers: readers, Cells: cells, first: make([]int, len(readers)), off: make([]int, len(readers)+1)}
+	k := 0
+	for ri, n := range counts {
+		m.off[ri+1] = m.off[ri]
+		if n > 0 {
+			m.first[ri] = found[k].cell
+			m.off[ri+1] += found[k+n-1].cell - found[k].cell + 1
+		}
+		k += n
+	}
+	m.rates = make([]float64, m.off[len(readers)])
+	for _, e := range found {
+		ri := e.reader
+		m.rates[m.off[ri]+e.cell-m.first[ri]] = e.rate
 	}
 	return m
 }
@@ -357,26 +473,26 @@ func Calibrate(truth *Matrix, samples int, rng *stats.RNG) *Matrix {
 	if samples <= 0 {
 		samples = 1
 	}
+	// Only a span entry can be non-zero, so visiting the spans reader by
+	// reader, in cell order, draws what a scan of the dense rows would.
 	learned := &Matrix{
 		Readers: truth.Readers,
 		Cells:   truth.Cells,
-		Rates:   make([][]float64, len(truth.Readers)),
+		first:   truth.first,
+		off:     truth.off,
+		rates:   make([]float64, len(truth.rates)),
 	}
-	for ri := range truth.Readers {
-		row := make([]float64, truth.Cells.NumCells())
-		for c, p := range truth.Rates[ri] {
-			if p <= 0 {
-				continue
-			}
-			hits := 0
-			for s := 0; s < samples; s++ {
-				if rng.Bernoulli(p) {
-					hits++
-				}
-			}
-			row[c] = float64(hits) / float64(samples)
+	for i, p := range truth.rates {
+		if p <= 0 {
+			continue
 		}
-		learned.Rates[ri] = row
+		hits := 0
+		for s := 0; s < samples; s++ {
+			if rng.Bernoulli(p) {
+				hits++
+			}
+		}
+		learned.rates[i] = float64(hits) / float64(samples)
 	}
 	return learned
 }
@@ -386,7 +502,7 @@ func Calibrate(truth *Matrix, samples int, rng *stats.RNG) *Matrix {
 func (m *Matrix) DetectAt(cell int, rng *stats.RNG) Set {
 	var ids []int
 	for ri := range m.Readers {
-		if p := m.Rates[ri][cell]; p > 0 && rng.Bernoulli(p) {
+		if p := m.Rate(ri, cell); p > 0 && rng.Bernoulli(p) {
 			ids = append(ids, m.Readers[ri].ID)
 		}
 	}

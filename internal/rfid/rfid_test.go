@@ -187,12 +187,14 @@ func TestTruthMatrixAndDetect(t *testing.T) {
 		{ID: 1, Name: "rB", Floor: 0, Pos: geom.Pt(6, 2)},
 	}
 	truth := NewTruthMatrix(cs, readers, DefaultThreeState())
-	if len(truth.Rates) != 2 || len(truth.Rates[0]) != cs.NumCells() {
-		t.Fatalf("matrix dims wrong")
+	for ri := range readers {
+		if first, row := truth.Row(ri); first < 0 || first+len(row) > cs.NumCells() || len(row) == 0 {
+			t.Fatalf("reader %d: span [%d, %d) outside the %d cells", ri, first, first+len(row), cs.NumCells())
+		}
 	}
 	cellNearA := cs.CellOf(0, geom.Pt(2, 2))
-	if truth.Rates[0][cellNearA] < 0.9 {
-		t.Errorf("reader A should see its own cell strongly: %v", truth.Rates[0][cellNearA])
+	if truth.Rate(0, cellNearA) < 0.9 {
+		t.Errorf("reader A should see its own cell strongly: %v", truth.Rate(0, cellNearA))
 	}
 
 	rng := stats.NewRNG(99)
@@ -203,13 +205,13 @@ func TestTruthMatrixAndDetect(t *testing.T) {
 		if s.Contains(0) {
 			hits++
 		}
-		if s.Contains(1) && truth.Rates[1][cellNearA] == 0 {
+		if s.Contains(1) && truth.Rate(1, cellNearA) == 0 {
 			t.Fatalf("impossible detection")
 		}
 	}
 	frac := float64(hits) / n
-	if math.Abs(frac-truth.Rates[0][cellNearA]) > 0.05 {
-		t.Errorf("detect frequency %v vs rate %v", frac, truth.Rates[0][cellNearA])
+	if math.Abs(frac-truth.Rate(0, cellNearA)) > 0.05 {
+		t.Errorf("detect frequency %v vs rate %v", frac, truth.Rate(0, cellNearA))
 	}
 
 	if _, ok := truth.ReaderByID(1); !ok {
@@ -233,8 +235,8 @@ func TestCalibrate(t *testing.T) {
 
 	// Learned rates are frequencies with denominator 30.
 	var maxErr float64
-	for c := range learned.Rates[0] {
-		lr, tr := learned.Rates[0][c], truth.Rates[0][c]
+	for c := 0; c < cs.NumCells(); c++ {
+		lr, tr := learned.Rate(0, c), truth.Rate(0, c)
 		if tr == 0 && lr != 0 {
 			t.Fatalf("learned nonzero where truth is zero (cell %d)", c)
 		}
@@ -251,8 +253,8 @@ func TestCalibrate(t *testing.T) {
 
 	// Degenerate sample count falls back to 1.
 	l2 := Calibrate(truth, 0, rng)
-	for c := range l2.Rates[0] {
-		if v := l2.Rates[0][c]; v != 0 && v != 1 {
+	for c := 0; c < cs.NumCells(); c++ {
+		if v := l2.Rate(0, c); v != 0 && v != 1 {
 			t.Fatalf("samples=0 should yield 0/1 frequencies, got %v", v)
 		}
 	}

@@ -129,11 +129,110 @@ func TestTruthMatrixMatchesFullScan(t *testing.T) {
 			for c := 0; c < cs.NumCells(); c++ {
 				floor, center := cs.CellCenter(c)
 				want := model.Rate(plan, r, floor, center)
-				if math.Float64bits(got.Rates[ri][c]) != math.Float64bits(want) {
+				if math.Float64bits(got.Rate(ri, c)) != math.Float64bits(want) {
 					t.Fatalf("trial %d, model %+v, reader %+v, cell %d (floor %d, centre %v): got %v, full scan %v",
-						trial, model, r, c, floor, center, got.Rates[ri][c], want)
+						trial, model, r, c, floor, center, got.Rate(ri, c), want)
 				}
 			}
+		}
+	}
+}
+
+// denseCalibrate is Calibrate over dense rows: every reader, every cell, in
+// order, drawing for each entry with a positive rate.
+func denseCalibrate(truth *Matrix, samples int, rng *stats.RNG) [][]float64 {
+	if samples <= 0 {
+		samples = 1
+	}
+	rows := make([][]float64, len(truth.Readers))
+	for ri := range rows {
+		rows[ri] = make([]float64, truth.Cells.NumCells())
+		for c := range rows[ri] {
+			p := truth.Rate(ri, c)
+			if p <= 0 {
+				continue
+			}
+			hits := 0
+			for s := 0; s < samples; s++ {
+				if rng.Bernoulli(p) {
+					hits++
+				}
+			}
+			rows[ri][c] = float64(hits) / float64(samples)
+		}
+	}
+	return rows
+}
+
+// TestCalibrateMatchesDenseReference requires Calibrate over the spans to
+// equal, bit for bit, the dense reference from the same seed, and to leave
+// the generator where the reference leaves it, over the random plans,
+// readers and models of TestTruthMatrixMatchesFullScan.
+func TestCalibrateMatchesDenseReference(t *testing.T) {
+	rng := stats.NewRNG(2015)
+	trials := 150
+	if testing.Short() {
+		trials = 30
+	}
+	for trial := 0; trial < trials; trial++ {
+		plan := randomPlan(t, rng)
+		cs, err := NewCellSpace(plan, rng.Range(0.3, 1.2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers := make([]Reader, rng.IntRange(1, 8))
+		for i := range readers {
+			readers[i] = randomReader(i, cs, rng)
+		}
+		truth := NewTruthMatrix(cs, readers, randomModel(rng))
+		samples, seed := rng.IntRange(-1, 40), rng.Uint64()
+		gotRNG, wantRNG := stats.NewRNG(seed), stats.NewRNG(seed)
+		got := Calibrate(truth, samples, gotRNG)
+		want := denseCalibrate(truth, samples, wantRNG)
+		for ri := range readers {
+			f, row := got.Row(ri)
+			tf, trow := truth.Row(ri)
+			if f != tf || len(row) != len(trow) {
+				t.Fatalf("trial %d: reader %d's calibrated span differs from its truth span", trial, ri)
+			}
+			for c := 0; c < cs.NumCells(); c++ {
+				if math.Float64bits(got.Rate(ri, c)) != math.Float64bits(want[ri][c]) {
+					t.Fatalf("trial %d, samples %d, reader %d, cell %d: got %v, dense %v",
+						trial, samples, ri, c, got.Rate(ri, c), want[ri][c])
+				}
+			}
+		}
+		if g, w := gotRNG.Uint64(), wantRNG.Uint64(); g != w {
+			t.Fatalf("trial %d: Calibrate drew a different number of samples than the dense reference", trial)
+		}
+	}
+}
+
+// TestMatrixBytes: Bytes counts 8 bytes per stored rate plus the span table,
+// and the stored rates are exactly the spans.
+func TestMatrixBytes(t *testing.T) {
+	rng := stats.NewRNG(2016)
+	for trial := 0; trial < 50; trial++ {
+		plan := randomPlan(t, rng)
+		cs, err := NewCellSpace(plan, rng.Range(0.3, 1.2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readers := make([]Reader, rng.IntRange(1, 8))
+		for i := range readers {
+			readers[i] = randomReader(i, cs, rng)
+		}
+		m := NewTruthMatrix(cs, readers, randomModel(rng))
+		stored := 0
+		for ri := range readers {
+			_, row := m.Row(ri)
+			if len(row) > 0 && (math.Float64bits(row[0]) == 0 || math.Float64bits(row[len(row)-1]) == 0) {
+				t.Fatalf("trial %d: reader %d's span does not start and end on a non-zero entry", trial, ri)
+			}
+			stored += len(row)
+		}
+		if want := 8*stored + 16*len(readers) + 8; m.Bytes() != want {
+			t.Fatalf("trial %d: Bytes = %d, want %d", trial, m.Bytes(), want)
 		}
 	}
 }

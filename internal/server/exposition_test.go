@@ -77,6 +77,7 @@ func TestMetricsExpositionGolden(t *testing.T) {
 	m.streamSubsEvicted.Inc()
 	m.fanoutSeconds.Observe(0.000002)
 	m.deployments.Set(3)
+	m.matrixBytes.Set(453776)
 	m.bodyRejections.Inc()
 	m.inflight.Add(1)
 	m.persistFlushes.Add(4)

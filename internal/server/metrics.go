@@ -57,6 +57,7 @@ type serverMetrics struct {
 
 	// Resource bounds and liveness.
 	deployments    *metrics.Gauge
+	matrixBytes    *metrics.Gauge // detection matrices of the registered deployments
 	bodyRejections *metrics.Counter
 	inflight       *metrics.Gauge // /v1/ requests currently being served
 
@@ -133,6 +134,8 @@ func newMetrics() *serverMetrics {
 		0.00025, 0.0005, 0.001, 0.0025, 0.01, 0.05, 0.25)
 	m.deployments = r.Gauge("rfidclean_deployments",
 		"Deployments currently registered.")
+	m.matrixBytes = r.Gauge("rfidclean_deployment_matrix_bytes",
+		"Bytes of the detection matrices (ground truth and calibrated) the registered deployments hold.")
 	m.bodyRejections = r.Counter("rfidclean_body_rejections_total",
 		"POST bodies rejected for exceeding the size limit.")
 	m.inflight = r.Gauge("rfidclean_inflight_requests",

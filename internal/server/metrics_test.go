@@ -105,3 +105,32 @@ func TestMetricsMethodNotAllowed(t *testing.T) {
 		t.Errorf("POST /metrics status = %d", resp.StatusCode)
 	}
 }
+
+// TestDeploymentMatrixBytesGauge: rfidclean_deployment_matrix_bytes is the
+// sum of Matrix.Bytes over the truth and calibrated matrices of every
+// registered deployment, and falls back to 0 when the last one is deleted.
+func TestDeploymentMatrixBytesGauge(t *testing.T) {
+	base, srv, depID, sys := streamHarness(t, Options{})
+	want := int64(sys.Truth.Bytes() + sys.Prior.Matrix().Bytes())
+	if got := srv.metrics.matrixBytes.Value(); got != want || want == 0 {
+		t.Fatalf("matrix bytes gauge = %d, want %d", got, want)
+	}
+	if body := scrape(t, base); !strings.Contains(body, fmt.Sprintf("\nrfidclean_deployment_matrix_bytes %d\n", want)) {
+		t.Errorf("/metrics lacks rfidclean_deployment_matrix_bytes %d", want)
+	}
+	req, err := http.NewRequest(http.MethodDelete, base+"/v1/deployments/"+depID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE deployment = %d", resp.StatusCode)
+	}
+	if got := srv.metrics.matrixBytes.Value(); got != 0 {
+		t.Errorf("matrix bytes gauge = %d after the last deployment went, want 0", got)
+	}
+}

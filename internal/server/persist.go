@@ -600,6 +600,6 @@ func (s *Server) recoverDeployments(dir string) (int, error) {
 	if doc.Next > s.nextDep {
 		s.nextDep = doc.Next
 	}
-	s.metrics.deployments.Set(int64(len(s.deployments)))
+	s.deploymentsChangedLocked()
 	return len(doc.Deployments), nil
 }

@@ -437,9 +437,8 @@ func (s *Server) handleDeployments(w http.ResponseWriter, r *http.Request) {
 			id: id, dep: dep, sys: sys, raw: raw,
 			cache: newConstraintCache(constraintCacheEntries),
 		}
-		n := len(s.deployments)
+		s.deploymentsChangedLocked()
 		s.mu.Unlock()
-		s.metrics.deployments.Set(int64(n))
 		s.persistDeployments()
 		writeJSON(w, http.StatusCreated, map[string]string{"id": id})
 	case http.MethodGet:
@@ -497,14 +496,13 @@ func (s *Server) handleDeploymentByID(w http.ResponseWriter, r *http.Request) {
 			// removes the graph (see the deployment.dead field comment).
 			d.dead.Store(true)
 			delete(s.deployments, id)
+			s.deploymentsChangedLocked()
 		}
-		n := len(s.deployments)
 		s.mu.Unlock()
 		if !ok {
 			writeError(w, http.StatusNotFound, "unknown deployment %q", id)
 			return
 		}
-		s.metrics.deployments.Set(int64(n))
 		// Trajectories cleaned under the deployment go with it: they could
 		// not be recovered after a restart (no plan to decode against), so
 		// keeping them live would make restart behavior diverge.
@@ -597,6 +595,20 @@ func nextStridedID(cur, stride, offset int) int {
 		return n + offset - rem
 	}
 	return n + stride - rem + offset
+}
+
+// deploymentsChangedLocked sets the deployment gauges after a registration,
+// a deletion or recovery; the caller holds s.mu (or is still booting).
+func (s *Server) deploymentsChangedLocked() {
+	bytes := 0
+	for _, d := range s.deployments {
+		bytes += d.sys.Truth.Bytes()
+		if d.sys.Prior != nil {
+			bytes += d.sys.Prior.Matrix().Bytes()
+		}
+	}
+	s.metrics.deployments.Set(int64(len(s.deployments)))
+	s.metrics.matrixBytes.Set(int64(bytes))
 }
 
 // lookupDeployment resolves a deployment id under a read lock.

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -62,7 +64,9 @@ type streamSession struct {
 	// resolved at open, which it pins for its lifetime: one forward level per
 	// accepted reading, so its Duration is the accepted-reading count (a
 	// dead end appends no level), every live query reads its frontier, and
-	// every smooth is a suffix re-run of it.
+	// every smooth is a suffix re-run of it. Whichever path removes the
+	// session releases it and sets it nil (releaseLocked); a handler that
+	// locks the session afterwards answers 410 like a removed session.
 	state *rfidclean.BuildState
 	dead  bool // constraints ruled out every continuation
 
@@ -70,6 +74,29 @@ type streamSession struct {
 }
 
 func (ss *streamSession) touch() { ss.lastActive.Store(time.Now().UnixNano()) }
+
+// releaseLocked gives the removed session's build state back to the kernel
+// pool; the caller holds ss.mu.
+func (ss *streamSession) releaseLocked() {
+	if ss.state != nil {
+		ss.state.Release()
+		ss.state = nil
+	}
+}
+
+// release is releaseLocked under ss.mu, for the paths that remove a session
+// without holding it.
+func (ss *streamSession) release() {
+	ss.mu.Lock()
+	ss.releaseLocked()
+	ss.mu.Unlock()
+}
+
+// writeGone answers a request for a session that was removed: 410, re-open
+// and re-send.
+func writeGone(w http.ResponseWriter, id string) {
+	writeError(w, http.StatusGone, "stream session %q is closed; open a new session and re-send", id)
+}
 
 // sessionTombstones caps how many closed-session ids the store remembers so
 // late requests can be answered with 410 Gone instead of 404. The ring is
@@ -148,12 +175,13 @@ func (st *sessionStore) isGone(id string) bool {
 // store has been closed.
 func (st *sessionStore) open(dep *deployment, state *rfidclean.BuildState) *streamSession {
 	st.mu.Lock()
-	defer st.mu.Unlock()
 	if st.closed {
+		st.mu.Unlock()
 		return nil
 	}
+	var victim *streamSession
 	if len(st.sessions) >= st.maxSessions {
-		st.evictOldestLocked()
+		victim = st.evictOldestLocked()
 	}
 	st.next = nextStridedID(st.next, st.stride, st.offset)
 	s := &streamSession{
@@ -169,6 +197,11 @@ func (st *sessionStore) open(dep *deployment, state *rfidclean.BuildState) *stre
 		st.reaping = true
 		go st.reapLoop()
 	}
+	st.mu.Unlock()
+	if victim != nil {
+		// Outside st.mu: the victim may be mid-request.
+		victim.release()
+	}
 	return s
 }
 
@@ -177,8 +210,9 @@ func (st *sessionStore) open(dep *deployment, state *rfidclean.BuildState) *stre
 // clock's resolution — are broken by numeric session id, oldest id first, so
 // the victim is deterministic rather than whatever the map iterator happens
 // to visit first. It maintains the open-session gauge itself so any future
-// caller beyond open leaves it consistent.
-func (st *sessionStore) evictOldestLocked() {
+// caller beyond open leaves it consistent. It returns the victim, whose
+// state the caller releases once it has let go of st.mu.
+func (st *sessionStore) evictOldestLocked() *streamSession {
 	var victim *streamSession
 	oldest := int64(1<<63 - 1)
 	victimNum := 0
@@ -190,7 +224,7 @@ func (st *sessionStore) evictOldestLocked() {
 		}
 	}
 	if victim == nil {
-		return
+		return nil
 	}
 	delete(st.sessions, victim.id)
 	st.markGoneLocked(victim.id)
@@ -200,6 +234,7 @@ func (st *sessionStore) evictOldestLocked() {
 		st.onEvict(1)
 	}
 	victim.hub.shutdown(closeReasonEvicted)
+	return victim
 }
 
 // get returns the session with the given id, or nil.
@@ -265,6 +300,7 @@ func (st *sessionStore) reap(now time.Time) int {
 	st.mu.Unlock()
 	for _, s := range victims {
 		s.hub.shutdown(closeReasonReaped)
+		s.release()
 		st.m.streamReaped.Inc()
 	}
 	return len(victims)
@@ -280,15 +316,20 @@ func (st *sessionStore) close() {
 	first := !st.closed
 	st.closed = true
 	reaping := st.reaping
+	var removed []*streamSession
 	if first {
 		for id, s := range st.sessions {
 			st.markGoneLocked(id)
 			s.hub.shutdown(closeReasonShutdown)
+			removed = append(removed, s)
 		}
 		st.sessions = make(map[string]*streamSession)
 		st.m.streamSessions.Set(0)
 	}
 	st.mu.Unlock()
+	for _, s := range removed {
+		s.release()
+	}
 	if first {
 		close(st.stop)
 	}
@@ -357,8 +398,10 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	if dep == nil {
 		return
 	}
-	sess := s.sessions.open(dep, rfidclean.NewBuildState(ic))
+	state := rfidclean.NewBuildState(ic)
+	sess := s.sessions.open(dep, state)
 	if sess == nil {
+		state.Release()
 		writeError(w, http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
@@ -366,7 +409,9 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 		// The deployment was deleted between lookup and open: the session
 		// would pin a dead deployment and every smooth would orphan its
 		// graphs. Close it as if it were never opened.
-		s.sessions.remove(sess.id)
+		if s.sessions.remove(sess.id) {
+			sess.release()
+		}
 		sess.hub.shutdown(closeReasonClosed)
 		writeError(w, http.StatusNotFound, "%v", dep.deletedErr())
 		return
@@ -386,7 +431,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	sess := s.sessions.get(id)
 	if sess == nil {
 		if s.sessions.isGone(id) {
-			writeError(w, http.StatusGone, "stream session %q is closed; open a new session and re-send", id)
+			writeGone(w, id)
 		} else {
 			writeError(w, http.StatusNotFound, "unknown stream session %q", id)
 		}
@@ -480,6 +525,10 @@ func (s *Server) handleStreamReadings(w http.ResponseWriter, r *http.Request, se
 	defer pprof.SetGoroutineLabels(r.Context())
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.state == nil {
+		writeGone(w, sess.id)
+		return
+	}
 	defer sess.touch()
 	if sess.dead {
 		s.metrics.streamReadings.Inc("dead_session")
@@ -552,6 +601,10 @@ func (s *Server) handleStreamStatus(w http.ResponseWriter, r *http.Request, sess
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.state == nil {
+		writeGone(w, sess.id)
+		return
+	}
 	sess.touch()
 	st := statusLocked(sess)
 	if st.Time >= 0 {
@@ -628,6 +681,10 @@ func (s *Server) smoothLocked(ctx context.Context, sess *streamSession) (CleanRe
 func (s *Server) handleStreamSmooth(w http.ResponseWriter, r *http.Request, sess *streamSession) {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
+	if sess.state == nil {
+		writeGone(w, sess.id)
+		return
+	}
 	sess.touch()
 	resp, status, err := s.smoothLocked(r.Context(), sess)
 	if err != nil {
@@ -663,7 +720,7 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, sess 
 	if !s.sessions.remove(sess.id) {
 		// Lost the race with the reaper, an eviction, or a concurrent close:
 		// the session existed moments ago, so it is gone, not unknown.
-		writeError(w, http.StatusGone, "stream session %q is closed; open a new session and re-send", sess.id)
+		writeGone(w, sess.id)
 		return
 	}
 	sess.mu.Lock()
@@ -671,6 +728,8 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, sess 
 	// The hub outlives remove just long enough for the final smooth event,
 	// then broadcasts the terminal close and drops every subscriber.
 	defer sess.hub.shutdown(closeReasonClosed)
+	// The state goes back to the pool once the answer is sent.
+	defer sess.releaseLocked()
 	out := StreamCloseResponse{Closed: sess.id}
 	if smooth && sess.state.Duration() > 0 {
 		resp, status, err := s.smoothLocked(r.Context(), sess)
@@ -680,5 +739,20 @@ func (s *Server) handleStreamClose(w http.ResponseWriter, r *http.Request, sess 
 		}
 		out.Trajectory = &resp
 	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSONFlushed(w, http.StatusOK, out)
+}
+
+// writeJSONFlushed is writeJSON with the body's length declared and the
+// response flushed to the client, so what the handler does after it (a
+// close's release and hub shutdown) does not delay the answer.
+func writeJSONFlushed(w http.ResponseWriter, status int, v any) {
+	var buf bytes.Buffer
+	_ = json.NewEncoder(&buf).Encode(v)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.WriteHeader(status)
+	w.Write(buf.Bytes())
+	// Like writeJSON's, a failed write or flush means the client went away;
+	// the handler has nothing left to tell it.
+	_ = http.NewResponseController(w).Flush()
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -1292,4 +1294,88 @@ func FuzzCleanBodies(f *testing.F) {
 		}
 		h.healthy(t)
 	})
+}
+
+// TestStreamReleaseVsInflightReadings races readings POSTs against the
+// DELETE that closes their session and gives its build state back to the
+// kernel pool. One client feeds the readings in order; three post readings
+// far past the end, which the session refuses as a gap after looking at its
+// state. Every answer is 200, 410 or 422, every 410 carries the body a
+// removed session gets, and once the DELETE has answered every POST is 410.
+// Run it under -race.
+func TestStreamReleaseVsInflightReadings(t *testing.T) {
+	base, _, depID, sys := streamHarness(t, Options{})
+	readings := testReadings(t, sys, 34, 60)
+	for round := 0; round < 12; round++ {
+		sid := openStream(t, base, depID)
+		gone := fmt.Sprintf("stream session %q is closed; open a new session and re-send", sid)
+		var closed atomic.Bool
+		errc := make(chan error, 5)
+		var wg sync.WaitGroup
+		check := func(what string, resp *http.Response, body []byte, afterClose bool) bool {
+			switch {
+			case resp == nil:
+				errc <- fmt.Errorf("%s: %s", what, body)
+			case resp.StatusCode == http.StatusGone:
+				var e apiError
+				if err := json.Unmarshal(body, &e); err != nil || e.Error != gone {
+					errc <- fmt.Errorf("%s: 410 body %s, want error %q", what, body, gone)
+				}
+				return false
+			case afterClose:
+				errc <- fmt.Errorf("%s after the DELETE answered: %d %s", what, resp.StatusCode, body)
+			case resp.StatusCode == http.StatusOK, resp.StatusCode == http.StatusUnprocessableEntity:
+				return true
+			default:
+				errc <- fmt.Errorf("%s: %d %s", what, resp.StatusCode, body)
+			}
+			return false
+		}
+		wg.Add(1)
+		go func() { // the feeder
+			defer wg.Done()
+			for i := 0; i < len(readings); i += 3 {
+				after := closed.Load()
+				resp, body := postJSONQuiet(base+"/v1/stream/"+sid+"/readings",
+					StreamReadingsRequest{Readings: readings[i:min(i+3, len(readings))]})
+				if !check("feed", resp, body, after) {
+					return
+				}
+			}
+		}()
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() { // a client far ahead: always a gap
+				defer wg.Done()
+				ahead := rfidclean.Reading{Time: 1 << 20, Readers: readings[0].Readers}
+				for {
+					after := closed.Load()
+					resp, body := postJSONQuiet(base+"/v1/stream/"+sid+"/readings", StreamReadingsRequest{Readings: []rfidclean.Reading{ahead}})
+					if !check("gap", resp, body, after) {
+						return
+					}
+				}
+			}()
+		}
+		time.Sleep(time.Duration(round%4) * time.Millisecond)
+		req, err := http.NewRequest(http.MethodDelete, base+"/v1/stream/"+sid, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("round %d: DELETE = %d: %s", round, resp.StatusCode, body)
+		}
+		closed.Store(true)
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Errorf("round %d: %v", round, err)
+		}
+	}
 }

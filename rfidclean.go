@@ -185,7 +185,8 @@ type (
 	// TopLocations answer the filtered distribution of the object's current
 	// location, and Smooth reconditions only the suffix the newest readings
 	// can invalidate and returns a graph bit-identical to a full offline
-	// build over the same readings.
+	// build over the same readings. Release gives the state's pooled
+	// memory back once the stream ends.
 	BuildState = core.BuildState
 )
 
@@ -201,6 +202,10 @@ func DecodeCTGraph(r io.Reader) (*CTGraph, error) { return core.Decode(r) }
 // ErrNoValidTrajectory reports that the constraints exclude every
 // interpretation of the readings.
 var ErrNoValidTrajectory = core.ErrNoValidTrajectory
+
+// ErrReleased is what a BuildState's Observe, Smooth, Distribution and
+// TopLocations return after Release.
+var ErrReleased = core.ErrReleased
 
 // BuildCTGraph runs Algorithm 1 directly on an l-sequence.
 func BuildCTGraph(ls *LSequence, ic *ConstraintSet, opts *BuildOptions) (*CTGraph, error) {
