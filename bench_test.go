@@ -519,7 +519,7 @@ func BenchmarkOracleVsCTGraph(b *testing.B) {
 
 // benchSession returns the demo system, its inferred constraints, and a
 // generated reading sequence of the given duration — the fixture behind the
-// incremental-vs-full smoothing comparison.
+// live-state-vs-from-scratch smoothing comparison.
 func benchSession(b *testing.B, duration int) (*rfidclean.System, *rfidclean.ConstraintSet, rfidclean.ReadingSequence) {
 	b.Helper()
 	sys := demoSystem(b)
@@ -535,12 +535,13 @@ func benchSession(b *testing.B, duration int) (*rfidclean.System, *rfidclean.Con
 	return sys, ic, rfidclean.GenerateReadings(truth, sys.Truth, rng)
 }
 
-// BenchmarkSessionSmoothIncremental measures the streaming server's fast
-// path end to end: a session that already observed 500 readings takes one
-// more and re-smooths through its live BuildState (SmoothState). Only the
-// smoothing is timed — Observe runs at ingestion, when the reading is
-// POSTed, not when smoothing is requested. Pair with
-// BenchmarkSessionSmoothFull, the fallback this path replaces.
+// BenchmarkSessionSmoothIncremental measures a stream session's smooth end
+// to end: a session that already observed 500 readings takes one more and
+// re-smooths through its live BuildState (SmoothState), which reconditions
+// the raw graph its Observes grew. Only the smoothing is timed — Observe
+// runs at ingestion, when the reading is POSTed, not when smoothing is
+// requested. Pair with BenchmarkSessionSmoothFull, the same answer without
+// the live state.
 func BenchmarkSessionSmoothIncremental(b *testing.B) {
 	const warm = 500
 	sys, ic, readings := benchSession(b, warm+1)
@@ -576,10 +577,9 @@ func BenchmarkSessionSmoothIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkSessionSmoothFull measures the fallback the incremental path
-// replaces: re-cleaning the same 501-reading buffer from scratch (l-sequence
-// derivation plus Algorithm 1), as the server does when a recalibration
-// invalidated the session's constraint set.
+// BenchmarkSessionSmoothFull measures what a smooth would cost a session
+// that kept only its readings: re-cleaning the same 501-reading buffer from
+// scratch (l-sequence derivation plus Algorithm 1).
 func BenchmarkSessionSmoothFull(b *testing.B) {
 	sys, ic, readings := benchSession(b, 501)
 	opts := &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd}

@@ -140,19 +140,17 @@ func BenchmarkTopK(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalSmooth measures the streaming fast path: a live
-// session that has already observed (and smoothed) 500 readings takes one
-// more and re-smooths. Only that Smooth is timed — in the server, Observe
-// runs at ingestion (POST readings), not at smoothing time — and every
-// iteration rebuilds the same 501-reading session untimed, so the number is
-// stable in b.N. The backward convergence check stops the recompute a few
-// levels in, so the cost is mostly the result: the settled prefix's frozen
-// columns copied from the previous snapshot, then the few recomputed levels
-// frozen behind them. A full rebuild (BenchmarkFullSmooth500) redoes the
-// forward and backward phases over every level.
-func BenchmarkIncrementalSmooth(b *testing.B) {
+// BenchmarkSessionSmooth500 measures the server's smooth of a long stream
+// session: a session that has observed (and smoothed) 500 readings takes one
+// more and re-smooths with Options.Quotient, as the server does. Only that
+// Smooth is timed — in the server, Observe runs at ingestion (POST
+// readings), not at smoothing time — and every iteration rebuilds the same
+// 501-reading session untimed, so the number is stable in b.N. The smooth
+// reconditions every level and sweeps the whole graph into the quotient.
+func BenchmarkSessionSmooth500(b *testing.B) {
 	const warm = 500
 	ls, ic := benchScenarioN(warm + 1)
+	opts := &Options{Quotient: true}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -163,21 +161,25 @@ func BenchmarkIncrementalSmooth(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := st.Smooth(nil); err != nil {
+		if _, err := st.Smooth(opts); err != nil {
 			b.Fatal(err)
 		}
 		if err := st.Observe(ls.Steps[warm].Candidates); err != nil {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, err := st.Smooth(nil); err != nil {
+		if _, err := st.Smooth(opts); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		st.Release()
+		b.StartTimer()
 	}
 }
 
-// BenchmarkFullSmooth500 is the rebuild the incremental path replaces:
-// Algorithm 1 end to end over the same 500-reading session plus one more.
+// BenchmarkFullSmooth500 is Algorithm 1 end to end over the same 501
+// readings: the forward phase BenchmarkSessionSmooth500's session ran at
+// ingestion, plus the backward phase and the frozen graph.
 func BenchmarkFullSmooth500(b *testing.B) {
 	ls, ic := benchScenarioN(501)
 	b.ReportAllocs()

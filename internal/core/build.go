@@ -151,37 +151,57 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 		ex.PrunedLT = k.prunes[pruneLT]
 		ex.PrunedTT = k.prunes[pruneTT]
 		ex.ForwardNanos = time.Since(phaseStart).Nanoseconds()
-		phaseStart = time.Now()
 	}
-	_, spBackward := obs.Start(ctx, "core.backward")
-
 	// Backward phase (lines 15-31 in closed form; see above), into the
-	// columns of a pass: the working graph itself is only read.
-	p := &k.pass
+	// columns of the kernel's pass: the working graph itself is only read.
+	if err := k.condition(ctx, levels, opts.endLatency() == constraints.StrictEnd, ex); err != nil {
+		return nil, err
+	}
+	if opts.quotient() {
+		_, sp := obs.Start(ctx, "core.quotient")
+		defer sp.End()
+		return quotientOf(levels, &k.pass), nil
+	}
+	return freeze(levels, &k.pass), nil
+}
+
+// condition runs Algorithm 1's backward phase (lines 15-31 in closed form;
+// see Build) over the levels of a working graph, writing the columns of p:
+// the target survivals, one conditionLevel per level from the last, the
+// conditioned sources, and the numbering of the survivors from the first
+// level to the last. When ex is set it fills the backward counters, each
+// step's NodesFinal, the normalizer and the backward and revise times; when
+// ctx carries a trace it records the core.backward and core.revise spans.
+// Build and BuildState.Smooth both run it, so a smooth is bit for bit the
+// build over the same readings.
+func (p *pass) condition(ctx context.Context, levels [][]*node, strict bool, ex *BuildExplain) error {
+	_, sp := obs.Start(ctx, "core.backward")
+	start := time.Now()
+	duration := len(levels)
 	p.columns(levels)
 	p.src = resize(p.src, len(levels[0]))
-	condemned := condemnTargets(levels[duration-1], opts.endLatency() == constraints.StrictEnd, p.surv[duration-1])
-	backwardRemoved := 0
+	condemned := condemnTargets(levels[duration-1], strict, p.surv[duration-1])
+	removed := 0
 	for t := duration - 2; t >= 0; t-- {
-		removed, ok := conditionLevel(levels[t], p.surv[t+1], p.surv[t])
-		backwardRemoved += removed
+		r, ok := conditionLevel(levels[t], p.surv[t+1], p.surv[t])
+		removed += r
 		if !ok {
-			return nil, ErrNoValidTrajectory
+			sp.End()
+			return ErrNoValidTrajectory
 		}
 	}
-
-	spBackward.End()
+	sp.End()
 	if ex != nil {
-		ex.BackwardNanos = time.Since(phaseStart).Nanoseconds()
-		phaseStart = time.Now()
+		ex.BackwardNanos = time.Since(start).Nanoseconds()
+		start = time.Now()
 	}
-	_, spRevise := obs.Start(ctx, "core.revise")
+	_, sp = obs.Start(ctx, "core.revise")
+	defer sp.End()
 
 	// Condition the source probabilities (lines 30-31).
 	total, ok := conditionSources(levels[0], p.surv[0], p.src)
 	if !ok {
-		spRevise.End()
-		return nil, ErrNoValidTrajectory
+		return ErrNoValidTrajectory
 	}
 	// Number the survivors, dropping ghosts level by level forward.
 	ghosts := 0
@@ -194,19 +214,13 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	}
 	if ex != nil {
 		ex.TargetsCondemned = condemned
-		ex.BackwardRemoved = backwardRemoved
+		ex.BackwardRemoved = removed
 		ex.GhostsRemoved = ghosts
 		ex.Normalizer = total
 		ex.RecomputedLevels = duration
-		ex.ReviseNanos = time.Since(phaseStart).Nanoseconds()
+		ex.ReviseNanos = time.Since(start).Nanoseconds()
 	}
-	spRevise.End()
-	if opts.quotient() {
-		_, sp := obs.Start(ctx, "core.quotient")
-		defer sp.End()
-		return quotientOf(levels, p), nil
-	}
-	return freeze(nil, 0, levels, p), nil
+	return nil
 }
 
 // pass is what Algorithm 1's backward phase writes about a working graph,
@@ -244,8 +258,7 @@ func (p *pass) rewind() {
 // condemnTargets initializes the target survivals (the backward recurrence's
 // base case): 1, except targets condemned by strict end-of-window latency
 // semantics (Definition 2), which get survival 0 and are removed. Returns the
-// number of condemned targets. Shared by Build and BuildState.Smooth so both
-// paths run the identical operations in the identical order.
+// number of condemned targets.
 func condemnTargets(nodes []*node, strict bool, surv []float64) int {
 	condemned := 0
 	for i, n := range nodes {
@@ -286,9 +299,7 @@ func survival(n *node, next []float64) float64 {
 // successor means invalid; the sum can also hit zero by underflow when every
 // arc weight is below the smallest denormal, and then the node carries no
 // representable valid mass). ok is false when the whole level died — i.e. no
-// valid trajectory exists. Shared by Build and BuildState.Smooth: running
-// the same float operations, in survival and weight, is what makes the
-// incremental path bit-identical to the offline one.
+// valid trajectory exists.
 func conditionLevel(nodes []*node, next, surv []float64) (removed int, ok bool) {
 	maxS := 0.0
 	for i, n := range nodes {
@@ -312,7 +323,7 @@ func conditionLevel(nodes []*node, next, surv []float64) (removed int, ok bool) 
 
 // conditionSources conditions the source probabilities (lines 30-31) into
 // src: p'_N(src) = p_N(src)·S(src) / Σ p_N·S. ok is false when no source
-// retains positive mass. Shared by Build and BuildState.Smooth.
+// retains positive mass.
 func conditionSources(nodes []*node, surv, src []float64) (total float64, ok bool) {
 	for i, n := range nodes {
 		src[i] = n.prob * surv[i]
@@ -372,17 +383,9 @@ func (p *pass) number(levels [][]*node, t int) (kept, ghosts int) {
 
 // measure returns the shape of the graph freeze writes from the same
 // arguments.
-func measure(prefix *Graph, reuse int, levels [][]*node, p *pass) shape {
+func measure(levels [][]*node, p *pass) shape {
 	s := shape{levels: len(levels)}
-	if reuse > 0 {
-		s.nodes = int(prefix.levelOff[reuse])
-		s.arcs = int(prefix.arcOff[s.nodes])
-		s.sources = len(prefix.src)
-		if len(prefix.tlOff) > 0 {
-			s.ident, s.tls = true, int(prefix.tlOff[s.nodes])
-		}
-	}
-	for t := reuse; t < len(levels); t++ {
+	for t := range levels {
 		idx := p.idx[t]
 		var next []int32
 		if t+1 < len(levels) {
@@ -409,12 +412,10 @@ func measure(prefix *Graph, reuse int, levels [][]*node, p *pass) shape {
 }
 
 // freeze writes the survivors of levels, numbered by p, into a new frozen
-// graph. When reuse > 0, levels 0..reuse-1 are prefix's, copied unchanged,
-// and levels[:reuse] are not read: the arcs out of prefix's level reuse-1
-// must already index level reuse as p numbers it.
-func freeze(prefix *Graph, reuse int, levels [][]*node, p *pass) *Graph {
-	g := newGraph(measure(prefix, reuse, levels, p))
-	g.fill(prefix, reuse, levels, p)
+// graph.
+func freeze(levels [][]*node, p *pass) *Graph {
+	g := newGraph(measure(levels, p))
+	g.fill(levels, p)
 	return g
 }
 
@@ -422,26 +423,10 @@ func freeze(prefix *Graph, reuse int, levels [][]*node, p *pass) *Graph {
 // columns were carved for their shape; with the δ and TL columns left out,
 // it skips node identity. An arc's conditioned probability is p_E(n,m)·S(m)
 // / S(n) (lines 17-19), S(n) before its level was rescaled.
-func (g *Graph) fill(prefix *Graph, reuse int, levels [][]*node, p *pass) {
+func (g *Graph) fill(levels [][]*node, p *pass) {
 	n, a, e := 0, int32(0), int32(0)
-	if reuse > 0 {
-		n = int(prefix.levelOff[reuse])
-		a = prefix.arcOff[n]
-		copy(g.levelOff, prefix.levelOff[:reuse+1])
-		copy(g.loc, prefix.loc[:n])
-		copy(g.arcOff, prefix.arcOff[:n+1])
-		copy(g.to, prefix.to[:a])
-		copy(g.p, prefix.p[:a])
-		copy(g.src, prefix.src)
-		if len(prefix.tlOff) > 0 && len(g.tlOff) > 0 {
-			e = prefix.tlOff[n]
-			copy(g.stay, prefix.stay[:n])
-			copy(g.tlOff, prefix.tlOff[:n+1])
-			copy(g.tl, prefix.tl[:e])
-		}
-	}
 	ident := len(g.tlOff) > 0
-	for t := reuse; t < len(levels); t++ {
+	for t := range levels {
 		idx := p.idx[t]
 		var next []float64
 		var nextIdx []int32

@@ -72,12 +72,9 @@ type BuildExplain struct {
 	// backward phase's underflow-guard rescaling).
 	Normalizer float64 `json:"normalizer"`
 
-	// ReusedLevels and RecomputedLevels split the window by how the
-	// backward/revise work was obtained: an incremental smooth
-	// (BuildState.Smooth) reuses the prefix below its convergence boundary
-	// from the previous pass and reconditions only the suffix. A full Build
-	// reports 0 reused and the whole window recomputed.
-	ReusedLevels     int `json:"reusedLevels,omitempty"`
+	// RecomputedLevels is the number of levels the backward/revise work
+	// conditioned: Build and BuildState.Smooth both recondition the whole
+	// window.
 	RecomputedLevels int `json:"recomputedLevels"`
 }
 

@@ -80,13 +80,12 @@ func prefixLS(ls *LSequence, n int) *LSequence {
 // TestPropertyIncrementalSmoothEqualsBuild is the tentpole equivalence
 // property: feeding random valid reading sequences through a BuildState and
 // smoothing at random prefixes yields, at every prefix, a graph bit-identical
-// to a full offline Build over the same prefix — including after prefix
-// reuse, under both end-latency modes, and with the modes alternating (which
-// invalidates the convergence bookkeeping).
+// to a full offline Build over the same prefix — under both end-latency
+// modes, and with the modes alternating between smooths of one state.
 func TestPropertyIncrementalSmoothEqualsBuild(t *testing.T) {
 	rng := stats.NewRNG(20140325)
 	const trials = 400
-	smoothed, reused := 0, 0
+	smoothed := 0
 	for trial := 0; trial < trials; trial++ {
 		ls, ic := randomScenario(rng)
 		st := NewBuildState(ic)
@@ -134,7 +133,6 @@ func TestPropertyIncrementalSmoothEqualsBuild(t *testing.T) {
 				continue
 			}
 			smoothed++
-			reused += exInc.ReusedLevels
 			graphsBitIdentical(t, want, got)
 			if err := got.CheckInvariants(1e-9); err != nil {
 				t.Fatalf("trial %d prefix %d: invariants: %v", trial, k+1, err)
@@ -180,39 +178,39 @@ func TestPropertyIncrementalSmoothEqualsBuild(t *testing.T) {
 						trial, k+1, tt, exInc.Steps[tt], exFull.Steps[tt])
 				}
 			}
-			if exInc.ReusedLevels+exInc.RecomputedLevels != k+1 {
-				t.Fatalf("trial %d prefix %d: reused %d + recomputed %d != window",
-					trial, k+1, exInc.ReusedLevels, exInc.RecomputedLevels)
+			if exInc.RecomputedLevels != k+1 {
+				t.Fatalf("trial %d prefix %d: recomputed %d levels, want the window",
+					trial, k+1, exInc.RecomputedLevels)
 			}
 		}
 	}
 	if smoothed == 0 {
 		t.Fatal("no scenario produced a smoothable prefix")
 	}
-	if reused == 0 {
-		t.Fatal("convergence never reused a prefix level — the incremental path was never exercised")
-	}
 }
 
 // FuzzSmoothEqualsBuild: on any scenario, a BuildState that smooths at the
-// prefixes a schedule picks, flipping the end-latency mode at some of them,
-// fails exactly when Build over the same prefix fails and otherwise encodes
-// byte for byte like it. The schedule is the bytes after the scenario, one
-// per reading: bit 0 skips the smooth (the last reading always smooths), bit
-// 1 flips the mode first.
+// prefixes a schedule picks, flipping the end-latency mode and
+// Options.Quotient at some of them, fails exactly when Build with the same
+// options over the same prefix fails and otherwise encodes byte for byte
+// like it; with Quotient that Build is the serving one, which looks ahead.
+// The schedule is the bytes after the scenario, one per reading: bit 0
+// skips the smooth (the last reading always smooths), bit 1 flips the mode
+// first and bit 2 flips Quotient.
 func FuzzSmoothEqualsBuild(f *testing.F) {
 	rng := stats.NewRNG(20140331)
 	for i := 0; i < 32; i++ {
 		ls, ic := randomScenario(rng)
 		schedule := make([]byte, ls.Duration())
 		for k := range schedule {
-			schedule[k] = byte(rng.Intn(4))
+			schedule[k] = byte(rng.Intn(8))
 		}
 		f.Add(scenarioBytes(ls, ic, schedule))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ls, ic, mode, schedule := fuzzScenario(data)
 		st := NewBuildState(ic)
+		quotient := false
 		for k, step := range ls.Steps {
 			if err := st.Observe(step.Candidates); err != nil {
 				if _, bErr := Build(prefixLS(ls, k+1), ic, nil); !errors.Is(err, ErrNoValidTrajectory) || !errors.Is(bErr, ErrNoValidTrajectory) {
@@ -234,8 +232,12 @@ func FuzzSmoothEqualsBuild(f *testing.F) {
 					mode = constraints.StrictEnd
 				}
 			}
-			got, gotErr := st.Smooth(&Options{EndLatency: mode})
-			want, err := Build(prefixLS(ls, k+1), ic, &Options{EndLatency: mode})
+			if b&4 != 0 {
+				quotient = !quotient
+			}
+			opts := &Options{EndLatency: mode, Quotient: quotient}
+			got, gotErr := st.Smooth(opts)
+			want, err := Build(prefixLS(ls, k+1), ic, opts)
 			if (err == nil) != (gotErr == nil) {
 				t.Fatalf("prefix %d: smooth err %v, build err %v", k+1, gotErr, err)
 			}
@@ -281,12 +283,12 @@ func TestIncrementalSmoothIndependence(t *testing.T) {
 	for tt := range want {
 		for l := range want[tt] {
 			if math.Float64bits(want[tt][l]) != math.Float64bits(gotM[tt][l]) {
-				t.Fatalf("snapshot mutated at (t=%d, loc=%d)", tt, l)
+				t.Fatalf("the first smooth's graph mutated at (t=%d, loc=%d)", tt, l)
 			}
 		}
 	}
 	if err := first.CheckInvariants(1e-9); err != nil {
-		t.Fatalf("snapshot invariants broken after later smooths: %v", err)
+		t.Fatalf("the first smooth's invariants broke after later smooths: %v", err)
 	}
 }
 
@@ -353,23 +355,17 @@ func TestBuildStateInternerRebuild(t *testing.T) {
 // plus one step (TL entries carry absolute times, so it must be rebuilt), and
 // the filtered forward mass must be positive normal floats summing to 1.
 // Every smooth must keep the graph invariants and a finite, positive
-// normalizer, and must recompute a suffix bounded independently of the
-// session's length (the deterministic form of "smoothing cost stays flat").
-// At the first and the last smooth the graph must encode byte-identically to
-// a full Build over the same prefix. Memory is gated per raw node: the heap
-// the state holds after the last reading, and the bytes a Smooth that
-// recomputes every level allocates.
+// normalizer. At the first and the last smooth the graph must encode
+// byte-identically to a full Build over the same prefix. Memory is gated per
+// raw node: the heap the state holds after the last reading, and the bytes a
+// Smooth allocates.
 func TestBuildStateSoakSession(t *testing.T) {
 	const (
 		smoothEvery = soakSession / 4
-		// Levels below the newest smoothEvery that a smooth may recompute
-		// before its survivals converge to the previous pass's.
-		slack = 256
-		// The heap the state holds after the last reading (its raw graph,
-		// pass columns and last snapshot), and the bytes one Smooth that
-		// recomputes every level allocates, per raw node. They measure
-		// about 177 and 57 B.
-		maxHeldPerNode   = 195
+		// The heap the state holds after the last reading (its raw graph
+		// and pass columns), and the bytes one Smooth allocates, per raw
+		// node. They measure about 136 and 57 B.
+		maxHeldPerNode   = 150
 		maxSmoothPerNode = 80
 	)
 	steps, ic := soakScenario(t, soakSession)
@@ -379,7 +375,7 @@ func TestBuildStateSoakSession(t *testing.T) {
 	}
 	heapBefore := liveHeap()
 	st := NewBuildState(ic)
-	maxRecomputed, rawNodes := 0, 0
+	rawNodes := 0
 	for k, cands := range steps {
 		// One step adds at most one chain of links per (node, candidate)
 		// pair, and a TL holds at most one entry per location.
@@ -425,10 +421,6 @@ func TestBuildStateSoakSession(t *testing.T) {
 		if !(ex.Normalizer > 0) || math.IsInf(ex.Normalizer, 0) {
 			t.Fatalf("smooth at %d: normalizer %v", n, ex.Normalizer)
 		}
-		if ex.RecomputedLevels > smoothEvery+slack {
-			t.Fatalf("smooth at %d recomputed %d levels, want at most %d", n, ex.RecomputedLevels, smoothEvery+slack)
-		}
-		maxRecomputed = max(maxRecomputed, ex.RecomputedLevels)
 		if n != smoothEvery && n != soakSession {
 			continue
 		}
@@ -448,9 +440,8 @@ func TestBuildStateSoakSession(t *testing.T) {
 			t.Fatalf("smooth at %d: encoding differs from a full Build", n)
 		}
 	}
-	// Flipping the end mode makes the last Smooth recompute every level. It
-	// starts on empty arena pools, so blocks a Build left there do not hide
-	// what it takes.
+	// The last Smooth flips the end mode. It starts on empty arena pools, so
+	// blocks a Build left there do not hide what it takes.
 	liveHeap()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -471,6 +462,5 @@ func TestBuildStateSoakSession(t *testing.T) {
 	if st.InternerRebuilds() == 0 {
 		t.Fatalf("the interner never rebuilt over %d readings", soakSession)
 	}
-	t.Logf("%d readings, 4 smooths, at most %d levels recomputed per smooth, %d interner rebuilds",
-		soakSession, maxRecomputed, st.InternerRebuilds())
+	t.Logf("%d readings, 5 smooths, %d interner rebuilds", soakSession, st.InternerRebuilds())
 }

@@ -51,12 +51,12 @@ func (g *Graph) Quotient() *Graph {
 // scratch graph.
 func quotientOf(levels [][]*node, ps *pass) *Graph {
 	p := getPartition()
-	s := measure(nil, 0, levels, ps)
+	s := measure(levels, ps)
 	s.ident, s.tls = false, 0
 	p.ints = resize(p.ints, s.ints())
 	p.floats = resize(p.floats, s.sources+s.arcs)
 	p.raw.carve(s, p.ints, p.floats, nil)
-	p.raw.fill(nil, 0, levels, ps)
+	p.raw.fill(levels, ps)
 	p.sweep(&p.raw)
 	q := p.assemble(&p.raw)
 	partitions.Put(p)

@@ -265,8 +265,8 @@ type StreamDeltaEvent struct {
 type StreamSmoothEvent struct {
 	ID         string        `json:"id"`
 	Trajectory CleanResponse `json:"trajectory"`
-	// Mode is always "incremental": every smooth re-runs the suffix of the
-	// session's live build state.
+	// Mode is always "incremental": every smooth conditions the session's
+	// live build state. The value is kept for wire compatibility.
 	Mode string `json:"mode"`
 }
 

@@ -119,7 +119,7 @@ func newMetrics() *serverMetrics {
 	m.streamEvicted = r.Counter("rfidclean_stream_evicted_total",
 		"Streaming sessions evicted to admit new ones at the session cap.")
 	m.streamSmooths = r.CounterVec("rfidclean_stream_smooths_total",
-		"Stream smoothing operations, by mode (always incremental: a suffix re-run of the session's live build state).", "mode")
+		"Stream smoothing operations, by mode (always incremental: a smooth of the session's live build state).", "mode")
 	m.streamSubscribers = r.Gauge("rfidclean_stream_subscribers",
 		"SSE event subscribers currently attached across all streaming sessions.")
 	m.streamEvents = r.CounterVec("rfidclean_stream_events_total",

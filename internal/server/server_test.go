@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -859,6 +860,13 @@ func BenchmarkServerCleanCached(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := http.Post(ts.URL+"/v1/clean", "application/json", bytes.NewReader(body))
 		if err != nil {
+			b.Fatal(err)
+		}
+		// Drained, the body lets the client reuse its connection. Closed
+		// unread, it makes every request dial a new one, and net/http's
+		// per-connection goroutine and buffer pools then vary the
+		// allocation count with goroutine timing.
+		if _, err := io.Copy(io.Discard, r.Body); err != nil {
 			b.Fatal(err)
 		}
 		r.Body.Close()

@@ -239,11 +239,11 @@ func TestEvictLockedOrderAndReturn(t *testing.T) {
 
 // TestStoreBytesMatchRetainedHeap: the store's byte gauge, the unit of
 // -max-store-bytes, is within 15% of the heap that stored SYN1 cleans
-// retain, measured after a collection. The cleans run as the server runs
-// them: a quotient with an explain report.
+// retain, before and after queries cache their passes. The cleans run as
+// the server runs them: a quotient with an explain report.
 func TestStoreBytesMatchRetainedHeap(t *testing.T) {
 	if testing.Short() {
-		t.Skip("cleans 400 sequences")
+		t.Skip("cleans 600 sequences")
 	}
 	cfg := dataset.SYN1()
 	d, err := dataset.Build("SYN1", cfg)
@@ -285,39 +285,43 @@ func TestStoreBytesMatchRetainedHeap(t *testing.T) {
 		return int64(ms.HeapAlloc)
 	}
 	clean() // warm the prior's caches
-	st := newTrajStore(0, 1, 0, newMetrics())
-	before := heap()
-	cs := clean()
-	ids := st.addBatch("d1", cs)
-	cs = nil
-	if len(st.items) < n/2 {
-		t.Fatalf("only %d of %d sequences cleaned", len(st.items), n)
-	}
-	check := func(phase string) {
-		t.Helper()
-		retained := heap() - before
+	// Each phase fills a fresh store, then measures what it retains as the
+	// heap freed when the store is dropped, between two back-to-back
+	// collections: memory other tests free while this one runs cannot land
+	// in that window.
+	for _, queried := range []bool{false, true} {
+		st := newTrajStore(0, 1, 0, newMetrics())
+		ids := st.addBatch("d1", clean())
+		if len(st.items) < n/2 {
+			t.Fatalf("only %d of %d sequences cleaned", len(st.items), n)
+		}
+		phase := "unqueried"
+		if queried {
+			// One stay query per item caches its forward/backward passes.
+			phase = "queried"
+			srv := &Server{store: st}
+			for _, id := range ids {
+				if id == "" {
+					continue
+				}
+				rec := httptest.NewRecorder()
+				srv.handleStay(rec, httptest.NewRequest(http.MethodGet, "/?t=10", nil), st.get(id))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("stay on %s: %d %s", id, rec.Code, rec.Body)
+				}
+			}
+		}
+		items := len(st.items)
 		_, charged := st.stats()
+		held := heap()
+		runtime.KeepAlive(st) // the store's last use: it is garbage from here
+		retained := held - heap()
 		ratio := float64(charged) / float64(retained)
-		t.Logf("%s: %d stored cleans: charged %d bytes, retained %d (%.3f)", phase, len(st.items), charged, retained, ratio)
+		t.Logf("%s: %d stored cleans: charged %d bytes, retained %d (%.3f)", phase, items, charged, retained, ratio)
 		if ratio < 0.85 || ratio > 1.15 {
 			t.Errorf("%s: store charges %d bytes for %d retained (ratio %.3f), want within 15%%", phase, charged, retained, ratio)
 		}
 	}
-	check("unqueried")
-	// One stay query per item caches its forward/backward passes.
-	srv := &Server{store: st}
-	for _, id := range ids {
-		if id == "" {
-			continue
-		}
-		rec := httptest.NewRecorder()
-		srv.handleStay(rec, httptest.NewRequest(http.MethodGet, "/?t=10", nil), st.get(id))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("stay on %s: %d %s", id, rec.Code, rec.Body)
-		}
-	}
-	check("queried")
-	runtime.KeepAlive(st)
 	runtime.KeepAlive(d)
 	runtime.KeepAlive(sys)
 	runtime.KeepAlive(insts)

@@ -21,13 +21,13 @@ import (
 // This file implements streaming ingestion sessions — the live-tracking
 // counterpart of the batch /v1/clean endpoints. A session pins a deployment
 // and a constraint set and feeds timestamped reader sets, as they arrive,
-// through the deployment prior into a per-session incremental build state
+// through the deployment prior into a per-session build state
 // (core.BuildState), which keeps Algorithm 1's forward pass alive across
 // readings. At any point the client can read the *filtered* distribution of
 // the object's current location (conditioned on the past only — the best an
 // online cleaner can do); on demand, or when the session closes, smoothing
-// re-runs only the backward/revise suffix the newest readings can
-// invalidate and yields a ct-graph bit-identical to a full offline rebuild,
+// runs the backward/revise phase over the state's levels and yields a
+// ct-graph bit-identical to a full offline rebuild,
 // stored in the trajectory store where the usual query endpoints apply.
 //
 //	POST   /v1/stream                     StreamOpenRequest -> {"id": ...}
@@ -60,11 +60,11 @@ type streamSession struct {
 	hub *sessionHub
 
 	mu sync.Mutex
-	// state is the incremental build under the constraint set the session
+	// state is the streaming build under the constraint set the session
 	// resolved at open, which it pins for its lifetime: one forward level per
 	// accepted reading, so its Duration is the accepted-reading count (a
 	// dead end appends no level), every live query reads its frontier, and
-	// every smooth is a suffix re-run of it. Whichever path removes the
+	// every smooth conditions it. Whichever path removes the
 	// session releases it and sets it nil (releaseLocked); a handler that
 	// locks the session afterwards answers 410 like a removed session.
 	state *rfidclean.BuildState
@@ -627,15 +627,17 @@ func (s *Server) handleStreamStatus(w http.ResponseWriter, r *http.Request, sess
 }
 
 // smoothMode labels every smooth on the rfidclean_stream_smooths_total
-// series and in the smooth event: a suffix re-run of the session's state.
+// series and in the smooth event: a smooth of the session's live state.
+// The value predates the current smooth and is kept for wire compatibility.
 const smoothMode = "incremental"
 
 // smoothLocked conditions the accepted readings (LenientEnd, so the final
 // timestamp agrees with the filtered answer) and stores the quotient of the
-// ct-graph in the trajectory store. It re-runs only the backward/revise suffix of the
-// session's build state that the newest readings can invalidate; the result
-// is bit-identical to a full offline clean of those readings under the
-// constraint set the session opened with. The caller holds sess.mu.
+// ct-graph in the trajectory store. It runs the backward/revise phase over
+// every level of the session's build state, whose forward pass the readings
+// already ran; the result is bit-identical to a full offline clean of those
+// readings under the constraint set the session opened with. The caller
+// holds sess.mu.
 func (s *Server) smoothLocked(ctx context.Context, sess *streamSession) (CleanResponse, int, error) {
 	if sess.state.Duration() == 0 {
 		return CleanResponse{}, http.StatusUnprocessableEntity,

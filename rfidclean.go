@@ -183,14 +183,14 @@ type (
 	// BuildState is the online cleaner. It keeps Algorithm 1's forward pass
 	// alive across readings: Observe appends one timestamp, Distribution and
 	// TopLocations answer the filtered distribution of the object's current
-	// location, and Smooth reconditions only the suffix the newest readings
-	// can invalidate and returns a graph bit-identical to a full offline
-	// build over the same readings. Release gives the state's pooled
-	// memory back once the stream ends.
+	// location, and Smooth runs the backward phase over every observed
+	// timestamp and returns a graph bit-identical to a full offline build
+	// over the same readings. Release gives the state's pooled memory back
+	// once the stream ends.
 	BuildState = core.BuildState
 )
 
-// NewBuildState returns an incremental build over the given constraints.
+// NewBuildState returns a streaming build over the given constraints.
 func NewBuildState(ic *ConstraintSet) *BuildState {
 	return core.NewBuildState(ic)
 }
@@ -404,8 +404,8 @@ func (s *System) CleanGroupCtx(ctx context.Context, readings []ReadingSequence, 
 	return newCleanedExplained(g, s.Plan, opts, derive), nil
 }
 
-// SmoothState conditions the readings observed so far by an incremental
-// BuildState and wraps the result exactly like Clean wraps a full build: the
+// SmoothState conditions the readings observed so far by a BuildState and
+// wraps the result exactly like Clean wraps a full build: the
 // returned Cleaned carries the same query engine, and, when opts.Explain is
 // set, an explain report whose counters match a full build's (DeriveNanos is
 // zero — the l-sequence derivation already happened reading by reading, on
