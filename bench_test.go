@@ -276,6 +276,60 @@ func BenchmarkStreamSession(b *testing.B) {
 	}
 }
 
+// BenchmarkSYN1Pool measures the core work of the daemon's traffic over 128
+// 20-s SYN1 sequences, generated from cmd/rfidbench's reference stream and
+// kept, as its pools are, when they can be conditioned. One op cleans every
+// sequence with Quotient and streams it through a session that observes each
+// reading, smooths with Quotient and is released. The sequences' graph sizes
+// are heavy tailed like the daemon's, which benchScenario's are not: the
+// widest levels and TL histories come from the tail.
+func BenchmarkSYN1Pool(b *testing.B) {
+	d, dep := syn1Deployment(b)
+	sys, err := dep.System()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := dataset.SYN1()
+	ic, err := sys.Constraints(rfidclean.ConstraintParams{MaxSpeed: cfg.MaxSpeed, MinStay: cfg.MinStay, TTCap: cfg.TTCap})
+	if err != nil {
+		b.Fatal(err)
+	}
+	insts, err := d.Generate(20, 128, 0x5eed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd, Quotient: true}
+	var pool []rfidclean.ReadingSequence
+	for _, inst := range insts {
+		if _, err := sys.Clean(inst.Readings, ic, opts); err == nil {
+			pool = append(pool, inst.Readings)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, seq := range pool {
+			if _, err := sys.Clean(seq, ic, opts); err != nil {
+				b.Fatal(err)
+			}
+			st := rfidclean.NewBuildState(ic)
+			for _, r := range seq {
+				cands, err := sys.Candidates(r.Readers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := st.Observe(cands); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := sys.SmoothState(st, opts); err != nil {
+				b.Fatal(err)
+			}
+			st.Release()
+		}
+	}
+}
+
 // --- Figure-level benchmarks (one per table/figure) -----------------------
 
 // BenchmarkFig8aCleaningTimeSYN1 regenerates Fig. 8(a): average cleaning

@@ -8,11 +8,11 @@ import (
 
 // tlInternCap bounds the TL interner of a forward pass. TL entries carry
 // absolute timestamps, so on an unbounded stream the interner would grow
-// without limit; once it exceeds this many chain links its index is
-// discarded and rebuilt. That is safe because interned IDs are only compared
-// within a single expand step, and nodes hold the canonical slices
-// themselves, whose memory the rebuild leaves alone: it is reused only once
-// the kernel goes back to the pool.
+// without limit; once it exceeds this many chain links its IDs are forgotten
+// (an O(1) stamp bump of its index) and interning starts over. That is safe
+// because interned IDs are only compared within a single expand step, and
+// nodes hold the canonical slices themselves, whose memory the rebuild
+// leaves alone: it is reused only once the kernel goes back to the pool.
 const tlInternCap = 1 << 16
 
 // kernel is Algorithm 1's forward phase (lines 1-14), the one implementation
@@ -20,12 +20,14 @@ const tlInternCap = 1 << 16
 // the successors of one level, and link materializes the edges the last
 // expand resolved. Build and BuildState run expand+link per level.
 //
-// Successor identity is the comparable nodeKey (with the TL slice interned),
-// so deduplicating a level costs no per-candidate allocation, and all
-// scratch state is reused across levels.
+// Successor identity is the nodeKey (with the TL slice interned), and a
+// level is deduplicated in a stamped keyTable: moving to the next level
+// bumps its stamp instead of clearing it, so deduplicating costs no
+// per-candidate allocation and nothing per level beyond the successors
+// themselves, and all scratch state is reused across levels.
 //
 // A kernel is also everything a build allocates and throws away: the node,
-// edge and level arenas, the TL interner, the dedup map, the per-level
+// edge and level arenas, the TL interner, the dedup table, the per-level
 // scratch and the backward phase's pass. Every build takes one from kernels
 // (getKernel) and gives it back (put) — Build when it returns, a BuildState
 // when it is released — so the next build reuses all of it.
@@ -37,12 +39,11 @@ type kernel struct {
 	internCap int
 	rebuilds  int
 
-	dedup  map[nodeKey]int32 // position of each successor of the level being expanded
-	next   []*node           // successors of the level being expanded, before their exact copy
-	succs  []int32           // successor position per (node, candidate) pair, -1 when pruned
-	outDeg []int32           // out-degree per node of the expanded level
-	mass   []float64         // unnormalized forward mass per successor
-	widest int               // the most successors one expand has resolved since getKernel
+	dedup  keyTable  // position of each successor of the level being expanded
+	next   []*node   // successors of the level being expanded, before their exact copy
+	succs  []int32   // successor position per (node, candidate) pair, -1 when pruned
+	outDeg []int32   // out-degree per node of the expanded level
+	mass   []float64 // unnormalized forward mass per successor
 
 	prunes [numPruneReasons]int64 // cumulative, by constraint family
 	step   ExplainStep            // tallies of the last sources/expand call
@@ -52,16 +53,12 @@ type kernel struct {
 	pass
 }
 
-// What a kernel keeps when it goes back to kernels, as slabKeepChunks bounds
-// its arenas: scratch slices up to keepNodes entries, and its dedup map and
-// interner index while they never held more than keepMapEntries. A map keeps
-// its capacity when cleared, and clearing costs its capacity, not its
-// length, so a small build must not inherit the map of a wide one: the
-// dedup map is cleared once per level.
-const (
-	keepNodes      = 1 << 14
-	keepMapEntries = 1 << 10
-)
+// keepNodes is what a kernel keeps when it goes back to kernels, as
+// slabKeepChunks bounds its arenas: scratch slices up to keepNodes entries
+// and keyTables (its dedup table and interner index) up to keepNodes slots.
+// A kept table costs a later build nothing to reuse, since a stamp bump
+// empties it, but its memory stays pinned in the pool.
+const keepNodes = 1 << 14
 
 var kernels sync.Pool // of *kernel
 
@@ -69,7 +66,7 @@ var kernels sync.Pool // of *kernel
 func getKernel(ic *constraints.Set) *kernel {
 	k, ok := kernels.Get().(*kernel)
 	if !ok {
-		k = &kernel{b: builder{tl: newTLInterner()}, dedup: make(map[nodeKey]int32)}
+		k = &kernel{b: builder{tl: newTLInterner()}}
 	}
 	if ic == nil {
 		ic = constraints.NewSet()
@@ -84,10 +81,7 @@ func getKernel(ic *constraints.Set) *kernel {
 func (k *kernel) put() {
 	k.b.rewind()
 	k.rebuilds, k.prunes, k.step = 0, [numPruneReasons]int64{}, ExplainStep{}
-	if k.widest > keepMapEntries {
-		k.dedup = make(map[nodeKey]int32)
-	}
-	k.widest = 0
+	k.dedup.trim()
 	clear(k.next[:cap(k.next)])
 	k.next = trim(k.next[:0])
 	k.succs, k.outDeg, k.mass = trim(k.succs), trim(k.outDeg), trim(k.mass)
@@ -130,7 +124,7 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64)
 		k.b.tl.rebuild()
 		k.rebuilds++
 	}
-	clear(k.dedup)
+	k.dedup.reset()
 	k.succs = resize(k.succs, len(cur)*len(cands))
 	k.outDeg = resize(k.outDeg, len(cur))
 	k.mass = k.mass[:0]
@@ -146,10 +140,8 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64)
 				pi++
 				continue
 			}
-			j, seen := k.dedup[key]
-			if !seen {
-				j = int32(len(next))
-				k.dedup[key] = j
+			j, added := k.dedup.id(key.packed())
+			if added {
 				next = append(next, k.b.newNode(key.loc, key.stay, k.b.tl.seq(key.tl)))
 				if alphas != nil {
 					k.mass = append(k.mass, 0)
@@ -171,7 +163,6 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64)
 		NodesBuilt: len(next),
 	}
 	k.next = next
-	k.widest = max(k.widest, len(next))
 	level := k.b.levels.carve(len(next))
 	copy(level, next)
 	return level

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/constraints"
@@ -230,4 +231,33 @@ func TestPoolInvisible(t *testing.T) {
 	if counts['d'] == 0 || counts['r'] == 0 || counts['s'] == 0 {
 		t.Fatal("the script reached no dead end, release or smooth")
 	}
+}
+
+// TestBuildAllocsFlat: on a warm kernel a Build with Quotient allocates as
+// often over 200 timestamps as over 20. What grows with the duration (nodes,
+// arcs, TL slices, levels, the dedup table and interner index, the pass
+// columns) comes from the kernel's arenas and scratch, so only the frozen
+// graph's columns and a few fixed slices are allocated per build.
+func TestBuildAllocsFlat(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector randomizes the arena pools, so allocation counts do not repeat")
+	}
+	// The kernel and partition come from pools that a collection empties,
+	// so the counts are taken with the collector off.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opts := &Options{EndLatency: constraints.LenientEnd, Quotient: true}
+	measure := func(d int) float64 {
+		ls, ic := benchScenarioN(d)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Build(ls, ic, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	measure(200) // warms the kernel to the longer build
+	short, long := measure(20), measure(200)
+	if short != long {
+		t.Fatalf("a Build with Quotient allocates %v times over 20 timestamps but %v over 200", short, long)
+	}
+	t.Logf("%v allocations per Build at both durations", short)
 }
