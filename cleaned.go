@@ -192,16 +192,17 @@ func (c *Cleaned) ExpectedOccupancy() ([]float64, error) {
 // DecodeCTGraph, or with DecodeCleaned to get a queryable Cleaned back. The
 // output is deterministic for a given graph (nodes level by level in index
 // order, fixed field order, shortest round-trip float encoding), so
-// re-encoding a decoded graph reproduces the same bytes — the property the
-// server's persistence layer relies on for stable snapshots.
+// re-encoding a decoded graph reproduces the same bytes. The server stores
+// graphs as the smaller binary record instead (CTGraph.AppendBinary), which
+// both decoders read too.
 func (c *Cleaned) Encode(w io.Writer) error { return c.graph.Encode(w) }
 
-// DecodeCleaned reads a ct-graph written by Encode and rehydrates a
-// queryable Cleaned against the plan it was cleaned under. The graph's
-// location IDs are validated against the plan, so a snapshot restored
-// against the wrong deployment fails loudly instead of answering queries
-// with unknown locations. Explain reports are not part of the serialized
-// form; Explain returns nil on a decoded Cleaned.
+// DecodeCleaned reads a ct-graph written by Encode or CTGraph.AppendBinary
+// and rehydrates a queryable Cleaned against the plan it was cleaned under.
+// The graph's location IDs are validated against the plan, so a snapshot
+// restored against the wrong deployment fails loudly instead of answering
+// queries with unknown locations. Explain reports are not part of the
+// serialized form; Explain returns nil on a decoded Cleaned.
 func DecodeCleaned(r io.Reader, plan *Plan) (*Cleaned, error) {
 	if plan == nil {
 		return nil, errDecodeNoPlan

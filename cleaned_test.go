@@ -32,6 +32,18 @@ func TestDecodeCleanedRejectsForeignLocations(t *testing.T) {
 	if _, err := DecodeCleaned(strings.NewReader(beyond), plan); err == nil || !strings.Contains(err.Error(), "does not fit the plan") {
 		t.Errorf("error %v does not say the graph does not fit the plan", err)
 	}
+	// The same graph as a binary record.
+	g, err := DecodeCTGraph(strings.NewReader(beyond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := g.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCleaned(bytes.NewReader(rec), plan); err == nil || !strings.Contains(err.Error(), "does not fit the plan") {
+		t.Errorf("binary record: error %v does not say the graph does not fit the plan", err)
+	}
 	if _, err := DecodeCleaned(strings.NewReader(runningExampleGraph), plan); err != nil {
 		t.Fatalf("running example rejected: %v", err)
 	}
@@ -41,7 +53,8 @@ func TestDecodeCleanedRejectsForeignLocations(t *testing.T) {
 // plan. It must never panic, and every Cleaned it accepts must answer like a
 // conditioned graph: stay distributions are finite and sum to 1, the
 // match-anything pattern has probability 1, the path and marginal analytics
-// run, and Encode is a byte fixed point through DecodeCleaned.
+// run, and Encode is a byte fixed point through DecodeCleaned. The seeds
+// hold each graph as JSON and as a binary record.
 func FuzzDecodeCleaned(f *testing.F) {
 	d, cs := cleanSYN1(f, dataset.SelDULTTT, 12, 2)
 	for _, c := range cs {
@@ -53,6 +66,11 @@ func FuzzDecodeCleaned(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		rec, err := c.Graph().AppendBinary(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec)
 	}
 	f.Add([]byte(runningExampleGraph))
 	f.Add([]byte(negativeLocGraph))

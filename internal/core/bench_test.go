@@ -236,6 +236,50 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeBinary measures the write-ahead log's encoding: the
+// benchScenario graph's binary record, appended into one reused slice.
+func BenchmarkEncodeBinary(b *testing.B) {
+	ls, ic := benchScenario()
+	g, err := Build(ls, ic, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := g.AppendBinary(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec, err = g.AppendBinary(rec[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeBinary measures recovery's decoding: the benchScenario
+// graph's binary record back into a queryable graph, invariants checked.
+func BenchmarkDecodeBinary(b *testing.B) {
+	ls, ic := benchScenario()
+	g, err := Build(ls, ic, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rec, err := g.AppendBinary(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(rec)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decode(bytes.NewReader(rec)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQuotient measures the quotient pass the server runs on every
 // graph it stores, over the benchScenario graph.
 func BenchmarkQuotient(b *testing.B) {

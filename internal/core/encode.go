@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -169,10 +170,44 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// Decode reads a graph written by Encode into the frozen layout. Nodes keep
-// their order of appearance within their level, and arcs their order of
-// appearance within their source node.
+// Decode reads a graph written by Encode or AppendBinary into the frozen
+// layout, telling the two apart by the first byte. Nodes keep their order of
+// appearance within their level, and arcs their order of appearance within
+// their source node.
 func Decode(r io.Reader) (*Graph, error) {
+	br, ok := r.(byteScanReader)
+	if !ok {
+		br = bufio.NewReader(r)
+	}
+	if first, err := br.ReadByte(); err == nil {
+		if first == binaryFormat {
+			var buf bytes.Buffer
+			if l, ok := br.(interface{ Len() int }); ok {
+				buf.Grow(1 + l.Len() + bytes.MinRead)
+			}
+			buf.WriteByte(binaryFormat)
+			if _, err := buf.ReadFrom(br); err != nil {
+				return nil, fmt.Errorf("core: decoding ct-graph: %w", err)
+			}
+			return decodeBinary(buf.Bytes())
+		}
+		if err := br.UnreadByte(); err != nil {
+			return nil, fmt.Errorf("core: decoding ct-graph: %w", err)
+		}
+	}
+	// An empty or failing r reaches the JSON decoder, which reports it.
+	return decodeJSON(br)
+}
+
+// byteScanReader is a reader that can give back the byte Decode sniffs, as
+// a *bytes.Reader, a *strings.Reader and a *bufio.Reader can.
+type byteScanReader interface {
+	io.Reader
+	io.ByteScanner
+}
+
+// decodeJSON reads a graph written by Encode.
+func decodeJSON(r io.Reader) (*Graph, error) {
 	var in graphJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
 		return nil, fmt.Errorf("core: decoding ct-graph: %w", err)

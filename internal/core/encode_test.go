@@ -32,14 +32,16 @@ func TestDecodeRejectsHugeDuration(t *testing.T) {
 // FuzzDecode feeds arbitrary bytes to Decode. It must never panic, every
 // graph it accepts must satisfy the ct-graph invariants, and re-encoding an
 // accepted graph must be a fixed point: decoding the encoding and encoding
-// again reproduces the same bytes, and those bytes are encoding/json's.
+// again reproduces the same bytes, and those bytes are encoding/json's. An
+// accepted binary record re-encodes to exactly its own bytes.
 func FuzzDecode(f *testing.F) {
-	for _, g := range sampleGraphs(f) {
+	for _, g := range binaryGraphs(f) {
 		var buf bytes.Buffer
 		if err := g.Encode(&buf); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(buf.Bytes())
+		f.Add(appendBinary(f, g))
 	}
 	f.Add([]byte(`{"version":1,"duration":4000000000000,"nodes":[],"edges":[]}`))
 
@@ -50,6 +52,18 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err := g.CheckInvariants(1e-6); err != nil {
 			t.Fatalf("accepted graph violates invariants: %v", err)
+		}
+		rec, err := g.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("recording an accepted graph: %v", err)
+		}
+		if data[0] == binaryFormat && !bytes.Equal(rec, data) {
+			t.Fatalf("an accepted record re-encodes to other bytes:\n got % x\nwant % x", rec, data)
+		}
+		if back, err := Decode(bytes.NewReader(rec)); err != nil {
+			t.Fatalf("decoding the record of an accepted graph: %v", err)
+		} else if again, _ := back.AppendBinary(nil); !bytes.Equal(again, rec) {
+			t.Fatal("re-recording is not a fixed point")
 		}
 		var first bytes.Buffer
 		if err := g.Encode(&first); err != nil {

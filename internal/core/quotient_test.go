@@ -13,7 +13,7 @@ import (
 )
 
 // encoded returns g's Encode bytes.
-func encoded(t *testing.T, g *Graph) []byte {
+func encoded(t testing.TB, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := g.Encode(&buf); err != nil {

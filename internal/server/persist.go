@@ -28,8 +28,12 @@ import (
 //     delete — an atomic whole-file rewrite on the request path (registration
 //     is rare and the file is small).
 //   - The trajectory store gets an append-oriented write-ahead log
-//     (trajectories.wal): stores append "put" records carrying the encoded
-//     ct-graph, deletions and evictions append "del" tombstones. Appends are
+//     (trajectories.wal): stores append "put" records carrying the stored
+//     ct-graph as a binary record (core.Graph.AppendBinary: its columns,
+//     probabilities as float64 bits), deletions and evictions append "del"
+//     tombstones. Recovery decodes puts with core.Decode, which also reads
+//     the JSON graphs (Graph.Encode) of data directories written before the
+//     binary record; compaction rewrites those as records. Appends are
 //     queued by request handlers and flushed (write + fsync) by a single
 //     background writer goroutine, so the clean hot path never blocks on the
 //     disk; the durability window is one flush cycle (the writer wakes
@@ -88,8 +92,8 @@ type metaPayload struct {
 }
 
 // walEntry is one queued trajectory-store mutation. Graphs are carried as
-// *Cleaned and encoded in the writer goroutine, keeping JSON marshalling off
-// the request path.
+// *Cleaned and written as binary records by the writer goroutine, so a
+// clean never waits on encoding.
 type walEntry struct {
 	op  string // "put" | "del"
 	id  string
@@ -118,6 +122,7 @@ type persister struct {
 	onError      func(step string) // flight-recorder dump trigger; nil when disabled
 
 	wal *persist.Log // owned by writerLoop once start has been called
+	rec []byte       // flush's record buffer, reused: Append does not keep Data
 
 	// Byte sizes of deployments.json and trajectories.snap, stated once at
 	// open and then taken from the writes that replace them; atomic because
@@ -300,16 +305,15 @@ func (p *persister) flush() {
 	tr := obs.NewTrace("persist.flush")
 	_, sp := obs.Start(obs.WithTrace(context.Background(), tr), "persist.flush")
 	sp.Int("records", int64(len(batch)))
-	var buf bytes.Buffer // reused: Append does not keep Data
 	for _, e := range batch {
 		rec := persist.Record{Op: e.op, ID: e.id, Dep: e.dep}
 		if e.c != nil {
-			buf.Reset()
-			if err := e.c.Encode(&buf); err != nil {
+			var err error
+			if p.rec, err = e.c.Graph().AppendBinary(p.rec[:0]); err != nil {
 				p.logError("encoding graph "+e.id, err)
 				continue
 			}
-			rec.Data = bytes.TrimSpace(buf.Bytes())
+			rec.Data = p.rec
 		}
 		if err := p.wal.Append(rec); err != nil {
 			p.logError("appending to wal", err)
@@ -351,22 +355,21 @@ func (p *persister) compact() {
 	}
 	recs := make([]persist.Record, 0, len(items)+1)
 	recs = append(recs, persist.Record{Op: "meta", Data: meta})
-	// Every graph is encoded into one buffer; the records slice it only
+	// Every graph is appended to one buffer; the records slice it only
 	// once it has stopped growing.
-	var buf bytes.Buffer
+	var buf []byte
 	ends := make([]int, 0, len(items))
 	for _, it := range items {
-		if err := it.c.Encode(&buf); err != nil { // writes nothing on error
+		if buf, err = it.c.Graph().AppendBinary(buf); err != nil { // appends nothing on error
 			p.logError("encoding graph "+it.id, err)
 			continue
 		}
-		buf.Truncate(buf.Len() - 1) // Encode's trailing newline
 		recs = append(recs, persist.Record{Op: "put", ID: it.id, Dep: it.depID})
-		ends = append(ends, buf.Len())
+		ends = append(ends, len(buf))
 	}
 	start := 0
 	for i, end := range ends {
-		recs[i+1].Data = buf.Bytes()[start:end]
+		recs[i+1].Data = buf[start:end]
 		start = end
 	}
 	size, err := persist.WriteLogAtomic(filepath.Join(p.dir, trajSnapshotFile), recs)

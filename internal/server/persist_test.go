@@ -507,13 +507,54 @@ func TestDurablePersistTraces(t *testing.T) {
 	}
 }
 
+// withJSONGraph returns rec with a put's graph re-encoded as JSON, the way
+// builds before binary graph records stored it.
+func withJSONGraph(rec persist.Record) (persist.Record, error) {
+	if rec.Op != "put" {
+		return rec, nil
+	}
+	g, err := rfidclean.DecodeCTGraph(bytes.NewReader(rec.Data))
+	if err != nil {
+		return rec, err
+	}
+	var buf bytes.Buffer
+	if err := g.Encode(&buf); err != nil {
+		return rec, err
+	}
+	rec.Data = bytes.TrimSpace(buf.Bytes())
+	return rec, nil
+}
+
+// rewriteWithJSONGraphs rewrites the record log at path in binary records
+// whose put payloads are JSON graphs, as builds before binary graph records
+// wrote it.
+func rewriteWithJSONGraphs(t *testing.T, path string) {
+	t.Helper()
+	var recs []persist.Record
+	if _, _, err := persist.ReplayLog(path, func(rec persist.Record) error {
+		rec, err := withJSONGraph(rec)
+		recs = append(recs, rec)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := persist.WriteLogAtomic(path, recs); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // rewriteAsVersion1 rewrites the record log at path the way builds before
 // binary records wrote it: every payload is the record's encoding/json
-// object.
+// object. Those builds only ever stored JSON graphs, and a binary graph is
+// not a JSON value to embed, so each put's graph is re-encoded as JSON.
 func rewriteAsVersion1(t *testing.T, path string) {
 	t.Helper()
 	var out []byte
 	if _, _, err := persist.ReplayLog(path, func(rec persist.Record) error {
+		rec, err := withJSONGraph(rec)
+		if err != nil {
+			return err
+		}
 		payload, err := json.Marshal(rec)
 		out = persist.AppendFrame(out, payload)
 		return err
@@ -529,6 +570,21 @@ func rewriteAsVersion1(t *testing.T, path string) {
 // WAL hold JSON-payload records recovers to the same answers, and the next
 // compaction rewrites it in binary records.
 func TestDurableRecoversVersion1DataDir(t *testing.T) {
+	checkRecoversRewrittenDataDir(t, rewriteAsVersion1)
+}
+
+// TestDurableRecoversJSONGraphDataDir: a data directory whose binary
+// records carry JSON graphs recovers to the same answers, and the next
+// compaction rewrites every graph as a binary record.
+func TestDurableRecoversJSONGraphDataDir(t *testing.T) {
+	checkRecoversRewrittenDataDir(t, rewriteWithJSONGraphs)
+}
+
+// checkRecoversRewrittenDataDir stores two graphs, one in the snapshot and
+// one in the WAL, crashes, rewrites both logs with rewrite, and checks that
+// a reboot answers every query byte for byte as before and that its first
+// compaction writes binary records carrying binary graphs.
+func checkRecoversRewrittenDataDir(t *testing.T, rewrite func(*testing.T, string)) {
 	dir := t.TempDir()
 	depJSON, sys := testDeployment(t)
 	base, srv, ts := durable(t, dir, Options{})
@@ -546,13 +602,13 @@ func TestDurableRecoversVersion1DataDir(t *testing.T) {
 	srv.persist.drain()
 	crash(srv, ts)
 	snap, wal := filepath.Join(dir, trajSnapshotFile), filepath.Join(dir, trajWALFile)
-	rewriteAsVersion1(t, snap)
-	rewriteAsVersion1(t, wal)
+	rewrite(t, snap)
+	rewrite(t, wal)
 
 	base2, srv2, _ := durable(t, dir, Options{})
 	for path, want := range before {
 		if code, got := getBody(t, base2+path); code != http.StatusOK || !bytes.Equal(got, want) {
-			t.Errorf("GET %s from a version-1 data dir = %d %s, want %s", path, code, got, want)
+			t.Errorf("GET %s from a rewritten data dir = %d %s, want %s", path, code, got, want)
 		}
 	}
 	srv2.persist.compactNow()
@@ -562,6 +618,18 @@ func TestDurableRecoversVersion1DataDir(t *testing.T) {
 	}
 	if payload, _, err := persist.ParseFrame(data); err != nil || payload[0] == '{' {
 		t.Fatalf("compaction left a version-1 snapshot (err %v)", err)
+	}
+	puts := 0
+	if _, _, err := persist.ReplayLog(snap, func(rec persist.Record) error {
+		if rec.Op == "put" {
+			puts++
+			if rec.Data[0] == '{' {
+				t.Errorf("compaction kept %s's graph as JSON", rec.ID)
+			}
+		}
+		return nil
+	}); err != nil || puts != 2 {
+		t.Fatalf("the compacted snapshot holds %d puts (err %v)", puts, err)
 	}
 	if srv2.persist.wal.Size() != 0 {
 		t.Fatal("compaction left the WAL non-empty")

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	rfidclean "repro"
+	"repro/internal/dataset"
 )
 
 // testDeployment returns a small serialized deployment and the System it
@@ -872,6 +873,39 @@ func BenchmarkServerCleanCached(b *testing.B) {
 		r.Body.Close()
 		if r.StatusCode != http.StatusCreated {
 			b.Fatalf("clean status = %d", r.StatusCode)
+		}
+	}
+}
+
+// BenchmarkDecodeCleanBody measures the clean endpoint's body decode: a
+// SYN1 20-s CleanRequest, as json.Marshal writes it, through decodeBody.
+func BenchmarkDecodeCleanBody(b *testing.B) {
+	d, err := dataset.Build("SYN1", dataset.SYN1())
+	if err != nil {
+		b.Fatal(err)
+	}
+	insts, err := d.Generate(20, 1, 0x5eed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(CleanRequest{Deployment: "d1", Readings: insts[0].Readings, MaxSpeed: 2, MinStay: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := openServer(b, Options{})
+	b.Cleanup(func() { s.Close() })
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodPost, "/v1/clean", nil)
+	rd := bytes.NewReader(body)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		r.Body = io.NopCloser(rd)
+		var req CleanRequest
+		if !s.decodeBody(w, r, &req) || len(req.Readings) != 20 {
+			b.Fatalf("decoding the body failed: %d %s", w.Code, w.Body)
 		}
 	}
 }

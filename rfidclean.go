@@ -195,8 +195,9 @@ func NewBuildState(ic *ConstraintSet) *BuildState {
 	return core.NewBuildState(ic)
 }
 
-// DecodeCTGraph reads a ct-graph previously written with CTGraph.Encode,
-// letting cleaned data be warehoused and queried without re-cleaning.
+// DecodeCTGraph reads a ct-graph previously written with CTGraph.Encode or
+// CTGraph.AppendBinary, letting cleaned data be warehoused and queried
+// without re-cleaning.
 func DecodeCTGraph(r io.Reader) (*CTGraph, error) { return core.Decode(r) }
 
 // ErrNoValidTrajectory reports that the constraints exclude every
