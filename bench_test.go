@@ -242,7 +242,7 @@ func BenchmarkCandidates(b *testing.B) {
 }
 
 // BenchmarkStreamSession measures one stream session the way the server runs
-// it, without HTTP: open a BuildState, observe a 20-s SYN1 sequence through
+// it, without HTTP: open a quotient-only BuildState, observe a 20-s SYN1 sequence through
 // the prior, smooth it into a stored quotient, release the state.
 func BenchmarkStreamSession(b *testing.B) {
 	d, dep := syn1Deployment(b)
@@ -259,7 +259,7 @@ func BenchmarkStreamSession(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := rfidclean.NewBuildState(ic)
+		st := rfidclean.NewQuotientBuildState(ic)
 		for _, r := range readings {
 			cands, err := sys.Candidates(r.Readers)
 			if err != nil {
@@ -279,8 +279,9 @@ func BenchmarkStreamSession(b *testing.B) {
 // BenchmarkSYN1Pool measures the core work of the daemon's traffic over 128
 // 20-s SYN1 sequences, generated from cmd/rfidbench's reference stream and
 // kept, as its pools are, when they can be conditioned. One op cleans every
-// sequence with Quotient and streams it through a session that observes each
-// reading, smooths with Quotient and is released. The sequences' graph sizes
+// sequence with Quotient and streams it through a quotient-only session, as
+// the server opens, that observes each reading, smooths with Quotient and is
+// released. The sequences' graph sizes
 // are heavy tailed like the daemon's, which benchScenario's are not: the
 // widest levels and TL histories come from the tail.
 func BenchmarkSYN1Pool(b *testing.B) {
@@ -312,7 +313,7 @@ func BenchmarkSYN1Pool(b *testing.B) {
 			if _, err := sys.Clean(seq, ic, opts); err != nil {
 				b.Fatal(err)
 			}
-			st := rfidclean.NewBuildState(ic)
+			st := rfidclean.NewQuotientBuildState(ic)
 			for _, r := range seq {
 				cands, err := sys.Candidates(r.Readers)
 				if err != nil {

@@ -205,6 +205,10 @@ type Compiled struct {
 	sources int
 	ttCol   []int32
 	into    []int32
+
+	// dead[at*n+l'] is the age past which a TL entry for l' can no longer
+	// prune any move of a node at location at (see DeadAfter).
+	dead []int32
 }
 
 // Compile returns the dense view of the set. It is built on the first call
@@ -280,7 +284,41 @@ func (s *Set) compile() *Compiled {
 			c.into[to*c.sources+int(col)] = c.tt[from*n+to]
 		}
 	}
+	c.dead = make([]int32, n*n)
+	steps := make([]int32, n)
+	for at := 0; at < n; at++ {
+		for to := range steps {
+			steps[to] = c.minSteps(at, to)
+		}
+		for src := 0; src < n; src++ {
+			if !c.hasTT[src] {
+				continue
+			}
+			dead := int32(math.MinInt32)
+			for to, nu := range c.tt[src*n : (src+1)*n] {
+				if nu != 0 {
+					dead = max(dead, nu-steps[to])
+				}
+			}
+			c.dead[at*n+src] = dead
+		}
+	}
 	return c
+}
+
+// minSteps returns ν*(at, to), the fewest time points the constraints
+// themselves allow between being at at and arriving at to: 0 when at = to,
+// otherwise at least 1, at least 2 across a DU constraint, and at least ν
+// across a TT constraint. at and to must be below Len.
+func (c *Compiled) minSteps(at, to int) int32 {
+	if at == to {
+		return 0
+	}
+	steps := max(c.tt[at*c.n+to], 1)
+	if c.unreach[at*c.n+to] {
+		steps = max(steps, 2)
+	}
+	return steps
 }
 
 // Len returns the compiled range: every location that has a constraint is
@@ -316,12 +354,25 @@ func (c *Compiled) HasTTFrom(from int) bool {
 	return uint(from) < uint(c.n) && c.hasTT[from]
 }
 
-// MaxTravelingTime mirrors Set.MaxTravelingTime.
-func (c *Compiled) MaxTravelingTime(from int) int {
-	if uint(from) >= uint(c.n) {
-		return 0
+// MaxTravelingTimes returns Set.MaxTravelingTime of every location below
+// Len, indexed by location. Callers must not modify it.
+func (c *Compiled) MaxTravelingTimes() []int32 { return c.maxTT }
+
+// DeadAfter returns, for a node at location at, the age past which a TL
+// entry is dead, indexed by the entry's location: an entry (τ', l') of such a
+// node at timestamp t can never prune a later move once t − τ' ≥ row[l'].
+// row[l'] is the maximum, over the TT targets l2 of l', of ν(l', l2) −
+// ν*(at, l2), where ν*(at, l2) is the fewest time points the constraints
+// allow from at to l2 (minSteps): any arrival at l2 comes at least ν* after
+// t, so an entry older than the row's value is already met there. Locations
+// that no TT constraint leaves get 0. When at is outside the compiled range
+// the row is MaxTravelingTimes, the age at which every entry expires anyway,
+// so the rule drops nothing there. Callers must not modify it.
+func (c *Compiled) DeadAfter(at int) []int32 {
+	if uint(at) >= uint(c.n) {
+		return c.maxTT
 	}
-	return int(c.maxTT[from])
+	return c.dead[at*c.n : (at+1)*c.n]
 }
 
 // TTSources returns how many locations some TT constraint leaves: the

@@ -1,6 +1,7 @@
 package constraints
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -390,5 +391,119 @@ func TestCompiledTTColumns(t *testing.T) {
 	}
 	if NewSet().Compile().TTSources() != 0 {
 		t.Errorf("an empty set has TT sources")
+	}
+}
+
+// deadAfterByDefinition computes DeadAfter(at)[src] from the set's maps:
+// the maximum over the TT targets l2 of src of ν(src, l2) − ν*(at, l2), with
+// ν*(at, l2) = 0 when at = l2 and max(ν(at, l2), 2 if DU(at, l2) else 1)
+// otherwise; 0 when src is no TT source, and src's maxTravelingTime when at
+// is outside the compiled range.
+func deadAfterByDefinition(s *Set, n, at, src int) int32 {
+	if !s.HasTTFrom(src) {
+		return 0
+	}
+	if at >= n {
+		return int32(s.MaxTravelingTime(src))
+	}
+	best, found := 0, false
+	for to := 0; to < n; to++ {
+		nu, ok := s.TT(src, to)
+		if !ok {
+			continue
+		}
+		star := 0
+		if at != to {
+			star = 1
+			if s.Unreachable(at, to) {
+				star = 2
+			}
+			if v, ok := s.TT(at, to); ok && v > star {
+				star = v
+			}
+		}
+		if !found || nu-star > best {
+			best, found = nu-star, true
+		}
+	}
+	return int32(best)
+}
+
+// checkDeadAfter compares every row of the compiled dominance table, and
+// the rows of locations past Len, with deadAfterByDefinition.
+func checkDeadAfter(t *testing.T, s *Set) {
+	t.Helper()
+	c := s.Compile()
+	n := c.Len()
+	for at := 0; at < n+3; at++ {
+		row := c.DeadAfter(at)
+		if len(row) != n {
+			t.Fatalf("DeadAfter(%d) has %d entries, want %d", at, len(row), n)
+		}
+		for src := 0; src < n; src++ {
+			if want := deadAfterByDefinition(s, n, at, src); row[src] != want {
+				t.Fatalf("%v: DeadAfter(%d)[%d] = %d, want %d", s.Describe(nil), at, src, row[src], want)
+			}
+		}
+	}
+}
+
+// TestCompiledDeadAfter: the compiled dominance table equals its definition,
+// brute force, on random sets mixing DU-only pairs, TT-only pairs, pairs
+// with both and self-DU, at every location, location pairs with at = l2,
+// locations no TT constraint leaves, and locations past the compiled range;
+// and a set changed by AddTT after compiling compiles a table that matches
+// the new set.
+func TestCompiledDeadAfter(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140330))
+	for trial := 0; trial < 300; trial++ {
+		s := NewSet()
+		n := 1 + rng.Intn(7)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				switch rng.Intn(5) {
+				case 1:
+					s.AddDU(i, j)
+				case 2:
+					if i != j {
+						_ = s.AddTT(i, j, 2+rng.Intn(9))
+					}
+				case 3:
+					s.AddDU(i, j)
+					if i != j {
+						_ = s.AddTT(i, j, 2+rng.Intn(9))
+					}
+				}
+			}
+		}
+		checkDeadAfter(t, s)
+		from, to := rng.Intn(n+2), rng.Intn(n+2)
+		if from == to {
+			to = from + 1
+		}
+		_ = s.AddTT(from, to, 2+rng.Intn(9))
+		checkDeadAfter(t, s)
+	}
+
+	// A hand-checked case: 0 → 2 takes 6, 1 → 2 takes 4, and 1 cannot
+	// step to 0 directly.
+	s := NewSet()
+	_ = s.AddTT(0, 2, 6)
+	_ = s.AddTT(1, 2, 4)
+	s.AddDU(1, 0)
+	c := s.Compile()
+	for _, tc := range []struct {
+		at, src int
+		want    int32
+	}{
+		{0, 0, 6 - 6}, // at 0 itself, a TT constraint into 2 binds like the entry
+		{1, 0, 6 - 4}, // at 1, reaching 2 takes 4 already
+		{2, 0, 6},     // at the target itself
+		{3, 0, 6},     // past the range: the entry's own expiry
+		{0, 2, 0},     // 2 is no TT source
+	} {
+		if got := c.DeadAfter(tc.at)[tc.src]; got != tc.want {
+			t.Errorf("DeadAfter(%d)[%d] = %d, want %d", tc.at, tc.src, got, tc.want)
+		}
 	}
 }

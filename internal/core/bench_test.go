@@ -109,13 +109,14 @@ func BenchmarkForwardBackward(b *testing.B) {
 }
 
 // BenchmarkStateObserve measures the streaming ingest path a stream session
-// runs: a fresh BuildState observing every step of benchScenario.
+// runs: a fresh quotient-only BuildState, as the server opens, observing
+// every step of benchScenario.
 func BenchmarkStateObserve(b *testing.B) {
 	ls, ic := benchScenario()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := NewBuildState(ic)
+		st := NewQuotientBuildState(ic)
 		for _, step := range ls.Steps {
 			if err := st.Observe(step.Candidates); err != nil {
 				b.Fatal(err)
@@ -141,8 +142,9 @@ func BenchmarkTopK(b *testing.B) {
 }
 
 // BenchmarkSessionSmooth500 measures the server's smooth of a long stream
-// session: a session that has observed (and smoothed) 500 readings takes one
-// more and re-smooths with Options.Quotient, as the server does. Only that
+// session: a quotient-only session that has observed (and smoothed) 500
+// readings takes one more and re-smooths with Options.Quotient, as the
+// server does. Only that
 // Smooth is timed — in the server, Observe runs at ingestion (POST
 // readings), not at smoothing time — and every iteration rebuilds the same
 // 501-reading session untimed, so the number is stable in b.N. The smooth
@@ -155,7 +157,7 @@ func BenchmarkSessionSmooth500(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := NewBuildState(ic)
+		st := NewQuotientBuildState(ic)
 		for _, step := range ls.Steps[:warm] {
 			if err := st.Observe(step.Candidates); err != nil {
 				b.Fatal(err)

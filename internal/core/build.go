@@ -32,13 +32,18 @@ type Options struct {
 
 	// Quotient makes Build and BuildState.Smooth return the quotient of
 	// Algorithm 1's graph (Graph.Quotient) in its place. Build's own graph
-	// then never leaves it, so Build looks ahead: its forward phase drops
-	// TL entries that no later candidate can make prune (lookahead.go),
-	// which merges early some nodes the quotient would merge, and the
-	// result encodes byte for byte like Build(…).Quotient(). The explain
-	// report describes the graph Build built, which can have fewer nodes
-	// than Algorithm 1's. Build also hands that graph's arena blocks to the
-	// builds after it instead of leaving them to the garbage collector.
+	// then never leaves it, so its forward phase drops TL entries that can
+	// never prune again: entries the node's own location already dominates
+	// (the dominance rule, constraints.Compiled.DeadAfter) and entries no
+	// later candidate can make prune (the lookahead, lookahead.go). That
+	// merges early some nodes the quotient would merge, and the result
+	// encodes byte for byte like Build(…).Quotient(). The explain report
+	// describes the graph Build built, which can have fewer nodes than
+	// Algorithm 1's. Build also hands that graph's arena blocks to the
+	// builds after it instead of leaving them to the garbage collector. On
+	// a BuildState made by NewBuildState, Smooth with Quotient conditions
+	// Algorithm 1's own graph; NewQuotientBuildState applies the dominance
+	// rule to a session.
 	Quotient bool
 }
 
@@ -116,7 +121,9 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	defer k.put()
 	if opts.quotient() {
 		// Build's own graph never leaves it, so it may merge nodes that
-		// differ only in dead TL entries (lookahead.go).
+		// differ only in dead TL entries: by the dominance rule (internTL)
+		// and by lookahead (lookahead.go).
+		k.b.dominate = true
 		k.b.look = newLookahead(k.b.cs, ls)
 	}
 	if ex != nil {
@@ -497,16 +504,19 @@ type edge struct {
 }
 
 // builder holds the constraint set plus the allocation state of the forward
-// kernel (forward.go): the compiled constraint view, the lookahead that
-// decides which TL entries live (nil unless Build set one), the TL interner,
-// a scratch slice for assembling successor TLs, and the node, edge and level
-// arenas. Arena chunks are never reallocated, so node pointers, out-arc
-// lists and levels stay valid until the kernel is put back.
+// kernel (forward.go): the compiled constraint view, whether the dominance
+// rule drops TL entries (set only where the graph leaves as a quotient), the
+// lookahead that also decides which TL entries live (nil unless Build set
+// one), the TL interner, a scratch slice for assembling successor TLs, and
+// the node, edge and level arenas. Arena chunks are never reallocated, so
+// node pointers, out-arc lists and levels stay valid until the kernel is put
+// back.
 type builder struct {
-	cs      *constraints.Compiled
-	look    *lookahead
-	tl      *tlInterner
-	scratch []TLEntry
+	cs       *constraints.Compiled
+	dominate bool
+	look     *lookahead
+	tl       *tlInterner
+	scratch  []TLEntry
 
 	nodes  slab[node]
 	edges  slab[edge]
@@ -521,7 +531,7 @@ func (b *builder) rewind() {
 	b.edges.reset()
 	b.levels.reset()
 	b.tl.reset()
-	b.cs, b.look = nil, nil
+	b.cs, b.dominate, b.look = nil, false, nil
 }
 
 // newNode allocates a node from the arena. tl must be a canonical interned
@@ -574,7 +584,7 @@ func (b *builder) successorKey(t int, n *node, loc int) (nodeKey, pruneReason) {
 				stay = StayUntracked // constraint satisfied: normalize to ⊥
 			}
 		}
-		id := b.internTL(n.TL, t2, -1, -1)
+		id := b.internTL(n.TL, t2, loc, -1)
 		return nodeKey{loc: int32(loc), stay: int32(stay), tl: id}, pruneNone
 	}
 	// Condition 4: leaving is allowed only once any latency constraint on
@@ -600,31 +610,31 @@ func (b *builder) successorKey(t int, n *node, loc int) (nodeKey, pruneReason) {
 }
 
 // internTL builds the successor TL in the scratch slice and returns its
-// interned ID: the entries of tl still live at t2, minus any entry for
-// location drop, plus an entry for location left (-1 when the move stays)
-// left at t2−1, when that location is a TT source and the entry is live.
-// Which entries are live is fixed for the whole build: with a lookahead, an
-// entry lives while some later move can still break its TT constraint;
-// without, until its longest traveling time has passed.
-func (b *builder) internTL(tl []TLEntry, t2, drop, left int) tlID {
+// interned ID for a successor at location at and timestamp t2: the entries of
+// tl still live, minus any entry for at, plus an entry for location left (-1
+// when the move stays) left at t2−1, when that location is a TT source and
+// the entry is live. Which entries are live is fixed for the whole build: an
+// entry lives until its longest traveling time has passed; with the
+// dominance rule, only while at's own constraints do not already hold every
+// move it could prune (constraints.Compiled.DeadAfter); with a lookahead,
+// also only while some later move can still break its TT constraint.
+func (b *builder) internTL(tl []TLEntry, t2, at, left int) tlID {
 	s := b.scratch[:0]
-	add := b.cs.HasTTFrom(left)
-	if la := b.look; la != nil {
-		row := la.row(t2 + 1)
-		for _, e := range tl {
-			if e.Loc != drop && row[la.col[e.Loc]] < int32(e.Time) {
-				s = append(s, e)
-			}
-		}
-		add = add && row[la.col[left]] < int32(t2-1)
-	} else {
-		for _, e := range tl {
-			if e.Loc != drop && t2-e.Time < b.cs.MaxTravelingTime(e.Loc) {
-				s = append(s, e)
-			}
+	live := b.cs.MaxTravelingTimes()
+	if b.dominate {
+		live = b.cs.DeadAfter(at)
+	}
+	la := b.look
+	var row []int32
+	if la != nil {
+		row = la.row(t2 + 1)
+	}
+	for _, e := range tl {
+		if e.Loc != at && t2-e.Time < int(live[e.Loc]) && (la == nil || row[la.col[e.Loc]] < int32(e.Time)) {
+			s = append(s, e)
 		}
 	}
-	if add {
+	if b.cs.HasTTFrom(left) && 1 < live[left] && (la == nil || row[la.col[left]] < int32(t2-1)) {
 		s = append(s, TLEntry{Time: t2 - 1, Loc: left})
 		sortTL(s)
 	}

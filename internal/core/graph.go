@@ -189,11 +189,14 @@ func (g *Graph) Stats() Stats {
 	return Stats{Nodes: len(g.loc), Edges: len(g.to), Bytes: bytes}
 }
 
-// levels allocates one float64 slot per node, shaped like the graph.
+// levels allocates one float64 slot per node, shaped like the graph: the
+// rows are carved from one backing slice, each capped at its own end.
 func (g *Graph) levels() [][]float64 {
+	flat := make([]float64, len(g.loc))
 	out := make([][]float64, g.Duration())
 	for t := range out {
-		out[t] = make([]float64, g.Level(t).Width())
+		lo, hi := g.levelOff[t], g.levelOff[t+1]
+		out[t] = flat[lo:hi:hi]
 	}
 	return out
 }
@@ -461,16 +464,18 @@ func (g *Graph) CheckInvariants(tol float64) error {
 		return fmt.Errorf("core: source probabilities sum to %g", srcSum)
 	}
 	last := g.Duration() - 1
-	// reach[t][i] marks nodes reachable from a source. Reachability is
-	// tracked explicitly rather than via alpha > 0 so that probability
-	// underflow on long windows cannot mask a ghost (or flag a legitimate
-	// node).
-	reach := make([][]bool, g.Duration())
-	for t := range reach {
-		reach[t] = make([]bool, g.Level(t).Width())
+	// reach[n] marks the nodes, numbered through levelOff, reachable from a
+	// source. Reachability is tracked explicitly rather than via alpha > 0
+	// so that probability underflow on long windows cannot mask a ghost (or
+	// flag a legitimate node). hasPred is one row, reused for every level.
+	reach := make([]bool, len(g.loc))
+	widest := 0
+	for t := 0; t <= last; t++ {
+		widest = max(widest, g.Level(t).Width())
 	}
-	for i := range reach[0] {
-		reach[0][i] = true
+	pred := make([]bool, widest)
+	for i := range g.Level(0).Width() {
+		reach[i] = true
 	}
 	for t := 0; t <= last; t++ {
 		lvl := g.Level(t)
@@ -479,8 +484,10 @@ func (g *Graph) CheckInvariants(tol float64) error {
 		}
 		var hasPred []bool
 		if t < last {
-			hasPred = make([]bool, g.Level(t+1).Width())
+			hasPred = pred[:g.Level(t+1).Width()]
+			clear(hasPred)
 		}
+		off, next := g.levelOff[t], g.levelOff[t+1]
 		for i := 0; i < lvl.Width(); i++ {
 			arcs := lvl.Out(i)
 			if t == last {
@@ -503,8 +510,8 @@ func (g *Graph) CheckInvariants(tol float64) error {
 				}
 				sum += p
 				hasPred[to] = true
-				if reach[t][i] {
-					reach[t+1][to] = true
+				if reach[int(off)+i] {
+					reach[int(next)+to] = true
 				}
 			}
 			if math.Abs(sum-1) > tol {
@@ -517,8 +524,9 @@ func (g *Graph) CheckInvariants(tol float64) error {
 			}
 		}
 	}
-	for t, row := range reach {
-		for i, ok := range row {
+	for t := 0; t <= last; t++ {
+		off := int(g.levelOff[t])
+		for i, ok := range reach[off : off+g.Level(t).Width()] {
 			if !ok {
 				return fmt.Errorf("core: node %d at timestamp %d is unreachable from every source", i, t)
 			}

@@ -70,6 +70,22 @@ func NewBuildState(ic *constraints.Set) *BuildState {
 	return &BuildState{kernel: getKernel(ic)}
 }
 
+// NewQuotientBuildState returns a streaming build over the given constraints
+// whose graph only ever leaves as a quotient: its Smooth returns the
+// quotient whatever Options.Quotient says, encoding byte for byte like
+// Build(…).Quotient() over the same readings. Its forward phase may
+// therefore drop the TL entries that a node's own location already
+// dominates (constraints.Compiled.DeadAfter), as Build with Quotient does,
+// which merges nodes that differ only in entries that can never prune
+// again. A session keeps far fewer raw nodes that way, and its filtered
+// distribution agrees with NewBuildState's within rounding. The state
+// otherwise behaves like one from NewBuildState.
+func NewQuotientBuildState(ic *constraints.Set) *BuildState {
+	k := getKernel(ic)
+	k.b.dominate = true
+	return &BuildState{kernel: k}
+}
+
 // Release gives the state's kernel back to the pool for the next build or
 // session. Graphs Smooth returned stay valid; the state itself is empty
 // afterwards: Observe, Smooth, Distribution and TopLocations return
@@ -203,9 +219,9 @@ func (st *BuildState) TopLocations(k int) ([]LocProb, error) {
 
 // Smooth conditions the observed readings under the integrity constraints
 // and returns the ct-graph, exactly as Build over the same l-sequence would
-// (with Options.Quotient, exactly as Build(…).Quotient()). The returned
-// graph is independent of the state: later Observe/Smooth calls never
-// mutate it.
+// (with Options.Quotient, or on a state from NewQuotientBuildState, exactly
+// as Build(…).Quotient()). The returned graph is independent of the state:
+// later Observe/Smooth calls never mutate it.
 func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	if st.kernel == nil {
 		return nil, ErrReleased
@@ -225,7 +241,7 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	if err := st.condition(context.Background(), st.levels, opts.endLatency() == constraints.StrictEnd, ex); err != nil {
 		return nil, err
 	}
-	if opts.quotient() {
+	if opts.quotient() || st.b.dominate {
 		return quotientOf(st.levels, &st.pass), nil
 	}
 	return freeze(st.levels, &st.pass), nil

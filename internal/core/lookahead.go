@@ -21,8 +21,8 @@ const never = math.MaxInt32 / 2
 // ν(l', l2), first(t, l2) being the first timestamp ≥ t at which l2 is a
 // candidate. An entry (τ', l') of a node at timestamp t is dead iff
 // deadline(t+1, l') ≥ τ'. first only grows with t, so a dead entry stays
-// dead; and an entry the expiry rule drops (t − τ' ≥ maxTravelingTime(l'))
-// is dead, so the lookahead rule replaces it.
+// dead. Build looks ahead only beside the dominance rule (internTL), and an
+// entry dead by either rule is dropped.
 type lookahead struct {
 	col      []int32 // col[l] is TT source l's column of deadlines, -1 for other locations (the compiled view's)
 	width    int     // columns: one per TT source

@@ -3,8 +3,11 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	rfidclean "repro"
@@ -237,13 +240,34 @@ func TestEvictLockedOrderAndReturn(t *testing.T) {
 	}
 }
 
+// heapChildEnv marks the test binary that TestStoreBytesMatchRetainedHeap
+// starts to take its heap readings.
+const heapChildEnv = "RFIDCLEAN_STORE_HEAP_CHILD"
+
 // TestStoreBytesMatchRetainedHeap: the store's byte gauge, the unit of
 // -max-store-bytes, is within 15% of the heap that stored SYN1 cleans
 // retain, before and after queries cache their passes. The cleans run as
-// the server runs them: a quotient with an explain report.
+// the server runs them: a quotient with an explain report. The measurement
+// runs in a child process of the test binary that runs this test alone, so
+// no other test's goroutines allocate or free memory between its heap
+// readings.
 func TestStoreBytesMatchRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cleans 600 sequences")
+	}
+	if os.Getenv(heapChildEnv) == "" {
+		const name = "TestStoreBytesMatchRetainedHeap"
+		cmd := exec.Command(os.Args[0], "-test.run=^"+name+"$", "-test.count=1", "-test.v")
+		cmd.Env = append(os.Environ(), heapChildEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		t.Logf("child process:\n%s", out)
+		if err != nil {
+			t.Fatalf("child process: %v", err)
+		}
+		if !strings.Contains(string(out), "--- PASS: "+name) {
+			t.Fatal("the child process did not run the measurement")
+		}
+		return
 	}
 	cfg := dataset.SYN1()
 	d, err := dataset.Build("SYN1", cfg)

@@ -398,7 +398,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	if dep == nil {
 		return
 	}
-	state := rfidclean.NewBuildState(ic)
+	state := rfidclean.NewQuotientBuildState(ic)
 	sess := s.sessions.open(dep, state)
 	if sess == nil {
 		state.Release()

@@ -195,6 +195,15 @@ func NewBuildState(ic *ConstraintSet) *BuildState {
 	return core.NewBuildState(ic)
 }
 
+// NewQuotientBuildState returns a streaming build whose Smooth always
+// returns the quotient ct-graph, byte for byte Build(…).Quotient() over the
+// same readings, as a serving session stores it. Because its raw graph
+// never leaves it, it drops TL bookkeeping that can no longer prune and
+// keeps far fewer nodes than NewBuildState's on long streams.
+func NewQuotientBuildState(ic *ConstraintSet) *BuildState {
+	return core.NewQuotientBuildState(ic)
+}
+
 // DecodeCTGraph reads a ct-graph previously written with CTGraph.Encode or
 // CTGraph.AppendBinary, letting cleaned data be warehoused and queried
 // without re-cleaning.
