@@ -198,14 +198,6 @@ type Compiled struct {
 	maxTT   []int32 // [from]
 	hasTT   []bool  // [from]
 
-	// The TT sources, the locations some TT constraint leaves, numbered
-	// by column in ascending location order: ttCol[loc] is loc's column
-	// (-1 for other locations), and into[to*sources+c] is ν from the
-	// source of column c to to (0 = no constraint).
-	sources int
-	ttCol   []int32
-	into    []int32
-
 	// dead[at*n+l'] is the age past which a TL entry for l' can no longer
 	// prune any move of a node at location at (see DeadAfter).
 	dead []int32
@@ -251,7 +243,6 @@ func (s *Set) compile() *Compiled {
 		tt:      make([]int32, n*n),
 		maxTT:   make([]int32, n),
 		hasTT:   make([]bool, n),
-		ttCol:   make([]int32, n),
 	}
 	for k, v := range s.unreach {
 		if v {
@@ -267,22 +258,6 @@ func (s *Set) compile() *Compiled {
 		}
 		c.hasTT[from] = len(m) > 0
 		c.maxTT[from] = int32(s.maxTT[from])
-	}
-	for loc := range c.ttCol {
-		c.ttCol[loc] = -1
-		if c.hasTT[loc] {
-			c.ttCol[loc] = int32(c.sources)
-			c.sources++
-		}
-	}
-	c.into = make([]int32, n*c.sources)
-	for from, col := range c.ttCol {
-		if col < 0 {
-			continue
-		}
-		for to := 0; to < n; to++ {
-			c.into[to*c.sources+int(col)] = c.tt[from*n+to]
-		}
 	}
 	c.dead = make([]int32, n*n)
 	steps := make([]int32, n)
@@ -373,24 +348,6 @@ func (c *Compiled) DeadAfter(at int) []int32 {
 		return c.maxTT
 	}
 	return c.dead[at*c.n : (at+1)*c.n]
-}
-
-// TTSources returns how many locations some TT constraint leaves: the
-// number of columns of TTInto's rows.
-func (c *Compiled) TTSources() int { return c.sources }
-
-// TTColumns returns, for every location below Len, its column in TTInto's
-// rows, or -1 when no TT constraint leaves it. Callers must not modify it.
-func (c *Compiled) TTColumns() []int32 { return c.ttCol }
-
-// TTInto returns the traveling times into to, by TT-source column: ν from
-// that source to to, or 0 when no constraint binds. It is nil when to is
-// outside the compiled range. Callers must not modify it.
-func (c *Compiled) TTInto(to int) []int32 {
-	if uint(to) >= uint(c.n) {
-		return nil
-	}
-	return c.into[to*c.sources : (to+1)*c.sources]
 }
 
 // Counts returns the number of DU, LT and TT constraints in the set.

@@ -363,37 +363,6 @@ func TestCompileCachedUntilChange(t *testing.T) {
 	}
 }
 
-// TestCompiledTTColumns: the TT sources are numbered by column in location
-// order, and TTInto reads ν by target and source column.
-func TestCompiledTTColumns(t *testing.T) {
-	s := NewSet()
-	_ = s.AddTT(4, 1, 3)
-	_ = s.AddTT(2, 1, 6)
-	_ = s.AddTT(2, 5, 2)
-	c := s.Compile()
-	if c.TTSources() != 2 {
-		t.Fatalf("TTSources = %d, want 2", c.TTSources())
-	}
-	cols := c.TTColumns()
-	for l, want := range []int32{-1, -1, 0, -1, 1, -1} {
-		if cols[l] != want {
-			t.Errorf("column of %d = %d, want %d", l, cols[l], want)
-		}
-	}
-	if got := c.TTInto(1); len(got) != 2 || got[0] != 6 || got[1] != 3 {
-		t.Errorf("TTInto(1) = %v, want [6 3]", got)
-	}
-	if got := c.TTInto(5); len(got) != 2 || got[0] != 2 || got[1] != 0 {
-		t.Errorf("TTInto(5) = %v, want [2 0]", got)
-	}
-	if c.TTInto(6) != nil || c.TTInto(-1) != nil {
-		t.Errorf("TTInto outside the range is not nil")
-	}
-	if NewSet().Compile().TTSources() != 0 {
-		t.Errorf("an empty set has TT sources")
-	}
-}
-
 // deadAfterByDefinition computes DeadAfter(at)[src] from the set's maps:
 // the maximum over the TT targets l2 of src of ν(src, l2) − ν*(at, l2), with
 // ν*(at, l2) = 0 when at = l2 and max(ν(at, l2), 2 if DU(at, l2) else 1)

@@ -298,8 +298,9 @@ func BenchmarkQuotient(b *testing.B) {
 }
 
 // BenchmarkBuildQuotient measures the serving build: Build with
-// Options.Quotient, which looks ahead (benchScenario has TT constraints) and
-// returns the quotient, pooling its arena blocks across iterations.
+// Options.Quotient, which drops dominated TL entries (benchScenario has TT
+// constraints) and returns the quotient, pooling its arena blocks across
+// iterations.
 func BenchmarkBuildQuotient(b *testing.B) {
 	ls, ic := benchScenario()
 	opts := &Options{Quotient: true}

@@ -32,18 +32,17 @@ type Options struct {
 
 	// Quotient makes Build and BuildState.Smooth return the quotient of
 	// Algorithm 1's graph (Graph.Quotient) in its place. Build's own graph
-	// then never leaves it, so its forward phase drops TL entries that can
-	// never prune again: entries the node's own location already dominates
-	// (the dominance rule, constraints.Compiled.DeadAfter) and entries no
-	// later candidate can make prune (the lookahead, lookahead.go). That
-	// merges early some nodes the quotient would merge, and the result
-	// encodes byte for byte like Build(…).Quotient(). The explain report
-	// describes the graph Build built, which can have fewer nodes than
-	// Algorithm 1's. Build also hands that graph's arena blocks to the
-	// builds after it instead of leaving them to the garbage collector. On
-	// a BuildState made by NewBuildState, Smooth with Quotient conditions
-	// Algorithm 1's own graph; NewQuotientBuildState applies the dominance
-	// rule to a session.
+	// then never leaves it, so its forward phase drops the TL entries the
+	// node's own location already dominates, which can never prune again
+	// (the dominance rule, constraints.Compiled.DeadAfter). That merges
+	// early some nodes the quotient would merge, and the result encodes
+	// byte for byte like Build(…).Quotient(). The explain report describes
+	// the graph Build built, which can have fewer nodes than Algorithm 1's.
+	// Build also hands that graph's arena blocks to the builds after it
+	// instead of leaving them to the garbage collector. On a BuildState made
+	// by NewBuildState, Smooth with Quotient conditions Algorithm 1's own
+	// graph; NewQuotientBuildState applies the same rule to a session, whose
+	// working graph is then Build's over the same readings.
 	Quotient bool
 }
 
@@ -121,10 +120,8 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	defer k.put()
 	if opts.quotient() {
 		// Build's own graph never leaves it, so it may merge nodes that
-		// differ only in dead TL entries: by the dominance rule (internTL)
-		// and by lookahead (lookahead.go).
+		// differ only in dominated TL entries (internTL).
 		k.b.dominate = true
-		k.b.look = newLookahead(k.b.cs, ls)
 	}
 	if ex != nil {
 		ex.CompileNanos = time.Since(phaseStart).Nanoseconds()
@@ -506,15 +503,12 @@ type edge struct {
 // builder holds the constraint set plus the allocation state of the forward
 // kernel (forward.go): the compiled constraint view, whether the dominance
 // rule drops TL entries (set only where the graph leaves as a quotient), the
-// lookahead that also decides which TL entries live (nil unless Build set
-// one), the TL interner, a scratch slice for assembling successor TLs, and
-// the node, edge and level arenas. Arena chunks are never reallocated, so
-// node pointers, out-arc lists and levels stay valid until the kernel is put
-// back.
+// TL interner, a scratch slice for assembling successor TLs, and the node,
+// edge and level arenas. Arena chunks are never reallocated, so node
+// pointers, out-arc lists and levels stay valid until the kernel is put back.
 type builder struct {
 	cs       *constraints.Compiled
 	dominate bool
-	look     *lookahead
 	tl       *tlInterner
 	scratch  []TLEntry
 
@@ -531,7 +525,7 @@ func (b *builder) rewind() {
 	b.edges.reset()
 	b.levels.reset()
 	b.tl.reset()
-	b.cs, b.dominate, b.look = nil, false, nil
+	b.cs, b.dominate = nil, false
 }
 
 // newNode allocates a node from the arena. tl must be a canonical interned
@@ -616,25 +610,19 @@ func (b *builder) successorKey(t int, n *node, loc int) (nodeKey, pruneReason) {
 // the entry is live. Which entries are live is fixed for the whole build: an
 // entry lives until its longest traveling time has passed; with the
 // dominance rule, only while at's own constraints do not already hold every
-// move it could prune (constraints.Compiled.DeadAfter); with a lookahead,
-// also only while some later move can still break its TT constraint.
+// move it could prune (constraints.Compiled.DeadAfter).
 func (b *builder) internTL(tl []TLEntry, t2, at, left int) tlID {
 	s := b.scratch[:0]
 	live := b.cs.MaxTravelingTimes()
 	if b.dominate {
 		live = b.cs.DeadAfter(at)
 	}
-	la := b.look
-	var row []int32
-	if la != nil {
-		row = la.row(t2 + 1)
-	}
 	for _, e := range tl {
-		if e.Loc != at && t2-e.Time < int(live[e.Loc]) && (la == nil || row[la.col[e.Loc]] < int32(e.Time)) {
+		if e.Loc != at && t2-e.Time < int(live[e.Loc]) {
 			s = append(s, e)
 		}
 	}
-	if b.cs.HasTTFrom(left) && 1 < live[left] && (la == nil || row[la.col[left]] < int32(t2-1)) {
+	if b.cs.HasTTFrom(left) && 1 < live[left] {
 		s = append(s, TLEntry{Time: t2 - 1, Loc: left})
 		sortTL(s)
 	}

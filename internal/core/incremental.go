@@ -78,8 +78,10 @@ func NewBuildState(ic *constraints.Set) *BuildState {
 // dominates (constraints.Compiled.DeadAfter), as Build with Quotient does,
 // which merges nodes that differ only in entries that can never prune
 // again. A session keeps far fewer raw nodes that way, and its filtered
-// distribution agrees with NewBuildState's within rounding. The state
-// otherwise behaves like one from NewBuildState.
+// distribution agrees with NewBuildState's within rounding. Its raw graph is
+// the one Build with Quotient builds over the same readings, so their
+// explain reports agree. The state otherwise behaves like one from
+// NewBuildState.
 func NewQuotientBuildState(ic *constraints.Set) *BuildState {
 	k := getKernel(ic)
 	k.b.dominate = true

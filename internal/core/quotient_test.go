@@ -127,7 +127,7 @@ func TestPropertyQuotientMatchesOracle(t *testing.T) {
 			}
 			checkQuotient(t, g, q, 4)
 			if !bytes.Equal(encoded(t, served), encoded(t, q)) {
-				t.Fatalf("trial %d (%v): lookahead quotient build differs from the quotient of the build", trial, mode)
+				t.Fatalf("trial %d (%v): served quotient build differs from the quotient of the build", trial, mode)
 			}
 			oracle, err := EnumerateConditioned(ls, ic, mode, 1<<20)
 			if err != nil {
@@ -236,7 +236,7 @@ func TestQuotientEncoding(t *testing.T) {
 // TestBuildQuotientOption: Build with Options.Quotient returns the quotient
 // of the graph Build returns without it, byte for byte, while the arena
 // blocks of earlier quotient builds are reused by later ones, including
-// concurrent ones. Its explain report describes the lookahead graph it
+// concurrent ones. Its explain report describes the dominance-rule graph it
 // built: the same counters on every run, prune counters that sum to the
 // considered−accepted gap, and no more nodes built at any step than without
 // the option. Smooth with the option returns the same bytes.

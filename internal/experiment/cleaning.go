@@ -36,8 +36,9 @@ type CleaningResult struct {
 	MeanQuotientBytes   float64
 
 	// The serving build: core.Build with Options.Quotient, whose forward
-	// phase looks ahead and which returns the quotient (DESIGN §3n). Its
-	// time includes the l-sequence, like MeanSeconds, and the quotient pass.
+	// phase drops dominated TL entries and which returns the quotient
+	// (DESIGN §3n). Its time includes the l-sequence, like MeanSeconds, and
+	// the quotient pass.
 	MeanServedSeconds    float64
 	MeanServedNodesBuilt float64
 }

@@ -246,7 +246,7 @@ func TestTracingDisabled(t *testing.T) {
 // TestExplainEndpoint is the acceptance E2E: the explain report's
 // per-constraint prune counts must sum consistently with the ct-graph's
 // candidate counts. Its node tallies describe the graph the serving build
-// built (Build with Quotient, which drops dead TL entries by lookahead), no
+// built (Build with Quotient, which drops dominated TL entries), no
 // larger at any step than Algorithm 1's, while the response's nodes count
 // the stored quotient, which is no larger still.
 func TestExplainEndpoint(t *testing.T) {

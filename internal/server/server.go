@@ -935,12 +935,13 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 // ExplainResponse is the GET /v1/trajectories/{id}/explain body: the cleaning
 // explain report collected when the trajectory was cleaned, labeled with the
 // graph the server stores. The report describes the graph that was built:
-// for a clean or batch, the graph of Build with Quotient, whose forward phase
-// drops dead TL entries by lookahead and so builds no more nodes at any step
-// than Algorithm 1; for a stream smooth, Algorithm 1's graph. The sum of its
-// per-step NodesFinal is that graph's node count. Nodes and Edges count the
-// stored quotient, which keeps one node per distinct future, so Nodes is at
-// most that sum, and the sum over Nodes is the merge factor.
+// for a clean, a batch and a stream smooth alike, the dominance-rule graph
+// (Build with Quotient, or a session from NewQuotientBuildState, which build
+// the same graph over the same readings), whose forward phase drops dominated
+// TL entries and so builds no more nodes at any step than Algorithm 1. The
+// sum of its per-step NodesFinal is that graph's node count. Nodes and Edges
+// count the stored quotient, which keeps one node per distinct future, so
+// Nodes is at most that sum, and the sum over Nodes is the merge factor.
 type ExplainResponse struct {
 	ID         string `json:"id"`
 	Deployment string `json:"deployment"`
