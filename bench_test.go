@@ -259,7 +259,7 @@ func BenchmarkStreamSession(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := rfidclean.NewQuotientBuildState(ic)
+		st := rfidclean.NewBuildState(ic)
 		for _, r := range readings {
 			cands, err := sys.Candidates(r.Readers)
 			if err != nil {
@@ -313,7 +313,7 @@ func BenchmarkSYN1Pool(b *testing.B) {
 			if _, err := sys.Clean(seq, ic, opts); err != nil {
 				b.Fatal(err)
 			}
-			st := rfidclean.NewQuotientBuildState(ic)
+			st := rfidclean.NewBuildState(ic)
 			for _, r := range seq {
 				cands, err := sys.Candidates(r.Readers)
 				if err != nil {

@@ -116,7 +116,7 @@ func BenchmarkStateObserve(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st := NewQuotientBuildState(ic)
+		st := NewBuildState(ic)
 		for _, step := range ls.Steps {
 			if err := st.Observe(step.Candidates); err != nil {
 				b.Fatal(err)
@@ -157,7 +157,7 @@ func BenchmarkSessionSmooth500(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		st := NewQuotientBuildState(ic)
+		st := NewBuildState(ic)
 		for _, step := range ls.Steps[:warm] {
 			if err := st.Observe(step.Candidates); err != nil {
 				b.Fatal(err)

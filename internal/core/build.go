@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/constraints"
@@ -38,11 +37,9 @@ type Options struct {
 	// early some nodes the quotient would merge, and the result encodes
 	// byte for byte like Build(…).Quotient(). The explain report describes
 	// the graph Build built, which can have fewer nodes than Algorithm 1's.
-	// Build also hands that graph's arena blocks to the builds after it
-	// instead of leaving them to the garbage collector. On a BuildState made
-	// by NewBuildState, Smooth with Quotient conditions Algorithm 1's own
-	// graph; NewQuotientBuildState applies the same rule to a session, whose
-	// working graph is then Build's over the same readings.
+	// A session from NewBuildState applies the same rule, so its working
+	// graph is Build's over the same readings, and its Smooth returns the
+	// quotient whatever this field says.
 	Quotient bool
 }
 
@@ -95,78 +92,51 @@ func Build(ls *LSequence, ic *constraints.Set, opts *Options) (*Graph, error) {
 }
 
 // BuildCtx is Build with observability: when ctx carries an obs.Trace the
-// compile/forward/backward/revise phases record spans into it, and when
-// opts.Explain is set the report is filled. With neither attached it is
+// compile/forward/backward/revise/quotient phases record spans into it, and
+// when opts.Explain is set the report is filled. With neither attached it is
 // byte-for-byte the same work as Build — the span calls are no-ops that
 // allocate nothing (internal/obs) and the explain branches are nil checks.
+//
+// The build is a BuildState from the pool, stepped once per timestamp and
+// smoothed: with opts.Quotient its forward phase applies the dominance rule,
+// as a stream session's does, since its graph leaves only as a quotient.
 func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Options) (*Graph, error) {
 	if err := ls.Validate(); err != nil {
 		return nil, err
 	}
 	duration := ls.Duration()
-	ex := opts.explain()
-	if ex != nil {
-		ex.reset(duration)
-	}
 	ctx, spBuild := obs.Start(ctx, "core.build")
 	defer spBuild.End()
 	spBuild.Int("timestamps", int64(duration))
 
 	_, spCompile := obs.Start(ctx, "core.compile")
-	phaseStart := time.Now()
-	k := getKernel(ic)
+	start := time.Now()
 	// The graph that leaves Build is frozen, so the kernel goes back to the
 	// pool whatever the outcome.
-	defer k.put()
-	if opts.quotient() {
-		// Build's own graph never leaves it, so it may merge nodes that
-		// differ only in dominated TL entries (internTL).
-		k.b.dominate = true
-	}
-	if ex != nil {
-		ex.CompileNanos = time.Since(phaseStart).Nanoseconds()
-		phaseStart = time.Now()
-	}
+	st := newBuildState(ic, opts.quotient())
+	defer st.Release()
+	st.levels = make([][]*node, 0, duration)
+	compile := time.Since(start).Nanoseconds()
 	spCompile.End()
+
+	// Forward phase (lines 1-14), timed once for the whole loop: the
+	// validated l-sequence needs none of Observe's per-call checks.
 	_, spForward := obs.Start(ctx, "core.forward")
-
-	// Forward phase (lines 1-14): the sources, then expand+link per level.
-	levels := make([][]*node, duration)
-	levels[0] = k.sources(ls.Steps[0].Candidates)
-	if ex != nil {
-		ex.Steps[0] = k.step
-	}
-	for t := 1; t < duration; t++ {
-		cur, cands := levels[t-1], ls.Steps[t].Candidates
-		next := k.expand(t, cur, cands, nil)
-		if ex != nil {
-			ex.Steps[t] = k.step
+	start = time.Now()
+	for _, step := range ls.Steps {
+		if err := st.observe(step.Candidates); err != nil {
+			spForward.End()
+			return nil, err
 		}
-		if len(next) == 0 {
-			return nil, fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
-		}
-		k.link(cur, cands)
-		levels[t] = next
 	}
-
+	st.forwardNanos = time.Since(start).Nanoseconds()
 	spForward.End()
-	if ex != nil {
-		ex.PrunedDU = k.prunes[pruneDU]
-		ex.PrunedLT = k.prunes[pruneLT]
-		ex.PrunedTT = k.prunes[pruneTT]
-		ex.ForwardNanos = time.Since(phaseStart).Nanoseconds()
+
+	g, err := st.smooth(ctx, opts)
+	if ex := opts.explain(); ex != nil {
+		ex.CompileNanos = compile
 	}
-	// Backward phase (lines 15-31 in closed form; see above), into the
-	// columns of the kernel's pass: the working graph itself is only read.
-	if err := k.condition(ctx, levels, opts.endLatency() == constraints.StrictEnd, ex); err != nil {
-		return nil, err
-	}
-	if opts.quotient() {
-		_, sp := obs.Start(ctx, "core.quotient")
-		defer sp.End()
-		return quotientOf(levels, &k.pass), nil
-	}
-	return freeze(levels, &k.pass), nil
+	return g, err
 }
 
 // condition runs Algorithm 1's backward phase (lines 15-31 in closed form;
@@ -221,7 +191,6 @@ func (p *pass) condition(ctx context.Context, levels [][]*node, strict bool, ex 
 		ex.BackwardRemoved = removed
 		ex.GhostsRemoved = ghosts
 		ex.Normalizer = total
-		ex.RecomputedLevels = duration
 		ex.ReviseNanos = time.Since(start).Nanoseconds()
 	}
 	return nil
@@ -229,8 +198,8 @@ func (p *pass) condition(ctx context.Context, levels [][]*node, strict bool, ex 
 
 // pass is what Algorithm 1's backward phase writes about a working graph,
 // which it only reads: per level, columns indexed like the level's nodes,
-// carved from the pass's own arenas. It belongs to a kernel: Build carves
-// it per call, and a BuildState extends it across its Smooths.
+// carved from the pass's own arenas. It belongs to a kernel, and a
+// BuildState extends it across its Smooths.
 type pass struct {
 	surv [][]float64 // S(n), rescaled per level; 0 for a removed node
 	idx  [][]int32   // index in the frozen graph; -1 for a removed node

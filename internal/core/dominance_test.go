@@ -12,7 +12,7 @@ import (
 
 // FuzzQuotientDominance: on any scenario, in both end modes and at every
 // prefix, the two builds that drop dominated TL entries — Build with
-// Options.Quotient and the Smooth of a state from NewQuotientBuildState, made
+// Options.Quotient and the Smooth of a state from NewBuildState, made
 // without asking for a quotient — fail exactly when Build does and otherwise
 // encode byte for byte like Build(…).Quotient(), which keeps every entry
 // Algorithm 1 keeps. Both run one forward rule, so their explain reports
@@ -34,7 +34,7 @@ func FuzzQuotientDominance(f *testing.F) {
 }
 
 func checkQuotientDominance(t *testing.T, ls *LSequence, ic *constraints.Set, mode constraints.EndLatencyMode) {
-	st, raw := NewQuotientBuildState(ic), NewBuildState(ic)
+	st, raw := NewBuildState(ic), newBuildState(ic, false)
 	defer st.Release()
 	defer raw.Release()
 	for k, step := range ls.Steps {
@@ -103,7 +103,7 @@ func checkFiltered(t *testing.T, got, want *BuildState) {
 // session's quotient, and releasing it clears the rule from its kernel.
 func TestQuotientStateDropsDominated(t *testing.T) {
 	steps, ic := soakScenario(t, 400)
-	st, raw := NewQuotientBuildState(ic), NewBuildState(ic)
+	st, raw := NewBuildState(ic), newBuildState(ic, false)
 	defer raw.Release()
 	opts := &Options{EndLatency: constraints.LenientEnd, Quotient: true}
 	for k, cands := range steps {
@@ -240,11 +240,11 @@ func scenarioBytes(ls *LSequence, ic *constraints.Set, schedule []byte) []byte {
 	return append(data, schedule...)
 }
 
-// FuzzBuildLookahead: on any scenario Build with Options.Quotient, which
+// FuzzBuildQuotient: on any scenario Build with Options.Quotient, which
 // drops dominated TL entries, fails exactly when Build does, and
 // otherwise encodes byte for byte like the quotient of Build's graph and
 // satisfies the ct-graph invariants.
-func FuzzBuildLookahead(f *testing.F) {
+func FuzzBuildQuotient(f *testing.F) {
 	rng := stats.NewRNG(20140330)
 	for i := 0; i < 32; i++ {
 		seed := make([]byte, 64)

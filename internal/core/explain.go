@@ -71,11 +71,6 @@ type BuildExplain struct {
 	// divided by (the probability of the conditioning event, up to the
 	// backward phase's underflow-guard rescaling).
 	Normalizer float64 `json:"normalizer"`
-
-	// RecomputedLevels is the number of levels the backward/revise work
-	// conditioned: Build and BuildState.Smooth both recondition the whole
-	// window.
-	RecomputedLevels int `json:"recomputedLevels"`
 }
 
 // reset clears a report so Build can fill it from scratch.

@@ -64,9 +64,9 @@ func TestFilterInternerRebuild(t *testing.T) {
 	const duration = 300
 	steps, ic := longScenario(duration)
 
-	small := NewBuildState(ic)
+	small := newBuildState(ic, false)
 	small.internCap = 4
-	control := NewBuildState(ic)
+	control := newBuildState(ic, false)
 
 	for step, cands := range steps {
 		if err := small.Observe(cands); err != nil {
@@ -101,7 +101,7 @@ func TestFilterInternerRebuild(t *testing.T) {
 func TestFilterInternerRebuildMatchesGraph(t *testing.T) {
 	const duration = 60
 	steps, ic := longScenario(duration)
-	st := NewBuildState(ic)
+	st := newBuildState(ic, false)
 	st.internCap = 1 // rebuild before (almost) every step
 	dists := make([][]float64, duration)
 	for step, cands := range steps {

@@ -18,7 +18,8 @@ const tlInternCap = 1 << 16
 // kernel is Algorithm 1's forward phase (lines 1-14), the one implementation
 // behind Build and BuildState. sources builds the τ=0 level, expand resolves
 // the successors of one level, and link materializes the edges the last
-// expand resolved. Build and BuildState run expand+link per level.
+// expand resolved. BuildState.observe runs expand+link per level, for Build
+// and for a stream session alike.
 //
 // Successor identity is the nodeKey (with the TL slice interned), and a
 // level is deduplicated in a stamped keyTable: moving to the next level
@@ -28,9 +29,10 @@ const tlInternCap = 1 << 16
 //
 // A kernel is also everything a build allocates and throws away: the node,
 // edge and level arenas, the TL interner, the dedup table, the per-level
-// scratch and the backward phase's pass. Every build takes one from kernels
-// (getKernel) and gives it back (put) — Build when it returns, a BuildState
-// when it is released — so the next build reuses all of it.
+// scratch, the forward mass, the explain steps and the backward phase's
+// pass. Every build takes one from kernels (getKernel) and gives it back
+// (put) when its BuildState is released — Build when it returns, a stream
+// session when it ends — so the next build reuses all of it.
 type kernel struct {
 	b builder
 
@@ -44,12 +46,14 @@ type kernel struct {
 	succs  []int32   // successor position per (node, candidate) pair, -1 when pruned
 	outDeg []int32   // out-degree per node of the expanded level
 	mass   []float64 // unnormalized forward mass per successor
+	alphas []float64 // normalized forward mass of the newest level
 
 	prunes [numPruneReasons]int64 // cumulative, by constraint family
 	step   ExplainStep            // tallies of the last sources/expand call
+	steps  []ExplainStep          // step of every level so far
 
-	// pass holds the backward phase's columns: Build carves them afresh,
-	// a BuildState keeps them across its Smooths.
+	// pass holds the backward phase's columns, kept across a BuildState's
+	// Smooths.
 	pass
 }
 
@@ -84,7 +88,8 @@ func (k *kernel) put() {
 	k.dedup.trim()
 	clear(k.next[:cap(k.next)])
 	k.next = trim(k.next[:0])
-	k.succs, k.outDeg, k.mass = trim(k.succs), trim(k.outDeg), trim(k.mass)
+	k.succs, k.outDeg, k.mass, k.alphas = trim(k.succs), trim(k.outDeg), trim(k.mass), trim(k.alphas)
+	k.steps = trim(k.steps)
 	k.pass.rewind()
 	kernels.Put(k)
 }
@@ -98,12 +103,15 @@ func trim[T any](s []T) []T {
 }
 
 // sources returns the τ=0 level (lines 1-4): one node per candidate, with
-// p_N set from the a-priori probability.
+// p_N, and its unnormalized forward mass in k.mass, set from the a-priori
+// probability.
 func (k *kernel) sources(cands []Candidate) []*node {
 	level := k.b.levels.carve(len(cands))
+	k.mass = k.mass[:0]
 	for i, c := range cands {
 		level[i] = k.b.newNode(int32(c.Loc), k.b.initialStay(c.Loc), nil)
 		level[i].prob = c.P
+		k.mass = append(k.mass, c.P)
 	}
 	k.step = ExplainStep{Candidates: len(cands), NodesBuilt: len(level)}
 	return level
@@ -113,13 +121,12 @@ func (k *kernel) sources(cands []Candidate) []*node {
 // every (node, candidate) pair of cur to the successor Definition 3 permits
 // at timestamp t, deduplicates successors by identity and returns them in
 // first-seen order, in a slice of exactly their number: a level outlives the
-// step in Build's levels and in a stream session's raw graph. Prunes are
-// attributed per constraint family and out-degrees counted for link. When
-// alphas (the forward mass of cur) is non-nil, the successors' unnormalized
-// forward mass is accumulated into k.mass — frontier order outer, candidate
-// order inner, the summation order behind BuildState's filtered
-// distribution.
-func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64) []*node {
+// step in a BuildState's raw graph. Prunes are attributed per constraint
+// family and out-degrees counted for link. The successors' unnormalized
+// forward mass is accumulated from k.alphas (the forward mass of cur) into
+// k.mass — frontier order outer, candidate order inner, the summation order
+// behind BuildState's filtered distribution.
+func (k *kernel) expand(t int, cur []*node, cands []Candidate) []*node {
 	if k.b.tl.size() > k.internCap {
 		k.b.tl.rebuild()
 		k.rebuilds++
@@ -127,11 +134,11 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64)
 	k.dedup.reset()
 	k.succs = resize(k.succs, len(cur)*len(cands))
 	k.outDeg = resize(k.outDeg, len(cur))
-	k.mass = k.mass[:0]
-	next := k.next[:0]
+	next, mass := k.next[:0], k.mass[:0]
 	accepted, pi := 0, 0
 	for i, n := range cur {
 		k.outDeg[i] = 0
+		alpha := k.alphas[i]
 		for _, c := range cands {
 			key, why := k.b.successorKey(t-1, n, c.Loc)
 			k.prunes[why]++
@@ -143,17 +150,13 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64)
 			j, added := k.dedup.id(key.packed())
 			if added {
 				next = append(next, k.b.newNode(key.loc, key.stay, k.b.tl.seq(key.tl)))
-				if alphas != nil {
-					k.mass = append(k.mass, 0)
-				}
+				mass = append(mass, 0)
 			}
 			k.succs[pi] = j
 			pi++
 			accepted++
 			k.outDeg[i]++
-			if alphas != nil {
-				k.mass[j] += alphas[i] * c.P
-			}
+			mass[j] += alpha * c.P
 		}
 	}
 	k.step = ExplainStep{
@@ -162,7 +165,7 @@ func (k *kernel) expand(t int, cur []*node, cands []Candidate, alphas []float64)
 		Accepted:   accepted,
 		NodesBuilt: len(next),
 	}
-	k.next = next
+	k.next, k.mass = next, mass
 	level := k.b.levels.carve(len(next))
 	copy(level, next)
 	return level

@@ -8,19 +8,21 @@ import (
 	"time"
 
 	"repro/internal/constraints"
+	"repro/internal/obs"
 )
 
-// BuildState is the streaming counterpart of Build: it keeps the forward
-// pass of the ct-graph alive across readings, appending one level per
-// Observe, and Smooth conditions every observed level.
+// BuildState is Algorithm 1 run one timestamp at a time: it keeps the
+// forward pass of the ct-graph alive across readings, appending one level
+// per Observe, and Smooth conditions every observed level. Build is a
+// BuildState stepped once per timestamp of its l-sequence and smoothed, so
+// a smooth is the build over the same readings by construction.
 //
 // The raw graph (nodes, a-priori edges, source probabilities) is append-only
-// and only read once linked. Smooth runs Build's own backward phase
-// (condition) over the raw levels, writing into the columns of the state's
-// pass, which are carved once per level, and then Build's tail: the quotient
-// or a frozen copy. Every float operation happens in the same order as in a
-// full offline Build over the same readings, so the smoothed graph is
-// bit-identical, not merely close.
+// and only read once linked. Smooth runs the backward phase (condition) over
+// the raw levels, writing into the columns of the state's pass, which are
+// carved once per level, and then the quotient or a frozen copy. Every float
+// operation happens in the same order as in a full offline Build over the
+// same readings, so the smoothed graph is bit-identical, not merely close.
 //
 // Each Smooth returns a new frozen Graph that shares nothing with the state:
 // callers may retain earlier results (e.g. a trajectory store) while the
@@ -31,32 +33,31 @@ import (
 // *filtered* distribution of the object's current location: conditioned on
 // the readings so far, the best a live tracker can do. This extends the
 // paper toward the streaming setting its §7 alludes to. At the newest
-// timestamp the filtered distribution equals the smoothed marginal of a
-// LenientEnd Build over the same readings.
+// timestamp the filtered distribution equals, within rounding, the smoothed
+// marginal of a LenientEnd Build over the same readings.
 //
-// A BuildState holds a pooled kernel — its arenas, interner and pass —
-// from NewBuildState until Release gives it back; a state never released
-// leaves it to the garbage collector.
+// A BuildState holds a pooled kernel — its arenas, interner, forward mass,
+// explain steps and pass — from its constructor until Release gives it
+// back; a state never released leaves it to the garbage collector.
 //
 // BuildState is not safe for concurrent use.
 type BuildState struct {
-	// kernel is the forward pass; its interner, prune counts, scratch and
-	// pass persist across readings. nil after Release.
+	// kernel is the forward pass; its interner, prune counts, forward mass,
+	// explain steps, scratch and pass persist across readings. nil after
+	// Release.
 	*kernel
 
 	// levels[t] holds the raw (unconditioned) nodes of timestamp t in
 	// construction order (never compacted).
 	levels [][]*node
-	// level is the newest of levels with alphas, its normalized forward
-	// mass. A dead end empties both and sets dead; every later Observe
-	// fails.
-	level  []*node
-	alphas []float64
-	dead   bool
+	// level is the newest of levels; the kernel's alphas hold its
+	// normalized forward mass. A dead end empties it and sets dead; every
+	// later Observe fails.
+	level []*node
+	dead  bool
 
-	// Cumulative forward-phase explain data, mirroring what a full Build
-	// over the same readings would report (prune counts live in the kernel).
-	steps        []ExplainStep
+	// forwardNanos is the wall time of the forward phase so far, which
+	// Smooth reports as the explain report's ForwardNanos.
 	forwardNanos int64
 }
 
@@ -65,26 +66,24 @@ type BuildState struct {
 var ErrReleased = errors.New("core: build state released")
 
 // NewBuildState returns a streaming build over the given constraints,
-// holding a kernel from the pool until Release.
-func NewBuildState(ic *constraints.Set) *BuildState {
-	return &BuildState{kernel: getKernel(ic)}
-}
+// holding a kernel from the pool until Release. Its graph only ever leaves
+// as a quotient: Smooth returns the quotient whatever Options.Quotient says,
+// encoding byte for byte like Build(…).Quotient() over the same readings.
+// Its forward phase therefore drops the TL entries that a node's own
+// location already dominates (constraints.Compiled.DeadAfter), as Build with
+// Quotient does, which merges nodes that differ only in entries that can
+// never prune again; a session keeps far fewer raw nodes that way. Its raw
+// graph is the one Build with Quotient builds over the same readings, so
+// their explain reports agree.
+func NewBuildState(ic *constraints.Set) *BuildState { return newBuildState(ic, true) }
 
-// NewQuotientBuildState returns a streaming build over the given constraints
-// whose graph only ever leaves as a quotient: its Smooth returns the
-// quotient whatever Options.Quotient says, encoding byte for byte like
-// Build(…).Quotient() over the same readings. Its forward phase may
-// therefore drop the TL entries that a node's own location already
-// dominates (constraints.Compiled.DeadAfter), as Build with Quotient does,
-// which merges nodes that differ only in entries that can never prune
-// again. A session keeps far fewer raw nodes that way, and its filtered
-// distribution agrees with NewBuildState's within rounding. Its raw graph is
-// the one Build with Quotient builds over the same readings, so their
-// explain reports agree. The state otherwise behaves like one from
-// NewBuildState.
-func NewQuotientBuildState(ic *constraints.Set) *BuildState {
+// newBuildState returns a BuildState holding a kernel from the pool. With
+// dominate its forward phase applies the dominance rule and Smooth returns
+// the quotient; without it the state grows Algorithm 1's own graph, and
+// Smooth returns it frozen unless Options.Quotient asks for its quotient.
+func newBuildState(ic *constraints.Set, dominate bool) *BuildState {
 	k := getKernel(ic)
-	k.b.dominate = true
+	k.b.dominate = dominate
 	return &BuildState{kernel: k}
 }
 
@@ -105,9 +104,8 @@ func (st *BuildState) Release() {
 // Duration returns the number of observed timestamps.
 func (st *BuildState) Duration() int { return len(st.levels) }
 
-// Observe appends one timestamp to the raw graph: the forward kernel's
-// sources, or expand and link, exactly as Build runs them. candidates is the
-// step's candidate set (non-zero probabilities summing to 1, as produced by
+// Observe appends one timestamp to the raw graph. candidates is the step's
+// candidate set (non-zero probabilities summing to 1, as produced by
 // prior.Model). It returns ErrNoValidTrajectory when no continuation is
 // consistent with the constraints; the already observed prefix stays
 // smoothable, but no further readings are accepted.
@@ -124,17 +122,21 @@ func (st *BuildState) Observe(candidates []Candidate) error {
 	if err := validateCandidates(candidates, t); err != nil {
 		return err
 	}
+	return st.observe(candidates)
+}
+
+// observe is one step of Algorithm 1's forward phase (lines 1-14) over
+// validated candidates: the kernel's sources, or expand and link, then the
+// newest level's forward mass normalized and its explain step recorded.
+func (st *BuildState) observe(candidates []Candidate) error {
+	t := len(st.levels)
 	var next []*node
 	if t == 0 {
 		next = st.sources(candidates)
-		st.mass = st.mass[:0]
-		for _, c := range candidates {
-			st.mass = append(st.mass, c.P)
-		}
 	} else {
-		if next = st.expand(t, st.level, candidates, st.alphas); len(next) == 0 {
+		if next = st.expand(t, st.level, candidates); len(next) == 0 {
 			st.dead = true
-			st.level, st.alphas = nil, nil
+			st.level, st.alphas = nil, st.alphas[:0]
 			return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
 		}
 		st.link(st.level, candidates)
@@ -220,10 +222,10 @@ func (st *BuildState) TopLocations(k int) ([]LocProb, error) {
 }
 
 // Smooth conditions the observed readings under the integrity constraints
-// and returns the ct-graph, exactly as Build over the same l-sequence would
-// (with Options.Quotient, or on a state from NewQuotientBuildState, exactly
-// as Build(…).Quotient()). The returned graph is independent of the state:
-// later Observe/Smooth calls never mutate it.
+// and returns the ct-graph, exactly as Build over the same l-sequence with
+// Options.Quotient: the quotient, byte for byte Build(…).Quotient(). The
+// returned graph is independent of the state: later Observe/Smooth calls
+// never mutate it.
 func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	if st.kernel == nil {
 		return nil, ErrReleased
@@ -231,6 +233,14 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	if len(st.levels) == 0 {
 		return nil, fmt.Errorf("core: build state has observed nothing")
 	}
+	return st.smooth(context.Background(), opts)
+}
+
+// smooth is Smooth and Build's tail: it fills the forward half of the
+// explain report, runs the backward phase (condition) and returns the
+// quotient, when the state drops dominated TL entries or opts asks for it,
+// or else a frozen copy of the conditioned graph.
+func (st *BuildState) smooth(ctx context.Context, opts *Options) (*Graph, error) {
 	ex := opts.explain()
 	if ex != nil {
 		ex.reset(len(st.levels))
@@ -240,11 +250,13 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 		ex.PrunedLT = st.prunes[pruneLT]
 		ex.PrunedTT = st.prunes[pruneTT]
 	}
-	if err := st.condition(context.Background(), st.levels, opts.endLatency() == constraints.StrictEnd, ex); err != nil {
+	if err := st.condition(ctx, st.levels, opts.endLatency() == constraints.StrictEnd, ex); err != nil {
 		return nil, err
 	}
-	if opts.quotient() || st.b.dominate {
-		return quotientOf(st.levels, &st.pass), nil
+	if !opts.quotient() && !st.b.dominate {
+		return freeze(st.levels, &st.pass), nil
 	}
-	return freeze(st.levels, &st.pass), nil
+	_, sp := obs.Start(ctx, "core.quotient")
+	defer sp.End()
+	return quotientOf(st.levels, &st.pass), nil
 }

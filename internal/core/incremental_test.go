@@ -80,7 +80,7 @@ func prefixLS(ls *LSequence, n int) *LSequence {
 
 // explainsAgree compares the deterministic fields of two explain reports:
 // the counters, the per-timestamp steps and the normalizer's bits. Wall
-// times and RecomputedLevels are left to the caller.
+// times are left to the caller.
 func explainsAgree(got, want *BuildExplain) error {
 	if got.PrunedDU != want.PrunedDU || got.PrunedLT != want.PrunedLT || got.PrunedTT != want.PrunedTT ||
 		got.TargetsCondemned != want.TargetsCondemned ||
@@ -113,7 +113,7 @@ func TestPropertyIncrementalSmoothEqualsBuild(t *testing.T) {
 	smoothed := 0
 	for trial := 0; trial < trials; trial++ {
 		ls, ic := randomScenario(rng)
-		st := NewBuildState(ic)
+		st := newBuildState(ic, false)
 		mode := constraints.LenientEnd
 		if rng.Bernoulli(0.3) {
 			mode = constraints.StrictEnd
@@ -189,10 +189,6 @@ func TestPropertyIncrementalSmoothEqualsBuild(t *testing.T) {
 			if err := explainsAgree(&exInc, &exFull); err != nil {
 				t.Fatalf("trial %d prefix %d: %v", trial, k+1, err)
 			}
-			if exInc.RecomputedLevels != k+1 {
-				t.Fatalf("trial %d prefix %d: recomputed %d levels, want the window",
-					trial, k+1, exInc.RecomputedLevels)
-			}
 		}
 	}
 	if smoothed == 0 {
@@ -220,7 +216,7 @@ func FuzzSmoothEqualsBuild(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ls, ic, mode, schedule := fuzzScenario(data)
-		st := NewBuildState(ic)
+		st := newBuildState(ic, false)
 		quotient := false
 		for k, step := range ls.Steps {
 			if err := st.Observe(step.Candidates); err != nil {
@@ -338,7 +334,7 @@ func TestBuildStateValidation(t *testing.T) {
 // stream: the smoothed graph is bit-identical to a full Build.
 func TestBuildStateInternerRebuild(t *testing.T) {
 	ls, ic := benchScenario()
-	st := NewBuildState(ic)
+	st := newBuildState(ic, false)
 	st.internCap = 8
 	for k := 0; k < ls.Duration(); k++ {
 		if err := st.Observe(ls.Steps[k].Candidates); err != nil {
@@ -385,7 +381,7 @@ func TestBuildStateSoakSession(t *testing.T) {
 		ls.Steps[k].Candidates = cands
 	}
 	heapBefore := liveHeap()
-	st := NewBuildState(ic)
+	st := newBuildState(ic, false)
 	rawNodes := 0
 	for k, cands := range steps {
 		// One step adds at most one chain of links per (node, candidate)
@@ -462,8 +458,8 @@ func TestBuildStateSoakSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&ms)
-	if ex.RecomputedLevels != soakSession {
-		t.Fatalf("the full smooth recomputed %d levels, want %d", ex.RecomputedLevels, soakSession)
+	if len(ex.Steps) != soakSession {
+		t.Fatalf("the full smooth reported %d levels, want %d", len(ex.Steps), soakSession)
 	}
 	allocated := float64(ms.TotalAlloc-allocBefore) / float64(rawNodes)
 	t.Logf("a full smooth allocates %.1f B per raw node", allocated)

@@ -66,7 +66,7 @@ func TestPoolInvisible(t *testing.T) {
 	// deadAt[i] is how many readings of scenario i a stream accepts.
 	deadAt := make([]int, len(scs))
 	for i, sc := range scs {
-		st := NewBuildState(sc.ic)
+		st := newBuildState(sc.ic, false)
 		for _, step := range sc.ls.Steps {
 			if st.Observe(step.Candidates) != nil {
 				break
@@ -181,7 +181,7 @@ func TestPoolInvisible(t *testing.T) {
 				t.Fatalf("op %d: Build of %+v explains\n%+v\nbut on an empty pool\n%+v", i, o.key, got.ex, want.ex)
 			}
 		case 'o':
-			states[o.session] = NewBuildState(scs[sessions[o.session].sc].ic)
+			states[o.session] = newBuildState(scs[sessions[o.session].sc].ic, false)
 		case 'a':
 			st, ls := states[o.session], scs[sessions[o.session].sc].ls
 			step := pos[o.session]

@@ -196,7 +196,7 @@ func TestStampWrap(t *testing.T) {
 	// A stream session, its stamps set halfway and its interner rebuilt
 	// before every step from then on.
 	for q, opts := range options {
-		st := NewBuildState(lic)
+		st := newBuildState(lic, false)
 		for i, cands := range steps {
 			if i == len(steps)/2 {
 				st.dedup.stamp = math.MaxInt32 - 5

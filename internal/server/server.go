@@ -936,7 +936,7 @@ func (s *Server) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 // explain report collected when the trajectory was cleaned, labeled with the
 // graph the server stores. The report describes the graph that was built:
 // for a clean, a batch and a stream smooth alike, the dominance-rule graph
-// (Build with Quotient, or a session from NewQuotientBuildState, which build
+// (Build with Quotient, or a session from NewBuildState, which build
 // the same graph over the same readings), whose forward phase drops dominated
 // TL entries and so builds no more nodes at any step than Algorithm 1. The
 // sum of its per-step NodesFinal is that graph's node count. Nodes and Edges

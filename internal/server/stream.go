@@ -398,7 +398,7 @@ func (s *Server) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
 	if dep == nil {
 		return
 	}
-	state := rfidclean.NewQuotientBuildState(ic)
+	state := rfidclean.NewBuildState(ic)
 	sess := s.sessions.open(dep, state)
 	if sess == nil {
 		state.Release()

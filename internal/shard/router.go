@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -395,12 +396,21 @@ func (rt *Router) handleClean(w http.ResponseWriter, r *http.Request) {
 	rt.forward(w, r, shard, body)
 }
 
-// batchEnvelope is the part of a batch-clean body the router needs to see:
-// the sequences to split by shard, and every other field verbatim so the
+// batchEnvelope is the part of a batch-clean body the router needs to see,
+// as the worker decodes it: the deployment to route by and the sequences to
+// split by shard. Every other member is kept verbatim and in order, so the
 // per-shard sub-bodies re-encode without the router knowing the schema.
 type batchEnvelope struct {
-	fields    map[string]json.RawMessage
-	sequences []json.RawMessage
+	Deployment string            `json:"deployment"`
+	Sequences  []json.RawMessage `json:"sequences"`
+
+	rest []member // the body's members but those decoding into Sequences
+}
+
+// member is one key and raw value of a JSON object.
+type member struct {
+	key   string
+	value json.RawMessage
 }
 
 // handleCleanBatch splits the batch into per-shard sub-batches (each
@@ -420,22 +430,18 @@ func (rt *Router) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid batch request: %v", err)
 		return
 	}
-	if len(env.sequences) == 0 {
+	if len(env.Sequences) == 0 {
 		// Let the worker produce its canonical validation error.
 		rt.forward(w, r, 0, body)
 		return
 	}
-	dep := ""
-	if raw, okd := env.fields["deployment"]; okd {
-		_ = json.Unmarshal(raw, &dep)
-	}
 	// slots[i] remembers where sequence i went: shard and position within
 	// that shard's sub-batch, for positional reassembly.
 	type slotRef struct{ shard, pos int }
-	slots := make([]slotRef, len(env.sequences))
+	slots := make([]slotRef, len(env.Sequences))
 	perShard := make([][]json.RawMessage, len(rt.clients))
-	for i, seq := range env.sequences {
-		sh := rt.ring.Lookup("seq\x00" + dep + "\x00" + string(seq))
+	for i, seq := range env.Sequences {
+		sh := rt.ring.Lookup("seq\x00" + env.Deployment + "\x00" + string(seq))
 		slots[i] = slotRef{shard: sh, pos: len(perShard[sh])}
 		perShard[sh] = append(perShard[sh], seq)
 	}
@@ -496,7 +502,7 @@ func (rt *Router) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	out := make([]server.BatchCleanResult, len(env.sequences))
+	out := make([]server.BatchCleanResult, len(env.Sequences))
 	for i, ref := range slots {
 		sr := results[ref.shard]
 		switch {
@@ -515,32 +521,57 @@ func (rt *Router) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// decodeBatch decodes a batch-clean body as the worker does
+// (server.Server.decodeBody): the first JSON value of the body, keys matched
+// to fields case-insensitively, the last match winning. A body with
+// sequences is an object; its members that decode into no sequences are
+// kept for encodeWith.
 func decodeBatch(body []byte) (*batchEnvelope, error) {
-	env := &batchEnvelope{fields: make(map[string]json.RawMessage)}
-	if err := json.Unmarshal(body, &env.fields); err != nil {
+	env := &batchEnvelope{}
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(env); err != nil {
 		return nil, err
 	}
-	if raw, ok := env.fields["sequences"]; ok {
-		if err := json.Unmarshal(raw, &env.sequences); err != nil {
-			return nil, fmt.Errorf("sequences: %w", err)
+	if len(env.Sequences) == 0 {
+		return env, nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if _, err := dec.Token(); err != nil { // the opening brace
+		return nil, err
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return nil, err
+		}
+		key, _ := tok.(string)
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			return nil, err
+		}
+		// encoding/json folds keys as strings.EqualFold does.
+		if !strings.EqualFold(key, "sequences") {
+			env.rest = append(env.rest, member{key: key, value: value})
 		}
 	}
 	return env, nil
 }
 
-// encodeWith re-encodes the batch body with only the given sequences,
-// leaving every other field byte-identical.
+// encodeWith re-encodes the batch body with only the given sequences: every
+// other member as it was, in order, then the sequences, which no other
+// member decodes into.
 func (e *batchEnvelope) encodeWith(seqs []json.RawMessage) ([]byte, error) {
-	fields := make(map[string]json.RawMessage, len(e.fields))
-	for k, v := range e.fields {
-		fields[k] = v
+	buf := []byte{'{'}
+	for _, m := range e.rest {
+		key, _ := json.Marshal(m.key) // a string always marshals
+		buf = append(append(append(buf, key...), ':'), m.value...)
+		buf = append(buf, ',')
 	}
 	raw, err := json.Marshal(seqs)
 	if err != nil {
 		return nil, err
 	}
-	fields["sequences"] = raw
-	return json.Marshal(fields)
+	buf = append(append(buf, `"sequences":`...), raw...)
+	return append(buf, '}'), nil
 }
 
 // errorBody extracts the error string from a worker's apiError body,

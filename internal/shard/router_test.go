@@ -1,15 +1,18 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	rfidclean "repro"
 	"repro/internal/server"
 )
 
@@ -246,6 +249,116 @@ func TestRouterBatchScatterGather(t *testing.T) {
 			t.Fatalf("slot %d (healthy shard %d) errored: %s", i, sh, degraded[i].Error)
 		}
 	}
+}
+
+// TestRouterBatchDecodesLikeWorker: the router splits the sequences and
+// routes by the deployment a single worker would decode from the body.
+// encoding/json matches keys case-insensitively and the last match wins, so
+// here a single node cleans the second sequence on d1, and so must the
+// shards the router hands the batch to.
+func TestRouterBatchDecodesLikeWorker(t *testing.T) {
+	handler := func(int) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var req server.BatchCleanRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+				writeError(w, http.StatusBadRequest, "%v", err)
+				return
+			}
+			out := make([]server.BatchCleanResult, len(req.Sequences))
+			for i, seq := range req.Sequences {
+				out[i] = server.BatchCleanResult{ID: fmt.Sprintf("%s/%d", req.Deployment, seq[0].Time)}
+			}
+			writeJSON(w, http.StatusOK, out)
+		})
+	}
+	rt, _ := newTestRouter(t, 3, handler)
+	body := `{"deployment":"d2","sequences":[[{"time":1,"readers":[0]}]],` +
+		`"Deployment":"d1","Sequences":[[{"time":2,"readers":[0]}]]}`
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/clean/batch", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200; body %s", rec.Code, rec.Body)
+	}
+	var out []server.BatchCleanResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != 1 || out[0].ID != "d1/2" {
+		t.Fatalf("results = %+v, want the sequence at time 2 cleaned on d1", out)
+	}
+}
+
+// FuzzRouterBatchSplit: on any body the worker decodes, the router decodes
+// the same sequences, and however they are dealt out to shards, the
+// sub-bodies hand each to exactly one shard, in slot order, and decode to
+// the same other fields.
+func FuzzRouterBatchSplit(f *testing.F) {
+	for _, body := range []string{
+		`{"deployment":"d1","maxSpeed":2,"sequences":[[{"time":0,"readers":[0]}],[{"time":0,"readers":[1,2]}],null,[]]}`,
+		`{"deployment":"d2","sequences":[[1]],"Deployment":"d1","Sequences":[[{"time":0,"readers":[2]}]]}`,
+		`{"\u0073equences":[[{"time":0,"readers":[3]}]],"minStay":5,"\u017fequences":[[],[{"time":0,"readers":[4]}]]}`,
+		`{"sequences":[[{"time":0,"readers":[1]}]],"strictEnd":true,"ttCap":3,"sequences":null} {"trailing":1}`,
+		`{"sequences":[[{"time":0,"readers":[]}]],"other":{"sequences":[1]},"deployment":"a","deployment":"b"}`,
+		`null`,
+	} {
+		f.Add([]byte(body), byte(7))
+	}
+	decode := func(body []byte) (server.BatchCleanRequest, error) {
+		var req server.BatchCleanRequest
+		err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		return req, err
+	}
+	f.Fuzz(func(t *testing.T, body []byte, deal byte) {
+		want, err := decode(body)
+		if err != nil {
+			return
+		}
+		env, err := decodeBatch(body)
+		if err != nil {
+			t.Fatalf("the worker decodes the body but the router fails: %v", err)
+		}
+		if len(env.Sequences) != len(want.Sequences) {
+			t.Fatalf("router decodes %d sequences, the worker %d", len(env.Sequences), len(want.Sequences))
+		}
+		if len(want.Sequences) == 0 {
+			return
+		}
+		shards := 1 + int(deal%4)
+		parts := make([][]json.RawMessage, shards)
+		dealt := make([]int, len(env.Sequences))
+		for i, seq := range env.Sequences {
+			dealt[i] = (int(deal>>2) + i*i) % shards
+			parts[dealt[i]] = append(parts[dealt[i]], seq)
+		}
+		got := make([][]rfidclean.ReadingSequence, shards)
+		for sh, seqs := range parts {
+			if len(seqs) == 0 {
+				continue
+			}
+			sub, err := env.encodeWith(seqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, err := decode(sub)
+			if err != nil {
+				t.Fatalf("shard %d cannot decode its sub-body %s: %v", sh, sub, err)
+			}
+			if len(req.Sequences) != len(seqs) {
+				t.Fatalf("shard %d decodes %d sequences, was dealt %d", sh, len(req.Sequences), len(seqs))
+			}
+			got[sh], req.Sequences = req.Sequences, want.Sequences
+			if !reflect.DeepEqual(req, want) {
+				t.Fatalf("shard %d decodes %+v, the worker %+v", sh, req, want)
+			}
+		}
+		pos := make([]int, shards)
+		for i, sh := range dealt {
+			if !reflect.DeepEqual(got[sh][pos[sh]], want.Sequences[i]) {
+				t.Fatalf("slot %d decodes %v on shard %d, the worker %v", i, got[sh][pos[sh]], sh, want.Sequences[i])
+			}
+			pos[sh]++
+		}
+	})
 }
 
 // TestRouterDeploymentReplication: one POST registers on every shard under

@@ -184,24 +184,19 @@ type (
 	// alive across readings: Observe appends one timestamp, Distribution and
 	// TopLocations answer the filtered distribution of the object's current
 	// location, and Smooth runs the backward phase over every observed
-	// timestamp and returns a graph bit-identical to a full offline build
-	// over the same readings. Release gives the state's pooled memory back
-	// once the stream ends.
+	// timestamp and returns the quotient ct-graph, byte for byte
+	// Build(…).Quotient() over the same readings. Release gives the state's
+	// pooled memory back once the stream ends.
 	BuildState = core.BuildState
 )
 
-// NewBuildState returns a streaming build over the given constraints.
+// NewBuildState returns a streaming build over the given constraints whose
+// Smooth always returns the quotient ct-graph, as a serving session stores
+// it. Because its raw graph never leaves it, it drops TL bookkeeping that
+// can no longer prune and keeps far fewer nodes on long streams than
+// Algorithm 1's graph has.
 func NewBuildState(ic *ConstraintSet) *BuildState {
 	return core.NewBuildState(ic)
-}
-
-// NewQuotientBuildState returns a streaming build whose Smooth always
-// returns the quotient ct-graph, byte for byte Build(…).Quotient() over the
-// same readings, as a serving session stores it. Because its raw graph
-// never leaves it, it drops TL bookkeeping that can no longer prune and
-// keeps far fewer nodes than NewBuildState's on long streams.
-func NewQuotientBuildState(ic *ConstraintSet) *BuildState {
-	return core.NewQuotientBuildState(ic)
 }
 
 // DecodeCTGraph reads a ct-graph previously written with CTGraph.Encode or

@@ -342,6 +342,67 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 }
 
+// TestNewBuildStateSmoothsQuotient: the one public stream constructor is
+// the serving session. Its Smooth, without asking for a quotient, encodes
+// byte for byte like the quotient of Algorithm 1's graph over the same
+// readings, at every prefix it smooths and in both end modes.
+func TestNewBuildStateSmoothsQuotient(t *testing.T) {
+	sys := demoSystem(t)
+	ic, err := sys.InferConstraints(2, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rfidclean.NewRNG(19)
+	truth, err := rfidclean.GenerateTrajectory(sys.Plan, rfidclean.NewGeneratorConfig(90), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings := rfidclean.GenerateReadings(truth, sys.Truth, rng)
+	st := rfidclean.NewBuildState(ic)
+	defer st.Release()
+	ls := &rfidclean.LSequence{}
+	encode := func(g *rfidclean.CTGraph) []byte {
+		var buf bytes.Buffer
+		if err := g.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	merged := false
+	for k, r := range readings {
+		cands, err := sys.Candidates(r.Readers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Observe(cands); err != nil {
+			t.Fatal(err)
+		}
+		ls.Steps = append(ls.Steps, rfidclean.LStep{Candidates: cands})
+		if (k+1)%30 != 0 {
+			continue
+		}
+		for _, mode := range []rfidclean.EndLatencyMode{rfidclean.StrictEnd, rfidclean.LenientEnd} {
+			opts := &rfidclean.BuildOptions{EndLatency: mode}
+			got, err := st.Smooth(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, err := rfidclean.BuildCTGraph(ls, ic, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := g.Quotient()
+			if !bytes.Equal(encode(got), encode(want)) {
+				t.Fatalf("%v after %d readings: the session's smooth encodes unlike Build(…).Quotient()", mode, k+1)
+			}
+			merged = merged || want.Stats().Nodes < g.Stats().Nodes
+		}
+	}
+	if !merged {
+		t.Fatal("no quotient merged a node: the scenario cannot tell a quotient from Algorithm 1's graph")
+	}
+}
+
 func TestIntervalQueriesFacade(t *testing.T) {
 	sys := demoSystem(t)
 	ic, err := sys.InferConstraints(2, 5, 0)
