@@ -299,7 +299,7 @@ func BenchmarkQuotient(b *testing.B) {
 
 // BenchmarkBuildQuotient measures the serving build: Build with
 // Options.Quotient, which drops dominated TL entries (benchScenario has TT
-// constraints) and returns the quotient, pooling its arena blocks across
+// constraints) and returns the quotient, pooling its kernel across
 // iterations.
 func BenchmarkBuildQuotient(b *testing.B) {
 	ls, ic := benchScenario()

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"time"
 
 	"repro/internal/constraints"
@@ -29,17 +30,17 @@ type Options struct {
 	// must give each its own Options value.
 	Explain *BuildExplain
 
-	// Quotient makes Build and BuildState.Smooth return the quotient of
-	// Algorithm 1's graph (Graph.Quotient) in its place. Build's own graph
-	// then never leaves it, so its forward phase drops the TL entries the
-	// node's own location already dominates, which can never prune again
-	// (the dominance rule, constraints.Compiled.DeadAfter). That merges
-	// early some nodes the quotient would merge, and the result encodes
-	// byte for byte like Build(…).Quotient(). The explain report describes
-	// the graph Build built, which can have fewer nodes than Algorithm 1's.
-	// A session from NewBuildState applies the same rule, so its working
-	// graph is Build's over the same readings, and its Smooth returns the
-	// quotient whatever this field says.
+	// Quotient makes Build return the quotient of Algorithm 1's graph
+	// (Graph.Quotient) in its place. Build's own graph then never leaves
+	// it, so its forward phase drops the TL entries the node's own location
+	// already dominates, which can never prune again (the dominance rule,
+	// constraints.Compiled.DeadAfter). That merges early some nodes the
+	// quotient would merge, and the result encodes byte for byte like
+	// Build(…).Quotient(). The explain report describes the graph Build
+	// built, which can have fewer nodes than Algorithm 1's.
+	// BuildState.Smooth does not read this field: a session from
+	// NewBuildState applies the same rule, so its working graph is Build's
+	// over the same readings, and its Smooth always returns the quotient.
 	Quotient bool
 }
 
@@ -49,8 +50,6 @@ func (o *Options) endLatency() constraints.EndLatencyMode {
 	}
 	return o.EndLatency
 }
-
-func (o *Options) quotient() bool { return o != nil && o.Quotient }
 
 func (o *Options) explain() *BuildExplain {
 	if o == nil {
@@ -65,7 +64,7 @@ func (o *Options) explain() *BuildExplain {
 // The forward phase (lines 1-14 of the paper) is the shared kernel of
 // forward.go: it grows the graph timestamp by timestamp, materializing only
 // successors permitted by Definition 3 and labeling edges with the a-priori
-// step probabilities; nodes and edges come from arenas.
+// step probabilities, into the flat columns of a pooled working graph.
 //
 // The backward phase implements the same revision as the paper's
 // loss-propagation queue (lines 15-31) in its closed form: for every node,
@@ -113,9 +112,8 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 	start := time.Now()
 	// The graph that leaves Build is frozen, so the kernel goes back to the
 	// pool whatever the outcome.
-	st := newBuildState(ic, opts.quotient())
+	st := newBuildState(ic, opts != nil && opts.Quotient)
 	defer st.Release()
-	st.levels = make([][]*node, 0, duration)
 	compile := time.Since(start).Nanoseconds()
 	spCompile.End()
 
@@ -140,24 +138,26 @@ func BuildCtx(ctx context.Context, ls *LSequence, ic *constraints.Set, opts *Opt
 }
 
 // condition runs Algorithm 1's backward phase (lines 15-31 in closed form;
-// see Build) over the levels of a working graph, writing the columns of p:
-// the target survivals, one conditionLevel per level from the last, the
-// conditioned sources, and the numbering of the survivors from the first
-// level to the last. When ex is set it fills the backward counters, each
-// step's NodesFinal, the normalizer and the backward and revise times; when
-// ctx carries a trace it records the core.backward and core.revise spans.
-// Build and BuildState.Smooth both run it, so a smooth is bit for bit the
-// build over the same readings.
-func (p *pass) condition(ctx context.Context, levels [][]*node, strict bool, ex *BuildExplain) error {
+// see Build) over a working graph g, writing the columns of p: the target
+// survivals, one conditionLevel per level from the last, the conditioned
+// sources, and the numbering of the survivors from the first level to the
+// last. When ex is set it fills the backward counters, each step's
+// NodesFinal, the normalizer and the backward and revise times; when ctx
+// carries a trace it records the core.backward and core.revise spans. Build
+// and BuildState.Smooth both run it, so a smooth is bit for bit the build
+// over the same readings.
+func (p *pass) condition(ctx context.Context, g *Graph, strict bool, ex *BuildExplain) error {
 	_, sp := obs.Start(ctx, "core.backward")
 	start := time.Now()
-	duration := len(levels)
-	p.columns(levels)
-	p.src = resize(p.src, len(levels[0]))
-	condemned := condemnTargets(levels[duration-1], strict, p.surv[duration-1])
+	duration := g.Duration()
+	p.surv = resize(p.surv, len(g.loc))
+	p.idx = resize(p.idx, len(g.loc))
+	p.pe = resize(p.pe, len(g.to))
+	p.src = resize(p.src, len(g.src))
+	condemned := p.condemnTargets(g, strict)
 	removed := 0
 	for t := duration - 2; t >= 0; t-- {
-		r, ok := conditionLevel(levels[t], p.surv[t+1], p.surv[t])
+		r, ok := p.conditionLevel(g, t)
 		removed += r
 		if !ok {
 			sp.End()
@@ -173,15 +173,15 @@ func (p *pass) condition(ctx context.Context, levels [][]*node, strict bool, ex 
 	defer sp.End()
 
 	// Condition the source probabilities (lines 30-31).
-	total, ok := conditionSources(levels[0], p.surv[0], p.src)
+	total, ok := p.conditionSources(g)
 	if !ok {
 		return ErrNoValidTrajectory
 	}
 	// Number the survivors, dropping ghosts level by level forward.
 	ghosts := 0
-	for t := range levels {
-		kept, g := p.number(levels, t)
-		ghosts += g
+	for t := 0; t < duration; t++ {
+		kept, gh := p.number(g, t)
+		ghosts += gh
 		if ex != nil {
 			ex.Steps[t].NodesFinal = kept
 		}
@@ -197,87 +197,76 @@ func (p *pass) condition(ctx context.Context, levels [][]*node, strict bool, ex 
 }
 
 // pass is what Algorithm 1's backward phase writes about a working graph,
-// which it only reads: per level, columns indexed like the level's nodes,
-// carved from the pass's own arenas. It belongs to a kernel, and a
-// BuildState extends it across its Smooths.
+// which it only reads: columns indexed like the graph's nodes and arcs. It
+// belongs to a kernel, and a BuildState reuses it across its Smooths.
 type pass struct {
-	surv [][]float64 // S(n), rescaled per level; 0 for a removed node
-	idx  [][]int32   // index in the frozen graph; -1 for a removed node
-	src  []float64   // conditioned p_N of the sources
-
-	floats slab[float64]
-	ints   slab[int32]
+	surv []float64 // S(n) of every node, rescaled per level; 0 for a removed node
+	idx  []int32   // each node's index in its level of the frozen graph; -1 for a removed node
+	pe   []float64 // each arc's conditioned p_E; unspecified for the arcs of a removed node
+	src  []float64 // conditioned p_N of the sources
 }
 
-// columns gives the levels of levels past the pass's last column theirs,
-// leaving the columns it already has alone; those must be the columns of
-// levels' first levels. Contents of new columns are unspecified.
-func (p *pass) columns(levels [][]*node) {
-	for _, level := range levels[len(p.surv):] {
-		p.surv = append(p.surv, p.floats.carve(len(level)))
-		p.idx = append(p.idx, p.ints.carve(len(level)))
-	}
-}
-
-// rewind empties the pass and frees its arenas for reuse.
+// rewind empties the pass for the next build.
 func (p *pass) rewind() {
-	clear(p.surv)
-	clear(p.idx)
-	p.surv, p.idx, p.src = trim(p.surv), trim(p.idx), trim(p.src)
-	p.floats.reset()
-	p.ints.reset()
+	p.surv, p.idx, p.pe, p.src = trim(p.surv), trim(p.idx), trim(p.pe), trim(p.src)
+}
+
+// resize returns s with length n, reallocating only when the capacity is
+// too small, and then with append's growth, so a column a session resizes
+// at every Smooth is copied O(log n) times. Contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // condemnTargets initializes the target survivals (the backward recurrence's
 // base case): 1, except targets condemned by strict end-of-window latency
 // semantics (Definition 2), which get survival 0 and are removed. Returns the
 // number of condemned targets.
-func condemnTargets(nodes []*node, strict bool, surv []float64) int {
+func (p *pass) condemnTargets(g *Graph, strict bool) int {
 	condemned := 0
-	for i, n := range nodes {
-		if strict && n.Stay != StayUntracked {
-			surv[i] = 0
+	for n := g.levelOff[g.Duration()-1]; n < int32(len(g.loc)); n++ {
+		if strict && g.stay[n] != StayUntracked {
+			p.surv[n] = 0
 			condemned++
 		} else {
-			surv[i] = 1
+			p.surv[n] = 1
 		}
 	}
 	return condemned
 }
 
-// weight returns the unconditioned weight p_E(n,m)·S(m) of an arc, next
-// holding the survivals of the level it enters. The conversion rounds the
-// product, so no platform fuses it into the sum that follows (the Go
-// specification allows fused multiply-add otherwise): conditionLevel and
-// fill must see the same bits.
-func weight(e edge, next []float64) float64 { return float64(e.P * next[e.To]) }
-
-// survival returns Σ_{(n,m) ∈ E} p_E(n,m)·S(m) over n's out-arcs, in their
-// order. An arc into a removed node adds +0, which leaves the sum's bits as
-// they are.
-func survival(n *node, next []float64) float64 {
-	s := 0.0
-	for _, e := range n.out {
-		s += weight(e, next)
-	}
-	return s
-}
-
 // conditionLevel runs one backward iteration (lines 15-29 in closed form)
-// over the nodes of a single timestamp: it writes each node's survival into
-// surv, given the survivals next of the level after, and rescales the level
-// by its maximum so the recurrence never underflows (conditioned
-// probabilities depend only on within-level survival ratios, which rescaling
-// preserves). A node whose survival is 0 is removed (Proposition 1: no
-// successor means invalid; the sum can also hit zero by underflow when every
-// arc weight is below the smallest denormal, and then the node carries no
-// representable valid mass). ok is false when the whole level died — i.e. no
-// valid trajectory exists.
-func conditionLevel(nodes []*node, next, surv []float64) (removed int, ok bool) {
+// over the nodes of timestamp t: it writes each node's survival S(n) = Σ
+// p_E(n,m)·S(m) over its out-arcs, in their order, given the survivals of
+// the level after, and each arc's conditioned probability p_E(n,m)·S(m) /
+// S(n) (lines 17-19). It then rescales the level by its maximum so the
+// recurrence never underflows (conditioned probabilities depend only on
+// within-level survival ratios, which rescaling preserves). An arc into a
+// removed node adds +0, which leaves the sum's bits as they are. A node
+// whose survival is 0 is removed (Proposition 1: no successor means
+// invalid; the sum can also hit zero by underflow when every arc weight is
+// below the smallest denormal, and then the node carries no representable
+// valid mass). ok is false when the whole level died — i.e. no valid
+// trajectory exists.
+func (p *pass) conditionLevel(g *Graph, t int) (removed int, ok bool) {
+	lo, hi := g.levelOff[t], g.levelOff[t+1]
+	next, surv := p.surv[hi:], p.surv[lo:hi]
 	maxS := 0.0
-	for i, n := range nodes {
-		s := survival(n, next)
-		surv[i] = s
+	for n := lo; n < hi; n++ {
+		a, b := g.arcOff[n], g.arcOff[n+1]
+		s := 0.0
+		for k := a; k < b; k++ {
+			// The conversion rounds the product, so no platform fuses it
+			// into the sum (the Go specification allows fused
+			// multiply-add otherwise): p_E must see the same bits.
+			w := float64(g.p[k] * next[g.to[k]])
+			p.pe[k] = w
+			s += w
+		}
+		for k := a; k < b; k++ {
+			p.pe[k] /= s
+		}
+		surv[n-lo] = s
 		if s > maxS {
 			maxS = s
 		}
@@ -295,18 +284,18 @@ func conditionLevel(nodes []*node, next, surv []float64) (removed int, ok bool) 
 }
 
 // conditionSources conditions the source probabilities (lines 30-31) into
-// src: p'_N(src) = p_N(src)·S(src) / Σ p_N·S. ok is false when no source
+// p.src: p'_N(src) = p_N(src)·S(src) / Σ p_N·S. ok is false when no source
 // retains positive mass.
-func conditionSources(nodes []*node, surv, src []float64) (total float64, ok bool) {
-	for i, n := range nodes {
-		src[i] = n.prob * surv[i]
-		total += src[i]
+func (p *pass) conditionSources(g *Graph) (total float64, ok bool) {
+	for i, pn := range g.src {
+		p.src[i] = pn * p.surv[i]
+		total += p.src[i]
 	}
 	if total <= 0 {
 		return total, false
 	}
-	for i := range src {
-		src[i] /= total
+	for i := range p.src {
+		p.src[i] /= total
 	}
 	return total, true
 }
@@ -320,8 +309,9 @@ func conditionSources(nodes []*node, surv, src []float64) (total float64, ok boo
 // probabilities are unaffected; a level can never lose all its nodes here,
 // because that would require the previous level to have been fully removed,
 // which the backward phase already reports as ErrNoValidTrajectory.
-func (p *pass) number(levels [][]*node, t int) (kept, ghosts int) {
-	idx := p.idx[t]
+func (p *pass) number(g *Graph, t int) (kept, ghosts int) {
+	lo, hi := g.levelOff[t], g.levelOff[t+1]
+	idx := p.idx[lo:hi]
 	reached := int32(-1)
 	if t == 0 {
 		reached = 0
@@ -330,17 +320,16 @@ func (p *pass) number(levels [][]*node, t int) (kept, ghosts int) {
 		idx[j] = reached
 	}
 	if t > 0 {
-		prev := p.idx[t-1]
-		for i, n := range levels[t-1] {
-			if prev[i] < 0 {
+		for n := g.levelOff[t-1]; n < lo; n++ {
+			if p.idx[n] < 0 {
 				continue
 			}
-			for _, e := range n.out {
-				idx[e.To] = 0
+			for _, to := range g.to[g.arcOff[n]:g.arcOff[n+1]] {
+				idx[to] = 0
 			}
 		}
 	}
-	for j, s := range p.surv[t] {
+	for j, s := range p.surv[lo:hi] {
 		switch {
 		case s == 0:
 			idx[j] = -1
@@ -354,166 +343,114 @@ func (p *pass) number(levels [][]*node, t int) (kept, ghosts int) {
 	return kept, ghosts
 }
 
-// measure returns the shape of the graph freeze writes from the same
-// arguments.
-func measure(levels [][]*node, p *pass) shape {
-	s := shape{levels: len(levels)}
-	for t := range levels {
-		idx := p.idx[t]
-		var next []int32
-		if t+1 < len(levels) {
-			next = p.idx[t+1]
-		}
-		for i, n := range levels[t] {
-			if idx[i] < 0 {
+// freeze writes the survivors of the working graph, numbered by p, into a
+// new frozen graph, with their δ and TL unless every survivor has δ = ⊥ and
+// an empty TL. It measures them first, so every column is allocated once.
+func (b *builder) freeze(p *pass) *Graph {
+	w, idx := &b.g, p.idx
+	d := w.Duration()
+	s := shape{levels: d}
+	for t := 0; t < d; t++ {
+		next := idx[w.levelOff[t+1]:]
+		for n := w.levelOff[t]; n < w.levelOff[t+1]; n++ {
+			if idx[n] < 0 {
 				continue
 			}
 			s.nodes++
-			if t == 0 {
-				s.sources++
-			}
-			for _, e := range n.out {
-				if next[e.To] >= 0 {
+			for _, to := range w.to[w.arcOff[n]:w.arcOff[n+1]] {
+				if next[to] >= 0 {
 					s.arcs++
 				}
 			}
-			s.tls += len(n.TL)
-			s.ident = s.ident || n.Stay != StayUntracked || len(n.TL) > 0
+			s.tls += int(b.tls[n].n)
+			s.ident = s.ident || w.stay[n] != StayUntracked || b.tls[n].n > 0
+		}
+		if t == 0 {
+			s.sources = s.nodes
 		}
 	}
-	return s
-}
-
-// freeze writes the survivors of levels, numbered by p, into a new frozen
-// graph.
-func freeze(levels [][]*node, p *pass) *Graph {
-	g := newGraph(measure(levels, p))
-	g.fill(levels, p)
-	return g
-}
-
-// fill writes the survivors and arcs of freeze's arguments into g, whose
-// columns were carved for their shape; with the δ and TL columns left out,
-// it skips node identity. An arc's conditioned probability is p_E(n,m)·S(m)
-// / S(n) (lines 17-19), S(n) before its level was rescaled.
-func (g *Graph) fill(levels [][]*node, p *pass) {
-	n, a, e := 0, int32(0), int32(0)
-	ident := len(g.tlOff) > 0
-	for t := range levels {
-		idx := p.idx[t]
-		var next []float64
-		var nextIdx []int32
-		if t+1 < len(levels) {
-			next, nextIdx = p.surv[t+1], p.idx[t+1]
-		}
-		for i, nd := range levels[t] {
-			if idx[i] < 0 {
+	g := newGraph(s)
+	m, a, e := int32(0), int32(0), int32(0)
+	for t := 0; t < d; t++ {
+		next := idx[w.levelOff[t+1]:]
+		for n := w.levelOff[t]; n < w.levelOff[t+1]; n++ {
+			if idx[n] < 0 {
 				continue
 			}
-			g.loc[n] = nd.Loc
+			g.loc[m] = w.loc[n]
 			if t == 0 {
-				g.src[n] = p.src[i]
+				g.src[m] = p.src[n]
 			}
-			if len(nd.out) > 0 {
-				s := survival(nd, next)
-				for _, ed := range nd.out {
-					if to := nextIdx[ed.To]; to >= 0 {
-						g.to[a], g.p[a] = to, weight(ed, next)/s
-						a++
-					}
+			for k := w.arcOff[n]; k < w.arcOff[n+1]; k++ {
+				if to := next[w.to[k]]; to >= 0 {
+					g.to[a], g.p[a] = to, p.pe[k]
+					a++
 				}
 			}
-			if ident {
-				g.stay[n] = nd.Stay
-				e += int32(copy(g.tl[e:], nd.TL))
+			if s.ident {
+				g.stay[m] = w.stay[n]
+				e += int32(copy(g.tl[e:], b.tl.entries(b.tls[n])))
+				g.tlOff[m+1] = e
 			}
-			n++
-			g.arcOff[n] = a
-			if ident {
-				g.tlOff[n] = e
-			}
+			m++
+			g.arcOff[m] = a
 		}
-		g.levelOff[t+1] = int32(n)
+		g.levelOff[t+1] = m
 	}
-}
-
-// resize returns s with length n, reallocating only when the capacity is too
-// small. Contents are unspecified.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// node is a location node (τ, l, δ, TL) of §4.1 in the working graph that
-// Build and BuildState grow; its timestamp τ is its level. Two nodes of a
-// level with equal exported fields are the same node; the forward phase
-// never materializes duplicates. Once the forward kernel has linked its
-// level a node is only read: the backward phase writes into a pass. Nodes
-// and edges live only while Build or BuildState works on them: what leaves
-// the package is a frozen Graph.
-type node struct {
-	Loc  int32     // location l
-	Stay int32     // δ: length of the current stay while a latency constraint is pending, or StayUntracked (⊥)
-	TL   []TLEntry // sorted by Loc; relevant recent leave times for TT checks; interned, do not modify
-
-	out  []edge  // a-priori out-arcs, in candidate order
-	prob float64 // a-priori p_N for source nodes
-}
-
-// edge is an out-arc of the working graph: the index of its target in the
-// next level and its a-priori probability p_E.
-type edge struct {
-	To int32
-	P  float64
+	return g
 }
 
 // builder holds the constraint set plus the allocation state of the forward
 // kernel (forward.go): the compiled constraint view, whether the dominance
 // rule drops TL entries (set only where the graph leaves as a quotient), the
-// TL interner, a scratch slice for assembling successor TLs, and the node,
-// edge and level arenas. Arena chunks are never reallocated, so node
-// pointers, out-arc lists and levels stay valid until the kernel is put back.
+// TL interner, a scratch slice for assembling successor TLs, and the
+// working graph.
+//
+// The working graph g is a location node (τ, l, δ, TL) of §4.1 per node of
+// a Graph's columns, grown one level per step; a node's timestamp τ is its
+// level. Two nodes of a level never share (l, δ, TL): the forward phase
+// never materializes duplicates. p holds the a-priori p_E, src the a-priori
+// p_N and stay each node's δ; node n's TL is tls[n], a span of the
+// interner's column. The newest level has no arcs until the next expand.
+// Once expand gave a level its arcs it is only read: the backward phase
+// writes into a pass. The working graph lives only while Build or
+// BuildState works on it: what leaves the package is a frozen Graph.
 type builder struct {
 	cs       *constraints.Compiled
 	dominate bool
 	tl       *tlInterner
 	scratch  []TLEntry
 
-	nodes  slab[node]
-	edges  slab[edge]
-	levels slab[*node]
+	g   Graph
+	tls []tlSpan
 }
 
-// rewind makes every arena chunk free for the next build and resets the
-// interner. Nothing may use a node, edge, level or TL slice of the builder
-// afterwards.
+// rewind empties the working graph for the next build and resets the
+// interner. Nothing may use a column of the builder afterwards.
 func (b *builder) rewind() {
-	b.nodes.reset()
-	b.edges.reset()
-	b.levels.reset()
+	g := &b.g
+	g.levelOff, g.loc, g.stay, g.arcOff = trim(g.levelOff), trim(g.loc), trim(g.stay), trim(g.arcOff)
+	g.to, g.p, g.src, b.tls = trim(g.to), trim(g.p), trim(g.src), trim(b.tls)
 	b.tl.reset()
 	b.cs, b.dominate = nil, false
 }
 
-// newNode allocates a node from the arena. tl must be a canonical interned
-// slice (or nil). Every field is written, so what the chunk held before
-// never shows.
-func (b *builder) newNode(loc, stay int32, tl []TLEntry) *node {
-	n := &b.nodes.carve(1)[0]
-	*n = node{Loc: loc, Stay: stay, TL: tl}
-	return n
+// addNode appends a node to the newest level of the working graph. tl must
+// be a canonical interned span.
+func (b *builder) addNode(loc, stay int32, tl tlSpan) {
+	b.g.loc = append(b.g.loc, loc)
+	b.g.stay = append(b.g.stay, stay)
+	b.tls = append(b.tls, tl)
 }
 
-// carve returns an empty out-arc list with capacity exactly n, cut from the
-// edge arena. Its capacity ends where its region does, so lists carved from
-// one chunk can never grow into each other.
-func (b *builder) carve(n int) []edge {
-	if n == 0 {
-		return nil
+// closeLevel ends the newest level at the last node added, each of its
+// nodes with no out-arcs yet.
+func (b *builder) closeLevel() {
+	g := &b.g
+	for len(g.arcOff) <= len(g.loc) {
+		g.arcOff = append(g.arcOff, int32(len(g.to)))
 	}
-	return b.edges.carve(n)[:0]
+	g.levelOff = append(g.levelOff, int32(len(g.loc)))
 }
 
 // initialStay returns the stay counter of a node entering loc (or starting
@@ -531,28 +468,28 @@ func (b *builder) initialStay(loc int) int32 {
 // out, so the kernel can attribute prunes per constraint kind in explain
 // reports. The successor's TL is assembled in the builder's scratch slice and
 // interned, so checking a candidate that deduplicates onto an existing node
-// allocates nothing. t is the timestamp of n.
-func (b *builder) successorKey(t int, n *node, loc int) (nodeKey, pruneReason) {
-	t2, from := t+1, int(n.Loc)
+// allocates nothing. n is a node of the working graph at timestamp t.
+func (b *builder) successorKey(t int, n int32, loc int) (nodeKey, pruneReason) {
+	t2, from, tl := t+1, int(b.g.loc[n]), b.tl.entries(b.tls[n])
 	// Condition 2: direct reachability.
 	if b.cs.Unreachable(from, loc) {
 		return nodeKey{}, pruneDU
 	}
 	if loc == from {
 		// Condition 3: staying increments a pending stay counter.
-		stay := int(n.Stay)
+		stay := int(b.g.stay[n])
 		if stay != StayUntracked {
 			stay++
 			if delta, _ := b.cs.Latency(loc); stay >= delta {
 				stay = StayUntracked // constraint satisfied: normalize to ⊥
 			}
 		}
-		id := b.internTL(n.TL, t2, loc, -1)
+		id := b.internTL(tl, t2, loc, -1)
 		return nodeKey{loc: int32(loc), stay: int32(stay), tl: id}, pruneNone
 	}
 	// Condition 4: leaving is allowed only once any latency constraint on
 	// the current location is satisfied (pending counter normalized away).
-	if n.Stay != StayUntracked {
+	if b.g.stay[n] != StayUntracked {
 		return nodeKey{}, pruneLT
 	}
 	// Condition 5 (extended to cover the direct move, see DESIGN.md §3):
@@ -561,14 +498,14 @@ func (b *builder) successorKey(t int, n *node, loc int) (nodeKey, pruneReason) {
 	if nu, ok := b.cs.TT(from, loc); ok && t2-t < nu {
 		return nodeKey{}, pruneTT
 	}
-	for _, e := range n.TL {
+	for _, e := range tl {
 		if nu, ok := b.cs.TT(e.Loc, loc); ok && t2-e.Time < nu {
 			return nodeKey{}, pruneTT
 		}
 	}
 	// Condition 6: extend TL with the location being left, drop entries
 	// no longer live and any entry for the location being entered.
-	id := b.internTL(n.TL, t2, loc, from)
+	id := b.internTL(tl, t2, loc, from)
 	return nodeKey{loc: int32(loc), stay: b.initialStay(loc), tl: id}, pruneNone
 }
 

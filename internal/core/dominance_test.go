@@ -105,7 +105,7 @@ func TestQuotientStateDropsDominated(t *testing.T) {
 	steps, ic := soakScenario(t, 400)
 	st, raw := NewBuildState(ic), newBuildState(ic, false)
 	defer raw.Release()
-	opts := &Options{EndLatency: constraints.LenientEnd, Quotient: true}
+	opts := &Options{EndLatency: constraints.LenientEnd}
 	for k, cands := range steps {
 		if err := st.Observe(cands); err != nil {
 			t.Fatal(err)
@@ -116,7 +116,7 @@ func TestQuotientStateDropsDominated(t *testing.T) {
 		if (k+1)%100 != 0 {
 			continue
 		}
-		got, err := st.Smooth(&Options{EndLatency: constraints.LenientEnd})
+		got, err := st.Smooth(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,18 +124,11 @@ func TestQuotientStateDropsDominated(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(encoded(t, got), encoded(t, want)) {
+		if !bytes.Equal(encoded(t, got), encoded(t, want.Quotient())) {
 			t.Fatalf("after %d readings the quotient session's smooth differs from the raw session's quotient", k+1)
 		}
 	}
-	nodes := func(st *BuildState) int {
-		n := 0
-		for _, level := range st.levels {
-			n += len(level)
-		}
-		return n
-	}
-	if kept, all := nodes(st), nodes(raw); kept >= all {
+	if kept, all := len(st.b.g.loc), len(raw.b.g.loc); kept >= all {
 		t.Errorf("the quotient session keeps %d raw nodes, the raw session %d", kept, all)
 	}
 	k := st.kernel

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/constraints"
 )
@@ -11,15 +12,15 @@ import (
 // without limit; once it exceeds this many chain links its IDs are forgotten
 // (an O(1) stamp bump of its index) and interning starts over. That is safe
 // because interned IDs are only compared within a single expand step, and
-// nodes hold the canonical slices themselves, whose memory the rebuild
-// leaves alone: it is reused only once the kernel goes back to the pool.
+// nodes hold spans of the interner's TL column, which the rebuild leaves
+// alone: it is reused only once the kernel goes back to the pool.
 const tlInternCap = 1 << 16
 
 // kernel is Algorithm 1's forward phase (lines 1-14), the one implementation
-// behind Build and BuildState. sources builds the τ=0 level, expand resolves
-// the successors of one level, and link materializes the edges the last
-// expand resolved. BuildState.observe runs expand+link per level, for Build
-// and for a stream session alike.
+// behind Build and BuildState. sources builds the τ=0 level and expand the
+// level after the newest, appending both to the builder's working graph.
+// BuildState.observe runs one of them per level, for Build and for a stream
+// session alike.
 //
 // Successor identity is the nodeKey (with the TL slice interned), and a
 // level is deduplicated in a stamped keyTable: moving to the next level
@@ -27,12 +28,12 @@ const tlInternCap = 1 << 16
 // per-candidate allocation and nothing per level beyond the successors
 // themselves, and all scratch state is reused across levels.
 //
-// A kernel is also everything a build allocates and throws away: the node,
-// edge and level arenas, the TL interner, the dedup table, the per-level
-// scratch, the forward mass, the explain steps and the backward phase's
-// pass. Every build takes one from kernels (getKernel) and gives it back
-// (put) when its BuildState is released — Build when it returns, a stream
-// session when it ends — so the next build reuses all of it.
+// A kernel is also everything a build allocates and throws away: the
+// working graph's columns, the TL interner, the dedup table, the forward
+// mass, the explain steps and the backward phase's pass. Every build takes
+// one from kernels (getKernel) and gives it back (put) when its BuildState
+// is released — Build when it returns, a stream session when it ends — so
+// the next build reuses all of it.
 type kernel struct {
 	b builder
 
@@ -42,9 +43,6 @@ type kernel struct {
 	rebuilds  int
 
 	dedup  keyTable  // position of each successor of the level being expanded
-	next   []*node   // successors of the level being expanded, before their exact copy
-	succs  []int32   // successor position per (node, candidate) pair, -1 when pruned
-	outDeg []int32   // out-degree per node of the expanded level
 	mass   []float64 // unnormalized forward mass per successor
 	alphas []float64 // normalized forward mass of the newest level
 
@@ -57,11 +55,22 @@ type kernel struct {
 	pass
 }
 
-// keepNodes is what a kernel keeps when it goes back to kernels, as
-// slabKeepChunks bounds its arenas: scratch slices up to keepNodes entries
-// and keyTables (its dedup table and interner index) up to keepNodes slots.
-// A kept table costs a later build nothing to reuse, since a stamp bump
-// empties it, but its memory stays pinned in the pool.
+// keepBytes bounds each column and scratch slice a kernel keeps when it
+// goes back to kernels (1 MB, what 64 arena chunks of 16 KB held): a kernel
+// that served a bigger build drops the rest, so one long stream session
+// does not pin its memory in the pool for every later build, and a warm
+// build or session within it reallocates nothing. A column starts from
+// firstBytes, as an arena's first chunk did, so a fresh kernel grows each
+// in a few steps.
+const (
+	keepBytes  = 1 << 20
+	firstBytes = 512
+)
+
+// keepNodes bounds the slots of the keyTables a kernel keeps (its dedup
+// table and interner index). A kept table costs a later build nothing to
+// reuse, since a stamp bump empties it, but its memory stays pinned in the
+// pool.
 const keepNodes = 1 << 14
 
 var kernels sync.Pool // of *kernel
@@ -71,119 +80,109 @@ func getKernel(ic *constraints.Set) *kernel {
 	k, ok := kernels.Get().(*kernel)
 	if !ok {
 		k = &kernel{b: builder{tl: newTLInterner()}}
+		k.rewind()
 	}
 	if ic == nil {
 		ic = constraints.NewSet()
 	}
 	k.b.cs = ic.Compile()
+	k.b.g.levelOff = append(k.b.g.levelOff, 0)
+	k.b.g.arcOff = append(k.b.g.arcOff, 0)
 	k.internCap = tlInternCap
 	return k
 }
 
-// put rewinds k and gives it back to kernels. Nothing may use a node, edge,
-// level, TL slice or pass column of k afterwards.
+// put rewinds k and gives it back to kernels. Nothing may use a column of k
+// afterwards.
 func (k *kernel) put() {
-	k.b.rewind()
-	k.rebuilds, k.prunes, k.step = 0, [numPruneReasons]int64{}, ExplainStep{}
-	k.dedup.trim()
-	clear(k.next[:cap(k.next)])
-	k.next = trim(k.next[:0])
-	k.succs, k.outDeg, k.mass, k.alphas = trim(k.succs), trim(k.outDeg), trim(k.mass), trim(k.alphas)
-	k.steps = trim(k.steps)
-	k.pass.rewind()
+	k.rewind()
 	kernels.Put(k)
 }
 
-// trim returns s emptied, or nil when its capacity is past keepNodes.
+// rewind empties k for the next build.
+func (k *kernel) rewind() {
+	k.b.rewind()
+	k.rebuilds, k.prunes, k.step = 0, [numPruneReasons]int64{}, ExplainStep{}
+	k.dedup.trim()
+	k.mass, k.alphas, k.steps = trim(k.mass), trim(k.alphas), trim(k.steps)
+	k.pass.rewind()
+}
+
+// trim returns s emptied for the next build: with its own capacity when
+// that holds from firstBytes to keepBytes, else with a new one of
+// firstBytes.
 func trim[T any](s []T) []T {
-	if cap(s) > keepNodes {
-		return nil
+	var zero T
+	size := unsafe.Sizeof(zero)
+	if c := uintptr(cap(s)) * size; c < firstBytes || c > keepBytes {
+		return make([]T, 0, firstBytes/size)
 	}
 	return s[:0]
 }
 
-// sources returns the τ=0 level (lines 1-4): one node per candidate, with
-// p_N, and its unnormalized forward mass in k.mass, set from the a-priori
+// sources appends the τ=0 level (lines 1-4): one node per candidate, with
+// p_N, and sets its unnormalized forward mass in k.mass from the a-priori
 // probability.
-func (k *kernel) sources(cands []Candidate) []*node {
-	level := k.b.levels.carve(len(cands))
+func (k *kernel) sources(cands []Candidate) {
 	k.mass = k.mass[:0]
-	for i, c := range cands {
-		level[i] = k.b.newNode(int32(c.Loc), k.b.initialStay(c.Loc), nil)
-		level[i].prob = c.P
+	for _, c := range cands {
+		k.b.addNode(int32(c.Loc), k.b.initialStay(c.Loc), tlSpan{})
+		k.b.g.src = append(k.b.g.src, c.P)
 		k.mass = append(k.mass, c.P)
 	}
-	k.step = ExplainStep{Candidates: len(cands), NodesBuilt: len(level)}
-	return level
+	k.b.closeLevel()
+	k.step = ExplainStep{Candidates: len(cands), NodesBuilt: len(cands)}
 }
 
-// expand runs the first pass of one forward step (lines 5-14): it resolves
-// every (node, candidate) pair of cur to the successor Definition 3 permits
-// at timestamp t, deduplicates successors by identity and returns them in
-// first-seen order, in a slice of exactly their number: a level outlives the
-// step in a BuildState's raw graph. Prunes are attributed per constraint
-// family and out-degrees counted for link. The successors' unnormalized
-// forward mass is accumulated from k.alphas (the forward mass of cur) into
-// k.mass — frontier order outer, candidate order inner, the summation order
-// behind BuildState's filtered distribution.
-func (k *kernel) expand(t int, cur []*node, cands []Candidate) []*node {
+// expand runs one forward step (lines 5-14) from level t−1, the newest: it
+// resolves every (node, candidate) pair to the successor Definition 3
+// permits at timestamp t, appends the successors to the working graph,
+// deduplicated by identity in first-seen order, and gives every node of
+// level t−1 its a-priori out-arcs, in candidate order. It returns how many
+// successors level t has; with none the graph is left without it. Prunes
+// are attributed per constraint family. The successors' unnormalized
+// forward mass is accumulated from k.alphas (the forward mass of level
+// t−1) into k.mass — frontier order outer, candidate order inner, the
+// summation order behind BuildState's filtered distribution.
+func (k *kernel) expand(t int, cands []Candidate) int {
 	if k.b.tl.size() > k.internCap {
 		k.b.tl.rebuild()
 		k.rebuilds++
 	}
 	k.dedup.reset()
-	k.succs = resize(k.succs, len(cur)*len(cands))
-	k.outDeg = resize(k.outDeg, len(cur))
-	next, mass := k.next[:0], k.mass[:0]
-	accepted, pi := 0, 0
-	for i, n := range cur {
-		k.outDeg[i] = 0
-		alpha := k.alphas[i]
+	g := &k.b.g
+	lo, hi := g.levelOff[t-1], g.levelOff[t]
+	mass := k.mass[:0]
+	accepted := 0
+	for n := lo; n < hi; n++ {
+		alpha := k.alphas[n-lo]
 		for _, c := range cands {
 			key, why := k.b.successorKey(t-1, n, c.Loc)
 			k.prunes[why]++
 			if why != pruneNone {
-				k.succs[pi] = -1
-				pi++
 				continue
 			}
 			j, added := k.dedup.id(key.packed())
 			if added {
-				next = append(next, k.b.newNode(key.loc, key.stay, k.b.tl.seq(key.tl)))
+				k.b.addNode(key.loc, key.stay, k.b.tl.span(key.tl))
 				mass = append(mass, 0)
 			}
-			k.succs[pi] = j
-			pi++
+			g.to = append(g.to, j)
+			g.p = append(g.p, c.P)
 			accepted++
-			k.outDeg[i]++
 			mass[j] += alpha * c.P
 		}
+		g.arcOff[n+1] = int32(len(g.to))
 	}
 	k.step = ExplainStep{
 		Candidates: len(cands),
-		Considered: len(cur) * len(cands),
+		Considered: int(hi-lo) * len(cands),
 		Accepted:   accepted,
-		NodesBuilt: len(next),
+		NodesBuilt: len(mass),
 	}
-	k.next, k.mass = next, mass
-	level := k.b.levels.carve(len(next))
-	copy(level, next)
-	return level
-}
-
-// link is the second pass of a forward step: it carves exact-capacity
-// out-arc lists for cur (the level of the last expand) out of the edge arena
-// and fills them with the a-priori arcs, so they never pay append-growth
-// reallocations. After link, cur is only read.
-func (k *kernel) link(cur []*node, cands []Candidate) {
-	pi := 0
-	for i, n := range cur {
-		n.out = k.b.carve(int(k.outDeg[i]))
-		for _, c := range cands {
-			if j := k.succs[pi]; j >= 0 {
-				n.out = append(n.out, edge{To: j, P: c.P})
-			}
-			pi++
-		}
+	k.mass = mass
+	if len(mass) > 0 {
+		k.b.closeLevel()
 	}
+	return len(mass)
 }

@@ -33,7 +33,9 @@ type TLEntry struct {
 // no pointer per node or per arc. Nodes are numbered level by level, a
 // node's dense index within its level is its number minus the level's
 // offset, and every column is one flat array (compressed sparse rows), so
-// the garbage collector never scans a graph's contents.
+// the garbage collector never scans a graph's contents. The graph a build
+// works on has the same columns and grows them a level at a time (see
+// builder); it never leaves the package.
 type Graph struct {
 	levelOff []int32   // level t holds nodes levelOff[t] to levelOff[t+1]-1
 	loc      []int32   // location of each node
@@ -125,49 +127,34 @@ type shape struct {
 	tls                          int
 }
 
-// ints returns how many int32s the shape's int32 columns hold together.
-func (s shape) ints() int {
+// newGraph allocates a graph of shape s: its int32 columns share one
+// allocation and its float64 columns another, each column capped at its own
+// region.
+func newGraph(s shape) *Graph {
 	n := s.levels + 1 + 2*s.nodes + 1 + s.arcs
 	if s.ident {
 		n += 2*s.nodes + 1
 	}
-	return n
-}
-
-// carve points g's columns at ints, floats and tl, which hold at least
-// s.ints(), s.sources+s.arcs and s.tls elements. Each column is capped at
-// its own region, and every offset column starts at 0.
-func (g *Graph) carve(s shape, ints []int32, floats []float64, tl []TLEntry) {
+	ints, floats := make([]int32, n), make([]float64, s.sources+s.arcs)
 	cut := func(n int) []int32 {
 		c := ints[:n:n]
 		ints = ints[n:]
 		return c
 	}
-	g.levelOff = cut(s.levels + 1)
-	g.loc = cut(s.nodes)
-	g.arcOff = cut(s.nodes + 1)
-	g.to = cut(s.arcs)
-	g.src = floats[:s.sources:s.sources]
-	g.p = floats[s.sources : s.sources+s.arcs : s.sources+s.arcs]
-	g.stay, g.tlOff, g.tl = nil, nil, nil
+	g := &Graph{
+		levelOff: cut(s.levels + 1),
+		loc:      cut(s.nodes),
+		arcOff:   cut(s.nodes + 1),
+		to:       cut(s.arcs),
+		src:      floats[:s.sources:s.sources],
+		p:        floats[s.sources:],
+	}
 	if s.ident {
-		g.stay = cut(s.nodes)
-		g.tlOff = cut(s.nodes + 1)
-		g.tl = tl[:s.tls:s.tls]
-		g.tlOff[0] = 0
+		g.stay, g.tlOff = cut(s.nodes), cut(s.nodes+1)
+		if s.tls > 0 {
+			g.tl = make([]TLEntry, s.tls)
+		}
 	}
-	g.levelOff[0], g.arcOff[0] = 0, 0
-}
-
-// newGraph allocates a graph of shape s: its int32 columns share one
-// allocation and its float64 columns another.
-func newGraph(s shape) *Graph {
-	g := new(Graph)
-	var tl []TLEntry
-	if s.ident && s.tls > 0 {
-		tl = make([]TLEntry, s.tls)
-	}
-	g.carve(s, make([]int32, s.ints()), make([]float64, s.sources+s.arcs), tl)
 	return g
 }
 

@@ -353,7 +353,7 @@ func TestStatsBytesMatchRetainedHeap(t *testing.T) {
 	heap := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
-		runtime.GC() // the second collection empties the arena pools
+		runtime.GC() // the second collection empties the kernel pools
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}
@@ -386,26 +386,28 @@ func TestStatsBytesMatchRetainedHeap(t *testing.T) {
 	runtime.KeepAlive(ic)
 }
 
+// hasPointer reports whether a value of typ holds a pointer the collector
+// scans.
+func hasPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.String, reflect.UnsafePointer:
+		return true
+	case reflect.Array:
+		return hasPointer(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if hasPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestGraphHoldsNoPointers: no column of a Graph has an element type that
 // contains a pointer, so a stored graph is never scanned by the collector.
 func TestGraphHoldsNoPointers(t *testing.T) {
-	var hasPointer func(reflect.Type) bool
-	hasPointer = func(typ reflect.Type) bool {
-		switch typ.Kind() {
-		case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Chan, reflect.Func,
-			reflect.Interface, reflect.String, reflect.UnsafePointer:
-			return true
-		case reflect.Array:
-			return hasPointer(typ.Elem())
-		case reflect.Struct:
-			for i := 0; i < typ.NumField(); i++ {
-				if hasPointer(typ.Field(i).Type) {
-					return true
-				}
-			}
-		}
-		return false
-	}
 	typ := reflect.TypeOf(Graph{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -416,5 +418,38 @@ func TestGraphHoldsNoPointers(t *testing.T) {
 		if hasPointer(f.Type.Elem()) {
 			t.Errorf("column %s holds %s, which contains a pointer", f.Name, f.Type.Elem())
 		}
+	}
+}
+
+// TestKernelHoldsNoPointers: every slice a kernel holds — the working
+// graph's columns, the interner's, the pass's, the dedup table's and the
+// forward scratch — has an element type without pointers, so however big a
+// build or stream session grows, the collector scans none of it. The walk
+// follows struct fields and pointers to this package's structs (the
+// interner), and stops at other pointers (the compiled constraints).
+func TestKernelHoldsNoPointers(t *testing.T) {
+	pkg := reflect.TypeOf(kernel{}).PkgPath()
+	seen := 0
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			name := path + "." + f.Name
+			switch ft := f.Type; {
+			case ft.Kind() == reflect.Slice:
+				seen++
+				if hasPointer(ft.Elem()) {
+					t.Errorf("%s holds %s, which contains a pointer", name, ft.Elem())
+				}
+			case ft.Kind() == reflect.Struct:
+				walk(name, ft)
+			case ft.Kind() == reflect.Pointer && ft.Elem().Kind() == reflect.Struct && ft.Elem().PkgPath() == pkg:
+				walk(name, ft.Elem())
+			}
+		}
+	}
+	walk("kernel", reflect.TypeOf(kernel{}))
+	if seen < 10 {
+		t.Fatalf("the walk found %d slices in a kernel", seen)
 	}
 }

@@ -17,12 +17,13 @@ import (
 // BuildState stepped once per timestamp of its l-sequence and smoothed, so
 // a smooth is the build over the same readings by construction.
 //
-// The raw graph (nodes, a-priori edges, source probabilities) is append-only
-// and only read once linked. Smooth runs the backward phase (condition) over
-// the raw levels, writing into the columns of the state's pass, which are
-// carved once per level, and then the quotient or a frozen copy. Every float
-// operation happens in the same order as in a full offline Build over the
-// same readings, so the smoothed graph is bit-identical, not merely close.
+// The raw graph (nodes, a-priori arcs, source probabilities) is the
+// kernel's working graph, append-only and only read once a level has its
+// arcs. Smooth runs the backward phase (condition) over it, writing into
+// the columns of the state's pass, and then the quotient or a frozen copy.
+// Every float operation happens in the same order as in a full offline
+// Build over the same readings, so the smoothed graph is bit-identical, not
+// merely close.
 //
 // Each Smooth returns a new frozen Graph that shares nothing with the state:
 // callers may retain earlier results (e.g. a trajectory store) while the
@@ -36,25 +37,21 @@ import (
 // timestamp the filtered distribution equals, within rounding, the smoothed
 // marginal of a LenientEnd Build over the same readings.
 //
-// A BuildState holds a pooled kernel — its arenas, interner, forward mass,
-// explain steps and pass — from its constructor until Release gives it
-// back; a state never released leaves it to the garbage collector.
+// A BuildState holds a pooled kernel — its working graph, interner, forward
+// mass, explain steps and pass — from its constructor until Release gives
+// it back; a state never released leaves it to the garbage collector.
 //
 // BuildState is not safe for concurrent use.
 type BuildState struct {
-	// kernel is the forward pass; its interner, prune counts, forward mass,
-	// explain steps, scratch and pass persist across readings. nil after
-	// Release.
+	// kernel is the forward pass; its working graph, interner, prune
+	// counts, forward mass, explain steps, scratch and pass persist across
+	// readings. The kernel's alphas hold the normalized forward mass of the
+	// newest level. nil after Release.
 	*kernel
 
-	// levels[t] holds the raw (unconditioned) nodes of timestamp t in
-	// construction order (never compacted).
-	levels [][]*node
-	// level is the newest of levels; the kernel's alphas hold its
-	// normalized forward mass. A dead end empties it and sets dead; every
-	// later Observe fails.
-	level []*node
-	dead  bool
+	// dead is set by a dead end, which empties the alphas; every later
+	// Observe fails.
+	dead bool
 
 	// forwardNanos is the wall time of the forward phase so far, which
 	// Smooth reports as the explain report's ForwardNanos.
@@ -80,7 +77,7 @@ func NewBuildState(ic *constraints.Set) *BuildState { return newBuildState(ic, t
 // newBuildState returns a BuildState holding a kernel from the pool. With
 // dominate its forward phase applies the dominance rule and Smooth returns
 // the quotient; without it the state grows Algorithm 1's own graph, and
-// Smooth returns it frozen unless Options.Quotient asks for its quotient.
+// Smooth returns it frozen.
 func newBuildState(ic *constraints.Set, dominate bool) *BuildState {
 	k := getKernel(ic)
 	k.b.dominate = dominate
@@ -102,7 +99,12 @@ func (st *BuildState) Release() {
 }
 
 // Duration returns the number of observed timestamps.
-func (st *BuildState) Duration() int { return len(st.levels) }
+func (st *BuildState) Duration() int {
+	if st.kernel == nil {
+		return 0
+	}
+	return st.b.g.Duration()
+}
 
 // Observe appends one timestamp to the raw graph. candidates is the step's
 // candidate set (non-zero probabilities summing to 1, as produced by
@@ -115,7 +117,7 @@ func (st *BuildState) Observe(candidates []Candidate) error {
 	}
 	start := time.Now()
 	defer func() { st.forwardNanos += time.Since(start).Nanoseconds() }()
-	t := len(st.levels)
+	t := st.Duration()
 	if st.dead {
 		return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
 	}
@@ -126,22 +128,17 @@ func (st *BuildState) Observe(candidates []Candidate) error {
 }
 
 // observe is one step of Algorithm 1's forward phase (lines 1-14) over
-// validated candidates: the kernel's sources, or expand and link, then the
-// newest level's forward mass normalized and its explain step recorded.
+// validated candidates: the kernel's sources or expand, then the newest
+// level's forward mass normalized and its explain step recorded.
 func (st *BuildState) observe(candidates []Candidate) error {
-	t := len(st.levels)
-	var next []*node
+	t := st.b.g.Duration()
 	if t == 0 {
-		next = st.sources(candidates)
-	} else {
-		if next = st.expand(t, st.level, candidates); len(next) == 0 {
-			st.dead = true
-			st.level, st.alphas = nil, st.alphas[:0]
-			return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
-		}
-		st.link(st.level, candidates)
+		st.sources(candidates)
+	} else if st.expand(t, candidates) == 0 {
+		st.dead = true
+		st.alphas = st.alphas[:0]
+		return fmt.Errorf("%w (dead end at timestamp %d)", ErrNoValidTrajectory, t)
 	}
-	st.level = next
 	st.alphas, st.mass = st.mass, st.alphas
 	total := 0.0
 	for _, a := range st.alphas {
@@ -152,17 +149,21 @@ func (st *BuildState) observe(candidates []Candidate) error {
 			st.alphas[i] /= total
 		}
 	}
-	st.levels = append(st.levels, next)
 	st.steps = append(st.steps, st.step)
 	return nil
 }
 
 // Time returns the timestamp of the last observation (-1 before the first).
-func (st *BuildState) Time() int { return len(st.levels) - 1 }
+func (st *BuildState) Time() int { return st.Duration() - 1 }
 
 // FrontierSize returns the number of alive location nodes at the newest
 // timestamp (0 after a dead end).
-func (st *BuildState) FrontierSize() int { return len(st.level) }
+func (st *BuildState) FrontierSize() int {
+	if st.kernel == nil {
+		return 0
+	}
+	return len(st.alphas)
+}
 
 // InternerRebuilds returns how many times the TL interner has been discarded
 // and rebuilt to bound memory on a long stream.
@@ -188,12 +189,13 @@ func (st *BuildState) Distribution() ([]LocProb, error) {
 	if st.kernel == nil {
 		return nil, ErrReleased
 	}
-	if len(st.levels) == 0 {
+	if st.Duration() == 0 {
 		return nil, fmt.Errorf("core: nothing observed yet")
 	}
-	byLoc := make(map[int]float64, len(st.level))
-	for i, n := range st.level {
-		byLoc[int(n.Loc)] += st.alphas[i]
+	g := &st.b.g
+	byLoc := make(map[int]float64, len(st.alphas))
+	for i, a := range st.alphas {
+		byLoc[int(g.loc[g.levelOff[st.Time()]+int32(i)])] += a
 	}
 	out := make([]LocProb, 0, len(byLoc))
 	for l, p := range byLoc {
@@ -223,14 +225,14 @@ func (st *BuildState) TopLocations(k int) ([]LocProb, error) {
 
 // Smooth conditions the observed readings under the integrity constraints
 // and returns the ct-graph, exactly as Build over the same l-sequence with
-// Options.Quotient: the quotient, byte for byte Build(…).Quotient(). The
-// returned graph is independent of the state: later Observe/Smooth calls
-// never mutate it.
+// Options.Quotient: the quotient, byte for byte Build(…).Quotient(), whatever
+// opts.Quotient says. The returned graph is independent of the state: later
+// Observe/Smooth calls never mutate it.
 func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 	if st.kernel == nil {
 		return nil, ErrReleased
 	}
-	if len(st.levels) == 0 {
+	if st.Duration() == 0 {
 		return nil, fmt.Errorf("core: build state has observed nothing")
 	}
 	return st.smooth(context.Background(), opts)
@@ -238,25 +240,28 @@ func (st *BuildState) Smooth(opts *Options) (*Graph, error) {
 
 // smooth is Smooth and Build's tail: it fills the forward half of the
 // explain report, runs the backward phase (condition) and returns the
-// quotient, when the state drops dominated TL entries or opts asks for it,
-// or else a frozen copy of the conditioned graph.
+// quotient, when the state drops dominated TL entries, or else a frozen
+// copy of the conditioned graph.
 func (st *BuildState) smooth(ctx context.Context, opts *Options) (*Graph, error) {
 	ex := opts.explain()
 	if ex != nil {
-		ex.reset(len(st.levels))
+		ex.reset(st.Duration())
 		ex.ForwardNanos = st.forwardNanos
 		copy(ex.Steps, st.steps)
 		ex.PrunedDU = st.prunes[pruneDU]
 		ex.PrunedLT = st.prunes[pruneLT]
 		ex.PrunedTT = st.prunes[pruneTT]
 	}
-	if err := st.condition(ctx, st.levels, opts.endLatency() == constraints.StrictEnd, ex); err != nil {
+	if err := st.condition(ctx, &st.b.g, opts.endLatency() == constraints.StrictEnd, ex); err != nil {
 		return nil, err
 	}
-	if !opts.quotient() && !st.b.dominate {
-		return freeze(st.levels, &st.pass), nil
+	if !st.b.dominate {
+		return st.b.freeze(&st.pass), nil
 	}
 	_, sp := obs.Start(ctx, "core.quotient")
 	defer sp.End()
-	return quotientOf(st.levels, &st.pass), nil
+	// The conditioned graph, as a view of the working graph's columns.
+	v := st.b.g
+	v.p, v.src = st.pe, st.src
+	return quotientOf(&v, st.idx), nil
 }

@@ -65,7 +65,7 @@ func graphsBitIdentical(t *testing.T, want, got *Graph) {
 }
 
 // liveHeap returns the heap in use after a collection. The second collection
-// empties the arena pools.
+// empties the kernel pools.
 func liveHeap() uint64 {
 	var ms runtime.MemStats
 	runtime.GC()
@@ -244,6 +244,9 @@ func FuzzSmoothEqualsBuild(f *testing.F) {
 			}
 			opts := &Options{EndLatency: mode, Quotient: quotient}
 			got, gotErr := st.Smooth(opts)
+			if gotErr == nil && quotient {
+				got = got.Quotient()
+			}
 			want, err := Build(prefixLS(ls, k+1), ic, opts)
 			if (err == nil) != (gotErr == nil) {
 				t.Fatalf("prefix %d: smooth err %v, build err %v", k+1, gotErr, err)
@@ -365,14 +368,15 @@ func TestBuildStateInternerRebuild(t *testing.T) {
 // normalizer. At the first and the last smooth the graph must encode
 // byte-identically to a full Build over the same prefix. Memory is gated per
 // raw node: the heap the state holds after the last reading, and the bytes a
-// Smooth allocates.
+// Smooth allocates. The same readings then go through a quotient-only
+// session, the kind the query head runs, whose figures are logged.
 func TestBuildStateSoakSession(t *testing.T) {
 	const (
-		smoothEvery = soakSession / 4
-		// The heap the state holds after the last reading (its raw graph
-		// and pass columns), and the bytes one Smooth allocates, per raw
-		// node. They measure about 136 and 57 B.
-		maxHeldPerNode   = 150
+		// The heap the state holds after the last reading (its working
+		// graph and pass columns), and the bytes one Smooth allocates, per
+		// raw node. They measure about 80 and 57 B, and 90 and 59 B over
+		// the race detector's shorter session.
+		maxHeldPerNode   = 100
 		maxSmoothPerNode = 80
 	)
 	steps, ic := soakScenario(t, soakSession)
@@ -380,9 +384,56 @@ func TestBuildStateSoakSession(t *testing.T) {
 	for k, cands := range steps {
 		ls.Steps[k].Candidates = cands
 	}
-	heapBefore := liveHeap()
 	st := newBuildState(ic, false)
-	rawNodes := 0
+	held, smoothed, rawNodes := soak(t, st, steps, func(n int, g *Graph) {
+		if n != soakSession/4 && n != soakSession {
+			return
+		}
+		want, err := Build(prefixLS(ls, n), ic, &Options{EndLatency: constraints.LenientEnd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The encodings run to ~170 MB at the cap: compare digests.
+		got, ref := sha256.New(), sha256.New()
+		if err := g.Encode(got); err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Encode(ref); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Sum(nil), ref.Sum(nil)) {
+			t.Fatalf("smooth at %d: encoding differs from a full Build", n)
+		}
+	})
+	t.Logf("the state holds %.1f B per raw node over %d raw nodes; a full smooth allocates %.1f B per raw node",
+		held, rawNodes, smoothed)
+	if held > maxHeldPerNode {
+		t.Errorf("the state holds %.1f B per raw node, want at most %d", held, maxHeldPerNode)
+	}
+	if smoothed > maxSmoothPerNode {
+		t.Errorf("a full smooth allocates %.1f B per raw node, want at most %d", smoothed, maxSmoothPerNode)
+	}
+	if st.InternerRebuilds() == 0 {
+		t.Fatalf("the interner never rebuilt over %d readings", soakSession)
+	}
+	t.Logf("%d readings, 5 smooths, %d interner rebuilds", soakSession, st.InternerRebuilds())
+	st.Release()
+
+	q := NewBuildState(ic)
+	defer q.Release()
+	held, smoothed, rawNodes = soak(t, q, steps, func(int, *Graph) {})
+	t.Logf("a quotient-only session holds %.1f B per raw node over %d raw nodes; a full smooth allocates %.1f B per raw node",
+		held, rawNodes, smoothed)
+}
+
+// soak runs TestBuildStateSoakSession's session over steps on st, calling
+// check with every quarter's smooth. It returns the heap st holds after the
+// last reading and the bytes a last, StrictEnd smooth allocates, each per
+// raw node, and the number of raw nodes.
+func soak(t *testing.T, st *BuildState, steps [][]Candidate, check func(n int, g *Graph)) (held, smoothed float64, rawNodes int) {
+	t.Helper()
+	smoothEvery := len(steps) / 4
+	heapBefore := liveHeap()
 	for k, cands := range steps {
 		// One step adds at most one chain of links per (node, candidate)
 		// pair, and a TL holds at most one entry per location.
@@ -404,15 +455,9 @@ func TestBuildStateSoakSession(t *testing.T) {
 			t.Fatalf("step %d: forward mass sums to %v", k, sum)
 		}
 		n := k + 1
-		if n == soakSession {
-			for _, level := range st.levels {
-				rawNodes += len(level)
-			}
-			held := float64(liveHeap()-heapBefore) / float64(rawNodes)
-			t.Logf("the state holds %.1f B per raw node over %d raw nodes", held, rawNodes)
-			if held > maxHeldPerNode {
-				t.Errorf("the state holds %.1f B per raw node, want at most %d", held, maxHeldPerNode)
-			}
+		if n == len(steps) {
+			rawNodes = len(st.b.g.loc)
+			held = float64(liveHeap()-heapBefore) / float64(rawNodes)
 		}
 		if n%smoothEvery != 0 {
 			continue
@@ -428,26 +473,9 @@ func TestBuildStateSoakSession(t *testing.T) {
 		if !(ex.Normalizer > 0) || math.IsInf(ex.Normalizer, 0) {
 			t.Fatalf("smooth at %d: normalizer %v", n, ex.Normalizer)
 		}
-		if n != smoothEvery && n != soakSession {
-			continue
-		}
-		want, err := Build(prefixLS(ls, n), ic, &Options{EndLatency: constraints.LenientEnd})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The encodings run to ~170 MB at the cap: compare digests.
-		got, ref := sha256.New(), sha256.New()
-		if err := g.Encode(got); err != nil {
-			t.Fatal(err)
-		}
-		if err := want.Encode(ref); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Sum(nil), ref.Sum(nil)) {
-			t.Fatalf("smooth at %d: encoding differs from a full Build", n)
-		}
+		check(n, g)
 	}
-	// The last Smooth flips the end mode. It starts on empty arena pools, so
+	// The last Smooth flips the end mode. It starts on empty pools, so
 	// blocks a Build left there do not hide what it takes.
 	liveHeap()
 	var ms runtime.MemStats
@@ -458,16 +486,8 @@ func TestBuildStateSoakSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&ms)
-	if len(ex.Steps) != soakSession {
-		t.Fatalf("the full smooth reported %d levels, want %d", len(ex.Steps), soakSession)
+	if len(ex.Steps) != len(steps) {
+		t.Fatalf("the full smooth reported %d levels, want %d", len(ex.Steps), len(steps))
 	}
-	allocated := float64(ms.TotalAlloc-allocBefore) / float64(rawNodes)
-	t.Logf("a full smooth allocates %.1f B per raw node", allocated)
-	if allocated > maxSmoothPerNode {
-		t.Errorf("a full smooth allocates %.1f B per raw node, want at most %d", allocated, maxSmoothPerNode)
-	}
-	if st.InternerRebuilds() == 0 {
-		t.Fatalf("the interner never rebuilt over %d readings", soakSession)
-	}
-	t.Logf("%d readings, 5 smooths, %d interner rebuilds", soakSession, st.InternerRebuilds())
+	return held, float64(ms.TotalAlloc-allocBefore) / float64(rawNodes), rawNodes
 }

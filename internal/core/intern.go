@@ -10,44 +10,42 @@ type tlID int32
 
 // tlInterner assigns dense integer IDs to TL slices so that node identity can
 // be a comparable value type (see nodeKey) and all nodes sharing a TL history
-// share one immutable backing array. A TL slice is interned link by link:
-// each link is a previously interned prefix extended by one entry, keyed in
-// links as (prefix, loc, time). Because TL slices are kept sorted, two slices
-// intern to the same ID exactly when they are element-wise equal. The
-// canonical slices are carved from fixed-size chunks the interner keeps
-// across rebuilds and resets.
+// share one immutable run of the interner's TL column. A TL slice is
+// interned link by link: each link is a previously interned prefix extended
+// by one entry, keyed in links as (prefix, loc, time). Because TL slices are
+// kept sorted, two slices intern to the same ID exactly when they are
+// element-wise equal. The column is append-only until reset, so a span of it
+// stays valid across rebuilds.
 type tlInterner struct {
-	links keyTable    // link (prefix, entry) -> its ID − 1
-	seqs  [][]TLEntry // seqs[id] is the canonical slice for id; seqs[0] = nil
-
-	arena slab[TLEntry]
+	links keyTable  // link (prefix, entry) -> its ID − 1
+	seqs  []tlSpan  // seqs[id] is the canonical span for id; seqs[0] is empty
+	tl    []TLEntry // every canonical slice, each a run of entries
 }
 
+// tlSpan is a canonical TL slice: n entries of the interner's column from
+// off.
+type tlSpan struct{ off, n int32 }
+
 func newTLInterner() *tlInterner {
-	return &tlInterner{seqs: [][]TLEntry{nil}}
+	return &tlInterner{seqs: []tlSpan{{}}}
 }
 
 // size returns the number of interned chain links (a proxy for memory use).
 func (in *tlInterner) size() int { return len(in.links.keys) }
 
-// rebuild forgets every ID, in O(1) for the index. The canonical slices stay
-// valid: their arena is not reused until reset.
+// rebuild forgets every ID, in O(1) for the index. The canonical spans stay
+// valid: the column is not reused until reset.
 func (in *tlInterner) rebuild() {
 	in.links.reset()
-	clear(in.seqs[1:])
-	in.seqs = in.seqs[:1]
-	if cap(in.seqs) > keepNodes {
-		in.seqs = [][]TLEntry{nil}
-	}
+	in.seqs = append(trim(in.seqs), tlSpan{})
 }
 
-// reset forgets every ID and slice, so the arena is reused; no slice the
-// interner handed out may be used afterwards. An index that grew past
-// keepNodes slots is dropped.
+// reset forgets every ID and span, so the column is reused; no span the
+// interner handed out may be used afterwards.
 func (in *tlInterner) reset() {
 	in.rebuild()
 	in.links.trim()
-	in.arena.reset()
+	in.tl = trim(in.tl)
 }
 
 // intern returns the ID of tl, registering it if new. tl must be sorted. The
@@ -59,20 +57,26 @@ func (in *tlInterner) intern(tl []TLEntry) tlID {
 		// A TL entry's location is a node's, so it fits 32 bits.
 		j, added := in.links.id(tableKey{hi: uint64(uint32(id))<<32 | uint64(uint32(e.Loc)), lo: uint64(e.Time)})
 		if added {
-			// seqs[id] is the canonical prefix of length i; the new
-			// sequence is a copy of it plus e, so it is immutable.
-			seq := in.arena.carve(i + 1)
-			copy(seq, in.seqs[id])
-			seq[i] = e
-			in.seqs = append(in.seqs, seq)
+			// The new sequence is a copy of the canonical prefix of
+			// length i plus e, so no later append changes it.
+			off := int32(len(in.tl))
+			in.tl = append(in.tl, in.entries(in.seqs[id])...)
+			in.tl = append(in.tl, e)
+			in.seqs = append(in.seqs, tlSpan{off: off, n: int32(i + 1)})
 		}
 		id = tlID(j + 1)
 	}
 	return id
 }
 
-// seq returns the canonical slice for id. Callers must not modify it.
-func (in *tlInterner) seq(id tlID) []TLEntry { return in.seqs[id] }
+// span returns the canonical span for id.
+func (in *tlInterner) span(id tlID) tlSpan { return in.seqs[id] }
+
+// entries returns the entries of span s. Callers must not modify them.
+func (in *tlInterner) entries(s tlSpan) []TLEntry {
+	end := s.off + s.n
+	return in.tl[s.off:end:end]
+}
 
 // nodeKey is the comparable identity of a location node within one timestamp:
 // (l, δ, TL) with the TL slice replaced by its interned ID. Packed, it is the

@@ -74,12 +74,16 @@ func TestQuickTrajectoryKeyInjective(t *testing.T) {
 // field equality over a bounded domain.
 func TestQuickNodeKeyReflectsIdentity(t *testing.T) {
 	in := newTLInterner()
+	type node struct {
+		Loc, Stay int32
+		TL        []TLEntry
+	}
 	mk := func(loc, stay uint8, tlLoc, tlTime uint8, hasTL bool) (*node, nodeKey) {
 		n := &node{Loc: int32(loc % 8), Stay: int32(stay % 3)}
 		if hasTL {
 			n.TL = []TLEntry{{Time: int(tlTime % 4), Loc: int(tlLoc % 8)}}
 		}
-		k := nodeKey{loc: int32(n.Loc), stay: int32(n.Stay), tl: in.intern(n.TL)}
+		k := nodeKey{loc: n.Loc, stay: n.Stay, tl: in.intern(n.TL)}
 		return n, k
 	}
 	f := func(l1, s1, tl1, tt1 uint8, h1 bool, l2, s2, tl2, tt2 uint8, h2 bool) bool {

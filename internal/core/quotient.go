@@ -39,26 +39,17 @@ func (g *Graph) Quotient() *Graph {
 	if g.Duration() == 0 {
 		return &Graph{}
 	}
-	p := getPartition()
-	p.sweep(g)
-	q := p.assemble(g)
-	partitions.Put(p)
-	return q
+	return quotientOf(g, nil)
 }
 
-// quotientOf returns the quotient of the levels of a build, as ps numbers
-// them. They are frozen first, without node identity, into the pooled
-// scratch graph.
-func quotientOf(levels [][]*node, ps *pass) *Graph {
+// quotientOf returns the quotient of g without the nodes idx marks
+// negative, when idx is set: the survivors of a working graph whose view g
+// carries the conditioned p_E and p_N. An arc into a removed node is
+// dropped with it.
+func quotientOf(g *Graph, idx []int32) *Graph {
 	p := getPartition()
-	s := measure(levels, ps)
-	s.ident, s.tls = false, 0
-	p.ints = resize(p.ints, s.ints())
-	p.floats = resize(p.floats, s.sources+s.arcs)
-	p.raw.carve(s, p.ints, p.floats, nil)
-	p.raw.fill(levels, ps)
-	p.sweep(&p.raw)
-	q := p.assemble(&p.raw)
+	p.sweep(g, idx)
+	q := p.assemble(g)
 	partitions.Put(p)
 	return q
 }
@@ -66,10 +57,9 @@ func quotientOf(levels [][]*node, ps *pass) *Graph {
 // partition is the outcome of Quotient's backward sweep. Classes are
 // numbered per level in first-occurrence order; the per-class slices hold
 // them level by level from the last, and first[t] is the position of level
-// t's class 0 in them. The rest is the sweep's per-level scratch, and the
-// columns of the graph quotientOf freezes. All of it is reused through
-// partitions by the next Quotient, and none of it keeps a swept or returned
-// graph alive.
+// t's class 0 in them. The rest is the sweep's per-level scratch. All of it
+// is reused through partitions by the next Quotient, and none of it keeps a
+// swept or returned graph alive.
 type partition struct {
 	first  []int
 	width  []int   // classes per level
@@ -77,18 +67,14 @@ type partition struct {
 	arcOff []int32 // each class's arcs are arcs[arcOff[k]:arcOff[k+1]]
 	arcs   []qarc  // the first member's out-arcs, in its out order
 
-	// The class of every node of the level and of the level after; an
-	// open-addressing table from key hash to class, whose slots count as
-	// empty unless stamped with the current level; a node's sorted arcs;
-	// and the sorted arcs of every class's key.
+	// The class of every node of the level and of the level after (-1 for
+	// a removed node); an open-addressing table from key hash to class,
+	// whose slots count as empty unless stamped with the current level; a
+	// node's sorted arcs; and the sorted arcs of every class's key.
 	cls, nextCls []int32
 	table        []classSlot
 	key, keys    []qarc
 	keyOff       []int32
-
-	raw    Graph
-	ints   []int32
-	floats []float64
 }
 
 var partitions sync.Pool // of *partition
@@ -102,8 +88,9 @@ func getPartition() *partition {
 
 // sweep partitions g: level by level from the last, it keys every node on
 // its location, its out-arcs sorted by target class and, at level 0, its
-// source probability, and gives equal keys one class.
-func (p *partition) sweep(g *Graph) {
+// source probability, and gives equal keys one class. With idx set, the
+// nodes it marks negative and the arcs into them are left out.
+func (p *partition) sweep(g *Graph, idx []int32) {
 	d := g.Duration()
 	nodes, edges, widest := len(g.loc), len(g.to), 0
 	for t := 0; t < d; t++ {
@@ -124,18 +111,22 @@ func (p *partition) sweep(g *Graph) {
 	clear(p.table)
 	mask := uint64(size - 1)
 	for t := d - 1; t >= 0; t-- {
-		stamp, level, base := int32(t+1), g.Level(t), g.levelOff[t]
+		stamp, lo, hi := int32(t+1), g.levelOff[t], g.levelOff[t+1]
 		p.first[t] = len(p.reps)
 		p.cls, p.nextCls = p.nextCls[:0], p.cls
 		p.keys, p.keyOff = p.keys[:0], append(p.keyOff[:0], 0)
-		for i := 0; i < level.Width(); i++ {
+		for n := lo; n < hi; n++ {
+			if idx != nil && idx[n] < 0 {
+				p.cls = append(p.cls, -1)
+				continue
+			}
 			// The node's arcs go on the end of p.arcs, and stay there only
 			// when it opens a new class.
 			start := len(p.arcs)
-			arcs := level.Out(i)
-			for k := 0; k < arcs.Len(); k++ {
-				to, pe := arcs.At(k)
-				p.arcs = append(p.arcs, qarc{to: p.nextCls[to], p: math.Float64bits(pe)})
+			for k := g.arcOff[n]; k < g.arcOff[n+1]; k++ {
+				if c := p.nextCls[g.to[k]]; c >= 0 {
+					p.arcs = append(p.arcs, qarc{to: c, p: math.Float64bits(g.p[k])})
+				}
 			}
 			out := p.arcs[start:]
 			key := append(p.key[:0], out...)
@@ -145,14 +136,14 @@ func (p *partition) sweep(g *Graph) {
 				}
 			}
 			p.key = key
-			loc := g.loc[base+int32(i)]
+			loc := g.loc[n]
 			h := mixKey(0, uint64(loc))
 			for _, a := range key {
 				h = mixKey(mixKey(h, uint64(a.to)), a.p)
 			}
 			var src uint64
 			if t == 0 {
-				src = math.Float64bits(g.src[i])
+				src = math.Float64bits(g.src[n])
 				h = mixKey(h, src)
 			}
 			slot := h & mask
@@ -171,7 +162,7 @@ func (p *partition) sweep(g *Graph) {
 				p.arcs = p.arcs[:start]
 			} else {
 				c = int32(len(p.reps) - p.first[t])
-				p.reps = append(p.reps, base+int32(i))
+				p.reps = append(p.reps, n)
 				p.arcOff = append(p.arcOff, int32(len(p.arcs)))
 				p.keys = append(p.keys, key...)
 				p.keyOff = append(p.keyOff, int32(len(p.keys)))

@@ -9,6 +9,6 @@ package core
 const soakSession = 1 << 14
 
 // raceEnabled: under the race detector sync.Pool drops a random share of
-// what is put in it, so the arena pools make allocation counts vary from
+// what is put in it, so the kernel pools make allocation counts vary from
 // run to run.
 const raceEnabled = true

@@ -113,6 +113,9 @@ func (in *mapInterner) intern(tl []TLEntry) tlID {
 	return id
 }
 
+// seq returns the canonical slice for id.
+func (in *tlInterner) seq(id tlID) []TLEntry { return in.entries(in.span(id)) }
+
 // TestInternerMatchesMap: the interner hands out the tlIDs and canonical
 // slices of a Go-map interner, with the rebuild before (almost) every step
 // that internCap = 1 causes and an occasional reset.
@@ -210,7 +213,11 @@ func TestStampWrap(t *testing.T) {
 		if st.dedup.stamp > 100 || st.b.tl.links.stamp > 100 {
 			t.Fatalf("stamps %d and %d did not wrap", st.dedup.stamp, st.b.tl.links.stamp)
 		}
-		if got := encode(st.Smooth(opts)); !bytes.Equal(got, refs[1][q]) {
+		g, err := st.Smooth(opts)
+		if err == nil && opts.Quotient {
+			g = g.Quotient()
+		}
+		if got := encode(g, err); !bytes.Equal(got, refs[1][q]) {
 			t.Fatalf("Quotient %v: a session across the wrap smooths to a graph unlike Build's", opts.Quotient)
 		}
 		st.Release()

@@ -348,19 +348,42 @@ func rejectBinaryBody(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// decodeBody decodes a size-limited JSON POST body into v, writing the error
-// response itself when decoding fails. Binary-codec bodies are refused with
-// 415 — every decodeBody caller is a JSON-only endpoint.
+// decodeBody decodes a size-limited JSON POST body into v (DecodeJSON),
+// writing the error response itself when decoding fails. Binary-codec
+// bodies are refused with 415 — every decodeBody caller is a JSON-only
+// endpoint.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	if rejectBinaryBody(w, r) {
 		return false
 	}
 	s.limitBody(w, r)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	if err := DecodeJSON(r.Body, v); err != nil {
 		s.bodyError(w, err)
 		return false
 	}
 	return true
+}
+
+// errTrailingData rejects a JSON body with more than one value.
+var errTrailingData = errors.New("data after the JSON value")
+
+// DecodeJSON decodes the JSON value r holds into v, as the server decodes
+// every JSON request body: anything but whitespace after the value is an
+// error, and so is a read error, such as the body's size limit, while
+// looking for it.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			return err
+		}
+		return errTrailingData
+	}
+	return nil
 }
 
 // handleDeployments serves POST (register) and GET (list).

@@ -614,6 +614,46 @@ func TestServerBodyLimit(t *testing.T) {
 	}
 }
 
+// TestServerRejectsTrailingData: a body with anything but whitespace after
+// its JSON value is a 400 on the clean, batch, stream-open and JSON-readings
+// endpoints, and the same body with trailing whitespace is served. A
+// sharding router reads a clean's routing key with json.Unmarshal, which
+// refuses such a body, so a worker that took it would clean the object on
+// an arbitrary shard instead of its tag's.
+func TestServerRejectsTrailingData(t *testing.T) {
+	base, depID, _, readings := harness(t)
+	sid := openStream(t, base, depID)
+	for _, c := range []struct {
+		name, path string
+		body       any
+		ok         int
+	}{
+		{"clean", "/v1/clean", CleanRequest{Deployment: depID, Readings: readings, MaxSpeed: 2, MinStay: 5}, http.StatusCreated},
+		{"batch", "/v1/clean/batch", BatchCleanRequest{Deployment: depID, Sequences: []rfidclean.ReadingSequence{readings}, MaxSpeed: 2, MinStay: 5}, http.StatusOK},
+		{"stream open", "/v1/stream", StreamOpenRequest{Deployment: depID, MaxSpeed: 2, MinStay: 5}, http.StatusCreated},
+		{"readings", "/v1/stream/" + sid + "/readings", StreamReadingsRequest{Readings: readings[:5]}, http.StatusOK},
+	} {
+		body, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []string{` {"trailing":1}`, ` x`, `]`, "\n \t\r"} {
+			resp, err := http.Post(base+c.path, "application/json", strings.NewReader(string(body)+tail))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := http.StatusBadRequest
+			if strings.TrimSpace(tail) == "" {
+				want = c.ok
+			}
+			if resp.StatusCode != want {
+				t.Errorf("%s with %q after the body: status %d, want %d", c.name, tail, resp.StatusCode, want)
+			}
+		}
+	}
+}
+
 // TestServerBatchIDsDoNotInterleave: all of a batch's trajectory ids are
 // allocated in one critical section, so they are consecutive even when
 // single cleans run concurrently.

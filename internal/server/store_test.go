@@ -304,7 +304,7 @@ func TestStoreBytesMatchRetainedHeap(t *testing.T) {
 	heap := func() int64 {
 		var ms runtime.MemStats
 		runtime.GC()
-		runtime.GC() // the second collection empties the arena pools
+		runtime.GC() // the second collection empties the kernel pools
 		runtime.ReadMemStats(&ms)
 		return int64(ms.HeapAlloc)
 	}

@@ -522,13 +522,13 @@ func (rt *Router) handleCleanBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBatch decodes a batch-clean body as the worker does
-// (server.Server.decodeBody): the first JSON value of the body, keys matched
-// to fields case-insensitively, the last match winning. A body with
-// sequences is an object; its members that decode into no sequences are
-// kept for encodeWith.
+// (server.DecodeJSON): one JSON value and nothing after it but whitespace,
+// keys matched to fields case-insensitively, the last match winning. A body
+// with sequences is an object; its members that decode into no sequences
+// are kept for encodeWith.
 func decodeBatch(body []byte) (*batchEnvelope, error) {
 	env := &batchEnvelope{}
-	if err := json.NewDecoder(bytes.NewReader(body)).Decode(env); err != nil {
+	if err := server.DecodeJSON(bytes.NewReader(body), env); err != nil {
 		return nil, err
 	}
 	if len(env.Sequences) == 0 {

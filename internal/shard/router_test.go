@@ -305,7 +305,7 @@ func FuzzRouterBatchSplit(f *testing.F) {
 	}
 	decode := func(body []byte) (server.BatchCleanRequest, error) {
 		var req server.BatchCleanRequest
-		err := json.NewDecoder(bytes.NewReader(body)).Decode(&req)
+		err := server.DecodeJSON(bytes.NewReader(body), &req)
 		return req, err
 	}
 	f.Fuzz(func(t *testing.T, body []byte, deal byte) {
