@@ -147,6 +147,42 @@ func BenchmarkTrajectoryQuery(b *testing.B) {
 	}
 }
 
+// BenchmarkPatternQuery measures the server's pattern query: Engine.Trajectory
+// over the graph the server stores for a 20-s SYN1 sequence (a Quotient
+// clean under the dataset's constraints), one pattern per iteration, cycling
+// through "? l ?" and "? l[3] ?" for every location l of the plan.
+func BenchmarkPatternQuery(b *testing.B) {
+	d, dep := syn1Deployment(b)
+	sys, err := dep.System()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := dataset.SYN1()
+	ic, err := sys.Constraints(rfidclean.ConstraintParams{MaxSpeed: cfg.MaxSpeed, MinStay: cfg.MinStay, TTCap: cfg.TTCap})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := &rfidclean.BuildOptions{EndLatency: rfidclean.LenientEnd, Quotient: true}
+	c, err := sys.Clean(benchInstance(b, d, 20).Readings, ic, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var patterns []query.Pattern
+	for loc := range d.Plan.NumLocations() {
+		for _, n := range []int{1, 3} {
+			patterns = append(patterns, query.Pattern{query.Wild(), query.At(loc, n), query.Wild()})
+		}
+	}
+	eng := query.NewEngine(c.Graph(), d.Plan.NumLocations())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Trajectory(patterns[i%len(patterns)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSampleAndViterbi measures trajectory extraction primitives.
 func BenchmarkSampleAndViterbi(b *testing.B) {
 	d, _ := benchDatasets(b)

@@ -34,7 +34,7 @@ groups=(
 	"./internal/server 2000 5 BenchmarkCodecEncodeReadings|BenchmarkCodecDecodeReadings|BenchmarkHubFanout|BenchmarkDecodeCleanBody"
 	"./internal/server 200 5 BenchmarkServerCleanCached"
 	"./internal/server 100000 100000 BenchmarkObserveWithExemplars"
-	". 2000 5 BenchmarkStreamSession"
+	". 2000 5 BenchmarkStreamSession|BenchmarkPatternQuery"
 	". 50 5 BenchmarkDeploymentSystem"
 	". 5 5 BenchmarkSYN1Pool"
 )

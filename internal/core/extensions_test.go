@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -173,6 +174,70 @@ func TestTopKDegenerate(t *testing.T) {
 	tr, p := g.TopK(5)
 	if len(tr) != 1 || p[0] != 1 {
 		t.Errorf("TopK(5) on singleton = %v %v", tr, p)
+	}
+}
+
+// TestDecoderEdgeContract pins the one decoder's edges on hand-built
+// graphs. Among equally probable paths, MostProbable and TopK return them
+// in push order (sources, then nodes and arcs in index order), which is
+// neither the lowest nor the highest location sequence first. When every path
+// underflows to probability 0, MostProbable returns (nil, 0).
+func TestDecoderEdgeContract(t *testing.T) {
+	// Two sources, each with an arc of 1/2 into each of two targets: four
+	// paths of probability 1/4 each.
+	tie := &Graph{
+		levelOff: []int32{0, 2, 4},
+		loc:      []int32{5, 1, 2, 7},
+		arcOff:   []int32{0, 2, 4, 4, 4},
+		to:       []int32{0, 1, 0, 1},
+		p:        []float64{0.5, 0.5, 0.5, 0.5},
+		src:      []float64{0.5, 0.5},
+	}
+	if err := tie.CheckInvariants(1e-12); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{5, 2}
+	if locs, p := tie.MostProbable(); !slices.Equal(locs, want) || p != 0.25 {
+		t.Errorf("MostProbable = %v %v, want %v 0.25", locs, p, want)
+	}
+	if trajs, probs := tie.TopK(1); len(trajs) != 1 || !slices.Equal(trajs[0], want) || probs[0] != 0.25 {
+		t.Errorf("TopK(1) = %v %v, want [%v] [0.25]", trajs, probs, want)
+	}
+	all := [][]int{{5, 2}, {1, 2}, {5, 7}, {1, 7}}
+	if trajs, _ := tie.TopK(4); !slices.EqualFunc(trajs, all, slices.Equal[[]int]) {
+		t.Errorf("TopK(4) = %v, want %v", trajs, all)
+	}
+	// A k far past the graph's four paths allocates no slot per unit of k.
+	if trajs, _ := tie.TopK(math.MaxInt); !slices.EqualFunc(trajs, all, slices.Equal[[]int]) {
+		t.Errorf("TopK(MaxInt) = %v, want %v", trajs, all)
+	}
+
+	// 1,100 levels of two nodes, every arc 1/2: each path has probability
+	// 2^-1100, below the smallest subnormal, while every level's mass stays 1.
+	const levels = 1100
+	deep := &Graph{
+		levelOff: make([]int32, levels+1),
+		loc:      make([]int32, 2*levels),
+		arcOff:   make([]int32, 2*levels+1),
+		src:      []float64{0.5, 0.5},
+	}
+	for t := range deep.levelOff {
+		deep.levelOff[t] = int32(2 * t)
+	}
+	for n := range deep.loc {
+		deep.loc[n] = int32(n % 2)
+		deep.arcOff[n+1] = deep.arcOff[n]
+		if n < 2*(levels-1) {
+			deep.arcOff[n+1] += 2
+			deep.to = append(deep.to, 0, 1)
+			deep.p = append(deep.p, 0.5, 0.5)
+		}
+	}
+	if err := deep.CheckInvariants(1e-12); err != nil {
+		t.Fatal(err)
+	}
+	if locs, p := deep.MostProbable(); locs != nil || p != 0 {
+		t.Errorf("MostProbable on an underflowing graph = %v %v, want nil 0", locs, p)
 	}
 }
 

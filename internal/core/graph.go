@@ -70,6 +70,20 @@ func (g *Graph) Level(t int) Level { return Level{g, g.levelOff[t], g.levelOff[t
 // Width returns the number of nodes at the level.
 func (l Level) Width() int { return int(l.hi - l.lo) }
 
+// Column returns the level's part of a node column (one entry per node of
+// the graph, as Forward and Backward return), indexed by dense index.
+func (l Level) Column(col []float64) []float64 { return col[l.lo:l.hi:l.hi] }
+
+// Widest returns the number of nodes of the graph's widest level, the row
+// length a pass that keeps one row per level needs.
+func (g *Graph) Widest() int {
+	w := 0
+	for t := range g.Duration() {
+		w = max(w, g.Level(t).Width())
+	}
+	return w
+}
+
 // Loc returns the location of node i.
 func (l Level) Loc(i int) int {
 	if uint(i) >= uint(l.hi-l.lo) {
@@ -176,18 +190,6 @@ func (g *Graph) Stats() Stats {
 	return Stats{Nodes: len(g.loc), Edges: len(g.to), Bytes: bytes}
 }
 
-// levels allocates one float64 slot per node, shaped like the graph: the
-// rows are carved from one backing slice, each capped at its own end.
-func (g *Graph) levels() [][]float64 {
-	flat := make([]float64, len(g.loc))
-	out := make([][]float64, g.Duration())
-	for t := range out {
-		lo, hi := g.levelOff[t], g.levelOff[t+1]
-		out[t] = flat[lo:hi:hi]
-	}
-	return out
-}
-
 // PathProbability returns the probability of the source-to-target path
 // given as one node index per level: p_N of its source times the
 // probabilities of the traversed arcs. It returns an error when the indices
@@ -267,20 +269,21 @@ func TrajectoryKey(locs []int) string {
 	return b.String()
 }
 
-// Forward returns, for every node, the total probability of source-prefixes
-// reaching it: alpha[t][i] = Σ over partial paths from a source to node i of
-// level t of the product of the source probability and arc probabilities.
-// Forward, Backward and MostProbable run under every query, so they walk
-// the arc columns directly, in the order Level and Arcs give.
-func (g *Graph) Forward() [][]float64 {
-	alpha := g.levels()
-	copy(alpha[0], g.src)
+// Forward returns the node column of forward masses: alpha[n] = Σ over
+// partial paths from a source to node n of the product of the source
+// probability and arc probabilities. Like every node column it is indexed
+// by node number; Level.Column slices one level out of it. Forward,
+// Backward and TopK run under every query, so they walk the arc columns
+// directly, in the order Level and Arcs give.
+func (g *Graph) Forward() []float64 {
+	alpha := make([]float64, len(g.loc))
+	copy(alpha, g.src)
 	to, p := g.to, g.p
 	for t := 0; t+1 < g.Duration(); t++ {
-		row, next := alpha[t], alpha[t+1]
-		off := g.arcOff[g.levelOff[t] : g.levelOff[t+1]+1]
-		for i, a := range row {
-			for k := off[i]; k < off[i+1]; k++ {
+		next := alpha[g.levelOff[t+1]:]
+		for n := g.levelOff[t]; n < g.levelOff[t+1]; n++ {
+			a := alpha[n]
+			for k := g.arcOff[n]; k < g.arcOff[n+1]; k++ {
 				next[to[k]] += a * p[k]
 			}
 		}
@@ -288,37 +291,38 @@ func (g *Graph) Forward() [][]float64 {
 	return alpha
 }
 
-// Backward returns, for every node, the total probability of suffixes from
-// it to a target: beta[t][i] = Σ over partial paths from node i of level t
-// to a target of the product of arc probabilities (1 for targets).
-func (g *Graph) Backward() [][]float64 {
-	beta := g.levels()
+// Backward returns the node column of backward masses: beta[n] = Σ over
+// partial paths from node n to a target of the product of arc
+// probabilities (1 for targets).
+func (g *Graph) Backward() []float64 {
+	beta := make([]float64, len(g.loc))
 	last := g.Duration() - 1
-	for i := range beta[last] {
-		beta[last][i] = 1
+	for n := g.levelOff[last]; n < g.levelOff[last+1]; n++ {
+		beta[n] = 1
 	}
 	to, p := g.to, g.p
 	for t := last - 1; t >= 0; t-- {
-		row, next := beta[t], beta[t+1]
-		off := g.arcOff[g.levelOff[t] : g.levelOff[t+1]+1]
-		for i := range row {
+		next := beta[g.levelOff[t+1]:]
+		for n := g.levelOff[t]; n < g.levelOff[t+1]; n++ {
 			var b float64
-			for k := off[i]; k < off[i+1]; k++ {
+			for k := g.arcOff[n]; k < g.arcOff[n+1]; k++ {
 				b += p[k] * next[to[k]]
 			}
-			row[i] = b
+			beta[n] = b
 		}
 	}
 	return beta
 }
 
 // LocationMass folds level t into a fresh distribution over numLocations
-// locations: out[l] sums α·β of the level's nodes at l, in index order.
-// Every marginal-based answer (stay queries, Marginals, events) sums
-// through it, so they all associate the same floats the same way. It
-// returns an error when a location falls outside [0, numLocations).
-func (g *Graph) LocationMass(t int, alpha, beta [][]float64, numLocations int) ([]float64, error) {
-	lvl, a, b := g.Level(t), alpha[t], beta[t]
+// locations: out[l] sums α·β of the level's nodes at l, in index order,
+// from the node columns Forward and Backward return. Every marginal-based
+// answer (stay queries, Marginals, events) sums through it, so they all
+// associate the same floats the same way. It returns an error when a
+// location falls outside [0, numLocations).
+func (g *Graph) LocationMass(t int, alpha, beta []float64, numLocations int) ([]float64, error) {
+	lvl := g.Level(t)
+	a, b := lvl.Column(alpha), lvl.Column(beta)
 	out := make([]float64, numLocations)
 	for i := range a {
 		loc := lvl.Loc(i)
@@ -345,56 +349,6 @@ func (g *Graph) Marginals(numLocations int) ([][]float64, error) {
 		}
 	}
 	return out, nil
-}
-
-// MostProbable returns the valid trajectory with the highest conditioned
-// probability and that probability (Viterbi decoding over the ct-graph).
-func (g *Graph) MostProbable() ([]int, float64) {
-	if g.Duration() == 0 {
-		return nil, 0
-	}
-	best := g.levels()
-	back := make([][]int32, g.Duration())
-	for t := 1; t < g.Duration(); t++ {
-		back[t] = make([]int32, len(best[t]))
-	}
-	copy(best[0], g.src)
-	to, p := g.to, g.p
-	for t := 0; t+1 < g.Duration(); t++ {
-		row, next, nb := best[t], best[t+1], back[t+1]
-		off := g.arcOff[g.levelOff[t] : g.levelOff[t+1]+1]
-		for i, b := range row {
-			if b == 0 {
-				continue
-			}
-			for k := off[i]; k < off[i+1]; k++ {
-				if v := b * p[k]; v > next[to[k]] {
-					next[to[k]] = v
-					nb[to[k]] = int32(i)
-				}
-			}
-		}
-	}
-	last := g.Duration() - 1
-	argmax := int32(-1)
-	bestP := 0.0
-	for i, p := range best[last] {
-		if p > bestP {
-			bestP = p
-			argmax = int32(i)
-		}
-	}
-	if argmax < 0 {
-		return nil, 0
-	}
-	locs := make([]int, g.Duration())
-	for t, i := last, argmax; ; t, i = t-1, back[t][i] {
-		locs[t] = g.Level(t).Loc(int(i))
-		if t == 0 {
-			break
-		}
-	}
-	return locs, bestP
 }
 
 // Sample draws a valid trajectory from the conditioned distribution. Because
@@ -456,11 +410,7 @@ func (g *Graph) CheckInvariants(tol float64) error {
 	// so that probability underflow on long windows cannot mask a ghost (or
 	// flag a legitimate node). hasPred is one row, reused for every level.
 	reach := make([]bool, len(g.loc))
-	widest := 0
-	for t := 0; t <= last; t++ {
-		widest = max(widest, g.Level(t).Width())
-	}
-	pred := make([]bool, widest)
+	pred := make([]bool, g.Widest())
 	for i := range g.Level(0).Width() {
 		reach[i] = true
 	}
@@ -520,12 +470,13 @@ func (g *Graph) CheckInvariants(tol float64) error {
 		}
 	}
 	// Marginal mass must be 1 at every timestamp.
-	alpha := g.Forward()
-	beta := g.Backward()
-	for t := range alpha {
+	alpha, beta := g.Forward(), g.Backward()
+	for t := 0; t <= last; t++ {
+		lvl := g.Level(t)
+		b := lvl.Column(beta)
 		var mass float64
-		for i, a := range alpha[t] {
-			mass += a * beta[t][i]
+		for i, a := range lvl.Column(alpha) {
+			mass += a * b[i]
 		}
 		if math.Abs(mass-1) > tol {
 			return fmt.Errorf("core: probability mass at timestamp %d is %g", t, mass)

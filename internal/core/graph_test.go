@@ -141,8 +141,10 @@ func TestForwardBackwardMass(t *testing.T) {
 	beta := g.Backward()
 	for tau := 0; tau < g.Duration(); tau++ {
 		var mass float64
-		for i := 0; i < g.Level(tau).Width(); i++ {
-			mass += alpha[tau][i] * beta[tau][i]
+		lvl := g.Level(tau)
+		a, b := lvl.Column(alpha), lvl.Column(beta)
+		for i := 0; i < lvl.Width(); i++ {
+			mass += a[i] * b[i]
 		}
 		if math.Abs(mass-1) > 1e-9 {
 			t.Errorf("mass at %d = %v", tau, mass)

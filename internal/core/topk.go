@@ -3,84 +3,100 @@ package core
 import "sort"
 
 // TopK returns the up-to-k most probable valid trajectories and their
-// conditioned probabilities, in descending probability order. TopK(1) is
-// MostProbable. It generalizes Viterbi decoding with per-node k-best lists,
-// so its cost is O(k·|E|·log k) regardless of how many trajectories the
-// graph encodes. The k-best lists are addressed by the nodes' dense
-// per-level indices, kept sorted by a bounded insertion (the lists hold at
-// most k entries), and hypotheses that cannot enter a full list are
-// rejected before anything is allocated.
+// conditioned probabilities, in descending probability order. It
+// generalizes Viterbi decoding with per-node k-best lists, so it makes
+// k·|E| pushes, each a bounded insertion into a list of at most k entries,
+// regardless of how many trajectories the graph encodes.
+//
+// The lists are node columns: node n owns the k slots n·k to n·k+k-1, of
+// which the first cnt[n] are filled, best first. A slot holds a probability
+// and the number of the slot it extends at the previous level (-1 at a
+// source; slots are numbered in int32, which only a graph of more than
+// 24 GiB of slots would outgrow). A hypothesis enters a list by a bounded
+// insertion: a full list rejects one no better than its worst, and the new
+// one moves up past every strictly worse entry, so among equals the first
+// pushed stays first.
 func (g *Graph) TopK(k int) ([][]int, []float64) {
 	if k <= 0 || g.Duration() == 0 {
 		return nil, nil
 	}
-	type hyp struct {
-		p    float64
-		prev *hyp
-		node int // index within the hypothesis' level
+	// No node has more paths into it than the product of the level widths
+	// up to it, so capping k there keeps a large k on a small graph from
+	// allocating slots that stay empty (an empty level leaves one slot per
+	// node, never filled).
+	paths := 1.0
+	for t := range g.Duration() {
+		paths *= float64(g.Level(t).Width())
 	}
-	// Hypotheses come from an arena: blocks are never reallocated, so the
-	// prev pointers stay stable.
-	var arena []hyp
-	newHyp := func(p float64, prev *hyp, node int) *hyp {
-		if len(arena) == cap(arena) {
-			arena = make([]hyp, 0, 1024)
-		}
-		arena = arena[:len(arena)+1]
-		h := &arena[len(arena)-1]
-		*h = hyp{p: p, prev: prev, node: node}
-		return h
+	if paths < float64(k) {
+		k = max(int(paths), 1)
 	}
-	best := make([][][]*hyp, g.Duration())
-	for t := range best {
-		best[t] = make([][]*hyp, g.Level(t).Width())
-	}
-	push := func(t, i int, p float64, prev *hyp) {
-		list := best[t][i]
-		if len(list) == k {
-			if p <= list[k-1].p {
+	prob := make([]float64, len(g.loc)*k)
+	prev := make([]int32, len(g.loc)*k)
+	cnt := make([]int32, len(g.loc))
+	push := func(n int32, p float64, from int32) {
+		lo, c := n*int32(k), cnt[n]
+		if int(c) == k {
+			if p <= prob[lo+c-1] {
 				return
 			}
-			list[k-1] = newHyp(p, prev, i)
+			c--
 		} else {
-			list = append(list, newHyp(p, prev, i))
+			cnt[n]++
 		}
-		for j := len(list) - 1; j > 0 && list[j].p > list[j-1].p; j-- {
-			list[j], list[j-1] = list[j-1], list[j]
+		j := lo + c
+		for ; j > lo && p > prob[j-1]; j-- {
+			prob[j], prev[j] = prob[j-1], prev[j-1]
 		}
-		best[t][i] = list
+		prob[j], prev[j] = p, from
 	}
-	for i := range best[0] {
-		push(0, i, g.Level(0).SourceProb(i), nil)
+	for i, p := range g.src {
+		push(int32(i), p, -1)
 	}
+	to, pe := g.to, g.p
 	for t := 0; t+1 < g.Duration(); t++ {
-		for i, list := range best[t] {
-			arcs := g.Level(t).Out(i)
-			for _, h := range list {
-				for a := 0; a < arcs.Len(); a++ {
-					to, p := arcs.At(a)
-					push(t+1, to, h.p*p, h)
+		next := g.levelOff[t+1]
+		for n := g.levelOff[t]; n < next; n++ {
+			lo := n * int32(k)
+			for s := lo; s < lo+cnt[n]; s++ {
+				for a := g.arcOff[n]; a < g.arcOff[n+1]; a++ {
+					push(next+to[a], prob[s]*pe[a], s)
 				}
 			}
 		}
 	}
-	var finals []*hyp
-	for _, list := range best[len(best)-1] {
-		finals = append(finals, list...)
+	last := g.Duration() - 1
+	finals := make([]int32, 0, g.Level(last).Width()*k)
+	for n := g.levelOff[last]; n < g.levelOff[last+1]; n++ {
+		for s := n * int32(k); s < n*int32(k)+cnt[n]; s++ {
+			finals = append(finals, s)
+		}
 	}
-	sort.Slice(finals, func(i, j int) bool { return finals[i].p > finals[j].p })
+	sort.Slice(finals, func(i, j int) bool { return prob[finals[i]] > prob[finals[j]] })
 	if len(finals) > k {
 		finals = finals[:k]
 	}
 	trajectories := make([][]int, len(finals))
 	probs := make([]float64, len(finals))
-	for i, h := range finals {
+	for i, s := range finals {
+		probs[i] = prob[s]
 		locs := make([]int, g.Duration())
-		for cur, t := h, len(best)-1; cur != nil; cur, t = cur.prev, t-1 {
-			locs[t] = g.Level(t).Loc(cur.node)
+		for t := last; t >= 0; t, s = t-1, prev[s] {
+			locs[t] = int(g.loc[s/int32(k)])
 		}
 		trajectories[i] = locs
-		probs[i] = h.p
 	}
 	return trajectories, probs
+}
+
+// MostProbable returns the valid trajectory with the highest conditioned
+// probability and that probability (Viterbi decoding over the ct-graph):
+// TopK(1), or (nil, 0) when the graph is empty or every path's probability
+// underflows to 0.
+func (g *Graph) MostProbable() ([]int, float64) {
+	trajs, probs := g.TopK(1)
+	if len(trajs) == 0 || probs[0] == 0 {
+		return nil, 0
+	}
+	return trajs[0], probs[0]
 }

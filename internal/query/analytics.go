@@ -18,14 +18,15 @@ func (e *Engine) TransitionMatrix() [][]float64 {
 	}
 	for t := 0; t+1 < e.g.Duration(); t++ {
 		lvl, nxt := e.g.Level(t), e.g.Level(t+1)
-		for i, a := range e.alpha[t] {
+		beta := nxt.Column(e.beta)
+		for i, a := range lvl.Column(e.alpha) {
 			if a == 0 {
 				continue
 			}
 			row, arcs := out[lvl.Loc(i)], lvl.Out(i)
 			for k := 0; k < arcs.Len(); k++ {
 				to, p := arcs.At(k)
-				row[nxt.Loc(to)] += a * p * e.beta[t+1][to]
+				row[nxt.Loc(to)] += a * p * beta[to]
 			}
 		}
 	}

@@ -95,9 +95,10 @@ func (a *nfa) closure(states []int) []int {
 
 // dfa is the determinized automaton. State 0 is the start state.
 type dfa struct {
-	// trans[q] maps a symbol (mentioned location or otherSymbol) to the
-	// next state; missing entries go to the dead state (-1).
-	trans []map[int]int
+	// trans is the transition table, one row per state and one column per
+	// alphabet index (see symbolOf): trans[q*(len(symbols)+1)+a] is the
+	// state after consuming symbol a from q, or -1 (dead).
+	trans []int32
 	// accepting[q] reports whether q contains the NFA accept state.
 	accepting []bool
 	symbols   []int
@@ -117,6 +118,7 @@ func compile(p Pattern) *dfa {
 		}
 		return string(b)
 	}
+	alphabet := append(append([]int(nil), a.symbols...), otherSymbol)
 	intern := func(states []int) int {
 		k := keyOf(states)
 		if id, ok := index[k]; ok {
@@ -125,7 +127,9 @@ func compile(p Pattern) *dfa {
 		id := len(subsets)
 		index[k] = id
 		subsets = append(subsets, states)
-		d.trans = append(d.trans, make(map[int]int))
+		for range alphabet {
+			d.trans = append(d.trans, -1)
+		}
 		acc := false
 		for _, q := range states {
 			if q == a.accept {
@@ -137,12 +141,10 @@ func compile(p Pattern) *dfa {
 		return id
 	}
 
-	start := intern(a.closure([]int{0}))
-	_ = start
-	alphabet := append(append([]int(nil), a.symbols...), otherSymbol)
+	intern(a.closure([]int{0}))
 	for work := 0; work < len(subsets); work++ {
 		states := subsets[work]
-		for _, sym := range alphabet {
+		for si, sym := range alphabet {
 			var nextSet []int
 			seen := make(map[int]bool)
 			for _, q := range states {
@@ -157,19 +159,30 @@ func compile(p Pattern) *dfa {
 				continue // dead
 			}
 			sort.Ints(nextSet)
-			d.trans[work][sym] = intern(a.closure(nextSet))
+			to := intern(a.closure(nextSet))
+			d.row(work)[si] = int32(to)
 		}
 	}
 	return d
 }
 
-// symbolOf maps a location to the DFA's alphabet.
+// states returns the number of DFA states.
+func (d *dfa) states() int { return len(d.accepting) }
+
+// symbolOf maps a location to its alphabet index: its place among the
+// mentioned locations, or len(symbols) for otherSymbol.
 func (d *dfa) symbolOf(loc int) int {
 	i := sort.SearchInts(d.symbols, loc)
 	if i < len(d.symbols) && d.symbols[i] == loc {
-		return loc
+		return i
 	}
-	return otherSymbol
+	return len(d.symbols)
+}
+
+// row returns state q's transitions, indexed by alphabet index.
+func (d *dfa) row(q int) []int32 {
+	w := len(d.symbols) + 1
+	return d.trans[q*w : (q+1)*w]
 }
 
 // next returns the state after consuming loc from state q, or -1 (dead).
@@ -177,10 +190,7 @@ func (d *dfa) next(q, loc int) int {
 	if q < 0 {
 		return -1
 	}
-	if to, ok := d.trans[q][d.symbolOf(loc)]; ok {
-		return to
-	}
-	return -1
+	return int(d.row(q)[d.symbolOf(loc)])
 }
 
 // matches runs the DFA over a concrete location sequence.

@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -10,14 +9,15 @@ import (
 
 // Engine answers stay and trajectory queries over one ct-graph. It computes
 // the forward/backward passes on the first query that needs them and caches
-// them; create a new Engine per graph. Engines are safe for concurrent use:
-// the graph is read-only and the pass fill runs once.
+// them, as one node column each (16 bytes per node together); create a new
+// Engine per graph. Engines are safe for concurrent use: the graph is
+// read-only and the pass fill runs once.
 type Engine struct {
 	g      *core.Graph
 	numLoc int
 
 	passes      sync.Once
-	alpha, beta [][]float64 // indexed [tau][node index]; set by passes
+	alpha, beta []float64 // node columns, sliced per level by Level.Column; set by passes
 }
 
 // NewEngine returns a query engine over the graph. numLocations must exceed
@@ -59,60 +59,56 @@ func (e *Engine) Trajectory(p Pattern) (float64, error) {
 	}
 	d := compile(p)
 
-	// DP over (node, DFA state), one state map per node index of the
-	// level. DFA determinism guarantees each path contributes to exactly
-	// one state, so probabilities add correctly. Accumulation iterates
-	// nodes in index order and states in sorted order, keeping answers
-	// bit-for-bit reproducible across runs (map iteration order would
-	// otherwise reassociate the float sums).
+	// DP over (node, DFA state), one row of nodes × states per level: the
+	// mass of the paths into node i that leave the DFA in state q is
+	// row[i*states+q], 0 when there are none. DFA determinism guarantees
+	// each path contributes to exactly one state, so probabilities add
+	// correctly. Accumulation visits nodes in index order, states in
+	// ascending order and arcs in arc order, keeping answers bit-for-bit
+	// reproducible. Two rows, sized to the widest level, serve every level.
+	states, widest := d.states(), e.g.Widest()
+	cur, next := make([]float64, widest*states), make([]float64, widest*states)
+	sym := make([]int, widest) // alphabet index of each node of the next level
 	src := e.g.Level(0)
-	cur := make([]map[int]float64, src.Width())
-	for i := range cur {
+	for i := range src.Width() {
 		if q := d.next(0, src.Loc(i)); q >= 0 {
-			cur[i] = map[int]float64{q: src.SourceProb(i)}
+			cur[i*states+q] = src.SourceProb(i)
 		}
-	}
-	sortedStates := func(states map[int]float64) []int {
-		qs := make([]int, 0, len(states))
-		for q := range states {
-			qs = append(qs, q)
-		}
-		sort.Ints(qs)
-		return qs
 	}
 	for tau := 0; tau+1 < e.g.Duration(); tau++ {
 		lvl, nxt := e.g.Level(tau), e.g.Level(tau+1)
-		next := make([]map[int]float64, nxt.Width())
+		for j := range nxt.Width() {
+			sym[j] = d.symbolOf(nxt.Loc(j))
+		}
+		row := next[:nxt.Width()*states]
+		clear(row)
 		alive := false
-		for i, states := range cur {
-			if states == nil {
-				continue
-			}
+		for i := range lvl.Width() {
 			arcs := lvl.Out(i)
-			for _, q := range sortedStates(states) {
-				p := states[q]
+			for q, p := range cur[i*states : (i+1)*states] {
+				if p == 0 {
+					continue
+				}
+				trans := d.row(q)
 				for k := 0; k < arcs.Len(); k++ {
 					to, pe := arcs.At(k)
-					if nq := d.next(q, nxt.Loc(to)); nq >= 0 {
-						if next[to] == nil {
-							next[to] = make(map[int]float64)
-						}
-						next[to][nq] += p * pe
+					if nq := trans[sym[to]]; nq >= 0 {
+						row[to*states+int(nq)] += p * pe
 						alive = true
 					}
 				}
 			}
 		}
-		cur = next
 		if !alive {
 			return 0, nil
 		}
+		cur, next = next, cur
 	}
 	total := 0.0
-	for _, states := range cur {
-		for _, q := range sortedStates(states) {
+	for i := range e.g.Level(e.g.Duration() - 1).Width() {
+		for q, p := range cur[i*states : (i+1)*states] {
 			if d.accepting[q] {
-				total += states[q]
+				total += p
 			}
 		}
 	}

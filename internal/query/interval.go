@@ -18,33 +18,35 @@ func (e *Engine) EverIn(loc, from, to int) (float64, error) {
 		return 0, fmt.Errorf("query: interval [%d, %d] outside window [0, %d)", from, to, e.g.Duration())
 	}
 	// Forward mass restricted to paths avoiding loc within the window, one
-	// level at a time, indexed by the nodes' dense per-level indices.
+	// level at a time, indexed by the nodes' dense per-level indices; two
+	// rows, sized to the widest level, serve every level.
 	src := e.g.Level(0)
-	alpha := make([]float64, src.Width())
-	for i := range alpha {
+	alpha, next := make([]float64, e.g.Widest()), make([]float64, e.g.Widest())
+	for i := range src.Width() {
 		if from > 0 || src.Loc(i) != loc {
 			alpha[i] = src.SourceProb(i)
 		}
 	}
 	for t := 1; t < e.g.Duration(); t++ {
 		prev, lvl := e.g.Level(t-1), e.g.Level(t)
-		next := make([]float64, lvl.Width())
+		row := next[:lvl.Width()]
+		clear(row)
 		inWindow := t >= from && t <= to
-		for i, a := range alpha {
+		for i, a := range alpha[:prev.Width()] {
 			if a == 0 {
 				continue
 			}
 			arcs := prev.Out(i)
 			for k := 0; k < arcs.Len(); k++ {
 				if j, p := arcs.At(k); !inWindow || lvl.Loc(j) != loc {
-					next[j] += a * p
+					row[j] += a * p
 				}
 			}
 		}
-		alpha = next
+		alpha, next = next, alpha
 	}
 	var never float64
-	for _, a := range alpha {
+	for _, a := range alpha[:e.g.Level(e.g.Duration()-1).Width()] {
 		never += a
 	}
 	if never > 1 {
@@ -67,9 +69,10 @@ func (e *Engine) ExpectedVisitTime(loc, from, to int) (float64, error) {
 	total := 0.0
 	for t := from; t <= to; t++ {
 		lvl := e.g.Level(t)
-		for i := 0; i < lvl.Width(); i++ {
+		a, b := lvl.Column(e.alpha), lvl.Column(e.beta)
+		for i := range a {
 			if lvl.Loc(i) == loc {
-				total += e.alpha[t][i] * e.beta[t][i]
+				total += a[i] * b[i]
 			}
 		}
 	}

@@ -99,10 +99,9 @@ func itemBytes(c *rfidclean.Cleaned) int64 {
 }
 
 // passBytes is what a query engine's cached forward and backward passes
-// retain: per pass, one slice header per level and one float64 per node.
+// retain: two node columns, one float64 per node each.
 func passBytes(c *rfidclean.Cleaned) int64 {
-	levels := int64(c.Duration()) * int64(unsafe.Sizeof([]float64(nil)))
-	return 2 * (levels + 8*int64(c.Stats().Nodes))
+	return 16 * int64(c.Stats().Nodes)
 }
 
 // chargePasses charges traj, once, for the passes a stay or occupancy query
